@@ -1,0 +1,84 @@
+"""Capture the golden reference values that tests/test_golden.py compares with.
+
+The files next to this script were written once, from the code before the
+mode-set refactor, and are not to be regenerated: they pin the numbers a
+refactor must reproduce.  To inspect what they hold, run
+
+    PYTHONPATH=src python tests/golden/capture.py <output-dir>
+
+Reference case: gamma = 0.7, eps = 0.2, delta = eps^3, 5 nodes per lobe.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from wavecrit import corrector as C
+from wavecrit.packets import (
+    Envelope,
+    Family,
+    QuadratureSpec,
+    assemble_W0,
+    default_grid,
+    evaluate_packet,
+    packet_norms,
+)
+from wavecrit.params import PhysParams, critical_carrier
+
+GAMMA = 0.7
+EPS = 0.2
+NODES = 5
+T_FIELD = 0.3
+W0_FAMILIES = (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3, Family.SUM)
+W1_FAMILIES = (C.W1_BLEPS2, C.W1_BLEPS3, C.W1_II, C.W1_MF)
+
+
+def reference_case():
+    p = PhysParams(gamma=GAMMA, eps=EPS, delta=EPS**3)
+    env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=EPS)
+    w0 = assemble_W0(p, env, QuadratureSpec(NODES))
+    return w0, C.assemble_W1(w0, p)
+
+
+def field_grid(x_period):
+    """24 wall-clustered y rows (down to the eps^3 layer) by 32 x columns."""
+    x = np.linspace(0.0, x_period, 32, endpoint=False)
+    y = 0.5 * np.linspace(0.0, 1.0, 24) ** 2
+    return x, y
+
+
+def capture(w0, casm):
+    """(arrays, scalars) of the reference case."""
+    x, y = field_grid(w0.x_period)
+    arrays = {"x": x, "y": y}
+    for deriv, tag in ((None, "W0"), ("x", "W0_dx"), ("y", "W0_dy")):
+        fld = evaluate_packet(w0, Family.SUM, T_FIELD, (x, y), deriv=deriv)
+        for name, comp in zip("uwb", fld.components()):
+            arrays[f"{tag}_{name}"] = np.asarray(comp).real
+    for name, comp in zip("uwb", C.evaluate_W1(casm, T_FIELD, x, y)):
+        arrays[f"W1_{name}"] = np.asarray(comp).real
+
+    scalars = {
+        "W1_norms": {f: list(casm.norms(f)) for f in W1_FAMILIES},
+        "residual_Rapp": {k: float(v) for k, v in C.residual_Rapp(casm).items()},
+        "packet_norms": {
+            f.name: list(packet_norms(evaluate_packet(
+                w0, f, 0.0, default_grid(w0, f))))
+            for f in W0_FAMILIES
+        },
+    }
+    return arrays, scalars
+
+
+def main(outdir):
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    arrays, scalars = capture(*reference_case())
+    np.savez(outdir / "fields.npz", **arrays)
+    (outdir / "scalars.json").write_text(json.dumps(scalars, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent)
