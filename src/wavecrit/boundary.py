@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristic import (
+    CRITICAL_REGIMES,
     Eigenvector,
     ModalMatrixSpec,
     Regime,
@@ -39,11 +40,10 @@ from .characteristic import (
 #: modes whose exponent drops below exp(-700) contribute exactly zero
 _UNDERFLOW_EXPONENT = 700.0
 
-_CRITICAL_FAMILY = (
-    Regime.CRITICAL_SMALL_DIFF,
-    Regime.CRITICAL_DY,
-    Regime.CRITICAL_LARGE_DIFF,
-)
+
+def guarded_exp(expo):
+    """exp(expo), but exactly zero where Re(expo) < -700 instead of underflowing."""
+    return np.where(expo.real < -_UNDERFLOW_EXPONENT, 0.0, np.exp(expo))
 
 
 class IllConditionedLiftError(RuntimeError):
@@ -213,7 +213,7 @@ def lift_critical(
     spec: ModalMatrixSpec, roots: RootSet, traces: TraceTriple
 ) -> BoundaryLift:
     """Lift all three traces by the decaying modes lambda_2, lambda_3, lambda_5."""
-    if roots.regime not in _CRITICAL_FAMILY:
+    if roots.regime not in CRITICAL_REGIMES:
         raise ValueError(f"lift_critical needs a critical regime, got {roots.regime}")
     lams, vecs, mat = _lift_columns(spec, roots, (2, 3, 5))
     a = _equilibrated_solve(mat, traces.as_array())
@@ -297,9 +297,7 @@ def evaluate_lift(lift: BoundaryLift, t, x, y):
     ww = np.zeros(shape, dtype=complex)
     b = np.zeros(shape, dtype=complex)
     for m in lift.modes:
-        expo = -m.lam * y
-        damp = np.where(expo.real < -_UNDERFLOW_EXPONENT, 0.0, np.exp(expo))
-        term = m.a * phase * damp
+        term = m.a * phase * guarded_exp(-m.lam * y)
         u = u + m.vec.U * term
         ww = ww + m.vec.W * term
         b = b + m.vec.B * term

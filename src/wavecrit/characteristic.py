@@ -117,6 +117,14 @@ class Regime(enum.Enum):
     NON_OSCILLATING = "NonOscillating"
 
 
+#: the near-critical family, in which lift_critical applies
+CRITICAL_REGIMES = (
+    Regime.CRITICAL_SMALL_DIFF,
+    Regime.CRITICAL_DY,
+    Regime.CRITICAL_LARGE_DIFF,
+)
+
+
 @dataclass
 class RootSet:
     """Six roots of the characteristic polynomial, optionally labeled.

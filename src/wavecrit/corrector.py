@@ -30,6 +30,12 @@ flow (-G eps^2 theta'(eps^2 y), theta(eps^2 y) dx G, 0).
 Everything dropped on the way (viscous terms at rate eps^-2, normal-velocity
 forcing components, Leray-projection corrections, c-type interactions,
 diffusion acting on the incident packet) is booked in a residual ledger.
+
+Pairs, interior responses, lifts and ledger terms are all packets.ExpModes
+sets, the representation W0 uses too: the W0 quadrature amplitudes already
+sit in the coefficients, so a pair's forcing is -delta cc (U2, W2, B2) with
+no separate weight.  W1 = W1_BLeps2 + W1_BLeps3 + W1_II (one mode set,
+evaluated by packets.evaluate_modes) + the explicit mean flow W1_MF.
 """
 
 from __future__ import annotations
@@ -40,12 +46,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import TraceTriple, lift_noncritical, lift_nonoscillating
+from .boundary import TraceTriple, guarded_exp, lift_noncritical, lift_nonoscillating
 from .characteristic import ModalMatrixSpec, Regime, roots_for
-from .packets import Family, PacketAssembly, chi_bump
+from .packets import (
+    ExpModes,
+    Family,
+    PacketAssembly,
+    _group_by_l,
+    default_grid,
+    evaluate_modes,
+    evaluate_packet,
+    packet_norms,
+)
 from .params import PhysParams
-
-_UNDERFLOW_EXPONENT = 700.0
 
 
 class CorrectorError(RuntimeError):
@@ -95,9 +108,10 @@ class Lobe(enum.Enum):
 class PairBatch:
     """Vectorized ordered mode pairs of one interaction row and one lobe.
 
-    cc is the convective factor i k2 U1 - mu2 W1 of the pair (indices 1/2 =
-    advecting/advected mode); weight is the product of the two quadrature
-    amplitudes; (U2, W2, B2) is the advected polarization.
+    cc is the convective factor i k2 cu1 - mu2 cw1 of the pair (indices 1/2 =
+    advecting/advected mode) and (U2, W2, B2) the advected mode's
+    coefficients; both carry their mode's quadrature amplitude, so the
+    forcing of the pair is -delta cc (U2, W2, B2).
     """
 
     itype: InteractionType
@@ -106,10 +120,24 @@ class PairBatch:
     alpha: np.ndarray
     mu: np.ndarray
     cc: np.ndarray
-    weight: np.ndarray
     U2: np.ndarray
     W2: np.ndarray
     B2: np.ndarray
+
+
+def _pair_batch(itype: InteractionType, lobe: Lobe, L: ExpModes, R: ExpModes) -> PairBatch:
+    """Every ordered pair (left mode of L, right mode of R), left-major."""
+    return PairBatch(
+        itype=itype,
+        lobe=lobe,
+        l=np.add.outer(L.l, R.l).ravel(),
+        alpha=np.add.outer(L.alpha, R.alpha).ravel(),
+        mu=np.add.outer(L.mu, R.mu).ravel(),
+        cc=(1j * R.l[None, :] * L.cu[:, None] - R.mu[None, :] * L.cw[:, None]).ravel(),
+        U2=np.tile(R.cu, len(L)),
+        W2=np.tile(R.cw, len(L)),
+        B2=np.tile(R.cb, len(L)),
+    )
 
 
 def enumerate_pairs(assembly: PacketAssembly, itype: InteractionType) -> list[PairBatch]:
@@ -123,37 +151,7 @@ def enumerate_pairs(assembly: PacketAssembly, itype: InteractionType) -> list[Pa
     """
     L = assembly.bundle(itype.left)
     R = assembly.bundle(itype.right)
-    out = []
-    for sign, lobe in ((+1, Lobe.DOUBLE), (-1, Lobe.ZERO)):
-        if sign > 0:
-            k2, w2, lam2 = R.k, R.omega, R.lam
-            amp2, U2, W2, B2 = R.amp, R.U, R.W, R.B
-        else:
-            k2, w2, lam2 = -R.k, -R.omega, R.lam.conj()
-            amp2, U2, W2, B2 = R.amp.conj(), R.U.conj(), R.W.conj(), R.B.conj()
-        l = (L.k[:, None] + k2[None, :]).ravel()
-        alpha = (L.omega[:, None] + w2[None, :]).ravel()
-        mu = (L.lam[:, None] + lam2[None, :]).ravel()
-        cc = (
-            1j * k2[None, :] * L.U[:, None] - lam2[None, :] * L.W[:, None]
-        ).ravel()
-        weight = (L.amp[:, None] * amp2[None, :]).ravel()
-        n = len(R.amp)
-        out.append(
-            PairBatch(
-                itype=itype,
-                lobe=lobe,
-                l=l,
-                alpha=alpha,
-                mu=mu,
-                cc=cc,
-                weight=weight,
-                U2=np.tile(U2, len(L.amp)),
-                W2=np.tile(W2, len(L.amp)),
-                B2=np.tile(B2, len(L.amp)),
-            )
-        )
-    return out
+    return [_pair_batch(itype, Lobe.DOUBLE, L, R), _pair_batch(itype, Lobe.ZERO, L, R.conj())]
 
 
 def _check_lobe(batch: PairBatch, assembly: PacketAssembly):
@@ -173,96 +171,8 @@ def _check_lobe(batch: PairBatch, assembly: PacketAssembly):
 
 
 # ---------------------------------------------------------------------------
-# exponential mode sets (the working representation of corrector fields)
+# norms of exponential mode sets
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExpModes:
-    """Field sum_n (cu, cw, cb)_n exp(i l_n x - i alpha_n t - mu_n y) + c.c."""
-
-    l: np.ndarray
-    alpha: np.ndarray
-    mu: np.ndarray
-    cu: np.ndarray
-    cw: np.ndarray
-    cb: np.ndarray
-    lobe: np.ndarray  # Lobe value per mode (0 or 2)
-
-    @classmethod
-    def empty(cls) -> "ExpModes":
-        z = np.zeros(0)
-        zc = np.zeros(0, dtype=complex)
-        return cls(z.copy(), z.copy(), zc.copy(), zc.copy(), zc.copy(), zc.copy(), z.copy())
-
-    @classmethod
-    def concat(cls, parts) -> "ExpModes":
-        parts = [p for p in parts if len(p.l)]
-        if not parts:
-            return cls.empty()
-        return cls(
-            *(
-                np.concatenate([getattr(p, f) for p in parts])
-                for f in ("l", "alpha", "mu", "cu", "cw", "cb", "lobe")
-            )
-        )
-
-    def __len__(self):
-        return len(self.l)
-
-    def scaled(self, fu, fw=None, fb=None) -> "ExpModes":
-        """New mode set with per-mode component factors (e.g. derivatives)."""
-        fw = fu if fw is None else fw
-        fb = fu if fb is None else fb
-        return ExpModes(self.l, self.alpha, self.mu, self.cu * fu, self.cw * fw,
-                        self.cb * fb, self.lobe)
-
-    def d_dx(self) -> "ExpModes":
-        return self.scaled(1j * self.l)
-
-    def d_dy(self) -> "ExpModes":
-        return self.scaled(-self.mu)
-
-    def traces(self):
-        """Wall coefficients of (u, w, d_y b): fields coeff * e^(ilx - i alpha t)."""
-        return self.cu, self.cw, -self.mu * self.cb
-
-
-def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
-    """(u, w, b) on the tensor grid, conjugate part included (real output).
-
-    Modes sharing an x-wavenumber (the lattice produces thousands per l)
-    are summed into one y-profile first, so the grid work is one outer
-    product per distinct l rather than per mode.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.zeros((len(y), len(x)), dtype=complex)
-    w = np.zeros_like(u)
-    b = np.zeros_like(u)
-    if len(modes) == 0:
-        return u + u.conj(), w + w.conj(), b + b.conj()
-    tol = 1e-12 * max(1.0, np.abs(modes.l).max())
-    for idx in _group_by_l(modes.l, tol):
-        expo = -np.outer(y, modes.mu[idx])
-        vert = np.where(expo.real < -_UNDERFLOW_EXPONENT, 0.0, np.exp(expo))
-        phase_t = np.exp(-1j * modes.alpha[idx] * t)
-        horiz = np.exp(1j * modes.l[idx[0]] * x)
-        u += np.outer(vert @ (modes.cu[idx] * phase_t), horiz)
-        w += np.outer(vert @ (modes.cw[idx] * phase_t), horiz)
-        b += np.outer(vert @ (modes.cb[idx] * phase_t), horiz)
-    return u + u.conj(), w + w.conj(), b + b.conj()
-
-
-def _group_by_l(l: np.ndarray, tol: float):
-    order = np.argsort(l)
-    groups = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or l[order[i]] - l[order[i - 1]] > tol:
-            groups.append(order[start:i])
-            start = i
-    return groups
 
 
 def modes_norms(
@@ -298,8 +208,7 @@ def modes_norms(
     phase = np.exp(-1j * modes.alpha * t)
     profiles = []  # (l_group, gu(y), gw(y), gb(y))
     for idx in groups:
-        expo = -modes.mu[idx, None] * y[None, :]
-        E = np.where(expo.real < -_UNDERFLOW_EXPONENT, 0.0, np.exp(expo))
+        E = guarded_exp(-modes.mu[idx, None] * y[None, :])
         cf = phase[idx]
         gu = (modes.cu[idx] * cf) @ E
         gw = (modes.cw[idx] * cf) @ E
@@ -346,7 +255,7 @@ def solve_interior_a(batch: PairBatch, params: PhysParams) -> ExpModes:
         raise CorrectorError(
             "resonance guard tripped: |-alpha +- sin(gamma)| < sin(gamma)/2"
         )
-    S = -params.delta * batch.weight * batch.cc
+    S = -params.delta * batch.cc
     # Pi_pm (U2, B2) = ((U2 pm i B2)/2, (B2 -+ i U2)/2)
     up = 0.5 * (batch.U2 + 1j * batch.B2)
     um = 0.5 * (batch.U2 - 1j * batch.B2)
@@ -369,7 +278,7 @@ def solve_interior_b(batch: PairBatch, params: PhysParams) -> ExpModes:
     det = a11 * a22 + sg * sg
     if (np.abs(det) < 0.1 * sg * sg).any():
         raise CorrectorError("det(M^-1) fell below the 0.1 sin^2(gamma) guard")
-    S = -params.delta * batch.weight * batch.cc
+    S = -params.delta * batch.cc
     # M = inv([[a11, -sg], [sg, a22]])
     cu = S * (a22 * batch.U2 + sg * batch.B2) / det
     cb = S * (-sg * batch.U2 + a11 * batch.B2) / det
@@ -413,9 +322,17 @@ def _theta(s):
     return f / (f + g)
 
 
-def _theta_prime(s, h=1e-6):
-    s = np.asarray(s, dtype=float)
-    return (_theta(s + h) - _theta(s - h)) / (2 * h)
+def _theta_prime(s):
+    """d theta / ds in closed form; zero outside 1 < s < 2.
+
+    With t = 2 - s, f = exp(-1/t) and g = exp(-1/(1-t)), theta = f/(f+g)
+    and theta' = -f g (1/t^2 + 1/(1-t)^2) / (f+g)^2.
+    """
+    t = 2.0 - np.asarray(s, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    t = np.where(inside, t, 0.5)
+    f, g = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+    return np.where(inside, -f * g * (1.0 / t**2 + 1.0 / (1.0 - t) ** 2) / (f + g) ** 2, 0.0)
 
 
 @dataclass
@@ -503,23 +420,16 @@ def lift_second_harmonic(
         rw, bl = lift_noncritical(
             spec, roots, TraceTriple(-tu[i], -tw[i], -tb[i])
         )
-        for lift, store in ((rw, rw_parts), (bl, bl_parts)):
-            for m in lift.modes:
-                store.append((l[i], alpha[i], m.lam, m.a * m.vec.U,
-                              m.a * m.vec.W, m.a * m.vec.B))
-    def build(rows):
-        if not rows:
-            return ExpModes.empty()
-        cols = list(zip(*rows))
-        return ExpModes(
-            l=np.array(cols[0]), alpha=np.array(cols[1]),
-            mu=np.array(cols[2], dtype=complex),
-            cu=np.array(cols[3], dtype=complex),
-            cw=np.array(cols[4], dtype=complex),
-            cb=np.array(cols[5], dtype=complex),
-            lobe=np.full(len(rows), Lobe.DOUBLE.value, dtype=float),
-        )
-    return build(bl_parts), build(rw_parts)
+        bl_parts += _lift_rows(l[i], alpha[i], bl)
+        rw_parts += _lift_rows(l[i], alpha[i], rw)
+    return (ExpModes.from_rows(bl_parts, Lobe.DOUBLE.value),
+            ExpModes.from_rows(rw_parts, Lobe.DOUBLE.value))
+
+
+def _lift_rows(l, alpha, lift):
+    """(l, alpha, mu, cu, cw, cb) rows of a boundary lift's modes."""
+    return [(l, alpha, m.lam, m.a * m.vec.U, m.a * m.vec.W, m.a * m.vec.B)
+            for m in lift.modes]
 
 
 def _shear_lift(alpha, tu, tb, params: PhysParams):
@@ -573,26 +483,13 @@ def lift_mean_flow(
         lift, leftover = lift_nonoscillating(
             spec, roots, TraceTriple(-tu[i], -tw[i], -tb[i])
         )
-        for m in lift.modes:
-            bl_rows.append((l[i], alpha[i], m.lam, m.a * m.vec.U,
-                            m.a * m.vec.W, m.a * m.vec.B))
+        bl_rows += _lift_rows(l[i], alpha[i], lift)
         # remaining wall value of w is exactly `leftover`; the mean flow
         # must carry w(0) = -leftover, i.e. dx G = -leftover
         g_l.append(l[i])
         g_alpha.append(alpha[i])
         g_coef.append(-leftover / (1j * l[i]))
-    if bl_rows:
-        cols = list(zip(*bl_rows))
-        bl = ExpModes(
-            l=np.array(cols[0]), alpha=np.array(cols[1]),
-            mu=np.array(cols[2], dtype=complex),
-            cu=np.array(cols[3], dtype=complex),
-            cw=np.array(cols[4], dtype=complex),
-            cb=np.array(cols[5], dtype=complex),
-            lobe=np.full(len(bl_rows), Lobe.ZERO.value, dtype=float),
-        )
-    else:
-        bl = ExpModes.empty()
+    bl = ExpModes.from_rows(bl_rows, Lobe.ZERO.value)
     mf = MeanFlowField(
         l=np.array(g_l), alpha=np.array(g_alpha),
         G=np.array(g_coef, dtype=complex), eps=params.eps,
@@ -610,20 +507,13 @@ def trace_density(assembly: PacketAssembly, params: PhysParams):
     """
     inc = assembly.families[Family.INCIDENT]
     bl2 = assembly.families[Family.BLEPS2]
-    i = int(np.argmax(np.abs(inc.amp)))
+    i = int(np.argmax(np.abs(inc.cu)))
     node = slice(2 * i, 2 * i + 2)
-    raw = bl2.amp[node] / inc.amp[i]  # lift amplitudes per unit trace
-    k, w, lam = bl2.k[node], bl2.omega[node], bl2.lam[node]
-    U, W, B = bl2.U[node], bl2.W[node], bl2.B[node]
-    batch = PairBatch(
-        itype=INTERACTIONS[0], lobe=Lobe.DOUBLE,
-        l=np.add.outer(k, k).ravel(),
-        alpha=np.add.outer(w, w).ravel(),
-        mu=np.add.outer(lam, lam).ravel(),
-        cc=(1j * k[None, :] * U[:, None] - lam[None, :] * W[:, None]).ravel(),
-        weight=np.outer(raw, raw).ravel(),
-        U2=np.tile(U, 2), W2=np.tile(W, 2), B2=np.tile(B, 2),
-    )
+    # the incident cu is the node's quadrature amplitude (U = 1), so this
+    # leaves the lift modes per unit trace
+    modes = ExpModes(bl2.l[node], bl2.alpha[node], bl2.mu[node], bl2.cu[node],
+                     bl2.cw[node], bl2.cb[node], bl2.lobe[node]).scaled(1.0 / inc.cu[i])
+    batch = _pair_batch(INTERACTIONS[0], Lobe.DOUBLE, modes, modes)
     unit = PhysParams(gamma=params.gamma, nu0=params.nu0, kappa0=params.kappa0,
                       eps=params.eps, delta=1.0)
     tu, tw, tb = solve_interior_a(batch, unit).traces()
@@ -638,6 +528,7 @@ W1_BLEPS2 = "W1_BLeps2"
 W1_BLEPS3 = "W1_BLeps3"
 W1_II = "W1_II"
 W1_MF = "W1_MF"
+W1_MODAL = (W1_BLEPS2, W1_BLEPS3, W1_II)  # the exponential-mode families
 
 
 @dataclass
@@ -656,15 +547,47 @@ class CorrectorAssembly:
             return self.families[W1_MF].norms(self.x_period, t=t)
         return modes_norms(self.families[family], self.x_period, t=t)
 
+    def modal(self) -> ExpModes:
+        """All exponential modes of the corrector (everything but W1_MF)."""
+        return ExpModes.concat(self.families[f] for f in W1_MODAL)
+
 
 def _source_modes(batch: PairBatch, delta: float) -> ExpModes:
-    """The forcing -delta * weight * cc * (U2, W2, B2) as a mode set."""
-    S = -delta * batch.weight * batch.cc
+    """The forcing -delta * cc * (U2, W2, B2) as a mode set."""
+    S = -delta * batch.cc
     return ExpModes(
         l=batch.l.copy(), alpha=batch.alpha.copy(), mu=batch.mu.copy(),
         cu=S * batch.U2, cw=S * batch.W2, cb=S * batch.B2,
         lobe=np.full(len(batch.l), batch.lobe.value, dtype=float),
     )
+
+
+def _booked_terms(kind: str, batch: PairBatch, modes: ExpModes, src: ExpModes,
+                  params: PhysParams) -> dict[str, ExpModes]:
+    """Ledger term -> mode set of what one interior solve leaves out.
+
+    Both reductions drop the normal-velocity forcing component and the
+    Leray correction, O(l/mu) of the source.  The rotation-only (a) solve
+    also drops vertical diffusion on its response and the w-coupling of the
+    buoyancy row, which the (b) solve keeps.
+    """
+    zero = np.zeros_like(src.cu)
+    wforce = ExpModes(batch.l, batch.alpha, batch.mu, zero, src.cw, zero, src.lobe)
+    leray = src.scaled(np.abs(batch.l) / np.abs(batch.mu))
+    if kind == "b":
+        return {"r1_bL_wforce": wforce, "r1_bL_leray": leray}
+    nu6 = params.eps ** 6
+    return {
+        "r1_aL_viscous": modes.scaled(
+            nu6 * params.nu0 * (batch.mu**2 - batch.l**2),
+            nu6 * params.nu0 * (batch.mu**2 - batch.l**2),
+            nu6 * params.kappa0 * (batch.mu**2 - batch.l**2),
+        ),
+        "r1_aL_wrow": ExpModes(batch.l, batch.alpha, batch.mu, zero, zero,
+                               math.cos(params.gamma) * modes.cw, modes.lobe),
+        "r1_aL_leray": leray,
+        "r1_aL_wforce": wforce,
+    }
 
 
 def assemble_W1(
@@ -680,10 +603,10 @@ def assemble_W1(
     sum because Q(W0, W0) vanishes at the wall (u0 = w0 = 0 there), so the
     per-row wall traces largely cancel when combined.
     """
-    a_parts, b_parts = [], []
+    parts = {"a": [], "b": []}
     residuals: dict[str, float] = {}
     eps, delta = params.eps, params.delta
-    nu6 = params.eps ** 6
+    solvers = {"a": solve_interior_a, "b": solve_interior_b}
 
     for itype in INTERACTIONS:
         if rows is not None and itype.name not in rows:
@@ -692,58 +615,22 @@ def assemble_W1(
             if len(batch.l) == 0:
                 continue
             _check_lobe(batch, assembly)
-            if itype.kind == "a":
-                modes = solve_interior_a(batch, params)
-                a_parts.append(modes)
-                # booked leftovers of the 2x2 reduction:
-                # vertical diffusion on the response ...
-                visc = modes.scaled(
-                    nu6 * params.nu0 * (batch.mu**2 - batch.l**2),
-                    nu6 * params.nu0 * (batch.mu**2 - batch.l**2),
-                    nu6 * params.kappa0 * (batch.mu**2 - batch.l**2),
-                )
-                residuals["r1_aL_viscous"] = residuals.get("r1_aL_viscous", 0.0) + \
-                    modes_norms(visc, assembly.x_period)[0]
-                # ... the w-coupling dropped from the buoyancy row ...
-                wrow = ExpModes(batch.l, batch.alpha, batch.mu,
-                                np.zeros_like(modes.cu),
-                                np.zeros_like(modes.cu),
-                                math.cos(params.gamma) * modes.cw,
-                                modes.lobe)
-                residuals["r1_aL_wrow"] = residuals.get("r1_aL_wrow", 0.0) + \
-                    modes_norms(wrow, assembly.x_period)[0]
-                # ... and the dropped Leray correction, O(l/mu) of the source
-                src = _source_modes(batch, delta)
-                leray = src.scaled(np.abs(batch.l) / np.abs(batch.mu))
-                residuals["r1_aL_leray"] = residuals.get("r1_aL_leray", 0.0) + \
-                    modes_norms(leray, assembly.x_period)[0]
-                # dropped normal-velocity forcing component
-                wsrc = ExpModes(batch.l, batch.alpha, batch.mu,
-                                np.zeros_like(src.cu), src.cw,
-                                np.zeros_like(src.cu), src.lobe)
-                residuals["r1_aL_wforce"] = residuals.get("r1_aL_wforce", 0.0) + \
-                    modes_norms(wsrc, assembly.x_period)[0]
-            elif itype.kind == "b":
-                modes = solve_interior_b(batch, params)
-                b_parts.append(modes)
-                src = _source_modes(batch, delta)
-                wsrc = ExpModes(batch.l, batch.alpha, batch.mu,
-                                np.zeros_like(src.cu), src.cw,
-                                np.zeros_like(src.cu), src.lobe)
-                residuals["r1_bL_wforce"] = residuals.get("r1_bL_wforce", 0.0) + \
-                    modes_norms(wsrc, assembly.x_period)[0]
-                leray = src.scaled(np.abs(batch.l) / np.abs(batch.mu))
-                residuals["r1_bL_leray"] = residuals.get("r1_bL_leray", 0.0) + \
-                    modes_norms(leray, assembly.x_period)[0]
-            else:  # residual-only interaction
-                src = _source_modes(batch, delta)
-                key = f"c_terms_{itype.name}"
-                ymax = None if batch.mu.real.min() > 1e-12 else assembly.x_period
-                residuals[key] = residuals.get(key, 0.0) + \
-                    modes_norms(src, assembly.x_period, y_max=ymax)[0]
+            src = _source_modes(batch, delta)
+            ymax = None
+            if itype.kind == "c":  # residual-only interaction
+                if batch.mu.real.min() <= 1e-12:
+                    ymax = assembly.x_period
+                booked = {f"c_terms_{itype.name}": src}
+            else:
+                modes = solvers[itype.kind](batch, params)
+                parts[itype.kind].append(modes)
+                booked = _booked_terms(itype.kind, batch, modes, src, params)
+            for term, m in booked.items():
+                residuals[term] = residuals.get(term, 0.0) + \
+                    modes_norms(m, assembly.x_period, y_max=ymax)[0]
 
-    interior_a = ExpModes.concat(a_parts)
-    interior_b = ExpModes.concat(b_parts)
+    interior_a = ExpModes.concat(parts["a"])
+    interior_b = ExpModes.concat(parts["b"])
     interior = ExpModes.concat([interior_a, interior_b])
 
     traces = collect_traces(interior)
@@ -798,10 +685,7 @@ def rowwise_family_sizes(
 
 def evaluate_W1(casm: CorrectorAssembly, t, x, y):
     """Total corrector field (u, w, b) on the grid."""
-    u = w = b = 0.0
-    for fam in (W1_BLEPS2, W1_BLEPS3, W1_II):
-        du, dw, db = evaluate_modes(casm.families[fam], t, x, y)
-        u, w, b = u + du, w + dw, b + db
+    u, w, b = evaluate_modes(casm.modal(), t, x, y)
     du, dw, db = casm.families[W1_MF].evaluate(t, x, y)
     return u + du, w + dw, b + db
 
@@ -811,10 +695,7 @@ def wall_trace_check(casm: CorrectorAssembly, t: float = 0.0, nx: int = 256):
     x = np.linspace(0.0, casm.x_period, nx, endpoint=False)
     y0 = np.array([0.0])
     u, w, _ = evaluate_W1(casm, t, x, y0)
-    dyb = 0.0
-    for fam in (W1_BLEPS2, W1_BLEPS3, W1_II):
-        _, _, db = evaluate_modes(casm.families[fam].d_dy(), t, x, y0)
-        dyb = dyb + db
+    _, _, dyb = evaluate_modes(casm.modal().d_dy(), t, x, y0)
     scale = 1e-300
     for fam in (W1_BLEPS2, W1_BLEPS3):
         tu, tw, tb = casm.families[fam].traces()
@@ -878,21 +759,13 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
 
     # diffusion acting on the incident packet: eps^6 (nu0 Du, nu0 Dw, k0 Db)
     inc = w0.families[Family.INCIDENT]
-    lap = (inc.lam**2 - inc.k**2) * eps**6
-    diff = ExpModes(
-        l=inc.k.copy(), alpha=inc.omega.copy(), mu=inc.lam.copy(),
-        cu=params.nu0 * lap * inc.amp * inc.U,
-        cw=params.nu0 * lap * inc.amp * inc.W,
-        cb=params.kappa0 * lap * inc.amp * inc.B,
-        lobe=np.zeros(len(inc.k)),
-    )
+    lap = (inc.mu**2 - inc.l**2) * eps**6
+    diff = inc.scaled(params.nu0 * lap, params.nu0 * lap, params.kappa0 * lap)
     report["eps6_diffusion_inc"] = modes_norms(
         diff, w0.x_period, y_max=w0.x_period
     )[0]
 
     # cross terms delta Q(W0, W1) etc., bounded by Hoelder products
-    from .packets import default_grid, evaluate_packet, packet_norms
-
     grid0 = default_grid(w0, Family.BLEPS2)
     f0 = evaluate_packet(w0, Family.SUM, 0.0, grid0)
     u0_inf = float(np.abs(f0.u).max())
@@ -901,7 +774,7 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     dy0 = packet_norms(evaluate_packet(w0, Family.SUM, 0.0, grid0, deriv="y"))[0]
 
     u1_inf = w1_inf = dx1 = dy1 = 0.0
-    for fam in (W1_BLEPS2, W1_BLEPS3, W1_II):
+    for fam in W1_MODAL:
         m = casm.families[fam]
         if len(m) == 0:
             continue
@@ -922,15 +795,13 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
 
 def grad_Wapp_Linf(casm: CorrectorAssembly) -> float:
     """Max-norm of the gradient of W0 + W1 (dominated by the eps^2 layer)."""
-    from .packets import default_grid, evaluate_packet
-
     w0 = casm.w0
     grid = default_grid(w0, Family.BLEPS2)
     worst = 0.0
     for d in ("x", "y"):
         f = evaluate_packet(w0, Family.SUM, 0.0, grid, deriv=d)
         worst = max(worst, *(float(np.abs(c).max()) for c in f.components()))
-    for fam in (W1_BLEPS2, W1_BLEPS3, W1_II):
+    for fam in W1_MODAL:
         m = casm.families[fam]
         if len(m) == 0:
             continue

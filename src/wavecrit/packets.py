@@ -17,6 +17,14 @@ The minus lobe of A is the exact complex conjugate of the plus lobe, so
 only the plus lobe is assembled; physical fields are F + conj(F).  The
 discrete quadrature makes every field periodic in x (and the incident one
 in y) with period 2 pi / (eps^2 * dxi), which packet_norms exploits.
+
+Every family, here and in the corrector, is one ExpModes set: modes
+(cu, cw, cb) exp(i l x - i alpha t - mu y) with the quadrature amplitude
+folded into the coefficients (an incident wave has mu = -i m).  Both the
+incident polarization and the lift eigenvectors have U = 1, so the cu of
+an incident mode is its node's quadrature amplitude, and a lift mode's cu
+divided by it is the lift amplitude per unit trace.  evaluate_modes is the
+one evaluator of such sets.
 """
 
 from __future__ import annotations
@@ -27,17 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import TraceTriple, lift_critical
-from .characteristic import ModalMatrixSpec, Regime, roots_for
+from .boundary import TraceTriple, guarded_exp, lift_critical
+from .characteristic import CRITICAL_REGIMES, ModalMatrixSpec, roots_for
 from .params import CriticalCarrier, PhysParams, dispersion_omega
-
-_UNDERFLOW_EXPONENT = 700.0
-
-_CRITICAL_FAMILY = (
-    Regime.CRITICAL_SMALL_DIFF,
-    Regime.CRITICAL_DY,
-    Regime.CRITICAL_LARGE_DIFF,
-)
 
 
 def chi_bump(s):
@@ -91,36 +91,109 @@ class Family(enum.Enum):
     INCIDENT = "Incident"
     BLEPS2 = "BLeps2"
     BLEPS3 = "BLeps3"
-    SECOND_HARMONIC = "SecondHarmonic"
-    MEAN_FLOW = "MeanFlow"
     SUM = "Sum"
 
 
 @dataclass
-class ModeBundle:
-    """Vectorized plane-wave/boundary-layer modes of one family.
+class ExpModes:
+    """Field sum_n (cu, cw, cb)_n exp(i l_n x - i alpha_n t - mu_n y) + c.c.
 
-    Each mode is amp * (U, W, B) * exp(i(k x - omega t)) * vert(y), where
-    vert is exp(i m y) for oscillating modes (lam = -i m) and exp(-lam y)
-    for decaying ones; both are covered by exp(-lam y).
+    lobe is the multiple of the carrier (k0, w0) each mode sits near: 1 for
+    the linear packet, 0 (mean-flow route) or 2 (second-harmonic route) for
+    the corrector.
     """
 
-    k: np.ndarray
-    omega: np.ndarray
-    lam: np.ndarray  # vertical rate; purely imaginary for the incident family
-    amp: np.ndarray
-    U: np.ndarray
-    W: np.ndarray
-    B: np.ndarray
+    l: np.ndarray
+    alpha: np.ndarray
+    mu: np.ndarray
+    cu: np.ndarray
+    cw: np.ndarray
+    cb: np.ndarray
+    lobe: np.ndarray
 
     @classmethod
-    def empty(cls) -> "ModeBundle":
-        z = np.zeros(0, dtype=complex)
-        return cls(k=z.real.copy(), omega=z.real.copy(), lam=z.copy(), amp=z.copy(),
-                   U=z.copy(), W=z.copy(), B=z.copy())
+    def empty(cls) -> "ExpModes":
+        z = np.zeros(0)
+        zc = np.zeros(0, dtype=complex)
+        return cls(z.copy(), z.copy(), zc.copy(), zc.copy(), zc.copy(), zc.copy(), z.copy())
+
+    @classmethod
+    def from_rows(cls, rows, lobe: int) -> "ExpModes":
+        """Mode set from (l, alpha, mu, cu, cw, cb) rows, all on one lobe."""
+        if not rows:
+            return cls.empty()
+        l, alpha, *rest = zip(*rows)
+        return cls(np.array(l, dtype=float), np.array(alpha, dtype=float),
+                   *(np.array(c, dtype=complex) for c in rest),
+                   np.full(len(rows), lobe, dtype=float))
+
+    @classmethod
+    def concat(cls, parts) -> "ExpModes":
+        parts = [p for p in parts if len(p.l)]
+        if not parts:
+            return cls.empty()
+        return cls(
+            *(
+                np.concatenate([getattr(p, f) for p in parts])
+                for f in ("l", "alpha", "mu", "cu", "cw", "cb", "lobe")
+            )
+        )
 
     def __len__(self):
-        return len(self.amp)
+        return len(self.l)
+
+    def scaled(self, fu, fw=None, fb=None) -> "ExpModes":
+        """New mode set with per-mode component factors (e.g. derivatives)."""
+        fw = fu if fw is None else fw
+        fb = fu if fb is None else fb
+        return ExpModes(self.l, self.alpha, self.mu, self.cu * fu, self.cw * fw,
+                        self.cb * fb, self.lobe)
+
+    def conj(self) -> "ExpModes":
+        """The conjugate modes, (l, alpha, mu, c) -> (-l, -alpha, mu*, c*)."""
+        return ExpModes(-self.l, -self.alpha, self.mu.conj(), self.cu.conj(),
+                        self.cw.conj(), self.cb.conj(), self.lobe)
+
+    def d_dx(self) -> "ExpModes":
+        return self.scaled(1j * self.l)
+
+    def d_dy(self) -> "ExpModes":
+        return self.scaled(-self.mu)
+
+    def traces(self):
+        """Wall coefficients of (u, w, d_y b): fields coeff * e^(ilx - i alpha t)."""
+        return self.cu, self.cw, -self.mu * self.cb
+
+
+def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
+    """(u, w, b) on the tensor grid, conjugate part included (real output).
+
+    Modes sharing an x-wavenumber (the lattice produces thousands per l)
+    are summed into one y-profile first, so the grid work is one outer
+    product per distinct l rather than per mode.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    u = np.zeros((len(y), len(x)), dtype=complex)
+    w = np.zeros_like(u)
+    b = np.zeros_like(u)
+    if len(modes) == 0:
+        return u + u.conj(), w + w.conj(), b + b.conj()
+    tol = 1e-12 * max(1.0, np.abs(modes.l).max())
+    for idx in _group_by_l(modes.l, tol):
+        vert = guarded_exp(-np.outer(y, modes.mu[idx]))
+        phase_t = np.exp(-1j * modes.alpha[idx] * t)
+        horiz = np.exp(1j * modes.l[idx[0]] * x)
+        u += np.outer(vert @ (modes.cu[idx] * phase_t), horiz)
+        w += np.outer(vert @ (modes.cw[idx] * phase_t), horiz)
+        b += np.outer(vert @ (modes.cb[idx] * phase_t), horiz)
+    return u + u.conj(), w + w.conj(), b + b.conj()
+
+
+def _group_by_l(l: np.ndarray, tol: float):
+    """Index groups of modes whose sorted l differ by at most tol in a row."""
+    order = np.argsort(l)
+    return np.split(order, np.flatnonzero(np.diff(l[order]) > tol) + 1)
 
 
 class RegimeError(RuntimeError):
@@ -134,20 +207,13 @@ class PacketAssembly:
     params: PhysParams
     envelope: Envelope
     quad: QuadratureSpec
-    families: dict[Family, ModeBundle]
+    families: dict[Family, ExpModes]
     x_period: float  # period of the discrete k-lattice in x
 
-    def bundle(self, family: Family) -> ModeBundle:
+    def bundle(self, family: Family) -> ExpModes:
         if family is Family.SUM:
-            parts = [self.families[f] for f in (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3)]
-            return ModeBundle(
-                k=np.concatenate([p.k for p in parts]),
-                omega=np.concatenate([p.omega for p in parts]),
-                lam=np.concatenate([p.lam for p in parts]),
-                amp=np.concatenate([p.amp for p in parts]),
-                U=np.concatenate([p.U for p in parts]),
-                W=np.concatenate([p.W for p in parts]),
-                B=np.concatenate([p.B for p in parts]),
+            return ExpModes.concat(
+                self.families[f] for f in (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3)
             )
         return self.families[family]
 
@@ -177,9 +243,7 @@ def assemble_W0(
     s, wts = quad.nodes_weights()
     sg, cg = math.sin(params.gamma), math.cos(params.gamma)
 
-    inc: dict[str, list] = {n: [] for n in ("k", "omega", "lam", "amp", "U", "W", "B")}
-    bl2 = {n: [] for n in inc}
-    bl3 = {n: [] for n in inc}
+    inc, bl2, bl3 = [], [], []
 
     for i, xi in enumerate(s):
         for j, eta in enumerate(s):
@@ -192,17 +256,12 @@ def assemble_W0(
             # node amplitude: A * dk * dm = eps^2 chi chi w_i w_j
             amp = e2 * chi2 * wts[i] * wts[j]
             U, W, B = incident_polarization(k, m, params.gamma, omega)
-            inc["k"].append(k)
-            inc["omega"].append(omega)
-            inc["lam"].append(-1j * m)  # exp(-lam y) = exp(i m y)
-            inc["amp"].append(amp)
-            inc["U"].append(U)
-            inc["W"].append(W)
-            inc["B"].append(B)
+            # exp(-mu y) = exp(i m y)
+            inc.append((k, omega, -1j * m, amp * U, amp * W, amp * B))
 
             spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
             roots = roots_for(spec, eps)
-            if roots.regime not in _CRITICAL_FAMILY:
+            if roots.regime not in CRITICAL_REGIMES:
                 raise RegimeError(
                     f"node (k={k:.4g}, m={m:.4g}) classified {roots.regime}; "
                     "the packet construction assumes the critical root family"
@@ -211,25 +270,9 @@ def assemble_W0(
             traces = TraceTriple(-amp, amp * k / m, amp * num / omega)
             lift = lift_critical(spec, roots, traces)
             for mode in lift.modes:
-                tgt = bl3 if mode.label == 5 else bl2
-                tgt["k"].append(k)
-                tgt["omega"].append(omega)
-                tgt["lam"].append(mode.lam)
-                tgt["amp"].append(mode.a)
-                tgt["U"].append(mode.vec.U)
-                tgt["W"].append(mode.vec.W)
-                tgt["B"].append(mode.vec.B)
-
-    def pack(d):
-        return ModeBundle(
-            k=np.array(d["k"], dtype=float),
-            omega=np.array(d["omega"], dtype=float),
-            lam=np.array(d["lam"], dtype=complex),
-            amp=np.array(d["amp"], dtype=complex),
-            U=np.array(d["U"], dtype=complex),
-            W=np.array(d["W"], dtype=complex),
-            B=np.array(d["B"], dtype=complex),
-        )
+                (bl3 if mode.label == 5 else bl2).append(
+                    (k, omega, mode.lam, mode.a * mode.vec.U,
+                     mode.a * mode.vec.W, mode.a * mode.vec.B))
 
     dxi = s[1] - s[0]
     return PacketAssembly(
@@ -237,9 +280,9 @@ def assemble_W0(
         envelope=envelope,
         quad=quad,
         families={
-            Family.INCIDENT: pack(inc),
-            Family.BLEPS2: pack(bl2),
-            Family.BLEPS3: pack(bl3),
+            Family.INCIDENT: ExpModes.from_rows(inc, lobe=1),
+            Family.BLEPS2: ExpModes.from_rows(bl2, lobe=1),
+            Family.BLEPS3: ExpModes.from_rows(bl3, lobe=1),
         },
         x_period=2.0 * math.pi / (e2 * dxi),
     )
@@ -262,11 +305,6 @@ class PacketField:
         return self.u, self.w, self.b
 
 
-def _vertical(lam: complex, y: np.ndarray) -> np.ndarray:
-    expo = -lam * y
-    return np.where(expo.real < -_UNDERFLOW_EXPONENT, 0.0, np.exp(expo))
-
-
 def evaluate_packet(
     assembly: PacketAssembly,
     family: Family,
@@ -277,25 +315,14 @@ def evaluate_packet(
     """Sum the family's modes on the grid; the conjugate lobe is added.
 
     deriv = 'x' or 'y' returns the analytic derivative field instead (each
-    mode multiplied by ik, resp. -lam); None returns the field itself.
+    mode multiplied by ik, resp. -mu); None returns the field itself.
     """
     x, y = (np.asarray(g, dtype=float) for g in grid)
-    bundle = assembly.bundle(family)
-    u = np.zeros((len(y), len(x)), dtype=complex)
-    w = np.zeros_like(u)
-    b = np.zeros_like(u)
-    for n in range(len(bundle)):
-        horiz = np.exp(1j * (bundle.k[n] * x - bundle.omega[n] * t))
-        vert = _vertical(bundle.lam[n], y)
-        factor = {None: 1.0, "x": 1j * bundle.k[n], "y": -bundle.lam[n]}[deriv]
-        mode = (bundle.amp[n] * factor) * np.outer(vert, horiz)
-        u += bundle.U[n] * mode
-        w += bundle.W[n] * mode
-        b += bundle.B[n] * mode
-    return PacketField(
-        x=x, y=y, t=float(t), u=u + u.conj(), w=w + w.conj(), b=b + b.conj(),
-        family=family,
-    )
+    modes = assembly.bundle(family)
+    if deriv is not None:
+        modes = {"x": modes.d_dx, "y": modes.d_dy}[deriv]()
+    u, w, b = evaluate_modes(modes, t, x, y)
+    return PacketField(x=x, y=y, t=float(t), u=u, w=w, b=b, family=family)
 
 
 def default_grid(
@@ -313,8 +340,7 @@ def default_grid(
     nx = max(64, int(8 * cycles))
     x = np.linspace(0.0, period, nx, endpoint=False)
 
-    bundle = assembly.bundle(family)
-    rates = bundle.lam.real
+    rates = assembly.bundle(family).mu.real
     if family is Family.INCIDENT or rates.max(initial=0.0) <= 0.0:
         # oscillating in y: one m-lattice period
         y = np.linspace(0.0, period, max(64, int(8 * cycles)))

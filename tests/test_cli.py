@@ -112,14 +112,6 @@ class TestRootsExperiment:
         assert "numpy" in man["versions"]
         assert "roots.csv" in man["artifacts"]
 
-    def test_rerun_bit_identical(self, roots_outdir, tmp_path):
-        outdir = roots_outdir
-        cfg = ExperimentConfig(params=PhysParams(gamma=0.45, eps=0.2),
-                               experiment="roots", output_dir=tmp_path)
-        run_experiment(cfg)
-        assert (tmp_path / "roots.csv").read_bytes() == \
-            (outdir / "roots.csv").read_bytes()
-
 
 class TestLiftExperiment:
     def test_samples_close_round_trip(self, tmp_path):
@@ -167,6 +159,27 @@ class TestSweepAndSlopes:
         assert not (tmp_path / "slopes.csv").exists()
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert "slopes.csv" not in man["artifacts"]
+
+
+RERUN_CONFIGS = {
+    "roots": dict(params=PhysParams(gamma=0.45, eps=0.2)),
+    "packet-norms": dict(params=PhysParams(gamma=0.7, eps=0.2), nodes_per_lobe=5),
+    "residual": dict(params=PhysParams(gamma=0.7, eps=0.2, delta=0.2**3),
+                     nodes_per_lobe=5),
+}
+
+
+@pytest.mark.parametrize("experiment", list(RERUN_CONFIGS))
+def test_rerun_bit_identical(experiment, tmp_path):
+    """Two runs of one config write byte-identical artefacts."""
+    artifacts = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        run_experiment(ExperimentConfig(experiment=experiment, output_dir=out,
+                                        **RERUN_CONFIGS[experiment]))
+        man = json.loads((out / "manifest.json").read_text())
+        artifacts.append({a: (out / a).read_bytes() for a in man["artifacts"]})
+    assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
 @pytest.fixture(scope="module")

@@ -152,7 +152,7 @@ class TestQuadraticQ:
 def _batch_residual_a(batch, modes, p):
     """Residual of (-i alpha + L)(cu, cb) = forcing for the reduced solve."""
     sg = math.sin(p.gamma)
-    S = -p.delta * batch.weight * batch.cc
+    S = -p.delta * batch.cc
     ru = -1j * batch.alpha * modes.cu - sg * modes.cb - S * batch.U2
     rb = -1j * batch.alpha * modes.cb + sg * modes.cu - S * batch.B2
     scale = max(np.abs(S * batch.U2).max(), np.abs(S * batch.B2).max(), 1e-300)
@@ -162,7 +162,7 @@ def _batch_residual_a(batch, modes, p):
 def _batch_residual_b(batch, modes, p):
     sg = math.sin(p.gamma)
     mbar2 = (batch.mu * p.eps**3) ** 2
-    S = -p.delta * batch.weight * batch.cc
+    S = -p.delta * batch.cc
     ru = (-1j * batch.alpha - p.nu0 * mbar2) * modes.cu - sg * modes.cb - S * batch.U2
     rb = sg * modes.cu + (-1j * batch.alpha - p.kappa0 * mbar2) * modes.cb - S * batch.B2
     scale = max(np.abs(S * batch.U2).max(), np.abs(S * batch.B2).max(), 1e-300)
@@ -190,7 +190,7 @@ class TestInteriorSolves:
         asm, p = w0
         it = C.classify_interactions()[0]
         batch = C.enumerate_pairs(asm, it)[0]
-        batch.weight[:] = 0.0
+        batch.cc[:] = 0.0
         modes = C.solve_interior_a(batch, p)
         assert np.abs(modes.cu).max() == 0.0
         assert np.abs(modes.cw).max() == 0.0
@@ -228,7 +228,7 @@ class TestInteriorSolves:
         modes = C.solve_interior_b(batch, p)
         sg = math.sin(p.gamma)
         nm2 = p.nu0 * (batch.mu * p.eps**3) ** 2
-        S = -p.delta * batch.weight * batch.cc
+        S = -p.delta * batch.cc
         det = nm2**2 + sg**2
         want_cu = S * (-nm2 * batch.U2 + sg * batch.B2) / det
         assert np.abs(modes.cu - want_cu).max() <= 1e-12 * np.abs(want_cu).max()

@@ -336,7 +336,7 @@ class TestLinearFidelity:
         g = solver.grid
         final = trajectory.final
         ua, wa, ba = wapp_evaluator(assembly)(final.t, g.x, g.y)
-        lam2 = assembly.families[Family.BLEPS2].lam.real.min()
+        lam2 = assembly.families[Family.BLEPS2].mu.real.min()
         mask = (g.y <= 3.0 / lam2)[:, None]
         num = g.integral(((ua - final.u) ** 2 + (wa - final.w) ** 2
                           + (ba - final.b) ** 2) * mask)

@@ -86,8 +86,8 @@ class TestAssembly:
 
     def test_decay_rate_split(self, assembly):
         eps = assembly.params.eps
-        r2 = assembly.families[Family.BLEPS2].lam.real
-        r3 = assembly.families[Family.BLEPS3].lam.real
+        r2 = assembly.families[Family.BLEPS2].mu.real
+        r3 = assembly.families[Family.BLEPS3].mu.real
         assert r2.min() > 0 and r3.min() > 0
         # the eps^3 layer is an order of magnitude thinner at eps = 0.2
         assert r3.min() > 3.0 * r2.max()
@@ -145,11 +145,11 @@ class TestEvaluation:
             assembly,
             families={
                 Family.INCIDENT: type(bundle)(
-                    **{f: getattr(bundle, f)[:1] for f in ("k", "omega", "lam", "amp", "U", "W", "B")}
+                    **{f: getattr(bundle, f)[:1] for f in ("l", "alpha", "mu", "cu", "cw", "cb", "lobe")}
                 )
             },
         )
-        period = 2 * math.pi / bundle.omega[0]
+        period = 2 * math.pi / bundle.alpha[0]
         x = np.linspace(0.0, 10.0, 7)
         y = np.linspace(0.0, 3.0, 5)
         f0 = evaluate_packet(one, Family.INCIDENT, 0.0, (x, y))
@@ -165,8 +165,8 @@ class TestEvaluation:
 
     def test_bl_decays_incident_does_not(self, assembly):
         eps = assembly.params.eps
-        rate = assembly.families[Family.BLEPS2].lam.real.max()
-        y = np.array([0.0, 25.0 / assembly.families[Family.BLEPS2].lam.real.min()])
+        rate = assembly.families[Family.BLEPS2].mu.real.max()
+        y = np.array([0.0, 25.0 / assembly.families[Family.BLEPS2].mu.real.min()])
         x = np.linspace(0.0, assembly.x_period, 256, endpoint=False)
         bl = evaluate_packet(assembly, Family.BLEPS2, 0.0, (x, y))
         inc = evaluate_packet(assembly, Family.INCIDENT, 0.0, (x, y))
@@ -174,7 +174,7 @@ class TestEvaluation:
         assert abs(inc.u[1]).max() >= 0.1 * abs(inc.u[0]).max()
 
     def test_truncation_warning(self, assembly):
-        y = np.linspace(0.0, 0.2 / assembly.families[Family.BLEPS2].lam.real.min(), 32)
+        y = np.linspace(0.0, 0.2 / assembly.families[Family.BLEPS2].mu.real.min(), 32)
         x = np.linspace(0.0, assembly.x_period, 64, endpoint=False)
         fld = evaluate_packet(assembly, Family.BLEPS2, 0.0, (x, y))
         packet_norms(fld)
