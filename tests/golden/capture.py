@@ -1,8 +1,11 @@
 """Capture the golden reference values that tests/test_golden.py compares with.
 
-The files next to this script were written once, from the code before the
-mode-set refactor, and are not to be regenerated: they pin the numbers a
-refactor must reproduce.  To inspect what they hold, run
+The files next to this script were written once and are not to be
+regenerated: they pin the numbers a refactor must reproduce.  fields.npz
+and scalars.json come from the code before the mode-set refactor,
+rowwise.json (the row-by-row corrector sizes of the `corrector` experiment)
+from the code before the W1 lifts were merged per (l, alpha) node.  To
+inspect what they hold, run
 
     PYTHONPATH=src python tests/golden/capture.py <output-dir>
 
@@ -72,12 +75,20 @@ def capture(w0, casm):
     return arrays, scalars
 
 
+def capture_rowwise(w0, casm):
+    """Row-by-row (L2, Linf) sizes of the W1 families (`corrector` experiment)."""
+    return {f: list(v) for f, v in C.rowwise_family_sizes(w0, casm.params).items()}
+
+
 def main(outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    arrays, scalars = capture(*reference_case())
+    case = reference_case()
+    arrays, scalars = capture(*case)
     np.savez(outdir / "fields.npz", **arrays)
     (outdir / "scalars.json").write_text(json.dumps(scalars, indent=1) + "\n")
+    (outdir / "rowwise.json").write_text(
+        json.dumps(capture_rowwise(*case), indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -166,6 +166,8 @@ RERUN_CONFIGS = {
     "packet-norms": dict(params=PhysParams(gamma=0.7, eps=0.2), nodes_per_lobe=5),
     "residual": dict(params=PhysParams(gamma=0.7, eps=0.2, delta=0.2**3),
                      nodes_per_lobe=5),
+    "corrector": dict(params=PhysParams(gamma=0.7, eps=0.2, delta=0.2**3),
+                      nodes_per_lobe=5),
 }
 
 

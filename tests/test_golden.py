@@ -2,7 +2,8 @@
 
 The reference values in tests/golden/ were captured once by
 tests/golden/capture.py (gamma = 0.7, eps = 0.2, delta = eps^3, 5 nodes per
-lobe).  Arrays are compared relative to their own max-norm, scalars
+lobe); rowwise.json holds the row-by-row corrector sizes that the
+`corrector` experiment reports.  Arrays are compared relative to their own max-norm, scalars
 relative to themselves.  Values that contain the mean flow W1_MF get 1e-9
 instead of 1e-10: its theta' profile is evaluated in closed form, where the
 captured values used a central difference accurate to about 2e-10.
@@ -25,8 +26,18 @@ _spec.loader.exec_module(capture)
 
 
 @pytest.fixture(scope="module")
-def observed():
-    return capture.capture(*capture.reference_case())
+def case():
+    return capture.reference_case()
+
+
+@pytest.fixture(scope="module")
+def observed(case):
+    return capture.capture(*case)
+
+
+@pytest.fixture(scope="module")
+def observed_rowwise(case):
+    return capture.capture_rowwise(*case)
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +94,12 @@ def test_packet_norms(observed, golden_scalars):
     for fam, want in golden_scalars["packet_norms"].items():
         for got, w in zip(scalars["packet_norms"][fam], want):
             assert _close(got, w, RTOL), (fam, got, w)
+
+
+def test_rowwise_family_sizes(observed_rowwise):
+    want = json.loads((GOLDEN / "rowwise.json").read_text())
+    assert list(observed_rowwise) == list(want)
+    for fam, sizes in want.items():
+        rtol = RTOL_MF if fam == capture.C.W1_MF else RTOL
+        for got, w in zip(observed_rowwise[fam], sizes):
+            assert _close(got, w, rtol), (fam, got, w)
