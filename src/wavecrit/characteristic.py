@@ -294,7 +294,7 @@ def _nonoscillating_predictions(spec: ModalMatrixSpec) -> dict[int, complex]:
     return pred
 
 
-def classify_roots(rootset: RootSet, spec: ModalMatrixSpec, eps: float) -> RootSet:
+def classify_roots(rootset: RootSet, spec: ModalMatrixSpec) -> RootSet:
     """Pick the Table-1 regime and tag each root with its asymptotic label.
 
     Regime thresholds (the asymptotic statements use "<<"; the tool needs
@@ -375,7 +375,7 @@ def classify_roots(rootset: RootSet, spec: ModalMatrixSpec, eps: float) -> RootS
 
 def roots_for(spec: ModalMatrixSpec, eps: float) -> RootSet:
     """Convenience: characteristic polynomial -> roots -> classification."""
-    return classify_roots(solve_roots(char_poly(spec)), spec, eps)
+    return classify_roots(solve_roots(char_poly(spec)), spec)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,10 @@ interior terms are then lifted: double-lobe traces through the non-critical
 boundary operator (reflected wave -> second harmonic, layers -> eps^3
 family), zero-lobe traces through the degenerate operator, whose un-lifted
 w-trace is integrated in x and absorbed by an explicit large-scale mean
-flow (-G eps^2 theta'(eps^2 y), theta(eps^2 y) dx G, 0).
+flow (-G eps^2 theta'(eps^2 y), theta(eps^2 y) dx G, 0).  A lift is linear
+in its trace and depends only on the node (l, alpha), so the traces of all
+interior modes at one node are summed first and each distinct node is
+lifted once (collect_traces).
 
 Everything dropped on the way (viscous terms at rate eps^-2, normal-velocity
 forcing components, Leray-projection corrections, c-type interactions,
@@ -35,7 +38,9 @@ Pairs, interior responses, lifts and ledger terms are all packets.ExpModes
 sets, the representation W0 uses too: the W0 quadrature amplitudes already
 sit in the coefficients, so a pair's forcing is -delta cc (U2, W2, B2) with
 no separate weight.  W1 = W1_BLeps2 + W1_BLeps3 + W1_II (one mode set,
-evaluated by packets.evaluate_modes) + the explicit mean flow W1_MF.
+evaluated by packets.evaluate_modes) + the explicit mean flow W1_MF.  The
+norms of a mode set (modes_norms) come from its per-wavenumber y-profiles:
+L2 by orthogonality in x, the max-norm by one matrix product per component.
 """
 
 from __future__ import annotations
@@ -226,15 +231,13 @@ def modes_norms(
                 total += 2.0 * float(np.real(np.trapezoid(cross, y)))
     l2 = math.sqrt(max(total, 0.0) * x_period)
 
+    # max-norm on the (y, x) grid, one product per component: the field
+    # f + conj(f) with f = profiles^T @ exp(i l x) is 2 Re f
     xg = np.linspace(0.0, x_period, nx, endpoint=False)
-    linf = 0.0
-    ph = [np.exp(1j * lval * xg) for lval, *_ in profiles]
-    for comp in range(3):
-        f = np.zeros((len(y), nx), dtype=complex)
-        for (lval, *gs), p in zip(profiles, ph):
-            f += np.outer(gs[comp], p)
-        linf = max(linf, float(np.abs(f + f.conj()).max()))
-    return l2, linf
+    ph = np.exp(1j * np.outer([p[0] for p in profiles], xg))
+    linf = max(float(np.abs((np.array([p[c] for p in profiles]).T @ ph).real).max())
+               for c in (1, 2, 3))
+    return l2, 2.0 * linf
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +393,25 @@ class MeanFlowField:
 
 
 def collect_traces(interior: ExpModes):
-    """Split the wall traces of the interior modes by lobe.
+    """Split the wall traces of the interior modes by lobe, summed per node.
 
-    Returns dict Lobe -> (l, alpha, tu, tw, tb) arrays; the trace fields are
-    the coefficients times exp(i l x - i alpha t).
+    Returns dict Lobe -> (l, alpha, tu, tw, tb) arrays with one entry per
+    distinct (l, alpha); the trace fields are the coefficients times
+    exp(i l x - i alpha t).  A lift is linear in its trace and depends on
+    nothing but the node, so the traces of all modes at one node (the pairs
+    (i, j) and (j, i), every interaction row, both eps^2 roots) are summed
+    and lifted once.  Nodes merge only on exactly equal (l, alpha), which
+    give exactly equal ModalMatrixSpecs.
     """
     tu, tw, tb = interior.traces()
     out = {}
     for lobe in Lobe:
         m = interior.lobe == lobe.value
-        out[lobe] = (interior.l[m], interior.alpha[m], tu[m], tw[m], tb[m])
+        nodes, inv = np.unique(np.stack([interior.l[m], interior.alpha[m]], axis=1),
+                               axis=0, return_inverse=True)
+        sums = np.zeros((3, len(nodes)), dtype=complex)
+        np.add.at(sums, (slice(None), inv.ravel()), np.stack([tu[m], tw[m], tb[m]]))
+        out[lobe] = (nodes[:, 0], nodes[:, 1], *sums)
     return out
 
 

@@ -508,7 +508,7 @@ def wapp_evaluator(w0: PacketAssembly, w1: CorrectorAssembly | None = None):
         if w1 is not None:
             du, dw, db = evaluate_W1(w1, t, x, y)
             u, w, b = u + du, w + dw, b + db
-        return tuple(np.asarray(c).real.astype(float) for c in (u, w, b))
+        return u, w, b
 
     return ev
 

@@ -177,17 +177,17 @@ def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
     u = np.zeros((len(y), len(x)), dtype=complex)
     w = np.zeros_like(u)
     b = np.zeros_like(u)
-    if len(modes) == 0:
-        return u + u.conj(), w + w.conj(), b + b.conj()
-    tol = 1e-12 * max(1.0, np.abs(modes.l).max())
-    for idx in _group_by_l(modes.l, tol):
-        vert = guarded_exp(-np.outer(y, modes.mu[idx]))
-        phase_t = np.exp(-1j * modes.alpha[idx] * t)
-        horiz = np.exp(1j * modes.l[idx[0]] * x)
-        u += np.outer(vert @ (modes.cu[idx] * phase_t), horiz)
-        w += np.outer(vert @ (modes.cw[idx] * phase_t), horiz)
-        b += np.outer(vert @ (modes.cb[idx] * phase_t), horiz)
-    return u + u.conj(), w + w.conj(), b + b.conj()
+    if len(modes):
+        tol = 1e-12 * max(1.0, np.abs(modes.l).max())
+        for idx in _group_by_l(modes.l, tol):
+            vert = guarded_exp(-np.outer(y, modes.mu[idx]))
+            phase_t = np.exp(-1j * modes.alpha[idx] * t)
+            horiz = np.exp(1j * modes.l[idx[0]] * x)
+            u += np.outer(vert @ (modes.cu[idx] * phase_t), horiz)
+            w += np.outer(vert @ (modes.cw[idx] * phase_t), horiz)
+            b += np.outer(vert @ (modes.cb[idx] * phase_t), horiz)
+    # f + conj(f), exactly 2 Re f
+    return 2.0 * u.real, 2.0 * w.real, 2.0 * b.real
 
 
 def _group_by_l(l: np.ndarray, tol: float):

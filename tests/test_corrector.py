@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import simpson
 
 from wavecrit import corrector as C
+from wavecrit.boundary import TraceTriple, lift_noncritical, lift_nonoscillating
 from wavecrit.characteristic import ModalMatrixSpec, roots_for
 from wavecrit.packets import Envelope, Family, QuadratureSpec, assemble_W0
 from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
@@ -299,6 +300,70 @@ class TestCollectTraces:
         for col, target in ((0, -4.0), (1, -2.0), (2, -6.0)):
             slope = np.polyfit(loge, np.log(dens[:, col]), 1)[0]
             assert abs(slope - target) <= 0.4, (col, slope)
+
+
+def _largest_node(modes, lobe):
+    """Indices of the modes at the most populated (l, alpha) node of a lobe
+    (l != 0, so the zero lobe goes through the non-oscillating lift)."""
+    sel = np.flatnonzero((modes.lobe == lobe.value) & (modes.l != 0.0))
+    _, inv, counts = np.unique(np.stack([modes.l[sel], modes.alpha[sel]], axis=1),
+                               axis=0, return_inverse=True, return_counts=True)
+    return sel[inv.ravel() == np.argmax(counts)]
+
+
+def _lift_amplitudes(lift, spec, roots, tu, tw, tb):
+    """Mode amplitudes of one lift of the trace (tu, tw, tb), and the
+    non-oscillating lift's leftover w-trace (0 for the non-critical one)."""
+    out = lift(spec, roots, TraceTriple(-tu, -tw, -tb))
+    parts, leftover = (out, 0.0) if lift is lift_noncritical else ((out[0],), out[1])
+    return np.array([m.a for part in parts for m in part.modes]), leftover
+
+
+class TestLiftOnce:
+    """Wall traces are summed per distinct (l, alpha) node and lifted once."""
+
+    def test_counts_at_reference_case(self, w0, monkeypatch):
+        """9 surviving W0 nodes: 45 double-lobe and 54 zero-lobe (l != 0)
+        nodes, one root solve each."""
+        asm, p = w0
+        assert len(asm.families[Family.INCIDENT]) == 9
+        calls = []
+
+        def counted(spec, eps):
+            calls.append(spec)
+            return roots_for(spec, eps)
+
+        monkeypatch.setattr(C, "roots_for", counted)
+        cas = C.assemble_W1(asm, p)
+        assert len(calls) == 99
+        assert len(cas.families[C.W1_II]) == 45
+        assert len(cas.families[C.W1_MF]) == 54
+        assert len(cas.families[C.W1_BLEPS3]) == 1046
+
+    @pytest.mark.parametrize("lobe", [C.Lobe.DOUBLE, C.Lobe.ZERO])
+    def test_summed_trace_lift_equals_sum_of_pair_lifts(self, w0, casm, lobe):
+        """Lift linearity at the most populated node, rtol 1e-12."""
+        _, p = w0
+        interior = casm.families[C.W1_BLEPS2]
+        idx = _largest_node(interior, lobe)
+        assert len(idx) > 1
+        l, alpha = interior.l[idx[0]], interior.alpha[idx[0]]
+        spec = ModalMatrixSpec(p.nu, p.kappa, alpha, l, p.gamma)
+        roots = roots_for(spec, p.eps)
+        lift = lift_noncritical if lobe is C.Lobe.DOUBLE else lift_nonoscillating
+        tu, tw, tb = (t[idx] for t in interior.traces())
+        per_pair = [_lift_amplitudes(lift, spec, roots, *tr) for tr in zip(tu, tw, tb)]
+        want_a = sum(a for a, _ in per_pair)
+        want_left = sum(left for _, left in per_pair)
+
+        nl, na, su, sw, sb = C.collect_traces(C.ExpModes(
+            interior.l[idx], interior.alpha[idx], interior.mu[idx],
+            interior.cu[idx], interior.cw[idx], interior.cb[idx], interior.lobe[idx]))[lobe]
+        assert nl.tolist() == [l] and na.tolist() == [alpha]
+        got_a, got_left = _lift_amplitudes(lift, spec, roots, su[0], sw[0], sb[0])
+        assert np.abs(got_a - want_a).max() <= 1e-12 * np.abs(want_a).max()
+        if lobe is C.Lobe.ZERO:
+            assert abs(got_left - want_left) <= 1e-12 * abs(want_left)
 
 
 class TestLiftSecondHarmonic:
