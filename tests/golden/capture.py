@@ -4,21 +4,27 @@ The files next to this script were written once and are not to be
 regenerated: they pin the numbers a refactor must reproduce.  fields.npz
 and scalars.json come from the code before the mode-set refactor,
 rowwise.json (the row-by-row corrector sizes of the `corrector` experiment)
-from the code before the W1 lifts were merged per (l, alpha) node.  To
-inspect what they hold, run
+from the code before the W1 lifts were merged per (l, alpha) node, and
+dns.npz (a 20-step nonlinear DNS trajectory) from the dense-operator
+solver, before its y-operators were made banded.  To inspect what they
+hold, run
 
     PYTHONPATH=src python tests/golden/capture.py <output-dir>
 
 Reference case: gamma = 0.7, eps = 0.2, delta = eps^3, 5 nodes per lobe.
+DNS case: tests/test_dns.py's 192 x 256 grid (box-matched eps near 0.3,
+9 nodes per lobe, Ly = 60, dt = 0.01) with delta = eps^3, so advection runs.
 """
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from wavecrit import corrector as C
+from wavecrit import dns
 from wavecrit.packets import (
     Envelope,
     Family,
@@ -80,6 +86,38 @@ def capture_rowwise(w0, casm):
     return {f: list(v) for f, v in C.rowwise_family_sizes(w0, casm.params).items()}
 
 
+DNS_STEPS = 20
+#: the stored fields keep every DNS_STRIDE-th row and column of the final state
+DNS_STRIDE = 4
+
+
+def dns_case():
+    """(solver, initial state) of the golden DNS trajectory."""
+    eps = dns.box_matched_eps(0.3, 1.0, 9)
+    p = PhysParams(gamma=GAMMA, eps=eps, delta=eps**3)
+    env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=eps)
+    w0 = assemble_W0(p, env, QuadratureSpec(9))
+    cfg = dns.SimConfig(params=p, Lx=w0.x_period, Ly=60.0, nx=192, ny=256,
+                        dt=0.01, T=DNS_STEPS * 0.01, dy0=1e-3, dy_max=0.6)
+    solver = dns.Solver(cfg)
+    with warnings.catch_warnings():
+        # Ly = 60 truncates the packet tail on purpose (as in test_dns.py)
+        warnings.simplefilter("ignore")
+        state = dns.init_from_Wapp(w0, None, cfg, solver)
+    return solver, state
+
+
+def capture_dns(solver, state):
+    """Energy, dissipation and projection-loss series plus the strided final fields."""
+    traj = solver.run(state, DNS_STEPS)
+    out = {"energy": traj.energy, "dissipation": traj.dissipation,
+           "proj_loss": traj.proj_loss}
+    s = slice(None, None, DNS_STRIDE)
+    for name in "uwbp":
+        out[name] = getattr(traj.final, name)[s, s]
+    return out
+
+
 def main(outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -89,6 +127,7 @@ def main(outdir):
     (outdir / "scalars.json").write_text(json.dumps(scalars, indent=1) + "\n")
     (outdir / "rowwise.json").write_text(
         json.dumps(capture_rowwise(*case), indent=1) + "\n")
+    np.savez(outdir / "dns.npz", **capture_dns(*dns_case()))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,12 @@ lobe); rowwise.json holds the row-by-row corrector sizes that the
 relative to themselves.  Values that contain the mean flow W1_MF get 1e-9
 instead of 1e-10: its theta' profile is evaluated in closed form, where the
 captured values used a central difference accurate to about 2e-10.
+
+dns.npz holds a 20-step nonlinear DNS trajectory (the energy, dissipation
+and projection-loss series and the final u, w, b, p at every 4th row and
+column).  Its arrays are compared at 1e-8 relative to their max-norm; the
+projection loss, a difference of two energies, at 1e-12 of the initial
+energy.
 """
 
 import importlib.util
@@ -19,6 +25,8 @@ import pytest
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-10
 RTOL_MF = 1e-9
+RTOL_DNS = 1e-8
+ATOL_PROJ_LOSS = 1e-12  # times the initial energy
 
 _spec = importlib.util.spec_from_file_location("golden_capture", GOLDEN / "capture.py")
 capture = importlib.util.module_from_spec(_spec)
@@ -103,3 +111,28 @@ def test_rowwise_family_sizes(observed_rowwise):
         rtol = RTOL_MF if fam == capture.C.W1_MF else RTOL
         for got, w in zip(observed_rowwise[fam], sizes):
             assert _close(got, w, rtol), (fam, got, w)
+
+
+@pytest.fixture(scope="module")
+def observed_dns():
+    return capture.capture_dns(*capture.dns_case())
+
+
+@pytest.fixture(scope="module")
+def golden_dns():
+    with np.load(GOLDEN / "dns.npz") as data:
+        return {k: data[k] for k in data.files}
+
+
+@pytest.mark.parametrize("name", ["energy", "dissipation", "u", "w", "b", "p"])
+def test_dns_trajectory(observed_dns, golden_dns, name):
+    want = golden_dns[name]
+    assert observed_dns[name].shape == want.shape
+    err = np.abs(observed_dns[name] - want).max()
+    assert err <= RTOL_DNS * np.abs(want).max(), (name, err / np.abs(want).max())
+
+
+def test_dns_projection_loss(observed_dns, golden_dns):
+    want = golden_dns["proj_loss"]
+    err = np.abs(observed_dns["proj_loss"] - want).max()
+    assert err <= ATOL_PROJ_LOSS * golden_dns["energy"][0], err
