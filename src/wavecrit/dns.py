@@ -30,6 +30,19 @@ not merely approximate:
 Each step is a Strang sandwich -- half an implicit diffusion step, one
 explicit Heun step of rotation + advection (+ sponge), half a diffusion
 step -- followed by a projection, and is second order in time.
+
+Every y-operator is banded (bandwidth 4, set by the 5-point stencil), so a
+step costs O(nx ny) plus the FFTs:
+
+* Dy and its transpose are stored as sparse (CSR) matrices;
+* each diffusion half step solves the banded Crank-Nicolson system
+  (M + a Kq) q = (M - a Kq) f on the constrained space, with M + a Kq
+  factored once per field by a banded Cholesky;
+* the projection stacks the banded matrices of every kx with a nonzero
+  derivative wavenumber into one block-diagonal banded Cholesky factor and
+  solves all of them in one call on (real, imag) columns; kx = 0 and the
+  Nyquist column, where the matrix is singular, use a dense eigen
+  pseudo-inverse.
 """
 
 import math
@@ -37,8 +50,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, solve
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 from scipy.optimize import brentq
+from scipy.sparse import csr_array, diags_array, eye_array
 
 from .characteristic import ModalMatrixSpec, roots_for
 from .corrector import CorrectorAssembly, evaluate_W1
@@ -120,17 +134,18 @@ class Grid:
         tau[:-1] += 0.5 * np.diff(y)
         tau[1:] += 0.5 * np.diff(y)
         self.tau = tau
-        # 5-point (4th-order) first and second derivative matrices; the
-        # energy identities below hold for any difference matrix, so the
-        # higher order only buys accuracy on the thin layers
+        # 5-point (4th-order) first-derivative matrix, stored sparse with
+        # its transpose; the energy identities below hold for any difference
+        # matrix, so the higher order only buys accuracy on the thin layers
         self.stencil = s = min(5, ny)
-        self.Dy = np.zeros((ny, ny))
-        self.Dyy = np.zeros((ny, ny))
-        for j in range(ny):
-            lo = min(max(j - s // 2, 0), ny - s)
-            pts = slice(lo, lo + s)
-            self.Dy[j, pts] = _fd_weights(y[pts], y[j], 1)
-            self.Dyy[j, pts] = _fd_weights(y[pts], y[j], 2)
+        lo = np.clip(np.arange(ny) - s // 2, 0, ny - s)
+        weights = [_fd_weights(y[i:i + s], y[j], 1) for j, i in enumerate(lo)]
+        self.Dy = csr_array(
+            (np.concatenate(weights),
+             (np.repeat(np.arange(ny), s), (lo[:, None] + np.arange(s)).ravel())),
+            shape=(ny, ny),
+        )
+        self.DyT = self.Dy.T.tocsr()
 
     def ddx(self, f):
         return np.fft.irfft(1j * self.kx_d[None, :] * np.fft.rfft(f, axis=1),
@@ -224,12 +239,12 @@ class State:
 # ---------------------------------------------------------------------------
 
 
-def _to_banded(A, lu):
-    l, u = lu
+def _upper_banded(A, bw):
+    """Upper banded storage (LAPACK 'U') of a symmetric matrix of bandwidth bw."""
     n = A.shape[0]
-    ab = np.zeros((l + u + 1, n))
-    for i in range(-l, u + 1):
-        ab[u - i, max(i, 0):n + min(i, 0)] = np.diagonal(A, i)
+    ab = np.zeros((bw + 1, n))
+    for i in range(bw + 1):
+        ab[bw - i, i:] = A.diagonal(i)
     return ab
 
 
@@ -254,25 +269,26 @@ class Solver:
         self.sigma = sp.rate * s * s * (3.0 - 2.0 * s)
 
         # projection: A_k = kx^2 diag(tau m_u) + Dy^T diag(tau m_w) Dy
-        self._bw = g.stencil - 1  # matrix bandwidth set by the stencil width
-        K = g.Dy.T * (g.tau * self.mask_w) @ g.Dy
+        bw = g.stencil - 1  # matrix bandwidth set by the stencil width
+        K = g.DyT @ diags_array(g.tau * self.mask_w) @ g.Dy
         du = g.tau * self.mask_u
-        self._proj_chol = []
         # at kx = 0 the matrix is singular (constants and a second solution
         # of the interior recurrence Dy v = 0 have zero discrete gradient);
         # the right-hand side is orthogonal to that null space by
-        # construction, so the pseudo-inverse on the range is exact
-        lam, V = eigh(K)
+        # construction, so the pseudo-inverse on the range is exact.  The
+        # Nyquist column (kx_d = 0 too) shares it.
+        lam, V = eigh(K.toarray())
         keep = lam > 1e-10 * lam[-1]
         self._proj_zero = (V[:, keep], 1.0 / lam[keep])
-        for kx in g.kx_d:
-            if kx == 0.0:
-                self._proj_chol.append(None)
-            else:
-                A = K + np.diag(kx * kx * du)
-                self._proj_chol.append(
-                    cholesky_banded(_to_banded(A, (0, self._bw)))
-                )
+        self._proj_singular = np.flatnonzero(g.kx_d == 0.0)
+        self._proj_regular = np.flatnonzero(g.kx_d != 0.0)
+        kx = g.kx_d[self._proj_regular]
+        # every other kx: one block-diagonal banded matrix, one A_k per
+        # block.  Upper banded storage of a tiled band leaves the couplings
+        # across block edges zero, so one Cholesky factors all blocks.
+        ab = np.tile(_upper_banded(K, bw), len(kx))
+        ab[bw] += np.outer(kx * kx, du).ravel()
+        self._proj_chol = cholesky_banded(ab)
 
         # one-sided first-derivative stencils at the wall and lid
         s = g.stencil
@@ -294,25 +310,28 @@ class Solver:
         # tau-orthogonal projector onto the no-flux constraint for b
         self._bproj_v = v / (nb @ v)
         self._bproj_n = nb
-        self._prop = {}
+        # Each field's update is f -> Z (M + a Kq)^{-1} (M - a Kq) f[rows]:
+        # Z embeds the free rows (for b, the wall row follows from the
+        # no-flux stencil), M and Kq are the tau-weighted mass and stiffness
+        # forms on them, both of bandwidth <= bw, so M + a Kq is factored
+        # once as a banded Cholesky.
+        tau = diags_array(g.tau)
+        self._diff = {}
         for name, c in self._diff_coef.items():
-            if name == "w":
-                Z = np.eye(ny)[:, 1:-1]
-                R = np.eye(ny)[1:-1, :]
-            else:
-                Z = np.eye(ny)[:, 1:]
-                R = np.eye(ny)[1:, :]
-                if name == "b":
-                    Z[0, : s - 1] = -self.neumann_wall[1:] / self.neumann_wall[0]
+            nq = ny - 2 if name == "w" else ny - 1
+            Z = eye_array(ny, nq, k=-1, format="lil")
+            if name == "b":
+                Z[0, : s - 1] = -self.neumann_wall[1:] / self.neumann_wall[0]
+            Z = Z.tocsr()
             DyZ = g.Dy @ Z
-            M = Z.T @ (g.tau[:, None] * Z)
-            Kq = DyZ.T @ (g.tau[:, None] * DyZ)
+            M = Z.T @ tau @ Z
+            Kq = DyZ.T @ tau @ DyZ
             # half-step factors: diffusion is applied in Strang fashion
             # around the explicit stage, keeping the march (and the energy
             # ledger) second order in dt
             a = 0.25 * config.dt * c
-            Pq = solve(M + a * Kq, M - a * Kq, assume_a="pos")
-            self._prop[name] = Z @ Pq @ R
+            self._diff[name] = (slice(1, 1 + nq), Z, (M - a * Kq).tocsr(),
+                                cholesky_banded(_upper_banded(M + a * Kq, bw)))
         self._xdamp = {
             name: np.exp(-0.5 * c * g.kx**2 * config.dt)
             for name, c in self._diff_coef.items()
@@ -331,16 +350,22 @@ class Solver:
         uh = np.fft.rfft(u, axis=1)
         wh = np.fft.rfft(w, axis=1)
         rhs = (-1j * g.kx_d[None, :] * (g.tau * self.mask_u)[:, None] * uh
-               + g.Dy.T @ ((g.tau * self.mask_w)[:, None] * wh))
+               + g.DyT @ ((g.tau * self.mask_w)[:, None] * wh))
         phih = np.empty_like(uh)
-        for i in range(len(g.kx_d)):
-            cols = np.column_stack([rhs[:, i].real, rhs[:, i].imag])
-            if self._proj_chol[i] is None:
-                V, inv_lam = self._proj_zero
-                sol = V @ (inv_lam[:, None] * (V.T @ cols))
-            else:
-                sol = cho_solve_banded((self._proj_chol[i], False), cols)
-            phih[:, i] = sol[:, 0] + 1j * sol[:, 1]
+        # regular kx: the columns laid end to end as one (real, imag) pair
+        # of right-hand sides of the block-diagonal system
+        reg = self._proj_regular
+        cols = rhs.T[reg].view(float).reshape(-1, 2)
+        sol = cho_solve_banded((self._proj_chol, False), cols,
+                               check_finite=False)
+        phih[:, reg] = (np.ascontiguousarray(sol).view(complex)
+                        .reshape(len(reg), g.ny).T)
+        # kx = 0 and Nyquist: the pseudo-inverse, in real arithmetic
+        V, inv_lam = self._proj_zero
+        sing = self._proj_singular
+        cols = np.concatenate([rhs[:, sing].real, rhs[:, sing].imag], axis=1)
+        sol = V @ (inv_lam[:, None] * (V.T @ cols))
+        phih[:, sing] = sol[:, : len(sing)] + 1j * sol[:, len(sing):]
         uh -= 1j * g.kx_d[None, :] * phih * self.mask_u[:, None]
         wh -= (g.Dy @ phih) * self.mask_w[:, None]
         return (np.fft.irfft(uh, n=g.nx, axis=1),
@@ -353,9 +378,9 @@ class Solver:
         uh = np.fft.rfft(u, axis=1)
         wh = np.fft.rfft(w, axis=1)
         r = (-1j * g.kx_d[None, :] * (g.tau * self.mask_u)[:, None] * uh
-             + g.Dy.T @ ((g.tau * self.mask_w)[:, None] * wh))
+             + g.DyT @ ((g.tau * self.mask_w)[:, None] * wh))
         scale = (np.abs(g.kx_d[None, :] * (g.tau * self.mask_u)[:, None] * uh).max()
-                 + np.abs(g.Dy.T @ ((g.tau * self.mask_w)[:, None] * np.abs(wh))).max())
+                 + np.abs(g.DyT @ ((g.tau * self.mask_w)[:, None] * np.abs(wh))).max())
         return float(np.abs(r).max() / max(scale, 1e-300))
 
     def advect(self, u, w, f):
@@ -363,7 +388,7 @@ class Solver:
         g = self.grid
         fy = g.Dy @ f
         conv = u * g.ddx(f) + w * fy
-        cons = g.ddx(u * f) - (g.Dy.T @ (g.tau[:, None] * (w * f))) / g.tau[:, None]
+        cons = g.ddx(u * f) - (g.DyT @ (g.tau[:, None] * (w * f))) / g.tau[:, None]
         return 0.5 * (conv + cons)
 
     def _tendency(self, u, w, b):
@@ -388,7 +413,9 @@ class Solver:
         return fu, fw, fb
 
     def _diffuse(self, f, name):
-        out = self._prop[name] @ f
+        rows, Z, B, chol = self._diff[name]
+        out = Z @ cho_solve_banded((chol, False), B @ f[rows],
+                                   check_finite=False)
         fh = np.fft.rfft(out, axis=1)
         fh *= self._xdamp[name][None, :]
         return np.fft.irfft(fh, n=self.grid.nx, axis=1)
@@ -589,11 +616,11 @@ def compare_stability(
     solver = solver or Solver(traj.config)
     g = solver.grid
     eps, delta = params.eps, params.delta
-    ua0, wa0, ba0 = wapp(0.0, g.x, g.y)
-    norm0 = math.sqrt(g.integral(ua0**2 + wa0**2 + ba0**2))
+    wapp0 = wapp(0.0, g.x, g.y)
+    norm0 = math.sqrt(g.integral(sum(f**2 for f in wapp0)))
     diffs = []
     for t, st in zip(traj.save_times, traj.states):
-        ua, wa, ba = wapp(t, g.x, g.y)
+        ua, wa, ba = wapp0 if t == 0.0 else wapp(t, g.x, g.y)
         diffs.append(math.sqrt(g.integral(
             (ua - st.u) ** 2 + (wa - st.w) ** 2 + (ba - st.b) ** 2)))
     diffs = np.array(diffs) / norm0

@@ -16,6 +16,7 @@ from wavecrit.cli import (
     main,
     run_experiment,
 )
+from wavecrit.dns import box_matched_eps
 from wavecrit.params import PhysParams
 
 pytestmark = pytest.mark.filterwarnings(
@@ -161,6 +162,11 @@ class TestSweepAndSlopes:
         assert "slopes.csv" not in man["artifacts"]
 
 
+#: a small DNS box for the `dns` and `stability` experiments
+DNS_EPS = box_matched_eps(0.3, 1.0, 9)
+DNS_OPTIONS = {"Ly": 60.0, "nx": 64, "ny": 192, "dt": 0.02, "T": 0.04,
+               "dy0": 1e-3, "dy_max": 0.6, "save_every": 1}
+
 RERUN_CONFIGS = {
     "roots": dict(params=PhysParams(gamma=0.45, eps=0.2)),
     "packet-norms": dict(params=PhysParams(gamma=0.7, eps=0.2), nodes_per_lobe=5),
@@ -168,6 +174,11 @@ RERUN_CONFIGS = {
                      nodes_per_lobe=5),
     "corrector": dict(params=PhysParams(gamma=0.7, eps=0.2, delta=0.2**3),
                       nodes_per_lobe=5),
+    "dns": dict(params=PhysParams(gamma=0.7, eps=DNS_EPS, delta=DNS_EPS**3),
+                nodes_per_lobe=5, options=DNS_OPTIONS),
+    "stability": dict(params=PhysParams(gamma=0.7, eps=DNS_EPS,
+                                        delta=DNS_EPS**3),
+                      nodes_per_lobe=5, options=DNS_OPTIONS),
 }
 
 
@@ -186,15 +197,11 @@ def test_rerun_bit_identical(experiment, tmp_path):
 
 @pytest.fixture(scope="module")
 def dns_outdir(tmp_path_factory):
-    from wavecrit.dns import box_matched_eps
-
     out = tmp_path_factory.mktemp("dns")
-    eps = box_matched_eps(0.3, 1.0, 9)
     cfg = ExperimentConfig(
-        params=PhysParams(gamma=0.7, eps=eps),
+        params=PhysParams(gamma=0.7, eps=DNS_EPS),
         experiment="dns", output_dir=out, nodes_per_lobe=5,
-        options={"Ly": 60.0, "nx": 64, "ny": 192, "dt": 0.02, "T": 0.04,
-                 "dy0": 1e-3, "dy_max": 0.6, "save_every": 1})
+        options=DNS_OPTIONS)
     run_experiment(cfg)
     return out
 
