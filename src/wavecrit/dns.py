@@ -138,11 +138,10 @@ class Grid:
         # its transpose; the energy identities below hold for any difference
         # matrix, so the higher order only buys accuracy on the thin layers
         self.stencil = s = min(5, ny)
-        lo = np.clip(np.arange(ny) - s // 2, 0, ny - s)
-        weights = [_fd_weights(y[i:i + s], y[j], 1) for j, i in enumerate(lo)]
+        cols = np.clip(np.arange(ny) - s // 2, 0, ny - s)[:, None] + np.arange(s)
+        vals = np.array([_fd_weights(y[c], y[j], 1) for j, c in enumerate(cols)])
         self.Dy = csr_array(
-            (np.concatenate(weights),
-             (np.repeat(np.arange(ny), s), (lo[:, None] + np.arange(s)).ravel())),
+            (vals.ravel(), (np.repeat(np.arange(ny), s), cols.ravel())),
             shape=(ny, ny),
         )
         self.DyT = self.Dy.T.tocsr()
