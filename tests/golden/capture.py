@@ -6,14 +6,17 @@ and scalars.json come from the code before the mode-set refactor,
 rowwise.json (the row-by-row corrector sizes of the `corrector` experiment)
 from the code before the W1 lifts were merged per (l, alpha) node, and
 dns.npz (a 20-step nonlinear DNS trajectory) from the dense-operator
-solver, before its y-operators were made banded.  To inspect what they
-hold, run
+solver, before its y-operators were made banded, and lift.npz (the wall
+lifts of the `lift` experiment's traces) from the code before the lifts
+returned mode sets.  To inspect what they hold, run
 
     PYTHONPATH=src python tests/golden/capture.py <output-dir>
 
 Reference case: gamma = 0.7, eps = 0.2, delta = eps^3, 5 nodes per lobe.
 DNS case: tests/test_dns.py's 192 x 256 grid (box-matched eps near 0.3,
 9 nodes per lobe, Ly = 60, dt = 0.01) with delta = eps^3, so advection runs.
+Lift case: the first LIFT_SAMPLES seed-0 traces of the `lift` experiment in
+each of its three regimes (cli._lift_spec at gamma = 0.7, eps = 0.2, k0 = 1).
 """
 
 import json
@@ -23,8 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
+from wavecrit import cli, dns
 from wavecrit import corrector as C
-from wavecrit import dns
+from wavecrit.boundary import (
+    TraceTriple,
+    lift_critical,
+    lift_noncritical,
+    lift_nonoscillating,
+)
+from wavecrit.characteristic import Regime, roots_for
 from wavecrit.packets import (
     Envelope,
     Family,
@@ -118,6 +128,49 @@ def capture_dns(solver, state):
     return out
 
 
+LIFT_SAMPLES = 10
+LIFT_REGIMES = (Regime.CRITICAL_DY, Regime.NON_CRITICAL, Regime.NON_OSCILLATING)
+
+
+def lift_cases():
+    """(regime, spec, roots, traces) per regime, drawn as the `lift` experiment
+    draws them at seed 0 with LIFT_SAMPLES samples."""
+    p = PhysParams(gamma=GAMMA, eps=EPS)
+    rng = np.random.default_rng(0)
+    for regime in LIFT_REGIMES:
+        spec = cli._lift_spec(p, 1.0, regime, EPS)
+        roots = roots_for(spec, EPS)
+        z = [rng.normal(size=6) for _ in range(LIFT_SAMPLES)]
+        yield regime, spec, roots, [TraceTriple(complex(r[0], r[1]), complex(r[2], r[3]),
+                                                complex(r[4], r[5])) for r in z]
+
+
+def capture_lift():
+    """Per regime and lift: the rates mu, the coefficients (cu, cw, cb) =
+    a (U, W, B) of its modes in label order, and the non-oscillating leftover."""
+    out = {}
+    for regime, spec, roots, traces in lift_cases():
+        rows, leftovers = [], []
+        for tr in traces:
+            if regime is Regime.NON_CRITICAL:
+                rw, bl = lift_noncritical(spec, roots, tr)
+                modes = rw.modes + bl.modes
+            elif regime is Regime.NON_OSCILLATING:
+                lift, left = lift_nonoscillating(spec, roots, tr)
+                modes = lift.modes
+                leftovers.append(left)
+            else:
+                modes = lift_critical(spec, roots, tr).modes
+            rows.append([(m.lam, m.a * m.vec.U, m.a * m.vec.W, m.a * m.vec.B)
+                         for m in modes])
+        arr = np.array(rows, dtype=complex)  # (sample, mode, field)
+        for n, name in enumerate(("mu", "cu", "cw", "cb")):
+            out[f"{regime.name}_{name}"] = arr[:, :, n]
+        if leftovers:
+            out[f"{regime.name}_leftover"] = np.array(leftovers, dtype=complex)
+    return out
+
+
 def main(outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -128,6 +181,7 @@ def main(outdir):
     (outdir / "rowwise.json").write_text(
         json.dumps(capture_rowwise(*case), indent=1) + "\n")
     np.savez(outdir / "dns.npz", **capture_dns(*dns_case()))
+    np.savez(outdir / "lift.npz", **capture_lift())
 
 
 if __name__ == "__main__":

@@ -169,6 +169,7 @@ DNS_OPTIONS = {"Ly": 60.0, "nx": 64, "ny": 192, "dt": 0.02, "T": 0.04,
 
 RERUN_CONFIGS = {
     "roots": dict(params=PhysParams(gamma=0.45, eps=0.2)),
+    "lift": dict(params=PhysParams(gamma=0.7, eps=0.2), options={"samples": 4}),
     "packet-norms": dict(params=PhysParams(gamma=0.7, eps=0.2), nodes_per_lobe=5),
     "residual": dict(params=PhysParams(gamma=0.7, eps=0.2, delta=0.2**3),
                      nodes_per_lobe=5),

@@ -13,6 +13,11 @@ and projection-loss series and the final u, w, b, p at every 4th row and
 column).  Its arrays are compared at 1e-8 relative to their max-norm; the
 projection loss, a difference of two energies, at 1e-12 of the initial
 energy.
+
+lift.npz holds the wall lifts of the `lift` experiment's first seed-0
+traces in its three regimes: the rates, the mode coefficients a (U, W, B)
+and the non-oscillating leftover w-trace, compared at 1e-12 relative to
+each array's max-norm.
 """
 
 import importlib.util
@@ -27,6 +32,7 @@ RTOL = 1e-10
 RTOL_MF = 1e-9
 RTOL_DNS = 1e-8
 ATOL_PROJ_LOSS = 1e-12  # times the initial energy
+RTOL_LIFT = 1e-12
 
 _spec = importlib.util.spec_from_file_location("golden_capture", GOLDEN / "capture.py")
 capture = importlib.util.module_from_spec(_spec)
@@ -136,3 +142,28 @@ def test_dns_projection_loss(observed_dns, golden_dns):
     want = golden_dns["proj_loss"]
     err = np.abs(observed_dns["proj_loss"] - want).max()
     assert err <= ATOL_PROJ_LOSS * golden_dns["energy"][0], err
+
+
+@pytest.fixture(scope="module")
+def observed_lift():
+    return capture.capture_lift()
+
+
+@pytest.fixture(scope="module")
+def golden_lift():
+    with np.load(GOLDEN / "lift.npz") as data:
+        return {k: data[k] for k in data.files}
+
+
+@pytest.mark.parametrize("name", [f"{r.name}_{f}" for r in capture.LIFT_REGIMES
+                                  for f in ("mu", "cu", "cw", "cb")]
+                         + ["NON_OSCILLATING_leftover"])
+def test_lift(observed_lift, golden_lift, name):
+    want = golden_lift[name]
+    assert observed_lift[name].shape == want.shape
+    err = np.abs(observed_lift[name] - want).max()
+    assert err <= RTOL_LIFT * np.abs(want).max(), (name, err / np.abs(want).max())
+
+
+def test_lift_keys(observed_lift, golden_lift):
+    assert sorted(observed_lift) == sorted(golden_lift)
