@@ -18,11 +18,15 @@ system is column-equilibrated before solving.  In the non-oscillating
 degeneracy (|omega|, |k| small) the slowly-decaying mode is useless for
 lifting and the w-trace is deliberately left over: only u and d_y b are
 matched, with a_2 = 0.
+
+Traces are complex arrays (u, w, d_y b).  A lift returns its modes as an
+ExpModes set, the one type for sums of decaying modes (the packet W0 and
+the corrector W1 are ExpModes too), and evaluate_modes is their one
+evaluator.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -30,7 +34,6 @@ import numpy as np
 
 from .characteristic import (
     CRITICAL_REGIMES,
-    Eigenvector,
     ModalMatrixSpec,
     Regime,
     RootSet,
@@ -50,76 +53,105 @@ class IllConditionedLiftError(RuntimeError):
     """Equilibrated lift system condition number exceeded 1e14."""
 
 
-@dataclass(frozen=True)
-class TraceTriple:
-    """Wall data (u-trace, w-trace, d_y b-trace), complex amplitudes."""
+@dataclass
+class ExpModes:
+    """Field sum_n (cu, cw, cb)_n exp(i l_n x - i alpha_n t - mu_n y) + c.c.
 
-    frak_u: complex
-    frak_w: complex
-    frak_b: complex
+    The one mode-set type: a wall lift, the linear packet W0 and the
+    corrector W1 are all sums of such modes, with any amplitude folded
+    into the coefficients.
+    """
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.frak_u, self.frak_w, self.frak_b], dtype=complex)
+    l: np.ndarray
+    alpha: np.ndarray
+    mu: np.ndarray
+    cu: np.ndarray
+    cw: np.ndarray
+    cb: np.ndarray
 
-    def __mul__(self, c: complex) -> "TraceTriple":
-        return TraceTriple(self.frak_u * c, self.frak_w * c, self.frak_b * c)
+    _FIELDS = ("l", "alpha", "mu", "cu", "cw", "cb")
 
-    __rmul__ = __mul__
+    @classmethod
+    def empty(cls) -> "ExpModes":
+        z = np.zeros(0)
+        zc = np.zeros(0, dtype=complex)
+        return cls(z.copy(), z.copy(), zc.copy(), zc.copy(), zc.copy(), zc.copy())
 
-    def __add__(self, other: "TraceTriple") -> "TraceTriple":
-        return TraceTriple(
-            self.frak_u + other.frak_u,
-            self.frak_w + other.frak_w,
-            self.frak_b + other.frak_b,
-        )
+    @classmethod
+    def from_rows(cls, rows) -> "ExpModes":
+        """Mode set from (l, alpha, mu, cu, cw, cb) rows."""
+        if not rows:
+            return cls.empty()
+        l, alpha, *rest = zip(*rows)
+        return cls(np.array(l, dtype=float), np.array(alpha, dtype=float),
+                   *(np.array(c, dtype=complex) for c in rest))
+
+    @classmethod
+    def concat(cls, parts) -> "ExpModes":
+        parts = [p for p in parts if len(p.l)]
+        if not parts:
+            return cls.empty()
+        return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in cls._FIELDS))
+
+    def __len__(self):
+        return len(self.l)
+
+    def __getitem__(self, idx) -> "ExpModes":
+        """The modes at an index, slice, mask or index array."""
+        return ExpModes(*(np.atleast_1d(getattr(self, f)[idx]) for f in self._FIELDS))
+
+    def scaled(self, fu, fw=None, fb=None) -> "ExpModes":
+        """New mode set with per-mode component factors (e.g. derivatives)."""
+        fw = fu if fw is None else fw
+        fb = fu if fb is None else fb
+        return ExpModes(self.l, self.alpha, self.mu, self.cu * fu, self.cw * fw,
+                        self.cb * fb)
+
+    def conj(self) -> "ExpModes":
+        """The conjugate modes, (l, alpha, mu, c) -> (-l, -alpha, mu*, c*)."""
+        return ExpModes(-self.l, -self.alpha, self.mu.conj(), self.cu.conj(),
+                        self.cw.conj(), self.cb.conj())
+
+    def d_dx(self) -> "ExpModes":
+        return self.scaled(1j * self.l)
+
+    def d_dy(self) -> "ExpModes":
+        return self.scaled(-self.mu)
+
+    def traces(self):
+        """Wall coefficients of (u, w, d_y b): fields coeff * e^(ilx - i alpha t)."""
+        return self.cu, self.cw, -self.mu * self.cb
 
 
-class LiftKind(enum.Enum):
-    CRITICAL = "Critical"
-    NONCRITICAL_RW = "NonCriticalRW"
-    NONCRITICAL_BL = "NonCriticalBL"
-    NON_OSCILLATING = "NonOscillating"
+def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
+    """(u, w, b) on the tensor grid, conjugate part included (real output).
+
+    Modes sharing an x-wavenumber (the lattice produces thousands per l)
+    are summed into one y-profile first, so the grid work is one outer
+    product per distinct l rather than per mode.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    u = np.zeros((len(y), len(x)), dtype=complex)
+    w = np.zeros_like(u)
+    b = np.zeros_like(u)
+    if len(modes):
+        tol = 1e-12 * max(1.0, np.abs(modes.l).max())
+        for idx in _group_by_l(modes.l, tol):
+            vert = guarded_exp(-np.outer(y, modes.mu[idx]))
+            phase_t = np.exp(-1j * modes.alpha[idx] * t)
+            horiz = np.exp(1j * modes.l[idx[0]] * x)
+            u += np.outer(vert @ (modes.cu[idx] * phase_t), horiz)
+            w += np.outer(vert @ (modes.cw[idx] * phase_t), horiz)
+            b += np.outer(vert @ (modes.cb[idx] * phase_t), horiz)
+    # f + conj(f), exactly 2 Re f
+    return 2.0 * u.real, 2.0 * w.real, 2.0 * b.real
 
 
-@dataclass(frozen=True)
-class LiftMode:
-    label: int
-    a: complex
-    lam: complex
-    vec: Eigenvector
-
-
-@dataclass(frozen=True)
-class BoundaryLift:
-    """A sum of decaying modes at one (omega, k), tagged by its role."""
-
-    spec: ModalMatrixSpec
-    modes: tuple[LiftMode, ...]
-    kind: LiftKind
-
-    def trace(self) -> TraceTriple:
-        """Wall values (u, w, d_y b) at y = 0 actually produced by the modes."""
-        u = sum(m.a * m.vec.U for m in self.modes)
-        w = sum(m.a * m.vec.W for m in self.modes)
-        b = sum(m.a * (-m.lam * m.vec.B) for m in self.modes)
-        return TraceTriple(complex(u), complex(w), complex(b))
-
-
-def _lift_columns(
-    spec: ModalMatrixSpec, roots: RootSet, labels: tuple[int, ...]
-) -> tuple[list[complex], list[Eigenvector], np.ndarray]:
-    """Roots, eigenvectors and the 3xN trace matrix for the given labels."""
-    lams = [roots.by_label(lab) for lab in labels]
-    vecs = [eigenvector(spec, lam) for lam in lams]
-    mat = np.array(
-        [
-            [v.U for v in vecs],
-            [v.W for v in vecs],
-            [-lam * v.B for lam, v in zip(lams, vecs)],
-        ],
-        dtype=complex,
-    )
-    return lams, vecs, mat
+def _group_by_l(l: np.ndarray, tol: float):
+    """Index groups of modes whose sorted l differ by at most tol in a row."""
+    order = np.argsort(l)
+    return np.split(order, np.flatnonzero(np.diff(l[order]) > tol) + 1)
 
 
 def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -144,19 +176,6 @@ def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"lift residual {resid:.3g} exceeds 1e-10 relative to {scale:.3g}"
         )
     return x
-
-
-def amplitudes_critical(
-    spec: ModalMatrixSpec, roots: RootSet, traces: TraceTriple
-) -> tuple[complex, complex, complex]:
-    """Amplitudes (a2, a3, a5) matching all three wall traces.
-
-    Valid in the critical family (and reused verbatim for the non-critical
-    split, where the same three decaying labels carry the lift).
-    """
-    _, _, mat = _lift_columns(spec, roots, (2, 3, 5))
-    a = _equilibrated_solve(mat, traces.as_array())
-    return complex(a[0]), complex(a[1]), complex(a[2])
 
 
 def limit_amplitudes_DY(
@@ -209,24 +228,42 @@ def limit_amplitudes_DY(
     return complex(a[0]), complex(a[1]), complex(a[2])
 
 
-def lift_critical(
-    spec: ModalMatrixSpec, roots: RootSet, traces: TraceTriple
-) -> BoundaryLift:
-    """Lift all three traces by the decaying modes lambda_2, lambda_3, lambda_5."""
+def _lift(spec: ModalMatrixSpec, roots: RootSet, traces, labels, rows) -> ExpModes:
+    """Modes of the given root labels whose wall values match the traces.
+
+    traces is (u, w, d_y b) at the wall; rows picks the trace equations
+    (0: u, 1: w, 2: d_y b) that the amplitudes solve.  The modes come in
+    label order with l = k, alpha = omega, mu = lambda and coefficients
+    a (U, W, B).
+    """
+    traces = np.asarray(traces, dtype=complex)
+    if traces.shape != (3,):
+        raise ValueError(f"traces must be (u, w, d_y b), got shape {traces.shape}")
+    lams = [roots.by_label(lab) for lab in labels]
+    vecs = [eigenvector(spec, lam) for lam in lams]
+    mat = np.array([[v.U for v in vecs], [v.W for v in vecs],
+                    [-lam * v.B for lam, v in zip(lams, vecs)]], dtype=complex)
+    a = _equilibrated_solve(mat[rows], traces[rows]).tolist()
+    cu, cw, cb = (np.array([ai * getattr(v, f) for ai, v in zip(a, vecs)], dtype=complex)
+                  for f in "UWB")
+    n = len(labels)
+    return ExpModes(np.full(n, spec.k, dtype=float), np.full(n, spec.omega, dtype=float),
+                    np.array(lams, dtype=complex), cu, cw, cb)
+
+
+def lift_critical(spec: ModalMatrixSpec, roots: RootSet, traces) -> ExpModes:
+    """Lift all three traces by the decaying modes lambda_2, lambda_3, lambda_5.
+
+    Since U = 1, the cu of the returned modes are the amplitudes (a2, a3, a5).
+    """
     if roots.regime not in CRITICAL_REGIMES:
         raise ValueError(f"lift_critical needs a critical regime, got {roots.regime}")
-    lams, vecs, mat = _lift_columns(spec, roots, (2, 3, 5))
-    a = _equilibrated_solve(mat, traces.as_array())
-    modes = tuple(
-        LiftMode(label=lab, a=complex(ai), lam=lam, vec=v)
-        for lab, ai, lam, v in zip((2, 3, 5), a, lams, vecs)
-    )
-    return BoundaryLift(spec=spec, modes=modes, kind=LiftKind.CRITICAL)
+    return _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
 
 
 def lift_noncritical(
-    spec: ModalMatrixSpec, roots: RootSet, traces: TraceTriple
-) -> tuple[BoundaryLift, BoundaryLift]:
+    spec: ModalMatrixSpec, roots: RootSet, traces
+) -> tuple[ExpModes, ExpModes]:
     """Split lift away from criticality: reflected wave + thin boundary layer.
 
     The lambda_2 mode is the O(1)-rate reflected/evanescent wave; lambda_3
@@ -236,27 +273,13 @@ def lift_noncritical(
         raise ValueError(
             f"lift_noncritical needs the non-critical regime, got {roots.regime}"
         )
-    lams, vecs, mat = _lift_columns(spec, roots, (2, 3, 5))
-    a = _equilibrated_solve(mat, traces.as_array())
-    rw = BoundaryLift(
-        spec=spec,
-        modes=(LiftMode(label=2, a=complex(a[0]), lam=lams[0], vec=vecs[0]),),
-        kind=LiftKind.NONCRITICAL_RW,
-    )
-    bl = BoundaryLift(
-        spec=spec,
-        modes=tuple(
-            LiftMode(label=lab, a=complex(ai), lam=lam, vec=v)
-            for lab, ai, lam, v in zip((3, 5), a[1:], lams[1:], vecs[1:])
-        ),
-        kind=LiftKind.NONCRITICAL_BL,
-    )
-    return rw, bl
+    modes = _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
+    return modes[:1], modes[1:]
 
 
 def lift_nonoscillating(
-    spec: ModalMatrixSpec, roots: RootSet, traces: TraceTriple
-) -> tuple[BoundaryLift, complex]:
+    spec: ModalMatrixSpec, roots: RootSet, traces
+) -> tuple[ExpModes, complex]:
     """Degenerate lift for |omega|, |k| small: match u and d_y b only.
 
     The slowly-decaying label-2 mode is discarded (a_2 = 0) and the 2x2
@@ -268,37 +291,5 @@ def lift_nonoscillating(
         raise ValueError(
             f"lift_nonoscillating needs the non-oscillating regime, got {roots.regime}"
         )
-    lams, vecs, mat = _lift_columns(spec, roots, (3, 5))
-    sub = mat[[0, 2], :]  # u-row and b-row only
-    rhs = np.array([traces.frak_u, traces.frak_b], dtype=complex)
-    a = _equilibrated_solve(sub, rhs)
-    modes = tuple(
-        LiftMode(label=lab, a=complex(ai), lam=lam, vec=v)
-        for lab, ai, lam, v in zip((3, 5), a, lams, vecs)
-    )
-    lift = BoundaryLift(spec=spec, modes=modes, kind=LiftKind.NON_OSCILLATING)
-    leftover_w = complex(mat[1, :] @ a - traces.frak_w)
-    return lift, leftover_w
-
-
-def evaluate_lift(lift: BoundaryLift, t, x, y):
-    """Physical-space field (u, w, b) of the lift, complex-valued.
-
-    Broadcasts over array arguments.  Modes whose decay exponent Re(l) y
-    exceeds 700 contribute exactly zero instead of underflowing.
-    """
-    w, k = lift.spec.omega, lift.spec.k
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    phase = np.exp(1j * (k * x - w * t))
-    shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
-    u = np.zeros(shape, dtype=complex)
-    ww = np.zeros(shape, dtype=complex)
-    b = np.zeros(shape, dtype=complex)
-    for m in lift.modes:
-        term = m.a * phase * guarded_exp(-m.lam * y)
-        u = u + m.vec.U * term
-        ww = ww + m.vec.W * term
-        b = b + m.vec.B * term
-    return u, ww, b
+    modes = _lift(spec, roots, traces, (3, 5), [0, 2])
+    return modes, complex(modes.cw.sum() - traces[1])

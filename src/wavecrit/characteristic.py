@@ -373,7 +373,7 @@ def classify_roots(rootset: RootSet, spec: ModalMatrixSpec) -> RootSet:
     )
 
 
-def roots_for(spec: ModalMatrixSpec, eps: float) -> RootSet:
+def roots_for(spec: ModalMatrixSpec) -> RootSet:
     """Convenience: characteristic polynomial -> roots -> classification."""
     return classify_roots(solve_roots(char_poly(spec)), spec)
 

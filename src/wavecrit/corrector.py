@@ -34,11 +34,11 @@ Everything dropped on the way (viscous terms at rate eps^-2, normal-velocity
 forcing components, Leray-projection corrections, c-type interactions,
 diffusion acting on the incident packet) is booked in a residual ledger.
 
-Pairs, interior responses, lifts and ledger terms are all packets.ExpModes
-sets, the representation W0 uses too: the W0 quadrature amplitudes already
-sit in the coefficients, so a pair's forcing is -delta cc (U2, W2, B2) with
-no separate weight.  W1 = W1_BLeps2 + W1_BLeps3 + W1_II (one mode set,
-evaluated by packets.evaluate_modes) + the explicit mean flow W1_MF.  The
+Pairs, interior responses, lifts and ledger terms are all boundary.ExpModes
+sets, the representation W0 and the wall lifts use too: the W0 quadrature
+amplitudes already sit in the coefficients, so a pair's forcing is
+-delta cc (U2, W2, B2) with no separate weight.  W1 = W1_BLeps2 + W1_BLeps3 + W1_II (one mode set,
+evaluated by boundary.evaluate_modes) + the explicit mean flow W1_MF.  The
 norms of a mode set (modes_norms) come from its per-wavenumber y-profiles:
 L2 by orthogonality in x, the max-norm by one matrix product per component.
 """
@@ -51,15 +51,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import TraceTriple, guarded_exp, lift_noncritical, lift_nonoscillating
+from .boundary import (
+    ExpModes,
+    _group_by_l,
+    evaluate_modes,
+    guarded_exp,
+    lift_noncritical,
+    lift_nonoscillating,
+)
 from .characteristic import ModalMatrixSpec, Regime, roots_for
 from .packets import (
-    ExpModes,
     Family,
     PacketAssembly,
-    _group_by_l,
     default_grid,
-    evaluate_modes,
     evaluate_packet,
     packet_norms,
 )
@@ -97,11 +101,6 @@ INTERACTIONS = (
     InteractionType("c3", Family.BLEPS3, Family.BLEPS3, "c", 2.5),
     InteractionType("c4", Family.BLEPS3, Family.INCIDENT, "c", 3.5),
 )
-
-
-def classify_interactions() -> tuple[InteractionType, ...]:
-    """The nine ordered family pairs, largest first; (c) rows are residual."""
-    return INTERACTIONS
 
 
 class Lobe(enum.Enum):
@@ -268,7 +267,6 @@ def solve_interior_a(batch: PairBatch, params: PhysParams) -> ExpModes:
     return ExpModes(
         l=batch.l.copy(), alpha=batch.alpha.copy(), mu=batch.mu.copy(),
         cu=cu, cw=cw, cb=cb,
-        lobe=np.full(len(batch.l), batch.lobe.value, dtype=float),
     )
 
 
@@ -289,7 +287,6 @@ def solve_interior_b(batch: PairBatch, params: PhysParams) -> ExpModes:
     return ExpModes(
         l=batch.l.copy(), alpha=batch.alpha.copy(), mu=batch.mu.copy(),
         cu=cu, cw=cw, cb=cb,
-        lobe=np.full(len(batch.l), batch.lobe.value, dtype=float),
     )
 
 
@@ -393,26 +390,21 @@ class MeanFlowField:
 
 
 def collect_traces(interior: ExpModes):
-    """Split the wall traces of the interior modes by lobe, summed per node.
+    """Wall traces of the interior modes of one lobe, summed per node.
 
-    Returns dict Lobe -> (l, alpha, tu, tw, tb) arrays with one entry per
-    distinct (l, alpha); the trace fields are the coefficients times
+    Returns (l, alpha, tu, tw, tb) arrays with one entry per distinct
+    (l, alpha); the trace fields are the coefficients times
     exp(i l x - i alpha t).  A lift is linear in its trace and depends on
     nothing but the node, so the traces of all modes at one node (the pairs
     (i, j) and (j, i), every interaction row, both eps^2 roots) are summed
     and lifted once.  Nodes merge only on exactly equal (l, alpha), which
     give exactly equal ModalMatrixSpecs.
     """
-    tu, tw, tb = interior.traces()
-    out = {}
-    for lobe in Lobe:
-        m = interior.lobe == lobe.value
-        nodes, inv = np.unique(np.stack([interior.l[m], interior.alpha[m]], axis=1),
-                               axis=0, return_inverse=True)
-        sums = np.zeros((3, len(nodes)), dtype=complex)
-        np.add.at(sums, (slice(None), inv.ravel()), np.stack([tu[m], tw[m], tb[m]]))
-        out[lobe] = (nodes[:, 0], nodes[:, 1], *sums)
-    return out
+    nodes, inv = np.unique(np.stack([interior.l, interior.alpha], axis=1),
+                           axis=0, return_inverse=True)
+    sums = np.zeros((3, len(nodes)), dtype=complex)
+    np.add.at(sums, (slice(None), inv.ravel()), np.stack(interior.traces()))
+    return (nodes[:, 0], nodes[:, 1], *sums)
 
 
 def lift_second_harmonic(
@@ -423,25 +415,16 @@ def lift_second_harmonic(
     bl_parts, rw_parts = [], []
     for i in range(len(l)):
         spec = ModalMatrixSpec(params.nu, params.kappa, alpha[i], l[i], params.gamma)
-        roots = roots_for(spec, params.eps)
+        roots = roots_for(spec)
         if roots.regime is not Regime.NON_CRITICAL:
             raise CorrectorError(
                 f"double-lobe node (l={l[i]:.4g}, alpha={alpha[i]:.4g}) "
                 f"classified {roots.regime}, expected non-critical"
             )
-        rw, bl = lift_noncritical(
-            spec, roots, TraceTriple(-tu[i], -tw[i], -tb[i])
-        )
-        bl_parts += _lift_rows(l[i], alpha[i], bl)
-        rw_parts += _lift_rows(l[i], alpha[i], rw)
-    return (ExpModes.from_rows(bl_parts, Lobe.DOUBLE.value),
-            ExpModes.from_rows(rw_parts, Lobe.DOUBLE.value))
-
-
-def _lift_rows(l, alpha, lift):
-    """(l, alpha, mu, cu, cw, cb) rows of a boundary lift's modes."""
-    return [(l, alpha, m.lam, m.a * m.vec.U, m.a * m.vec.W, m.a * m.vec.B)
-            for m in lift.modes]
+        rw, bl = lift_noncritical(spec, roots, [-tu[i], -tw[i], -tb[i]])
+        bl_parts.append(bl)
+        rw_parts.append(rw)
+    return ExpModes.concat(bl_parts), ExpModes.concat(rw_parts)
 
 
 def _shear_lift(alpha, tu, tb, params: PhysParams):
@@ -462,7 +445,8 @@ def _shear_lift(alpha, tu, tb, params: PhysParams):
     B = sg / (1j * alpha + kappa * dec**2)
     mat = np.array([[1.0, 1.0], [-dec[0] * B[0], -dec[1] * B[1]]], dtype=complex)
     a = np.linalg.solve(mat, np.array([-tu, -tb], dtype=complex))
-    return [(dec[j], a[j], B[j]) for j in range(2)]
+    return ExpModes(np.zeros(2), np.full(2, alpha, dtype=float), dec, a,
+                    np.zeros(2, dtype=complex), a * B)
 
 
 def lift_mean_flow(
@@ -477,31 +461,28 @@ def lift_mean_flow(
     any unliftable leftover magnitude is returned as a booked residual.
     """
     l, alpha, tu, tw, tb = traces
-    bl_rows, g_l, g_alpha, g_coef = [], [], [], []
+    bl_parts, g_l, g_alpha, g_coef = [], [], [], []
     dropped = 0.0
     for i in range(len(l)):
         if abs(l[i]) < 1e-14:
-            for lam, a, B in _shear_lift(alpha[i], tu[i], tb[i], params):
-                bl_rows.append((0.0, alpha[i], lam, a, 0.0, a * B))
+            bl_parts.append(_shear_lift(alpha[i], tu[i], tb[i], params))
             dropped += abs(tw[i])
             continue
         spec = ModalMatrixSpec(params.nu, params.kappa, alpha[i], l[i], params.gamma)
-        roots = roots_for(spec, params.eps)
+        roots = roots_for(spec)
         if roots.regime is not Regime.NON_OSCILLATING:
             raise CorrectorError(
                 f"zero-lobe node (l={l[i]:.4g}, alpha={alpha[i]:.4g}) "
                 f"classified {roots.regime}, expected non-oscillating"
             )
-        lift, leftover = lift_nonoscillating(
-            spec, roots, TraceTriple(-tu[i], -tw[i], -tb[i])
-        )
-        bl_rows += _lift_rows(l[i], alpha[i], lift)
+        lift, leftover = lift_nonoscillating(spec, roots, [-tu[i], -tw[i], -tb[i]])
+        bl_parts.append(lift)
         # remaining wall value of w is exactly `leftover`; the mean flow
         # must carry w(0) = -leftover, i.e. dx G = -leftover
         g_l.append(l[i])
         g_alpha.append(alpha[i])
         g_coef.append(-leftover / (1j * l[i]))
-    bl = ExpModes.from_rows(bl_rows, Lobe.ZERO.value)
+    bl = ExpModes.concat(bl_parts)
     mf = MeanFlowField(
         l=np.array(g_l), alpha=np.array(g_alpha),
         G=np.array(g_coef, dtype=complex), eps=params.eps,
@@ -523,8 +504,7 @@ def trace_density(assembly: PacketAssembly, params: PhysParams):
     node = slice(2 * i, 2 * i + 2)
     # the incident cu is the node's quadrature amplitude (U = 1), so this
     # leaves the lift modes per unit trace
-    modes = ExpModes(bl2.l[node], bl2.alpha[node], bl2.mu[node], bl2.cu[node],
-                     bl2.cw[node], bl2.cb[node], bl2.lobe[node]).scaled(1.0 / inc.cu[i])
+    modes = bl2[node].scaled(1.0 / inc.cu[i])
     batch = _pair_batch(INTERACTIONS[0], Lobe.DOUBLE, modes, modes)
     unit = PhysParams(gamma=params.gamma, nu0=params.nu0, kappa0=params.kappa0,
                       eps=params.eps, delta=1.0)
@@ -570,7 +550,6 @@ def _source_modes(batch: PairBatch, delta: float) -> ExpModes:
     return ExpModes(
         l=batch.l.copy(), alpha=batch.alpha.copy(), mu=batch.mu.copy(),
         cu=S * batch.U2, cw=S * batch.W2, cb=S * batch.B2,
-        lobe=np.full(len(batch.l), batch.lobe.value, dtype=float),
     )
 
 
@@ -584,7 +563,7 @@ def _booked_terms(kind: str, batch: PairBatch, modes: ExpModes, src: ExpModes,
     buoyancy row, which the (b) solve keeps.
     """
     zero = np.zeros_like(src.cu)
-    wforce = ExpModes(batch.l, batch.alpha, batch.mu, zero, src.cw, zero, src.lobe)
+    wforce = ExpModes(batch.l, batch.alpha, batch.mu, zero, src.cw, zero)
     leray = src.scaled(np.abs(batch.l) / np.abs(batch.mu))
     if kind == "b":
         return {"r1_bL_wforce": wforce, "r1_bL_leray": leray}
@@ -596,7 +575,7 @@ def _booked_terms(kind: str, batch: PairBatch, modes: ExpModes, src: ExpModes,
             nu6 * params.kappa0 * (batch.mu**2 - batch.l**2),
         ),
         "r1_aL_wrow": ExpModes(batch.l, batch.alpha, batch.mu, zero, zero,
-                               math.cos(params.gamma) * modes.cw, modes.lobe),
+                               math.cos(params.gamma) * modes.cw),
         "r1_aL_leray": leray,
         "r1_aL_wforce": wforce,
     }
@@ -616,6 +595,7 @@ def assemble_W1(
     per-row wall traces largely cancel when combined.
     """
     parts = {"a": [], "b": []}
+    lobes = {lobe: [] for lobe in Lobe}  # the same interior modes, per lobe
     residuals: dict[str, float] = {}
     eps, delta = params.eps, params.delta
     solvers = {"a": solve_interior_a, "b": solve_interior_b}
@@ -636,6 +616,7 @@ def assemble_W1(
             else:
                 modes = solvers[itype.kind](batch, params)
                 parts[itype.kind].append(modes)
+                lobes[batch.lobe].append(modes)
                 booked = _booked_terms(itype.kind, batch, modes, src, params)
             for term, m in booked.items():
                 residuals[term] = residuals.get(term, 0.0) + \
@@ -643,9 +624,7 @@ def assemble_W1(
 
     interior_a = ExpModes.concat(parts["a"])
     interior_b = ExpModes.concat(parts["b"])
-    interior = ExpModes.concat([interior_a, interior_b])
-
-    traces = collect_traces(interior)
+    traces = {lobe: collect_traces(ExpModes.concat(m)) for lobe, m in lobes.items()}
     bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], params)
     bl3_mf, w1_mf, dropped = lift_mean_flow(traces[Lobe.ZERO], params)
     if dropped:

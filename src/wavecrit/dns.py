@@ -7,8 +7,8 @@ The system marched here is
     dt b + sin(g) u + cos(g) w = eps^6 k0 (Dxx + Dyy) b - delta (u dx + w dy) b
     dx u + dy w = 0,   u = w = dy b = 0 at y = 0,
 
-on a box periodic in x and bounded above by a stress-free, no-flux lid
-(optionally with a sponge).  The discretization is pseudo-spectral in x and
+on a box periodic in x and bounded above by a stress-free, no-flux lid.
+The discretization is pseudo-spectral in x and
 compact (5-point) finite differences on a geometrically stretched y-grid.
 
 Discrete structure is chosen so that the semi-discrete invariants are exact,
@@ -28,7 +28,7 @@ not merely approximate:
   in x.
 
 Each step is a Strang sandwich -- half an implicit diffusion step, one
-explicit Heun step of rotation + advection (+ sponge), half a diffusion
+explicit Heun step of rotation + advection, half a diffusion
 step -- followed by a projection, and is second order in time.
 
 Every y-operator is banded (bandwidth 4, set by the 5-point stencil), so a
@@ -47,7 +47,7 @@ step costs O(nx ny) plus the FFTs:
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
@@ -160,20 +160,6 @@ class Grid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpongeSpec:
-    """Damping -rate * ramp(y) over the top `frac` of the domain.
-
-    Disabled by default: with the box period matched to the packet lattice
-    the fields are exactly periodic in x and nothing ever leaves the domain;
-    damping the (small but nonzero) upper tail of the packet would push the
-    run away from the approximate solution it is compared against.
-    """
-
-    frac: float = 0.2
-    rate: float = 0.0
-
-
 @dataclass
 class SimConfig:
     params: PhysParams
@@ -186,7 +172,6 @@ class SimConfig:
     k0: float = 1.0
     dy0: float = 1e-3
     dy_max: float = math.inf
-    sponge: SpongeSpec = field(default_factory=SpongeSpec)
 
     def __post_init__(self):
         p = self.params
@@ -196,7 +181,7 @@ class SimConfig:
                            f"0.1/omega0={0.1 / omega0:.3g}")
         # the thinnest layer must be resolved: >= 8 points within 5 widths
         spec = ModalMatrixSpec(p.nu, p.kappa, omega0, self.k0, p.gamma)
-        lam5 = roots_for(spec, p.eps).by_label(5).real
+        lam5 = roots_for(spec).by_label(5).real
         y = stretched_grid(self.Ly, self.ny, self.dy0, self.dy_max)
         n_in_layer = int(np.sum(y <= 5.0 / lam5))
         if n_in_layer < 8:
@@ -261,12 +246,6 @@ class Solver:
         self.mask_w = np.ones(ny)
         self.mask_w[0] = self.mask_w[-1] = 0.0
 
-        # sponge profile
-        sp = config.sponge
-        y0 = (1.0 - sp.frac) * config.Ly
-        s = np.clip((y - y0) / max(sp.frac * config.Ly, 1e-300), 0.0, 1.0)
-        self.sigma = sp.rate * s * s * (3.0 - 2.0 * s)
-
         # projection: A_k = kx^2 diag(tau m_u) + Dy^T diag(tau m_w) Dy
         bw = g.stencil - 1  # matrix bandwidth set by the stencil width
         K = g.DyT @ diags_array(g.tau * self.mask_w) @ g.Dy
@@ -289,10 +268,9 @@ class Solver:
         ab[bw] += np.outer(kx * kx, du).ravel()
         self._proj_chol = cholesky_banded(ab)
 
-        # one-sided first-derivative stencils at the wall and lid
+        # one-sided first-derivative stencil at the wall
         s = g.stencil
         self.neumann_wall = _fd_weights(y[:s], y[0], 1)
-        self.neumann_top = _fd_weights(y[-s:], y[-1], 1)
 
         # variational (summation-by-parts) y-diffusion.  On the subspace
         # with the strong constraints eliminated (u = 0 at the wall, w = 0
@@ -400,9 +378,6 @@ class Solver:
             fu -= p.delta * self.advect(u, w, u)
             fw -= p.delta * self.advect(u, w, w)
             fb -= p.delta * self.advect(u, w, b)
-        if self.config.sponge.rate > 0.0:
-            s = self.sigma[:, None]
-            fu, fw, fb = fu - s * u, fw - s * w, fb - s * b
         fu *= self.mask_u[:, None]
         fw *= self.mask_w[:, None]
         fu, fw, _ = self.project(fu, fw)

@@ -23,8 +23,8 @@ Every family, here and in the corrector, is one ExpModes set: modes
 folded into the coefficients (an incident wave has mu = -i m).  Both the
 incident polarization and the lift eigenvectors have U = 1, so the cu of
 an incident mode is its node's quadrature amplitude, and a lift mode's cu
-divided by it is the lift amplitude per unit trace.  evaluate_modes is the
-one evaluator of such sets.
+divided by it is the lift amplitude per unit trace.  ExpModes and its one
+evaluator, evaluate_modes, live in boundary, whose lifts return them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import TraceTriple, guarded_exp, lift_critical
+from .boundary import ExpModes, evaluate_modes, lift_critical
 from .characteristic import CRITICAL_REGIMES, ModalMatrixSpec, roots_for
 from .params import CriticalCarrier, PhysParams, dispersion_omega
 
@@ -92,108 +92,6 @@ class Family(enum.Enum):
     BLEPS2 = "BLeps2"
     BLEPS3 = "BLeps3"
     SUM = "Sum"
-
-
-@dataclass
-class ExpModes:
-    """Field sum_n (cu, cw, cb)_n exp(i l_n x - i alpha_n t - mu_n y) + c.c.
-
-    lobe is the multiple of the carrier (k0, w0) each mode sits near: 1 for
-    the linear packet, 0 (mean-flow route) or 2 (second-harmonic route) for
-    the corrector.
-    """
-
-    l: np.ndarray
-    alpha: np.ndarray
-    mu: np.ndarray
-    cu: np.ndarray
-    cw: np.ndarray
-    cb: np.ndarray
-    lobe: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "ExpModes":
-        z = np.zeros(0)
-        zc = np.zeros(0, dtype=complex)
-        return cls(z.copy(), z.copy(), zc.copy(), zc.copy(), zc.copy(), zc.copy(), z.copy())
-
-    @classmethod
-    def from_rows(cls, rows, lobe: int) -> "ExpModes":
-        """Mode set from (l, alpha, mu, cu, cw, cb) rows, all on one lobe."""
-        if not rows:
-            return cls.empty()
-        l, alpha, *rest = zip(*rows)
-        return cls(np.array(l, dtype=float), np.array(alpha, dtype=float),
-                   *(np.array(c, dtype=complex) for c in rest),
-                   np.full(len(rows), lobe, dtype=float))
-
-    @classmethod
-    def concat(cls, parts) -> "ExpModes":
-        parts = [p for p in parts if len(p.l)]
-        if not parts:
-            return cls.empty()
-        return cls(
-            *(
-                np.concatenate([getattr(p, f) for p in parts])
-                for f in ("l", "alpha", "mu", "cu", "cw", "cb", "lobe")
-            )
-        )
-
-    def __len__(self):
-        return len(self.l)
-
-    def scaled(self, fu, fw=None, fb=None) -> "ExpModes":
-        """New mode set with per-mode component factors (e.g. derivatives)."""
-        fw = fu if fw is None else fw
-        fb = fu if fb is None else fb
-        return ExpModes(self.l, self.alpha, self.mu, self.cu * fu, self.cw * fw,
-                        self.cb * fb, self.lobe)
-
-    def conj(self) -> "ExpModes":
-        """The conjugate modes, (l, alpha, mu, c) -> (-l, -alpha, mu*, c*)."""
-        return ExpModes(-self.l, -self.alpha, self.mu.conj(), self.cu.conj(),
-                        self.cw.conj(), self.cb.conj(), self.lobe)
-
-    def d_dx(self) -> "ExpModes":
-        return self.scaled(1j * self.l)
-
-    def d_dy(self) -> "ExpModes":
-        return self.scaled(-self.mu)
-
-    def traces(self):
-        """Wall coefficients of (u, w, d_y b): fields coeff * e^(ilx - i alpha t)."""
-        return self.cu, self.cw, -self.mu * self.cb
-
-
-def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
-    """(u, w, b) on the tensor grid, conjugate part included (real output).
-
-    Modes sharing an x-wavenumber (the lattice produces thousands per l)
-    are summed into one y-profile first, so the grid work is one outer
-    product per distinct l rather than per mode.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.zeros((len(y), len(x)), dtype=complex)
-    w = np.zeros_like(u)
-    b = np.zeros_like(u)
-    if len(modes):
-        tol = 1e-12 * max(1.0, np.abs(modes.l).max())
-        for idx in _group_by_l(modes.l, tol):
-            vert = guarded_exp(-np.outer(y, modes.mu[idx]))
-            phase_t = np.exp(-1j * modes.alpha[idx] * t)
-            horiz = np.exp(1j * modes.l[idx[0]] * x)
-            u += np.outer(vert @ (modes.cu[idx] * phase_t), horiz)
-            w += np.outer(vert @ (modes.cw[idx] * phase_t), horiz)
-            b += np.outer(vert @ (modes.cb[idx] * phase_t), horiz)
-    # f + conj(f), exactly 2 Re f
-    return 2.0 * u.real, 2.0 * w.real, 2.0 * b.real
-
-
-def _group_by_l(l: np.ndarray, tol: float):
-    """Index groups of modes whose sorted l differ by at most tol in a row."""
-    order = np.argsort(l)
-    return np.split(order, np.flatnonzero(np.diff(l[order]) > tol) + 1)
 
 
 class RegimeError(RuntimeError):
@@ -260,19 +158,16 @@ def assemble_W0(
             inc.append((k, omega, -1j * m, amp * U, amp * W, amp * B))
 
             spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
-            roots = roots_for(spec, eps)
+            roots = roots_for(spec)
             if roots.regime not in CRITICAL_REGIMES:
                 raise RegimeError(
                     f"node (k={k:.4g}, m={m:.4g}) classified {roots.regime}; "
                     "the packet construction assumes the critical root family"
                 )
             num = k * cg - m * sg
-            traces = TraceTriple(-amp, amp * k / m, amp * num / omega)
-            lift = lift_critical(spec, roots, traces)
-            for mode in lift.modes:
-                (bl3 if mode.label == 5 else bl2).append(
-                    (k, omega, mode.lam, mode.a * mode.vec.U,
-                     mode.a * mode.vec.W, mode.a * mode.vec.B))
+            lift = lift_critical(spec, roots, [-amp, amp * k / m, amp * num / omega])
+            bl2.append(lift[:2])  # labels 2 and 3
+            bl3.append(lift[2:])  # label 5
 
     dxi = s[1] - s[0]
     return PacketAssembly(
@@ -280,9 +175,9 @@ def assemble_W0(
         envelope=envelope,
         quad=quad,
         families={
-            Family.INCIDENT: ExpModes.from_rows(inc, lobe=1),
-            Family.BLEPS2: ExpModes.from_rows(bl2, lobe=1),
-            Family.BLEPS3: ExpModes.from_rows(bl3, lobe=1),
+            Family.INCIDENT: ExpModes.from_rows(inc),
+            Family.BLEPS2: ExpModes.concat(bl2),
+            Family.BLEPS3: ExpModes.concat(bl3),
         },
         x_period=2.0 * math.pi / (e2 * dxi),
     )

@@ -29,7 +29,7 @@ import numpy as np
 from wavecrit import cli, dns
 from wavecrit import corrector as C
 from wavecrit.boundary import (
-    TraceTriple,
+    ExpModes,
     lift_critical,
     lift_noncritical,
     lift_nonoscillating,
@@ -139,10 +139,9 @@ def lift_cases():
     rng = np.random.default_rng(0)
     for regime in LIFT_REGIMES:
         spec = cli._lift_spec(p, 1.0, regime, EPS)
-        roots = roots_for(spec, EPS)
+        roots = roots_for(spec)
         z = [rng.normal(size=6) for _ in range(LIFT_SAMPLES)]
-        yield regime, spec, roots, [TraceTriple(complex(r[0], r[1]), complex(r[2], r[3]),
-                                                complex(r[4], r[5])) for r in z]
+        yield regime, spec, roots, [r[0::2] + 1j * r[1::2] for r in z]
 
 
 def capture_lift():
@@ -150,22 +149,18 @@ def capture_lift():
     a (U, W, B) of its modes in label order, and the non-oscillating leftover."""
     out = {}
     for regime, spec, roots, traces in lift_cases():
-        rows, leftovers = [], []
+        lifts, leftovers = [], []
         for tr in traces:
             if regime is Regime.NON_CRITICAL:
-                rw, bl = lift_noncritical(spec, roots, tr)
-                modes = rw.modes + bl.modes
+                lifts.append(ExpModes.concat(lift_noncritical(spec, roots, tr)))
             elif regime is Regime.NON_OSCILLATING:
                 lift, left = lift_nonoscillating(spec, roots, tr)
-                modes = lift.modes
+                lifts.append(lift)
                 leftovers.append(left)
             else:
-                modes = lift_critical(spec, roots, tr).modes
-            rows.append([(m.lam, m.a * m.vec.U, m.a * m.vec.W, m.a * m.vec.B)
-                         for m in modes])
-        arr = np.array(rows, dtype=complex)  # (sample, mode, field)
-        for n, name in enumerate(("mu", "cu", "cw", "cb")):
-            out[f"{regime.name}_{name}"] = arr[:, :, n]
+                lifts.append(lift_critical(spec, roots, tr))
+        for name in ("mu", "cu", "cw", "cb"):  # (sample, mode) arrays
+            out[f"{regime.name}_{name}"] = np.array([getattr(m, name) for m in lifts])
         if leftovers:
             out[f"{regime.name}_leftover"] = np.array(leftovers, dtype=complex)
     return out

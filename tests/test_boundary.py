@@ -1,4 +1,8 @@
-"""Boundary lifts: trace matching, limit amplitudes, field evaluation."""
+"""Boundary lifts: trace matching, limit amplitudes, field evaluation.
+
+Traces are (u, w, d_y b) complex arrays; a lift is an ExpModes set whose
+coefficients are a (U, W, B), and since U = 1 its cu are the amplitudes.
+"""
 
 import math
 
@@ -7,18 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecrit.boundary import (
-    BoundaryLift,
-    IllConditionedLiftError,
-    LiftKind,
-    TraceTriple,
-    amplitudes_critical,
-    evaluate_lift,
+    ExpModes,
+    evaluate_modes,
     lift_critical,
     lift_noncritical,
     lift_nonoscillating,
     limit_amplitudes_DY,
 )
-from wavecrit.characteristic import ModalMatrixSpec, Regime, build_matrix, roots_for
+from wavecrit.characteristic import (
+    ModalMatrixSpec,
+    Regime,
+    build_matrix,
+    eigenvector,
+    roots_for,
+)
 from wavecrit.params import PhysParams, critical_carrier
 
 GAMMA = 0.7
@@ -50,14 +56,12 @@ def regime_spec(regime, eps=0.2):
 
 def random_traces(rng, n):
     z = rng.normal(size=(n, 6))
-    return [
-        TraceTriple(
-            complex(z[i, 0], z[i, 1]),
-            complex(z[i, 2], z[i, 3]),
-            complex(z[i, 4], z[i, 5]),
-        )
-        for i in range(n)
-    ]
+    return list(z[:, 0::2] + 1j * z[:, 1::2])
+
+
+def wall_values(lift):
+    """(u, w, d_y b) at the wall produced by the lift's modes."""
+    return np.sum(lift.traces(), axis=1)
 
 
 class TestTraceMatching:
@@ -71,61 +75,60 @@ class TestTraceMatching:
     )
     def test_critical_lift_100_random_triples(self, regime):
         spec = regime_spec(regime)
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         rng = np.random.default_rng(11)
         for tr in random_traces(rng, 100):
             lift = lift_critical(spec, rs, tr)
-            err = np.abs(lift.trace().as_array() - tr.as_array()).max()
-            assert err <= 1e-9 * max(np.abs(tr.as_array()).max(), 1e-300)
+            err = np.abs(wall_values(lift) - tr).max()
+            assert err <= 1e-9 * max(np.abs(tr).max(), 1e-300)
 
     def test_noncritical_split_100_random_triples(self):
         spec = regime_spec(Regime.NON_CRITICAL)
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         rng = np.random.default_rng(12)
         for tr in random_traces(rng, 100):
             rw, bl = lift_noncritical(spec, rs, tr)
-            total = rw.trace().as_array() + bl.trace().as_array()
-            err = np.abs(total - tr.as_array()).max()
-            assert err <= 1e-9 * np.abs(tr.as_array()).max()
-        assert rw.kind is LiftKind.NONCRITICAL_RW
-        assert [m.label for m in rw.modes] == [2]
-        assert [m.label for m in bl.modes] == [3, 5]
+            total = wall_values(rw) + wall_values(bl)
+            err = np.abs(total - tr).max()
+            assert err <= 1e-9 * np.abs(tr).max()
+        assert rw.mu.tolist() == [rs.by_label(2)]
+        assert bl.mu.tolist() == [rs.by_label(3), rs.by_label(5)]
 
     def test_nonoscillating_100_random_triples(self):
         spec = regime_spec(Regime.NON_OSCILLATING)
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         rng = np.random.default_rng(13)
         for tr in random_traces(rng, 100):
             lift, leftover = lift_nonoscillating(spec, rs, tr)
-            got = lift.trace()
-            scale = np.abs(tr.as_array()).max()
-            assert abs(got.frak_u - tr.frak_u) <= 1e-9 * scale
-            assert abs(got.frak_b - tr.frak_b) <= 1e-9 * scale
+            got = wall_values(lift)
+            scale = np.abs(tr).max()
+            assert abs(got[0] - tr[0]) <= 1e-9 * scale
+            assert abs(got[2] - tr[2]) <= 1e-9 * scale
             # leftover is exactly the unmatched part of the w-trace
-            assert abs(got.frak_w - tr.frak_w - leftover) <= 1e-12 * scale
+            assert abs(got[1] - tr[1] - leftover) <= 1e-12 * scale
 
     def test_zero_traces_give_zero_lift(self):
         spec = regime_spec(Regime.CRITICAL_DY)
-        rs = roots_for(spec, 0.2)
-        a = amplitudes_critical(spec, rs, TraceTriple(0.0, 0.0, 0.0))
-        assert a == (0.0, 0.0, 0.0)
+        rs = roots_for(spec)
+        lift = lift_critical(spec, rs, np.zeros(3))
+        assert lift.cu.tolist() == [0.0, 0.0, 0.0]
 
     def test_w_only_trace_in_degenerate_regime(self):
         # (0, w, 0): nothing to lift, the whole w-trace is left over
         spec = regime_spec(Regime.NON_OSCILLATING)
-        rs = roots_for(spec, 0.2)
-        lift, leftover = lift_nonoscillating(spec, rs, TraceTriple(0.0, 2.0 - 1j, 0.0))
-        assert all(abs(m.a) <= 1e-12 for m in lift.modes)
+        rs = roots_for(spec)
+        lift, leftover = lift_nonoscillating(spec, rs, [0.0, 2.0 - 1j, 0.0])
+        assert np.abs(lift.cu).max() <= 1e-12
         assert leftover == pytest.approx(-(2.0 - 1j))
 
     def test_regime_preconditions(self):
-        rs_crit = roots_for(regime_spec(Regime.CRITICAL_DY), 0.2)
-        tr = TraceTriple(1.0, 0.0, 0.0)
+        rs_crit = roots_for(regime_spec(Regime.CRITICAL_DY))
+        tr = [1.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             lift_noncritical(regime_spec(Regime.CRITICAL_DY), rs_crit, tr)
         with pytest.raises(ValueError):
             lift_nonoscillating(regime_spec(Regime.CRITICAL_DY), rs_crit, tr)
-        rs_nc = roots_for(regime_spec(Regime.NON_CRITICAL), 0.2)
+        rs_nc = roots_for(regime_spec(Regime.NON_CRITICAL))
         with pytest.raises(ValueError):
             lift_critical(regime_spec(Regime.NON_CRITICAL), rs_nc, tr)
 
@@ -137,35 +140,34 @@ class TestTraceMatching:
 )
 def test_lift_is_linear(c, i):
     spec = spec_at(0.2)
-    rs = roots_for(spec, 0.2)
-    base = [TraceTriple(1.0, 0.0, 0.0), TraceTriple(0.0, 1.0, 0.0), TraceTriple(0.0, 0.0, 1.0)]
-    tr = base[i]
-    a1 = np.array(amplitudes_critical(spec, rs, tr))
-    a2 = np.array(amplitudes_critical(spec, rs, c * tr))
+    rs = roots_for(spec)
+    tr = np.eye(3)[i]
+    a1 = lift_critical(spec, rs, tr).cu
+    a2 = lift_critical(spec, rs, c * tr).cu
     assert np.abs(a2 - c * a1).max() <= 1e-12 * max(np.abs(a1).max() * abs(c), 1e-30)
 
 
 def test_superposition_of_random_pairs():
     spec = spec_at(0.2)
-    rs = roots_for(spec, 0.2)
+    rs = roots_for(spec)
     rng = np.random.default_rng(21)
     for t1, t2 in zip(random_traces(rng, 20), random_traces(rng, 20)):
-        a1 = np.array(amplitudes_critical(spec, rs, t1))
-        a2 = np.array(amplitudes_critical(spec, rs, t2))
-        a12 = np.array(amplitudes_critical(spec, rs, t1 + t2))
+        a1 = lift_critical(spec, rs, t1).cu
+        a2 = lift_critical(spec, rs, t2).cu
+        a12 = lift_critical(spec, rs, t1 + t2).cu
         assert np.abs(a12 - a1 - a2).max() <= 1e-12 * np.abs(a12).max()
 
 
 class TestDYAmplitudes:
     def test_amplitude_growth_slopes(self):
         """|a2|, |a3| ~ eps^-2 and |a5| ~ eps^-1 for O(1) traces."""
-        tr = TraceTriple(1.0, 0.5 + 0.2j, -0.3j)
+        tr = [1.0, 0.5 + 0.2j, -0.3j]
         eps_list = np.array([0.4, 0.3, 0.2, 0.15, 0.1])
         mags = []
         for eps in eps_list:
             spec = spec_at(eps)
-            rs = roots_for(spec, eps)
-            mags.append([abs(a) for a in amplitudes_critical(spec, rs, tr)])
+            rs = roots_for(spec)
+            mags.append(np.abs(lift_critical(spec, rs, tr).cu))
         mags = np.array(mags)
         loge = np.log(eps_list)
         for j, target in enumerate((-2.0, -2.0, -1.0)):
@@ -182,14 +184,14 @@ class TestDYAmplitudes:
 
     def test_rescaled_amplitudes_converge_to_limits(self):
         """eps^2 a_2 -> A2bar etc., with an O(eps) rate."""
-        tr = TraceTriple(0.0, 1.0, 0.0)
-        A2, A3, A5 = limit_amplitudes_DY(GAMMA, CARRIER.k0, tr.frak_w)
+        tr = [0.0, 1.0, 0.0]
+        A2, A3, A5 = limit_amplitudes_DY(GAMMA, CARRIER.k0, tr[1])
         errs = []
         eps_list = [0.2, 0.1, 0.05]
         for eps in eps_list:
             spec = spec_at(eps)
-            rs = roots_for(spec, eps)
-            a2, a3, a5 = amplitudes_critical(spec, rs, tr)
+            rs = roots_for(spec)
+            a2, a3, a5 = lift_critical(spec, rs, tr).cu
             errs.append(
                 max(
                     abs(eps**2 * a2 - A2),
@@ -202,45 +204,55 @@ class TestDYAmplitudes:
 
 
 class TestEvaluate:
+    """evaluate_modes on a lift: the real field f + conj(f) = 2 Re f."""
+
     def test_wall_value_equals_mode_sum(self):
         spec = spec_at(0.2)
-        rs = roots_for(spec, 0.2)
-        tr = TraceTriple(1.0, 0.5j, -0.2)
+        rs = roots_for(spec)
+        tr = np.array([1.0, 0.5j, -0.2])
         lift = lift_critical(spec, rs, tr)
-        u, w, b = evaluate_lift(lift, 0.0, 0.0, 0.0)
-        assert u == pytest.approx(tr.frak_u, abs=1e-10)
-        assert w == pytest.approx(tr.frak_w, abs=1e-10)
+        # x = 0 reads 2 Re(trace), a quarter wavelength reads -2 Im(trace)
+        x = np.array([0.0, 0.5 * math.pi / spec.k])
+        u, w, b = evaluate_modes(lift, 0.0, x, np.array([0.0]))
+        want = 2.0 * np.array([tr.real, -tr.imag])
+        assert u[0] == pytest.approx(want[:, 0], abs=1e-10)
+        assert w[0] == pytest.approx(want[:, 1], abs=1e-10)
 
     def test_decay_away_from_wall(self):
         spec = spec_at(0.2)
-        rs = roots_for(spec, 0.2)
-        lift = lift_critical(spec, rs, TraceTriple(1.0, 0.5j, -0.2))
-        y = np.array([0.0, 2.0, 50.0])
-        u, w, b = evaluate_lift(lift, 0.3, 1.0, y)
-        assert abs(u[1]) < abs(u[0])
-        assert abs(u[2]) < 1e-8 * abs(u[0])
+        rs = roots_for(spec)
+        lift = lift_critical(spec, rs, [1.0, 0.5j, -0.2])
+        x = np.linspace(0.0, 2.0 * math.pi / spec.k, 16, endpoint=False)
+        u, w, b = evaluate_modes(lift, 0.3, x, np.array([0.0, 2.0, 50.0]))
+        peak = np.abs(u).max(axis=1)
+        assert peak[1] < peak[0]
+        assert peak[2] < 1e-8 * peak[0]
 
     def test_underflow_guard_gives_exact_zero(self):
         spec = spec_at(0.2)
-        rs = roots_for(spec, 0.2)
-        lift = lift_critical(spec, rs, TraceTriple(1.0, 0.0, 0.0))
-        u, w, b = evaluate_lift(lift, 0.0, 0.0, 1e9)
-        assert u == 0.0 and w == 0.0 and b == 0.0
+        rs = roots_for(spec)
+        lift = lift_critical(spec, rs, [1.0, 0.0, 0.0])
+        u, w, b = evaluate_modes(lift, 0.0, np.array([0.0]), np.array([1e9]))
+        assert u[0, 0] == 0.0 and w[0, 0] == 0.0 and b[0, 0] == 0.0
 
     def test_modes_satisfy_modal_system(self):
-        """Each returned mode is a null vector of the modal matrix."""
+        """Each mode's (U, W, B) = (cu, cw, cb)/cu is the null vector at its mu."""
         for regime in (Regime.CRITICAL_DY, Regime.NON_CRITICAL):
             spec = regime_spec(regime)
-            rs = roots_for(spec, 0.2)
-            tr = TraceTriple(1.0, 0.5, 0.2j)
+            rs = roots_for(spec)
+            tr = [1.0, 0.5, 0.2j]
             if regime is Regime.NON_CRITICAL:
-                rw, bl = lift_noncritical(spec, rs, tr)
-                modes = rw.modes + bl.modes
+                modes = ExpModes.concat(lift_noncritical(spec, rs, tr))
             else:
-                modes = lift_critical(spec, rs, tr).modes
-            for m in modes:
-                A = build_matrix(spec, m.lam)
-                v = m.vec.as_array()
+                modes = lift_critical(spec, rs, tr)
+            assert len(modes) == 3
+            assert (modes.l == spec.k).all() and (modes.alpha == spec.omega).all()
+            for n in range(len(modes)):
+                vec = eigenvector(spec, modes.mu[n])
+                assert modes.cw[n] / modes.cu[n] == pytest.approx(vec.W, rel=1e-12)
+                assert modes.cb[n] / modes.cu[n] == pytest.approx(vec.B, rel=1e-12)
+                A = build_matrix(spec, modes.mu[n])
+                v = vec.as_array()
                 assert np.abs(A @ v).max() <= 1e-8 * np.abs(A).max() * np.abs(v).max()
 
     def test_field_solves_pde_finite_differences(self):
@@ -250,22 +262,22 @@ class TestEvaluate:
         involves no pressure, so it can be checked directly on the field.
         """
         spec = spec_at(0.35)
-        rs = roots_for(spec, 0.35)
-        lift = lift_critical(spec, rs, TraceTriple(1.0, 0.3, 0.1))
+        rs = roots_for(spec)
+        lift = lift_critical(spec, rs, [1.0, 0.3, 0.1])
         sg, cg = math.sin(GAMMA), math.cos(GAMMA)
         t0, x0, y0 = 0.2, 0.5, 0.05
         ht, hx = 1e-5, 1e-5
         hy = 3e-5  # balances lambda^6 h^4 truncation vs roundoff/h^2
-        u0, w0, b0 = evaluate_lift(lift, t0, x0, y0)
-        bt = (evaluate_lift(lift, t0 + ht, x0, y0)[2] - evaluate_lift(lift, t0 - ht, x0, y0)[2]) / (2 * ht)
-        bxx = (
-            evaluate_lift(lift, t0, x0 + hx, y0)[2]
-            - 2 * b0
-            + evaluate_lift(lift, t0, x0 - hx, y0)[2]
-        ) / hx**2
+
+        def at(t, x, y):
+            return [c[0, 0] for c in evaluate_modes(lift, t, np.array([x]), np.array([y]))]
+
+        u0, w0, b0 = at(t0, x0, y0)
+        bt = (at(t0 + ht, x0, y0)[2] - at(t0 - ht, x0, y0)[2]) / (2 * ht)
+        bxx = (at(t0, x0 + hx, y0)[2] - 2 * b0 + at(t0, x0 - hx, y0)[2]) / hx**2
 
         def b_at(y):
-            return evaluate_lift(lift, t0, x0, y)[2]
+            return at(t0, x0, y)[2]
 
         # 4th-order central stencil: the layer rate lambda ~ eps^-3 makes the
         # 2nd-order formula lose too many digits at any workable step
@@ -279,3 +291,23 @@ class TestEvaluate:
         resid = bt + u0 * sg + w0 * cg - spec.kappa * (bxx + byy)
         scale = max(abs(bt), abs(u0 * sg), abs(spec.kappa * byy))
         assert abs(resid) <= 1e-6 * scale
+
+
+def test_mode_subsets():
+    """Indexing a lift gives mode sets: labels 2, 3 by slice, label 5 by index."""
+    spec = spec_at(0.2)
+    rs = roots_for(spec)
+    lift = lift_critical(spec, rs, [1.0, 0.5j, -0.2])
+    head, last = lift[:2], lift[2]
+    assert len(head) == 2 and len(last) == 1
+    assert head.mu.tolist() == [rs.by_label(2), rs.by_label(3)]
+    assert last.mu.tolist() == [rs.by_label(5)] and last.cb.tolist() == [lift.cb[2]]
+    joined = ExpModes.concat([head, last])
+    for f in ("l", "alpha", "mu", "cu", "cw", "cb"):
+        assert (getattr(joined, f) == getattr(lift, f)).all(), f
+
+
+def test_traces_must_be_a_triple():
+    spec = spec_at(0.2)
+    with pytest.raises(ValueError):
+        lift_critical(spec, roots_for(spec), [1.0, 0.0])

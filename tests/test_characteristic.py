@@ -118,13 +118,13 @@ class TestClassification:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_regime_detection(self, regime):
         spec = regime_specs()[regime]
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         assert rs.regime is regime
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_positive_real_labels_are_2_3_5(self, regime):
         spec = regime_specs()[regime]
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         labels = {rs.labels[i] for i in rs.pos_real}
         assert labels == {2, 3, 5}
 
@@ -136,7 +136,7 @@ class TestClassification:
         for eps in eps_list:
             sg = math.sin(GAMMA)
             spec = spec_at(eps, omega=math.sqrt(sg**2 + nu13(eps)))
-            rs = roots_for(spec, eps)
+            rs = roots_for(spec)
             assert rs.regime is Regime.CRITICAL_DY
             for lab in mags:
                 mags[lab].append(abs(rs.by_label(lab)))
@@ -153,7 +153,7 @@ class TestClassification:
         res = []
         for k in ks:
             spec = spec_at(eps, omega=0.3 * nu13, k=float(k))
-            rs = roots_for(spec, eps)
+            rs = roots_for(spec)
             assert rs.regime is Regime.NON_OSCILLATING
             lam2 = rs.by_label(2)
             assert lam2.real > 0.0
@@ -166,7 +166,7 @@ class TestClassification:
         # where the non-critical reading is also defensible
         sg = math.sin(GAMMA)
         spec = spec_at(0.2, omega=math.sqrt(sg**2 + 0.3))
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         assert rs.regime is Regime.CRITICAL_SMALL_DIFF
         assert any("contested" in w for w in rs.warnings)
 
@@ -177,7 +177,7 @@ class TestClassification:
         nu13 = eps**2
         for mult, expected in [(8.0, Regime.CRITICAL_SMALL_DIFF), (1.0, Regime.CRITICAL_DY)]:
             spec = spec_at(eps, omega=math.sqrt(sg**2 + mult * nu13))
-            rs = roots_for(spec, eps)
+            rs = roots_for(spec)
             assert rs.regime is expected
 
     def test_by_label_requires_classification(self):
@@ -190,7 +190,7 @@ class TestEigenvector:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_nullvector_residual(self, regime):
         spec = regime_specs()[regime]
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         for i in rs.pos_real:
             lam = complex(rs.roots[i])
             v = eigenvector(spec, lam).as_array()
@@ -201,7 +201,7 @@ class TestEigenvector:
 
     def test_divergence_row_exact(self):
         spec = spec_at(0.2)
-        rs = roots_for(spec, 0.2)
+        rs = roots_for(spec)
         lam = rs.by_label(3)
         v = eigenvector(spec, lam)
         assert abs(1j * spec.k * v.U - lam * v.W) <= 1e-12 * abs(lam * v.W)

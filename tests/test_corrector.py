@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import simpson
 
 from wavecrit import corrector as C
-from wavecrit.boundary import TraceTriple, lift_noncritical, lift_nonoscillating
+from wavecrit.boundary import lift_noncritical, lift_nonoscillating
 from wavecrit.characteristic import ModalMatrixSpec, roots_for
 from wavecrit.packets import Envelope, Family, QuadratureSpec, assemble_W0
 from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
@@ -36,7 +36,7 @@ def casm(w0):
 
 class TestInteractionTable:
     def test_nine_ordered_rows(self):
-        rows = C.classify_interactions()
+        rows = C.INTERACTIONS
         assert [r.name for r in rows] == [
             "a1", "a2", "b1", "b2", "b3", "c1", "c2", "c3", "c4"
         ]
@@ -46,13 +46,13 @@ class TestInteractionTable:
         assert all(r.kind == "c" for r in rows[5:])
 
     def test_sizes_decrease_down_the_table(self):
-        rows = C.classify_interactions()
+        rows = C.INTERACTIONS
         powers = [r.l2_power for r in rows]
         assert powers == sorted(powers)
 
     def test_lobe_partition(self, w0):
         asm, _ = w0
-        for it in C.classify_interactions():
+        for it in C.INTERACTIONS:
             batches = C.enumerate_pairs(asm, it)
             lobes = {b.lobe for b in batches}
             assert lobes == {C.Lobe.ZERO, C.Lobe.DOUBLE}
@@ -63,7 +63,7 @@ class TestInteractionTable:
     def test_lobe_windows(self, w0):
         asm, p = w0
         eps2 = p.eps**2
-        for it in C.classify_interactions():
+        for it in C.INTERACTIONS:
             for b in C.enumerate_pairs(asm, it):
                 if b.lobe is C.Lobe.ZERO:
                     assert np.abs(b.l).max() <= 3 * eps2
@@ -74,7 +74,7 @@ class TestInteractionTable:
 
     def test_decaying_pairs_have_positive_rate(self, w0):
         asm, _ = w0
-        for it in C.classify_interactions():
+        for it in C.INTERACTIONS:
             if it.left is Family.INCIDENT and it.right is Family.INCIDENT:
                 continue  # no boundary-layer mode in the pair
             for b in C.enumerate_pairs(asm, it):
@@ -174,7 +174,7 @@ class TestInteriorSolves:
     def test_a_insertion_residual(self, w0):
         asm, p = w0
         for name in ("a1", "a2"):
-            it = next(r for r in C.classify_interactions() if r.name == name)
+            it = next(r for r in C.INTERACTIONS if r.name == name)
             for batch in C.enumerate_pairs(asm, it):
                 modes = C.solve_interior_a(batch, p)
                 assert _batch_residual_a(batch, modes, p) <= 1e-10
@@ -182,14 +182,14 @@ class TestInteriorSolves:
     def test_b_insertion_residual(self, w0):
         asm, p = w0
         for name in ("b1", "b2", "b3"):
-            it = next(r for r in C.classify_interactions() if r.name == name)
+            it = next(r for r in C.INTERACTIONS if r.name == name)
             for batch in C.enumerate_pairs(asm, it):
                 modes = C.solve_interior_b(batch, p)
                 assert _batch_residual_b(batch, modes, p) <= 1e-10
 
     def test_zero_forcing_gives_zero(self, w0):
         asm, p = w0
-        it = C.classify_interactions()[0]
+        it = C.INTERACTIONS[0]
         batch = C.enumerate_pairs(asm, it)[0]
         batch.cc[:] = 0.0
         modes = C.solve_interior_a(batch, p)
@@ -205,7 +205,7 @@ class TestInteriorSolves:
 
     def test_resonance_guard(self, w0):
         asm, p = w0
-        it = C.classify_interactions()[0]
+        it = C.INTERACTIONS[0]
         batch = C.enumerate_pairs(asm, it)[0]
         batch.alpha[:] = math.sin(p.gamma)  # exact resonance
         with pytest.raises(C.CorrectorError):
@@ -213,7 +213,7 @@ class TestInteriorSolves:
 
     def test_b_det_guard(self, w0):
         asm, p = w0
-        it = next(r for r in C.classify_interactions() if r.name == "b1")
+        it = next(r for r in C.INTERACTIONS if r.name == "b1")
         batch = C.enumerate_pairs(asm, it)[0]
         batch.alpha[:] = math.sin(p.gamma)
         batch.mu[:] = 1e-6  # mbar ~ 0: det = sin^2 - alpha^2 ~ 0
@@ -223,7 +223,7 @@ class TestInteriorSolves:
     def test_b_inviscid_reduction(self, w0):
         """alpha = 0, nu0 = kappa0: M^-1 = [[-n m^2, -sg], [sg, -n m^2]]."""
         asm, p = w0
-        it = next(r for r in C.classify_interactions() if r.name == "b2")
+        it = next(r for r in C.INTERACTIONS if r.name == "b2")
         batch = C.enumerate_pairs(asm, it)[0]
         batch.alpha[:] = 0.0
         modes = C.solve_interior_b(batch, p)
@@ -242,9 +242,9 @@ class TestInteriorSolves:
             cas = C.assemble_W1(asm, p, rows=("a1", "a2"))
             m = cas.families[C.W1_BLEPS2]
             uo = C.ExpModes(m.l, m.alpha, m.mu, m.cu, np.zeros_like(m.cw),
-                            np.zeros_like(m.cb), m.lobe)
+                            np.zeros_like(m.cb))
             wo = C.ExpModes(m.l, m.alpha, m.mu, np.zeros_like(m.cu), m.cw,
-                            np.zeros_like(m.cb), m.lobe)
+                            np.zeros_like(m.cb))
             ratios.append(C.modes_norms(wo, cas.x_period)[0]
                           / C.modes_norms(uo, cas.x_period)[0])
         slope = (math.log(ratios[0]) - math.log(ratios[1])) / math.log(2.0)
@@ -270,8 +270,7 @@ class TestInteriorSolves:
 class TestCollectTraces:
     def test_zero_modes_zero_traces(self):
         tr = C.collect_traces(C.ExpModes.empty())
-        for lobe in C.Lobe:
-            assert len(tr[lobe][0]) == 0
+        assert all(len(t) == 0 for t in tr)
 
     def test_traces_match_grid_evaluation(self, casm):
         """Summed trace coefficients reproduce the wall field, rtol 1e-8."""
@@ -304,8 +303,10 @@ class TestCollectTraces:
 
 def _largest_node(modes, lobe):
     """Indices of the modes at the most populated (l, alpha) node of a lobe
-    (l != 0, so the zero lobe goes through the non-oscillating lift)."""
-    sel = np.flatnonzero((modes.lobe == lobe.value) & (modes.l != 0.0))
+    (l != 0, so the zero lobe goes through the non-oscillating lift).  The
+    zero lobe has |l| = O(eps^2), the double lobe l near 2 k0."""
+    in_lobe = (np.abs(modes.l) < CARRIER.k0) == (lobe is C.Lobe.ZERO)
+    sel = np.flatnonzero(in_lobe & (modes.l != 0.0))
     _, inv, counts = np.unique(np.stack([modes.l[sel], modes.alpha[sel]], axis=1),
                                axis=0, return_inverse=True, return_counts=True)
     return sel[inv.ravel() == np.argmax(counts)]
@@ -314,9 +315,10 @@ def _largest_node(modes, lobe):
 def _lift_amplitudes(lift, spec, roots, tu, tw, tb):
     """Mode amplitudes of one lift of the trace (tu, tw, tb), and the
     non-oscillating lift's leftover w-trace (0 for the non-critical one)."""
-    out = lift(spec, roots, TraceTriple(-tu, -tw, -tb))
-    parts, leftover = (out, 0.0) if lift is lift_noncritical else ((out[0],), out[1])
-    return np.array([m.a for part in parts for m in part.modes]), leftover
+    out = lift(spec, roots, [-tu, -tw, -tb])
+    modes, leftover = (C.ExpModes.concat(out), 0.0) if lift is lift_noncritical else out
+    # U = 1, so the cu are the amplitudes
+    return modes.cu, leftover
 
 
 class TestLiftOnce:
@@ -329,9 +331,9 @@ class TestLiftOnce:
         assert len(asm.families[Family.INCIDENT]) == 9
         calls = []
 
-        def counted(spec, eps):
+        def counted(spec):
             calls.append(spec)
-            return roots_for(spec, eps)
+            return roots_for(spec)
 
         monkeypatch.setattr(C, "roots_for", counted)
         cas = C.assemble_W1(asm, p)
@@ -349,16 +351,14 @@ class TestLiftOnce:
         assert len(idx) > 1
         l, alpha = interior.l[idx[0]], interior.alpha[idx[0]]
         spec = ModalMatrixSpec(p.nu, p.kappa, alpha, l, p.gamma)
-        roots = roots_for(spec, p.eps)
+        roots = roots_for(spec)
         lift = lift_noncritical if lobe is C.Lobe.DOUBLE else lift_nonoscillating
         tu, tw, tb = (t[idx] for t in interior.traces())
         per_pair = [_lift_amplitudes(lift, spec, roots, *tr) for tr in zip(tu, tw, tb)]
         want_a = sum(a for a, _ in per_pair)
         want_left = sum(left for _, left in per_pair)
 
-        nl, na, su, sw, sb = C.collect_traces(C.ExpModes(
-            interior.l[idx], interior.alpha[idx], interior.mu[idx],
-            interior.cu[idx], interior.cw[idx], interior.cb[idx], interior.lobe[idx]))[lobe]
+        nl, na, su, sw, sb = C.collect_traces(interior[idx])
         assert nl.tolist() == [l] and na.tolist() == [alpha]
         got_a, got_left = _lift_amplitudes(lift, spec, roots, su[0], sw[0], sb[0])
         assert np.abs(got_a - want_a).max() <= 1e-12 * np.abs(want_a).max()
@@ -373,7 +373,7 @@ class TestLiftSecondHarmonic:
         car = critical_carrier(gamma, 1.0)
         p = PhysParams(gamma=gamma, eps=eps)
         spec = ModalMatrixSpec(p.nu, p.kappa, 2 * car.omega0, 2 * car.k0, gamma)
-        lam2 = roots_for(spec, eps).by_label(2)
+        lam2 = roots_for(spec).by_label(2)
         assert abs(lam2.real) <= 1e-3
         assert abs(C.second_harmonic_rate(gamma, car.k0).real) == 0.0
 
@@ -383,7 +383,7 @@ class TestLiftSecondHarmonic:
         for eps in (0.2, 0.1):
             p = PhysParams(gamma=gamma, eps=eps)
             spec = ModalMatrixSpec(p.nu, p.kappa, 2 * car.omega0, 2 * car.k0, gamma)
-            lam2 = roots_for(spec, eps).by_label(2)
+            lam2 = roots_for(spec).by_label(2)
             assert lam2.real >= 0.5
         assert C.second_harmonic_rate(gamma, car.k0).real >= 0.5
 
@@ -398,7 +398,7 @@ class TestLiftSecondHarmonic:
             w = dispersion_omega(k, car.m0, gamma, Branch.PLUS)
             p = PhysParams(gamma=gamma, eps=eps)
             spec = ModalMatrixSpec(p.nu, p.kappa, w + car.omega0, k + car.k0, gamma)
-            diffs.append(abs(roots_for(spec, eps).by_label(2) - L0))
+            diffs.append(abs(roots_for(spec).by_label(2) - L0))
         slope = np.polyfit(np.log(eps_list), np.log(diffs), 1)[0]
         assert abs(slope - 2.0) <= 0.4, slope
 

@@ -141,14 +141,7 @@ class TestEvaluation:
         import dataclasses
 
         bundle = assembly.families[Family.INCIDENT]
-        one = dataclasses.replace(
-            assembly,
-            families={
-                Family.INCIDENT: type(bundle)(
-                    **{f: getattr(bundle, f)[:1] for f in ("l", "alpha", "mu", "cu", "cw", "cb", "lobe")}
-                )
-            },
-        )
+        one = dataclasses.replace(assembly, families={Family.INCIDENT: bundle[:1]})
         period = 2 * math.pi / bundle.alpha[0]
         x = np.linspace(0.0, 10.0, 7)
         y = np.linspace(0.0, 3.0, 5)
