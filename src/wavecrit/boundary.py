@@ -21,8 +21,9 @@ matched, with a_2 = 0.
 
 Traces are complex arrays (u, w, d_y b).  A lift returns its modes as an
 ExpModes set, the one type for sums of decaying modes (the packet W0 and
-the corrector W1 are ExpModes too), and evaluate_modes is their one
-evaluator.
+the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
+sums the modes of each x-wavenumber into one y-profile, and synthesize
+(hence evaluate_modes) and the corrector's norms read those profiles.
 """
 
 from __future__ import annotations
@@ -123,35 +124,48 @@ class ExpModes:
         return self.cu, self.cw, -self.mu * self.cb
 
 
-def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
-    """(u, w, b) on the tensor grid, conjugate part included (real output).
+def _l_tolerance(l: np.ndarray) -> float:
+    """Wavenumbers closer than this are one x-frequency."""
+    return 1e-12 * max(1.0, float(np.abs(l).max(initial=0.0)))
+
+
+def _group_by_l(l: np.ndarray):
+    """Index groups of modes whose sorted l differ by at most _l_tolerance in a
+    row, in increasing l (none for no modes)."""
+    order = np.argsort(l)
+    groups = np.split(order, np.flatnonzero(np.diff(l[order]) > _l_tolerance(l)) + 1)
+    return groups if len(l) else []
+
+
+def mode_profiles(modes: ExpModes, t: float, y: np.ndarray):
+    """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
 
     Modes sharing an x-wavenumber (the lattice produces thousands per l)
-    are summed into one y-profile first, so the grid work is one outer
-    product per distinct l rather than per mode.
+    are summed into one y-profile per component (u, w, b), one exponential
+    table and one matrix product per group: P is (3, groups, len(y)) and l
+    increasing.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    u = np.zeros((len(y), len(x)), dtype=complex)
-    w = np.zeros_like(u)
-    b = np.zeros_like(u)
-    if len(modes):
-        tol = 1e-12 * max(1.0, np.abs(modes.l).max())
-        for idx in _group_by_l(modes.l, tol):
-            vert = guarded_exp(-np.outer(y, modes.mu[idx]))
-            phase_t = np.exp(-1j * modes.alpha[idx] * t)
-            horiz = np.exp(1j * modes.l[idx[0]] * x)
-            u += np.outer(vert @ (modes.cu[idx] * phase_t), horiz)
-            w += np.outer(vert @ (modes.cw[idx] * phase_t), horiz)
-            b += np.outer(vert @ (modes.cb[idx] * phase_t), horiz)
-    # f + conj(f), exactly 2 Re f
-    return 2.0 * u.real, 2.0 * w.real, 2.0 * b.real
+    groups = _group_by_l(modes.l)
+    coef = np.stack([modes.cu, modes.cw, modes.cb]) * np.exp(-1j * modes.alpha * t)
+    P = np.empty((3, len(groups), len(y)), dtype=complex)
+    for g, idx in enumerate(groups):
+        P[:, g] = coef[:, idx] @ guarded_exp(np.outer(-modes.mu[idx], y))
+    return modes.l[[idx[0] for idx in groups]], P
 
 
-def _group_by_l(l: np.ndarray, tol: float):
-    """Index groups of modes whose sorted l differ by at most tol in a row."""
-    order = np.argsort(l)
-    return np.split(order, np.flatnonzero(np.diff(l[order]) > tol) + 1)
+def synthesize(l: np.ndarray, P: np.ndarray, x: np.ndarray):
+    """Yield u, w, b on the (y, x) grid: 2 Re(P^T exp(i l x)), each one real
+    matrix product [Re P; -Im P]^T [2 cos(l x); 2 sin(l x)], made only when
+    asked for, so a caller reducing them in turn holds one grid at a time."""
+    phase = np.outer(l, np.asarray(x, dtype=float))
+    trig = 2.0 * np.concatenate([np.cos(phase), np.sin(phase)])
+    return (np.concatenate([p.real, -p.imag]).T @ trig for p in P)
+
+
+def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
+    """(u, w, b) of a mode set on the tensor grid, conjugate part included."""
+    return tuple(synthesize(*mode_profiles(modes, t, y), x))
 
 
 def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -159,6 +173,8 @@ def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Raises IllConditionedLiftError if the equilibrated matrix still has
     condition number above 1e14, and checks the solve residual afterwards.
+    Both run on the right-hand side scaled to unit max-norm, so that the
+    1e-10 threshold holds for subnormal and huge traces alike.
     """
     col = np.abs(mat).max(axis=0)
     col[col == 0.0] = 1.0
@@ -168,14 +184,19 @@ def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise IllConditionedLiftError(
             f"lift system condition number {cond:.3g} exceeds 1e14"
         )
+    size = float(np.abs(rhs).max())
+    if size == 0.0:
+        return np.zeros(mat.shape[1], dtype=complex)
+    # parts divided as floats: complex division by a subnormal gives inf/nan
+    rhs = rhs.real / size + 1j * (rhs.imag / size)
     x = np.linalg.solve(scaled, rhs) / col
     resid = np.abs(mat @ x - rhs).max()
     scale = max(np.abs(rhs).max(), (np.abs(mat) * np.abs(x)).sum(axis=1).max())
-    if scale > 0 and resid > 1e-10 * scale:
+    if resid > 1e-10 * scale:
         raise IllConditionedLiftError(
             f"lift residual {resid:.3g} exceeds 1e-10 relative to {scale:.3g}"
         )
-    return x
+    return x * size
 
 
 def limit_amplitudes_DY(

@@ -45,7 +45,6 @@ from .corrector import (
 from .dns import (
     SimConfig,
     Solver,
-    box_matched_eps,
     compare_stability,
     energy_budget,
     init_from_Wapp,
@@ -260,17 +259,16 @@ def _run_roots(config: ExperimentConfig) -> list[str]:
     return ["roots.csv"]
 
 
-def _lift_spec(params: PhysParams, k0: float, regime: Regime,
-               eps: float) -> ModalMatrixSpec:
+def _lift_spec(params: PhysParams, k0: float, regime: Regime) -> ModalMatrixSpec:
     car = critical_carrier(params.gamma, k0)
     sg = math.sin(params.gamma)
     omega, k = car.omega0, car.k0
     if regime is Regime.NON_CRITICAL:
         omega, k = 2.0 * car.omega0, 2.0 * car.k0
     elif regime is Regime.NON_OSCILLATING:
-        omega = k = 0.5 * eps**2
+        omega = k = 0.5 * params.eps**2
     elif regime is Regime.CRITICAL_DY:
-        omega = math.sqrt(sg**2 + eps**2)
+        omega = math.sqrt(sg**2 + params.eps**2)
     return ModalMatrixSpec(nu=params.nu, kappa=params.kappa, omega=omega,
                            k=k, gamma=params.gamma)
 
@@ -282,7 +280,7 @@ def _run_lift(config: ExperimentConfig) -> list[str]:
     n = int(config.options.get("samples", 100))
     for regime in (Regime.CRITICAL_DY, Regime.NON_CRITICAL,
                    Regime.NON_OSCILLATING):
-        spec = _lift_spec(p, config.k0, regime, p.eps)
+        spec = _lift_spec(p, config.k0, regime)
         rs = roots_for(spec)
         # the non-oscillating lift leaves the w-trace over by design
         matched = [0, 2] if rs.regime is Regime.NON_OSCILLATING else [0, 1, 2]

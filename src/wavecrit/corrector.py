@@ -32,32 +32,35 @@ lifted once (collect_traces).
 
 Everything dropped on the way (viscous terms at rate eps^-2, normal-velocity
 forcing components, Leray-projection corrections, c-type interactions,
-diffusion acting on the incident packet) is booked in a residual ledger.
+diffusion acting on the incident packet) is booked by residual_Rapp.
 
 Pairs, interior responses, lifts and ledger terms are all boundary.ExpModes
 sets, the representation W0 and the wall lifts use too: the W0 quadrature
 amplitudes already sit in the coefficients, so a pair's forcing is
--delta cc (U2, W2, B2) with no separate weight.  W1 = W1_BLeps2 + W1_BLeps3 + W1_II (one mode set,
-evaluated by boundary.evaluate_modes) + the explicit mean flow W1_MF.  The
-norms of a mode set (modes_norms) come from its per-wavenumber y-profiles:
-L2 by orthogonality in x, the max-norm by one matrix product per component.
+-delta cc (U2, W2, B2) with no separate weight.  W1 = W1_BLeps2 + W1_BLeps3
++ W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
+norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
+MeanFlowField.profiles for W1_MF) through boundary.synthesize or
+_profile_norms.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import (
     ExpModes,
     _group_by_l,
+    _l_tolerance,
     evaluate_modes,
-    guarded_exp,
     lift_noncritical,
     lift_nonoscillating,
+    mode_profiles,
+    synthesize,
 )
 from .characteristic import ModalMatrixSpec, Regime, roots_for
 from .packets import (
@@ -179,6 +182,40 @@ def _check_lobe(batch: PairBatch, assembly: PacketAssembly):
 # ---------------------------------------------------------------------------
 
 
+def _norm_grid(modes: ExpModes, x_period: float, ny: int, y_max: float | None):
+    """y-grid of modes_norms: dense on the fastest decay scale, reaching y_max
+    (default 30 slowest decay scales, or the x-period if some mode does not decay)."""
+    rates = modes.mu.real
+    if y_max is None:
+        pos = rates[rates > 1e-12]
+        y_max = 30.0 / pos.min() if len(pos) == len(modes) else x_period
+    fast = max(rates.max(), 1.0 / y_max)
+    return np.unique(np.concatenate([
+        np.linspace(0.0, min(10.0 / fast, y_max), ny // 2),
+        np.linspace(0.0, y_max, ny // 2),
+    ]))
+
+
+def _profile_norms(l, P, y, x_period: float, nx: int) -> tuple[float, float]:
+    """(L2, Linf) of 2 Re sum_g P[:, g](y) exp(i l_g x) over one x-period.
+
+    l must be increasing.  Distinct x-frequencies are orthogonal over the
+    period, so |.|_2^2 is the period times the y-integral of 2 sum_g |P_g|^2
+    plus 2 Re P_g P_h for every pair l_g = -l_h (the conjugate part's
+    interference).  Linf is the max over an nx-point x-grid.
+    """
+    tol = _l_tolerance(l)
+    partner = np.minimum(np.searchsorted(l, -l - tol), len(l) - 1)
+    paired = np.abs(l + l[partner]) <= tol
+    dens = (np.abs(P) ** 2).sum(axis=0)
+    cross = (P[:, paired] * P[:, partner[paired]]).sum(axis=0)
+    total = 2.0 * (np.trapezoid(dens, y).sum() + np.trapezoid(cross, y).real.sum())
+    l2 = math.sqrt(max(float(total), 0.0) * x_period)
+    x = np.linspace(0.0, x_period, nx, endpoint=False)
+    linf = max(float(np.abs(f).max()) for f in synthesize(l, P, x))
+    return l2, linf
+
+
 def modes_norms(
     modes: ExpModes,
     x_period: float,
@@ -187,56 +224,11 @@ def modes_norms(
     nx: int = 512,
     y_max: float | None = None,
 ) -> tuple[float, float]:
-    """(L2, Linf) over one x-period and y in [0, y_max].
-
-    Exploits orthogonality of distinct x-frequencies over the period: the
-    squared L2 norm is the period times the sum over frequency groups of the
-    y-integral of |profile|^2, plus the interference of opposite-frequency
-    groups contributed by the conjugate part.  y_max defaults to 30 times
-    the slowest decay scale (or the x-period for non-decaying mode sets).
-    """
+    """(L2, Linf) over one x-period and y in [0, y_max] (see _norm_grid)."""
     if len(modes) == 0:
         return 0.0, 0.0
-    rates = modes.mu.real
-    if y_max is None:
-        pos = rates[rates > 1e-12]
-        y_max = 30.0 / pos.min() if len(pos) == len(modes) else x_period
-    fast = max(rates.max(), 1.0 / y_max)
-    # geometric-ish grid: dense on the fastest scale, reaching y_max
-    y = np.unique(np.concatenate([
-        np.linspace(0.0, min(10.0 / fast, y_max), ny // 2),
-        np.linspace(0.0, y_max, ny // 2),
-    ]))
-    tol = 1e-9 * max(1.0, np.abs(modes.l).max())
-    groups = _group_by_l(modes.l, tol)
-    phase = np.exp(-1j * modes.alpha * t)
-    profiles = []  # (l_group, gu(y), gw(y), gb(y))
-    for idx in groups:
-        E = guarded_exp(-modes.mu[idx, None] * y[None, :])
-        cf = phase[idx]
-        gu = (modes.cu[idx] * cf) @ E
-        gw = (modes.cw[idx] * cf) @ E
-        gb = (modes.cb[idx] * cf) @ E
-        profiles.append((float(np.mean(modes.l[idx])), gu, gw, gb))
-
-    total = 0.0
-    for lval, gu, gw, gb in profiles:
-        dens = np.abs(gu) ** 2 + np.abs(gw) ** 2 + np.abs(gb) ** 2
-        total += 2.0 * float(np.trapezoid(dens, y))
-        # interference with the conjugate lobe at -l
-        for lv2, hu, hw, hb in profiles:
-            if abs(lval + lv2) <= tol:
-                cross = gu * hu + gw * hw + gb * hb
-                total += 2.0 * float(np.real(np.trapezoid(cross, y)))
-    l2 = math.sqrt(max(total, 0.0) * x_period)
-
-    # max-norm on the (y, x) grid, one product per component: the field
-    # f + conj(f) with f = profiles^T @ exp(i l x) is 2 Re f
-    xg = np.linspace(0.0, x_period, nx, endpoint=False)
-    ph = np.exp(1j * np.outer([p[0] for p in profiles], xg))
-    linf = max(float(np.abs((np.array([p[c] for p in profiles]).T @ ph).real).max())
-               for c in (1, 2, 3))
-    return l2, 2.0 * linf
+    y = _norm_grid(modes, x_period, ny, y_max)
+    return _profile_norms(*mode_profiles(modes, t, y), y, x_period, nx)
 
 
 # ---------------------------------------------------------------------------
@@ -352,41 +344,25 @@ class MeanFlowField:
     def __len__(self):
         return len(self.l)
 
-    def g_values(self, t, x):
-        x = np.asarray(x, dtype=float)
-        ph = np.exp(1j * (np.subtract.outer(x * 0, self.alpha * t) + np.outer(x, self.l)))
-        g = ph @ self.G
-        gx = ph @ (1j * self.l * self.G)
-        return g + g.conj(), gx + gx.conj()
+    def profiles(self, t, y):
+        """(l, P) as boundary.mode_profiles returns them: u = -eps^2 theta' G,
+        w = theta i l G and b = 0, with G summed per distinct l first (nodes
+        sharing l at different alpha are one x-frequency)."""
+        groups = _group_by_l(self.l)
+        Gt = self.G * np.exp(-1j * self.alpha * t)
+        l = self.l[[idx[0] for idx in groups]]
+        G = np.array([Gt[idx].sum() for idx in groups], dtype=complex)
+        e2 = self.eps ** 2
+        u = -e2 * np.outer(G, _theta_prime(e2 * y))
+        w = np.outer(1j * l * G, _theta(e2 * y))
+        return l, np.stack([u, w, np.zeros_like(u)])
 
     def evaluate(self, t, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        g, gx = self.g_values(t, x)
-        e2 = self.eps ** 2
-        u = -e2 * np.outer(_theta_prime(e2 * y), g.real)
-        w = np.outer(_theta(e2 * y), gx.real)
-        b = np.zeros_like(w)
-        return u, w, b
+        return tuple(synthesize(*self.profiles(t, y), x))
 
     def norms(self, x_period: float, t: float = 0.0, nx: int = 512):
-        if len(self) == 0:
-            return 0.0, 0.0
-        e2 = self.eps ** 2
-        y = np.linspace(0.0, 2.5 / e2, 800)
-        x = np.linspace(0.0, x_period, nx, endpoint=False)
-        g, gx = self.g_values(t, x)
-        dx = x_period / nx
-        th, thp = _theta(e2 * y), _theta_prime(e2 * y)
-        l2 = math.sqrt(
-            float(np.trapezoid(e2**2 * thp**2, y)) * float(np.sum(np.abs(g) ** 2) * dx)
-            + float(np.trapezoid(th**2, y)) * float(np.sum(np.abs(gx) ** 2) * dx)
-        )
-        linf = max(
-            e2 * float(np.abs(thp).max()) * float(np.abs(g).max()),
-            float(np.abs(gx).max()),
-        )
-        return l2, linf
+        y = np.linspace(0.0, 2.5 / self.eps ** 2, 800)
+        return _profile_norms(*self.profiles(t, y), y, x_period, nx)
 
 
 def collect_traces(interior: ExpModes):
@@ -525,10 +501,14 @@ W1_MODAL = (W1_BLEPS2, W1_BLEPS3, W1_II)  # the exponential-mode families
 
 @dataclass
 class CorrectorAssembly:
+    """W1 by family, its interaction rows (None: all) and the w-trace
+    magnitude of its shear nodes, which no lift takes."""
+
     params: PhysParams
     w0: PacketAssembly
     families: dict
-    residuals: dict[str, float] = field(default_factory=dict)
+    rows: tuple[str, ...] | None = None
+    shear_leftover: float = 0.0
 
     @property
     def x_period(self) -> float:
@@ -581,12 +561,25 @@ def _booked_terms(kind: str, batch: PairBatch, modes: ExpModes, src: ExpModes,
     }
 
 
+def _solved_batches(assembly: PacketAssembly, params: PhysParams, rows):
+    """(batch, interior modes) per non-empty pair batch of the selected rows,
+    in table order; c-type batches are only booked and have no modes."""
+    solvers = {"a": solve_interior_a, "b": solve_interior_b}
+    for itype in INTERACTIONS:
+        if rows is None or itype.name in rows:
+            for batch in enumerate_pairs(assembly, itype):
+                if len(batch.l):
+                    _check_lobe(batch, assembly)
+                    solve = solvers.get(itype.kind)
+                    yield batch, solve(batch, params) if solve else None
+
+
 def assemble_W1(
     assembly: PacketAssembly,
     params: PhysParams,
     rows: tuple[str, ...] | None = None,
 ) -> CorrectorAssembly:
-    """Full corrector: interior solves, lifts, mean flow, residual ledger.
+    """Full corrector: interior solves, lifts and mean flow.
 
     `rows` restricts the interaction table to the named rows (default: all).
     Restricting to a single row reproduces the per-interaction bookkeeping
@@ -596,59 +589,25 @@ def assemble_W1(
     """
     parts = {"a": [], "b": []}
     lobes = {lobe: [] for lobe in Lobe}  # the same interior modes, per lobe
-    residuals: dict[str, float] = {}
-    eps, delta = params.eps, params.delta
-    solvers = {"a": solve_interior_a, "b": solve_interior_b}
+    for batch, modes in _solved_batches(assembly, params, rows):
+        if modes is not None:
+            parts[batch.itype.kind].append(modes)
+            lobes[batch.lobe].append(modes)
 
-    for itype in INTERACTIONS:
-        if rows is not None and itype.name not in rows:
-            continue
-        for batch in enumerate_pairs(assembly, itype):
-            if len(batch.l) == 0:
-                continue
-            _check_lobe(batch, assembly)
-            src = _source_modes(batch, delta)
-            ymax = None
-            if itype.kind == "c":  # residual-only interaction
-                if batch.mu.real.min() <= 1e-12:
-                    ymax = assembly.x_period
-                booked = {f"c_terms_{itype.name}": src}
-            else:
-                modes = solvers[itype.kind](batch, params)
-                parts[itype.kind].append(modes)
-                lobes[batch.lobe].append(modes)
-                booked = _booked_terms(itype.kind, batch, modes, src, params)
-            for term, m in booked.items():
-                residuals[term] = residuals.get(term, 0.0) + \
-                    modes_norms(m, assembly.x_period, y_max=ymax)[0]
-
-    interior_a = ExpModes.concat(parts["a"])
-    interior_b = ExpModes.concat(parts["b"])
     traces = {lobe: collect_traces(ExpModes.concat(m)) for lobe, m in lobes.items()}
     bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], params)
     bl3_mf, w1_mf, dropped = lift_mean_flow(traces[Lobe.ZERO], params)
-    if dropped:
-        residuals["mf_dropped_nodes"] = dropped
-
-    # mean-flow equation residual: (d_t u_MF, d_t w_MF, u_MF sg + w_MF cg)
-    if len(w1_mf):
-        mf_dt = MeanFlowField(w1_mf.l, w1_mf.alpha,
-                              -1j * w1_mf.alpha * w1_mf.G, eps)
-        l2_dt, _ = mf_dt.norms(assembly.x_period)
-        l2_mf, _ = w1_mf.norms(assembly.x_period)
-        residuals["r1_aMF"] = l2_dt + l2_mf  # |L W_MF| <= |W_MF| rowwise
-    w1_bl3 = ExpModes.concat([interior_b, bl3_ii, bl3_mf])
-
     return CorrectorAssembly(
         params=params,
         w0=assembly,
         families={
-            W1_BLEPS2: interior_a,
-            W1_BLEPS3: w1_bl3,
+            W1_BLEPS2: ExpModes.concat(parts["a"]),
+            W1_BLEPS3: ExpModes.concat([*parts["b"], bl3_ii, bl3_mf]),
             W1_II: w1_ii,
             W1_MF: w1_mf,
         },
-        residuals=residuals,
+        rows=rows,
+        shear_leftover=dropped,
     )
 
 
@@ -746,7 +705,31 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     params = casm.params
     w0 = casm.w0
     eps, delta = params.eps, params.delta
-    report = dict(casm.residuals)
+    report: dict[str, float] = {}
+
+    # what the interior solves of the assembled rows leave out, and the
+    # residual-only c-type interactions
+    for batch, modes in _solved_batches(w0, params, casm.rows):
+        src = _source_modes(batch, delta)
+        ymax = None
+        if modes is None:
+            if batch.mu.real.min() <= 1e-12:
+                ymax = w0.x_period
+            booked = {f"c_terms_{batch.itype.name}": src}
+        else:
+            booked = _booked_terms(batch.itype.kind, batch, modes, src, params)
+        for term, m in booked.items():
+            report[term] = report.get(term, 0.0) + \
+                modes_norms(m, w0.x_period, y_max=ymax)[0]
+    if casm.shear_leftover:
+        report["mf_dropped_nodes"] = casm.shear_leftover
+
+    # mean-flow equation residual: (d_t u_MF, d_t w_MF, u_MF sg + w_MF cg)
+    mf = casm.families[W1_MF]
+    if len(mf):
+        mf_dt = MeanFlowField(mf.l, mf.alpha, -1j * mf.alpha * mf.G, eps)
+        # |L W_MF| <= |W_MF| rowwise
+        report["r1_aMF"] = mf_dt.norms(w0.x_period)[0] + mf.norms(w0.x_period)[0]
 
     # diffusion acting on the incident packet: eps^6 (nu0 Du, nu0 Dw, k0 Db)
     inc = w0.families[Family.INCIDENT]
@@ -767,8 +750,6 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     u1_inf = w1_inf = dx1 = dy1 = 0.0
     for fam in W1_MODAL:
         m = casm.families[fam]
-        if len(m) == 0:
-            continue
         _, linf = modes_norms(m, casm.x_period)
         u1_inf = max(u1_inf, linf)
         w1_inf = max(w1_inf, linf)
@@ -794,8 +775,6 @@ def grad_Wapp_Linf(casm: CorrectorAssembly) -> float:
         worst = max(worst, *(float(np.abs(c).max()) for c in f.components()))
     for fam in W1_MODAL:
         m = casm.families[fam]
-        if len(m) == 0:
-            continue
         for dm in (m.d_dx(), m.d_dy()):
             worst = max(worst, modes_norms(dm, casm.x_period)[1])
     return worst

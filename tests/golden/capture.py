@@ -138,7 +138,7 @@ def lift_cases():
     p = PhysParams(gamma=GAMMA, eps=EPS)
     rng = np.random.default_rng(0)
     for regime in LIFT_REGIMES:
-        spec = cli._lift_spec(p, 1.0, regime, EPS)
+        spec = cli._lift_spec(p, 1.0, regime)
         roots = roots_for(spec)
         z = [rng.normal(size=6) for _ in range(LIFT_SAMPLES)]
         yield regime, spec, roots, [r[0::2] + 1j * r[1::2] for r in z]

@@ -5,10 +5,8 @@ Each test prints a single "[criterion NN] PASS/FAIL" line (visible with
 Budget-heavy runs (8, 9) reuse one shared simulation per criterion.
 """
 
-import cmath
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +45,7 @@ from wavecrit.packets import (
     evaluate_packet,
     packet_norms,
 )
-from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
+from wavecrit.params import PhysParams, critical_carrier
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:packet reaches the domain top")

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wavecrit.boundary import (
     ExpModes,
@@ -138,6 +138,8 @@ class TestTraceMatching:
     c=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
     i=st.integers(min_value=0, max_value=2),
 )
+@example(c=5e-324 + 0j, i=0)  # subnormal trace: 1e-10 x its size underflows
+@example(c=1e300 + 0j, i=2)
 def test_lift_is_linear(c, i):
     spec = spec_at(0.2)
     rs = roots_for(spec)

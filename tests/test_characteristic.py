@@ -1,6 +1,5 @@
 """Characteristic polynomial, root solving, regime taxonomy, eigenvectors."""
 
-import cmath
 import math
 
 import numpy as np
@@ -8,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecrit.characteristic import (
-    ClassificationError,
     ModalMatrixSpec,
     Regime,
     RootSolveError,
     build_matrix,
     char_poly,
-    classify_roots,
     eigenvector,
     roots_for,
     solve_roots,

@@ -366,6 +366,75 @@ class TestLiftOnce:
             assert abs(got_left - want_left) <= 1e-12 * abs(want_left)
 
 
+class TestProfileNorms:
+    """_profile_norms against a brute-force field at the reference case: on
+    the same y, on a 1024-point x-grid over one period, built mode by mode
+    (node by node for the mean flow) without grouping by wavenumber."""
+
+    NX = 1024
+
+    def brute(self, fields, y, x_period):
+        dens = sum(f**2 for f in fields).sum(axis=1) * (x_period / self.NX)
+        return math.sqrt(np.trapezoid(dens, y)), max(np.abs(f).max() for f in fields)
+
+    def test_mode_set(self, casm):
+        """W1_BLeps3 has +-l group pairs and l = 0 shear groups."""
+        P = casm.x_period
+        m = casm.families[C.W1_BLEPS3]
+        assert (m.l == 0.0).any() and np.isin(-m.l[m.l > 0], m.l).any()
+        y = C._norm_grid(m, P, 600, None)
+        x = np.linspace(0.0, P, self.NX, endpoint=False)
+        t = 0.3
+        ey = np.exp(-np.outer(y, m.mu))
+        ex = np.exp(1j * (np.outer(m.l, x) - (m.alpha * t)[:, None]))
+        fields = [2.0 * ((ey * c) @ ex).real for c in (m.cu, m.cw, m.cb)]
+        want_l2, want_linf = self.brute(fields, y, P)
+        l2, linf = C._profile_norms(*C.mode_profiles(m, t, y), y, P, self.NX)
+        assert abs(l2 - want_l2) <= 1e-12 * want_l2
+        assert linf == pytest.approx(want_linf, rel=1e-12, abs=0.0)
+
+    def test_mean_flow(self, casm):
+        """W1_MF nodes share l at different alpha: G is summed per l."""
+        P = casm.x_period
+        mf = casm.families[C.W1_MF]
+        assert len(np.unique(mf.l)) < len(mf)
+        e2 = mf.eps**2
+        y = np.linspace(0.0, 2.5 / e2, 800)
+        x = np.linspace(0.0, P, self.NX, endpoint=False)
+        t = 0.3
+        ph = np.exp(1j * (np.outer(x, mf.l) - mf.alpha * t))
+        g = 2.0 * (ph @ mf.G).real
+        gx = 2.0 * (ph @ (1j * mf.l * mf.G)).real
+        fields = [-e2 * np.outer(C._theta_prime(e2 * y), g),
+                  np.outer(C._theta(e2 * y), gx)]
+        want_l2, want_linf = self.brute(fields, y, P)
+        l2, linf = mf.norms(P, t=t, nx=self.NX)
+        assert abs(l2 - want_l2) <= 1e-12 * want_l2
+        assert linf == pytest.approx(want_linf, rel=1e-12, abs=0.0)
+
+
+def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
+    """modes_norms calls at the reference case: none per assemble_W1, every
+    ledger term per residual_Rapp, only the family norms per
+    rowwise_family_sizes."""
+    asm, p = w0
+    calls = []
+    norms = C.modes_norms
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norms(*args, **kwargs)
+
+    monkeypatch.setattr(C, "modes_norms", counted)
+    counts = []
+    for run in (lambda: C.assemble_W1(asm, p), lambda: C.residual_Rapp(casm),
+                lambda: C.rowwise_family_sizes(asm, p)):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [0, 46, 15]
+
+
 class TestLiftSecondHarmonic:
     def test_propagating_branch(self):
         """4 sin^2(g) < 1: the reflected rate at (2w0, 2k0) is imaginary."""
@@ -441,23 +510,19 @@ class TestLiftMeanFlow:
         assert len(mf) == 0 and len(bl) == 0 and dropped == 0.0
 
     def test_mean_flow_is_divergence_free(self, casm):
-        """d_x u + d_y w = 0: gx is the exact x-derivative of g and the
-        same theta' multiplies both components."""
+        """d_x u + d_y w = 0: u = -eps^2 theta' g and w = theta gx, where gx
+        (the wall row of w, theta(0) = 1) is the exact x-derivative of g and
+        the same theta' multiplies both components."""
         mf = casm.families[C.W1_MF]
         nx = 128
         x = np.linspace(0.0, casm.x_period, nx, endpoint=False)
-        g, gx = mf.g_values(0.3, x)
         kx = 2 * math.pi * np.fft.fftfreq(nx, d=casm.x_period / nx)
-        gx_spectral = np.fft.ifft(1j * kx * np.fft.fft(g)).real
-        assert np.abs(gx.real - gx_spectral).max() <= 1e-10 * max(
-            np.abs(gx).max(), 1e-300
-        )
-        # with that identity, d_x u = -eps^2 theta' gx = -d_y w pointwise
         y = np.linspace(0.0, 2.0 / casm.params.eps**2, 40)
         u, w, _ = mf.evaluate(0.3, x, y)
         e2 = casm.params.eps**2
-        dyw = e2 * np.outer(C._theta_prime(e2 * y), gx.real)
-        dxu = -e2 * np.outer(C._theta_prime(e2 * y), gx_spectral)
+        gx = w[0]
+        dyw = e2 * np.outer(C._theta_prime(e2 * y), gx)
+        dxu = np.fft.ifft(1j * kx * np.fft.fft(u, axis=1), axis=1).real
         assert np.abs(dxu + dyw).max() <= 1e-10 * max(np.abs(dyw).max(), 1e-300)
 
     def test_wall_w_equals_minus_leftover(self, w0):
@@ -493,7 +558,7 @@ class TestLiftMeanFlow:
         shear = np.abs(bl3.l) < 1e-14
         assert shear.any()
         assert np.abs(bl3.cw[shear]).max() == 0.0
-        assert casm.residuals.get("mf_dropped_nodes", 0.0) <= 1e-12
+        assert C.residual_Rapp(casm).get("mf_dropped_nodes", 0.0) <= 1e-12
 
 
 class TestAssembly:
@@ -505,10 +570,10 @@ class TestAssembly:
             assert len(casm.families[fam]) > 0
 
     def test_residual_ledger_populated(self, casm):
-        keys = set(casm.residuals)
+        rep = C.residual_Rapp(casm)
         assert {"r1_aL_viscous", "r1_aL_wrow", "r1_aL_leray", "r1_bL_wforce",
-                "r1_aMF"} <= keys
-        assert all(v >= 0.0 for v in casm.residuals.values())
+                "r1_aMF"} <= set(rep)
+        assert all(v >= 0.0 for v in rep.values())
 
     def test_r1_slope_at_fixed_delta(self):
         """Neglected-term ledger shrinks at least like eps^2 at fixed delta."""
@@ -516,7 +581,7 @@ class TestAssembly:
         for eps in eps_list:
             asm, p = make_w0(eps, delta=1e-3)
             cas = C.assemble_W1(asm, p)
-            totals.append(sum(v for k, v in cas.residuals.items()
+            totals.append(sum(v for k, v in C.residual_Rapp(cas).items()
                               if k.startswith("r1_")))
         slope = (math.log(totals[0]) - math.log(totals[1])) / math.log(2.0)
         assert slope >= 1.7, slope

@@ -8,7 +8,6 @@ import pytest
 from wavecrit.packets import (
     Envelope,
     Family,
-    PacketAssembly,
     QuadratureSpec,
     RegimeError,
     assemble_W0,
