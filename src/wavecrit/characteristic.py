@@ -154,7 +154,11 @@ class RootSolveError(RuntimeError):
     pass
 
 
-def solve_roots(poly: CharPoly, newton_steps: int = 8) -> RootSet:
+#: Newton steps polishing the companion-matrix roots
+_NEWTON_STEPS = 8
+
+
+def solve_roots(poly: CharPoly) -> RootSet:
     """All six roots via a pre-scaled companion eigen-solve + Newton polish.
 
     Coefficients span ~12 orders of magnitude in the boundary-layer regimes,
@@ -172,7 +176,7 @@ def solve_roots(poly: CharPoly, newton_steps: int = 8) -> RootSet:
     mu = np.roots(scaled[::-1])  # np.roots wants highest degree first
     roots = mu * s
 
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         p = np.array([poly(r) for r in roots])
         dp = np.array([poly.derivative(r) for r in roots])
         step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)

@@ -104,6 +104,10 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENTS)}"
             )
+        if self.nodes_per_lobe < 4:
+            raise ConfigError(
+                f"nodes_per_lobe must be >= 4, got {self.nodes_per_lobe}"
+            )
         self.output_dir = Path(self.output_dir)
         self.sweep = [(float(e), float(d)) for e, d in self.sweep]
         eps_seq = [e for e, _ in self.sweep]
@@ -139,9 +143,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     if "gamma" not in pdict:
         raise ConfigError("gamma is required (config file or --gamma)")
     try:
-        params = PhysParams(**pdict)
-        return ExperimentConfig(params=params, **raw)
-    except TypeError as exc:
+        return ExperimentConfig(params=PhysParams(**pdict), **raw)
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError too
         raise ConfigError(str(exc)) from exc
 
 
@@ -351,16 +354,9 @@ def _run_residual(config: ExperimentConfig) -> list[str]:
             rows.append([eps, delta, term, float(report[term])])
     _write_csv(config.output_dir / "residual.csv",
                ["eps", "delta", "term", "l2"], rows)
-    arts = ["residual.csv"]
-    totals = [(r[0], r[3]) for r in rows if r[2] == "total"]
-    if len(totals) >= 3:
-        slope, err = fit_slopes(np.array([t[0] for t in totals]),
-                                np.array([t[1] for t in totals]))
-        _write_csv(config.output_dir / "slopes.csv",
-                   ["family", "norm", "slope", "stderr"],
-                   [["total", "l2", slope, err]])
-        arts.append("slopes.csv")
-    return arts
+    totals = [[eps, term, l2] for eps, _, term, l2 in rows if term == "total"]
+    return ["residual.csv"] + _emit_slopes(config, totals, value_cols=(2,),
+                                           names=("l2",))
 
 
 def _emit_slopes(config: ExperimentConfig, rows, value_cols, names) -> list[str]:
@@ -388,7 +384,7 @@ def _dns_config(config: ExperimentConfig, params: PhysParams,
     o = config.options
     return SimConfig(
         params=params,
-        Lx=float(o.get("Lx", x_period)),
+        Lx=x_period,
         Ly=float(o.get("Ly", 300.0)),
         nx=int(o.get("nx", 256)),
         ny=int(o.get("ny", 384)),

@@ -10,14 +10,17 @@ exponential mode
 
 with (l, alpha) concentrated either near (0, 0) (zero lobe, future mean
 flow) or near +-2 (k0, w0) (double lobe, future second harmonic).  The
-interior response is computed from a 2x2 reduction acting on (u, b):
+interior response solves a 2x2 reduction acting on (u, b),
+[[a11, -sin(g)], [sin(g), a22]] (u, b) = forcing, by its inverse:
 
-  * rate eps^-2: rotation only; inverse (-i alpha + L)^-1 expands over the
-    projectors Pi_pm onto (1, -+i)/sqrt(2), with resonance denominators
-    -i alpha +- i sin(g) bounded away from zero;
-  * rate eps^-3: rotation plus vertical diffusion; a bounded 2x2 matrix M
-    with det(M^-1) = sin^2(g) - alpha^2 + i alpha mbar^2 (nu0+kappa0)
-    + nu0 kappa0 mbar^4, mbar = mu eps^3.
+  * rate eps^-3: rotation plus vertical diffusion, a11 = -i alpha
+    - nu0 mbar^2, a22 = -i alpha - kappa0 mbar^2 (mbar = mu eps^3), with
+    det = sin^2(g) - alpha^2 + i alpha mbar^2 (nu0+kappa0) + nu0 kappa0 mbar^4;
+  * rate eps^-2: rotation only, the same inverse at zero diffusion
+    (a11 = a22 = -i alpha, det = sin^2(g) - alpha^2).  It equals the paper's
+    expansion of (-i alpha + L)^-1 over the projectors Pi_pm onto
+    (1, -+i)/sqrt(2), with resonance denominators -i alpha +- i sin(g)
+    bounded away from zero.
 
 The normal velocity is restored from the divergence-free condition
 (w = il/mu times the tangential response).  The wall traces of these
@@ -35,9 +38,11 @@ forcing components, Leray-projection corrections, c-type interactions,
 diffusion acting on the incident packet) is booked by residual_Rapp.
 
 Pairs, interior responses, lifts and ledger terms are all boundary.ExpModes
-sets, the representation W0 and the wall lifts use too: the W0 quadrature
-amplitudes already sit in the coefficients, so a pair's forcing is
--delta cc (U2, W2, B2) with no separate weight.  W1 = W1_BLeps2 + W1_BLeps3
+sets, the representation W0 and the wall lifts use too.  The pairs of one
+row and lobe are one mode set whose coefficients are the pair's forcing
+cc (cu, cw, cb) of the advected mode (the W0 quadrature amplitudes already
+sit in the coefficients); both interior solves and the ledger read that
+set scaled by -delta.  W1 = W1_BLeps2 + W1_BLeps3
 + W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
 norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through boundary.synthesize or
@@ -111,44 +116,29 @@ class Lobe(enum.Enum):
     DOUBLE = 2  # (l, alpha) near +2(k0, w0): second-harmonic route
 
 
-@dataclass
-class PairBatch:
-    """Vectorized ordered mode pairs of one interaction row and one lobe.
+def _pair_modes(L: ExpModes, R: ExpModes) -> ExpModes:
+    """Q of every ordered pair (left mode of L, right mode of R), left-major.
 
-    cc is the convective factor i k2 cu1 - mu2 cw1 of the pair (indices 1/2 =
-    advecting/advected mode) and (U2, W2, B2) the advected mode's
-    coefficients; both carry their mode's quadrature amplitude, so the
-    forcing of the pair is -delta cc (U2, W2, B2).
+    The pair advects the right mode with the left one and forces one mode at
+    (l, alpha, mu) = the sums of the two modes' own, with coefficients
+    cc (cu, cw, cb)_R; cc = i l_R cu_L - mu_R cw_L is the convective factor.
     """
-
-    itype: InteractionType
-    lobe: Lobe
-    l: np.ndarray
-    alpha: np.ndarray
-    mu: np.ndarray
-    cc: np.ndarray
-    U2: np.ndarray
-    W2: np.ndarray
-    B2: np.ndarray
-
-
-def _pair_batch(itype: InteractionType, lobe: Lobe, L: ExpModes, R: ExpModes) -> PairBatch:
-    """Every ordered pair (left mode of L, right mode of R), left-major."""
-    return PairBatch(
-        itype=itype,
-        lobe=lobe,
+    cc = (1j * R.l[None, :] * L.cu[:, None] - R.mu[None, :] * L.cw[:, None]).ravel()
+    n = len(L)
+    return ExpModes(
         l=np.add.outer(L.l, R.l).ravel(),
         alpha=np.add.outer(L.alpha, R.alpha).ravel(),
         mu=np.add.outer(L.mu, R.mu).ravel(),
-        cc=(1j * R.l[None, :] * L.cu[:, None] - R.mu[None, :] * L.cw[:, None]).ravel(),
-        U2=np.tile(R.cu, len(L)),
-        W2=np.tile(R.cw, len(L)),
-        B2=np.tile(R.cb, len(L)),
+        cu=cc * np.tile(R.cu, n),
+        cw=cc * np.tile(R.cw, n),
+        cb=cc * np.tile(R.cb, n),
     )
 
 
-def enumerate_pairs(assembly: PacketAssembly, itype: InteractionType) -> list[PairBatch]:
-    """All ordered (left, right) and (left, conj right) mode pairs.
+def enumerate_pairs(assembly: PacketAssembly,
+                    itype: InteractionType) -> dict[Lobe, ExpModes]:
+    """Lobe -> pair modes of all ordered (left, right) and (left, conj right)
+    mode pairs.
 
     The linear solution is F + conj(F) with F built from the plus lobe only;
     products therefore come in four sign combinations, of which (+,+) and
@@ -158,28 +148,32 @@ def enumerate_pairs(assembly: PacketAssembly, itype: InteractionType) -> list[Pa
     """
     L = assembly.bundle(itype.left)
     R = assembly.bundle(itype.right)
-    return [_pair_batch(itype, Lobe.DOUBLE, L, R), _pair_batch(itype, Lobe.ZERO, L, R.conj())]
+    return {Lobe.DOUBLE: _pair_modes(L, R), Lobe.ZERO: _pair_modes(L, R.conj())}
 
 
-def _check_lobe(batch: PairBatch, assembly: PacketAssembly):
+def _check_lobe(name: str, lobe: Lobe, pairs: ExpModes, assembly: PacketAssembly):
+    """Every pair lies within 3 eps^2 of its lobe's center, lobe.value (k0, w0)."""
     eps2 = assembly.params.eps ** 2
     car = assembly.envelope.carrier
-    if batch.lobe is Lobe.ZERO:
-        bad = (np.abs(batch.l) > 3.0 * eps2) | (np.abs(batch.alpha) > 3.0 * eps2)
-    else:
-        bad = (np.abs(batch.l - 2 * car.k0) > 3.0 * eps2) | (
-            np.abs(batch.alpha - 2 * car.omega0) > 3.0 * eps2
-        )
+    bad = (np.abs(pairs.l - lobe.value * car.k0) > 3.0 * eps2) | (
+        np.abs(pairs.alpha - lobe.value * car.omega0) > 3.0 * eps2
+    )
     if bad.any():
+        i = int(np.argmax(bad))
         raise CorrectorError(
-            f"{batch.itype.name}/{batch.lobe}: {bad.sum()} pairs fall outside "
-            "their lobe's eps^2 neighborhood"
+            f"{name}/{lobe}: {bad.sum()} pairs fall outside their lobe's eps^2 "
+            f"neighborhood, the first at (l={pairs.l[i]:.4g}, alpha={pairs.alpha[i]:.4g})"
         )
 
 
 # ---------------------------------------------------------------------------
 # norms of exponential mode sets
 # ---------------------------------------------------------------------------
+
+
+#: y- and x-points of the modes_norms quadrature
+_NORM_NY = 600
+_NORM_NX = 512
 
 
 def _norm_grid(modes: ExpModes, x_period: float, ny: int, y_max: float | None):
@@ -220,15 +214,13 @@ def modes_norms(
     modes: ExpModes,
     x_period: float,
     t: float = 0.0,
-    ny: int = 600,
-    nx: int = 512,
     y_max: float | None = None,
 ) -> tuple[float, float]:
     """(L2, Linf) over one x-period and y in [0, y_max] (see _norm_grid)."""
     if len(modes) == 0:
         return 0.0, 0.0
-    y = _norm_grid(modes, x_period, ny, y_max)
-    return _profile_norms(*mode_profiles(modes, t, y), y, x_period, nx)
+    y = _norm_grid(modes, x_period, _NORM_NY, y_max)
+    return _profile_norms(*mode_profiles(modes, t, y), y, x_period, _NORM_NX)
 
 
 # ---------------------------------------------------------------------------
@@ -236,50 +228,41 @@ def modes_norms(
 # ---------------------------------------------------------------------------
 
 
-def solve_interior_a(batch: PairBatch, params: PhysParams) -> ExpModes:
+def _rotation_solve(src: ExpModes, a11, a22, sg: float) -> ExpModes:
+    """Response to the forcing src: [[a11, -sg], [sg, a22]] (cu, cb) = (src.cu,
+    src.cb) per mode, solved by the 2x2 inverse, and w = il/mu u restored
+    from the divergence-free condition."""
+    det = a11 * a22 + sg * sg
+    cu = (a22 * src.cu + sg * src.cb) / det
+    cb = (-sg * src.cu + a11 * src.cb) / det
+    return ExpModes(src.l, src.alpha, src.mu, cu, 1j * src.l / src.mu * cu, cb)
+
+
+def solve_interior_a(src: ExpModes, params: PhysParams) -> ExpModes:
     """Rotation-only response at decay rate eps^-2 (plus divergence fix).
 
-    Guards against secular growth: every denominator -alpha +- sin(g) must
-    stay >= w0/2 in modulus.
+    The rate eps^-3 reduction at zero diffusion: det = sin^2(g) - alpha^2,
+    and the solution is the paper's sum over the projectors Pi_pm onto
+    (1, -+i)/sqrt(2) with denominators -i alpha +- i sin(g).  Guards against
+    secular growth: every -alpha +- sin(g) must stay >= w0/2 in modulus.
     """
     sg = math.sin(params.gamma)
-    dplus = -batch.alpha + sg
-    dminus = -batch.alpha - sg
-    if (np.abs(dplus) < sg / 2).any() or (np.abs(dminus) < sg / 2).any():
+    if (np.abs(sg - src.alpha) < sg / 2).any() or (np.abs(sg + src.alpha) < sg / 2).any():
         raise CorrectorError(
             "resonance guard tripped: |-alpha +- sin(gamma)| < sin(gamma)/2"
         )
-    S = -params.delta * batch.cc
-    # Pi_pm (U2, B2) = ((U2 pm i B2)/2, (B2 -+ i U2)/2)
-    up = 0.5 * (batch.U2 + 1j * batch.B2)
-    um = 0.5 * (batch.U2 - 1j * batch.B2)
-    cu = S * (up / (1j * dplus) + um / (1j * dminus))
-    cb = S * (-1j * up / (1j * dplus) + 1j * um / (1j * dminus))
-    cw = 1j * batch.l / batch.mu * cu
-    return ExpModes(
-        l=batch.l.copy(), alpha=batch.alpha.copy(), mu=batch.mu.copy(),
-        cu=cu, cw=cw, cb=cb,
-    )
+    return _rotation_solve(src, -1j * src.alpha, -1j * src.alpha, sg)
 
 
-def solve_interior_b(batch: PairBatch, params: PhysParams) -> ExpModes:
+def solve_interior_b(src: ExpModes, params: PhysParams) -> ExpModes:
     """Rotation + vertical-diffusion response at decay rate eps^-3."""
     sg = math.sin(params.gamma)
-    mbar2 = (batch.mu * params.eps ** 3) ** 2
-    a11 = -1j * batch.alpha - params.nu0 * mbar2
-    a22 = -1j * batch.alpha - params.kappa0 * mbar2
-    det = a11 * a22 + sg * sg
-    if (np.abs(det) < 0.1 * sg * sg).any():
+    mbar2 = (src.mu * params.eps ** 3) ** 2
+    a11 = -1j * src.alpha - params.nu0 * mbar2
+    a22 = -1j * src.alpha - params.kappa0 * mbar2
+    if (np.abs(a11 * a22 + sg * sg) < 0.1 * sg * sg).any():
         raise CorrectorError("det(M^-1) fell below the 0.1 sin^2(gamma) guard")
-    S = -params.delta * batch.cc
-    # M = inv([[a11, -sg], [sg, a22]])
-    cu = S * (a22 * batch.U2 + sg * batch.B2) / det
-    cb = S * (-sg * batch.U2 + a11 * batch.B2) / det
-    cw = 1j * batch.l / batch.mu * cu
-    return ExpModes(
-        l=batch.l.copy(), alpha=batch.alpha.copy(), mu=batch.mu.copy(),
-        cu=cu, cw=cw, cb=cb,
-    )
+    return _rotation_solve(src, a11, a22, sg)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +343,7 @@ class MeanFlowField:
     def evaluate(self, t, x, y):
         return tuple(synthesize(*self.profiles(t, y), x))
 
-    def norms(self, x_period: float, t: float = 0.0, nx: int = 512):
+    def norms(self, x_period: float, t: float = 0.0, nx: int = _NORM_NX):
         y = np.linspace(0.0, 2.5 / self.eps ** 2, 800)
         return _profile_norms(*self.profiles(t, y), y, x_period, nx)
 
@@ -481,10 +464,7 @@ def trace_density(assembly: PacketAssembly, params: PhysParams):
     # the incident cu is the node's quadrature amplitude (U = 1), so this
     # leaves the lift modes per unit trace
     modes = bl2[node].scaled(1.0 / inc.cu[i])
-    batch = _pair_batch(INTERACTIONS[0], Lobe.DOUBLE, modes, modes)
-    unit = PhysParams(gamma=params.gamma, nu0=params.nu0, kappa0=params.kappa0,
-                      eps=params.eps, delta=1.0)
-    tu, tw, tb = solve_interior_a(batch, unit).traces()
+    tu, tw, tb = solve_interior_a(_pair_modes(modes, modes), params).traces()
     return abs(tu.sum()), abs(tw.sum()), abs(tb.sum())
 
 
@@ -524,16 +504,7 @@ class CorrectorAssembly:
         return ExpModes.concat(self.families[f] for f in W1_MODAL)
 
 
-def _source_modes(batch: PairBatch, delta: float) -> ExpModes:
-    """The forcing -delta * cc * (U2, W2, B2) as a mode set."""
-    S = -delta * batch.cc
-    return ExpModes(
-        l=batch.l.copy(), alpha=batch.alpha.copy(), mu=batch.mu.copy(),
-        cu=S * batch.U2, cw=S * batch.W2, cb=S * batch.B2,
-    )
-
-
-def _booked_terms(kind: str, batch: PairBatch, modes: ExpModes, src: ExpModes,
+def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,
                   params: PhysParams) -> dict[str, ExpModes]:
     """Ledger term -> mode set of what one interior solve leaves out.
 
@@ -542,19 +513,17 @@ def _booked_terms(kind: str, batch: PairBatch, modes: ExpModes, src: ExpModes,
     also drops vertical diffusion on its response and the w-coupling of the
     buoyancy row, which the (b) solve keeps.
     """
-    zero = np.zeros_like(src.cu)
-    wforce = ExpModes(batch.l, batch.alpha, batch.mu, zero, src.cw, zero)
-    leray = src.scaled(np.abs(batch.l) / np.abs(batch.mu))
+    wforce = src.scaled(0, 1, 0)
+    leray = src.scaled(np.abs(src.l) / np.abs(src.mu))
     if kind == "b":
         return {"r1_bL_wforce": wforce, "r1_bL_leray": leray}
     nu6 = params.eps ** 6
+    lap = src.mu**2 - src.l**2
+    zero = np.zeros_like(src.cu)
     return {
-        "r1_aL_viscous": modes.scaled(
-            nu6 * params.nu0 * (batch.mu**2 - batch.l**2),
-            nu6 * params.nu0 * (batch.mu**2 - batch.l**2),
-            nu6 * params.kappa0 * (batch.mu**2 - batch.l**2),
-        ),
-        "r1_aL_wrow": ExpModes(batch.l, batch.alpha, batch.mu, zero, zero,
+        "r1_aL_viscous": modes.scaled(nu6 * params.nu0 * lap, nu6 * params.nu0 * lap,
+                                      nu6 * params.kappa0 * lap),
+        "r1_aL_wrow": ExpModes(src.l, src.alpha, src.mu, zero, zero,
                                math.cos(params.gamma) * modes.cw),
         "r1_aL_leray": leray,
         "r1_aL_wforce": wforce,
@@ -562,16 +531,17 @@ def _booked_terms(kind: str, batch: PairBatch, modes: ExpModes, src: ExpModes,
 
 
 def _solved_batches(assembly: PacketAssembly, params: PhysParams, rows):
-    """(batch, interior modes) per non-empty pair batch of the selected rows,
-    in table order; c-type batches are only booked and have no modes."""
+    """(row, lobe, forcing, interior modes) per non-empty lobe of the selected
+    rows, in table order; c-type rows are only booked and have no modes."""
     solvers = {"a": solve_interior_a, "b": solve_interior_b}
     for itype in INTERACTIONS:
         if rows is None or itype.name in rows:
-            for batch in enumerate_pairs(assembly, itype):
-                if len(batch.l):
-                    _check_lobe(batch, assembly)
+            for lobe, pairs in enumerate_pairs(assembly, itype).items():
+                if len(pairs):
+                    _check_lobe(itype.name, lobe, pairs, assembly)
+                    src = pairs.scaled(-params.delta)
                     solve = solvers.get(itype.kind)
-                    yield batch, solve(batch, params) if solve else None
+                    yield itype, lobe, src, solve(src, params) if solve else None
 
 
 def assemble_W1(
@@ -589,10 +559,10 @@ def assemble_W1(
     """
     parts = {"a": [], "b": []}
     lobes = {lobe: [] for lobe in Lobe}  # the same interior modes, per lobe
-    for batch, modes in _solved_batches(assembly, params, rows):
+    for itype, lobe, _, modes in _solved_batches(assembly, params, rows):
         if modes is not None:
-            parts[batch.itype.kind].append(modes)
-            lobes[batch.lobe].append(modes)
+            parts[itype.kind].append(modes)
+            lobes[lobe].append(modes)
 
     traces = {lobe: collect_traces(ExpModes.concat(m)) for lobe, m in lobes.items()}
     bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], params)
@@ -640,9 +610,10 @@ def evaluate_W1(casm: CorrectorAssembly, t, x, y):
     return u + du, w + dw, b + db
 
 
-def wall_trace_check(casm: CorrectorAssembly, t: float = 0.0, nx: int = 256):
-    """Max wall residual of (u, w, d_y b) relative to the interior traces."""
-    x = np.linspace(0.0, casm.x_period, nx, endpoint=False)
+def wall_trace_check(casm: CorrectorAssembly, t: float = 0.0):
+    """Max wall residual of (u, w, d_y b) relative to the interior traces,
+    on 256 points of one x-period."""
+    x = np.linspace(0.0, casm.x_period, 256, endpoint=False)
     y0 = np.array([0.0])
     u, w, _ = evaluate_W1(casm, t, x, y0)
     _, _, dyb = evaluate_modes(casm.modal().d_dy(), t, x, y0)
@@ -709,15 +680,14 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
 
     # what the interior solves of the assembled rows leave out, and the
     # residual-only c-type interactions
-    for batch, modes in _solved_batches(w0, params, casm.rows):
-        src = _source_modes(batch, delta)
+    for itype, _, src, modes in _solved_batches(w0, params, casm.rows):
         ymax = None
         if modes is None:
-            if batch.mu.real.min() <= 1e-12:
+            if src.mu.real.min() <= 1e-12:
                 ymax = w0.x_period
-            booked = {f"c_terms_{batch.itype.name}": src}
+            booked = {f"c_terms_{itype.name}": src}
         else:
-            booked = _booked_terms(batch.itype.kind, batch, modes, src, params)
+            booked = _booked_terms(itype.kind, src, modes, params)
         for term, m in booked.items():
             report[term] = report.get(term, 0.0) + \
                 modes_norms(m, w0.x_period, y_max=ymax)[0]

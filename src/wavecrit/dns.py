@@ -408,7 +408,7 @@ class Solver:
 
     def step(self, state: State) -> State:
         dt = self.config.dt
-        if not np.isfinite(state.u).all():
+        if not all(np.isfinite(f).all() for f in (state.u, state.w, state.b)):
             raise DnsError(f"NaN/Inf detected at t={state.t:.4g}")
         c = self.cfl(state)
         if c > 0.5:

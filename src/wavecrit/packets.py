@@ -52,19 +52,18 @@ def chi_bump(s):
 
 @dataclass(frozen=True)
 class Envelope:
-    """Spectral envelope: bump profile, carrier and concentration scale."""
+    """Spectral envelope: chi_bump profile, carrier and concentration scale."""
 
     carrier: CriticalCarrier
     eps: float
-    chi: callable = chi_bump
 
     def amplitude(self, k, m):
         """A(k, m): both lobes, concentration eps^2 around +/-(k0, m0)."""
         e2 = self.eps**2
         c = self.carrier
         return (
-            self.chi((np.asarray(k) - c.k0) / e2) * self.chi((np.asarray(m) - c.m0) / e2)
-            + self.chi((np.asarray(k) + c.k0) / e2) * self.chi((np.asarray(m) + c.m0) / e2)
+            chi_bump((np.asarray(k) - c.k0) / e2) * chi_bump((np.asarray(m) - c.m0) / e2)
+            + chi_bump((np.asarray(k) + c.k0) / e2) * chi_bump((np.asarray(m) + c.m0) / e2)
         ) / e2
 
 
@@ -104,7 +103,6 @@ class PacketAssembly:
 
     params: PhysParams
     envelope: Envelope
-    quad: QuadratureSpec
     families: dict[Family, ExpModes]
     x_period: float  # period of the discrete k-lattice in x
 
@@ -145,7 +143,7 @@ def assemble_W0(
 
     for i, xi in enumerate(s):
         for j, eta in enumerate(s):
-            chi2 = envelope.chi(xi) * envelope.chi(eta)
+            chi2 = chi_bump(xi) * chi_bump(eta)
             if chi2 == 0.0:
                 continue
             k = car.k0 + e2 * xi
@@ -173,7 +171,6 @@ def assemble_W0(
     return PacketAssembly(
         params=params,
         envelope=envelope,
-        quad=quad,
         families={
             Family.INCIDENT: ExpModes.from_rows(inc),
             Family.BLEPS2: ExpModes.concat(bl2),

@@ -516,22 +516,21 @@ def test_criterion_10_oracle_equivalences():
     asm, p = make_w0(0.2, nodes=5, delta=0.2**3)
     sg = math.sin(GAMMA)
     for it in C.INTERACTIONS:
-        for batch in C.enumerate_pairs(asm, it):
-            S = -p.delta * batch.cc
-            scale = max(np.abs(S * batch.U2).max(),
-                        np.abs(S * batch.B2).max(), 1e-300)
+        for pairs in C.enumerate_pairs(asm, it).values():
+            src = pairs.scaled(-p.delta)
+            scale = max(np.abs(src.cu).max(), np.abs(src.cb).max(), 1e-300)
             if it.name.startswith("a"):
-                modes = C.solve_interior_a(batch, p)
-                ru = -1j * batch.alpha * modes.cu - sg * modes.cb - S * batch.U2
-                rb = -1j * batch.alpha * modes.cb + sg * modes.cu - S * batch.B2
+                modes = C.solve_interior_a(src, p)
+                ru = -1j * src.alpha * modes.cu - sg * modes.cb - src.cu
+                rb = -1j * src.alpha * modes.cb + sg * modes.cu - src.cb
             elif it.name.startswith("b"):
-                modes = C.solve_interior_b(batch, p)
-                mbar2 = (batch.mu * p.eps**3) ** 2
-                ru = ((-1j * batch.alpha - p.nu0 * mbar2) * modes.cu
-                      - sg * modes.cb - S * batch.U2)
+                modes = C.solve_interior_b(src, p)
+                mbar2 = (src.mu * p.eps**3) ** 2
+                ru = ((-1j * src.alpha - p.nu0 * mbar2) * modes.cu
+                      - sg * modes.cb - src.cu)
                 rb = (sg * modes.cu
-                      + (-1j * batch.alpha - p.kappa0 * mbar2) * modes.cb
-                      - S * batch.B2)
+                      + (-1j * src.alpha - p.kappa0 * mbar2) * modes.cb
+                      - src.cb)
             else:
                 continue
             resid = max(np.abs(ru).max(), np.abs(rb).max()) / scale

@@ -87,6 +87,21 @@ class TestConfigValidation:
         assert out.params.delta == 0.01
         assert out.params.gamma == 0.7
 
+    @pytest.mark.parametrize("flag", [["--gamma", "2.0"],
+                                      ["--gamma", "0.7", "--eps", "1.5"]])
+    def test_main_rejects_bad_params(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", *flag, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_nodes_per_lobe_minimum(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gamma": 0.7, "experiment": "residual",
+                                   "nodes_per_lobe": 3}))
+        with pytest.raises(ConfigError, match="nodes_per_lobe"):
+            load_config(str(cfg), {})
+
 
 @pytest.fixture(scope="module")
 def roots_outdir(tmp_path_factory):

@@ -1,7 +1,9 @@
 """Nonlinear corrector: interaction table, interior solves, lifts, residual."""
 
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,19 +55,18 @@ class TestInteractionTable:
     def test_lobe_partition(self, w0):
         asm, _ = w0
         for it in C.INTERACTIONS:
-            batches = C.enumerate_pairs(asm, it)
-            lobes = {b.lobe for b in batches}
-            assert lobes == {C.Lobe.ZERO, C.Lobe.DOUBLE}
+            pairs = C.enumerate_pairs(asm, it)
+            assert set(pairs) == {C.Lobe.ZERO, C.Lobe.DOUBLE}
             n_left = len(asm.bundle(it.left))
             n_right = len(asm.bundle(it.right))
-            assert sum(len(b.l) for b in batches) == 2 * n_left * n_right
+            assert sum(len(m) for m in pairs.values()) == 2 * n_left * n_right
 
     def test_lobe_windows(self, w0):
         asm, p = w0
         eps2 = p.eps**2
         for it in C.INTERACTIONS:
-            for b in C.enumerate_pairs(asm, it):
-                if b.lobe is C.Lobe.ZERO:
+            for lobe, b in C.enumerate_pairs(asm, it).items():
+                if lobe is C.Lobe.ZERO:
                     assert np.abs(b.l).max() <= 3 * eps2
                     assert np.abs(b.alpha).max() <= 3 * eps2
                 else:
@@ -77,8 +78,22 @@ class TestInteractionTable:
         for it in C.INTERACTIONS:
             if it.left is Family.INCIDENT and it.right is Family.INCIDENT:
                 continue  # no boundary-layer mode in the pair
-            for b in C.enumerate_pairs(asm, it):
+            for b in C.enumerate_pairs(asm, it).values():
                 assert b.mu.real.min() > 0.0
+
+    @pytest.mark.parametrize("lobe", [C.Lobe.DOUBLE, C.Lobe.ZERO])
+    def test_lobe_guard_names_first_stray_pair(self, w0, lobe):
+        """Pairs shifted out of their lobe's eps^2 window are refused, and the
+        error names the first of them."""
+        asm, p = w0
+        it = C.INTERACTIONS[0]
+        pairs = C.enumerate_pairs(asm, it)[lobe]
+        C._check_lobe(it.name, lobe, pairs, asm)
+        shift = np.where(np.arange(len(pairs)) >= 3, 6 * p.eps**2, 0.0)
+        stray = dataclasses.replace(pairs, l=pairs.l + shift)
+        node = f"(l={stray.l[3]:.4g}, alpha={stray.alpha[3]:.4g})"
+        with pytest.raises(C.CorrectorError, match=re.escape(node)):
+            C._check_lobe(it.name, lobe, stray, asm)
 
 
 def _mode_field(k, omega, lam, vec, x, y):
@@ -150,49 +165,50 @@ class TestQuadraticQ:
         assert abs(total) <= 1e-7 * scale
 
 
-def _batch_residual_a(batch, modes, p):
+def _batch_residual_a(src, modes, p):
     """Residual of (-i alpha + L)(cu, cb) = forcing for the reduced solve."""
     sg = math.sin(p.gamma)
-    S = -p.delta * batch.cc
-    ru = -1j * batch.alpha * modes.cu - sg * modes.cb - S * batch.U2
-    rb = -1j * batch.alpha * modes.cb + sg * modes.cu - S * batch.B2
-    scale = max(np.abs(S * batch.U2).max(), np.abs(S * batch.B2).max(), 1e-300)
+    ru = -1j * src.alpha * modes.cu - sg * modes.cb - src.cu
+    rb = -1j * src.alpha * modes.cb + sg * modes.cu - src.cb
+    scale = max(np.abs(src.cu).max(), np.abs(src.cb).max(), 1e-300)
     return max(np.abs(ru).max(), np.abs(rb).max()) / scale
 
 
-def _batch_residual_b(batch, modes, p):
+def _batch_residual_b(src, modes, p):
     sg = math.sin(p.gamma)
-    mbar2 = (batch.mu * p.eps**3) ** 2
-    S = -p.delta * batch.cc
-    ru = (-1j * batch.alpha - p.nu0 * mbar2) * modes.cu - sg * modes.cb - S * batch.U2
-    rb = sg * modes.cu + (-1j * batch.alpha - p.kappa0 * mbar2) * modes.cb - S * batch.B2
-    scale = max(np.abs(S * batch.U2).max(), np.abs(S * batch.B2).max(), 1e-300)
+    mbar2 = (src.mu * p.eps**3) ** 2
+    ru = (-1j * src.alpha - p.nu0 * mbar2) * modes.cu - sg * modes.cb - src.cu
+    rb = sg * modes.cu + (-1j * src.alpha - p.kappa0 * mbar2) * modes.cb - src.cb
+    scale = max(np.abs(src.cu).max(), np.abs(src.cb).max(), 1e-300)
     return max(np.abs(ru).max(), np.abs(rb).max()) / scale
+
+
+def _forcing(asm, p, name, lobe=C.Lobe.DOUBLE):
+    """The interior forcing of one interaction row and lobe."""
+    it = next(r for r in C.INTERACTIONS if r.name == name)
+    return C.enumerate_pairs(asm, it)[lobe].scaled(-p.delta)
 
 
 class TestInteriorSolves:
     def test_a_insertion_residual(self, w0):
         asm, p = w0
         for name in ("a1", "a2"):
-            it = next(r for r in C.INTERACTIONS if r.name == name)
-            for batch in C.enumerate_pairs(asm, it):
-                modes = C.solve_interior_a(batch, p)
-                assert _batch_residual_a(batch, modes, p) <= 1e-10
+            for lobe in C.Lobe:
+                src = _forcing(asm, p, name, lobe)
+                modes = C.solve_interior_a(src, p)
+                assert _batch_residual_a(src, modes, p) <= 1e-10
 
     def test_b_insertion_residual(self, w0):
         asm, p = w0
         for name in ("b1", "b2", "b3"):
-            it = next(r for r in C.INTERACTIONS if r.name == name)
-            for batch in C.enumerate_pairs(asm, it):
-                modes = C.solve_interior_b(batch, p)
-                assert _batch_residual_b(batch, modes, p) <= 1e-10
+            for lobe in C.Lobe:
+                src = _forcing(asm, p, name, lobe)
+                modes = C.solve_interior_b(src, p)
+                assert _batch_residual_b(src, modes, p) <= 1e-10
 
     def test_zero_forcing_gives_zero(self, w0):
         asm, p = w0
-        it = C.INTERACTIONS[0]
-        batch = C.enumerate_pairs(asm, it)[0]
-        batch.cc[:] = 0.0
-        modes = C.solve_interior_a(batch, p)
+        modes = C.solve_interior_a(_forcing(asm, p, "a1").scaled(0.0), p)
         assert np.abs(modes.cu).max() == 0.0
         assert np.abs(modes.cw).max() == 0.0
 
@@ -205,33 +221,30 @@ class TestInteriorSolves:
 
     def test_resonance_guard(self, w0):
         asm, p = w0
-        it = C.INTERACTIONS[0]
-        batch = C.enumerate_pairs(asm, it)[0]
-        batch.alpha[:] = math.sin(p.gamma)  # exact resonance
-        with pytest.raises(C.CorrectorError):
-            C.solve_interior_a(batch, p)
+        src = _forcing(asm, p, "a1")
+        src = dataclasses.replace(src, alpha=np.full_like(src.alpha, math.sin(p.gamma)))
+        with pytest.raises(C.CorrectorError):  # exact resonance
+            C.solve_interior_a(src, p)
 
     def test_b_det_guard(self, w0):
         asm, p = w0
-        it = next(r for r in C.INTERACTIONS if r.name == "b1")
-        batch = C.enumerate_pairs(asm, it)[0]
-        batch.alpha[:] = math.sin(p.gamma)
-        batch.mu[:] = 1e-6  # mbar ~ 0: det = sin^2 - alpha^2 ~ 0
+        src = _forcing(asm, p, "b1")
+        # mbar ~ 0: det = sin^2 - alpha^2 ~ 0
+        src = dataclasses.replace(src, alpha=np.full_like(src.alpha, math.sin(p.gamma)),
+                                  mu=np.full_like(src.mu, 1e-6))
         with pytest.raises(C.CorrectorError):
-            C.solve_interior_b(batch, p)
+            C.solve_interior_b(src, p)
 
     def test_b_inviscid_reduction(self, w0):
         """alpha = 0, nu0 = kappa0: M^-1 = [[-n m^2, -sg], [sg, -n m^2]]."""
         asm, p = w0
-        it = next(r for r in C.INTERACTIONS if r.name == "b2")
-        batch = C.enumerate_pairs(asm, it)[0]
-        batch.alpha[:] = 0.0
-        modes = C.solve_interior_b(batch, p)
+        src = _forcing(asm, p, "b2")
+        src = dataclasses.replace(src, alpha=np.zeros_like(src.alpha))
+        modes = C.solve_interior_b(src, p)
         sg = math.sin(p.gamma)
-        nm2 = p.nu0 * (batch.mu * p.eps**3) ** 2
-        S = -p.delta * batch.cc
+        nm2 = p.nu0 * (src.mu * p.eps**3) ** 2
         det = nm2**2 + sg**2
-        want_cu = S * (-nm2 * batch.U2 + sg * batch.B2) / det
+        want_cu = (-nm2 * src.cu + sg * src.cb) / det
         assert np.abs(modes.cu - want_cu).max() <= 1e-12 * np.abs(want_cu).max()
 
     def test_normal_velocity_smaller_by_layer_width(self):
@@ -508,6 +521,16 @@ class TestLiftMeanFlow:
         bl, mf, dropped = C.lift_mean_flow((z, z, z.astype(complex),
                                             z.astype(complex), z.astype(complex)), p)
         assert len(mf) == 0 and len(bl) == 0 and dropped == 0.0
+
+    def test_double_lobe_node_refused(self, w0):
+        """A double-lobe node is not non-oscillating; the error names it."""
+        _, p = w0
+        l, alpha = 2 * CARRIER.k0, 2 * CARRIER.omega0
+        tr = (np.array([l]), np.array([alpha]), np.array([1.0 + 0j]),
+              np.array([0j]), np.array([0j]))
+        with pytest.raises(C.CorrectorError,
+                           match=re.escape(f"(l={l:.4g}, alpha={alpha:.4g})")):
+            C.lift_mean_flow(tr, p)
 
     def test_mean_flow_is_divergence_free(self, casm):
         """d_x u + d_y w = 0: u = -eps^2 theta' g and w = theta gx, where gx

@@ -270,6 +270,15 @@ class TestStep:
         with pytest.raises(DnsError, match="NaN"):
             solver.step(State(bad, z.copy(), z.copy(), z.copy(), 0.0))
 
+    def test_nan_detection_in_buoyancy(self, solver):
+        """A NaN in b alone is caught before the step spreads it to u and w."""
+        g = solver.grid
+        z = np.zeros((g.ny, g.nx))
+        bad = z.copy()
+        bad[5, 5] = np.nan
+        with pytest.raises(DnsError, match="NaN"):
+            solver.step(State(z.copy(), z.copy(), bad, z.copy(), 0.0))
+
     def test_cfl_abort(self):
         cfg = make_config(delta=EPS**2)
         sol = Solver(cfg)

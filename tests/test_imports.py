@@ -1,8 +1,10 @@
-"""Every import in src/ and tests/ is used.
+"""Every import in src/ and tests/ is used, and every function parameter
+in src/wavecrit is read.
 
 A name bound by an import counts as used if the module reads it anywhere,
-as a name or as the root of an attribute chain.  Only the standard
-library's ast module is needed.
+as a name or as the root of an attribute chain; a parameter counts as read
+if its function's body (nested functions included) names it.  Only the
+standard library's ast module is needed.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "wavecrit").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,31 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_params(source: str) -> list[str]:
+    """Parameters (self and cls aside) that their function never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}({p}) (line {node.lineno})" for p in params
+                if p not in read and p not in ("self", "cls")]
+    return out
+
+
+def test_param_checker_sees_unread_and_read_params():
+    src = ("def f(a, b, *c, d=1, **e):\n    return a + d(c)\n"
+           "class K:\n    def m(self, x):\n        def g():\n            return x\n")
+    assert unused_params(src) == ["f(b) (line 1)", "f(e) (line 1)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_params(path):
+    assert unused_params(path.read_text(encoding="utf-8")) == []
