@@ -24,6 +24,9 @@ ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
 (hence evaluate_modes) and the corrector's norms read those profiles.
+Modes born of a pair of W0 modes record the two parent rates whose sum is
+their mu; the kernel exponentiates each distinct parent rate once and
+builds such a mode's y-column as the product of its parents' two rows.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ class ExpModes:
 
     The one mode-set type: a wall lift, the linear packet W0 and the
     corrector W1 are all sums of such modes, with any amplitude folded
-    into the coefficients.
+    into the coefficients.  parents is (n, 2): the two rates whose sum is
+    mu for a mode forced by a pair of modes, NaN for any other mode (the
+    default when it is omitted).
     """
 
     l: np.ndarray
@@ -69,8 +74,13 @@ class ExpModes:
     cu: np.ndarray
     cw: np.ndarray
     cb: np.ndarray
+    parents: np.ndarray | None = None
 
-    _FIELDS = ("l", "alpha", "mu", "cu", "cw", "cb")
+    _FIELDS = ("l", "alpha", "mu", "cu", "cw", "cb", "parents")
+
+    def __post_init__(self):
+        if self.parents is None:
+            self.parents = np.full((len(self.l), 2), np.nan, dtype=complex)
 
     @classmethod
     def empty(cls) -> "ExpModes":
@@ -99,19 +109,20 @@ class ExpModes:
 
     def __getitem__(self, idx) -> "ExpModes":
         """The modes at an index, slice, mask or index array."""
-        return ExpModes(*(np.atleast_1d(getattr(self, f)[idx]) for f in self._FIELDS))
+        *vectors, parents = (getattr(self, f)[idx] for f in self._FIELDS)
+        return ExpModes(*map(np.atleast_1d, vectors), parents.reshape(-1, 2))
 
     def scaled(self, fu, fw=None, fb=None) -> "ExpModes":
         """New mode set with per-mode component factors (e.g. derivatives)."""
         fw = fu if fw is None else fw
         fb = fu if fb is None else fb
         return ExpModes(self.l, self.alpha, self.mu, self.cu * fu, self.cw * fw,
-                        self.cb * fb)
+                        self.cb * fb, self.parents)
 
     def conj(self) -> "ExpModes":
         """The conjugate modes, (l, alpha, mu, c) -> (-l, -alpha, mu*, c*)."""
         return ExpModes(-self.l, -self.alpha, self.mu.conj(), self.cu.conj(),
-                        self.cw.conj(), self.cb.conj())
+                        self.cw.conj(), self.cb.conj(), self.parents.conj())
 
     def d_dx(self) -> "ExpModes":
         return self.scaled(1j * self.l)
@@ -141,16 +152,28 @@ def mode_profiles(modes: ExpModes, t: float, y: np.ndarray):
     """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
 
     Modes sharing an x-wavenumber (the lattice produces thousands per l)
-    are summed into one y-profile per component (u, w, b), one exponential
-    table and one matrix product per group: P is (3, groups, len(y)) and l
-    increasing.
+    are summed into one y-profile per component (u, w, b), one matrix
+    product per group: P is (3, groups, len(y)) and l increasing.
+
+    The y-columns e^(-mu y) of pair modes are products of two rows of one
+    table over the distinct parent rates, e^(-mu_i y) e^(-mu_j y); a column
+    is exactly zero where either parent's exponent is below -700.  Every
+    other mode gets its column from guarded_exp(-mu y) in its group.
     """
     y = np.asarray(y, dtype=float)
     groups = _group_by_l(modes.l)
     coef = np.stack([modes.cu, modes.cw, modes.cb]) * np.exp(-1j * modes.alpha * t)
+    pair = ~np.isnan(modes.parents).any(axis=1)
+    rates, inv = np.unique(modes.parents[pair].ravel(), return_inverse=True)
+    table = guarded_exp(np.outer(-rates, y))  # one row per distinct parent rate
+    row = np.zeros((len(modes), 2), dtype=int)  # a pair mode's two table rows
+    row[pair] = inv.reshape(-1, 2)
     P = np.empty((3, len(groups), len(y)), dtype=complex)
     for g, idx in enumerate(groups):
-        P[:, g] = coef[:, idx] @ guarded_exp(np.outer(-modes.mu[idx], y))
+        pi, di = idx[pair[idx]], idx[~pair[idx]]
+        P[:, g] = coef[:, pi] @ (table[row[pi, 0]] * table[row[pi, 1]])
+        if len(di):
+            P[:, g] += coef[:, di] @ guarded_exp(np.outer(-modes.mu[di], y))
     return modes.l[[idx[0] for idx in groups]], P
 
 

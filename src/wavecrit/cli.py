@@ -28,21 +28,31 @@ import numpy as np
 from . import __version__
 from .boundary import (
     ExpModes,
+    IllConditionedLiftError,
     lift_critical,
     lift_noncritical,
     lift_nonoscillating,
 )
-from .characteristic import ModalMatrixSpec, Regime, roots_for
+from .characteristic import (
+    ClassificationError,
+    ModalMatrixSpec,
+    Regime,
+    RootSolveError,
+    SingularEigenvectorError,
+    roots_for,
+)
 from .corrector import (
     W1_BLEPS2,
     W1_BLEPS3,
     W1_II,
     W1_MF,
+    CorrectorError,
     assemble_W1,
     residual_Rapp,
     rowwise_family_sizes,
 )
 from .dns import (
+    DnsError,
     SimConfig,
     Solver,
     compare_stability,
@@ -54,6 +64,7 @@ from .packets import (
     Envelope,
     Family,
     QuadratureSpec,
+    RegimeError,
     assemble_W0,
     component_anisotropy,
     default_grid,
@@ -81,6 +92,16 @@ class FitError(ValueError):
     """Slope fit is impossible on the given series."""
 
 
+#: the package's typed failures, which main reports as an error line
+TYPED_ERRORS = (ConfigError, FitError, RootSolveError, ClassificationError,
+                SingularEigenvectorError, IllConditionedLiftError, RegimeError,
+                CorrectorError, DnsError)
+
+_DNS_OPTIONS = {"Ly", "nx", "ny", "dt", "T", "dy0", "dy_max", "save_every"}
+#: experiment -> the keys of `options` it reads (every other key is refused)
+OPTION_KEYS = {"lift": {"samples"}, "dns": _DNS_OPTIONS, "stability": _DNS_OPTIONS}
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -95,7 +116,7 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
     k0: float = 1.0
     nodes_per_lobe: int = 9
-    #: free-form per-experiment knobs (dns grid sizes etc.)
+    #: per-experiment knobs (dns grid sizes etc.), the keys in OPTION_KEYS
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -107,6 +128,13 @@ class ExperimentConfig:
         if self.nodes_per_lobe < 4:
             raise ConfigError(
                 f"nodes_per_lobe must be >= 4, got {self.nodes_per_lobe}"
+            )
+        known = OPTION_KEYS.get(self.experiment, set())
+        unknown = sorted(set(self.options) - known)
+        if unknown:
+            raise ConfigError(
+                f"{self.experiment} does not read option(s) {', '.join(unknown)}; "
+                f"it reads {', '.join(sorted(known)) or 'none'}"
             )
         self.output_dir = Path(self.output_dir)
         self.sweep = [(float(e), float(d)) for e, d in self.sweep]
@@ -392,7 +420,7 @@ def _dns_config(config: ExperimentConfig, params: PhysParams,
         T=float(o.get("T", 1.0)),
         k0=config.k0,
         dy0=float(o.get("dy0", 1e-3)),
-        dy_max=float(o.get("dy_max", 0.5)),
+        dy_max=float(o.get("dy_max", 1.0)),
     )
 
 
@@ -520,7 +548,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides)
         run_experiment(config)
-    except (ConfigError, FitError) as exc:
+    except TYPED_ERRORS as exc:
         parser.exit(2, f"error: {exc}\n")
     return 0
 

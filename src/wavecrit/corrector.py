@@ -46,11 +46,14 @@ set scaled by -delta.  W1 = W1_BLeps2 + W1_BLeps3
 + W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
 norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through boundary.synthesize or
-_profile_norms.
+_profile_norms.  A pair mode records its two parent rates (mu = mu_L +
+mu_R), and the interior solves and ledger terms keep them, so the kernel
+builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a table of W0's rates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -122,6 +125,7 @@ def _pair_modes(L: ExpModes, R: ExpModes) -> ExpModes:
     The pair advects the right mode with the left one and forces one mode at
     (l, alpha, mu) = the sums of the two modes' own, with coefficients
     cc (cu, cw, cb)_R; cc = i l_R cu_L - mu_R cw_L is the convective factor.
+    The two rates are the mode's parents.
     """
     cc = (1j * R.l[None, :] * L.cu[:, None] - R.mu[None, :] * L.cw[:, None]).ravel()
     n = len(L)
@@ -132,6 +136,7 @@ def _pair_modes(L: ExpModes, R: ExpModes) -> ExpModes:
         cu=cc * np.tile(R.cu, n),
         cw=cc * np.tile(R.cw, n),
         cb=cc * np.tile(R.cb, n),
+        parents=np.stack([np.repeat(L.mu, len(R)), np.tile(R.mu, n)], axis=1),
     )
 
 
@@ -235,7 +240,7 @@ def _rotation_solve(src: ExpModes, a11, a22, sg: float) -> ExpModes:
     det = a11 * a22 + sg * sg
     cu = (a22 * src.cu + sg * src.cb) / det
     cb = (-sg * src.cu + a11 * src.cb) / det
-    return ExpModes(src.l, src.alpha, src.mu, cu, 1j * src.l / src.mu * cu, cb)
+    return dataclasses.replace(src, cu=cu, cw=1j * src.l / src.mu * cu, cb=cb)
 
 
 def solve_interior_a(src: ExpModes, params: PhysParams) -> ExpModes:
@@ -523,8 +528,8 @@ def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,
     return {
         "r1_aL_viscous": modes.scaled(nu6 * params.nu0 * lap, nu6 * params.nu0 * lap,
                                       nu6 * params.kappa0 * lap),
-        "r1_aL_wrow": ExpModes(src.l, src.alpha, src.mu, zero, zero,
-                               math.cos(params.gamma) * modes.cw),
+        "r1_aL_wrow": dataclasses.replace(src, cu=zero, cw=zero,
+                                          cb=math.cos(params.gamma) * modes.cw),
         "r1_aL_leray": leray,
         "r1_aL_wforce": wforce,
     }

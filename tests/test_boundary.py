@@ -17,6 +17,7 @@ from wavecrit.boundary import (
     lift_noncritical,
     lift_nonoscillating,
     limit_amplitudes_DY,
+    mode_profiles,
 )
 from wavecrit.characteristic import (
     ModalMatrixSpec,
@@ -307,6 +308,52 @@ def test_mode_subsets():
     joined = ExpModes.concat([head, last])
     for f in ("l", "alpha", "mu", "cu", "cw", "cb"):
         assert (getattr(joined, f) == getattr(lift, f)).all(), f
+    # a lift is born of no pair: its parents default to NaN rows
+    assert joined.parents.shape == (3, 2) and np.isnan(joined.parents).all()
+
+
+def _pair_set(parents, coef=1.0):
+    """One pair mode per row of parents, at l = 1, alpha = 0."""
+    parents = np.array(parents, dtype=complex)
+    n = len(parents)
+    c = np.full(n, coef, dtype=complex)
+    return ExpModes(np.ones(n), np.zeros(n), parents.sum(axis=1), c, 2 * c, 3 * c,
+                    parents=parents)
+
+
+def test_parents_follow_the_modes():
+    """Indexing, concat, scaled and conj carry the parent rates."""
+    m = _pair_set([[1 + 2j, 3 - 1j], [0.5j, 2.0]])
+    assert m[1].parents.shape == (1, 2)
+    assert m[1].parents.tolist() == [[0.5j, 2.0]]
+    assert m[[1, 0]].parents.tolist() == m.parents[::-1].tolist()
+    assert (m.scaled(2.0).parents == m.parents).all()
+    assert (m.d_dy().parents == m.parents).all()
+    assert (m.conj().parents == m.parents.conj()).all()
+    joined = ExpModes.concat([m, m[0]])
+    assert joined.parents.shape == (3, 2) and (joined.parents[2] == m.parents[0]).all()
+
+
+class TestPairColumns:
+    """mode_profiles builds a pair mode's y-column from its two parents;
+    tests/test_corrector.py compares it with the direct path on W1."""
+
+    def test_parent_below_guard_gives_exact_zero(self):
+        """A parent factor below e^-700 zeroes the column exactly."""
+        m = _pair_set([[750.0, 1.0 + 1j]])
+        _, P = mode_profiles(m, 0.0, np.array([0.0, 0.5, 1.0]))
+        assert P[:, 0, 0].tolist() == [1.0, 2.0, 3.0]
+        assert (P[:, 0, 2] == 0.0).all()
+
+    def test_two_parents_near_underflow_agree_with_direct_zero(self):
+        """Each factor is e^-400 and representable, their product is not; the
+        sum's exponent -800 is below the guard, so the direct column is 0."""
+        m = _pair_set([[400.0 + 3j, 400.0 - 1j]], coef=1e6)
+        y = np.array([0.0, 1.0])
+        _, got = mode_profiles(m, 0.0, y)
+        _, want = mode_profiles(ExpModes(m.l, m.alpha, m.mu, m.cu, m.cw, m.cb), 0.0, y)
+        assert (want[:, 0, 1] == 0.0).all()
+        assert np.abs(got[:, 0, 1]).max() <= 1e-300
 
 
 def test_traces_must_be_a_triple():

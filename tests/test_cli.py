@@ -11,6 +11,7 @@ from wavecrit.cli import (
     ConfigError,
     ExperimentConfig,
     FitError,
+    _dns_config,
     fit_slopes,
     load_config,
     main,
@@ -101,6 +102,32 @@ class TestConfigValidation:
                                    "nodes_per_lobe": 3}))
         with pytest.raises(ConfigError, match="nodes_per_lobe"):
             load_config(str(cfg), {})
+
+    @pytest.mark.parametrize("experiment,options,bad", [
+        ("dns", {"Nx": 64}, "Nx"), ("stability", {"Lx": 5.0}, "Lx"),
+        ("residual", {"nx": 64}, "nx"), ("lift", {"samples": 4, "Ly": 60.0}, "Ly")])
+    def test_unread_options_refused(self, experiment, options, bad):
+        with pytest.raises(ConfigError, match=bad):
+            ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
+                             experiment=experiment, options=options)
+
+    def test_default_dns_grid_builds(self):
+        """A dns config without options gets a grid that reaches Ly."""
+        p = PhysParams(gamma=0.7, eps=0.2)
+        sim = _dns_config(ExperimentConfig(params=p, experiment="dns"), p, 100.0)
+        assert (sim.Ly, sim.ny, sim.dy_max) == (300.0, 384, 1.0)
+
+    def test_main_reports_unbuildable_grid(self, tmp_path, capsys):
+        """A DnsError from the grid ends in an error line, not a traceback."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gamma": 0.7, "eps": 0.2,
+                                   "nodes_per_lobe": 4,
+                                   "options": {"dy_max": 0.5}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["dns", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot reach Ly=300"), err
 
 
 @pytest.fixture(scope="module")

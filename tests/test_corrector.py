@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from wavecrit import boundary
 from wavecrit import corrector as C
 from wavecrit.boundary import lift_noncritical, lift_nonoscillating
 from wavecrit.characteristic import ModalMatrixSpec, roots_for
@@ -424,6 +425,50 @@ class TestProfileNorms:
         l2, linf = mf.norms(P, t=t, nx=self.NX)
         assert abs(l2 - want_l2) <= 1e-12 * want_l2
         assert linf == pytest.approx(want_linf, rel=1e-12, abs=0.0)
+
+
+class TestPairColumns:
+    """Pair-born modes build their y-columns from a table of parent rates."""
+
+    @pytest.mark.parametrize("family", [C.W1_BLEPS2, C.W1_BLEPS3])
+    def test_profiles_match_direct_path(self, casm, family):
+        """W1_BLeps2 is all pair modes; W1_BLeps3 mixes pair and lift modes."""
+        m = casm.families[family]
+        pair = ~np.isnan(m.parents).any(axis=1)
+        assert pair.any() and (family == C.W1_BLEPS2) == pair.all()
+        y = C._norm_grid(m, casm.x_period, 600, None)
+        _, got = C.mode_profiles(m, 0.3, y)
+        _, want = C.mode_profiles(dataclasses.replace(m, parents=None), 0.3, y)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_table_rows_bounded_by_w0(self, w0, casm, monkeypatch):
+        """modes_norms(W1_BLeps2) exponentiates at most two rows per W0 mode."""
+        asm, _ = w0
+        rows = []
+        exp = boundary.guarded_exp
+
+        def counted(expo):
+            rows.append(expo.shape[0])
+            return exp(expo)
+
+        monkeypatch.setattr(boundary, "guarded_exp", counted)
+        C.modes_norms(casm.families[C.W1_BLEPS2], casm.x_period)
+        n_w0 = sum(len(m) for m in asm.families.values())
+        assert 0 < sum(rows) <= 2 * n_w0
+
+    def test_interior_and_ledger_modes_carry_parents(self, w0, casm):
+        """W1_BLeps2 and every pair-born ledger term: 28 a/b terms and the
+        8 c-type forcings at the reference case."""
+        asm, p = w0
+        assert not np.isnan(casm.families[C.W1_BLEPS2].parents).any()
+        terms = []
+        for itype, _, src, modes in C._solved_batches(asm, p, None):
+            booked = ({itype.name: src} if modes is None
+                      else C._booked_terms(itype.kind, src, modes, p))
+            terms += booked.items()
+        assert len(terms) == 36
+        for name, m in terms:
+            assert len(m) and not np.isnan(m.parents).any(), name
 
 
 def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
