@@ -68,7 +68,6 @@ from .packets import (
     assemble_W0,
     component_anisotropy,
     default_grid,
-    evaluate_packet,
     packet_norms,
 )
 from .params import PhysParams, critical_carrier
@@ -339,9 +338,8 @@ def _run_packet_norms(config: ExperimentConfig) -> list[str]:
         p = _params_at(config, eps, delta)
         asm = _assembly_at(config, p)
         for fam in (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3):
-            grid = default_grid(asm, fam)
-            l2, linf = packet_norms(evaluate_packet(asm, fam, 0.0, grid))
-            rows.append([eps, fam.name, l2, linf])
+            l2, linf = packet_norms(asm.bundle(fam), default_grid(asm, fam))
+            rows.append([eps, fam.name, math.hypot(*l2), max(linf)])
         rows.append([eps, "ANISO_BLEPS2",
                      component_anisotropy(asm, Family.BLEPS2), float("nan")])
         rows.append([eps, "ANISO_BLEPS3",

@@ -71,13 +71,7 @@ from .boundary import (
     synthesize,
 )
 from .characteristic import ModalMatrixSpec, Regime, roots_for
-from .packets import (
-    Family,
-    PacketAssembly,
-    default_grid,
-    evaluate_packet,
-    packet_norms,
-)
+from .packets import Family, PacketAssembly, default_grid, packet_norms
 from .params import PhysParams
 
 
@@ -181,13 +175,12 @@ _NORM_NY = 600
 _NORM_NX = 512
 
 
-def _norm_grid(modes: ExpModes, x_period: float, ny: int, y_max: float | None):
+def _norm_grid(modes: ExpModes, x_period: float, ny: int):
     """y-grid of modes_norms: dense on the fastest decay scale, reaching y_max
-    (default 30 slowest decay scales, or the x-period if some mode does not decay)."""
+    = 30 slowest decay scales (or the x-period if some mode does not decay)."""
     rates = modes.mu.real
-    if y_max is None:
-        pos = rates[rates > 1e-12]
-        y_max = 30.0 / pos.min() if len(pos) == len(modes) else x_period
+    pos = rates[rates > 1e-12]
+    y_max = 30.0 / pos.min() if len(pos) == len(modes) else x_period
     fast = max(rates.max(), 1.0 / y_max)
     return np.unique(np.concatenate([
         np.linspace(0.0, min(10.0 / fast, y_max), ny // 2),
@@ -215,17 +208,12 @@ def _profile_norms(l, P, y, x_period: float, nx: int) -> tuple[float, float]:
     return l2, linf
 
 
-def modes_norms(
-    modes: ExpModes,
-    x_period: float,
-    t: float = 0.0,
-    y_max: float | None = None,
-) -> tuple[float, float]:
-    """(L2, Linf) over one x-period and y in [0, y_max] (see _norm_grid)."""
+def modes_norms(modes: ExpModes, x_period: float) -> tuple[float, float]:
+    """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_grid)."""
     if len(modes) == 0:
         return 0.0, 0.0
-    y = _norm_grid(modes, x_period, _NORM_NY, y_max)
-    return _profile_norms(*mode_profiles(modes, t, y), y, x_period, _NORM_NX)
+    y = _norm_grid(modes, x_period, _NORM_NY)
+    return _profile_norms(*mode_profiles(modes, 0.0, y), y, x_period, _NORM_NX)
 
 
 # ---------------------------------------------------------------------------
@@ -413,24 +401,19 @@ def _shear_lift(alpha, tu, tb, params: PhysParams):
                     np.zeros(2, dtype=complex), a * B)
 
 
-def lift_mean_flow(
-    traces, params: PhysParams
-) -> tuple[ExpModes, MeanFlowField, float]:
+def lift_mean_flow(traces, params: PhysParams) -> tuple[ExpModes, MeanFlowField]:
     """Cancel zero-lobe wall traces.
 
     u and d_y b go through the degenerate (non-oscillating) lift; the
     leftover w-trace per node is integrated in x (divide by il) and lifted
     by the explicit mean flow.  Nodes with |l| < 1e-14 carry no w-trace at
-    all (w = il/mu u) and are handled by a two-mode shear lift instead;
-    any unliftable leftover magnitude is returned as a booked residual.
+    all (w = il/mu u) and are handled by a two-mode shear lift instead.
     """
     l, alpha, tu, tw, tb = traces
     bl_parts, g_l, g_alpha, g_coef = [], [], [], []
-    dropped = 0.0
     for i in range(len(l)):
         if abs(l[i]) < 1e-14:
             bl_parts.append(_shear_lift(alpha[i], tu[i], tb[i], params))
-            dropped += abs(tw[i])
             continue
         spec = ModalMatrixSpec(params.nu, params.kappa, alpha[i], l[i], params.gamma)
         roots = roots_for(spec)
@@ -451,7 +434,7 @@ def lift_mean_flow(
         l=np.array(g_l), alpha=np.array(g_alpha),
         G=np.array(g_coef, dtype=complex), eps=params.eps,
     )
-    return bl, mf, dropped
+    return bl, mf
 
 
 def trace_density(assembly: PacketAssembly, params: PhysParams):
@@ -486,23 +469,22 @@ W1_MODAL = (W1_BLEPS2, W1_BLEPS3, W1_II)  # the exponential-mode families
 
 @dataclass
 class CorrectorAssembly:
-    """W1 by family, its interaction rows (None: all) and the w-trace
-    magnitude of its shear nodes, which no lift takes."""
+    """W1 by family and its interaction rows (None: all)."""
 
     params: PhysParams
     w0: PacketAssembly
     families: dict
     rows: tuple[str, ...] | None = None
-    shear_leftover: float = 0.0
 
     @property
     def x_period(self) -> float:
         return self.w0.x_period
 
-    def norms(self, family: str, t: float = 0.0) -> tuple[float, float]:
+    def norms(self, family: str) -> tuple[float, float]:
+        """(L2, Linf) of one family at t = 0."""
         if family == W1_MF:
-            return self.families[W1_MF].norms(self.x_period, t=t)
-        return modes_norms(self.families[family], self.x_period, t=t)
+            return self.families[W1_MF].norms(self.x_period)
+        return modes_norms(self.families[family], self.x_period)
 
     def modal(self) -> ExpModes:
         """All exponential modes of the corrector (everything but W1_MF)."""
@@ -571,7 +553,7 @@ def assemble_W1(
 
     traces = {lobe: collect_traces(ExpModes.concat(m)) for lobe, m in lobes.items()}
     bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], params)
-    bl3_mf, w1_mf, dropped = lift_mean_flow(traces[Lobe.ZERO], params)
+    bl3_mf, w1_mf = lift_mean_flow(traces[Lobe.ZERO], params)
     return CorrectorAssembly(
         params=params,
         w0=assembly,
@@ -582,12 +564,11 @@ def assemble_W1(
             W1_MF: w1_mf,
         },
         rows=rows,
-        shear_leftover=dropped,
     )
 
 
 def rowwise_family_sizes(
-    assembly: PacketAssembly, params: PhysParams, t: float = 0.0
+    assembly: PacketAssembly, params: PhysParams
 ) -> dict[str, tuple[float, float]]:
     """Per-family (L2, Linf) sizes, aggregated row by interaction row.
 
@@ -602,7 +583,7 @@ def rowwise_family_sizes(
             continue
         casm = assemble_W1(assembly, params, rows=(it.name,))
         for fam, acc in totals.items():
-            l2, linf = casm.norms(fam, t=t)
+            l2, linf = casm.norms(fam)
             acc[0] += l2
             acc[1] += linf
     return {f: (v[0], v[1]) for f, v in totals.items()}
@@ -686,18 +667,12 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     # what the interior solves of the assembled rows leave out, and the
     # residual-only c-type interactions
     for itype, _, src, modes in _solved_batches(w0, params, casm.rows):
-        ymax = None
         if modes is None:
-            if src.mu.real.min() <= 1e-12:
-                ymax = w0.x_period
             booked = {f"c_terms_{itype.name}": src}
         else:
             booked = _booked_terms(itype.kind, src, modes, params)
         for term, m in booked.items():
-            report[term] = report.get(term, 0.0) + \
-                modes_norms(m, w0.x_period, y_max=ymax)[0]
-    if casm.shear_leftover:
-        report["mf_dropped_nodes"] = casm.shear_leftover
+            report[term] = report.get(term, 0.0) + modes_norms(m, w0.x_period)[0]
 
     # mean-flow equation residual: (d_t u_MF, d_t w_MF, u_MF sg + w_MF cg)
     mf = casm.families[W1_MF]
@@ -710,17 +685,14 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     inc = w0.families[Family.INCIDENT]
     lap = (inc.mu**2 - inc.l**2) * eps**6
     diff = inc.scaled(params.nu0 * lap, params.nu0 * lap, params.kappa0 * lap)
-    report["eps6_diffusion_inc"] = modes_norms(
-        diff, w0.x_period, y_max=w0.x_period
-    )[0]
+    report["eps6_diffusion_inc"] = modes_norms(diff, w0.x_period)[0]
 
     # cross terms delta Q(W0, W1) etc., bounded by Hoelder products
     grid0 = default_grid(w0, Family.BLEPS2)
-    f0 = evaluate_packet(w0, Family.SUM, 0.0, grid0)
-    u0_inf = float(np.abs(f0.u).max())
-    w0_inf = float(np.abs(f0.w).max())
-    dx0 = packet_norms(evaluate_packet(w0, Family.SUM, 0.0, grid0, deriv="x"))[0]
-    dy0 = packet_norms(evaluate_packet(w0, Family.SUM, 0.0, grid0, deriv="y"))[0]
+    sum0 = w0.bundle(Family.SUM)
+    _, (u0_inf, w0_inf, _) = packet_norms(sum0, grid0)
+    dx0 = math.hypot(*packet_norms(sum0.d_dx(), grid0)[0])
+    dy0 = math.hypot(*packet_norms(sum0.d_dy(), grid0)[0])
 
     u1_inf = w1_inf = dx1 = dy1 = 0.0
     for fam in W1_MODAL:
@@ -742,12 +714,9 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
 
 def grad_Wapp_Linf(casm: CorrectorAssembly) -> float:
     """Max-norm of the gradient of W0 + W1 (dominated by the eps^2 layer)."""
-    w0 = casm.w0
-    grid = default_grid(w0, Family.BLEPS2)
-    worst = 0.0
-    for d in ("x", "y"):
-        f = evaluate_packet(w0, Family.SUM, 0.0, grid, deriv=d)
-        worst = max(worst, *(float(np.abs(c).max()) for c in f.components()))
+    grid = default_grid(casm.w0, Family.BLEPS2)
+    sum0 = casm.w0.bundle(Family.SUM)
+    worst = max(max(packet_norms(d, grid)[1]) for d in (sum0.d_dx(), sum0.d_dy()))
     for fam in W1_MODAL:
         m = casm.families[fam]
         for dm in (m.d_dx(), m.d_dy()):

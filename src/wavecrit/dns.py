@@ -504,8 +504,7 @@ def wapp_evaluator(w0: PacketAssembly, w1: CorrectorAssembly | None = None):
     """Callable (t, x, y) -> (u, w, b) of the approximate solution."""
 
     def ev(t, x, y):
-        f = evaluate_packet(w0, Family.SUM, t, (x, y))
-        u, w, b = f.u, f.w, f.b
+        u, w, b = evaluate_packet(w0, Family.SUM, t, (x, y))
         if w1 is not None:
             du, dw, db = evaluate_W1(w1, t, x, y)
             u, w, b = u + du, w + dw, b + db
@@ -573,12 +572,13 @@ def compare_stability(
     traj: Trajectory,
     wapp,
     params: PhysParams,
-    solver: Solver | None = None,
+    solver: Solver,
     floor: np.ndarray | None = None,
 ) -> dict:
     """Time series of ||W_app(t) - W(t)||_{L^2} against the two envelopes.
 
-    `wapp` is a (t, x, y) -> (u, w, b) evaluator; `floor` is an optional
+    `wapp` is a (t, x, y) -> (u, w, b) evaluator, measured on the grid of
+    `solver`, the solver that ran `traj`; `floor` is an optional
     per-save-time discretization-error estimate (typically the same quantity
     from a delta = 0 twin run, where the exact departure is O(eps^6 t)) that
     is subtracted before the bound comparison.
@@ -587,7 +587,6 @@ def compare_stability(
     envelopes are stated for an O(1)-normalized wave field, while the packet
     itself carries an O(1/eps) lattice-sum amplitude.
     """
-    solver = solver or Solver(traj.config)
     g = solver.grid
     eps, delta = params.eps, params.delta
     wapp0 = wapp(0.0, g.x, g.y)
@@ -623,17 +622,16 @@ def compare_stability(
 
 
 class PeriodicBox:
-    """Inviscid doubly periodic pseudo-spectral twin of the time stepper.
+    """Inviscid, linear, doubly periodic pseudo-spectral twin of the time stepper.
 
-    Shares the tendency composition (rotation + optional advection +
-    spectral projection + Heun) but with exact spectral derivatives in both
-    directions, so interior plane waves are exact eigenmodes and the only
-    error is the Heun phase slip; used as an oracle for `Solver.step`.
+    Shares the tendency composition (rotation + spectral projection + Heun)
+    but with exact spectral derivatives in both directions, so interior
+    plane waves are exact eigenmodes and the only error is the Heun phase
+    slip; used as an oracle for `Solver.step`.
     """
 
-    def __init__(self, params: PhysParams, Lx, Ly, nx, ny, delta=0.0):
+    def __init__(self, params: PhysParams, Lx, Ly, nx, ny):
         self.params = params
-        self.delta = delta
         self.Lx, self.Ly, self.nx, self.ny = Lx, Ly, nx, ny
         self.kx = 2.0 * math.pi * np.fft.fftfreq(nx, d=Lx / nx)
         self.ky = 2.0 * math.pi * np.fft.fftfreq(ny, d=Ly / ny)
@@ -647,20 +645,10 @@ class PeriodicBox:
         return (np.fft.ifft2(uh - self.KX * s).real,
                 np.fft.ifft2(wh - self.KY * s).real)
 
-    def _ddx(self, f):
-        return np.fft.ifft2(1j * self.KX * np.fft.fft2(f)).real
-
-    def _ddy(self, f):
-        return np.fft.ifft2(1j * self.KY * np.fft.fft2(f)).real
-
     def _tendency(self, u, w, b):
         sg, cg = math.sin(self.params.gamma), math.cos(self.params.gamma)
         fu, fw = sg * b, cg * b
         fb = -sg * u - cg * w
-        if self.delta != 0.0:
-            fu -= self.delta * (u * self._ddx(u) + w * self._ddy(u))
-            fw -= self.delta * (u * self._ddx(w) + w * self._ddy(w))
-            fb -= self.delta * (u * self._ddx(b) + w * self._ddy(b))
         fu, fw = self.project(fu, fw)
         return fu, fw, fb
 

@@ -15,8 +15,13 @@ scale, which splits the lift into two boundary-layer families.
 
 The minus lobe of A is the exact complex conjugate of the plus lobe, so
 only the plus lobe is assembled; physical fields are F + conj(F).  The
-discrete quadrature makes every field periodic in x (and the incident one
-in y) with period 2 pi / (eps^2 * dxi), which packet_norms exploits.
+discrete quadrature puts the lobe's wavenumbers at k0 + eps^2 xi, spaced
+dk = eps^2 * dxi.  A field is periodic in x (and the incident one in y) with
+period x_period = 2 pi / dk only when every such k is a multiple of dk: for
+an odd node count, when k0 / dk is an integer (dns.box_matched_eps snaps
+eps to that).  The energy density |F + conj(F)|^2 holds sums of two nodes'
+k, so it has period x_period only when 2 k0 / dk is an integer; only then is
+packet_norms' uniform x-rule over one x_period the periodic trapezoid rule.
 
 Every family, here and in the corrector, is one ExpModes set: modes
 (cu, cw, cb) exp(i l x - i alpha t - mu y) with the quadrature amplitude
@@ -31,11 +36,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import ExpModes, evaluate_modes, lift_critical
+from .boundary import ExpModes, evaluate_modes, lift_critical, mode_profiles, synthesize
 from .characteristic import CRITICAL_REGIMES, ModalMatrixSpec, roots_for
 from .params import CriticalCarrier, PhysParams, dispersion_omega
 
@@ -135,6 +141,8 @@ def assemble_W0(
     car = envelope.carrier
     if abs(car.gamma - params.gamma) > 1e-14:
         raise ValueError("carrier and params disagree on gamma")
+    if abs(envelope.eps - eps) > 1e-14:
+        raise ValueError("envelope and params disagree on eps")
     e2 = eps**2
     s, wts = quad.nodes_weights()
     sg, cg = math.sin(params.gamma), math.cos(params.gamma)
@@ -180,41 +188,17 @@ def assemble_W0(
     )
 
 
-@dataclass
-class PacketField:
-    """Evaluated field on a tensor grid; components include the c.c. part."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t: float
-    u: np.ndarray  # shape (len(y), len(x))
-    w: np.ndarray
-    b: np.ndarray
-    family: Family
-    warnings: list[str] = field(default_factory=list)
-
-    def components(self):
-        return self.u, self.w, self.b
-
-
 def evaluate_packet(
     assembly: PacketAssembly,
     family: Family,
     t: float,
     grid: tuple[np.ndarray, np.ndarray],
-    deriv: str | None = None,
-) -> PacketField:
-    """Sum the family's modes on the grid; the conjugate lobe is added.
-
-    deriv = 'x' or 'y' returns the analytic derivative field instead (each
-    mode multiplied by ik, resp. -mu); None returns the field itself.
-    """
-    x, y = (np.asarray(g, dtype=float) for g in grid)
-    modes = assembly.bundle(family)
-    if deriv is not None:
-        modes = {"x": modes.d_dx, "y": modes.d_dy}[deriv]()
-    u, w, b = evaluate_modes(modes, t, x, y)
-    return PacketField(x=x, y=y, t=float(t), u=u, w=w, b=b, family=family)
+):
+    """(u, w, b) of the family's modes on the tensor grid, conjugate lobe
+    included.  Derivative fields are evaluate_modes of the family's bundle
+    .d_dx() or .d_dy()."""
+    x, y = grid
+    return evaluate_modes(assembly.bundle(family), t, x, y)
 
 
 def default_grid(
@@ -222,9 +206,10 @@ def default_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid adapted to the family: one x-period, y resolving its decay scale.
 
-    x spans exactly one lattice period (periodic trapezoid is then exact for
-    the L^2 integral); y spans the slower of the decay scales present, with
-    enough points for >= 8 samples inside the thinnest layer.
+    x spans exactly one x_period (the uniform rule there is the periodic
+    trapezoid rule if 2 k0 / dk is an integer, see the module notes); y
+    spans the slower of the decay scales present, with enough points for
+    >= 8 samples inside the thinnest layer.
     """
     eps = assembly.params.eps
     period = assembly.x_period
@@ -245,29 +230,34 @@ def default_grid(
     return x, y
 
 
-def packet_norms(fld: PacketField) -> tuple[float, float]:
-    """(L2, Linf) of the field over its grid.
+def packet_norms(
+    modes: ExpModes, grid: tuple[np.ndarray, np.ndarray]
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Per-component (L2, Linf) of the mode set's field at t = 0 on the grid:
+    two (u, w, b) triples.
 
-    L2 is the trapezoid rule in y times a uniform rule in x (the x-axis is
-    one exact period of the assembly lattice, where the uniform rule is the
-    periodic trapezoid rule).  Warns if the top-of-grid values are not
-    negligible (truncated decay).
+    L2 is the trapezoid rule in y times a uniform rule in x (on default_grid
+    the x-axis is one x_period of the assembly lattice).  The components are
+    synthesized from the profile kernel one at a time.  If every mode decays
+    but a component's top row is not negligible against the field's
+    max-norm, the grid truncates the decay and a UserWarning says so.
     """
-    dx = fld.x[1] - fld.x[0]
-    dens = sum(np.abs(c) ** 2 for c in fld.components())
-    l2 = math.sqrt(float(np.trapezoid(dens.sum(axis=1) * dx, fld.y)))
-    linf = max(float(np.abs(c).max()) for c in fld.components())
-    top = max(float(np.abs(c[-1, :]).max()) for c in fld.components())
-    if fld.family not in (Family.INCIDENT, Family.SUM) and linf > 0 and top > 1e-6 * linf:
-        fld.warnings.append(
-            f"grid truncation: top-row max {top:.3g} vs field max {linf:.3g}"
+    x, y = grid
+    dx = x[1] - x[0]
+    l2, linf, top = [], [], []
+    for c in synthesize(*mode_profiles(modes, 0.0, y), x):
+        l2.append(math.sqrt(float(np.trapezoid((c * c).sum(axis=1) * dx, y))))
+        linf.append(float(np.abs(c).max()))
+        top.append(float(np.abs(c[-1]).max()))
+    if (modes.mu.real > 0).all() and max(top) > 1e-6 * max(linf):
+        warnings.warn(
+            f"grid truncation: top-row max {max(top):.3g} vs field max {max(linf):.3g}",
+            stacklevel=2,
         )
-    return l2, linf
+    return tuple(l2), tuple(linf)
 
 
-def component_anisotropy(
-    assembly: PacketAssembly, family: Family, t: float = 0.0
-) -> float:
+def component_anisotropy(assembly: PacketAssembly, family: Family) -> float:
     """||w|| / ||u|| (L2) for a boundary-layer family.
 
     The wall-normal velocity of the eps^2 layer is smaller than the
@@ -275,9 +265,5 @@ def component_anisotropy(
     """
     if family not in (Family.BLEPS2, Family.BLEPS3):
         raise ValueError("anisotropy is defined for the boundary-layer families")
-    grid = default_grid(assembly, family)
-    fld = evaluate_packet(assembly, family, t, grid)
-    dx = fld.x[1] - fld.x[0]
-    nu = math.sqrt(float(np.trapezoid((np.abs(fld.u) ** 2).sum(axis=1) * dx, fld.y)))
-    nw = math.sqrt(float(np.trapezoid((np.abs(fld.w) ** 2).sum(axis=1) * dx, fld.y)))
+    (nu, nw, _), _ = packet_norms(assembly.bundle(family), default_grid(assembly, family))
     return nw / nu

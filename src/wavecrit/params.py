@@ -47,9 +47,6 @@ class PhysParams:
     eps: float = 0.2
     delta: float = 0.0
 
-    #: buoyancy frequency; fixed, present only to document the normalization
-    N: float = 1.0
-
     def __post_init__(self):
         if not 0.0 < self.gamma < math.pi / 2:
             raise ValueError(f"gamma must lie in (0, pi/2), got {self.gamma}")
@@ -62,8 +59,6 @@ class PhysParams:
         ratio = self.nu0 / self.kappa0
         if not 0.1 <= ratio <= 10.0:
             raise ValueError(f"nu0/kappa0 = {ratio:g} outside [1/10, 10]")
-        if self.N != 1.0:
-            raise ValueError("N is fixed to 1")
 
     @property
     def nu(self) -> float:

@@ -20,6 +20,7 @@ each of its three regimes (cli._lift_spec at gamma = 0.7, eps = 0.2, k0 = 1).
 """
 
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -30,6 +31,7 @@ from wavecrit import cli, dns
 from wavecrit import corrector as C
 from wavecrit.boundary import (
     ExpModes,
+    evaluate_modes,
     lift_critical,
     lift_noncritical,
     lift_nonoscillating,
@@ -41,7 +43,6 @@ from wavecrit.packets import (
     QuadratureSpec,
     assemble_W0,
     default_grid,
-    evaluate_packet,
     packet_norms,
 )
 from wavecrit.params import PhysParams, critical_carrier
@@ -72,20 +73,19 @@ def capture(w0, casm):
     """(arrays, scalars) of the reference case."""
     x, y = field_grid(w0.x_period)
     arrays = {"x": x, "y": y}
-    for deriv, tag in ((None, "W0"), ("x", "W0_dx"), ("y", "W0_dy")):
-        fld = evaluate_packet(w0, Family.SUM, T_FIELD, (x, y), deriv=deriv)
-        for name, comp in zip("uwb", fld.components()):
+    bundle = w0.bundle(Family.SUM)
+    for modes, tag in ((bundle, "W0"), (bundle.d_dx(), "W0_dx"), (bundle.d_dy(), "W0_dy")):
+        for name, comp in zip("uwb", evaluate_modes(modes, T_FIELD, x, y)):
             arrays[f"{tag}_{name}"] = np.asarray(comp).real
     for name, comp in zip("uwb", C.evaluate_W1(casm, T_FIELD, x, y)):
         arrays[f"W1_{name}"] = np.asarray(comp).real
 
+    sizes = {f: packet_norms(w0.bundle(f), default_grid(w0, f)) for f in W0_FAMILIES}
     scalars = {
         "W1_norms": {f: list(casm.norms(f)) for f in W1_FAMILIES},
         "residual_Rapp": {k: float(v) for k, v in C.residual_Rapp(casm).items()},
         "packet_norms": {
-            f.name: list(packet_norms(evaluate_packet(
-                w0, f, 0.0, default_grid(w0, f))))
-            for f in W0_FAMILIES
+            f.name: [math.hypot(*l2), max(linf)] for f, (l2, linf) in sizes.items()
         },
     }
     return arrays, scalars

@@ -42,7 +42,6 @@ from wavecrit.packets import (
     assemble_W0,
     component_anisotropy,
     default_grid,
-    evaluate_packet,
     packet_norms,
 )
 from wavecrit.params import PhysParams, critical_carrier
@@ -225,10 +224,9 @@ def test_criterion_04_packet_sizes():
     for eps in EPS_SWEEP:
         asm, _ = make_w0(eps)
         for fam, (l2s, linfs) in rows.items():
-            grid = default_grid(asm, fam)
-            l2, linf = packet_norms(evaluate_packet(asm, fam, 0.0, grid))
-            l2s.append(l2)
-            linfs.append(linf)
+            l2, linf = packet_norms(asm.bundle(fam), default_grid(asm, fam))
+            l2s.append(math.hypot(*l2))
+            linfs.append(max(linf))
         an2.append(component_anisotropy(asm, Family.BLEPS2))
         an3.append(component_anisotropy(asm, Family.BLEPS3))
     targets = {Family.INCIDENT: (0.0, 2.0), Family.BLEPS2: (0.0, 0.0),
@@ -444,9 +442,9 @@ def test_criterion_09_stability_estimate():
         asm, w1, p, sol, st = _dns_setup(delta, 512, 768, 0.01,
                                          with_corrector=True, dy0=5e-4)
         if delta != 0.0:
-            norm0, _ = packet_norms(
-                evaluate_packet(asm, Family.SUM, 0.0,
-                                default_grid(asm, Family.BLEPS2)))
+            l2, _ = packet_norms(asm.bundle(Family.SUM),
+                                 default_grid(asm, Family.BLEPS2))
+            norm0 = math.hypot(*l2)
             c_resid = (C.residual_Rapp(w1)["total"]
                        / (norm0 * delta * EPS_DNS**2))
         traj = sol.run(st, 100, save_every=20)

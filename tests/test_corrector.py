@@ -396,7 +396,7 @@ class TestProfileNorms:
         P = casm.x_period
         m = casm.families[C.W1_BLEPS3]
         assert (m.l == 0.0).any() and np.isin(-m.l[m.l > 0], m.l).any()
-        y = C._norm_grid(m, P, 600, None)
+        y = C._norm_grid(m, P, 600)
         x = np.linspace(0.0, P, self.NX, endpoint=False)
         t = 0.3
         ey = np.exp(-np.outer(y, m.mu))
@@ -436,7 +436,7 @@ class TestPairColumns:
         m = casm.families[family]
         pair = ~np.isnan(m.parents).any(axis=1)
         assert pair.any() and (family == C.W1_BLEPS2) == pair.all()
-        y = C._norm_grid(m, casm.x_period, 600, None)
+        y = C._norm_grid(m, casm.x_period, 600)
         _, got = C.mode_profiles(m, 0.3, y)
         _, want = C.mode_profiles(dataclasses.replace(m, parents=None), 0.3, y)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -563,9 +563,9 @@ class TestLiftMeanFlow:
     def test_zero_traces_zero_mean_flow(self, w0):
         _, p = w0
         z = np.zeros(0)
-        bl, mf, dropped = C.lift_mean_flow((z, z, z.astype(complex),
-                                            z.astype(complex), z.astype(complex)), p)
-        assert len(mf) == 0 and len(bl) == 0 and dropped == 0.0
+        bl, mf = C.lift_mean_flow((z, z, z.astype(complex),
+                                   z.astype(complex), z.astype(complex)), p)
+        assert len(mf) == 0 and len(bl) == 0
 
     def test_double_lobe_node_refused(self, w0):
         """A double-lobe node is not non-oscillating; the error names it."""
@@ -607,7 +607,7 @@ class TestLiftMeanFlow:
         for eps in eps_list:
             p = PhysParams(gamma=GAMMA, eps=eps, delta=delta)
             tr = self.synthetic_traces(eps, delta, np.random.default_rng(11))
-            _, mf, _ = C.lift_mean_flow(tr, p)
+            _, mf = C.lift_mean_flow(tr, p)
             P = 2 * math.pi / (eps**2 * 0.5)
             l2, linf = mf.norms(P)
             l2s.append(l2)
@@ -620,13 +620,23 @@ class TestLiftMeanFlow:
         for eps, v in zip(eps_list, linfs):
             assert v <= Cbound * delta * eps**3 * 1.001
 
-    def test_shear_nodes_are_lifted(self, casm):
-        """Exactly-zero-l pairs get the two-mode shear lift, not a drop."""
+    def test_shear_nodes_are_lifted(self, w0, casm):
+        """Exactly-zero-l pairs get the two-mode shear lift, not a drop: their
+        summed interior w-trace is exactly zero (w = il/mu u), so the shear
+        lift, which matches u and d_y b only, leaves nothing over."""
         bl3 = casm.families[C.W1_BLEPS3]
         shear = np.abs(bl3.l) < 1e-14
         assert shear.any()
         assert np.abs(bl3.cw[shear]).max() == 0.0
-        assert C.residual_Rapp(casm).get("mf_dropped_nodes", 0.0) <= 1e-12
+        asm, p = w0
+        lobes = {lobe: [] for lobe in C.Lobe}
+        for _, lobe, _, modes in C._solved_batches(asm, p, None):
+            if modes is not None:
+                lobes[lobe].append(modes)
+        for lobe, parts in lobes.items():
+            l, _, _, tw, _ = C.collect_traces(C.ExpModes.concat(parts))
+            assert (lobe is C.Lobe.ZERO) == (l == 0.0).any()
+            assert (tw[l == 0.0] == 0.0).all()
 
 
 class TestAssembly:

@@ -29,7 +29,6 @@ from wavecrit.packets import (
     Family,
     QuadratureSpec,
     assemble_W0,
-    evaluate_packet,
     incident_polarization,
     packet_norms,
 )
@@ -243,9 +242,8 @@ class TestInit:
     def test_energy_matches_packet_norms(self, assembly, solver, initial):
         """Cross-module: grid energy vs the packet L2 on the same grid."""
         g = solver.grid
-        fld = evaluate_packet(assembly, Family.SUM, 0.0, (g.x, g.y))
-        l2, _ = packet_norms(fld)
-        assert math.sqrt(solver.energy(initial)) == pytest.approx(l2, rel=1e-3)
+        l2, _ = packet_norms(assembly.bundle(Family.SUM), (g.x, g.y))
+        assert math.sqrt(solver.energy(initial)) == pytest.approx(math.hypot(*l2), rel=1e-3)
 
     def test_overflow_warning(self, assembly):
         cfg = make_config(Lx=assembly.x_period, Ly=30.0, ny=192)
@@ -417,7 +415,9 @@ class TestLinearFidelity:
         mask = (g.y <= 3.0 / lam2)[:, None]
         num = g.integral(((ua - final.u) ** 2 + (wa - final.w) ** 2
                           + (ba - final.b) ** 2) * mask)
-        layer = evaluate_packet(assembly, Family.BLEPS2, final.t,
-                                (g.x, g.y[mask[:, 0]]))
-        den, _ = packet_norms(layer)
-        assert math.sqrt(num) / den <= 0.02
+        bl2 = assembly.bundle(Family.BLEPS2)
+        layer = bl2.scaled(np.exp(-1j * bl2.alpha * final.t))
+        # the layer is cut at 3 decay lengths on purpose
+        with pytest.warns(UserWarning, match="truncation"):
+            l2, _ = packet_norms(layer, (g.x, g.y[mask[:, 0]]))
+        assert math.sqrt(num) / math.hypot(*l2) <= 0.02

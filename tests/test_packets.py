@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wavecrit.boundary import evaluate_modes
 from wavecrit.packets import (
     Envelope,
     Family,
@@ -33,6 +34,12 @@ def make_assembly(eps, nodes=5):
 @pytest.fixture(scope="module")
 def assembly():
     return make_assembly(0.2)
+
+
+def sizes(modes, grid):
+    """(L2, Linf) of the whole field from packet_norms' per-component norms."""
+    l2, linf = packet_norms(modes, grid)
+    return math.hypot(*l2), max(linf)
 
 
 class TestEnvelope:
@@ -95,13 +102,13 @@ class TestAssembly:
         """u, w and d_y b of incident + lifts vanish at y = 0."""
         x = np.linspace(0.0, assembly.x_period, 200, endpoint=False)
         y = np.array([0.0])
-        fld = evaluate_packet(assembly, Family.SUM, 0.4, (x, y))
-        dyf = evaluate_packet(assembly, Family.SUM, 0.4, (x, y), deriv="y")
-        inc = evaluate_packet(assembly, Family.INCIDENT, 0.4, (x, y))
-        scale = max(abs(inc.u).max(), abs(inc.w).max())
-        assert abs(fld.u).max() <= 1e-10 * scale
-        assert abs(fld.w).max() <= 1e-10 * scale
-        assert abs(dyf.b).max() <= 1e-9 * scale / assembly.params.eps ** 3
+        u, w, _ = evaluate_packet(assembly, Family.SUM, 0.4, (x, y))
+        _, _, dyb = evaluate_modes(assembly.bundle(Family.SUM).d_dy(), 0.4, x, y)
+        inc_u, inc_w, _ = evaluate_packet(assembly, Family.INCIDENT, 0.4, (x, y))
+        scale = max(abs(inc_u).max(), abs(inc_w).max())
+        assert abs(u).max() <= 1e-10 * scale
+        assert abs(w).max() <= 1e-10 * scale
+        assert abs(dyb).max() <= 1e-9 * scale / assembly.params.eps ** 3
 
     def test_wide_lobe_rejected(self):
         # at eps = 0.4 a lobe around a small carrier (k0 = 0.25) reaches
@@ -112,28 +119,32 @@ class TestAssembly:
         with pytest.raises(RegimeError):
             assemble_W0(p, env, QuadratureSpec(5))
 
+    def test_envelope_eps_must_match_params(self):
+        p = PhysParams(gamma=GAMMA, eps=0.2)
+        env = Envelope(carrier=CARRIER, eps=0.3)
+        with pytest.raises(ValueError, match="eps"):
+            assemble_W0(p, env, QuadratureSpec(5))
+
     def test_quadrature_refinement(self):
         """Doubling nodes_per_lobe moves the L2 norm by < 1e-3 relative."""
         l2 = {}
         for n in (9, 17):
             asm = make_assembly(0.2, nodes=n)
             grid = default_grid(asm, Family.INCIDENT)
-            l2[n], _ = packet_norms(evaluate_packet(asm, Family.INCIDENT, 0.0, grid))
+            l2[n], _ = sizes(asm.bundle(Family.INCIDENT), grid)
         assert abs(l2[17] - l2[9]) <= 1e-3 * l2[9]
 
 
 class TestEvaluation:
     def test_fields_are_real(self, assembly):
         grid = default_grid(assembly, Family.BLEPS2)
-        fld = evaluate_packet(assembly, Family.BLEPS2, 0.3, grid)
-        for c in fld.components():
+        for c in evaluate_packet(assembly, Family.BLEPS2, 0.3, grid):
             assert abs(c.imag).max() <= 1e-10 * max(abs(c.real).max(), 1e-300)
 
     def test_x_periodicity(self, assembly):
         x = np.array([0.3, 0.3 + assembly.x_period])
         y = np.linspace(0.0, 1.0, 5)
-        fld = evaluate_packet(assembly, Family.SUM, 0.1, (x, y))
-        for c in fld.components():
+        for c in evaluate_packet(assembly, Family.SUM, 0.1, (x, y)):
             assert np.abs(c[:, 0] - c[:, 1]).max() <= 1e-9 * np.abs(c).max()
 
     def test_time_periodicity_of_single_mode(self, assembly):
@@ -144,33 +155,54 @@ class TestEvaluation:
         period = 2 * math.pi / bundle.alpha[0]
         x = np.linspace(0.0, 10.0, 7)
         y = np.linspace(0.0, 3.0, 5)
-        f0 = evaluate_packet(one, Family.INCIDENT, 0.0, (x, y))
-        f1 = evaluate_packet(one, Family.INCIDENT, period, (x, y))
-        assert np.abs(f0.u - f1.u).max() <= 1e-10 * np.abs(f0.u).max()
+        u0, _, _ = evaluate_packet(one, Family.INCIDENT, 0.0, (x, y))
+        u1, _, _ = evaluate_packet(one, Family.INCIDENT, period, (x, y))
+        assert np.abs(u0 - u1).max() <= 1e-10 * np.abs(u0).max()
 
     def test_divergence_free(self, assembly):
         grid = default_grid(assembly, Family.BLEPS2)
-        du = evaluate_packet(assembly, Family.SUM, 0.3, grid, deriv="x")
-        dw = evaluate_packet(assembly, Family.SUM, 0.3, grid, deriv="y")
-        div = du.u + dw.w
-        assert np.abs(div).max() <= 1e-8 * np.abs(du.u).max()
+        bundle = assembly.bundle(Family.SUM)
+        dxu, _, _ = evaluate_modes(bundle.d_dx(), 0.3, *grid)
+        _, dyw, _ = evaluate_modes(bundle.d_dy(), 0.3, *grid)
+        assert np.abs(dxu + dyw).max() <= 1e-8 * np.abs(dxu).max()
 
     def test_bl_decays_incident_does_not(self, assembly):
         eps = assembly.params.eps
         rate = assembly.families[Family.BLEPS2].mu.real.max()
         y = np.array([0.0, 25.0 / assembly.families[Family.BLEPS2].mu.real.min()])
         x = np.linspace(0.0, assembly.x_period, 256, endpoint=False)
-        bl = evaluate_packet(assembly, Family.BLEPS2, 0.0, (x, y))
-        inc = evaluate_packet(assembly, Family.INCIDENT, 0.0, (x, y))
-        assert abs(bl.u[1]).max() <= 1e-8 * abs(bl.u[0]).max()
-        assert abs(inc.u[1]).max() >= 0.1 * abs(inc.u[0]).max()
+        bl_u, _, _ = evaluate_packet(assembly, Family.BLEPS2, 0.0, (x, y))
+        inc_u, _, _ = evaluate_packet(assembly, Family.INCIDENT, 0.0, (x, y))
+        assert abs(bl_u[1]).max() <= 1e-8 * abs(bl_u[0]).max()
+        assert abs(inc_u[1]).max() >= 0.1 * abs(inc_u[0]).max()
 
     def test_truncation_warning(self, assembly):
         y = np.linspace(0.0, 0.2 / assembly.families[Family.BLEPS2].mu.real.min(), 32)
         x = np.linspace(0.0, assembly.x_period, 64, endpoint=False)
-        fld = evaluate_packet(assembly, Family.BLEPS2, 0.0, (x, y))
-        packet_norms(fld)
-        assert any("truncation" in w for w in fld.warnings)
+        with pytest.warns(UserWarning, match="truncation"):
+            packet_norms(assembly.bundle(Family.BLEPS2), (x, y))
+
+
+@pytest.mark.parametrize("gamma,eps,nodes", [(GAMMA, 0.2, 5), (0.7344, 0.1791, 6)])
+def test_packet_norms_match_full_grid(gamma, eps, nodes):
+    """Per-component norms of the W0 sum and of its x- and y-derivatives
+    against the whole field on the grid: L2 as the trapezoid rule in y of dx
+    times the row sums of |c|^2, Linf as max |c|."""
+    p = PhysParams(gamma=gamma, eps=eps)
+    env = Envelope(carrier=critical_carrier(gamma, 1.0), eps=eps)
+    asm = assemble_W0(p, env, QuadratureSpec(nodes))
+    x, y = grid = default_grid(asm, Family.BLEPS2)
+    dx = x[1] - x[0]
+    bundle = asm.bundle(Family.SUM)
+    for modes in (bundle, bundle.d_dx(), bundle.d_dy()):
+        field = evaluate_modes(modes, 0.0, x, y)
+        l2, linf = packet_norms(modes, grid)
+        for got, c in zip(l2, field):
+            want = math.sqrt(np.trapezoid((np.abs(c) ** 2).sum(axis=1) * dx, y))
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        total = math.sqrt(np.trapezoid(sum(np.abs(c) ** 2 for c in field).sum(axis=1) * dx, y))
+        assert math.hypot(*l2) == pytest.approx(total, rel=1e-13, abs=0.0)
+        assert linf == tuple(float(np.abs(c).max()) for c in field)
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +213,7 @@ def sweep():
         row = {}
         for fam in (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3):
             grid = default_grid(asm, fam)
-            row[fam] = packet_norms(evaluate_packet(asm, fam, 0.0, grid))
+            row[fam] = sizes(asm.bundle(fam), grid)
         row["an2"] = component_anisotropy(asm, Family.BLEPS2)
         row["an3"] = component_anisotropy(asm, Family.BLEPS3)
         out[eps] = row
@@ -221,9 +253,8 @@ class TestSizeTable:
         for eps in (0.4, 0.2):
             asm = make_assembly(eps)
             grid = default_grid(asm, Family.BLEPS2)
-            f0 = evaluate_packet(asm, Family.BLEPS2, 0.0, grid)
-            f1 = evaluate_packet(asm, Family.BLEPS2, 0.0, grid, deriv="y")
-            ratios.append(packet_norms(f1)[0] / packet_norms(f0)[0])
+            bl = asm.bundle(Family.BLEPS2)
+            ratios.append(sizes(bl.d_dy(), grid)[0] / sizes(bl, grid)[0])
         slope = (math.log(ratios[0]) - math.log(ratios[1])) / (
             math.log(0.4) - math.log(0.2)
         )

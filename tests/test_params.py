@@ -140,7 +140,7 @@ class TestPhysParams:
             dict(gamma=0.7, eps=1.0),
             dict(gamma=0.7, nu0=20.0),  # nu0/kappa0 outside [1/10, 10]
             dict(gamma=0.7, delta=-0.1),
-            dict(gamma=0.7, N=2.0),
+            dict(gamma=0.7, kappa0=0.0),
         ],
     )
     def test_validation(self, kwargs):
