@@ -55,6 +55,7 @@ from .dns import (
     DnsError,
     SimConfig,
     Solver,
+    box_matched_eps,
     compare_stability,
     energy_budget,
     init_from_Wapp,
@@ -147,6 +148,16 @@ class ExperimentConfig:
                         f"stability requires delta <= eps^2, got "
                         f"delta={d:g} at eps={e:g}"
                     )
+        if self.experiment in ("dns", "stability"):
+            # W0 is periodic in the DNS box (Lx = x_period) only on the lattice
+            eps = self.params.eps
+            matched = box_matched_eps(eps, self.k0, self.nodes_per_lobe)
+            if abs(eps - matched) > 1e-12 * matched:
+                raise ConfigError(
+                    f"{self.experiment} needs a box-matched eps (W0 has a seam "
+                    f"in the periodic box otherwise): got {eps!r}, the nearest "
+                    f"matched value is {matched!r}"
+                )
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)

@@ -31,18 +31,25 @@ Each step is a Strang sandwich -- half an implicit diffusion step, one
 explicit Heun step of rotation + advection, half a diffusion
 step -- followed by a projection, and is second order in time.
 
-Every y-operator is banded (bandwidth 4, set by the 5-point stencil), so a
-step costs O(nx ny) plus the FFTs:
+The state is carried as the rfft along x of (u, w, b).  Every y-operator is
+x-independent and banded (bandwidth 4, set by the 5-point stencil), so it
+acts on the rfft columns viewed as (real, imag) float pairs:
 
 * Dy and its transpose are stored as sparse (CSR) matrices;
 * each diffusion half step solves the banded Crank-Nicolson system
   (M + a Kq) q = (M - a Kq) f on the constrained space, with M + a Kq
-  factored once per field by a banded Cholesky;
-* the projection stacks the banded matrices of every kx with a nonzero
-  derivative wavenumber into one block-diagonal banded Cholesky factor and
-  solves all of them in one call on (real, imag) columns; kx = 0 and the
+  factored once per field by a banded Cholesky, then multiplies by the
+  exact x-damping;
+* the projection stacks the banded matrices of the kx with a nonzero
+  derivative wavenumber (a contiguous slice) into one block-diagonal banded
+  Cholesky factor and solves all of them in one call; kx = 0 and the
   Nyquist column, where the matrix is singular, use a dense eigen
-  pseudo-inverse.
+  pseudo-inverse;
+* rotation is pointwise; energy and dissipation are Parseval sums.
+
+Advection is the only physical-space stage: per Heun stage 6 irfft (u, w,
+b and their x-derivatives) and 6 rfft (two products per field); with the
+CFL check's 2 irfft a step makes 26 transforms, and none at delta = 0.
 """
 
 import math
@@ -127,8 +134,7 @@ class Grid:
         if nx % 2 == 0:
             self.kx_d[-1] = 0.0
         self.y = y
-        ny = len(y)
-        self.ny = ny
+        self.ny = ny = len(y)
         # trapezoid weights in y
         tau = np.zeros(ny)
         tau[:-1] += 0.5 * np.diff(y)
@@ -145,14 +151,33 @@ class Grid:
             shape=(ny, ny),
         )
         self.DyT = self.Dy.T.tocsr()
-
-    def ddx(self, f):
-        return np.fft.irfft(1j * self.kx_d[None, :] * np.fft.rfft(f, axis=1),
-                            n=self.nx, axis=1)
+        # Parseval weights of the rfft columns as (real, imag) pairs: kx = 0
+        # and Nyquist (kx_d = 0) count once, the others twice (conjugates)
+        self._parseval = np.repeat((2.0 - (self.kx_d == 0.0)) * self.dx / nx, 2)
 
     def integral(self, f):
         """Integral over the box of a (ny, nx) field."""
         return float(self.tau @ f.sum(axis=1)) * self.dx
+
+    def norm2(self, *fhs):
+        """Sum of the box integrals of f**2 over fields given by their rfft."""
+        return sum(float(self.tau @ (v * v) @ self._parseval)
+                   for v in map(_pairs, fhs))
+
+
+def _pairs(fh):
+    """Complex columns viewed as (real, imag) float pairs."""
+    return np.ascontiguousarray(fh).view(float)
+
+
+def _complex(a):
+    """(real, imag) float pairs viewed as complex columns."""
+    return np.ascontiguousarray(a).view(complex)
+
+
+def _ycols(A, fh):
+    """A real y-operator applied to every complex column of fh."""
+    return _complex(A @ _pairs(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +219,14 @@ class SimConfig:
 def box_matched_eps(eps: float, k0: float, nodes_per_lobe: int) -> float:
     """Nearest eps whose packet k-lattice contains the carrier k0.
 
-    The quadrature nodes sit at k0 + j * dk with dk = eps^2 * dxi; the box
-    Lx = 2 pi / dk holds the field exactly periodically iff k0 / dk is an
-    integer.  Snapping eps (a fraction of a percent) achieves that.
+    The n quadrature nodes sit at k0 + (j - (n - 1)/2) dk with dk = eps^2 *
+    dxi; the box Lx = 2 pi / dk holds the field exactly periodically iff they
+    are multiples of dk: k0 / dk an integer for odd n, an integer plus 1/2
+    for even n.  Snapping eps (a fraction of a percent) achieves that.
     """
     dxi = 2.0 / (nodes_per_lobe - 1)
-    r = round(k0 / (eps**2 * dxi))
+    half = 0.5 * (nodes_per_lobe % 2 == 0)
+    r = round(k0 / (eps**2 * dxi) - half) + half
     if r < 1:
         raise DnsError("eps too large to match the box to the carrier")
     return math.sqrt(k0 / (r * dxi))
@@ -207,15 +234,23 @@ def box_matched_eps(eps: float, k0: float, nodes_per_lobe: int) -> float:
 
 @dataclass
 class State:
-    u: np.ndarray
-    w: np.ndarray
-    b: np.ndarray
-    p: np.ndarray
+    """rfft along x (axis 1) of u, w, b and p on nx points, at time t."""
+    uh: np.ndarray
+    wh: np.ndarray
+    bh: np.ndarray
+    ph: np.ndarray
     t: float
+    nx: int
+
+    # the physical fields, transformed on each access
+    u = property(lambda self: np.fft.irfft(self.uh, n=self.nx, axis=1))
+    w = property(lambda self: np.fft.irfft(self.wh, n=self.nx, axis=1))
+    b = property(lambda self: np.fft.irfft(self.bh, n=self.nx, axis=1))
+    p = property(lambda self: np.fft.irfft(self.ph, n=self.nx, axis=1))
 
     def copy(self) -> "State":
-        return State(self.u.copy(), self.w.copy(), self.b.copy(),
-                     self.p.copy(), self.t)
+        return State(self.uh.copy(), self.wh.copy(), self.bh.copy(),
+                     self.ph.copy(), self.t, self.nx)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +294,7 @@ class Solver:
         keep = lam > 1e-10 * lam[-1]
         self._proj_zero = (V[:, keep], 1.0 / lam[keep])
         self._proj_singular = np.flatnonzero(g.kx_d == 0.0)
-        self._proj_regular = np.flatnonzero(g.kx_d != 0.0)
+        self._proj_regular = slice(1, 1 + len(g.kx) - len(self._proj_singular))
         kx = g.kx_d[self._proj_regular]
         # every other kx: one block-diagonal banded matrix, one A_k per
         # block.  Upper banded storage of a tiled band leaves the couplings
@@ -308,107 +343,105 @@ class Solver:
             # ledger) second order in dt
             a = 0.25 * config.dt * c
             self._diff[name] = (slice(1, 1 + nq), Z, (M - a * Kq).tocsr(),
-                                cholesky_banded(_upper_banded(M + a * Kq, bw)))
-        self._xdamp = {
-            name: np.exp(-0.5 * c * g.kx**2 * config.dt)
-            for name, c in self._diff_coef.items()
-        }
+                                cholesky_banded(_upper_banded(M + a * Kq, bw)),
+                                np.exp(-0.5 * c * g.kx**2 * config.dt)[None, :])
+        # weights of the projection and advection, once
+        self._ikx = 1j * g.kx_d[None, :]
+        # Dy* = T^-1 Dy^T T, the adjoint of Dy in the trapezoid inner product
+        self._dy_adj = (diags_array(1.0 / g.tau) @ g.DyT @ diags_array(g.tau)).tocsr()
+        self._tau_u = (g.tau * self.mask_u)[:, None]
+        self._tau_w = (g.tau * self.mask_w)[:, None]
+        dy = np.diff(y)
+        self._inv_dy = 1.0 / np.minimum(np.r_[dy[0], dy], np.r_[dy, dy[-1]])[:, None]
 
-    # -- spatial operators -------------------------------------------------
+    # -- spatial operators (on rfft columns) ------------------------------
 
-    def project(self, u, w):
+    def _adjoint_div(self, uh, wh):  # the projection's right-hand side
+        return -self._ikx * (self._tau_u * uh) + _ycols(self.grid.DyT, self._tau_w * wh)
+
+    def project(self, uh, wh):
         """Weighted least-squares projection onto the discrete div-free space.
 
-        Returns (u', w', phi) with u' = u - dx phi on unpinned rows and
+        Returns (u', w', phi), all rfft columns, with u' = u - dx phi and
         w' = w - Dy phi on unpinned rows; the pinned wall/lid rows are left
         untouched (they are part of the constraint space).
         """
         g = self.grid
-        uh = np.fft.rfft(u, axis=1)
-        wh = np.fft.rfft(w, axis=1)
-        rhs = (-1j * g.kx_d[None, :] * (g.tau * self.mask_u)[:, None] * uh
-               + g.DyT @ ((g.tau * self.mask_w)[:, None] * wh))
-        phih = np.empty_like(uh)
+        rhs = self._adjoint_div(uh, wh)
+        phih = np.empty_like(rhs)
         # regular kx: the columns laid end to end as one (real, imag) pair
         # of right-hand sides of the block-diagonal system
         reg = self._proj_regular
-        cols = rhs.T[reg].view(float).reshape(-1, 2)
-        sol = cho_solve_banded((self._proj_chol, False), cols,
+        sol = cho_solve_banded((self._proj_chol, False),
+                               _pairs(rhs[:, reg].T).reshape(-1, 2),
                                check_finite=False)
-        phih[:, reg] = (np.ascontiguousarray(sol).view(complex)
-                        .reshape(len(reg), g.ny).T)
+        phih[:, reg] = _complex(sol).reshape(-1, g.ny).T
         # kx = 0 and Nyquist: the pseudo-inverse, in real arithmetic
         V, inv_lam = self._proj_zero
         sing = self._proj_singular
-        cols = np.concatenate([rhs[:, sing].real, rhs[:, sing].imag], axis=1)
-        sol = V @ (inv_lam[:, None] * (V.T @ cols))
-        phih[:, sing] = sol[:, : len(sing)] + 1j * sol[:, len(sing):]
-        uh -= 1j * g.kx_d[None, :] * phih * self.mask_u[:, None]
-        wh -= (g.Dy @ phih) * self.mask_w[:, None]
-        return (np.fft.irfft(uh, n=g.nx, axis=1),
-                np.fft.irfft(wh, n=g.nx, axis=1),
-                np.fft.irfft(phih, n=g.nx, axis=1))
+        phih[:, sing] = _complex(V @ (inv_lam[:, None] * (V.T @ _pairs(rhs[:, sing]))))
+        return (uh - self._ikx * phih * self.mask_u[:, None],
+                wh - _ycols(g.Dy, phih) * self.mask_w[:, None], phih)
 
-    def div_residual(self, u, w):
+    def div_residual(self, uh, wh):
         """Relative residual of the adjoint divergence (projection target)."""
-        g = self.grid
-        uh = np.fft.rfft(u, axis=1)
-        wh = np.fft.rfft(w, axis=1)
-        r = (-1j * g.kx_d[None, :] * (g.tau * self.mask_u)[:, None] * uh
-             + g.DyT @ ((g.tau * self.mask_w)[:, None] * wh))
-        scale = (np.abs(g.kx_d[None, :] * (g.tau * self.mask_u)[:, None] * uh).max()
-                 + np.abs(g.DyT @ ((g.tau * self.mask_w)[:, None] * np.abs(wh))).max())
-        return float(np.abs(r).max() / max(scale, 1e-300))
+        scale = (np.abs(self._ikx * (self._tau_u * uh)).max()
+                 + np.abs(self.grid.DyT @ (self._tau_w * np.abs(wh))).max())
+        return float(np.abs(self._adjoint_div(uh, wh)).max() / max(scale, 1e-300))
 
-    def advect(self, u, w, f):
-        """Skew-form advection (u dx + w Dy) f; exactly energy-neutral."""
-        g = self.grid
-        fy = g.Dy @ f
-        conv = u * g.ddx(f) + w * fy
-        cons = g.ddx(u * f) - (g.DyT @ (g.tau[:, None] * (w * f))) / g.tau[:, None]
-        return 0.5 * (conv + cons)
+    def advect(self, uh, wh, bh):
+        """rfft of the skew-form advection (u dx + w Dy) f, f = u, w, b; exactly
+        energy-neutral.  The step's one physical-space stage: 6 irfft (the
+        fields, their x-derivatives) and 6 rfft (dx(u f) is i kx rfft(u f))."""
+        nx = self.grid.nx
+        fields = [np.fft.irfft(fh, n=nx, axis=1) for fh in (uh, wh, bh)]
+        u, w = fields[:2]
+        out = []
+        for f, fh in zip(fields, (uh, wh, bh)):
+            fx = np.fft.irfft(self._ikx * fh, n=nx, axis=1)
+            a = u * fx + w * (self.grid.Dy @ f) - self._dy_adj @ (w * f)
+            out.append(0.5 * (np.fft.rfft(a, axis=1)
+                              + self._ikx * np.fft.rfft(u * f, axis=1)))
+        return out
 
-    def _tendency(self, u, w, b):
+    def _noflux(self, bh):
+        """b on the no-flux constraint manifold; the projection is orthogonal
+        in tau, so the skew-advection energy identity stays exact."""
+        return bh - self._bproj_v[:, None] * (self._bproj_n @ bh)
+
+    def _tendency(self, uh, wh, bh):
         p = self.config.params
         sg, cg = math.sin(p.gamma), math.cos(p.gamma)
-        fu = sg * b
-        fw = cg * b
-        fb = -sg * u - cg * w
-        if p.delta != 0.0:
-            fu -= p.delta * self.advect(u, w, u)
-            fw -= p.delta * self.advect(u, w, w)
-            fb -= p.delta * self.advect(u, w, b)
-        fu *= self.mask_u[:, None]
-        fw *= self.mask_w[:, None]
+        adv = self.advect(uh, wh, bh) if p.delta != 0.0 else (0.0, 0.0, 0.0)
+        fu = (sg * bh - p.delta * adv[0]) * self.mask_u[:, None]
+        fw = (cg * bh - p.delta * adv[1]) * self.mask_w[:, None]
+        fb = -sg * uh - cg * wh - p.delta * adv[2]
+        del adv  # before the projection's temporaries
         fu, fw, _ = self.project(fu, fw)
-        # keep b on the no-flux constraint manifold (orthogonal in tau,
-        # so the skew-advection energy identity is preserved exactly)
-        fb -= self._bproj_v[:, None] * (self._bproj_n @ fb)
-        return fu, fw, fb
+        return fu, fw, self._noflux(fb)
 
-    def _diffuse(self, f, name):
-        rows, Z, B, chol = self._diff[name]
-        out = Z @ cho_solve_banded((chol, False), B @ f[rows],
-                                   check_finite=False)
-        fh = np.fft.rfft(out, axis=1)
-        fh *= self._xdamp[name][None, :]
-        return np.fft.irfft(fh, n=self.grid.nx, axis=1)
+    def _diffuse(self, fh, name):
+        rows, Z, B, chol, xdamp = self._diff[name]
+        q = cho_solve_banded((chol, False), B @ _pairs(fh)[rows],
+                             check_finite=False)
+        return _complex(Z @ q) * xdamp
 
     # -- time marching -----------------------------------------------------
 
     def cfl(self, state: State) -> float:
-        g = self.grid
+        """Advective CFL number of the state; 0 without advection."""
         delta = self.config.params.delta
-        dy_loc = np.minimum.reduce([
-            np.concatenate([[np.diff(g.y)[0]], np.diff(g.y)]),
-            np.concatenate([np.diff(g.y), [np.diff(g.y)[-1]]]),
-        ])
-        rate = np.abs(state.u) / g.dx + np.abs(state.w) / dy_loc[:, None]
-        return float(delta * rate.max() * self.config.dt)
+        if delta == 0.0:
+            return 0.0
+        rate = (np.abs(state.u) / self.grid.dx + np.abs(state.w) * self._inv_dy).max()
+        return float(delta * rate * self.config.dt)
 
-    def step(self, state: State) -> State:
+    def step(self, state: State) -> tuple[State, float]:
+        """One Strang step: the new state and the energy its projections
+        removed with the divergence the y-diffusion created (for the ledger)."""
         dt = self.config.dt
-        if not all(np.isfinite(f).all() for f in (state.u, state.w, state.b)):
+        g = self.grid
+        if not all(np.isfinite(f).all() for f in (state.uh, state.wh, state.bh)):
             raise DnsError(f"NaN/Inf detected at t={state.t:.4g}")
         c = self.cfl(state)
         if c > 0.5:
@@ -416,71 +449,53 @@ class Solver:
                 f"advective CFL {c:.3g} > 0.5 at t={state.t:.4g} "
                 f"(dt={dt}, max|u|={np.abs(state.u).max():.3g})"
             )
-        u = self._diffuse(state.u, "u")
-        w = self._diffuse(state.w, "w")
-        b = self._diffuse(state.b, "b")
+        u = self._diffuse(state.uh, "u")
+        w = self._diffuse(state.wh, "w")
+        b = self._diffuse(state.bh, "b")
         # re-project between diffusion and the explicit stage: the rotation
         # energy identity needs an exactly divergence-free state
-        before = self.grid.integral(u**2 + w**2)
+        before = g.norm2(u, w)
         u, w, _ = self.project(u, w)
-        loss = before - self.grid.integral(u**2 + w**2)
+        loss = before - g.norm2(u, w)
+        # Heun; each slope's half is added at once, so k1 is not kept
         k1 = self._tendency(u, w, b)
-        u1, w1, b1 = u + dt * k1[0], w + dt * k1[1], b + dt * k1[2]
-        k2 = self._tendency(u1, w1, b1)
-        u = u + 0.5 * dt * (k1[0] + k2[0])
-        w = w + 0.5 * dt * (k1[1] + k2[1])
-        b = b + 0.5 * dt * (k1[2] + k2[2])
+        stage = [f + dt * k for f, k in zip((u, w, b), k1)]
+        for f, k in zip((u, w, b), k1):
+            f += 0.5 * dt * k
+        del k1
+        for f, k in zip((u, w, b), self._tendency(*stage)):
+            f += 0.5 * dt * k
         u = self._diffuse(u, "u")
         w = self._diffuse(w, "w")
         b = self._diffuse(b, "b")
-        before = self.grid.integral(u**2 + w**2)
+        before = g.norm2(u, w)
         u, w, phi = self.project(u, w)
-        # energy removed with the divergence the y-diffusion created;
-        # recorded so the discrete energy ledger stays exact
-        self.last_proj_loss = loss + before - self.grid.integral(u**2 + w**2)
-        # reimpose the wall and lid conditions exactly
-        u[0] = 0.0
-        w[0] = 0.0
-        w[-1] = 0.0
-        return State(u, w, b, phi / dt, state.t + dt)
+        loss = loss + before - g.norm2(u, w)
+        u[0] = w[0] = w[-1] = 0.0  # the wall and lid conditions, exactly
+        return State(u, w, b, phi / dt, state.t + dt, g.nx), loss
 
     def energy(self, state: State) -> float:
-        return self.grid.integral(state.u**2 + state.w**2 + state.b**2)
+        return self.grid.norm2(state.uh, state.wh, state.bh)
 
     def dissipation(self, state: State) -> float:
         """Instantaneous eps^6 (nu0 |grad u|^2 + nu0 |grad w|^2 + k0 |grad b|^2)."""
         g = self.grid
-        out = 0.0
-        for f, name in ((state.u, "u"), (state.w, "w"), (state.b, "b")):
-            out += self._diff_coef[name] * g.integral(g.ddx(f) ** 2 + (g.Dy @ f) ** 2)
-        return out
+        return sum(self._diff_coef[name] * g.norm2(self._ikx * fh, _ycols(g.Dy, fh))
+                   for fh, name in ((state.uh, "u"), (state.wh, "w"), (state.bh, "b")))
 
     def run(self, state: State, n_steps: int, save_every: int = 0) -> "Trajectory":
-        times = [state.t]
-        energy = [self.energy(state)]
-        diss = [self.dissipation(state)]
-        proj_loss = [0.0]
-        states = [state.copy()] if save_every else []
-        save_times = [state.t] if save_every else []
+        rows = [(state.t, self.energy(state), self.dissipation(state), 0.0)]
+        saved = [state.copy()] if save_every else []
         for n in range(1, n_steps + 1):
-            state = self.step(state)
-            times.append(state.t)
-            energy.append(self.energy(state))
-            diss.append(self.dissipation(state))
-            proj_loss.append(self.last_proj_loss)
+            state, loss = self.step(state)
+            rows.append((state.t, self.energy(state), self.dissipation(state), loss))
             if save_every and (n % save_every == 0 or n == n_steps):
-                states.append(state.copy())
-                save_times.append(state.t)
+                saved.append(state.copy())
+        times, energy, diss, proj_loss = map(np.array, zip(*rows))
         return Trajectory(
-            config=self.config,
-            times=np.array(times),
-            energy=np.array(energy),
-            dissipation=np.array(diss),
-            proj_loss=np.array(proj_loss),
-            save_times=np.array(save_times),
-            states=states,
-            final=state,
-        )
+            config=self.config, times=times, energy=energy, dissipation=diss,
+            proj_loss=proj_loss, save_times=np.array([s.t for s in saved]),
+            states=saved, final=state)
 
 
 @dataclass
@@ -513,14 +528,11 @@ def wapp_evaluator(w0: PacketAssembly, w1: CorrectorAssembly | None = None):
     return ev
 
 
-def init_from_Wapp(
-    w0: PacketAssembly,
-    w1: CorrectorAssembly | None,
-    config: SimConfig,
-    solver: Solver | None = None,
-) -> State:
+def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
+                   config: SimConfig, solver: Solver) -> State:
     """Grid evaluation of W_app(0) with a final discrete projection."""
-    solver = solver or Solver(config)
+    if config != solver.config:
+        raise DnsError("the solver was built for another SimConfig")
     g = solver.grid
     u, w, b = wapp_evaluator(w0, w1)(0.0, g.x, g.y)
     peak = max(np.abs(u).max(), np.abs(w).max(), np.abs(b).max())
@@ -532,15 +544,10 @@ def init_from_Wapp(
             "the residual tail)",
             stacklevel=2,
         )
-    u[0] = 0.0
-    w[0] = 0.0
-    w[-1] = 0.0
-    u, w, phi = solver.project(u, w)
-    u[0] = 0.0
-    w[0] = 0.0
-    w[-1] = 0.0
-    b = b - solver._bproj_v[:, None] * (solver._bproj_n @ b)
-    return State(u, w, b, phi, 0.0)
+    u[0] = w[0] = w[-1] = 0.0
+    uh, wh, phih = solver.project(np.fft.rfft(u, axis=1), np.fft.rfft(w, axis=1))
+    uh[0] = wh[0] = wh[-1] = 0.0
+    return State(uh, wh, solver._noflux(np.fft.rfft(b, axis=1)), phih, 0.0, g.nx)
 
 
 def energy_budget(traj: Trajectory) -> dict:
@@ -600,8 +607,7 @@ def compare_stability(
     t = traj.save_times
     bound_thm = delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t)
     bound_alt = math.sqrt(max(delta, 0.0)) * eps**3 * np.exp(delta / eps**2 * t)
-    if floor is None:
-        floor = np.zeros_like(diffs)
+    floor = np.zeros_like(diffs) if floor is None else floor
     net = np.maximum(diffs - floor, 0.0)
     return {
         "t": t,
@@ -632,10 +638,8 @@ class PeriodicBox:
 
     def __init__(self, params: PhysParams, Lx, Ly, nx, ny):
         self.params = params
-        self.Lx, self.Ly, self.nx, self.ny = Lx, Ly, nx, ny
-        self.kx = 2.0 * math.pi * np.fft.fftfreq(nx, d=Lx / nx)
-        self.ky = 2.0 * math.pi * np.fft.fftfreq(ny, d=Ly / ny)
-        self.KX, self.KY = np.meshgrid(self.kx, self.ky)
+        self.KX, self.KY = np.meshgrid(2.0 * math.pi * np.fft.fftfreq(nx, d=Lx / nx),
+                                       2.0 * math.pi * np.fft.fftfreq(ny, d=Ly / ny))
         self.k2 = self.KX**2 + self.KY**2
         self.k2[0, 0] = 1.0
 
@@ -647,15 +651,9 @@ class PeriodicBox:
 
     def _tendency(self, u, w, b):
         sg, cg = math.sin(self.params.gamma), math.cos(self.params.gamma)
-        fu, fw = sg * b, cg * b
-        fb = -sg * u - cg * w
-        fu, fw = self.project(fu, fw)
-        return fu, fw, fb
+        return (*self.project(sg * b, cg * b), -sg * u - cg * w)
 
     def step(self, fields, dt):
-        u, w, b = fields
-        k1 = self._tendency(u, w, b)
-        k2 = self._tendency(u + dt * k1[0], w + dt * k1[1], b + dt * k1[2])
-        return (u + 0.5 * dt * (k1[0] + k2[0]),
-                w + 0.5 * dt * (k1[1] + k2[1]),
-                b + 0.5 * dt * (k1[2] + k2[2]))
+        k1 = self._tendency(*fields)
+        k2 = self._tendency(*(f + dt * k for f, k in zip(fields, k1)))
+        return tuple(f + 0.5 * dt * (a + b) for f, a, b in zip(fields, k1, k2))

@@ -18,9 +18,10 @@ only the plus lobe is assembled; physical fields are F + conj(F).  The
 discrete quadrature puts the lobe's wavenumbers at k0 + eps^2 xi, spaced
 dk = eps^2 * dxi.  A field is periodic in x (and the incident one in y) with
 period x_period = 2 pi / dk only when every such k is a multiple of dk: for
-an odd node count, when k0 / dk is an integer (dns.box_matched_eps snaps
-eps to that).  The energy density |F + conj(F)|^2 holds sums of two nodes'
-k, so it has period x_period only when 2 k0 / dk is an integer; only then is
+an odd node count, when k0 / dk is an integer, for an even one (nodes at
+half-offsets) an integer plus 1/2; dns.box_matched_eps snaps eps to that.
+The energy density |F + conj(F)|^2 holds sums of two nodes' k, so it has
+period x_period only when 2 k0 / dk is an integer; only then is
 packet_norms' uniform x-rule over one x_period the periodic trapezoid rule.
 
 Every family, here and in the corrector, is one ExpModes set: modes

@@ -111,6 +111,14 @@ class TestConfigValidation:
             ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
                              experiment=experiment, options=options)
 
+    @pytest.mark.parametrize("experiment", ["dns", "stability"])
+    def test_unmatched_eps_refused(self, experiment):
+        """W0 is periodic in the DNS box only at a box-matched eps."""
+        matched = box_matched_eps(0.3, 1.0, 9)
+        with pytest.raises(ConfigError, match=f"matched value is {matched!r}"):
+            ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.3),
+                             experiment=experiment)
+
     def test_default_dns_grid_builds(self):
         """A dns config without options gets a grid that reaches Ly."""
         p = PhysParams(gamma=0.7, eps=0.2)

@@ -29,6 +29,7 @@ from wavecrit.packets import (
     Family,
     QuadratureSpec,
     assemble_W0,
+    evaluate_packet,
     incident_polarization,
     packet_norms,
 )
@@ -70,6 +71,27 @@ def initial(assembly, solver):
         return init_from_Wapp(assembly, None, solver.config, solver)
 
 
+def _hat(*fields):
+    """rfft along x of physical fields."""
+    return tuple(np.fft.rfft(f, axis=1) for f in fields)
+
+
+def _phys(solver, *fhs):
+    """Physical fields of rfft columns on the solver's grid."""
+    return tuple(np.fft.irfft(fh, n=solver.grid.nx, axis=1) for fh in fhs)
+
+
+def _state(solver, u, w, b, p):
+    """State at t = 0 of physical fields."""
+    return State(*_hat(u, w, b, p), 0.0, solver.grid.nx)
+
+
+def _ddx(solver, f):
+    """Spectral x-derivative, the Nyquist mode zeroed as in the solver."""
+    g = solver.grid
+    return np.fft.irfft(1j * g.kx_d * np.fft.rfft(f, axis=1), n=g.nx, axis=1)
+
+
 @pytest.fixture(scope="module")
 def trajectory(solver, initial):
     """delta = 0 linear run to t = 0.5, states saved every 10 steps."""
@@ -108,6 +130,22 @@ class TestGridAndConfig:
             round(1.0 / (snapped**2 * 0.25)))
         with pytest.raises(DnsError):
             box_matched_eps(3.0, 1.0, 9)
+
+    def test_box_matched_eps_even_nodes(self):
+        """At an even node count the snapped packet is x_period-periodic.
+
+        The nodes sit at half-offsets of the lattice, so snapping k0 / dk to
+        an integer (the odd-count rule) would make W0 antiperiodic.
+        """
+        eps = box_matched_eps(0.3, 1.0, 6)
+        p = PhysParams(gamma=GAMMA, eps=eps)
+        env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=eps)
+        asm = assemble_W0(p, env, QuadratureSpec(6))
+        x, y = np.array([0.3, 1.7, 4.1]), np.array([0.0, 1.0, 5.0])
+        here = evaluate_packet(asm, Family.SUM, 0.0, (x, y))
+        there = evaluate_packet(asm, Family.SUM, 0.0, (x + asm.x_period, y))
+        for a, b in zip(here, there):
+            assert np.abs(b - a).max() <= 1e-12 * np.abs(a).max()
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +207,7 @@ class TestBandedOperators:
         g = solver.grid
         f = np.random.default_rng(5).standard_normal((g.ny, g.nx))
         want = _dense_diffusion(solver, f, name)
-        got = solver._diffuse(f, name)
+        got, = _phys(solver, solver._diffuse(*_hat(f), name))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_projection_matches_dense_per_kx_solve(self, solver, random_uw):
@@ -181,7 +219,7 @@ class TestBandedOperators:
         projected velocities, the output of an orthogonal projector, do not.
         """
         want = _dense_projection(solver, *random_uw)
-        got = solver.project(*random_uw)
+        got = _phys(solver, *solver.project(*_hat(*random_uw)))
         scale = max(np.abs(f).max() for f in random_uw)
         for name, a, b in zip(("u", "w"), got, want):
             err = np.abs(a - b).max() / scale
@@ -192,19 +230,20 @@ class TestBandedOperators:
 
 class TestProjection:
     def test_divergence_after_projection(self, solver, random_uw):
-        u1, w1, _ = solver.project(*random_uw)
+        u1, w1, _ = solver.project(*_hat(*random_uw))
         assert solver.div_residual(u1, w1) <= 1e-8
 
     def test_idempotence(self, solver, random_uw):
-        u1, w1, _ = solver.project(*random_uw)
-        u2, w2, _ = solver.project(u1, w1)
+        u1h, w1h, _ = solver.project(*_hat(*random_uw))
+        u2, w2 = _phys(solver, *solver.project(u1h, w1h)[:2])
+        u1, w1 = _phys(solver, u1h, w1h)
         scale = max(np.abs(u1).max(), np.abs(w1).max())
         assert np.abs(u2 - u1).max() <= 1e-12 * scale
         assert np.abs(w2 - w1).max() <= 1e-12 * scale
 
     def test_orthogonal_and_non_expansive(self, solver, random_uw):
         u, w = random_uw
-        u1, w1, _ = solver.project(u, w)
+        u1, w1 = _phys(solver, *solver.project(*_hat(u, w))[:2])
         g = solver.grid
         cross = g.integral(u1 * (u - u1) + w1 * (w - w1))
         assert abs(cross) <= 1e-10 * g.integral(u**2 + w**2)
@@ -213,11 +252,62 @@ class TestProjection:
     def test_advection_is_energy_neutral(self, solver, random_uw):
         rng = np.random.default_rng(11)
         g = solver.grid
-        u, w, _ = solver.project(*random_uw)
+        uh, wh, _ = solver.project(*_hat(*random_uw))
         f = rng.standard_normal((g.ny, g.nx))
-        ip = g.integral(f * solver.advect(u, w, f))
-        grad = math.sqrt(g.integral(g.ddx(f) ** 2 + (g.Dy @ f) ** 2))
+        adv, = _phys(solver, solver.advect(uh, wh, *_hat(f))[2])
+        ip = g.integral(f * adv)
+        fx = _ddx(solver, f)
+        grad = math.sqrt(g.integral(fx ** 2 + (g.Dy @ f) ** 2))
         assert abs(ip) <= 1e-10 * math.sqrt(g.integral(f**2)) * grad
+
+
+class TestSpectralState:
+    """The state is carried as rfft columns; these tests pin that design."""
+
+    def test_parseval_energy_and_dissipation(self, solver):
+        """Parseval sums against the physical-space quadrature."""
+        g = solver.grid
+        rng = np.random.default_rng(3)
+        fields = [rng.standard_normal((g.ny, g.nx)) for _ in range(4)]
+        st = _state(solver, *fields)
+        u, w, b, _ = fields
+        want = g.integral(u**2 + w**2 + b**2)
+        assert abs(solver.energy(st) - want) <= 1e-13 * want
+        p = solver.config.params
+        want = sum(c * g.integral(_ddx(solver, f) ** 2 + (g.Dy @ f) ** 2)
+                   for c, f in ((p.nu, u), (p.nu, w), (p.kappa, b)))
+        assert abs(solver.dissipation(st) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("delta,budget", [(0.0, 0), (EPS**3, 26)])
+    def test_fft_budget_per_step(self, assembly, initial, monkeypatch, delta, budget):
+        """A step transforms only for advection: none at delta = 0, <= 26 else."""
+        sol = Solver(make_config(delta=delta, Lx=assembly.x_period))
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+                     "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        sol.step(initial)
+        assert len(calls) <= budget, calls
+
+    def test_run_steps_once_per_step(self, solver, initial, monkeypatch):
+        steps = []
+        step = Solver.step
+
+        def counted(self, state):
+            steps.append(state.t)
+            return step(self, state)
+
+        monkeypatch.setattr(Solver, "step", counted)
+        traj = solver.run(initial, 3)
+        assert len(steps) == 3
+        assert len(traj.proj_loss) == 4
 
 
 class TestInit:
@@ -235,7 +325,7 @@ class TestInit:
     def test_state_invariants(self, solver, initial):
         assert np.abs(initial.u[0]).max() == 0.0
         assert np.abs(initial.w[0]).max() == 0.0
-        assert solver.div_residual(initial.u, initial.w) <= 1e-8
+        assert solver.div_residual(initial.uh, initial.wh) <= 1e-8
         wall = np.abs(solver.neumann_wall @ initial.b[: solver.grid.stencil])
         assert wall.max() <= 1e-8 * np.abs(initial.b).max()
 
@@ -248,15 +338,15 @@ class TestInit:
     def test_overflow_warning(self, assembly):
         cfg = make_config(Lx=assembly.x_period, Ly=30.0, ny=192)
         with pytest.warns(UserWarning, match="domain top"):
-            init_from_Wapp(assembly, None, cfg)
+            init_from_Wapp(assembly, None, cfg, Solver(cfg))
 
 
 class TestStep:
     def test_zero_stays_zero(self, solver):
         g = solver.grid
         z = np.zeros((g.ny, g.nx))
-        st = State(z.copy(), z.copy(), z.copy(), z.copy(), 0.0)
-        out = solver.step(st)
+        st = _state(solver, z, z, z, z)
+        out, _ = solver.step(st)
         for f in (out.u, out.w, out.b):
             assert np.abs(f).max() == 0.0
 
@@ -266,7 +356,7 @@ class TestStep:
         bad = z.copy()
         bad[5, 5] = np.nan
         with pytest.raises(DnsError, match="NaN"):
-            solver.step(State(bad, z.copy(), z.copy(), z.copy(), 0.0))
+            solver.step(_state(solver, bad, z, z, z))
 
     def test_nan_detection_in_buoyancy(self, solver):
         """A NaN in b alone is caught before the step spreads it to u and w."""
@@ -275,7 +365,7 @@ class TestStep:
         bad = z.copy()
         bad[5, 5] = np.nan
         with pytest.raises(DnsError, match="NaN"):
-            solver.step(State(z.copy(), z.copy(), bad, z.copy(), 0.0))
+            solver.step(_state(solver, z, z, bad, z))
 
     def test_cfl_abort(self):
         cfg = make_config(delta=EPS**2)
@@ -285,7 +375,7 @@ class TestStep:
         u[0] = 0.0
         z = np.zeros_like(u)
         with pytest.raises(DnsError, match="CFL"):
-            sol.step(State(u, z.copy(), z.copy(), z.copy(), 0.0))
+            sol.step(_state(sol, u, z, z, z))
 
     def test_interior_plane_wave_phase(self):
         """Inviscid periodic twin advances a modal solution by e^{-i omega dt}."""
