@@ -142,13 +142,18 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
             raise ConfigError("sweep eps values must be strictly decreasing")
         if self.experiment == "stability":
-            for e, d in self.sweep or [(self.params.eps, self.params.delta)]:
-                if d > e * e:
-                    raise ConfigError(
-                        f"stability requires delta <= eps^2, got "
-                        f"delta={d:g} at eps={e:g}"
-                    )
+            e, d = self.params.eps, self.params.delta
+            if d > e * e:
+                raise ConfigError(
+                    f"stability requires delta <= eps^2, got "
+                    f"delta={d:g} at eps={e:g}"
+                )
         if self.experiment in ("dns", "stability"):
+            if self.sweep:
+                raise ConfigError(
+                    f"{self.experiment} runs the single (eps, delta) of params "
+                    "and does not read sweep; give eps and delta instead"
+                )
             # W0 is periodic in the DNS box (Lx = x_period) only on the lattice
             eps = self.params.eps
             matched = box_matched_eps(eps, self.k0, self.nodes_per_lobe)

@@ -119,6 +119,14 @@ class TestConfigValidation:
             ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.3),
                              experiment=experiment)
 
+    @pytest.mark.parametrize("experiment", ["dns", "stability"])
+    def test_sweep_refused(self, experiment):
+        """The DNS experiments run one point; a sweep is refused, not dropped."""
+        with pytest.raises(ConfigError, match=f"{experiment} .*sweep"):
+            ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
+                             experiment=experiment,
+                             sweep=[(0.3, 0.0), (0.25, 0.0)])
+
     def test_default_dns_grid_builds(self):
         """A dns config without options gets a grid that reaches Ly."""
         p = PhysParams(gamma=0.7, eps=0.2)

@@ -10,7 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
+from wavecrit import dns
 from wavecrit.dns import (
     DnsError,
     PeriodicBox,
@@ -310,6 +312,98 @@ class TestSpectralState:
         assert len(traj.proj_loss) == 4
 
 
+class TestColumnSubset:
+    """At delta = 0 a state holds only the packet's own rfft columns."""
+
+    def test_trajectory_matches_widened_state(self, solver, initial, trajectory):
+        """The fixture's subset march against the same state on every column.
+
+        proj_loss is the difference of two norms, each rounded at ~1e-16
+        of the energy, so it is compared on that scale.
+        """
+        wide = solver.run(initial.widen(), 50, save_every=10)
+        assert not trajectory.final.full and wide.final.full
+        for name in ("energy", "dissipation"):
+            np.testing.assert_allclose(getattr(trajectory, name),
+                                       getattr(wide, name), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trajectory.proj_loss, wide.proj_loss,
+                                   rtol=0, atol=1e-12 * wide.energy[0])
+        for a, b in zip(trajectory.states, wide.states, strict=True):
+            for c in "uwbp":
+                want = getattr(b, c)
+                err = np.abs(getattr(a, c) - want).max()
+                assert err <= 1e-12 * np.abs(want).max(), (a.t, c, err)
+
+    def test_any_subset_steps_as_widened(self, solver):
+        """Columns with kx = 0 and Nyquist (pseudo-inverse) among regular
+        ones that are not contiguous: the sliced operators act as the full."""
+        g = solver.grid
+        cols = np.array([0, 3, 4, 40, g.nx // 2])
+        rng = np.random.default_rng(2)
+        f = [rng.standard_normal((g.ny, len(cols)))
+             + 1j * rng.standard_normal((g.ny, len(cols))) for _ in range(4)]
+        for fh in f:
+            fh[:, [0, -1]] = fh[:, [0, -1]].real  # real at kx = 0 and Nyquist
+        sub = State(*f, 0.0, g.nx, cols)
+        (a, la), (b, lb) = solver.step(sub), solver.step(sub.widen())
+        assert la == pytest.approx(lb, rel=1e-12, abs=1e-12 * solver.energy(sub))
+        for c in ("uh", "wh", "bh", "ph"):
+            want = getattr(b, c)
+            err = np.abs(getattr(a, c) - want[:, cols]).max()
+            assert err <= 1e-12 * np.abs(want).max(), (c, err)
+            assert not np.delete(want, cols, axis=1).any(), c
+
+    def test_advecting_solver_widens_first(self, assembly, initial):
+        """With delta != 0 a subset state steps exactly as its widened copy."""
+        sol = Solver(make_config(delta=EPS**3, Lx=assembly.x_period))
+        (a, la), (b, lb) = sol.step(initial), sol.step(initial.widen())
+        assert a.full and la == lb
+        for c in ("uh", "wh", "bh", "ph"):
+            assert np.array_equal(getattr(a, c), getattr(b, c)), c
+
+    @pytest.mark.parametrize("delta,want", [(0.0, [47, 48, 49]),
+                                            (1e-3, list(range(129)))])
+    def test_lattice_columns(self, delta, want):
+        """The benchmark's stability twin grid: 5 nodes per lobe, 256 x 384.
+
+        There k0 / dk = 48 and the end nodes carry a zero bump weight, so
+        W0 sits on columns 47-49; advection needs all 129.
+        """
+        gamma, eps = 0.7344421851525048, box_matched_eps(0.204, 1.0, 5)
+        p = PhysParams(gamma=gamma, eps=eps, delta=delta)
+        env = Envelope(carrier=critical_carrier(gamma, 1.0), eps=eps)
+        asm = assemble_W0(p, env, QuadratureSpec(5))
+        cfg = SimConfig(params=p, Lx=asm.x_period, Ly=300.0, nx=256, ny=384,
+                        dt=0.01, T=0.4, dy_max=1.0)
+        st = init_from_Wapp(asm, None, cfg, Solver(cfg))
+        assert st.cols.tolist() == want
+
+    def test_off_lattice_packet_keeps_every_column(self):
+        """An eps that is not box-matched puts W0 between the columns."""
+        eps = 0.3
+        assert box_matched_eps(eps, 1.0, 9) != eps
+        p = PhysParams(gamma=GAMMA, eps=eps)
+        env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=eps)
+        asm = assemble_W0(p, env, QuadratureSpec(9))
+        cfg = SimConfig(params=p, Lx=asm.x_period, Ly=60.0, nx=192, ny=256,
+                        dt=0.01, T=0.5, dy_max=0.6)
+        assert init_from_Wapp(asm, None, cfg, Solver(cfg)).full
+
+    def test_solves_see_only_the_held_columns(self, solver, initial, monkeypatch):
+        """Each banded solve of a delta = 0 step gets 2 float columns (real,
+        imaginary) per held rfft column: the step never goes back to full
+        width."""
+        seen = []
+
+        def counted(cb, b, **kwargs):
+            seen.append(b.size // min(len(b), solver.grid.ny))
+            return cho_solve_banded(cb, b, **kwargs)
+
+        monkeypatch.setattr(dns, "cho_solve_banded", counted)
+        solver.step(initial)
+        assert seen == [2 * len(initial.cols)] * 10
+
+
 class TestInit:
     def test_matches_packet_on_grid(self, assembly, solver, initial):
         """delta = 0 initial state is W0(0) up to the final projection."""
@@ -325,7 +419,8 @@ class TestInit:
     def test_state_invariants(self, solver, initial):
         assert np.abs(initial.u[0]).max() == 0.0
         assert np.abs(initial.w[0]).max() == 0.0
-        assert solver.div_residual(initial.uh, initial.wh) <= 1e-8
+        full = initial.widen()
+        assert solver.div_residual(full.uh, full.wh) <= 1e-8
         wall = np.abs(solver.neumann_wall @ initial.b[: solver.grid.stencil])
         assert wall.max() <= 1e-8 * np.abs(initial.b).max()
 
