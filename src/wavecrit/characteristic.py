@@ -339,6 +339,10 @@ def classify_roots(rootset: RootSet, spec: ModalMatrixSpec) -> RootSet:
                 f"|zeta|={abs(zeta):.3g} within the nu^(1/4) guard band "
                 f"(nu^(1/4)={nu**0.25:.3g}); slow-decay reflected-wave reading possible"
             )
+        if spec.omega == 0.0 and regime is not Regime.NON_CRITICAL:
+            raise ClassificationError(
+                f"omega = 0 with k = {spec.k:.6g} falls in regime "
+                f"{regime.value}, whose leading-order roots divide by omega")
         pred = _regime_predictions(spec, regime)
 
     labels = sorted(pred.keys())

@@ -52,12 +52,13 @@ b and their x-derivatives) and 6 rfft (two products per field); with the
 CFL check's 2 irfft a step makes 26 transforms, and none at delta = 0.
 
 Without advection (delta = 0) nothing couples the rfft columns, so a State
-may hold only some of them (`State.cols`; the others are zero).
-init_from_Wapp keeps just the packet's own lattice columns at delta = 0,
-and the step then acts on those alone through a view of the solver with
-its per-column data sliced: 3 of 129 columns at 256 x 384 and 5 nodes per
-lobe, where a delta = 0 step takes about 2.2 ms instead of 54 ms on one
-core.  A solver with delta != 0 widens such a state to every column.
+may hold only some of them (`State.cols`; the others are zero).  At delta = 0
+init_from_Wapp keeps the fewest columns that leave out at most 1e-20 of the
+energy, and the step acts on those alone: 3 of 129 columns at 256 x 384 and
+5 nodes per lobe, where a delta = 0 step takes about 2.2 ms instead of 54 ms
+on one core.  One builder, `Solver._hold`, makes the per-column data of every
+column set, the full one included.  A solver with delta != 0 widens such a
+state to every column.
 """
 
 import copy
@@ -130,18 +131,13 @@ def stretched_grid(Ly: float, ny: int, dy0: float, dy_max: float = math.inf):
 
 
 class Grid:
-    """Periodic x, stretched y; difference matrices and quadrature weights."""
+    """Periodic x, stretched y; difference matrices and quadrature weights
+    (the held columns' kx, kx_d and Parseval weights are set by Solver._hold)."""
 
     def __init__(self, Lx: float, nx: int, y: np.ndarray):
         self.Lx, self.nx = Lx, nx
         self.x = np.linspace(0.0, Lx, nx, endpoint=False)
         self.dx = Lx / nx
-        self.kx = 2.0 * math.pi * np.fft.rfftfreq(nx, d=self.dx)
-        # odd-derivative wavenumbers: the Nyquist mode of a real transform
-        # has no well-defined first derivative and is zeroed
-        self.kx_d = self.kx.copy()
-        if nx % 2 == 0:
-            self.kx_d[-1] = 0.0
         self.y = y
         self.ny = ny = len(y)
         # trapezoid weights in y
@@ -160,9 +156,6 @@ class Grid:
             shape=(ny, ny),
         )
         self.DyT = self.Dy.T.tocsr()
-        # Parseval weights of the rfft columns as (real, imag) pairs: kx = 0
-        # and Nyquist (kx_d = 0) count once, the others twice (conjugates)
-        self._parseval = np.repeat((2.0 - (self.kx_d == 0.0)) * self.dx / nx, 2)
 
     def integral(self, f):
         """Integral over the box of a (ny, nx) field."""
@@ -322,7 +315,6 @@ class Solver:
         # projection: A_k = kx^2 diag(tau m_u) + Dy^T diag(tau m_w) Dy
         bw = g.stencil - 1  # matrix bandwidth set by the stencil width
         K = g.DyT @ diags_array(g.tau * self.mask_w) @ g.Dy
-        du = g.tau * self.mask_u
         # at kx = 0 the matrix is singular (constants and a second solution
         # of the interior recurrence Dy v = 0 have zero discrete gradient);
         # the right-hand side is orthogonal to that null space by
@@ -331,15 +323,7 @@ class Solver:
         lam, V = eigh(K.toarray())
         keep = lam > 1e-10 * lam[-1]
         self._proj_zero = (V[:, keep], 1.0 / lam[keep])
-        self._proj_singular = np.flatnonzero(g.kx_d == 0.0)
-        self._proj_regular = slice(1, 1 + len(g.kx) - len(self._proj_singular))
-        kx = g.kx_d[self._proj_regular]
-        # every other kx: one block-diagonal banded matrix, one A_k per
-        # block.  Upper banded storage of a tiled band leaves the couplings
-        # across block edges zero, so one Cholesky factors all blocks.
-        ab = np.tile(_upper_banded(K, bw), len(kx))
-        ab[bw] += np.outer(kx * kx, du).ravel()
-        self._proj_chol = cholesky_banded(ab)
+        self._proj_band = _upper_banded(K, bw)
 
         # one-sided first-derivative stencil at the wall
         s = g.stencil
@@ -381,55 +365,69 @@ class Solver:
             # ledger) second order in dt
             a = 0.25 * config.dt * c
             self._diff[name] = (slice(1, 1 + nq), Z, (M - a * Kq).tocsr(),
-                                cholesky_banded(_upper_banded(M + a * Kq, bw)),
-                                np.exp(-0.5 * c * g.kx**2 * config.dt)[None, :])
-        # weights of the projection and advection, once
-        self._ikx = 1j * g.kx_d[None, :]
+                                cholesky_banded(_upper_banded(M + a * Kq, bw)))
         # Dy* = T^-1 Dy^T T, the adjoint of Dy in the trapezoid inner product
         self._dy_adj = (diags_array(1.0 / g.tau) @ g.DyT @ diags_array(g.tau)).tocsr()
         self._tau_u = (g.tau * self.mask_u)[:, None]
         self._tau_w = (g.tau * self.mask_w)[:, None]
         dy = np.diff(y)
         self._inv_dy = 1.0 / np.minimum(np.r_[dy[0], dy], np.r_[dy, dy[-1]])[:, None]
-        self._views = {}  # column set -> the solver on those columns
+        cols = np.arange(g.nx // 2 + 1)
+        self._hold(cols)
+        self._views = {cols.tobytes(): self}  # column set -> its solver
 
-    # -- column subsets ------------------------------------------------------
+    # -- per-column data ---------------------------------------------------
+
+    def _hold(self, cols):
+        """Build the data of the sorted rfft columns `cols` on this solver
+        and its grid: the only producer of per-column data, for every
+        column set alike.  The y-operators do not depend on the column."""
+        g = self.grid
+        g.kx = 2.0 * math.pi * np.fft.rfftfreq(g.nx, d=g.dx)[cols]
+        # odd-derivative wavenumbers: the Nyquist mode of a real transform
+        # has no well-defined first derivative and is zeroed
+        g.kx_d = np.where(2 * cols == g.nx, 0.0, g.kx)
+        # Parseval weights of the rfft columns as (real, imag) pairs: kx = 0
+        # and Nyquist (kx_d = 0) count once, the others twice (conjugates)
+        g._parseval = np.repeat((2.0 - (g.kx_d == 0.0)) * g.dx / g.nx, 2)
+        self._ikx = 1j * g.kx_d[None, :]
+        self._xdamp = {name: np.exp(-0.5 * c * g.kx**2 * self.config.dt)[None, :]
+                       for name, c in self._diff_coef.items()}
+        # kx = 0 (column 0) and Nyquist (the last column) use the
+        # pseudo-inverse, so the regular columns between them are a slice
+        self._proj_singular = np.flatnonzero(g.kx_d == 0.0)
+        start = np.count_nonzero(g.kx == 0.0)
+        self._proj_regular = slice(start, start + len(cols) - len(self._proj_singular))
+        kx = g.kx_d[self._proj_regular]
+        # one block-diagonal banded matrix, one A_k per block.  Upper banded
+        # storage of a tiled band leaves the couplings across block edges
+        # zero, so one Cholesky factors all blocks.
+        ab = np.tile(self._proj_band, len(kx))
+        ab[-1] += np.outer(kx * kx, self._tau_u[:, 0]).ravel()  # the diagonal
+        self._proj_chol = cholesky_banded(ab)
 
     def _on(self, state: State):
         """The solver acting on the state's columns, and the state.
 
         Advection couples the columns, so with delta != 0 a state holding a
         subset is widened (the columns it lacks are zero); otherwise the
-        state keeps its columns and gets a view of the solver on them.
+        state keeps its columns and gets a solver built for them.
         """
-        if state.full:
-            return self, state
         if self.config.params.delta != 0.0:
             return self, state.widen()
         key = state.cols.tobytes()
         if key not in self._views:
-            self._views[key] = self._columns(state.cols)
+            self._views[key] = view = copy.copy(self)  # shares the y-operators
+            view.grid = copy.copy(self.grid)
+            view._hold(state.cols)
         return self._views[key], state
 
-    def _columns(self, cols):
-        """Shallow copy acting on the rfft columns `cols` only: the
-        per-column data is sliced, the y-operators are shared."""
-        g = self.grid
-        view = copy.copy(self)
-        view.grid = vg = copy.copy(g)
-        vg.kx, vg.kx_d = g.kx[cols], g.kx_d[cols]
-        vg._parseval = g._parseval.reshape(-1, 2)[cols].ravel()
-        view._ikx = self._ikx[:, cols]
-        view._diff = {name: (*op[:-1], op[-1][:, cols])
-                      for name, op in self._diff.items()}
-        view._proj_singular = np.flatnonzero(vg.kx_d == 0.0)
-        view._proj_regular = np.flatnonzero(vg.kx_d != 0.0)
-        # the factor of a block-diagonal banded matrix is its blocks'
-        # factors laid end to end, so the chosen blocks need no new one
-        blocks = self._proj_chol.reshape(len(self._proj_chol), -1, g.ny)
-        reg = cols[view._proj_regular] - self._proj_regular.start
-        view._proj_chol = blocks[:, reg].reshape(len(self._proj_chol), -1)
-        return view
+    def _width(self, *fhs):
+        """Raise unless every array holds this solver's column count."""
+        n = len(self.grid.kx)
+        if any(fh.shape[1] != n for fh in fhs):
+            raise DnsError(f"arrays of {[fh.shape[1] for fh in fhs]} rfft columns "
+                           f"given to a solver holding {n}")
 
     # -- spatial operators (on rfft columns) ------------------------------
 
@@ -443,6 +441,7 @@ class Solver:
         w' = w - Dy phi on unpinned rows; the pinned wall/lid rows are left
         untouched (they are part of the constraint space).
         """
+        self._width(uh, wh)
         g = self.grid
         rhs = self._adjoint_div(uh, wh)
         phih = np.empty_like(rhs)
@@ -462,6 +461,7 @@ class Solver:
 
     def div_residual(self, uh, wh):
         """Relative residual of the adjoint divergence (projection target)."""
+        self._width(uh, wh)
         scale = (np.abs(self._ikx * (self._tau_u * uh)).max()
                  + np.abs(self.grid.DyT @ (self._tau_w * np.abs(wh))).max())
         return float(np.abs(self._adjoint_div(uh, wh)).max() / max(scale, 1e-300))
@@ -470,6 +470,7 @@ class Solver:
         """rfft of the skew-form advection (u dx + w Dy) f, f = u, w, b; exactly
         energy-neutral.  The step's one physical-space stage: 6 irfft (the
         fields, their x-derivatives) and 6 rfft (dx(u f) is i kx rfft(u f))."""
+        self._width(uh, wh, bh)
         nx = self.grid.nx
         fields = [np.fft.irfft(fh, n=nx, axis=1) for fh in (uh, wh, bh)]
         u, w = fields[:2]
@@ -498,10 +499,10 @@ class Solver:
         return fu, fw, self._noflux(fb)
 
     def _diffuse(self, fh, name):
-        rows, Z, B, chol, xdamp = self._diff[name]
+        rows, Z, B, chol = self._diff[name]
         q = cho_solve_banded((chol, False), B @ _pairs(fh)[rows],
                              check_finite=False)
-        return _complex(Z @ q) * xdamp
+        return _complex(Z @ q) * self._xdamp[name]
 
     # -- time marching -----------------------------------------------------
 
@@ -612,9 +613,8 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
                    config: SimConfig, solver: Solver) -> State:
     """Grid evaluation of W_app(0) with a final discrete projection.
 
-    At delta = 0 the state holds only the rfft columns round(|l| / dk),
-    dk = 2 pi / Lx, of W0's mode wavenumbers l, unless the other columns
-    carry more than 1e-20 of its energy.
+    At delta = 0 the state holds only the fewest rfft columns whose
+    dropped rest carries at most 1e-20 of its energy.
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
@@ -635,17 +635,14 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     fields = (uh, wh, solver._noflux(np.fft.rfft(b, axis=1)), phih)
     if config.params.delta != 0.0:
         return State(*fields, 0.0, g.nx)
-    # without advection every column evolves alone: keep the lattice columns
-    # of W0's modes, unless the others hold more than rounding energy (an
-    # off-lattice or aliased packet, or a W1 given at delta = 0)
-    l = w0.bundle(Family.SUM).l
-    cols = np.unique(np.rint(np.abs(l) * g.Lx / (2.0 * math.pi)))
-    cols = cols[cols <= g.nx // 2].astype(int)
+    # without advection every column evolves alone: drop the columns of least
+    # energy while together they hold at most 1e-20 of it (rounding, off the
+    # lattice of a box-matched packet; an off-lattice packet keeps them all)
     energy = g.tau @ sum(np.abs(f) ** 2 for f in fields[:3]) * g._parseval[::2]
-    dropped = np.ones(len(energy), dtype=bool)
-    dropped[cols] = False
-    if energy[dropped].sum() > 1e-20 * energy.sum():
-        return State(*fields, 0.0, g.nx)
+    order = np.argsort(energy)
+    n_drop = np.searchsorted(np.cumsum(energy[order]), 1e-20 * energy.sum(),
+                             side="right")
+    cols = np.sort(order[n_drop:])
     return State(*(f[:, cols] for f in fields), 0.0, g.nx, cols)
 
 

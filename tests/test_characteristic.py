@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecrit.characteristic import (
+    ClassificationError,
     ModalMatrixSpec,
     Regime,
     RootSolveError,
@@ -176,6 +177,15 @@ class TestClassification:
             spec = spec_at(eps, omega=math.sqrt(sg**2 + mult * nu13))
             rs = roots_for(spec)
             assert rs.regime is expected
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.7344])
+    def test_zero_omega_in_critical_regime_is_typed(self, gamma):
+        """At omega = 0, |zeta| = sin^2 gamma < 0.5 picks a critical regime,
+        whose predictions divide by omega."""
+        spec = ModalMatrixSpec(0.08**6, 0.08**6, 0.0, 0.0819, gamma)
+        with pytest.raises(ClassificationError,
+                           match=r"omega = 0 with k = 0\.0819 .*CriticalSmallDiff"):
+            roots_for(spec)
 
     def test_by_label_requires_classification(self):
         rs = solve_roots(char_poly(spec_at(0.2)))

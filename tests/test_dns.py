@@ -389,6 +389,34 @@ class TestColumnSubset:
                         dt=0.01, T=0.5, dy_max=0.6)
         assert init_from_Wapp(asm, None, cfg, Solver(cfg)).full
 
+    def test_held_columns_chosen_by_energy(self, assembly, initial):
+        """The delta = 0 state is the delta != 0 one on the held columns,
+        bit for bit, and the dropped columns hold at most 1e-20 of its
+        energy."""
+        p = PhysParams(gamma=GAMMA, eps=EPS, delta=EPS**3)
+        env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=EPS)
+        asm = assemble_W0(p, env, QuadratureSpec(9))
+        sol = Solver(make_config(delta=EPS**3, Lx=assembly.x_period))
+        wide = init_from_Wapp(asm, None, sol.config, sol)
+        assert wide.full and not initial.full
+        for c in ("uh", "wh", "bh", "ph"):
+            assert np.array_equal(getattr(initial, c),
+                                  getattr(wide, c)[:, initial.cols]), c
+        rest = wide.copy()
+        for fh in (rest.uh, rest.wh, rest.bh):
+            fh[:, initial.cols] = 0.0
+        assert sol.energy(rest) <= 1e-20 * sol.energy(wide)
+
+    @pytest.mark.parametrize("method,n_args", [("project", 2),
+                                               ("div_residual", 2),
+                                               ("advect", 3)])
+    def test_width_mismatch_is_typed(self, solver, initial, method, n_args):
+        """Arrays of a subset state given to the full-width solver."""
+        args = (initial.uh, initial.wh, initial.bh)[:n_args]
+        match = rf"\b{len(initial.cols)}\b.* holding {solver.grid.nx // 2 + 1}"
+        with pytest.raises(DnsError, match=match):
+            getattr(solver, method)(*args)
+
     def test_solves_see_only_the_held_columns(self, solver, initial, monkeypatch):
         """Each banded solve of a delta = 0 step gets 2 float columns (real,
         imaginary) per held rfft column: the step never goes back to full
