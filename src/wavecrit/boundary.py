@@ -19,7 +19,13 @@ degeneracy (|omega|, |k| small) the slowly-decaying mode is useless for
 lifting and the w-trace is deliberately left over: only u and d_y b are
 matched, with a_2 = 0.
 
-Traces are complex arrays (u, w, d_y b).  A lift returns its modes as an
+Traces are complex arrays (u, w, d_y b): shape (3,) for one node, (3, n)
+for a batch spec of n nodes (characteristic.ModalMatrixSpec with array
+fields).  A batch lift takes the eigenvectors of all its roots elementwise
+and solves the n equilibrated systems as one stack (one cond, one solve,
+one residual check, with the 1e14 and 1e-10 bounds per node); its modes
+come node-major and in label order within a node.  A failing check names
+the first offending node by its (l, alpha).  A lift returns its modes as an
 ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
@@ -40,8 +46,10 @@ from .characteristic import (
     CRITICAL_REGIMES,
     ModalMatrixSpec,
     Regime,
+    RootBatch,
     RootSet,
     eigenvector,
+    node_arrays,
 )
 
 #: modes whose exponent drops below exp(-700) contribute exactly zero
@@ -191,35 +199,42 @@ def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):
     return tuple(synthesize(*mode_profiles(modes, t, y), x))
 
 
-def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs after scaling each column to unit max-norm.
+def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray, l, alpha) -> np.ndarray:
+    """Solve the stack of systems mat[i] @ x[i] = rhs[i] ((n, r, r) and
+    (n, r)), each after scaling its columns to unit max-norm.
 
-    Raises IllConditionedLiftError if the equilibrated matrix still has
-    condition number above 1e14, and checks the solve residual afterwards.
-    Both run on the right-hand side scaled to unit max-norm, so that the
-    1e-10 threshold holds for subnormal and huge traces alike.
+    Raises IllConditionedLiftError, naming the first offending node by its
+    (l[i], alpha[i]), if an equilibrated matrix still has condition number
+    above 1e14, and checks each solve residual afterwards.  Both run on the
+    right-hand side scaled to unit max-norm, so that the 1e-10 threshold
+    holds for subnormal and huge traces alike; a zero right-hand side gives
+    a zero solution.
     """
-    col = np.abs(mat).max(axis=0)
+    col = np.abs(mat).max(axis=1)
     col[col == 0.0] = 1.0
-    scaled = mat / col
+    scaled = mat / col[:, None, :]
     cond = np.linalg.cond(scaled)
-    if not np.isfinite(cond) or cond > 1e14:
+    bad = ~(cond <= 1e14)  # NaN and inf included
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise IllConditionedLiftError(
-            f"lift system condition number {cond:.3g} exceeds 1e14"
-        )
-    size = float(np.abs(rhs).max())
-    if size == 0.0:
-        return np.zeros(mat.shape[1], dtype=complex)
+            f"lift system at (l={l[i]:.6g}, alpha={alpha[i]:.6g}): condition "
+            f"number {cond[i]:.3g} exceeds 1e14")
+    size = np.abs(rhs).max(axis=1)
+    unit = np.where(size == 0.0, 1.0, size)[:, None]
     # parts divided as floats: complex division by a subnormal gives inf/nan
-    rhs = rhs.real / size + 1j * (rhs.imag / size)
-    x = np.linalg.solve(scaled, rhs) / col
-    resid = np.abs(mat @ x - rhs).max()
-    scale = max(np.abs(rhs).max(), (np.abs(mat) * np.abs(x)).sum(axis=1).max())
-    if resid > 1e-10 * scale:
+    rhs = rhs.real / unit + 1j * (rhs.imag / unit)
+    x = np.linalg.solve(scaled, rhs[..., None])[..., 0] / col
+    resid = np.abs((mat @ x[..., None])[..., 0] - rhs).max(axis=1)
+    scale = np.maximum(np.abs(rhs).max(axis=1),
+                       (np.abs(mat) * np.abs(x)[:, None, :]).sum(axis=2).max(axis=1))
+    bad = resid > 1e-10 * scale
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise IllConditionedLiftError(
-            f"lift residual {resid:.3g} exceeds 1e-10 relative to {scale:.3g}"
-        )
-    return x * size
+            f"lift residual {resid[i]:.3g} at (l={l[i]:.6g}, alpha={alpha[i]:.6g}) "
+            f"exceeds 1e-10 relative to {scale[i]:.3g}")
+    return x * size[:, None]
 
 
 def limit_amplitudes_DY(
@@ -266,74 +281,78 @@ def limit_amplitudes_DY(
     )
     rhs = np.array([0.0, frak_w, 0.0], dtype=complex)
     try:
-        a = _equilibrated_solve(mat, rhs)
+        a = _equilibrated_solve(mat[None], rhs[None], [k], [w0])[0]
     except IllConditionedLiftError as exc:
         raise IllConditionedLiftError(f"singular limit system: {exc}") from exc
     return complex(a[0]), complex(a[1]), complex(a[2])
 
 
-def _lift(spec: ModalMatrixSpec, roots: RootSet, traces, labels, rows) -> ExpModes:
+def _lift(spec: ModalMatrixSpec, roots: RootSet | RootBatch, traces, labels,
+          rows) -> ExpModes:
     """Modes of the given root labels whose wall values match the traces.
 
-    traces is (u, w, d_y b) at the wall; rows picks the trace equations
-    (0: u, 1: w, 2: d_y b) that the amplitudes solve.  The modes come in
-    label order with l = k, alpha = omega, mu = lambda and coefficients
-    a (U, W, B).
+    traces is (u, w, d_y b) at the wall: shape (3,) for one node, (3, n)
+    for a batch spec of n nodes; rows picks the trace equations (0: u,
+    1: w, 2: d_y b) that the amplitudes solve.  The modes come node-major
+    and in label order within a node, with l = k, alpha = omega,
+    mu = lambda and coefficients a (U, W, B).
     """
+    _, _, w, k, _ = node_arrays(spec)
     traces = np.asarray(traces, dtype=complex)
-    if traces.shape != (3,):
-        raise ValueError(f"traces must be (u, w, d_y b), got shape {traces.shape}")
-    lams = [roots.by_label(lab) for lab in labels]
-    vecs = [eigenvector(spec, lam) for lam in lams]
-    mat = np.array([[v.U for v in vecs], [v.W for v in vecs],
-                    [-lam * v.B for lam, v in zip(lams, vecs)]], dtype=complex)
-    a = _equilibrated_solve(mat[rows], traces[rows]).tolist()
-    cu, cw, cb = (np.array([ai * getattr(v, f) for ai, v in zip(a, vecs)], dtype=complex)
-                  for f in "UWB")
-    n = len(labels)
-    return ExpModes(np.full(n, spec.k, dtype=float), np.full(n, spec.omega, dtype=float),
-                    np.array(lams, dtype=complex), cu, cw, cb)
+    want = (3, len(k)) if spec.is_batch else (3,)
+    if traces.shape != want:
+        raise ValueError(f"traces must be (u, w, d_y b) of shape {want}, got {traces.shape}")
+    lams = np.stack([np.atleast_1d(roots.by_label(lab)) for lab in labels], axis=1)
+    vec = eigenvector(spec, lams)
+    mat = np.stack([vec.U, vec.W, -lams * vec.B], axis=1)
+    a = _equilibrated_solve(mat[:, rows], traces.reshape(3, -1).T[:, rows], k, w)
+    m = len(labels)
+    return ExpModes(np.repeat(k, m), np.repeat(w, m), lams.ravel(),
+                    *((a * f).ravel() for f in (vec.U, vec.W, vec.B)))
 
 
-def lift_critical(spec: ModalMatrixSpec, roots: RootSet, traces) -> ExpModes:
+def _require(roots: RootSet | RootBatch, allowed, lift: str):
+    """ValueError unless every node's regime is one of the allowed ones."""
+    regimes = roots.regimes if isinstance(roots, RootBatch) else [roots.regime]
+    stray = [r for r in regimes if r not in allowed]
+    if stray:
+        raise ValueError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}, "
+                         f"got {stray[0]}")
+
+
+def lift_critical(spec: ModalMatrixSpec, roots, traces) -> ExpModes:
     """Lift all three traces by the decaying modes lambda_2, lambda_3, lambda_5.
 
-    Since U = 1, the cu of the returned modes are the amplitudes (a2, a3, a5).
+    Since U = 1, the cu of the returned modes are the amplitudes (a2, a3, a5)
+    of each node in turn.
     """
-    if roots.regime not in CRITICAL_REGIMES:
-        raise ValueError(f"lift_critical needs a critical regime, got {roots.regime}")
+    _require(roots, CRITICAL_REGIMES, "lift_critical")
     return _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
 
 
-def lift_noncritical(
-    spec: ModalMatrixSpec, roots: RootSet, traces
-) -> tuple[ExpModes, ExpModes]:
+def lift_noncritical(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, ExpModes]:
     """Split lift away from criticality: reflected wave + thin boundary layer.
 
     The lambda_2 mode is the O(1)-rate reflected/evanescent wave; lambda_3
     and lambda_5 are genuine boundary layers.  Their traces sum to the input.
+    For a batch, the reflected modes and the layer modes each come node-major.
     """
-    if roots.regime is not Regime.NON_CRITICAL:
-        raise ValueError(
-            f"lift_noncritical needs the non-critical regime, got {roots.regime}"
-        )
+    _require(roots, (Regime.NON_CRITICAL,), "lift_noncritical")
     modes = _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
-    return modes[:1], modes[1:]
+    reflected = np.arange(len(modes)) % 3 == 0
+    return modes[reflected], modes[~reflected]
 
 
-def lift_nonoscillating(
-    spec: ModalMatrixSpec, roots: RootSet, traces
-) -> tuple[ExpModes, complex]:
+def lift_nonoscillating(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, complex]:
     """Degenerate lift for |omega|, |k| small: match u and d_y b only.
 
     The slowly-decaying label-2 mode is discarded (a_2 = 0) and the 2x2
     system for (a_3, a_5) matches the u- and d_y b-traces.  The w-trace is
-    not matched; the leftover sum_j (ik/l_j) a_j - frak_w is returned so the
-    caller can hand it to a large-scale corrector.
+    not matched; the leftover sum_j (ik/l_j) a_j - frak_w is returned (one
+    per node for a batch) so the caller can hand it to a large-scale
+    corrector.
     """
-    if roots.regime is not Regime.NON_OSCILLATING:
-        raise ValueError(
-            f"lift_nonoscillating needs the non-oscillating regime, got {roots.regime}"
-        )
+    _require(roots, (Regime.NON_OSCILLATING,), "lift_nonoscillating")
     modes = _lift(spec, roots, traces, (3, 5), [0, 2])
-    return modes, complex(modes.cw.sum() - traces[1])
+    leftover = modes.cw.reshape(-1, 2).sum(axis=1) - np.reshape(traces[1], -1)
+    return modes, leftover if spec.is_batch else complex(leftover[0])

@@ -14,24 +14,55 @@ into interior/reflected rates of size O(1) and boundary-layer rates of size
 nu^{-1/3} ... nu^{-1/2} depending on the criticality parameter
 zeta = w^2 - sin^2 g.  Exactly three roots have positive real part, so three
 boundary conditions can always be lifted by decaying modes.
+
+Batched path.  A ModalMatrixSpec whose fields are 1-D arrays (broadcast
+against each other) is a batch of nodes, and roots_for returns a RootBatch
+for it.  The six roots of every node come from one stacked companion
+eigvals call ((n, 6, 6), laid out as np.roots lays it out) and 8 damped
+Newton steps of an array Horner over the (n, 7) coefficients.  The regime
+cut is a set of array masks, each regime's leading-order predictions are
+array formulas (the distinguished cubic is a stacked 3x3 eigvals), and the
+labels minimize the summed relative distance to the predictions over all
+720 permutations at once.  eigenvector works elementwise.  Every check
+runs over the whole batch and raises a typed error naming the first node
+that fails it.  The one-node functions (solve_roots, classify_roots,
+roots_for and eigenvector on a scalar spec) are one-node calls of the same
+code.
+
+omega = 0.  There the polynomial is real in mu = -i lambda, so its roots
+come in mirror pairs lambda, -conj(lambda), and none lies on the imaginary
+axis for k != 0 (a real-wavevector steady mode would have to be neutral,
+and viscosity damps it).  So exactly one root of each pair decays.  The two
+small roots are a near-double pair at -ik cot(g) split by
+nu k^3 / sin^4 g, below what Newton resolves, so which of them the
+eigensolver puts at Re > 0 was left to rounding.  Wherever the coefficients
+are exactly real in mu (c0 != 0), each root is paired with its nearest
+mirror and the pair is symmetrized to (lambda, -conj(lambda)): the count
+of roots with Re > 0 is then three by construction.  A tiny omega != 0
+leaves the pair as unresolved without that symmetry; there any count other
+than three (k != 0) raises RootSolveError instead of returning it.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .params import criticality_zeta
+_FIELDS = ("nu", "kappa", "omega", "k", "gamma")
 
 
 @dataclass(frozen=True)
 class ModalMatrixSpec:
-    """Parameters entering the modal matrix A_{nu,kappa,omega,k}(lambda)."""
+    """Parameters entering the modal matrix A_{nu,kappa,omega,k}(lambda).
+
+    Scalar fields describe one node.  Array fields (1-D, broadcast against
+    each other and against the scalar ones) describe a batch of nodes.
+    """
 
     nu: float
     kappa: float
@@ -40,12 +71,28 @@ class ModalMatrixSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.nu < 0 or self.kappa < 0:
+        if np.any(np.asarray(self.nu) < 0) or np.any(np.asarray(self.kappa) < 0):
             raise ValueError("nu and kappa must be nonnegative")
 
     @property
-    def zeta(self) -> float:
-        return criticality_zeta(self.omega, self.gamma)
+    def is_batch(self) -> bool:
+        return any(np.ndim(getattr(self, f)) for f in _FIELDS)
+
+
+def node_arrays(spec: ModalMatrixSpec, ndim: int = 1):
+    """(nu, kappa, omega, k, gamma) as float arrays with one entry per node
+    (one for a scalar spec), shaped (n, 1, ...) with ndim axes in all."""
+    arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(getattr(spec, f), dtype=float))
+                                 for f in _FIELDS))
+    if arrs[0].ndim != 1:
+        raise ValueError("a batch of nodes must be one-dimensional")
+    return [a.reshape((-1,) + (1,) * (ndim - 1)) for a in arrs]
+
+
+def _node_name(spec: ModalMatrixSpec):
+    """i -> the (omega, k) of node i, for error messages."""
+    _, _, w, k, _ = node_arrays(spec)
+    return lambda i: f"node (omega={w[i]:.6g}, k={k[i]:.6g})"
 
 
 def build_matrix(spec: ModalMatrixSpec, lam: complex) -> np.ndarray:
@@ -65,6 +112,19 @@ def build_matrix(spec: ModalMatrixSpec, lam: complex) -> np.ndarray:
     )
 
 
+def _horner(c: np.ndarray, lam: np.ndarray):
+    """(p, p') of the polynomials c (n, 7), lowest degree first, at the
+    points lam (n, m)."""
+    cols = c.T[:, :, None]
+    p = np.zeros_like(lam)
+    dp = np.zeros_like(lam)
+    for j in range(6, -1, -1):
+        p = p * lam + cols[j]
+        if j:
+            dp = dp * lam + j * cols[j]
+    return p, dp
+
+
 @dataclass(frozen=True)
 class CharPoly:
     """Coefficients c[0..6] of det A(lambda) = sum_j c[j] lambda^j."""
@@ -75,38 +135,40 @@ class CharPoly:
         if len(self.coeffs) != 7:
             raise ValueError("expected 7 coefficients c0..c6")
 
+    def _at(self, lam: complex):
+        return _horner(np.array([self.coeffs], dtype=complex), np.array([[lam]], dtype=complex))
+
     def __call__(self, lam: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
+        return complex(self._at(lam)[0][0, 0])
 
     def derivative(self, lam: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for j in range(6, 0, -1):
-            acc = acc * lam + j * self.coeffs[j]
-        return acc
+        return complex(self._at(lam)[1][0, 0])
 
 
-def char_poly(spec: ModalMatrixSpec) -> CharPoly:
-    """The degree-6 determinant polynomial, grouped around zeta.
+def _coeffs(spec: ModalMatrixSpec) -> np.ndarray:
+    """(n, 7) coefficients of every node's determinant polynomial, grouped
+    around zeta:
 
     det A = -nu kap l^6 + (-iw(kap+nu) + 3 nu kap k^2) l^4
             + (zeta + 2iw(kap+nu)k^2 - 3 nu kap k^4) l^2
             - 2ik sin g cos g l
             + k^2 (cos^2 g - w^2 - iw(kap+nu)k^2 + nu kap k^4)
     """
-    nu, kap, w, k, g = spec.nu, spec.kappa, spec.omega, spec.k, spec.gamma
-    sg, cg = math.sin(g), math.cos(g)
-    zeta = spec.zeta
-    c6 = -nu * kap
-    c5 = 0.0
-    c4 = -1j * w * (kap + nu) + 3.0 * nu * kap * k**2
-    c3 = 0.0
-    c2 = zeta + 2j * w * (kap + nu) * k**2 - 3.0 * nu * kap * k**4
-    c1 = -2j * k * sg * cg
-    c0 = k**2 * (cg**2 - w**2 - 1j * w * (kap + nu) * k**2 + nu * kap * k**4)
-    return CharPoly((c0, c1, c2, c3, c4, c5, c6))
+    nu, kap, w, k, g = node_arrays(spec)
+    sg, cg = np.sin(g), np.cos(g)
+    zeta = w * w - sg**2
+    c = np.zeros((len(w), 7), dtype=complex)
+    c[:, 6] = -nu * kap
+    c[:, 4] = -1j * w * (kap + nu) + 3.0 * nu * kap * k**2
+    c[:, 2] = zeta + 2j * w * (kap + nu) * k**2 - 3.0 * nu * kap * k**4
+    c[:, 1] = -2j * k * sg * cg
+    c[:, 0] = k**2 * (cg**2 - w**2 - 1j * w * (kap + nu) * k**2 + nu * kap * k**4)
+    return c
+
+
+def char_poly(spec: ModalMatrixSpec) -> CharPoly:
+    """The degree-6 determinant polynomial of one node."""
+    return CharPoly(tuple(complex(c) for c in _coeffs(spec)[0]))
 
 
 class Regime(enum.Enum):
@@ -123,6 +185,10 @@ CRITICAL_REGIMES = (
     Regime.CRITICAL_DY,
     Regime.CRITICAL_LARGE_DIFF,
 )
+
+#: regime codes of the batched classification: index into this tuple
+_REGIMES = tuple(Regime)
+_NC, _SMALL, _DY, _LARGE, _NONOSC = range(5)
 
 
 @dataclass
@@ -150,6 +216,31 @@ class RootSet:
         return complex(self.roots[self.labels.index(label)])
 
 
+@dataclass
+class RootBatch:
+    """Classified roots of a batch of nodes: roots (n, 6), their
+    coefficients (n, 7), labels (n, 6), one regime and one warning list per
+    node.  Indexing gives node i's RootSet."""
+
+    roots: np.ndarray
+    coeffs: np.ndarray
+    labels: np.ndarray
+    regimes: list[Regime]
+    warnings: list[list[str]]
+
+    def __len__(self):
+        return len(self.roots)
+
+    def __getitem__(self, i: int) -> RootSet:
+        return RootSet(roots=self.roots[i], poly=CharPoly(tuple(self.coeffs[i])),
+                       labels=tuple(int(j) for j in self.labels[i]),
+                       regime=self.regimes[i], warnings=self.warnings[i])
+
+    def by_label(self, label: int) -> np.ndarray:
+        """The root of every node that carries the label, shape (n,)."""
+        return self.roots[self.labels == label]
+
+
 class RootSolveError(RuntimeError):
     pass
 
@@ -158,148 +249,194 @@ class RootSolveError(RuntimeError):
 _NEWTON_STEPS = 8
 
 
-def solve_roots(poly: CharPoly) -> RootSet:
-    """All six roots via a pre-scaled companion eigen-solve + Newton polish.
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first node (first axis) with a True entry, or None."""
+    hits = np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim))))
+    return int(hits[0]) if len(hits) else None
+
+
+def _mirror_pairs(c: np.ndarray, roots: np.ndarray, name) -> np.ndarray:
+    """Symmetrize the roots of every polynomial that is real in mu = -i lambda
+    (omega = 0) into exact mirror pairs (lambda, -conj(lambda)).
+
+    Each root is paired with the root nearest its mirror; the pairing must
+    be mutual, and a pair whose real parts agree exactly (which one decays
+    is then undecided) raises RootSolveError.  Polynomials with c0 = 0 have
+    lambda = 0 as a root, which is its own mirror, and are left alone.
+    """
+    real_mu = ((c[:, 0::2].imag == 0).all(axis=1) & (c[:, 1::2].real == 0).all(axis=1)
+               & (c[:, 0] != 0))
+    if not real_mu.any():
+        return roots
+    r = roots[real_mu]
+    dist = np.abs(r[:, :, None] + r[:, None, :].conj())
+    dist[:, range(6), range(6)] = np.inf
+    mate = dist.argmin(axis=2)
+    half = 0.5 * (r - np.take_along_axis(r, mate, axis=1).conj())
+    bad = (np.take_along_axis(mate, mate, axis=1) != np.arange(6)) | (half.real == 0)
+    i = _first(bad)
+    if i is not None:
+        raise RootSolveError(
+            f"roots of {name(int(np.flatnonzero(real_mu)[i]))} do not split into "
+            f"mirror pairs lambda, -conj(lambda) with Re != 0: {r[i]}")
+    out = roots.copy()
+    out[real_mu] = half
+    return out
+
+
+def _polished_roots(c: np.ndarray, name) -> np.ndarray:
+    """Roots (n, 6) of the polynomials c (n, 7): a pre-scaled stacked
+    companion eigen-solve, then Newton polish.  name(i) names node i in a
+    RootSolveError.
 
     Coefficients span ~12 orders of magnitude in the boundary-layer regimes,
     so the variable is rescaled by s = |c0/c6|^{1/6} first, which balances
     the extreme coefficients before the companion matrix is formed.
     """
-    c = np.asarray(poly.coeffs, dtype=complex)
-    if c[6] == 0:
-        raise RootSolveError("leading coefficient c6 vanishes (need nu, kappa > 0)")
-    if c[0] != 0:
-        s = abs(c[0] / c[6]) ** (1.0 / 6.0)
-    else:
-        s = max(abs(c[1:] / c[6]).max() ** (1.0 / 6.0), 1.0)
-    scaled = np.array([c[j] * s**j for j in range(7)]) / (c[6] * s**6)
-    mu = np.roots(scaled[::-1])  # np.roots wants highest degree first
-    roots = mu * s
+    i = _first(c[:, 6] == 0)
+    if i is not None:
+        raise RootSolveError(
+            f"leading coefficient c6 vanishes at {name(i)} (need nu, kappa > 0)")
+    s = np.where(c[:, 0] != 0, np.abs(c[:, 0] / c[:, 6]) ** (1.0 / 6.0),
+                 np.maximum(np.abs(c[:, 1:] / c[:, 6:]).max(axis=1) ** (1.0 / 6.0), 1.0))
+    scaled = c * s[:, None] ** np.arange(7) / (c[:, 6] * s**6)[:, None]
+    # np.roots' companion matrix: first row -p[1:]/p[0], ones below the diagonal
+    comp = np.zeros((len(c), 6, 6), dtype=complex)
+    comp[:, 0] = -scaled[:, 5::-1] / scaled[:, 6:]
+    comp[:, range(1, 6), range(5)] = 1.0
+    roots = np.linalg.eigvals(comp) * s[:, None]
 
     for _ in range(_NEWTON_STEPS):
-        p = np.array([poly(r) for r in roots])
-        dp = np.array([poly.derivative(r) for r in roots])
+        p, dp = _horner(c, roots)
         step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
         # damp absurd steps (near-multiple roots); plain Newton otherwise
         big = np.abs(step) > 0.5 * np.maximum(np.abs(roots), 1.0)
         step[big] *= 0.5
         roots = roots - step
 
-    scale = max(abs(ci) for ci in poly.coeffs)
-    bad = [
-        r
-        for r in roots
-        if abs(poly(r)) > 1e-10 * scale * max(1.0, abs(r)) ** 6
-    ]
-    if bad:
+    roots = _mirror_pairs(c, roots, name)
+    scale = np.abs(c).max(axis=1, keepdims=True)
+    p, _ = _horner(c, roots)
+    bad = np.abs(p) > 1e-10 * scale * np.maximum(1.0, np.abs(roots)) ** 6
+    i = _first(bad)
+    if i is not None:
         raise RootSolveError(
-            f"root polish failed to meet residual bound for {bad}; coeffs={poly.coeffs}"
-        )
-    return RootSet(roots=np.asarray(roots), poly=poly)
+            f"root polish failed to meet the residual bound at {name(i)} for "
+            f"{roots[i][bad[i]]}; coeffs={tuple(c[i])}")
+    # with k != 0 (c0 != 0) no root lies on the imaginary axis, and exactly
+    # three decay; any other count is a near-double pair split below what
+    # Newton resolves (tiny omega != 0), not an answer
+    count = (roots.real > 0).sum(axis=1)
+    i = _first((count != 3) & (c[:, 0] != 0))
+    if i is not None:
+        raise RootSolveError(
+            f"{count[i]} roots with Re > 0 at {name(i)}, not 3: a near-double "
+            f"root pair is not resolved; roots {roots[i]}")
+    return roots
+
+
+def solve_roots(poly: CharPoly) -> RootSet:
+    """All six roots of one polynomial (the one-node case of the batch)."""
+    c = np.array([poly.coeffs], dtype=complex)
+    return RootSet(roots=_polished_roots(c, lambda i: f"coeffs={tuple(c[i])}")[0], poly=poly)
 
 
 class ClassificationError(RuntimeError):
     pass
 
 
-def _quad_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+def _quad_roots(a, b, c):
     """Stable quadratic formula (avoids cancellation in the small root)."""
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    if (b.conjugate() * disc).real < 0:
-        disc = -disc
+    disc = np.sqrt(b * b - 4.0 * a * c)
+    disc = np.where((b.conjugate() * disc).real < 0, -disc, disc)
     q = -0.5 * (b + disc)
-    r1 = q / a
-    r2 = c / q if q != 0 else 0.0j
-    return r1, r2
+    nonzero = q != 0
+    return q / a, np.where(nonzero, c / np.where(nonzero, q, 1.0), 0.0)
 
 
-def _regime_predictions(spec: ModalMatrixSpec, regime: Regime) -> dict[int, complex]:
-    """Leading-order root predictions per asymptotic label for one regime."""
-    nu, kap, w, k, g = spec.nu, spec.kappa, spec.omega, spec.k, spec.gamma
-    sg, cg = math.sin(g), math.cos(g)
-    zeta = spec.zeta
-    pred: dict[int, complex] = {}
+def _cubic_labels(cub):
+    """(lambda2, lambda3, lambda4) from the three cubic roots (n, 3): label 4
+    has the smallest real part, and of the other two label 2 has the larger
+    imaginary part."""
+    cub = np.take_along_axis(cub, np.argsort(cub.real, axis=1, kind="stable"), axis=1)
+    a, b = cub[:, 1], cub[:, 2]
+    swap = a.imag < b.imag
+    return np.where(swap, b, a), np.where(swap, a, b), cub[:, 0]
 
-    def pos_first(a: complex, b: complex) -> tuple[complex, complex]:
-        return (a, b) if a.real >= b.real else (b, a)
 
-    # lambda5/6 ~ +/- sqrt(-iw(kap+nu)/(nu kap)) in every oscillating regime
-    lam5 = cmath.sqrt(-1j * w * (kap + nu) / (nu * kap))
-    if lam5.real < 0:
-        lam5 = -lam5
+_THIRDS = np.array([cmath.exp(2j * math.pi * j / 3.0) for j in range(3)])
+_EIGHTH = cmath.exp(1j * math.pi / 4)
 
-    if regime is Regime.NON_CRITICAL:
+
+def _predictions(spec: ModalMatrixSpec, code: np.ndarray) -> np.ndarray:
+    """Leading-order root predictions (n, 6), one column per label 1..6,
+    for the nodes' regime codes (indices into tuple(Regime))."""
+    nu, kap, w, k, g = node_arrays(spec)
+    sg, cg = np.sin(g), np.cos(g)
+    zeta = w * w - sg**2
+    pred = np.empty((len(code), 6), dtype=complex)
+
+    nc = code == _NC
+    if nc.any():
+        s_nu, s_kap, s_w, s_k, s_sg, s_cg, s_z = (
+            a[nc] for a in (nu, kap, w, k, sg, cg, zeta))
         # O(1) pair: zeta l^2 - 2ik sg cg l + k^2 (cos^2 g - w^2) = 0
-        ra, rb = _quad_roots(zeta, -2j * k * sg * cg, k**2 * (cg**2 - w**2))
-        lam2, lam1 = pos_first(ra, rb)
-        pred[1], pred[2] = lam1, lam2
+        ra, rb = _quad_roots(s_z, -2j * s_k * s_sg * s_cg, s_k**2 * (s_cg**2 - s_w**2))
+        first = ra.real >= rb.real
         # O(nu^{-1/2}) quartet: -nu kap l^4 - iw(kap+nu) l^2 + zeta = 0
-        x1, x2 = _quad_roots(-nu * kap, -1j * w * (kap + nu), zeta)
-        xs = sorted((x1, x2), key=abs)  # smaller |l^2| branch -> labels 3/4
-        l3 = cmath.sqrt(xs[0])
-        l5 = cmath.sqrt(xs[1])
-        if l3.real < 0:
-            l3 = -l3
-        if l5.real < 0:
-            l5 = -l5
-        pred[3], pred[4] = l3, -l3
-        pred[5], pred[6] = l5, -l5
-        return pred
+        x1, x2 = _quad_roots(-s_nu * s_kap, -1j * s_w * (s_kap + s_nu), s_z)
+        # smaller |l^2| branch -> labels 3/4; np.sqrt's branch has Re >= 0
+        swap = np.abs(x2) < np.abs(x1)
+        l3 = np.sqrt(np.where(swap, x2, x1))
+        l5 = np.sqrt(np.where(swap, x1, x2))
+        pred[nc] = np.stack([np.where(first, rb, ra), np.where(first, ra, rb),
+                             l3, -l3, l5, -l5], axis=1)
 
-    # common to all critical regimes: the O(1) root
-    pred[1] = -1j * k * (cg**2 - w**2) / (2.0 * sg * cg)
-    pred[5], pred[6] = lam5, -lam5
+    crit = (code == _SMALL) | (code == _DY) | (code == _LARGE)
+    # common to all critical regimes: the O(1) root and
+    # lambda5/6 ~ +/- sqrt(-iw(kap+nu)/(nu kap))
+    lam5 = np.sqrt(-1j * w[crit] * (kap[crit] + nu[crit]) / (nu[crit] * kap[crit]))
+    pred[crit, 0] = -1j * k[crit] * (cg[crit]**2 - w[crit]**2) / (2.0 * sg[crit] * cg[crit])
+    pred[crit, 4], pred[crit, 5] = lam5, -lam5
 
-    if regime is Regime.CRITICAL_SMALL_DIFF:
-        pred[2] = 2j * k * sg * cg / zeta
-        l3 = cmath.sqrt(zeta / (1j * w * (kap + nu)))
-        if l3.real < 0:
-            l3 = -l3
-        pred[3], pred[4] = l3, -l3
-    elif regime is Regime.CRITICAL_DY:
-        # cubic -iw(kap+nu) l^3 + zeta l - 2ik sg cg = 0
-        cub = np.roots([-1j * w * (kap + nu), 0.0, zeta, -2j * k * sg * cg])
-        cub = sorted(cub, key=lambda z: z.real)
-        pred[4] = cub[0]  # the one with negative real part
-        a, b = cub[1], cub[2]
-        if a.imag < b.imag:
-            a, b = b, a
-        pred[2], pred[3] = a, b  # deterministic: label 2 = larger Im
-    elif regime is Regime.CRITICAL_LARGE_DIFF:
-        # zeta -> 0 limit of the distinguished cubic: -iw(kap+nu) l^3 = 2ik sg cg
-        cube = -2.0 * k * sg * cg / (w * (kap + nu))
-        base = cube ** (1.0 / 3.0) if cube >= 0 else -((-cube) ** (1.0 / 3.0))
-        thirds = [base * cmath.exp(2j * math.pi * j / 3.0) for j in range(3)]
-        thirds = sorted(thirds, key=lambda z: z.real)
-        pred[4] = thirds[0]
-        a, b = thirds[1], thirds[2]
-        if a.imag < b.imag:
-            a, b = b, a
-        pred[2], pred[3] = a, b
-    else:
-        raise ValueError(regime)
-    return pred
+    sd = code == _SMALL
+    pred[sd, 1] = 2j * k[sd] * sg[sd] * cg[sd] / zeta[sd]
+    l3 = np.sqrt(zeta[sd] / (1j * w[sd] * (kap[sd] + nu[sd])))
+    pred[sd, 2], pred[sd, 3] = l3, -l3
 
+    dy = code == _DY
+    if dy.any():
+        # cubic -iw(kap+nu) l^3 + zeta l - 2ik sg cg = 0 by its companion
+        lead = -1j * w[dy] * (kap[dy] + nu[dy])
+        comp = np.zeros((int(dy.sum()), 3, 3), dtype=complex)
+        comp[:, 0, 1] = -zeta[dy] / lead
+        comp[:, 0, 2] = 2j * k[dy] * sg[dy] * cg[dy] / lead
+        comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+        pred[dy, 1], pred[dy, 2], pred[dy, 3] = _cubic_labels(np.linalg.eigvals(comp))
 
-def _nonoscillating_predictions(spec: ModalMatrixSpec) -> dict[int, complex]:
-    nu, kap, k, g = spec.nu, spec.kappa, spec.k, spec.gamma
-    sg = math.sin(g)
-    pred: dict[int, complex] = {}
-    base = -1j * k / math.tan(g)
-    drift = (nu + kap) * abs(k) ** 3 / sg**2
-    pred[1] = base - drift
-    pred[2] = base + drift
+    ld = code == _LARGE
+    # zeta -> 0 limit of the distinguished cubic: -iw(kap+nu) l^3 = 2ik sg cg
+    cube = -2.0 * k[ld] * sg[ld] * cg[ld] / (w[ld] * (kap[ld] + nu[ld]))
+    base = np.where(cube >= 0, 1.0, -1.0) * np.abs(cube) ** (1.0 / 3.0)
+    pred[ld, 1], pred[ld, 2], pred[ld, 3] = _cubic_labels(base[:, None] * _THIRDS)
+
+    no = code == _NONOSC
+    base = -1j * k[no] / np.tan(g[no])
+    drift = (nu[no] + kap[no]) * np.abs(k[no]) ** 3 / sg[no] ** 2
     # quartet: l^4 = -sin^2 g / (nu kap), i.e. |l| = (sg^2/(nu kap))^{1/4}
-    rho = (sg * sg / (nu * kap)) ** 0.25
-    pred[3] = rho * cmath.exp(1j * math.pi / 4)
-    pred[5] = rho * cmath.exp(-1j * math.pi / 4)
-    pred[4] = -pred[3]
-    pred[6] = -pred[5]
+    rho = (sg[no] * sg[no] / (nu[no] * kap[no])) ** 0.25
+    pred[no] = np.stack([base - drift, base + drift, rho * _EIGHTH, -rho * _EIGHTH,
+                         rho * _EIGHTH.conjugate(), -rho * _EIGHTH.conjugate()], axis=1)
     return pred
 
 
-def classify_roots(rootset: RootSet, spec: ModalMatrixSpec) -> RootSet:
-    """Pick the Table-1 regime and tag each root with its asymptotic label.
+#: every assignment of the six labels to the six roots, perm[q, i] = label
+#: index of root i
+_PERMS = np.array(list(itertools.permutations(range(6))))
+
+
+def _classify(roots: np.ndarray, spec: ModalMatrixSpec, name):
+    """(labels (n, 6), regimes, warnings) of the roots (n, 6) of a batch.
 
     Regime thresholds (the asymptotic statements use "<<"; the tool needs
     deterministic cuts): |zeta| >= 0.5 is non-critical; otherwise the ratio
@@ -309,86 +446,78 @@ def classify_roots(rootset: RootSet, spec: ModalMatrixSpec) -> RootSet:
     non-oscillating degeneracy.
 
     Matching root -> label is a minimum-cost assignment against the
-    regime's leading-order predictions (relative distance cost, ties broken
-    towards smaller |Im|).
+    regime's leading-order predictions (relative distance cost): the cost of
+    every permutation, summed over the six roots, in one (n, 720) array.
     """
-    nu = spec.nu
-    zeta = spec.zeta
+    nu, kap, w, k, g = node_arrays(spec)
+    az = np.abs(w * w - np.sin(g) ** 2)
     nu13 = nu ** (1.0 / 3.0)
-    warnings: list[str] = []
+    nonosc = np.maximum(np.abs(w), np.abs(k)) <= 3.0 * nu13
+    code = np.select([nonosc, az >= 0.5, az > 3.0 * nu13, az >= nu13 / 3.0],
+                     [_NONOSC, _NC, _SMALL, _DY], _LARGE)
+    regimes = [_REGIMES[c] for c in code]
 
-    if max(abs(spec.omega), abs(spec.k)) <= 3.0 * nu13:
-        regime = Regime.NON_OSCILLATING
-        pred = _nonoscillating_predictions(spec)
-    else:
-        if abs(zeta) >= 0.5:
-            regime = Regime.NON_CRITICAL
-        elif abs(zeta) > 3.0 * nu13:
-            regime = Regime.CRITICAL_SMALL_DIFF
-        elif abs(zeta) >= nu13 / 3.0:
-            regime = Regime.CRITICAL_DY
-        else:
-            regime = Regime.CRITICAL_LARGE_DIFF
-        if 0.5 / 3.0 <= abs(zeta) <= 1.5 and regime is not Regime.NON_CRITICAL:
-            warnings.append(
-                f"|zeta|={abs(zeta):.3g} sits in the contested band around 0.5; "
-                f"adjacent label {Regime.NON_CRITICAL.value} is also plausible"
-            )
-        if regime is Regime.CRITICAL_SMALL_DIFF and abs(zeta) <= 3.0 * nu ** 0.25:
-            warnings.append(
-                f"|zeta|={abs(zeta):.3g} within the nu^(1/4) guard band "
-                f"(nu^(1/4)={nu**0.25:.3g}); slow-decay reflected-wave reading possible"
-            )
-        if spec.omega == 0.0 and regime is not Regime.NON_CRITICAL:
-            raise ClassificationError(
-                f"omega = 0 with k = {spec.k:.6g} falls in regime "
-                f"{regime.value}, whose leading-order roots divide by omega")
-        pred = _regime_predictions(spec, regime)
+    warnings: list[list[str]] = [[] for _ in code]
+    for i in np.flatnonzero(~nonosc & (code != _NC) & (az >= 0.5 / 3.0) & (az <= 1.5)):
+        warnings[i].append(
+            f"|zeta|={az[i]:.3g} sits in the contested band around 0.5; "
+            f"adjacent label {Regime.NON_CRITICAL.value} is also plausible")
+    for i in np.flatnonzero((code == _SMALL) & (az <= 3.0 * nu**0.25)):
+        warnings[i].append(
+            f"|zeta|={az[i]:.3g} within the nu^(1/4) guard band "
+            f"(nu^(1/4)={nu[i]**0.25:.3g}); slow-decay reflected-wave reading possible")
+    i = _first(~nonosc & (code != _NC) & (w == 0.0))
+    if i is not None:
+        raise ClassificationError(
+            f"omega = 0 with k = {k[i]:.6g} falls in regime {regimes[i].value}, "
+            "whose leading-order roots divide by omega")
 
-    labels = sorted(pred.keys())
-    roots = rootset.roots
-    cost = np.empty((6, 6))
-    for i, r in enumerate(roots):
-        for j, lab in enumerate(labels):
-            p = pred[lab]
-            cost[i, j] = abs(r - p) / max(abs(p), 1e-300)
-    rows, cols = linear_sum_assignment(cost)
-    assigned = [0] * 6
-    for i, j in zip(rows, cols):
-        assigned[i] = labels[j]
+    pred = _predictions(spec, code)
+    # cost[b, i, j]: relative distance of root i to the prediction of label j + 1
+    cost = np.abs(roots[:, :, None] - pred[:, None, :]) / np.maximum(np.abs(pred), 1e-300)[:, None, :]
+    total = np.zeros((len(roots), len(_PERMS)))
+    for i in range(6):
+        total += cost[:, i, _PERMS[:, i]]
+    best = _PERMS[total.argmin(axis=1)]
 
     # ambiguity check: another root nearly as close to the same prediction
-    for i, j in zip(rows, cols):
-        d = cost[i, j]
-        rivals = [
-            i2
-            for i2 in range(6)
-            if i2 != i and abs(cost[i2, j] - d) <= 1e-9 * max(d, 1.0)
-            and abs(roots[i2].imag) == abs(roots[i].imag)
-        ]
-        if rivals:
-            raise ClassificationError(
-                f"ambiguous assignment for label {labels[j]}: roots "
-                f"{roots[i]} and {[roots[r] for r in rivals]} are equidistant"
-            )
-
-    return RootSet(
-        roots=roots,
-        poly=rootset.poly,
-        labels=tuple(assigned),
-        regime=regime,
-        warnings=warnings,
-    )
+    d = np.take_along_axis(cost, best[:, :, None], axis=2)[:, :, 0]
+    rival_cost = np.take_along_axis(cost, best[:, None, :], axis=2)  # [b, i2, i]
+    im = np.abs(roots.imag)
+    rival = ((np.abs(rival_cost - d[:, None, :]) <= 1e-9 * np.maximum(d, 1.0)[:, None, :])
+             & (im[:, :, None] == im[:, None, :]) & ~np.eye(6, dtype=bool))
+    b = _first(rival)
+    if b is not None:
+        i = int(np.flatnonzero(rival[b].any(axis=0))[0])
+        raise ClassificationError(
+            f"ambiguous assignment for label {best[b, i] + 1} at {name(b)}: roots "
+            f"{roots[b, i]} and {list(roots[b, rival[b, :, i]])} are equidistant")
+    return best + 1, regimes, warnings
 
 
-def roots_for(spec: ModalMatrixSpec) -> RootSet:
-    """Convenience: characteristic polynomial -> roots -> classification."""
-    return classify_roots(solve_roots(char_poly(spec)), spec)
+def classify_roots(rootset: RootSet, spec: ModalMatrixSpec) -> RootSet:
+    """Pick the Table-1 regime of one node and tag each root with its
+    asymptotic label (the one-node case of the batch, see _classify)."""
+    labels, regimes, warnings = _classify(rootset.roots[None], spec, _node_name(spec))
+    return RootSet(roots=rootset.roots, poly=rootset.poly,
+                   labels=tuple(int(j) for j in labels[0]),
+                   regime=regimes[0], warnings=warnings[0])
+
+
+def roots_for(spec: ModalMatrixSpec) -> RootSet | RootBatch:
+    """Characteristic polynomial -> roots -> classification: a RootSet for
+    one node, a RootBatch for a batch spec."""
+    name = _node_name(spec)
+    c = _coeffs(spec)
+    roots = _polished_roots(c, name)
+    batch = RootBatch(roots, c, *_classify(roots, spec, name))
+    return batch if spec.is_batch else batch[0]
 
 
 @dataclass(frozen=True)
 class Eigenvector:
-    """Null vector (U, W, B, P) of A(lambda), normalized to U = 1."""
+    """Null vector (U, W, B, P) of A(lambda), normalized to U = 1 (arrays
+    of lambda's shape for a batch)."""
 
     U: complex
     W: complex
@@ -403,30 +532,42 @@ class SingularEigenvectorError(RuntimeError):
     pass
 
 
-def eigenvector(spec: ModalMatrixSpec, lam: complex) -> Eigenvector:
+def eigenvector(spec: ModalMatrixSpec, lam) -> Eigenvector:
     """Eigenvector for a characteristic root, U normalized to 1.
 
     W = ik/lambda U by the divergence row; B and P follow from the buoyancy
     and u-momentum rows.  lambda is residual-checked against the
-    characteristic polynomial first.
+    characteristic polynomial first.  For a batch spec lam is (n,) or (n, m)
+    (roots of each node along the second axis) and the fields have lam's
+    shape; an error names the first node whose root fails the check, with
+    its omega, k and lambda.
     """
-    poly = char_poly(spec)
-    scale = max(abs(c) for c in poly.coeffs)
-    if abs(poly(lam)) > 1e-8 * scale * max(1.0, abs(lam)) ** 6:
-        raise ValueError(f"lambda={lam} is not a characteristic root")
-    nu, kap, w, k, g = spec.nu, spec.kappa, spec.omega, spec.k, spec.gamma
-    sg, cg = math.sin(g), math.cos(g)
-    if lam == 0:
-        raise SingularEigenvectorError("lambda = 0 leaves W undetermined")
-    denom = 1j * w - kap * (k * k - lam * lam)
-    if abs(denom) < 1e-14:
-        raise SingularEigenvectorError(
-            f"buoyancy denominator i*omega - kappa(k^2-lambda^2) = {denom} too small"
-        )
-    U = 1.0 + 0.0j
-    W = 1j * k / lam
+    c = _coeffs(spec)
+    lam = np.asarray(lam, dtype=complex)
+    lam2 = lam if lam.ndim == 2 else lam.reshape(len(c), -1)
+    nu, kap, w, k, g = node_arrays(spec, ndim=2)
+    sg, cg = np.sin(g), np.cos(g)
+    p, _ = _horner(c, lam2)
+    denom = 1j * w - kap * (k * k - lam2 * lam2)
+    checks = (
+        (np.abs(p) > 1e-8 * np.abs(c).max(axis=1, keepdims=True)
+         * np.maximum(1.0, np.abs(lam2)) ** 6, ValueError, "is not a characteristic root"),
+        (lam2 == 0, SingularEigenvectorError, "lambda = 0 leaves W undetermined"),
+        (np.abs(denom) < 1e-14, SingularEigenvectorError,
+         "buoyancy denominator i*omega - kappa(k^2-lambda^2) too small"),
+        (np.broadcast_to(k == 0, lam2.shape), SingularEigenvectorError,
+         "k = 0 leaves the pressure undetermined"),
+    )
+    for bad, error, what in checks:
+        i = _first(bad)
+        if i is not None:
+            j = int(np.flatnonzero(bad[i])[0])
+            raise error(f"lambda={lam2[i, j]} at node (omega={w[i, 0]:.6g}, "
+                        f"k={k[i, 0]:.6g}): {what}")
+    W = 1j * k / lam2
     B = (sg + W * cg) / denom
-    if k == 0:
-        raise SingularEigenvectorError("k = 0 leaves the pressure undetermined")
-    P = (1j * w - nu * (k * k - lam * lam) + sg * B) / (1j * k)
-    return Eigenvector(U=U, W=W, B=B, P=P)
+    P = (1j * w - nu * (k * k - lam2 * lam2) + sg * B) / (1j * k)
+    fields = (np.ones_like(lam2), W, B, P)
+    if spec.is_batch or lam.ndim:
+        return Eigenvector(*(f.reshape(lam.shape) for f in fields))
+    return Eigenvector(*(complex(f[0, 0]) for f in fields))

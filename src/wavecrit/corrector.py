@@ -31,7 +31,7 @@ w-trace is integrated in x and absorbed by an explicit large-scale mean
 flow (-G eps^2 theta'(eps^2 y), theta(eps^2 y) dx G, 0).  A lift is linear
 in its trace and depends only on the node (l, alpha), so the traces of all
 interior modes at one node are summed first and each distinct node is
-lifted once (collect_traces).
+lifted once (collect_traces), all nodes of a lobe in one batch lift.
 
 Everything dropped on the way (viscous terms at rate eps^-2, normal-velocity
 forcing components, Leray-projection corrections, c-type interactions,
@@ -359,24 +359,29 @@ def collect_traces(interior: ExpModes):
     return (nodes[:, 0], nodes[:, 1], *sums)
 
 
+def _lobe_roots(spec: ModalMatrixSpec, regime: Regime, lobe: str):
+    """Roots of a lobe's nodes, all of which must sit in the lobe's regime;
+    the error counts the strays and names the first by (l, alpha)."""
+    roots = roots_for(spec)
+    stray = np.flatnonzero([r is not regime for r in roots.regimes])
+    if len(stray):
+        i = stray[0]
+        raise CorrectorError(
+            f"{len(stray)} {lobe} node(s) not {regime}; the first, "
+            f"(l={spec.k[i]:.4g}, alpha={spec.omega[i]:.4g}), classified {roots.regimes[i]}")
+    return roots
+
+
 def lift_second_harmonic(
     traces, params: PhysParams
 ) -> tuple[ExpModes, ExpModes]:
-    """Cancel double-lobe wall traces: (eps^3-layer modes, second harmonic)."""
+    """Cancel double-lobe wall traces: (eps^3-layer modes, second harmonic),
+    one batch lift over the lobe's nodes."""
     l, alpha, tu, tw, tb = traces
-    bl_parts, rw_parts = [], []
-    for i in range(len(l)):
-        spec = ModalMatrixSpec(params.nu, params.kappa, alpha[i], l[i], params.gamma)
-        roots = roots_for(spec)
-        if roots.regime is not Regime.NON_CRITICAL:
-            raise CorrectorError(
-                f"double-lobe node (l={l[i]:.4g}, alpha={alpha[i]:.4g}) "
-                f"classified {roots.regime}, expected non-critical"
-            )
-        rw, bl = lift_noncritical(spec, roots, [-tu[i], -tw[i], -tb[i]])
-        bl_parts.append(bl)
-        rw_parts.append(rw)
-    return ExpModes.concat(bl_parts), ExpModes.concat(rw_parts)
+    spec = ModalMatrixSpec(params.nu, params.kappa, alpha, l, params.gamma)
+    roots = _lobe_roots(spec, Regime.NON_CRITICAL, "double-lobe")
+    rw, bl = lift_noncritical(spec, roots, [-tu, -tw, -tb])
+    return bl, rw
 
 
 def _shear_lift(alpha, tu, tb, params: PhysParams):
@@ -404,36 +409,25 @@ def _shear_lift(alpha, tu, tb, params: PhysParams):
 def lift_mean_flow(traces, params: PhysParams) -> tuple[ExpModes, MeanFlowField]:
     """Cancel zero-lobe wall traces.
 
-    u and d_y b go through the degenerate (non-oscillating) lift; the
-    leftover w-trace per node is integrated in x (divide by il) and lifted
-    by the explicit mean flow.  Nodes with |l| < 1e-14 carry no w-trace at
-    all (w = il/mu u) and are handled by a two-mode shear lift instead.
+    u and d_y b go through the degenerate (non-oscillating) lift, one batch
+    over the lobe's nodes; the leftover w-trace per node is integrated in x
+    (divide by il) and lifted by the explicit mean flow.  Nodes with
+    |l| < 1e-14 carry no w-trace at all (w = il/mu u) and are handled by a
+    two-mode shear lift instead.  Every node contributes two modes, in node
+    order.
     """
     l, alpha, tu, tw, tb = traces
-    bl_parts, g_l, g_alpha, g_coef = [], [], [], []
-    for i in range(len(l)):
-        if abs(l[i]) < 1e-14:
-            bl_parts.append(_shear_lift(alpha[i], tu[i], tb[i], params))
-            continue
-        spec = ModalMatrixSpec(params.nu, params.kappa, alpha[i], l[i], params.gamma)
-        roots = roots_for(spec)
-        if roots.regime is not Regime.NON_OSCILLATING:
-            raise CorrectorError(
-                f"zero-lobe node (l={l[i]:.4g}, alpha={alpha[i]:.4g}) "
-                f"classified {roots.regime}, expected non-oscillating"
-            )
-        lift, leftover = lift_nonoscillating(spec, roots, [-tu[i], -tw[i], -tb[i]])
-        bl_parts.append(lift)
-        # remaining wall value of w is exactly `leftover`; the mean flow
-        # must carry w(0) = -leftover, i.e. dx G = -leftover
-        g_l.append(l[i])
-        g_alpha.append(alpha[i])
-        g_coef.append(-leftover / (1j * l[i]))
-    bl = ExpModes.concat(bl_parts)
-    mf = MeanFlowField(
-        l=np.array(g_l), alpha=np.array(g_alpha),
-        G=np.array(g_coef, dtype=complex), eps=params.eps,
-    )
+    shear = np.abs(l) < 1e-14
+    spec = ModalMatrixSpec(params.nu, params.kappa, alpha[~shear], l[~shear], params.gamma)
+    roots = _lobe_roots(spec, Regime.NON_OSCILLATING, "zero-lobe")
+    lift, leftover = lift_nonoscillating(spec, roots, [-tu[~shear], -tw[~shear], -tb[~shear]])
+    sheared = [_shear_lift(alpha[i], tu[i], tb[i], params) for i in np.flatnonzero(shear)]
+    node = np.concatenate([np.flatnonzero(~shear), np.flatnonzero(shear)])
+    bl = ExpModes.concat([lift, *sheared])[np.argsort(np.repeat(node, 2), kind="stable")]
+    # remaining wall value of w is exactly `leftover`; the mean flow
+    # must carry w(0) = -leftover, i.e. dx G = -leftover
+    mf = MeanFlowField(l=l[~shear], alpha=alpha[~shear],
+                       G=-leftover / (1j * l[~shear]), eps=params.eps)
     return bl, mf
 
 

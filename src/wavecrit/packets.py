@@ -148,8 +148,7 @@ def assemble_W0(
     s, wts = quad.nodes_weights()
     sg, cg = math.sin(params.gamma), math.cos(params.gamma)
 
-    inc, bl2, bl3 = [], [], []
-
+    inc, nodes = [], []
     for i, xi in enumerate(s):
         for j, eta in enumerate(s):
             chi2 = chi_bump(xi) * chi_bump(eta)
@@ -163,18 +162,21 @@ def assemble_W0(
             U, W, B = incident_polarization(k, m, params.gamma, omega)
             # exp(-mu y) = exp(i m y)
             inc.append((k, omega, -1j * m, amp * U, amp * W, amp * B))
+            nodes.append((k, m, omega, amp))
 
-            spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
-            roots = roots_for(spec)
-            if roots.regime not in CRITICAL_REGIMES:
-                raise RegimeError(
-                    f"node (k={k:.4g}, m={m:.4g}) classified {roots.regime}; "
-                    "the packet construction assumes the critical root family"
-                )
-            num = k * cg - m * sg
-            lift = lift_critical(spec, roots, [-amp, amp * k / m, amp * num / omega])
-            bl2.append(lift[:2])  # labels 2 and 3
-            bl3.append(lift[2:])  # label 5
+    # one batch lift cancels every node's incident wall traces
+    k, m, omega, amp = np.array(nodes).T
+    spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
+    roots = roots_for(spec)
+    stray = [i for i, r in enumerate(roots.regimes) if r not in CRITICAL_REGIMES]
+    if stray:
+        i = stray[0]
+        raise RegimeError(
+            f"node (k={k[i]:.4g}, m={m[i]:.4g}) classified {roots.regimes[i]}; "
+            "the packet construction assumes the critical root family"
+        )
+    lift = lift_critical(spec, roots, [-amp, amp * k / m, amp * (k * cg - m * sg) / omega])
+    label5 = np.arange(len(lift)) % 3 == 2
 
     dxi = s[1] - s[0]
     return PacketAssembly(
@@ -182,8 +184,8 @@ def assemble_W0(
         envelope=envelope,
         families={
             Family.INCIDENT: ExpModes.from_rows(inc),
-            Family.BLEPS2: ExpModes.concat(bl2),
-            Family.BLEPS3: ExpModes.concat(bl3),
+            Family.BLEPS2: lift[~label5],  # labels 2 and 3
+            Family.BLEPS3: lift[label5],  # label 5
         },
         x_period=2.0 * math.pi / (e2 * dxi),
     )

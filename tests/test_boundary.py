@@ -12,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wavecrit.boundary import (
     ExpModes,
+    IllConditionedLiftError,
+    _equilibrated_solve,
     evaluate_modes,
     lift_critical,
     lift_noncritical,
@@ -360,3 +362,36 @@ def test_traces_must_be_a_triple():
     spec = spec_at(0.2)
     with pytest.raises(ValueError):
         lift_critical(spec, roots_for(spec), [1.0, 0.0])
+
+
+def test_ill_conditioned_batch_names_the_node():
+    """The stacked lift solve refuses a batch with one singular system in
+    the middle and names that node by its (l, alpha)."""
+    good = np.array([[1.0, 0.5], [0.2, 1.0]], dtype=complex)
+    mat = np.stack([good, np.array([[1.0, 1.0], [2.0, 2.0]], dtype=complex), good])
+    rhs = np.ones((3, 2), dtype=complex)
+    l, alpha = np.array([0.1, 0.2, 0.3]), np.array([1.1, 1.2, 1.3])
+    _equilibrated_solve(mat[[0, 2]], rhs[[0, 2]], l[[0, 2]], alpha[[0, 2]])
+    with pytest.raises(IllConditionedLiftError, match=r"at \(l=0\.2, alpha=1\.2\)"):
+        _equilibrated_solve(mat, rhs, l, alpha)
+
+
+def test_batch_lift_equals_one_node_lifts():
+    """A batch lift gives each node the modes of its one-node lift, in node
+    order; a zero trace in the middle gives zero amplitudes."""
+    sg = math.sin(GAMMA)
+    omega = np.array([CARRIER.omega0, math.sqrt(sg**2 + 0.04), CARRIER.omega0 * 1.01])
+    k = np.array([CARRIER.k0, 0.3, CARRIER.k0 * 0.99])
+    p = PhysParams(gamma=GAMMA, eps=0.2)
+    spec = ModalMatrixSpec(p.nu, p.kappa, omega, k, GAMMA)
+    traces = np.array([[1.0, 0.0, 0.3j], [0.5j, 0.0, -1.0], [-0.2, 0.0, 2.0]])
+    batch = lift_critical(spec, roots_for(spec), traces)
+    assert (batch.cu[3:6] == 0).all()
+    for i in range(3):
+        one = ModalMatrixSpec(p.nu, p.kappa, omega[i], k[i], GAMMA)
+        want = lift_critical(one, roots_for(one), traces[:, i])
+        got = batch[3 * i:3 * i + 3]
+        assert got.l.tolist() == want.l.tolist() and got.alpha.tolist() == want.alpha.tolist()
+        assert np.abs(got.mu - want.mu).max() <= 1e-14 * np.abs(want.mu).max()
+        if i != 1:
+            assert np.abs(got.cu - want.cu).max() <= 1e-12 * np.abs(want.cu).max()

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from wavecrit.boundary import lift_critical, lift_noncritical, lift_nonoscillating
 from wavecrit.characteristic import (
+    CRITICAL_REGIMES,
     ClassificationError,
     ModalMatrixSpec,
     Regime,
     RootSolveError,
+    SingularEigenvectorError,
+    _predictions,
     build_matrix,
     char_poly,
     eigenvector,
@@ -225,6 +230,8 @@ class TestEigenvector:
     omega=st.floats(min_value=-1.0, max_value=1.0),
     k=st.floats(min_value=-2.0, max_value=2.0),
 )
+@example(eps=0.08, omega=0.0, k=-0.1)  # 4 roots with Re > 0 before the mirror rule
+@example(eps=0.08, omega=0.0, k=-0.066)  # and 2
 def test_three_decaying_roots_property(eps, omega, k):
     """Any admissible (omega, k != 0) yields exactly 3 roots with Re > 0.
 
@@ -240,3 +247,209 @@ def test_three_decaying_roots_property(eps, omega, k):
     except RootSolveError:
         return  # pathological coefficient balance; solver declines honestly
     assert len(rs.pos_real) == 3
+
+
+def test_zero_omega_sweep_gives_mirror_pairs():
+    """At omega = 0 the polynomial is real in mu = -i lambda: the roots are
+    three exact mirror pairs (lambda, -conj(lambda)), so three decay.  The
+    near-double pair at -ik cot(g) is split by nu k^3 / sin^4 g, below
+    Newton's resolution for small |k| at small eps: without the rule 28 of
+    these 1 000 nodes gave 2 or 4 roots with Re > 0 (the same 28 as on a
+    2 001-point sweep of [-2, 2])."""
+    wrong = []
+    for eps in (0.08, 0.1, 0.2, 0.3, 0.5):
+        for k in np.linspace(-2.0, 2.0, 2001)[900:1101]:
+            if abs(k) < 1e-3:
+                continue
+            spec = ModalMatrixSpec(eps**6, eps**6, 0.0, float(k), GAMMA)
+            r = solve_roots(char_poly(spec)).roots
+            mirrored = np.sort_complex(-r.conj())
+            if len(np.flatnonzero(r.real > 0)) != 3 or (np.sort_complex(r) != mirrored).any():
+                wrong.append((eps, float(k)))
+    assert wrong == []
+
+
+def test_tiny_omega_never_returns_a_wrong_count():
+    """At omega = 1e-10 the same pair is split by less than Newton resolves,
+    and the polynomial is not real in mu, so no mirror rule applies: each
+    node gives three decaying roots or a RootSolveError, never 2 or 4 (17
+    of these 200 nodes did before the count check)."""
+    counts = []
+    for k in np.linspace(-2.0, 2.0, 2001)[900:1101]:
+        if abs(k) < 1e-3:
+            continue
+        spec = ModalMatrixSpec(0.08**6, 0.08**6, 1e-10, float(k), GAMMA)
+        try:
+            counts.append(len(solve_roots(char_poly(spec)).pos_real))
+        except RootSolveError as err:
+            assert "roots with Re > 0" in str(err)
+    assert set(counts) == {3}
+
+
+def _batch(eps, omega, k, gamma=GAMMA):
+    """Spec batch of nodes at the given eps (nu0 = kappa0 = 1)."""
+    nu = np.asarray(eps, dtype=float) ** 6
+    return ModalMatrixSpec(nu, nu, np.asarray(omega, dtype=float),
+                           np.asarray(k, dtype=float), gamma)
+
+
+class TestBatchErrorsNameTheNode:
+    """A failure inside a batch raises the typed error of the one-node call
+    and names the offending node, here the middle one of three."""
+
+    def test_root_solve_error(self):
+        spec = ModalMatrixSpec(np.array([1e-4, 0.0, 1e-4]), np.array([1e-4, 0.0, 1e-4]),
+                               np.array([0.61, 0.62, 0.63]), np.array([1.1, 1.2, 1.3]), GAMMA)
+        with pytest.raises(RootSolveError, match=r"omega=0\.62, k=1\.2\)"):
+            roots_for(spec)
+
+    def test_classification_error(self):
+        spec = _batch(0.08, [0.5, 0.0, 0.5], [1.1, 1.2, 1.3])
+        with pytest.raises(ClassificationError, match=r"omega = 0 with k = 1\.2 "):
+            roots_for(spec)
+
+    def test_singular_eigenvector_error(self):
+        omega, k = np.array([0.61, 0.62, 0.63]), np.array([1.1, 0.0, 1.3])
+        # each node's fastest-decaying root: nonzero, also at k = 0
+        lams = np.array([max(solve_roots(char_poly(_batch(0.2, w, kk))).roots,
+                             key=lambda r: r.real) for w, kk in zip(omega, k)])
+        eigenvector(_batch(0.2, omega[[0, 2]], k[[0, 2]]), lams[[0, 2]])
+        with pytest.raises(SingularEigenvectorError,
+                           match=r"at node \(omega=0\.62, k=0\): k = 0") as err:
+            eigenvector(_batch(0.2, omega, k), lams)
+        assert f"lambda={lams[1]}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the batch against per-node oracles
+# ---------------------------------------------------------------------------
+
+
+def _oracle_roots(coeffs):
+    """Per-node roots: np.roots on the |c0/c6|^(1/6)-scaled polynomial, then
+    8 damped Newton steps in scalar complex arithmetic."""
+    c = list(coeffs)
+    s = abs(c[0] / c[6]) ** (1.0 / 6.0)
+    scaled = [c[j] * s**j / (c[6] * s**6) for j in range(7)]
+    roots = list(np.roots(scaled[::-1]) * s)
+
+    def horner(lam, cs):
+        acc = 0j
+        for x in reversed(cs):
+            acc = acc * lam + x
+        return acc
+
+    dc = [j * c[j] for j in range(1, 7)]
+    for _ in range(8):
+        for i, r in enumerate(roots):
+            p, dp = horner(r, c), horner(r, dc)
+            step = p / dp if dp != 0 else 0j
+            if abs(step) > 0.5 * max(abs(r), 1.0):
+                step *= 0.5
+            roots[i] = r - step
+    return np.array(roots)
+
+
+def _oracle_regime(eps, omega, k):
+    """The regime cut and its warnings, node by node (thresholds as
+    documented in classify_roots)."""
+    nu13 = eps**2
+    zeta = abs(omega**2 - math.sin(GAMMA) ** 2)
+    if max(abs(omega), abs(k)) <= 3.0 * nu13:
+        return Regime.NON_OSCILLATING, []
+    if zeta >= 0.5:
+        return Regime.NON_CRITICAL, []
+    regime = (Regime.CRITICAL_SMALL_DIFF if zeta > 3.0 * nu13 else
+              Regime.CRITICAL_DY if zeta >= nu13 / 3.0 else Regime.CRITICAL_LARGE_DIFF)
+    warns = ["contested"] if 0.5 / 3.0 <= zeta <= 1.5 else []
+    if regime is Regime.CRITICAL_SMALL_DIFF and zeta <= 3.0 * eps**1.5:
+        warns.append("guard band")
+    return regime, warns
+
+
+def _samples():
+    """Fixed nodes covering all five regimes and both warnings: every
+    representative spec at three eps, the contested-band spec, and jittered
+    copies of each."""
+    rng = np.random.default_rng(11)
+    sg = math.sin(GAMMA)
+    eps, omega, k = [], [], []
+    for e in (0.12, 0.2, 0.3):
+        for spec in (*regime_specs(e).values(), spec_at(e, omega=math.sqrt(sg**2 + 0.3))):
+            for jitter in (0.0, *rng.uniform(-0.05, 0.05, 2)):
+                eps.append(e)
+                omega.append(spec.omega * (1.0 + jitter))
+                k.append(spec.k * (1.0 - jitter))
+    return np.array(eps), np.array(omega), np.array(k)
+
+
+@pytest.fixture(scope="module")
+def sampled():
+    eps, omega, k = _samples()
+    spec = _batch(eps, omega, k)
+    return eps, spec, roots_for(spec)
+
+
+class TestBatchAgainstOracles:
+    def test_samples_cover_every_regime_and_warning(self, sampled):
+        _, _, rb = sampled
+        assert set(rb.regimes) == set(Regime)
+        text = " ".join(w for ws in rb.warnings for w in ws)
+        assert "contested" in text and "guard band" in text
+
+    def test_regimes_and_warnings(self, sampled):
+        eps, spec, rb = sampled
+        for i, e in enumerate(eps):
+            regime, warns = _oracle_regime(e, spec.omega[i], spec.k[i])
+            assert rb.regimes[i] is regime
+            assert len(rb.warnings[i]) == len(warns)
+            assert all(w in got for w, got in zip(warns, rb.warnings[i]))
+            one = roots_for(_batch(e, spec.omega[i], spec.k[i]))
+            assert one.regime is rb.regimes[i] and one.warnings == rb.warnings[i]
+
+    def test_roots_match_per_node_np_roots(self, sampled):
+        _, _, rb = sampled
+        for r, c in zip(rb.roots, rb.coeffs):
+            want = _oracle_roots(c)
+            # pair each oracle root with the nearest batch root
+            got = r[np.abs(want[:, None] - r[None, :]).argmin(axis=1)]
+            assert len(set(np.abs(want[:, None] - r[None, :]).argmin(axis=1))) == 6
+            assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+    def test_labels_match_linear_sum_assignment(self, sampled):
+        _, spec, rb = sampled
+        code = np.array([list(Regime).index(r) for r in rb.regimes])
+        pred = _predictions(spec, code)
+        for b in range(len(rb)):
+            cost = (np.abs(rb.roots[b][:, None] - pred[b][None, :])
+                    / np.maximum(np.abs(pred[b]), 1e-300)[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            want = np.empty(6, dtype=int)
+            want[rows] = cols + 1
+            assert rb.labels[b].tolist() == want.tolist(), b
+
+    def test_lift_amplitudes_match_per_node_solve(self, sampled):
+        eps, spec, rb = sampled
+        rng = np.random.default_rng(5)
+        lifts = ((CRITICAL_REGIMES, lift_critical, (2, 3, 5), [0, 1, 2]),
+                 ((Regime.NON_CRITICAL,), lift_noncritical, (2, 3, 5), [0, 1, 2]),
+                 ((Regime.NON_OSCILLATING,), lift_nonoscillating, (3, 5), [0, 2]))
+        for regimes, lift, labels, rows in lifts:
+            idx = np.flatnonzero([r in regimes for r in rb.regimes])
+            sub = _batch(eps[idx], spec.omega[idx], spec.k[idx])
+            z = rng.normal(size=(6, len(idx)))
+            traces = z[0::2] + 1j * z[1::2]
+            out = lift(sub, roots_for(sub), traces)
+            if lift is lift_noncritical:  # reflected modes, then the layers
+                a = np.concatenate([out[0].cu[:, None], out[1].cu.reshape(-1, 2)], axis=1)
+            else:
+                a = (out[0] if lift is lift_nonoscillating else out).cu.reshape(len(idx), -1)
+            for j, i in enumerate(idx):
+                one = _batch(eps[i], spec.omega[i], spec.k[i])
+                rs = roots_for(one)
+                lams = [rs.by_label(lab) for lab in labels]
+                vecs = [eigenvector(one, lam) for lam in lams]
+                mat = np.array([[v.U for v in vecs], [v.W for v in vecs],
+                                [-lam * v.B for lam, v in zip(lams, vecs)]])
+                want = np.linalg.solve(mat[rows], traces[rows, j])
+                assert np.abs(a[j] - want).max() <= 1e-12 * np.abs(want).max()

@@ -351,10 +351,27 @@ class TestLiftOnce:
 
         monkeypatch.setattr(C, "roots_for", counted)
         cas = C.assemble_W1(asm, p)
-        assert len(calls) == 99
+        assert sum(np.size(spec.omega) for spec in calls) == 99
         assert len(cas.families[C.W1_II]) == 45
         assert len(cas.families[C.W1_MF]) == 54
         assert len(cas.families[C.W1_BLEPS3]) == 1046
+
+    def test_one_eigensolve_per_lobe(self, w0, monkeypatch):
+        """The 99 lifted nodes get their roots from at most two stacked
+        companion eigensolves, one per lobe (the l = 0 shear lifts use their
+        own quartic and are not counted)."""
+        asm, p = w0
+        stacks = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            stacks.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        C.assemble_W1(asm, p)
+        assert len(stacks) <= 2
+        assert sum(s[0] for s in stacks if s[-2:] == (6, 6) and len(s) == 3) == 99
 
     @pytest.mark.parametrize("lobe", [C.Lobe.DOUBLE, C.Lobe.ZERO])
     def test_summed_trace_lift_equals_sum_of_pair_lifts(self, w0, casm, lobe):
@@ -546,6 +563,18 @@ class TestLiftSecondHarmonic:
                np.array([1.0 + 0j]), np.array([0j]), np.array([0j]))
         with pytest.raises(C.CorrectorError):
             C.lift_second_harmonic(bad, p)
+
+    def test_stray_node_in_the_batch_is_named(self, w0):
+        """One zero-lobe node in the middle of a double-lobe batch: the error
+        counts it and names it by (l, alpha)."""
+        _, p = w0
+        l = np.array([2 * CARRIER.k0, 0.01, 2 * CARRIER.k0 + 0.01])
+        alpha = np.array([2 * CARRIER.omega0, 0.01, 2 * CARRIER.omega0])
+        tr = (l, alpha, np.ones(3, dtype=complex), np.zeros(3, dtype=complex),
+              np.zeros(3, dtype=complex))
+        with pytest.raises(C.CorrectorError,
+                           match=r"^1 double-lobe node\(s\) .* \(l=0\.01, alpha=0\.01\)"):
+            C.lift_second_harmonic(tr, p)
 
 
 class TestLiftMeanFlow:
