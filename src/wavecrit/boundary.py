@@ -311,13 +311,21 @@ def _lift(spec: ModalMatrixSpec, roots: RootSet | RootBatch, traces, labels,
                     *((a * f).ravel() for f in (vec.U, vec.W, vec.B)))
 
 
+def _regimes(roots: RootSet | RootBatch) -> list[Regime]:
+    return roots.regimes if isinstance(roots, RootBatch) else [roots.regime]
+
+
+def stray_nodes(roots: RootSet | RootBatch, allowed) -> np.ndarray:
+    """Indices of the nodes whose regime is not one of the allowed ones."""
+    return np.flatnonzero([r not in allowed for r in _regimes(roots)])
+
+
 def _require(roots: RootSet | RootBatch, allowed, lift: str):
     """ValueError unless every node's regime is one of the allowed ones."""
-    regimes = roots.regimes if isinstance(roots, RootBatch) else [roots.regime]
-    stray = [r for r in regimes if r not in allowed]
-    if stray:
+    stray = stray_nodes(roots, allowed)
+    if len(stray):
         raise ValueError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}, "
-                         f"got {stray[0]}")
+                         f"got {_regimes(roots)[stray[0]]}")
 
 
 def lift_critical(spec: ModalMatrixSpec, roots, traces) -> ExpModes:

@@ -29,18 +29,20 @@ that fails it.  The one-node functions (solve_roots, classify_roots,
 roots_for and eigenvector on a scalar spec) are one-node calls of the same
 code.
 
-omega = 0.  There the polynomial is real in mu = -i lambda, so its roots
-come in mirror pairs lambda, -conj(lambda), and none lies on the imaginary
-axis for k != 0 (a real-wavevector steady mode would have to be neutral,
-and viscosity damps it).  So exactly one root of each pair decays.  The two
-small roots are a near-double pair at -ik cot(g) split by
-nu k^3 / sin^4 g, below what Newton resolves, so which of them the
-eigensolver puts at Re > 0 was left to rounding.  Wherever the coefficients
-are exactly real in mu (c0 != 0), each root is paired with its nearest
-mirror and the pair is symmetrized to (lambda, -conj(lambda)): the count
-of roots with Re > 0 is then three by construction.  A tiny omega != 0
-leaves the pair as unresolved without that symmetry; there any count other
-than three (k != 0) raises RootSolveError instead of returning it.
+Unresolved pair.  With k != 0 exactly three roots have Re > 0, but two
+of the small roots sit near a double root at lambda0 = -ik cot(g) (exact
+at omega = 0 and nu = kappa = 0).  Their real parts are +/- d,
+d = nu |k|^3 / sin^4 g to leading order whatever omega, and omega splits
+them along the imaginary axis by about |k omega| / sin^2 g.  Newton's
+error on the pair is about eps_mach |lambda0|^2 over their split, so the
+sign of each real part is left to rounding once
+d max(d, |k omega| / sin^2 g) comes down to eps_mach |lambda0|^2: small
+|k| at small eps, and omega = 0 or |omega| below about 1e-8.  There a
+count other than three is not returned: it raises
+UnresolvedRootPairError (a RootSolveError) naming omega and k.  On
+gamma = 0.7, eps in [0.08, 0.5], |k| in [1e-3, 2] and omega = 0 or
+|omega| in [1e-20, 1], every wrong count had that ratio below 5.  omega = 0
+gets no rule of its own: it is the far end of the same band.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .params import criticality_zeta
 
 _FIELDS = ("nu", "kappa", "omega", "k", "gamma")
 
@@ -156,7 +160,7 @@ def _coeffs(spec: ModalMatrixSpec) -> np.ndarray:
     """
     nu, kap, w, k, g = node_arrays(spec)
     sg, cg = np.sin(g), np.cos(g)
-    zeta = w * w - sg**2
+    zeta = criticality_zeta(w, g)
     c = np.zeros((len(w), 7), dtype=complex)
     c[:, 6] = -nu * kap
     c[:, 4] = -1j * w * (kap + nu) + 3.0 * nu * kap * k**2
@@ -245,6 +249,12 @@ class RootSolveError(RuntimeError):
     pass
 
 
+class UnresolvedRootPairError(RootSolveError):
+    """A node with k != 0 whose polished roots do not have exactly three
+    with Re > 0 (see the module docstring: a near-double pair that Newton
+    does not resolve)."""
+
+
 #: Newton steps polishing the companion-matrix roots
 _NEWTON_STEPS = 8
 
@@ -253,35 +263,6 @@ def _first(mask: np.ndarray) -> int | None:
     """Index of the first node (first axis) with a True entry, or None."""
     hits = np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim))))
     return int(hits[0]) if len(hits) else None
-
-
-def _mirror_pairs(c: np.ndarray, roots: np.ndarray, name) -> np.ndarray:
-    """Symmetrize the roots of every polynomial that is real in mu = -i lambda
-    (omega = 0) into exact mirror pairs (lambda, -conj(lambda)).
-
-    Each root is paired with the root nearest its mirror; the pairing must
-    be mutual, and a pair whose real parts agree exactly (which one decays
-    is then undecided) raises RootSolveError.  Polynomials with c0 = 0 have
-    lambda = 0 as a root, which is its own mirror, and are left alone.
-    """
-    real_mu = ((c[:, 0::2].imag == 0).all(axis=1) & (c[:, 1::2].real == 0).all(axis=1)
-               & (c[:, 0] != 0))
-    if not real_mu.any():
-        return roots
-    r = roots[real_mu]
-    dist = np.abs(r[:, :, None] + r[:, None, :].conj())
-    dist[:, range(6), range(6)] = np.inf
-    mate = dist.argmin(axis=2)
-    half = 0.5 * (r - np.take_along_axis(r, mate, axis=1).conj())
-    bad = (np.take_along_axis(mate, mate, axis=1) != np.arange(6)) | (half.real == 0)
-    i = _first(bad)
-    if i is not None:
-        raise RootSolveError(
-            f"roots of {name(int(np.flatnonzero(real_mu)[i]))} do not split into "
-            f"mirror pairs lambda, -conj(lambda) with Re != 0: {r[i]}")
-    out = roots.copy()
-    out[real_mu] = half
-    return out
 
 
 def _polished_roots(c: np.ndarray, name) -> np.ndarray:
@@ -314,7 +295,6 @@ def _polished_roots(c: np.ndarray, name) -> np.ndarray:
         step[big] *= 0.5
         roots = roots - step
 
-    roots = _mirror_pairs(c, roots, name)
     scale = np.abs(c).max(axis=1, keepdims=True)
     p, _ = _horner(c, roots)
     bad = np.abs(p) > 1e-10 * scale * np.maximum(1.0, np.abs(roots)) ** 6
@@ -323,13 +303,12 @@ def _polished_roots(c: np.ndarray, name) -> np.ndarray:
         raise RootSolveError(
             f"root polish failed to meet the residual bound at {name(i)} for "
             f"{roots[i][bad[i]]}; coeffs={tuple(c[i])}")
-    # with k != 0 (c0 != 0) no root lies on the imaginary axis, and exactly
-    # three decay; any other count is a near-double pair split below what
-    # Newton resolves (tiny omega != 0), not an answer
+    # with k != 0 (c0 != 0) exactly three roots decay; any other count is
+    # a near-double pair split below what Newton resolves, not an answer
     count = (roots.real > 0).sum(axis=1)
     i = _first((count != 3) & (c[:, 0] != 0))
     if i is not None:
-        raise RootSolveError(
+        raise UnresolvedRootPairError(
             f"{count[i]} roots with Re > 0 at {name(i)}, not 3: a near-double "
             f"root pair is not resolved; roots {roots[i]}")
     return roots
@@ -373,7 +352,7 @@ def _predictions(spec: ModalMatrixSpec, code: np.ndarray) -> np.ndarray:
     for the nodes' regime codes (indices into tuple(Regime))."""
     nu, kap, w, k, g = node_arrays(spec)
     sg, cg = np.sin(g), np.cos(g)
-    zeta = w * w - sg**2
+    zeta = criticality_zeta(w, g)
     pred = np.empty((len(code), 6), dtype=complex)
 
     nc = code == _NC
@@ -450,7 +429,7 @@ def _classify(roots: np.ndarray, spec: ModalMatrixSpec, name):
     every permutation, summed over the six roots, in one (n, 720) array.
     """
     nu, kap, w, k, g = node_arrays(spec)
-    az = np.abs(w * w - np.sin(g) ** 2)
+    az = np.abs(criticality_zeta(w, g))
     nu13 = nu ** (1.0 / 3.0)
     nonosc = np.maximum(np.abs(w), np.abs(k)) <= 3.0 * nu13
     code = np.select([nonosc, az >= 0.5, az > 3.0 * nu13, az >= nu13 / 3.0],

@@ -68,6 +68,7 @@ from .boundary import (
     lift_noncritical,
     lift_nonoscillating,
     mode_profiles,
+    stray_nodes,
     synthesize,
 )
 from .characteristic import ModalMatrixSpec, Regime, roots_for
@@ -363,7 +364,7 @@ def _lobe_roots(spec: ModalMatrixSpec, regime: Regime, lobe: str):
     """Roots of a lobe's nodes, all of which must sit in the lobe's regime;
     the error counts the strays and names the first by (l, alpha)."""
     roots = roots_for(spec)
-    stray = np.flatnonzero([r is not regime for r in roots.regimes])
+    stray = stray_nodes(roots, (regime,))
     if len(stray):
         i = stray[0]
         raise CorrectorError(

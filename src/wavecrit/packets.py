@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import ExpModes, evaluate_modes, lift_critical, mode_profiles, synthesize
+from .boundary import (ExpModes, evaluate_modes, lift_critical, mode_profiles, stray_nodes,
+                       synthesize)
 from .characteristic import CRITICAL_REGIMES, ModalMatrixSpec, roots_for
 from .params import CriticalCarrier, PhysParams, dispersion_omega
 
@@ -168,8 +169,8 @@ def assemble_W0(
     k, m, omega, amp = np.array(nodes).T
     spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
     roots = roots_for(spec)
-    stray = [i for i, r in enumerate(roots.regimes) if r not in CRITICAL_REGIMES]
-    if stray:
+    stray = stray_nodes(roots, CRITICAL_REGIMES)
+    if len(stray):
         i = stray[0]
         raise RegimeError(
             f"node (k={k[i]:.4g}, m={m[i]:.4g}) classified {roots.regimes[i]}; "

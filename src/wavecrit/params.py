@@ -20,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Branch(enum.Enum):
     """Sign of the frequency branch.  Always explicit, never inferred."""
@@ -93,9 +95,10 @@ def group_velocity(k: float, m: float, gamma: float, branch: Branch) -> tuple[fl
     return (common * m, -common * k)
 
 
-def criticality_zeta(omega: float, gamma: float) -> float:
-    """Criticality parameter zeta = omega^2 - sin(gamma)^2."""
-    return omega * omega - math.sin(gamma) ** 2
+def criticality_zeta(omega, gamma):
+    """Criticality parameter zeta = omega^2 - sin(gamma)^2 (elementwise for
+    arrays)."""
+    return omega * omega - np.sin(gamma) ** 2
 
 
 @dataclass(frozen=True)

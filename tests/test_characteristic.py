@@ -15,6 +15,7 @@ from wavecrit.characteristic import (
     Regime,
     RootSolveError,
     SingularEigenvectorError,
+    UnresolvedRootPairError,
     _predictions,
     build_matrix,
     char_poly,
@@ -224,16 +225,30 @@ class TestEigenvector:
             eigenvector(spec, 1.0 + 1.0j)
 
 
+def _unresolved_band(nu, omega, k, gamma=GAMMA):
+    """Whether the near-double root pair at -ik cot(g) lies below Newton's
+    resolution (see the characteristic module docstring):
+    d max(d, |k omega| / sin^2 g) < 100 eps_mach |k cot g|^2 with
+    d = nu |k|^3 / sin^4 g, twenty times the largest ratio at which a wrong
+    count was measured."""
+    sg = math.sin(gamma)
+    d = nu * abs(k) ** 3 / sg**4
+    return d * max(d, abs(k * omega) / sg**2) < 100 * np.finfo(float).eps * (k / math.tan(gamma)) ** 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     eps=st.floats(min_value=0.08, max_value=0.5),
     omega=st.floats(min_value=-1.0, max_value=1.0),
     k=st.floats(min_value=-2.0, max_value=2.0),
 )
-@example(eps=0.08, omega=0.0, k=-0.1)  # 4 roots with Re > 0 before the mirror rule
-@example(eps=0.08, omega=0.0, k=-0.066)  # and 2
+# points of a 2 001-point k-sweep of [-2, 2] (-0.1 and -0.066 up to rounding)
+# that gave 4 and 2 roots with Re > 0 before the count check
+@example(eps=0.08, omega=0.0, k=-0.09999999999999987)
+@example(eps=0.08, omega=0.0, k=-0.06600000000000006)
 def test_three_decaying_roots_property(eps, omega, k):
-    """Any admissible (omega, k != 0) yields exactly 3 roots with Re > 0.
+    """Any admissible (omega, k != 0) yields exactly 3 roots with Re > 0,
+    or, only inside the unresolved band, UnresolvedRootPairError.
 
     k = 0 is excluded: the polynomial then drops its constant and linear
     terms and lambda = 0 becomes a double root (no x-dependence, nothing
@@ -244,46 +259,36 @@ def test_three_decaying_roots_property(eps, omega, k):
     spec = ModalMatrixSpec(nu=eps**6, kappa=eps**6, omega=omega, k=k, gamma=GAMMA)
     try:
         rs = solve_roots(char_poly(spec))
+    except UnresolvedRootPairError:
+        if not _unresolved_band(eps**6, omega, k):
+            raise
+        return
     except RootSolveError:
         return  # pathological coefficient balance; solver declines honestly
     assert len(rs.pos_real) == 3
 
 
-def test_zero_omega_sweep_gives_mirror_pairs():
-    """At omega = 0 the polynomial is real in mu = -i lambda: the roots are
-    three exact mirror pairs (lambda, -conj(lambda)), so three decay.  The
-    near-double pair at -ik cot(g) is split by nu k^3 / sin^4 g, below
-    Newton's resolution for small |k| at small eps: without the rule 28 of
-    these 1 000 nodes gave 2 or 4 roots with Re > 0 (the same 28 as on a
-    2 001-point sweep of [-2, 2])."""
-    wrong = []
+@pytest.mark.parametrize("omega", [0.0, 1e-10])
+def test_small_omega_sweep_never_returns_a_wrong_count(omega):
+    """At omega = 0 and tiny omega the near-double pair at -ik cot(g) is
+    split by less than Newton resolves for small |k| at small eps.  Each
+    node of this sweep gives three decaying roots, or raises
+    UnresolvedRootPairError inside the unresolved band, never 2 or 4 (28
+    of its nodes at omega = 0 and 17 at omega = 1e-10 did without the
+    count check)."""
+    counts, unresolved = [], 0
     for eps in (0.08, 0.1, 0.2, 0.3, 0.5):
         for k in np.linspace(-2.0, 2.0, 2001)[900:1101]:
             if abs(k) < 1e-3:
                 continue
-            spec = ModalMatrixSpec(eps**6, eps**6, 0.0, float(k), GAMMA)
-            r = solve_roots(char_poly(spec)).roots
-            mirrored = np.sort_complex(-r.conj())
-            if len(np.flatnonzero(r.real > 0)) != 3 or (np.sort_complex(r) != mirrored).any():
-                wrong.append((eps, float(k)))
-    assert wrong == []
-
-
-def test_tiny_omega_never_returns_a_wrong_count():
-    """At omega = 1e-10 the same pair is split by less than Newton resolves,
-    and the polynomial is not real in mu, so no mirror rule applies: each
-    node gives three decaying roots or a RootSolveError, never 2 or 4 (17
-    of these 200 nodes did before the count check)."""
-    counts = []
-    for k in np.linspace(-2.0, 2.0, 2001)[900:1101]:
-        if abs(k) < 1e-3:
-            continue
-        spec = ModalMatrixSpec(0.08**6, 0.08**6, 1e-10, float(k), GAMMA)
-        try:
-            counts.append(len(solve_roots(char_poly(spec)).pos_real))
-        except RootSolveError as err:
-            assert "roots with Re > 0" in str(err)
+            try:
+                counts.append(len(solve_roots(char_poly(
+                    ModalMatrixSpec(eps**6, eps**6, omega, float(k), GAMMA))).pos_real))
+            except UnresolvedRootPairError as err:
+                assert _unresolved_band(eps**6, omega, k), (eps, k, str(err))
+                unresolved += 1
     assert set(counts) == {3}
+    assert unresolved > 0
 
 
 def _batch(eps, omega, k, gamma=GAMMA):
@@ -301,6 +306,12 @@ class TestBatchErrorsNameTheNode:
         spec = ModalMatrixSpec(np.array([1e-4, 0.0, 1e-4]), np.array([1e-4, 0.0, 1e-4]),
                                np.array([0.61, 0.62, 0.63]), np.array([1.1, 1.2, 1.3]), GAMMA)
         with pytest.raises(RootSolveError, match=r"omega=0\.62, k=1\.2\)"):
+            roots_for(spec)
+
+    def test_unresolved_root_pair_error(self):
+        k = np.linspace(-2.0, 2.0, 2001)[967]  # -0.066 up to rounding: 2 roots decay
+        spec = _batch(0.08, [0.61, 0.0, 0.63], [1.1, k, 1.3])
+        with pytest.raises(UnresolvedRootPairError, match=r"omega=0, k=-0\.066\)"):
             roots_for(spec)
 
     def test_classification_error(self):
