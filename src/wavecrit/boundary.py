@@ -19,13 +19,13 @@ degeneracy (|omega|, |k| small) the slowly-decaying mode is useless for
 lifting and the w-trace is deliberately left over: only u and d_y b are
 matched, with a_2 = 0.
 
-Traces are complex arrays (u, w, d_y b): shape (3,) for one node, (3, n)
-for a batch spec of n nodes (characteristic.ModalMatrixSpec with array
-fields).  A batch lift takes the eigenvectors of all its roots elementwise
-and solves the n equilibrated systems as one stack (one cond, one solve,
-one residual check, with the 1e14 and 1e-10 bounds per node); its modes
-come node-major and in label order within a node.  A failing check names
-the first offending node by its (l, alpha).  A lift returns its modes as an
+Traces are complex (3, n) arrays (u, w, d_y b), one column per node of
+the spec (characteristic.ModalMatrixSpec; scalar fields make a batch of
+one).  A lift takes the eigenvectors of all its roots elementwise and
+solves the n equilibrated systems as one stack (one cond, one solve, one
+residual check, with the 1e14 and 1e-10 bounds per node); its modes come
+node-major and in label order within a node.  A failing check names the
+first offending node by its (l, alpha).  A lift returns its modes as an
 ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
@@ -46,8 +46,9 @@ from .characteristic import (
     CRITICAL_REGIMES,
     ModalMatrixSpec,
     Regime,
-    RootBatch,
     RootSet,
+    _THIRDS,
+    _cubic_labels,
     eigenvector,
     node_arrays,
 )
@@ -262,15 +263,9 @@ def limit_amplitudes_DY(
     # distinguished cubic with zeta = 0: L^3 = -2 k cos(g) / (nu0+kappa0)
     cube = -2.0 * k * cg / (nu0 + kappa0)
     base = cube ** (1.0 / 3.0) if cube >= 0 else -((-cube) ** (1.0 / 3.0))
-    thirds = sorted(
-        (base * np.exp(2j * math.pi * j / 3.0) for j in range(3)),
-        key=lambda z: z.real,
-    )
-    pos = sorted(thirds[1:], key=lambda z: -z.imag)
-    L2, L3 = pos[0], pos[1]
+    (L2,), (L3,), _ = _cubic_labels((base * _THIRDS)[None])
+    # the principal root: Re(L5) >= 0
     L5 = np.sqrt(-1j * w0 * (nu0 + kappa0) / (nu0 * kappa0))
-    if L5.real < 0:
-        L5 = -L5
     mat = np.array(
         [
             [1.0, 1.0, 0.0],
@@ -287,45 +282,40 @@ def limit_amplitudes_DY(
     return complex(a[0]), complex(a[1]), complex(a[2])
 
 
-def _lift(spec: ModalMatrixSpec, roots: RootSet | RootBatch, traces, labels,
-          rows) -> ExpModes:
+def _lift(spec: ModalMatrixSpec, roots: RootSet, traces, labels, rows) -> ExpModes:
     """Modes of the given root labels whose wall values match the traces.
 
-    traces is (u, w, d_y b) at the wall: shape (3,) for one node, (3, n)
-    for a batch spec of n nodes; rows picks the trace equations (0: u,
-    1: w, 2: d_y b) that the amplitudes solve.  The modes come node-major
-    and in label order within a node, with l = k, alpha = omega,
-    mu = lambda and coefficients a (U, W, B).
+    traces is (u, w, d_y b) at the wall, shape (3, n) for the n nodes of
+    the spec; rows picks the trace equations (0: u, 1: w, 2: d_y b) that
+    the amplitudes solve.  The modes come node-major and in label order
+    within a node, with l = k, alpha = omega, mu = lambda and coefficients
+    a (U, W, B).
     """
     _, _, w, k, _ = node_arrays(spec)
     traces = np.asarray(traces, dtype=complex)
-    want = (3, len(k)) if spec.is_batch else (3,)
-    if traces.shape != want:
-        raise ValueError(f"traces must be (u, w, d_y b) of shape {want}, got {traces.shape}")
-    lams = np.stack([np.atleast_1d(roots.by_label(lab)) for lab in labels], axis=1)
+    if traces.shape != (3, len(k)):
+        raise ValueError(f"traces must be (u, w, d_y b) of shape {(3, len(k))}, "
+                         f"got {traces.shape}")
+    lams = np.stack([roots.by_label(lab) for lab in labels], axis=1)
     vec = eigenvector(spec, lams)
     mat = np.stack([vec.U, vec.W, -lams * vec.B], axis=1)
-    a = _equilibrated_solve(mat[:, rows], traces.reshape(3, -1).T[:, rows], k, w)
+    a = _equilibrated_solve(mat[:, rows], traces.T[:, rows], k, w)
     m = len(labels)
     return ExpModes(np.repeat(k, m), np.repeat(w, m), lams.ravel(),
                     *((a * f).ravel() for f in (vec.U, vec.W, vec.B)))
 
 
-def _regimes(roots: RootSet | RootBatch) -> list[Regime]:
-    return roots.regimes if isinstance(roots, RootBatch) else [roots.regime]
-
-
-def stray_nodes(roots: RootSet | RootBatch, allowed) -> np.ndarray:
+def stray_nodes(roots: RootSet, allowed) -> np.ndarray:
     """Indices of the nodes whose regime is not one of the allowed ones."""
-    return np.flatnonzero([r not in allowed for r in _regimes(roots)])
+    return np.flatnonzero([r not in allowed for r in roots.regimes])
 
 
-def _require(roots: RootSet | RootBatch, allowed, lift: str):
+def _require(roots: RootSet, allowed, lift: str):
     """ValueError unless every node's regime is one of the allowed ones."""
     stray = stray_nodes(roots, allowed)
     if len(stray):
         raise ValueError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}, "
-                         f"got {_regimes(roots)[stray[0]]}")
+                         f"got {roots.regimes[stray[0]]}")
 
 
 def lift_critical(spec: ModalMatrixSpec, roots, traces) -> ExpModes:
@@ -343,7 +333,7 @@ def lift_noncritical(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, Ex
 
     The lambda_2 mode is the O(1)-rate reflected/evanescent wave; lambda_3
     and lambda_5 are genuine boundary layers.  Their traces sum to the input.
-    For a batch, the reflected modes and the layer modes each come node-major.
+    The reflected modes and the layer modes each come node-major.
     """
     _require(roots, (Regime.NON_CRITICAL,), "lift_noncritical")
     modes = _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
@@ -351,16 +341,14 @@ def lift_noncritical(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, Ex
     return modes[reflected], modes[~reflected]
 
 
-def lift_nonoscillating(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, complex]:
+def lift_nonoscillating(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, np.ndarray]:
     """Degenerate lift for |omega|, |k| small: match u and d_y b only.
 
     The slowly-decaying label-2 mode is discarded (a_2 = 0) and the 2x2
     system for (a_3, a_5) matches the u- and d_y b-traces.  The w-trace is
-    not matched; the leftover sum_j (ik/l_j) a_j - frak_w is returned (one
-    per node for a batch) so the caller can hand it to a large-scale
-    corrector.
+    not matched; the leftover sum_j (ik/l_j) a_j - frak_w is returned, one
+    per node, so the caller can hand it to a large-scale corrector.
     """
     _require(roots, (Regime.NON_OSCILLATING,), "lift_nonoscillating")
     modes = _lift(spec, roots, traces, (3, 5), [0, 2])
-    leftover = modes.cw.reshape(-1, 2).sum(axis=1) - np.reshape(traces[1], -1)
-    return modes, leftover if spec.is_batch else complex(leftover[0])
+    return modes, modes.cw.reshape(-1, 2).sum(axis=1) - np.asarray(traces[1])

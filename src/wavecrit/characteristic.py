@@ -15,9 +15,10 @@ nu^{-1/3} ... nu^{-1/2} depending on the criticality parameter
 zeta = w^2 - sin^2 g.  Exactly three roots have positive real part, so three
 boundary conditions can always be lifted by decaying modes.
 
-Batched path.  A ModalMatrixSpec whose fields are 1-D arrays (broadcast
-against each other) is a batch of nodes, and roots_for returns a RootBatch
-for it.  The six roots of every node come from one stacked companion
+Batches.  Every ModalMatrixSpec is a batch of nodes: array fields (1-D,
+broadcast against each other) give one node per entry, and a spec with
+scalar fields is a batch of one.  roots_for returns a RootSet of the whole
+batch.  The six roots of every node come from one stacked companion
 eigvals call ((n, 6, 6), laid out as np.roots lays it out) and 8 damped
 Newton steps of an array Horner over the (n, 7) coefficients.  The regime
 cut is a set of array masks, each regime's leading-order predictions are
@@ -25,9 +26,7 @@ array formulas (the distinguished cubic is a stacked 3x3 eigvals), and the
 labels minimize the summed relative distance to the predictions over all
 720 permutations at once.  eigenvector works elementwise.  Every check
 runs over the whole batch and raises a typed error naming the first node
-that fails it.  The one-node functions (solve_roots, classify_roots,
-roots_for and eigenvector on a scalar spec) are one-node calls of the same
-code.
+that fails it.
 
 Unresolved pair.  With k != 0 exactly three roots have Re > 0, but two
 of the small roots sit near a double root at lambda0 = -ik cot(g) (exact
@@ -51,7 +50,7 @@ import cmath
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +61,10 @@ _FIELDS = ("nu", "kappa", "omega", "k", "gamma")
 
 @dataclass(frozen=True)
 class ModalMatrixSpec:
-    """Parameters entering the modal matrix A_{nu,kappa,omega,k}(lambda).
-
-    Scalar fields describe one node.  Array fields (1-D, broadcast against
-    each other and against the scalar ones) describe a batch of nodes.
+    """Parameters entering the modal matrix A_{nu,kappa,omega,k}(lambda) of a
+    batch of nodes: array fields (1-D, broadcast against each other and
+    against the scalar ones) give one node per entry; a spec with only
+    scalar fields is a batch of one node.
     """
 
     nu: float
@@ -77,10 +76,6 @@ class ModalMatrixSpec:
     def __post_init__(self):
         if np.any(np.asarray(self.nu) < 0) or np.any(np.asarray(self.kappa) < 0):
             raise ValueError("nu and kappa must be nonnegative")
-
-    @property
-    def is_batch(self) -> bool:
-        return any(np.ndim(getattr(self, f)) for f in _FIELDS)
 
 
 def node_arrays(spec: ModalMatrixSpec, ndim: int = 1):
@@ -129,27 +124,7 @@ def _horner(c: np.ndarray, lam: np.ndarray):
     return p, dp
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Coefficients c[0..6] of det A(lambda) = sum_j c[j] lambda^j."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 7:
-            raise ValueError("expected 7 coefficients c0..c6")
-
-    def _at(self, lam: complex):
-        return _horner(np.array([self.coeffs], dtype=complex), np.array([[lam]], dtype=complex))
-
-    def __call__(self, lam: complex) -> complex:
-        return complex(self._at(lam)[0][0, 0])
-
-    def derivative(self, lam: complex) -> complex:
-        return complex(self._at(lam)[1][0, 0])
-
-
-def _coeffs(spec: ModalMatrixSpec) -> np.ndarray:
+def char_poly(spec: ModalMatrixSpec) -> np.ndarray:
     """(n, 7) coefficients of every node's determinant polynomial, grouped
     around zeta:
 
@@ -168,11 +143,6 @@ def _coeffs(spec: ModalMatrixSpec) -> np.ndarray:
     c[:, 1] = -2j * k * sg * cg
     c[:, 0] = k**2 * (cg**2 - w**2 - 1j * w * (kap + nu) * k**2 + nu * kap * k**4)
     return c
-
-
-def char_poly(spec: ModalMatrixSpec) -> CharPoly:
-    """The degree-6 determinant polynomial of one node."""
-    return CharPoly(tuple(complex(c) for c in _coeffs(spec)[0]))
 
 
 class Regime(enum.Enum):
@@ -197,34 +167,14 @@ _NC, _SMALL, _DY, _LARGE, _NONOSC = range(5)
 
 @dataclass
 class RootSet:
-    """Six roots of the characteristic polynomial, optionally labeled.
-
-    labels[i] is the asymptotic tag 1..6 of roots[i] once classified;
-    exactly the roots tagged 2, 3, 5 have positive real part under the
-    standing assumptions.
-    """
-
-    roots: np.ndarray
-    poly: CharPoly
-    labels: tuple[int, ...] | None = None
-    regime: Regime | None = None
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def pos_real(self) -> list[int]:
-        return [i for i, r in enumerate(self.roots) if r.real > 0]
-
-    def by_label(self, label: int) -> complex:
-        if self.labels is None:
-            raise ValueError("root set not classified yet")
-        return complex(self.roots[self.labels.index(label)])
-
-
-@dataclass
-class RootBatch:
-    """Classified roots of a batch of nodes: roots (n, 6), their
+    """Classified roots of a batch of nodes: roots (n, 6), their polynomial
     coefficients (n, 7), labels (n, 6), one regime and one warning list per
-    node.  Indexing gives node i's RootSet."""
+    node.
+
+    labels[i, j] is the asymptotic tag 1..6 of roots[i, j]; exactly the
+    roots tagged 2, 3, 5 have positive real part under the standing
+    assumptions.
+    """
 
     roots: np.ndarray
     coeffs: np.ndarray
@@ -234,11 +184,6 @@ class RootBatch:
 
     def __len__(self):
         return len(self.roots)
-
-    def __getitem__(self, i: int) -> RootSet:
-        return RootSet(roots=self.roots[i], poly=CharPoly(tuple(self.coeffs[i])),
-                       labels=tuple(int(j) for j in self.labels[i]),
-                       regime=self.regimes[i], warnings=self.warnings[i])
 
     def by_label(self, label: int) -> np.ndarray:
         """The root of every node that carries the label, shape (n,)."""
@@ -312,12 +257,6 @@ def _polished_roots(c: np.ndarray, name) -> np.ndarray:
             f"{count[i]} roots with Re > 0 at {name(i)}, not 3: a near-double "
             f"root pair is not resolved; roots {roots[i]}")
     return roots
-
-
-def solve_roots(poly: CharPoly) -> RootSet:
-    """All six roots of one polynomial (the one-node case of the batch)."""
-    c = np.array([poly.coeffs], dtype=complex)
-    return RootSet(roots=_polished_roots(c, lambda i: f"coeffs={tuple(c[i])}")[0], poly=poly)
 
 
 class ClassificationError(RuntimeError):
@@ -474,34 +413,24 @@ def _classify(roots: np.ndarray, spec: ModalMatrixSpec, name):
     return best + 1, regimes, warnings
 
 
-def classify_roots(rootset: RootSet, spec: ModalMatrixSpec) -> RootSet:
-    """Pick the Table-1 regime of one node and tag each root with its
-    asymptotic label (the one-node case of the batch, see _classify)."""
-    labels, regimes, warnings = _classify(rootset.roots[None], spec, _node_name(spec))
-    return RootSet(roots=rootset.roots, poly=rootset.poly,
-                   labels=tuple(int(j) for j in labels[0]),
-                   regime=regimes[0], warnings=warnings[0])
-
-
-def roots_for(spec: ModalMatrixSpec) -> RootSet | RootBatch:
-    """Characteristic polynomial -> roots -> classification: a RootSet for
-    one node, a RootBatch for a batch spec."""
+def roots_for(spec: ModalMatrixSpec) -> RootSet:
+    """Characteristic polynomial -> roots -> classification, for every node
+    of the spec."""
     name = _node_name(spec)
-    c = _coeffs(spec)
+    c = char_poly(spec)
     roots = _polished_roots(c, name)
-    batch = RootBatch(roots, c, *_classify(roots, spec, name))
-    return batch if spec.is_batch else batch[0]
+    return RootSet(roots, c, *_classify(roots, spec, name))
 
 
 @dataclass(frozen=True)
 class Eigenvector:
-    """Null vector (U, W, B, P) of A(lambda), normalized to U = 1 (arrays
-    of lambda's shape for a batch)."""
+    """Null vectors (U, W, B, P) of A(lambda), normalized to U = 1: arrays
+    of lambda's shape."""
 
-    U: complex
-    W: complex
-    B: complex
-    P: complex
+    U: np.ndarray
+    W: np.ndarray
+    B: np.ndarray
+    P: np.ndarray
 
     def as_array(self) -> np.ndarray:
         return np.array([self.U, self.W, self.B, self.P], dtype=complex)
@@ -512,18 +441,18 @@ class SingularEigenvectorError(RuntimeError):
 
 
 def eigenvector(spec: ModalMatrixSpec, lam) -> Eigenvector:
-    """Eigenvector for a characteristic root, U normalized to 1.
+    """Eigenvectors for characteristic roots, U normalized to 1.
 
     W = ik/lambda U by the divergence row; B and P follow from the buoyancy
-    and u-momentum rows.  lambda is residual-checked against the
-    characteristic polynomial first.  For a batch spec lam is (n,) or (n, m)
-    (roots of each node along the second axis) and the fields have lam's
-    shape; an error names the first node whose root fails the check, with
-    its omega, k and lambda.
+    and u-momentum rows.  lam is (n,) or (n, m) for the n nodes of the spec
+    (roots of each node along the second axis), and the fields have lam's
+    shape.  Each lambda is residual-checked against its node's
+    characteristic polynomial first; an error names the first node whose
+    root fails the check, with its omega, k and lambda.
     """
-    c = _coeffs(spec)
+    c = char_poly(spec)
     lam = np.asarray(lam, dtype=complex)
-    lam2 = lam if lam.ndim == 2 else lam.reshape(len(c), -1)
+    lam2 = lam if lam.ndim == 2 else lam[:, None]  # (n, m)
     nu, kap, w, k, g = node_arrays(spec, ndim=2)
     sg, cg = np.sin(g), np.cos(g)
     p, _ = _horner(c, lam2)
@@ -546,7 +475,4 @@ def eigenvector(spec: ModalMatrixSpec, lam) -> Eigenvector:
     W = 1j * k / lam2
     B = (sg + W * cg) / denom
     P = (1j * w - nu * (k * k - lam2 * lam2) + sg * B) / (1j * k)
-    fields = (np.ones_like(lam2), W, B, P)
-    if spec.is_batch or lam.ndim:
-        return Eigenvector(*(f.reshape(lam.shape) for f in fields))
-    return Eigenvector(*(complex(f[0, 0]) for f in fields))
+    return Eigenvector(*(f.reshape(lam.shape) for f in (np.ones_like(lam2), W, B, P)))

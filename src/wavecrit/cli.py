@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .boundary import (
-    ExpModes,
     IllConditionedLiftError,
     lift_critical,
     lift_noncritical,
@@ -283,18 +282,20 @@ def _assembly_at(config: ExperimentConfig, params: PhysParams):
 
 
 def _run_roots(config: ExperimentConfig) -> list[str]:
+    eps = [e for e, _ in _sweep_points(config)]
+    ps = [_params_at(config, e, 0.0) for e in eps]
+    gamma = config.params.gamma
+    # one node per eps
+    spec = ModalMatrixSpec(nu=np.array([p.nu for p in ps]),
+                           kappa=np.array([p.kappa for p in ps]),
+                           omega=math.sin(gamma), k=config.k0, gamma=gamma)
+    rs = roots_for(spec)
     rows = []
-    for eps, _ in _sweep_points(config):
-        p = _params_at(config, eps, 0.0)
-        spec = ModalMatrixSpec(
-            nu=p.nu, kappa=p.kappa, omega=math.sin(p.gamma),
-            k=config.k0, gamma=p.gamma,
-        )
-        rs = roots_for(spec)
-        for i, lam in enumerate(rs.roots):
+    for e, roots, labels, regime in zip(eps, rs.roots, rs.labels.tolist(), rs.regimes):
+        for i, lam in enumerate(roots):
             rows.append([
-                eps, i, rs.labels[i], float(lam.real), float(lam.imag),
-                int(lam.real > 0), rs.regime.name,
+                e, i, labels[i], float(lam.real), float(lam.imag),
+                int(lam.real > 0), regime.name,
             ])
     _write_csv(
         config.output_dir / "roots.csv",
@@ -324,25 +325,30 @@ def _run_lift(config: ExperimentConfig) -> list[str]:
     p = config.params
     rows = []
     n = int(config.options.get("samples", 100))
-    for regime in (Regime.CRITICAL_DY, Regime.NON_CRITICAL,
+    if n < 1:
+        raise ConfigError(f"lift needs samples >= 1, got {n}")
+    for target in (Regime.CRITICAL_DY, Regime.NON_CRITICAL,
                    Regime.NON_OSCILLATING):
-        spec = _lift_spec(p, config.k0, regime)
+        one = _lift_spec(p, config.k0, target)
+        # every sample is one node of the same spec, so of the same regime
+        spec = dataclasses.replace(one, omega=np.full(n, one.omega), k=np.full(n, one.k))
         rs = roots_for(spec)
+        regime = rs.regimes[0]
+        z = rng.normal(size=(n, 6))
+        tr = (z[:, 0::2] + 1j * z[:, 1::2]).T
+        if regime is Regime.NON_CRITICAL:
+            lifts = lift_noncritical(spec, rs, tr)  # reflected modes, then the layers
+        elif regime is Regime.NON_OSCILLATING:
+            lifts = lift_nonoscillating(spec, rs, tr)[:1]
+        else:
+            lifts = (lift_critical(spec, rs, tr),)
+        # wall values (3, n, modes per sample), each sample's modes in label order
+        vals = np.concatenate([np.stack(m.traces()).reshape(3, n, -1) for m in lifts], axis=2)
         # the non-oscillating lift leaves the w-trace over by design
-        matched = [0, 2] if rs.regime is Regime.NON_OSCILLATING else [0, 1, 2]
-        for i in range(n):
-            z = rng.normal(size=6)
-            tr = z[0::2] + 1j * z[1::2]
-            if rs.regime is Regime.NON_CRITICAL:
-                lift = ExpModes.concat(lift_noncritical(spec, rs, tr))
-            elif rs.regime is Regime.NON_OSCILLATING:
-                lift, _ = lift_nonoscillating(spec, rs, tr)
-            else:
-                lift = lift_critical(spec, rs, tr)
-            got = np.sum(lift.traces(), axis=1)[matched]
-            want = tr[matched]
-            err = float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
-            rows.append([rs.regime.name, i, err])
+        matched = [0, 2] if regime is Regime.NON_OSCILLATING else [0, 1, 2]
+        got, want = vals.sum(axis=2)[matched], tr[matched]
+        err = np.abs(got - want).max(axis=0) / np.maximum(np.abs(want).max(axis=0), 1e-300)
+        rows += [[regime.name, i, e] for i, e in enumerate(err.tolist())]
     _write_csv(config.output_dir / "lift.csv",
                ["regime", "sample", "rel_error"], rows)
     return ["lift.csv"]

@@ -208,7 +208,7 @@ class SimConfig:
                            f"0.1/omega0={0.1 / omega0:.3g}")
         # the thinnest layer must be resolved: >= 8 points within 5 widths
         spec = ModalMatrixSpec(p.nu, p.kappa, omega0, self.k0, p.gamma)
-        lam5 = roots_for(spec).by_label(5).real
+        lam5 = roots_for(spec).by_label(5)[0].real
         y = stretched_grid(self.Ly, self.ny, self.dy0, self.dy_max)
         n_in_layer = int(np.sum(y <= 5.0 / lam5))
         if n_in_layer < 8:

@@ -152,13 +152,13 @@ def capture_lift():
         lifts, leftovers = [], []
         for tr in traces:
             if regime is Regime.NON_CRITICAL:
-                lifts.append(ExpModes.concat(lift_noncritical(spec, roots, tr)))
+                lifts.append(ExpModes.concat(lift_noncritical(spec, roots, tr[:, None])))
             elif regime is Regime.NON_OSCILLATING:
-                lift, left = lift_nonoscillating(spec, roots, tr)
+                lift, left = lift_nonoscillating(spec, roots, tr[:, None])
                 lifts.append(lift)
-                leftovers.append(left)
+                leftovers.append(left[0])
             else:
-                lifts.append(lift_critical(spec, roots, tr))
+                lifts.append(lift_critical(spec, roots, tr[:, None]))
         for name in ("mu", "cu", "cw", "cb"):  # (sample, mode) arrays
             out[f"{regime.name}_{name}"] = np.array([getattr(m, name) for m in lifts])
         if leftovers:

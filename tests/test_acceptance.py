@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from wavecrit import corrector as C
 from wavecrit.boundary import (
@@ -22,9 +23,10 @@ from wavecrit.boundary import (
 from wavecrit.characteristic import (
     ModalMatrixSpec,
     Regime,
+    _node_name,
+    _polished_roots,
     char_poly,
     roots_for,
-    solve_roots,
 )
 from wavecrit.dns import (
     SimConfig,
@@ -94,10 +96,9 @@ def test_criterion_01_root_algebra():
         }[int(kind)]
         spec = ModalMatrixSpec(nu=eps**6, kappa=eps**6, omega=omega,
                                k=k * rng.uniform(0.5, 1.5), gamma=GAMMA)
-        poly = char_poly(spec)
-        rs = solve_roots(poly)
-        r = rs.roots
-        c = poly.coeffs
+        c = char_poly(spec)
+        r = _polished_roots(c, _node_name(spec))[0]
+        c = c[0]
         scale = np.abs(r).max()
         e2 = sum(r[i] * r[j] for i in range(6) for j in range(i + 1, 6))
         if abs(r.sum()) > 1e-8 * 6 * scale:
@@ -108,11 +109,11 @@ def test_criterion_01_root_algebra():
         if abs(prod - c[0] / c[6]) > 1e-8 * max(abs(c[0] / c[6]), 1.0):
             failures.append(f"draw {n}: Vieta product")
         for root in r:
-            if abs(poly(root)) > 1e-10 * max(abs(ci) for ci in c) * max(
+            if abs(polyval(root, c)) > 1e-10 * max(abs(ci) for ci in c) * max(
                     1.0, abs(root)) ** 6:
                 failures.append(f"draw {n}: insertion residual")
-        if len(rs.pos_real) != 3:
-            failures.append(f"draw {n}: {len(rs.pos_real)} decaying roots")
+        if (r.real > 0).sum() != 3:
+            failures.append(f"draw {n}: {(r.real > 0).sum()} decaying roots")
     if time.time() - t0 > 10.0:
         failures.append(f"runtime {time.time() - t0:.1f}s > 10s")
     _verdict(1, "root algebra (Vieta, insertion, 3 decaying)", failures)
@@ -133,11 +134,11 @@ def test_criterion_02_regime_scalings():
         spec = ModalMatrixSpec(p.nu, p.kappa, math.sqrt(sg**2 + eps**2),
                                1.0, GAMMA)
         rs = roots_for(spec)
-        if rs.regime is not Regime.CRITICAL_DY:
-            failures.append(f"eps={eps}: regime {rs.regime}")
+        if rs.regimes[0] is not Regime.CRITICAL_DY:
+            failures.append(f"eps={eps}: regime {rs.regimes[0]}")
             continue
         for lab in mags:
-            mags[lab].append(abs(rs.by_label(lab)))
+            mags[lab].append(abs(rs.by_label(lab)[0]))
     for lab, target in ((2, -2.0), (3, -2.0), (5, -3.0)):
         slope = _slope(EPS_SWEEP, mags[lab])
         if abs(slope - target) > 0.15:
@@ -150,10 +151,10 @@ def test_criterion_02_regime_scalings():
         p = PhysParams(gamma=GAMMA, eps=eps)
         spec = ModalMatrixSpec(p.nu, p.kappa, 0.3 * eps**2, float(k), GAMMA)
         rs = roots_for(spec)
-        if rs.regime is not Regime.NON_OSCILLATING:
-            failures.append(f"k={k}: regime {rs.regime}")
+        if rs.regimes[0] is not Regime.NON_OSCILLATING:
+            failures.append(f"k={k}: regime {rs.regimes[0]}")
             continue
-        re2.append(rs.by_label(2).real)
+        re2.append(rs.by_label(2)[0].real)
     slope = float(np.polyfit(np.log(ks), np.log(re2), 1)[0])
     if abs(slope - 3.0) > 0.2:
         failures.append(f"non-oscillating Re(lambda_2) slope {slope:.3f}")
@@ -193,11 +194,11 @@ def test_criterion_03_boundary_lifting():
             z = rng.normal(size=6)
             tr = z[0::2] + 1j * z[1::2]
             if regime is Regime.NON_CRITICAL:
-                lift = ExpModes.concat(lift_noncritical(spec, rs, tr))
+                lift = ExpModes.concat(lift_noncritical(spec, rs, tr[:, None]))
             elif regime is Regime.NON_OSCILLATING:
-                lift, _leftover = lift_nonoscillating(spec, rs, tr)
+                lift, _leftover = lift_nonoscillating(spec, rs, tr[:, None])
             else:
-                lift = lift_critical(spec, rs, tr)
+                lift = lift_critical(spec, rs, tr[:, None])
             got = np.sum(lift.traces(), axis=1)[matched]
             want = tr[matched]
             worst = max(worst,
@@ -323,7 +324,7 @@ def test_criterion_06_second_harmonic_branch():
     car = critical_carrier(gamma, 1.0)
     p = PhysParams(gamma=gamma, eps=eps)
     spec = ModalMatrixSpec(p.nu, p.kappa, 2 * car.omega0, 2 * car.k0, gamma)
-    lam2 = roots_for(spec).by_label(2)
+    lam2 = roots_for(spec).by_label(2)[0]
     if abs(lam2.real) > 1e-3:
         failures.append(f"propagating Re(Lambda_2)={lam2.real:.2e}")
     if C.second_harmonic_rate(gamma, car.k0).real != 0.0:
@@ -333,7 +334,7 @@ def test_criterion_06_second_harmonic_branch():
     car = critical_carrier(gamma, 1.0)
     p = PhysParams(gamma=gamma, eps=eps)
     spec = ModalMatrixSpec(p.nu, p.kappa, 2 * car.omega0, 2 * car.k0, gamma)
-    lam2 = roots_for(spec).by_label(2)
+    lam2 = roots_for(spec).by_label(2)[0]
     if lam2.real < 0.3:
         failures.append(f"evanescent Re(Lambda_2)={lam2.real:.2e} not "
                         "bounded away from 0")
@@ -548,7 +549,7 @@ def test_criterion_10_oracle_equivalences():
         spec = ModalMatrixSpec(pp.nu, pp.kappa, car.omega0, car.k0, GAMMA)
         rs = roots_for(spec)
         # U = 1, so the cu are the amplitudes (a2, a3, a5)
-        a2, a3, a5 = lift_critical(spec, rs, [0.0, frak_w, 0.0]).cu
+        a2, a3, a5 = lift_critical(spec, rs, [[0.0], [frak_w], [0.0]]).cu
         errs.append(max(abs(eps**2 * a2 - A2), abs(eps**2 * a3 - A3),
                         abs(eps * a5 - A5)))
     if not errs[1] < errs[0]:

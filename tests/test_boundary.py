@@ -62,6 +62,11 @@ def random_traces(rng, n):
     return list(z[:, 0::2] + 1j * z[:, 1::2])
 
 
+def col(tr):
+    """One node's (u, w, d_y b) as the (3, 1) array a lift takes."""
+    return np.asarray(tr, dtype=complex)[:, None]
+
+
 def wall_values(lift):
     """(u, w, d_y b) at the wall produced by the lift's modes."""
     return np.sum(lift.traces(), axis=1)
@@ -81,7 +86,7 @@ class TestTraceMatching:
         rs = roots_for(spec)
         rng = np.random.default_rng(11)
         for tr in random_traces(rng, 100):
-            lift = lift_critical(spec, rs, tr)
+            lift = lift_critical(spec, rs, tr[:, None])
             err = np.abs(wall_values(lift) - tr).max()
             assert err <= 1e-9 * max(np.abs(tr).max(), 1e-300)
 
@@ -90,43 +95,43 @@ class TestTraceMatching:
         rs = roots_for(spec)
         rng = np.random.default_rng(12)
         for tr in random_traces(rng, 100):
-            rw, bl = lift_noncritical(spec, rs, tr)
+            rw, bl = lift_noncritical(spec, rs, tr[:, None])
             total = wall_values(rw) + wall_values(bl)
             err = np.abs(total - tr).max()
             assert err <= 1e-9 * np.abs(tr).max()
-        assert rw.mu.tolist() == [rs.by_label(2)]
-        assert bl.mu.tolist() == [rs.by_label(3), rs.by_label(5)]
+        assert rw.mu.tolist() == rs.by_label(2).tolist()
+        assert bl.mu.tolist() == [rs.by_label(3)[0], rs.by_label(5)[0]]
 
     def test_nonoscillating_100_random_triples(self):
         spec = regime_spec(Regime.NON_OSCILLATING)
         rs = roots_for(spec)
         rng = np.random.default_rng(13)
         for tr in random_traces(rng, 100):
-            lift, leftover = lift_nonoscillating(spec, rs, tr)
+            lift, leftover = lift_nonoscillating(spec, rs, tr[:, None])
             got = wall_values(lift)
             scale = np.abs(tr).max()
             assert abs(got[0] - tr[0]) <= 1e-9 * scale
             assert abs(got[2] - tr[2]) <= 1e-9 * scale
             # leftover is exactly the unmatched part of the w-trace
-            assert abs(got[1] - tr[1] - leftover) <= 1e-12 * scale
+            assert abs(got[1] - tr[1] - leftover[0]) <= 1e-12 * scale
 
     def test_zero_traces_give_zero_lift(self):
         spec = regime_spec(Regime.CRITICAL_DY)
         rs = roots_for(spec)
-        lift = lift_critical(spec, rs, np.zeros(3))
+        lift = lift_critical(spec, rs, np.zeros((3, 1)))
         assert lift.cu.tolist() == [0.0, 0.0, 0.0]
 
     def test_w_only_trace_in_degenerate_regime(self):
         # (0, w, 0): nothing to lift, the whole w-trace is left over
         spec = regime_spec(Regime.NON_OSCILLATING)
         rs = roots_for(spec)
-        lift, leftover = lift_nonoscillating(spec, rs, [0.0, 2.0 - 1j, 0.0])
+        lift, leftover = lift_nonoscillating(spec, rs, col([0.0, 2.0 - 1j, 0.0]))
         assert np.abs(lift.cu).max() <= 1e-12
-        assert leftover == pytest.approx(-(2.0 - 1j))
+        assert leftover[0] == pytest.approx(-(2.0 - 1j))
 
     def test_regime_preconditions(self):
         rs_crit = roots_for(regime_spec(Regime.CRITICAL_DY))
-        tr = [1.0, 0.0, 0.0]
+        tr = col([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             lift_noncritical(regime_spec(Regime.CRITICAL_DY), rs_crit, tr)
         with pytest.raises(ValueError):
@@ -146,7 +151,7 @@ class TestTraceMatching:
 def test_lift_is_linear(c, i):
     spec = spec_at(0.2)
     rs = roots_for(spec)
-    tr = np.eye(3)[i]
+    tr = np.eye(3)[:, [i]]
     a1 = lift_critical(spec, rs, tr).cu
     a2 = lift_critical(spec, rs, c * tr).cu
     assert np.abs(a2 - c * a1).max() <= 1e-12 * max(np.abs(a1).max() * abs(c), 1e-30)
@@ -157,16 +162,16 @@ def test_superposition_of_random_pairs():
     rs = roots_for(spec)
     rng = np.random.default_rng(21)
     for t1, t2 in zip(random_traces(rng, 20), random_traces(rng, 20)):
-        a1 = lift_critical(spec, rs, t1).cu
-        a2 = lift_critical(spec, rs, t2).cu
-        a12 = lift_critical(spec, rs, t1 + t2).cu
+        a1 = lift_critical(spec, rs, t1[:, None]).cu
+        a2 = lift_critical(spec, rs, t2[:, None]).cu
+        a12 = lift_critical(spec, rs, (t1 + t2)[:, None]).cu
         assert np.abs(a12 - a1 - a2).max() <= 1e-12 * np.abs(a12).max()
 
 
 class TestDYAmplitudes:
     def test_amplitude_growth_slopes(self):
         """|a2|, |a3| ~ eps^-2 and |a5| ~ eps^-1 for O(1) traces."""
-        tr = [1.0, 0.5 + 0.2j, -0.3j]
+        tr = col([1.0, 0.5 + 0.2j, -0.3j])
         eps_list = np.array([0.4, 0.3, 0.2, 0.15, 0.1])
         mags = []
         for eps in eps_list:
@@ -189,8 +194,8 @@ class TestDYAmplitudes:
 
     def test_rescaled_amplitudes_converge_to_limits(self):
         """eps^2 a_2 -> A2bar etc., with an O(eps) rate."""
-        tr = [0.0, 1.0, 0.0]
-        A2, A3, A5 = limit_amplitudes_DY(GAMMA, CARRIER.k0, tr[1])
+        tr = col([0.0, 1.0, 0.0])
+        A2, A3, A5 = limit_amplitudes_DY(GAMMA, CARRIER.k0, 1.0)
         errs = []
         eps_list = [0.2, 0.1, 0.05]
         for eps in eps_list:
@@ -215,7 +220,7 @@ class TestEvaluate:
         spec = spec_at(0.2)
         rs = roots_for(spec)
         tr = np.array([1.0, 0.5j, -0.2])
-        lift = lift_critical(spec, rs, tr)
+        lift = lift_critical(spec, rs, tr[:, None])
         # x = 0 reads 2 Re(trace), a quarter wavelength reads -2 Im(trace)
         x = np.array([0.0, 0.5 * math.pi / spec.k])
         u, w, b = evaluate_modes(lift, 0.0, x, np.array([0.0]))
@@ -226,7 +231,7 @@ class TestEvaluate:
     def test_decay_away_from_wall(self):
         spec = spec_at(0.2)
         rs = roots_for(spec)
-        lift = lift_critical(spec, rs, [1.0, 0.5j, -0.2])
+        lift = lift_critical(spec, rs, col([1.0, 0.5j, -0.2]))
         x = np.linspace(0.0, 2.0 * math.pi / spec.k, 16, endpoint=False)
         u, w, b = evaluate_modes(lift, 0.3, x, np.array([0.0, 2.0, 50.0]))
         peak = np.abs(u).max(axis=1)
@@ -236,7 +241,7 @@ class TestEvaluate:
     def test_underflow_guard_gives_exact_zero(self):
         spec = spec_at(0.2)
         rs = roots_for(spec)
-        lift = lift_critical(spec, rs, [1.0, 0.0, 0.0])
+        lift = lift_critical(spec, rs, col([1.0, 0.0, 0.0]))
         u, w, b = evaluate_modes(lift, 0.0, np.array([0.0]), np.array([1e9]))
         assert u[0, 0] == 0.0 and w[0, 0] == 0.0 and b[0, 0] == 0.0
 
@@ -245,7 +250,7 @@ class TestEvaluate:
         for regime in (Regime.CRITICAL_DY, Regime.NON_CRITICAL):
             spec = regime_spec(regime)
             rs = roots_for(spec)
-            tr = [1.0, 0.5, 0.2j]
+            tr = col([1.0, 0.5, 0.2j])
             if regime is Regime.NON_CRITICAL:
                 modes = ExpModes.concat(lift_noncritical(spec, rs, tr))
             else:
@@ -253,11 +258,11 @@ class TestEvaluate:
             assert len(modes) == 3
             assert (modes.l == spec.k).all() and (modes.alpha == spec.omega).all()
             for n in range(len(modes)):
-                vec = eigenvector(spec, modes.mu[n])
-                assert modes.cw[n] / modes.cu[n] == pytest.approx(vec.W, rel=1e-12)
-                assert modes.cb[n] / modes.cu[n] == pytest.approx(vec.B, rel=1e-12)
+                vec = eigenvector(spec, modes.mu[[n]])
+                assert modes.cw[n] / modes.cu[n] == pytest.approx(vec.W[0], rel=1e-12)
+                assert modes.cb[n] / modes.cu[n] == pytest.approx(vec.B[0], rel=1e-12)
                 A = build_matrix(spec, modes.mu[n])
-                v = vec.as_array()
+                v = vec.as_array()[:, 0]
                 assert np.abs(A @ v).max() <= 1e-8 * np.abs(A).max() * np.abs(v).max()
 
     def test_field_solves_pde_finite_differences(self):
@@ -268,7 +273,7 @@ class TestEvaluate:
         """
         spec = spec_at(0.35)
         rs = roots_for(spec)
-        lift = lift_critical(spec, rs, [1.0, 0.3, 0.1])
+        lift = lift_critical(spec, rs, col([1.0, 0.3, 0.1]))
         sg, cg = math.sin(GAMMA), math.cos(GAMMA)
         t0, x0, y0 = 0.2, 0.5, 0.05
         ht, hx = 1e-5, 1e-5
@@ -302,11 +307,11 @@ def test_mode_subsets():
     """Indexing a lift gives mode sets: labels 2, 3 by slice, label 5 by index."""
     spec = spec_at(0.2)
     rs = roots_for(spec)
-    lift = lift_critical(spec, rs, [1.0, 0.5j, -0.2])
+    lift = lift_critical(spec, rs, col([1.0, 0.5j, -0.2]))
     head, last = lift[:2], lift[2]
     assert len(head) == 2 and len(last) == 1
-    assert head.mu.tolist() == [rs.by_label(2), rs.by_label(3)]
-    assert last.mu.tolist() == [rs.by_label(5)] and last.cb.tolist() == [lift.cb[2]]
+    assert head.mu.tolist() == [rs.by_label(2)[0], rs.by_label(3)[0]]
+    assert last.mu.tolist() == rs.by_label(5).tolist() and last.cb.tolist() == [lift.cb[2]]
     joined = ExpModes.concat([head, last])
     for f in ("l", "alpha", "mu", "cu", "cw", "cb"):
         assert (getattr(joined, f) == getattr(lift, f)).all(), f
@@ -389,7 +394,7 @@ def test_batch_lift_equals_one_node_lifts():
     assert (batch.cu[3:6] == 0).all()
     for i in range(3):
         one = ModalMatrixSpec(p.nu, p.kappa, omega[i], k[i], GAMMA)
-        want = lift_critical(one, roots_for(one), traces[:, i])
+        want = lift_critical(one, roots_for(one), traces[:, [i]])
         got = batch[3 * i:3 * i + 3]
         assert got.l.tolist() == want.l.tolist() and got.alpha.tolist() == want.alpha.tolist()
         assert np.abs(got.mu - want.mu).max() <= 1e-14 * np.abs(want.mu).max()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.optimize import linear_sum_assignment
 
 from wavecrit.boundary import lift_critical, lift_noncritical, lift_nonoscillating
@@ -16,12 +17,14 @@ from wavecrit.characteristic import (
     RootSolveError,
     SingularEigenvectorError,
     UnresolvedRootPairError,
+    _horner,
+    _node_name,
+    _polished_roots,
     _predictions,
     build_matrix,
     char_poly,
     eigenvector,
     roots_for,
-    solve_roots,
 )
 from wavecrit.params import PhysParams, critical_carrier
 
@@ -53,6 +56,13 @@ def regime_specs(eps=0.2):
     }
 
 
+def solved(spec):
+    """(coefficients (7,), polished roots (6,)) of a one-node spec, before
+    any classification."""
+    c = char_poly(spec)
+    return c[0], _polished_roots(c, _node_name(spec))[0]
+
+
 class TestCharPoly:
     def test_matches_determinant_at_random_points(self):
         """Coefficient formula vs direct 4x4 determinant (independent route)."""
@@ -65,24 +75,26 @@ class TestCharPoly:
                 k=rng.uniform(-3, 3),
                 gamma=rng.uniform(0.05, 1.5),
             )
-            poly = char_poly(spec)
+            c = char_poly(spec)[0]
             lam = rng.normal() + 1j * rng.normal()
             det = np.linalg.det(build_matrix(spec, lam))
-            scale = max(abs(c) for c in poly.coeffs) * max(1.0, abs(lam)) ** 6
-            assert abs(poly(lam) - det) <= 1e-12 * scale
+            scale = np.abs(c).max() * max(1.0, abs(lam)) ** 6
+            assert abs(polyval(lam, c) - det) <= 1e-12 * scale
 
     def test_odd_coefficients_vanish_except_c1(self):
-        poly = char_poly(spec_at(0.2))
-        assert poly.coeffs[3] == 0.0
-        assert poly.coeffs[5] == 0.0
-        assert poly.coeffs[1] != 0.0
+        c = char_poly(spec_at(0.2))[0]
+        assert c[3] == 0.0
+        assert c[5] == 0.0
+        assert c[1] != 0.0
 
     def test_derivative_is_finite_difference_limit(self):
-        poly = char_poly(spec_at(0.2))
+        """The p' that the Newton polish steps with."""
+        c = char_poly(spec_at(0.2))
         lam = 0.3 + 0.4j
         h = 1e-7
-        fd = (poly(lam + h) - poly(lam - h)) / (2 * h)
-        assert abs(poly.derivative(lam) - fd) <= 1e-5 * max(abs(fd), 1.0)
+        fd = (polyval(lam + h, c[0]) - polyval(lam - h, c[0])) / (2 * h)
+        _, dp = _horner(c, np.array([[lam]]))
+        assert abs(dp[0, 0] - fd) <= 1e-5 * max(abs(fd), 1.0)
 
 
 class TestSolveRoots:
@@ -93,10 +105,7 @@ class TestSolveRoots:
             eps = rng.uniform(0.05, 0.5)
             regime_pick = rng.integers(0, 5)
             spec = list(regime_specs(eps).values())[regime_pick]
-            poly = char_poly(spec)
-            rs = solve_roots(poly)
-            r = rs.roots
-            c = poly.coeffs
+            c, r = solved(spec)
             # sum of roots = -c5/c6 = 0; e2 = c4/c6; product = c0/c6
             s1 = r.sum()
             e2 = sum(r[i] * r[j] for i in range(6) for j in range(i + 1, 6))
@@ -106,16 +115,16 @@ class TestSolveRoots:
             assert abs(e2 - c[4] / c[6]) <= 1e-8 * max(abs(c[4] / c[6]), scale**2)
             assert abs(prod - c[0] / c[6]) <= 1e-8 * max(abs(c[0] / c[6]), 1.0)
             for root in r:
-                assert abs(poly(root)) <= 1e-10 * max(abs(ci) for ci in c) * max(
+                assert abs(polyval(root, c)) <= 1e-10 * max(abs(ci) for ci in c) * max(
                     1.0, abs(root)
                 ) ** 6
             # exactly three decaying modes, always
-            assert len(rs.pos_real) == 3
+            assert (r.real > 0).sum() == 3
 
     def test_inviscid_rejected(self):
         spec = ModalMatrixSpec(nu=0.0, kappa=0.0, omega=0.5, k=0.3, gamma=GAMMA)
         with pytest.raises(RootSolveError):
-            solve_roots(char_poly(spec))
+            roots_for(spec)
 
 
 class TestClassification:
@@ -123,13 +132,13 @@ class TestClassification:
     def test_regime_detection(self, regime):
         spec = regime_specs()[regime]
         rs = roots_for(spec)
-        assert rs.regime is regime
+        assert rs.regimes[0] is regime
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_positive_real_labels_are_2_3_5(self, regime):
         spec = regime_specs()[regime]
         rs = roots_for(spec)
-        labels = {rs.labels[i] for i in rs.pos_real}
+        labels = set(rs.labels[0][rs.roots[0].real > 0].tolist())
         assert labels == {2, 3, 5}
 
     def test_dy_root_scalings(self):
@@ -141,9 +150,9 @@ class TestClassification:
             sg = math.sin(GAMMA)
             spec = spec_at(eps, omega=math.sqrt(sg**2 + nu13(eps)))
             rs = roots_for(spec)
-            assert rs.regime is Regime.CRITICAL_DY
+            assert rs.regimes[0] is Regime.CRITICAL_DY
             for lab in mags:
-                mags[lab].append(abs(rs.by_label(lab)))
+                mags[lab].append(abs(rs.by_label(lab)[0]))
         loge = np.log(eps_list)
         for lab, target in [(2, -2.0), (3, -2.0), (5, -3.0)]:
             slope = np.polyfit(loge, np.log(mags[lab]), 1)[0]
@@ -158,8 +167,8 @@ class TestClassification:
         for k in ks:
             spec = spec_at(eps, omega=0.3 * nu13, k=float(k))
             rs = roots_for(spec)
-            assert rs.regime is Regime.NON_OSCILLATING
-            lam2 = rs.by_label(2)
+            assert rs.regimes[0] is Regime.NON_OSCILLATING
+            lam2 = rs.by_label(2)[0]
             assert lam2.real > 0.0
             res.append(lam2.real)
         slope = np.polyfit(np.log(ks), np.log(res), 1)[0]
@@ -171,8 +180,8 @@ class TestClassification:
         sg = math.sin(GAMMA)
         spec = spec_at(0.2, omega=math.sqrt(sg**2 + 0.3))
         rs = roots_for(spec)
-        assert rs.regime is Regime.CRITICAL_SMALL_DIFF
-        assert any("contested" in w for w in rs.warnings)
+        assert rs.regimes[0] is Regime.CRITICAL_SMALL_DIFF
+        assert any("contested" in w for w in rs.warnings[0])
 
     def test_small_diff_boundary_clean_at_tiny_eps(self):
         # adjacent regimes stay separable when nu^(1/3) << the zeta cut
@@ -182,7 +191,7 @@ class TestClassification:
         for mult, expected in [(8.0, Regime.CRITICAL_SMALL_DIFF), (1.0, Regime.CRITICAL_DY)]:
             spec = spec_at(eps, omega=math.sqrt(sg**2 + mult * nu13))
             rs = roots_for(spec)
-            assert rs.regime is expected
+            assert rs.regimes[0] is expected
 
     @pytest.mark.parametrize("gamma", [0.5, 0.7344])
     def test_zero_omega_in_critical_regime_is_typed(self, gamma):
@@ -193,36 +202,31 @@ class TestClassification:
                            match=r"omega = 0 with k = 0\.0819 .*CriticalSmallDiff"):
             roots_for(spec)
 
-    def test_by_label_requires_classification(self):
-        rs = solve_roots(char_poly(spec_at(0.2)))
-        with pytest.raises(ValueError):
-            rs.by_label(2)
-
 
 class TestEigenvector:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_nullvector_residual(self, regime):
         spec = regime_specs()[regime]
         rs = roots_for(spec)
-        for i in rs.pos_real:
-            lam = complex(rs.roots[i])
-            v = eigenvector(spec, lam).as_array()
+        for i in np.flatnonzero(rs.roots[0].real > 0):
+            lam = complex(rs.roots[0, i])
+            v = eigenvector(spec, [lam]).as_array()[:, 0]
             A = build_matrix(spec, lam)
             resid = np.abs(A @ v).max()
             scale = np.abs(A).max() * np.abs(v).max()
-            assert resid <= 1e-8 * scale, (regime, rs.labels[i], resid / scale)
+            assert resid <= 1e-8 * scale, (regime, rs.labels[0, i], resid / scale)
 
     def test_divergence_row_exact(self):
         spec = spec_at(0.2)
         rs = roots_for(spec)
         lam = rs.by_label(3)
         v = eigenvector(spec, lam)
-        assert abs(1j * spec.k * v.U - lam * v.W) <= 1e-12 * abs(lam * v.W)
+        assert abs(1j * spec.k * v.U[0] - lam[0] * v.W[0]) <= 1e-12 * abs(lam[0] * v.W[0])
 
     def test_non_root_rejected(self):
         spec = spec_at(0.2)
         with pytest.raises(ValueError):
-            eigenvector(spec, 1.0 + 1.0j)
+            eigenvector(spec, [1.0 + 1.0j])
 
 
 def _unresolved_band(nu, omega, k, gamma=GAMMA):
@@ -258,14 +262,14 @@ def test_three_decaying_roots_property(eps, omega, k):
         return
     spec = ModalMatrixSpec(nu=eps**6, kappa=eps**6, omega=omega, k=k, gamma=GAMMA)
     try:
-        rs = solve_roots(char_poly(spec))
+        _, roots = solved(spec)
     except UnresolvedRootPairError:
         if not _unresolved_band(eps**6, omega, k):
             raise
         return
     except RootSolveError:
         return  # pathological coefficient balance; solver declines honestly
-    assert len(rs.pos_real) == 3
+    assert (roots.real > 0).sum() == 3
 
 
 @pytest.mark.parametrize("omega", [0.0, 1e-10])
@@ -282,8 +286,8 @@ def test_small_omega_sweep_never_returns_a_wrong_count(omega):
             if abs(k) < 1e-3:
                 continue
             try:
-                counts.append(len(solve_roots(char_poly(
-                    ModalMatrixSpec(eps**6, eps**6, omega, float(k), GAMMA))).pos_real))
+                _, roots = solved(ModalMatrixSpec(eps**6, eps**6, omega, float(k), GAMMA))
+                counts.append(int((roots.real > 0).sum()))
             except UnresolvedRootPairError as err:
                 assert _unresolved_band(eps**6, omega, k), (eps, k, str(err))
                 unresolved += 1
@@ -299,8 +303,8 @@ def _batch(eps, omega, k, gamma=GAMMA):
 
 
 class TestBatchErrorsNameTheNode:
-    """A failure inside a batch raises the typed error of the one-node call
-    and names the offending node, here the middle one of three."""
+    """A failure inside a batch raises its typed error and names the
+    offending node, here the middle one of three."""
 
     def test_root_solve_error(self):
         spec = ModalMatrixSpec(np.array([1e-4, 0.0, 1e-4]), np.array([1e-4, 0.0, 1e-4]),
@@ -322,8 +326,8 @@ class TestBatchErrorsNameTheNode:
     def test_singular_eigenvector_error(self):
         omega, k = np.array([0.61, 0.62, 0.63]), np.array([1.1, 0.0, 1.3])
         # each node's fastest-decaying root: nonzero, also at k = 0
-        lams = np.array([max(solve_roots(char_poly(_batch(0.2, w, kk))).roots,
-                             key=lambda r: r.real) for w, kk in zip(omega, k)])
+        lams = np.array([max(solved(_batch(0.2, w, kk))[1], key=lambda r: r.real)
+                         for w, kk in zip(omega, k)])
         eigenvector(_batch(0.2, omega[[0, 2]], k[[0, 2]]), lams[[0, 2]])
         with pytest.raises(SingularEigenvectorError,
                            match=r"at node \(omega=0\.62, k=0\): k = 0") as err:
@@ -363,7 +367,7 @@ def _oracle_roots(coeffs):
 
 def _oracle_regime(eps, omega, k):
     """The regime cut and its warnings, node by node (thresholds as
-    documented in classify_roots)."""
+    documented in characteristic._classify)."""
     nu13 = eps**2
     zeta = abs(omega**2 - math.sin(GAMMA) ** 2)
     if max(abs(omega), abs(k)) <= 3.0 * nu13:
@@ -416,7 +420,7 @@ class TestBatchAgainstOracles:
             assert len(rb.warnings[i]) == len(warns)
             assert all(w in got for w, got in zip(warns, rb.warnings[i]))
             one = roots_for(_batch(e, spec.omega[i], spec.k[i]))
-            assert one.regime is rb.regimes[i] and one.warnings == rb.warnings[i]
+            assert one.regimes[0] is rb.regimes[i] and one.warnings[0] == rb.warnings[i]
 
     def test_roots_match_per_node_np_roots(self, sampled):
         _, _, rb = sampled
@@ -458,9 +462,9 @@ class TestBatchAgainstOracles:
             for j, i in enumerate(idx):
                 one = _batch(eps[i], spec.omega[i], spec.k[i])
                 rs = roots_for(one)
-                lams = [rs.by_label(lab) for lab in labels]
-                vecs = [eigenvector(one, lam) for lam in lams]
-                mat = np.array([[v.U for v in vecs], [v.W for v in vecs],
-                                [-lam * v.B for lam, v in zip(lams, vecs)]])
+                lams = [rs.by_label(lab)[0] for lab in labels]
+                vecs = [eigenvector(one, [lam]) for lam in lams]
+                mat = np.array([[v.U[0] for v in vecs], [v.W[0] for v in vecs],
+                                [-lam * v.B[0] for lam, v in zip(lams, vecs)]])
                 want = np.linalg.solve(mat[rows], traces[rows, j])
                 assert np.abs(a[j] - want).max() <= 1e-12 * np.abs(want).max()

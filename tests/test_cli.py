@@ -171,6 +171,22 @@ class TestRootsExperiment:
         assert "numpy" in man["versions"]
         assert "roots.csv" in man["artifacts"]
 
+    def test_sweep_rows_are_the_single_point_rows(self, tmp_path):
+        """A 3-point sweep writes exactly the rows of the three single-point
+        runs, in sweep order."""
+        sweep = [(0.3, 0.0), (0.2, 0.0), (0.15, 0.0)]
+        run_experiment(ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.3),
+                                        experiment="roots", sweep=sweep,
+                                        output_dir=tmp_path / "sweep"))
+        header, rows = read_csv(tmp_path / "sweep" / "roots.csv")
+        want = []
+        for eps, _ in sweep:
+            out = tmp_path / str(eps)
+            run_experiment(ExperimentConfig(params=PhysParams(gamma=0.7, eps=eps),
+                                            experiment="roots", output_dir=out))
+            want += read_csv(out / "roots.csv")[1]
+        assert len(rows) == 18 and rows == want
+
 
 class TestLiftExperiment:
     def test_samples_close_round_trip(self, tmp_path):
@@ -181,6 +197,13 @@ class TestLiftExperiment:
         header, rows = read_csv(tmp_path / "lift.csv")
         assert len(rows) == 12  # 4 samples x 3 regimes
         assert max(float(r[2]) for r in rows) <= 1e-9
+
+    def test_no_samples_refused(self, tmp_path):
+        cfg = ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
+                               experiment="lift", output_dir=tmp_path,
+                               options={"samples": 0})
+        with pytest.raises(ConfigError, match="samples >= 1"):
+            run_experiment(cfg)
 
     def test_seed_changes_draws_not_quality(self, tmp_path):
         errs = {}

@@ -329,10 +329,10 @@ def _largest_node(modes, lobe):
 def _lift_amplitudes(lift, spec, roots, tu, tw, tb):
     """Mode amplitudes of one lift of the trace (tu, tw, tb), and the
     non-oscillating lift's leftover w-trace (0 for the non-critical one)."""
-    out = lift(spec, roots, [-tu, -tw, -tb])
-    modes, leftover = (C.ExpModes.concat(out), 0.0) if lift is lift_noncritical else out
+    out = lift(spec, roots, [[-tu], [-tw], [-tb]])
+    modes, leftover = (C.ExpModes.concat(out), [0.0]) if lift is lift_noncritical else out
     # U = 1, so the cu are the amplitudes
-    return modes.cu, leftover
+    return modes.cu, leftover[0]
 
 
 class TestLiftOnce:
@@ -517,7 +517,7 @@ class TestLiftSecondHarmonic:
         car = critical_carrier(gamma, 1.0)
         p = PhysParams(gamma=gamma, eps=eps)
         spec = ModalMatrixSpec(p.nu, p.kappa, 2 * car.omega0, 2 * car.k0, gamma)
-        lam2 = roots_for(spec).by_label(2)
+        lam2 = roots_for(spec).by_label(2)[0]
         assert abs(lam2.real) <= 1e-3
         assert abs(C.second_harmonic_rate(gamma, car.k0).real) == 0.0
 
@@ -527,7 +527,7 @@ class TestLiftSecondHarmonic:
         for eps in (0.2, 0.1):
             p = PhysParams(gamma=gamma, eps=eps)
             spec = ModalMatrixSpec(p.nu, p.kappa, 2 * car.omega0, 2 * car.k0, gamma)
-            lam2 = roots_for(spec).by_label(2)
+            lam2 = roots_for(spec).by_label(2)[0]
             assert lam2.real >= 0.5
         assert C.second_harmonic_rate(gamma, car.k0).real >= 0.5
 
@@ -542,7 +542,7 @@ class TestLiftSecondHarmonic:
             w = dispersion_omega(k, car.m0, gamma, Branch.PLUS)
             p = PhysParams(gamma=gamma, eps=eps)
             spec = ModalMatrixSpec(p.nu, p.kappa, w + car.omega0, k + car.k0, gamma)
-            diffs.append(abs(roots_for(spec).by_label(2) - L0))
+            diffs.append(abs(roots_for(spec).by_label(2)[0] - L0))
         slope = np.polyfit(np.log(eps_list), np.log(diffs), 1)[0]
         assert abs(slope - 2.0) <= 0.4, slope
 

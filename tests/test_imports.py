@@ -1,10 +1,14 @@
-"""Every import in src/ and tests/ is used, and every function parameter
-in src/wavecrit is read.
+"""Every import in src/ and tests/ is used, every function parameter in
+src/wavecrit is read, and every module-level function or class of
+src/wavecrit is read by the package or the benchmark.
 
 A name bound by an import counts as used if the module reads it anywhere,
 as a name or as the root of an attribute chain; a parameter counts as read
-if its function's body (nested functions included) names it.  Only the
-standard library's ast module is needed.
+if its function's body (nested functions included) names it.  A top-level
+definition counts as read if some module of src/wavecrit or perfbench/
+names it, as a name or as an attribute; the test oracles kept in the
+package on purpose are the only exceptions.  Only the standard library's
+ast module is needed.
 """
 
 import ast
@@ -15,6 +19,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 PACKAGE = sorted((ROOT / "src" / "wavecrit").rglob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "perfbench").rglob("*.py"))
+#: package names that only the tests read: oracles kept on purpose
+ORACLES = ("build_matrix", "limit_amplitudes_DY", "second_harmonic_rate", "trace_density",
+           "wall_trace_check", "quadratic_Q", "skew_energy", "grad_Wapp_Linf",
+           "PeriodicBox")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -68,3 +77,31 @@ def test_param_checker_sees_unread_and_read_params():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_params(path):
     assert unused_params(path.read_text(encoding="utf-8")) == []
+
+
+def read_names(sources) -> set[str]:
+    """Every name the sources read, as a name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for source in sources for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unread_definitions(source: str, read: set[str]) -> list[str]:
+    """Module-level functions and classes of the source not in read."""
+    return [f"{node.name} (line {node.lineno})" for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_definition_checker_sees_unread_and_read_names():
+    src = "def f():\n    return g()\ndef g():\n    pass\nclass K:\n    pass\n"
+    read = read_names([src, "import m\nm.K\n"])
+    assert unread_definitions(src, read) == ["f (line 1)"]
+
+
+def test_no_test_only_package_names():
+    read = read_names(p.read_text(encoding="utf-8") for p in READERS)
+    unread = {str(p.relative_to(ROOT)): [
+        d for d in unread_definitions(p.read_text(encoding="utf-8"), read)
+        if d.split()[0] not in ORACLES] for p in PACKAGE}
+    assert {path: names for path, names in unread.items() if names} == {}
