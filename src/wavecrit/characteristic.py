@@ -432,9 +432,6 @@ class Eigenvector:
     B: np.ndarray
     P: np.ndarray
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.U, self.W, self.B, self.P], dtype=complex)
-
 
 class SingularEigenvectorError(RuntimeError):
     pass

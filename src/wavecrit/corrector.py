@@ -49,6 +49,9 @@ MeanFlowField.profiles for W1_MF) through boundary.synthesize or
 _profile_norms.  A pair mode records its two parent rates (mu = mu_L +
 mu_R), and the interior solves and ledger terms keep them, so the kernel
 builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a table of W0's rates.
+The ledger computes only what it reports: every booked term is an L2 read
+that synthesizes no x-grid, and each modal W1 family gets its max-norm and
+the L2 of its d/dx (the profiles times i l) from one kernel pass.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .boundary import (
     stray_nodes,
     synthesize,
 )
-from .characteristic import ModalMatrixSpec, Regime, roots_for
+from .characteristic import ModalMatrixSpec, Regime, _quad_roots, roots_for
 from .packets import Family, PacketAssembly, default_grid, packet_norms
 from .params import PhysParams
 
@@ -189,13 +192,14 @@ def _norm_grid(modes: ExpModes, x_period: float, ny: int):
     ]))
 
 
-def _profile_norms(l, P, y, x_period: float, nx: int) -> tuple[float, float]:
+def _profile_norms(l, P, y, x_period: float, nx: int | None) -> tuple[float, float | None]:
     """(L2, Linf) of 2 Re sum_g P[:, g](y) exp(i l_g x) over one x-period.
 
     l must be increasing.  Distinct x-frequencies are orthogonal over the
     period, so |.|_2^2 is the period times the y-integral of 2 sum_g |P_g|^2
     plus 2 Re P_g P_h for every pair l_g = -l_h (the conjugate part's
-    interference).  Linf is the max over an nx-point x-grid.
+    interference).  Linf is the max over an nx-point x-grid; with nx None
+    it is None and no x-grid is synthesized.
     """
     tol = _l_tolerance(l)
     partner = np.minimum(np.searchsorted(l, -l - tol), len(l) - 1)
@@ -204,17 +208,29 @@ def _profile_norms(l, P, y, x_period: float, nx: int) -> tuple[float, float]:
     cross = (P[:, paired] * P[:, partner[paired]]).sum(axis=0)
     total = 2.0 * (np.trapezoid(dens, y).sum() + np.trapezoid(cross, y).real.sum())
     l2 = math.sqrt(max(float(total), 0.0) * x_period)
+    if nx is None:
+        return l2, None
     x = np.linspace(0.0, x_period, nx, endpoint=False)
     linf = max(float(np.abs(f).max()) for f in synthesize(l, P, x))
     return l2, linf
 
 
-def modes_norms(modes: ExpModes, x_period: float) -> tuple[float, float]:
-    """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_grid)."""
+def modes_norms(modes: ExpModes, x_period: float, nx: int | None = _NORM_NX,
+                dx: bool = False) -> tuple:
+    """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_grid).
+
+    With nx None, Linf is None and L2 costs one profile kernel pass and no
+    x-grid.  dx=True appends the L2 of d/dx of the field, read from the same
+    profiles: d/dx multiplies the profile of wavenumber l_g by i l_g.
+    """
     if len(modes) == 0:
-        return 0.0, 0.0
+        return (0.0, None if nx is None else 0.0, 0.0)[:2 + dx]
     y = _norm_grid(modes, x_period, _NORM_NY)
-    return _profile_norms(*mode_profiles(modes, 0.0, y), y, x_period, _NORM_NX)
+    l, P = mode_profiles(modes, 0.0, y)
+    norms = _profile_norms(l, P, y, x_period, nx)
+    if dx:
+        norms += _profile_norms(l, 1j * l[:, None] * P, y, x_period, None)[:1]
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +353,9 @@ class MeanFlowField:
     def evaluate(self, t, x, y):
         return tuple(synthesize(*self.profiles(t, y), x))
 
-    def norms(self, x_period: float, t: float = 0.0, nx: int = _NORM_NX):
+    def norms(self, x_period: float, t: float = 0.0, nx: int | None = _NORM_NX):
+        """(L2, Linf) as modes_norms returns them, on 800 y-points of
+        [0, 2.5 eps^-2]; with nx None, Linf is None."""
         y = np.linspace(0.0, 2.5 / self.eps ** 2, 800)
         return _profile_norms(*self.profiles(t, y), y, x_period, nx)
 
@@ -385,26 +403,31 @@ def lift_second_harmonic(
     return bl, rw
 
 
-def _shear_lift(alpha, tu, tb, params: PhysParams):
-    """Decaying lift at l = 0 (x-independent trace).
+def _shear_lift(alpha, tu, tb, params: PhysParams) -> ExpModes:
+    """Decaying lift at l = 0 (x-independent traces), one batch over the nodes.
 
     With no x-dependence the normal velocity decouples (w = 0 identically)
-    and the remaining (u, b) system has the quartic characteristic
-    polynomial -nu kappa L^4 - i alpha (nu+kappa) L^2 + (alpha^2 - sin^2 g).
-    Exactly two roots decay; they match the u- and d_y b-traces.
+    and the remaining (u, b) system has the characteristic polynomial
+    -nu kappa L^4 - i alpha (nu+kappa) L^2 + (alpha^2 - sin^2 g), a
+    quadratic in L^2.  Exactly two roots decay, the principal square roots
+    of its two L^2 roots; they match the u- and d_y b-traces.  Every node
+    contributes two modes, in node order.
     """
     nu, kappa = params.nu, params.kappa
     sg = math.sin(params.gamma)
-    zeta = alpha * alpha - sg * sg
-    roots = np.roots([-nu * kappa, 0.0, -1j * alpha * (nu + kappa), 0.0, zeta])
-    dec = roots[roots.real > 0]
-    if len(dec) != 2:
-        raise CorrectorError(f"shear lift at alpha={alpha:.4g}: {len(dec)} decaying roots")
-    B = sg / (1j * alpha + kappa * dec**2)
-    mat = np.array([[1.0, 1.0], [-dec[0] * B[0], -dec[1] * B[1]]], dtype=complex)
-    a = np.linalg.solve(mat, np.array([-tu, -tb], dtype=complex))
-    return ExpModes(np.zeros(2), np.full(2, alpha, dtype=float), dec, a,
-                    np.zeros(2, dtype=complex), a * B)
+    sq = np.stack(_quad_roots(-nu * kappa, -1j * alpha * (nu + kappa),
+                              alpha * alpha - sg * sg), axis=1)
+    dec = np.sqrt(sq)
+    count = (dec.real > 0).sum(axis=1)
+    if (count != 2).any():
+        i = int(np.argmax(count != 2))
+        raise CorrectorError(f"shear lift at alpha={alpha[i]:.4g}: {count[i]} decaying roots")
+    B = sg / (1j * alpha[:, None] + kappa * sq)
+    mat = np.stack([np.ones_like(dec), -dec * B], axis=1)
+    a = np.linalg.solve(mat, np.stack([-tu, -tb], axis=1)[..., None])[..., 0]
+    n = 2 * len(alpha)
+    return ExpModes(np.zeros(n), np.repeat(alpha, 2), dec.ravel(), a.ravel(),
+                    np.zeros(n, dtype=complex), (a * B).ravel())
 
 
 def lift_mean_flow(traces, params: PhysParams) -> tuple[ExpModes, MeanFlowField]:
@@ -415,16 +438,17 @@ def lift_mean_flow(traces, params: PhysParams) -> tuple[ExpModes, MeanFlowField]
     (divide by il) and lifted by the explicit mean flow.  Nodes with
     |l| < 1e-14 carry no w-trace at all (w = il/mu u) and are handled by a
     two-mode shear lift instead.  Every node contributes two modes, in node
-    order.
+    order when l increases (collect_traces): the shear nodes are then one
+    block, between the nodes with l < 0 and those with l > 0.
     """
     l, alpha, tu, tw, tb = traces
     shear = np.abs(l) < 1e-14
     spec = ModalMatrixSpec(params.nu, params.kappa, alpha[~shear], l[~shear], params.gamma)
     roots = _lobe_roots(spec, Regime.NON_OSCILLATING, "zero-lobe")
     lift, leftover = lift_nonoscillating(spec, roots, [-tu[~shear], -tw[~shear], -tb[~shear]])
-    sheared = [_shear_lift(alpha[i], tu[i], tb[i], params) for i in np.flatnonzero(shear)]
-    node = np.concatenate([np.flatnonzero(~shear), np.flatnonzero(shear)])
-    bl = ExpModes.concat([lift, *sheared])[np.argsort(np.repeat(node, 2), kind="stable")]
+    cut = 2 * np.count_nonzero(l[~shear] < 0)
+    bl = ExpModes.concat([lift[:cut], _shear_lift(alpha[shear], tu[shear], tb[shear], params),
+                          lift[cut:]])
     # remaining wall value of w is exactly `leftover`; the mean flow
     # must carry w(0) = -leftover, i.e. dx G = -leftover
     mf = MeanFlowField(l=l[~shear], alpha=alpha[~shear],
@@ -667,20 +691,21 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
         else:
             booked = _booked_terms(itype.kind, src, modes, params)
         for term, m in booked.items():
-            report[term] = report.get(term, 0.0) + modes_norms(m, w0.x_period)[0]
+            report[term] = report.get(term, 0.0) + modes_norms(m, w0.x_period, nx=None)[0]
 
     # mean-flow equation residual: (d_t u_MF, d_t w_MF, u_MF sg + w_MF cg)
     mf = casm.families[W1_MF]
     if len(mf):
         mf_dt = MeanFlowField(mf.l, mf.alpha, -1j * mf.alpha * mf.G, eps)
         # |L W_MF| <= |W_MF| rowwise
-        report["r1_aMF"] = mf_dt.norms(w0.x_period)[0] + mf.norms(w0.x_period)[0]
+        report["r1_aMF"] = (mf_dt.norms(w0.x_period, nx=None)[0]
+                            + mf.norms(w0.x_period, nx=None)[0])
 
     # diffusion acting on the incident packet: eps^6 (nu0 Du, nu0 Dw, k0 Db)
     inc = w0.families[Family.INCIDENT]
     lap = (inc.mu**2 - inc.l**2) * eps**6
     diff = inc.scaled(params.nu0 * lap, params.nu0 * lap, params.kappa0 * lap)
-    report["eps6_diffusion_inc"] = modes_norms(diff, w0.x_period)[0]
+    report["eps6_diffusion_inc"] = modes_norms(diff, w0.x_period, nx=None)[0]
 
     # cross terms delta Q(W0, W1) etc., bounded by Hoelder products
     grid0 = default_grid(w0, Family.BLEPS2)
@@ -689,14 +714,15 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     dx0 = math.hypot(*packet_norms(sum0.d_dx(), grid0)[0])
     dy0 = math.hypot(*packet_norms(sum0.d_dy(), grid0)[0])
 
+    # one kernel pass per family gives its Linf and the L2 of d/dx
     u1_inf = w1_inf = dx1 = dy1 = 0.0
     for fam in W1_MODAL:
         m = casm.families[fam]
-        _, linf = modes_norms(m, casm.x_period)
+        _, linf, dx = modes_norms(m, casm.x_period, dx=True)
         u1_inf = max(u1_inf, linf)
         w1_inf = max(w1_inf, linf)
-        dx1 += modes_norms(m.d_dx(), casm.x_period)[0]
-        dy1 += modes_norms(m.d_dy(), casm.x_period)[0]
+        dx1 += dx
+        dy1 += modes_norms(m.d_dy(), casm.x_period, nx=None)[0]
 
     report["cross_Q_W0_W1"] = delta * (u0_inf * dx1 + w0_inf * dy1)
     report["cross_Q_W1_W0"] = delta * (u1_inf * dx0 + w1_inf * dy0)

@@ -262,7 +262,7 @@ class TestEvaluate:
                 assert modes.cw[n] / modes.cu[n] == pytest.approx(vec.W[0], rel=1e-12)
                 assert modes.cb[n] / modes.cu[n] == pytest.approx(vec.B[0], rel=1e-12)
                 A = build_matrix(spec, modes.mu[n])
-                v = vec.as_array()[:, 0]
+                v = np.array([vec.U[0], vec.W[0], vec.B[0], vec.P[0]])
                 assert np.abs(A @ v).max() <= 1e-8 * np.abs(A).max() * np.abs(v).max()
 
     def test_field_solves_pde_finite_differences(self):

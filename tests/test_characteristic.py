@@ -210,7 +210,8 @@ class TestEigenvector:
         rs = roots_for(spec)
         for i in np.flatnonzero(rs.roots[0].real > 0):
             lam = complex(rs.roots[0, i])
-            v = eigenvector(spec, [lam]).as_array()[:, 0]
+            vec = eigenvector(spec, [lam])
+            v = np.array([vec.U[0], vec.W[0], vec.B[0], vec.P[0]])
             A = build_matrix(spec, lam)
             resid = np.abs(A @ v).max()
             scale = np.abs(A).max() * np.abs(v).max()

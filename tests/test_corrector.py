@@ -507,7 +507,59 @@ def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
         calls.clear()
         run()
         counts.append(len(calls))
-    assert counts == [0, 46, 15]
+    assert counts == [0, 43, 15]
+
+
+class TestLedgerNorms:
+    """residual_Rapp reads L2 alone where it books L2, and each modal W1
+    family's Linf and d/dx L2 from one kernel pass over its own modes."""
+
+    def test_l2_only_form_is_the_full_form_l2(self, w0, casm):
+        """Bit-identical L2 for every booked term, the incident packet (the
+        finite y-range), every W1 family and every family's d/dy."""
+        asm, p = w0
+        P = casm.x_period
+        sets = [asm.families[Family.INCIDENT]]
+        for itype, _, src, modes in C._solved_batches(asm, p, None):
+            sets += ([src] if modes is None
+                     else C._booked_terms(itype.kind, src, modes, p).values())
+        for fam in C.W1_MODAL:
+            sets += [casm.families[fam], casm.families[fam].d_dy()]
+        assert len(sets) == 43
+        for m in sets:
+            l2, linf = C.modes_norms(m, P, None)
+            assert linf is None and l2 == C.modes_norms(m, P)[0]
+        mf = casm.families[C.W1_MF]
+        l2, linf = mf.norms(P, nx=None)
+        assert linf is None and l2 == mf.norms(P)[0]
+
+    @pytest.mark.parametrize("family", C.W1_MODAL)
+    def test_dx_l2_from_the_family_profiles(self, casm, family):
+        """d/dx multiplies a wavenumber's profile by i l: the L2 of d/dx read
+        from the family's profiles matches that of m.d_dx(), rtol 1e-12;
+        W1_BLeps3 has an l = 0 group, which d/dx zeroes."""
+        P = casm.x_period
+        m = casm.families[family]
+        if family == C.W1_BLEPS3:
+            assert (m.l == 0.0).any()
+        l2, linf, dx = C.modes_norms(m, P, dx=True)
+        assert (l2, linf) == C.modes_norms(m, P)
+        want = C.modes_norms(m.d_dx(), P)[0]
+        assert abs(dx - want) <= 1e-12 * want
+
+    def test_one_synthesis_per_modal_family(self, casm, monkeypatch):
+        """The ledger synthesizes an x-grid 3 times, once per modal family
+        (its profiles have one row per distinct l)."""
+        calls = []
+        synth = C.synthesize
+
+        def counted(l, P, x):
+            calls.append(len(l))
+            return synth(l, P, x)
+
+        monkeypatch.setattr(C, "synthesize", counted)
+        C.residual_Rapp(casm)
+        assert calls == [len(C._group_by_l(casm.families[f].l)) for f in C.W1_MODAL]
 
 
 class TestLiftSecondHarmonic:
@@ -666,6 +718,47 @@ class TestLiftMeanFlow:
             l, _, _, tw, _ = C.collect_traces(C.ExpModes.concat(parts))
             assert (lobe is C.Lobe.ZERO) == (l == 0.0).any()
             assert (tw[l == 0.0] == 0.0).all()
+
+
+    def test_shear_lift_matches_the_quartic(self, w0, casm):
+        """The batched shear lift at the reference case's l = 0 nodes: per
+        node, its rates are the two decaying roots of the quartic
+        -nu kappa L^4 - i alpha (nu+kappa) L^2 + alpha^2 - sin^2 g (np.roots,
+        rtol 1e-13), and its modes cancel the u- and d_y b-traces."""
+        asm, p = w0
+        zero = [m for _, lobe, _, m in C._solved_batches(asm, p, None)
+                if m is not None and lobe is C.Lobe.ZERO]
+        l, alpha, tu, _, tb = C.collect_traces(C.ExpModes.concat(zero))
+        shear = np.abs(l) < 1e-14
+        assert shear.sum() > 1
+        modes = C._shear_lift(alpha[shear], tu[shear], tb[shear], p)
+        assert (modes.l == 0.0).all() and (modes.cw == 0.0).all()
+        mu = modes.mu.reshape(-1, 2)
+        sg2 = math.sin(p.gamma) ** 2
+        for a, got in zip(alpha[shear], mu):
+            roots = np.roots([-p.nu * p.kappa, 0.0, -1j * a * (p.nu + p.kappa), 0.0,
+                              a * a - sg2])
+            want = np.sort_complex(1j * roots[roots.real > 0]) / 1j
+            got = np.sort_complex(1j * got) / 1j
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        u = modes.cu.reshape(-1, 2).sum(axis=1)
+        dyb = (-modes.mu * modes.cb).reshape(-1, 2).sum(axis=1)
+        assert np.abs(u + tu[shear]).max() <= 1e-12 * np.abs(tu[shear]).max()
+        assert np.abs(dyb + tb[shear]).max() <= 1e-12 * np.abs(tb[shear]).max()
+        # the shear modes sit among the zero-lobe lift modes in node order
+        bl, _ = C.lift_mean_flow((l, alpha, tu, np.zeros_like(tu), tb), p)
+        at = np.flatnonzero(np.repeat(shear, 2))
+        assert (bl.mu[at] == modes.mu).all() and (bl.cu[at] == modes.cu).all()
+
+    def test_shear_node_without_two_decaying_roots_is_named(self, w0):
+        """At alpha = sin(g) one L^2 root is zero: a CorrectorError names
+        the node."""
+        _, p = w0
+        sg = math.sin(p.gamma)
+        one = np.ones(2, dtype=complex)
+        with pytest.raises(C.CorrectorError,
+                           match=re.escape(f"alpha={sg:.4g}: 1 decaying roots")):
+            C._shear_lift(np.array([0.01, sg]), one, one, p)
 
 
 class TestAssembly:
