@@ -30,6 +30,7 @@ ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
 (hence evaluate_modes) and the corrector's norms read those profiles.
+Sets with equal exponents and their own coefficients share one pass.
 Modes born of a pair of W0 modes record the two parent rates whose sum is
 their mu; the kernel exponentiates each distinct parent rate once and
 builds such a mode's y-column as the product of its parents' two rows.
@@ -157,27 +158,38 @@ def _group_by_l(l: np.ndarray):
     return groups if len(l) else []
 
 
-def mode_profiles(modes: ExpModes, t: float, y: np.ndarray):
+def mode_profiles(modes: ExpModes, t: float, y: np.ndarray, also=()):
     """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
 
     Modes sharing an x-wavenumber (the lattice produces thousands per l)
     are summed into one y-profile per component (u, w, b), one matrix
     product per group: P is (3, groups, len(y)) and l increasing.
 
+    also holds further mode sets with the l, alpha, mu and parents of modes
+    (NaN parents equal; else ValueError naming the field) and their own
+    coefficients.  Their profiles come from the same pass, as P's further
+    rows: P is (3 s, groups, len(y)) for s sets, and set i is P[3 i:3 i + 3].
+    Only the matrix products grow.
+
     The y-columns e^(-mu y) of pair modes are products of two rows of one
     table over the distinct parent rates, e^(-mu_i y) e^(-mu_j y); a column
     is exactly zero where either parent's exponent is below -700.  Every
     other mode gets its column from guarded_exp(-mu y) in its group.
     """
+    for other in also:
+        for f in ("l", "alpha", "mu", "parents"):
+            if not np.array_equal(getattr(other, f), getattr(modes, f), equal_nan=True):
+                raise ValueError(f"mode sets in one profile pass differ in {f}")
     y = np.asarray(y, dtype=float)
     groups = _group_by_l(modes.l)
-    coef = np.stack([modes.cu, modes.cw, modes.cb]) * np.exp(-1j * modes.alpha * t)
+    coef = (np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
+            * np.exp(-1j * modes.alpha * t))
     pair = ~np.isnan(modes.parents).any(axis=1)
     rates, inv = np.unique(modes.parents[pair].ravel(), return_inverse=True)
     table = guarded_exp(np.outer(-rates, y))  # one row per distinct parent rate
     row = np.zeros((len(modes), 2), dtype=int)  # a pair mode's two table rows
     row[pair] = inv.reshape(-1, 2)
-    P = np.empty((3, len(groups), len(y)), dtype=complex)
+    P = np.empty((len(coef), len(groups), len(y)), dtype=complex)
     for g, idx in enumerate(groups):
         pi, di = idx[pair[idx]], idx[~pair[idx]]
         P[:, g] = coef[:, pi] @ (table[row[pi, 0]] * table[row[pi, 1]])

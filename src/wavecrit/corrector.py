@@ -49,9 +49,11 @@ MeanFlowField.profiles for W1_MF) through boundary.synthesize or
 _profile_norms.  A pair mode records its two parent rates (mu = mu_L +
 mu_R), and the interior solves and ledger terms keep them, so the kernel
 builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a table of W0's rates.
-The ledger computes only what it reports: every booked term is an L2 read
-that synthesizes no x-grid, and each modal W1 family gets its max-norm and
-the L2 of its d/dx (the profiles times i l) from one kernel pass.
+The ledger computes only what it reports, one kernel pass per exponent
+set: the booked terms of one (row, lobe) batch share its forcing's
+exponents, so their L2 norms come from one pass with no x-grid, and each
+modal W1 family gets its max-norm and the L2 of its d/dx (the profiles
+times i l) and d/dy (the coefficients times -mu) from one pass.
 """
 
 from __future__ import annotations
@@ -216,20 +218,25 @@ def _profile_norms(l, P, y, x_period: float, nx: int | None) -> tuple[float, flo
 
 
 def modes_norms(modes: ExpModes, x_period: float, nx: int | None = _NORM_NX,
-                dx: bool = False) -> tuple:
+                dx: bool = False, also=()) -> tuple:
     """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_grid).
 
-    With nx None, Linf is None and L2 costs one profile kernel pass and no
-    x-grid.  dx=True appends the L2 of d/dx of the field, read from the same
-    profiles: d/dx multiplies the profile of wavenumber l_g by i l_g.
+    Every call is one profile kernel pass.  With nx None, Linf is None and
+    no x-grid is synthesized.  dx=True appends the L2 of d/dx of the field,
+    read from the same profiles: d/dx multiplies the profile of wavenumber
+    l_g by i l_g.  also holds further mode sets with the exponents of modes
+    (l, alpha, mu and parents, else ValueError); the L2 of each is appended
+    in turn, read from the same pass and on the same y-grid.
     """
     if len(modes) == 0:
-        return (0.0, None if nx is None else 0.0, 0.0)[:2 + dx]
+        return (0.0, None if nx is None else 0.0, 0.0)[:2 + dx] + (0.0,) * len(also)
     y = _norm_grid(modes, x_period, _NORM_NY)
-    l, P = mode_profiles(modes, 0.0, y)
-    norms = _profile_norms(l, P, y, x_period, nx)
+    l, P = mode_profiles(modes, 0.0, y, also)
+    norms = _profile_norms(l, P[:3], y, x_period, nx)
     if dx:
-        norms += _profile_norms(l, 1j * l[:, None] * P, y, x_period, None)[:1]
+        norms += _profile_norms(l, 1j * l[:, None] * P[:3], y, x_period, None)[:1]
+    for i in range(3, len(P), 3):
+        norms += _profile_norms(l, P[i:i + 3], y, x_period, None)[:1]
     return norms
 
 
@@ -676,7 +683,9 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
 
     Every entry is an L^2 norm (or a Hoelder-product upper bound for the
     cross terms); 'total' is their sum, to be compared against
-    delta eps^2 + delta^2 + eps^6.
+    delta eps^2 + delta^2 + eps^6.  Each modes_norms call is one kernel
+    pass: one per (row, lobe) batch, one for the incident diffusion term and
+    one per modal W1 family (22 at the nine rows).
     """
     params = casm.params
     w0 = casm.w0
@@ -690,8 +699,11 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
             booked = {f"c_terms_{itype.name}": src}
         else:
             booked = _booked_terms(itype.kind, src, modes, params)
-        for term, m in booked.items():
-            report[term] = report.get(term, 0.0) + modes_norms(m, w0.x_period, nx=None)[0]
+        # the terms of one batch share src's exponents: one kernel pass
+        first, *rest = booked.values()
+        l2, _, *more = modes_norms(first, w0.x_period, nx=None, also=rest)
+        for term, v in zip(booked, [l2, *more]):
+            report[term] = report.get(term, 0.0) + v
 
     # mean-flow equation residual: (d_t u_MF, d_t w_MF, u_MF sg + w_MF cg)
     mf = casm.families[W1_MF]
@@ -714,15 +726,15 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     dx0 = math.hypot(*packet_norms(sum0.d_dx(), grid0)[0])
     dy0 = math.hypot(*packet_norms(sum0.d_dy(), grid0)[0])
 
-    # one kernel pass per family gives its Linf and the L2 of d/dx
+    # one kernel pass per family gives its Linf and the L2 of d/dx and d/dy
     u1_inf = w1_inf = dx1 = dy1 = 0.0
     for fam in W1_MODAL:
         m = casm.families[fam]
-        _, linf, dx = modes_norms(m, casm.x_period, dx=True)
+        _, linf, dx, dy = modes_norms(m, casm.x_period, dx=True, also=[m.d_dy()])
         u1_inf = max(u1_inf, linf)
         w1_inf = max(w1_inf, linf)
         dx1 += dx
-        dy1 += modes_norms(m.d_dy(), casm.x_period, nx=None)[0]
+        dy1 += dy
 
     report["cross_Q_W0_W1"] = delta * (u0_inf * dx1 + w0_inf * dy1)
     report["cross_Q_W1_W0"] = delta * (u1_inf * dx0 + w1_inf * dy0)

@@ -489,30 +489,41 @@ class TestPairColumns:
 
 
 def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
-    """modes_norms calls at the reference case: none per assemble_W1, every
-    ledger term per residual_Rapp, only the family norms per
-    rowwise_family_sizes."""
+    """modes_norms calls at the reference case: none per assemble_W1, one
+    per exponent set per residual_Rapp (18 batches, the incident diffusion
+    term, 3 modal families), only the family norms per rowwise_family_sizes.
+    In residual_Rapp each call is exactly one mode_profiles pass."""
     asm, p = w0
-    calls = []
-    norms = C.modes_norms
+    calls, passes = [], []
+    norms, profiles = C.modes_norms, C.mode_profiles
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return norms(*args, **kwargs)
+        before = len(passes)
+        out = norms(*args, **kwargs)
+        calls.append(len(passes) - before)  # kernel passes in this call
+        return out
+
+    def counted_pass(*args, **kwargs):
+        passes.append(1)
+        return profiles(*args, **kwargs)
 
     monkeypatch.setattr(C, "modes_norms", counted)
+    monkeypatch.setattr(C, "mode_profiles", counted_pass)
     counts = []
     for run in (lambda: C.assemble_W1(asm, p), lambda: C.residual_Rapp(casm),
                 lambda: C.rowwise_family_sizes(asm, p)):
         calls.clear()
         run()
         counts.append(len(calls))
-    assert counts == [0, 43, 15]
+        if len(counts) == 2:
+            assert calls == [1] * 22
+    assert counts == [0, 22, 15]
 
 
 class TestLedgerNorms:
-    """residual_Rapp reads L2 alone where it books L2, and each modal W1
-    family's Linf and d/dx L2 from one kernel pass over its own modes."""
+    """residual_Rapp reads L2 alone where it books L2, the booked terms of
+    one batch from one kernel pass, and each modal W1 family's Linf, d/dx
+    L2 and d/dy L2 from one kernel pass over its own modes."""
 
     def test_l2_only_form_is_the_full_form_l2(self, w0, casm):
         """Bit-identical L2 for every booked term, the incident packet (the
@@ -532,6 +543,43 @@ class TestLedgerNorms:
         mf = casm.families[C.W1_MF]
         l2, linf = mf.norms(P, nx=None)
         assert linf is None and l2 == mf.norms(P)[0]
+
+    def test_shared_pass_is_each_sets_own_pass(self, w0, casm):
+        """Every booked term's L2 from its batch's shared pass, and every
+        modal family's d/dy L2 from the family's pass, equals the set's own
+        modes_norms(m, P, None)[0], bit for bit."""
+        asm, p = w0
+        P = casm.x_period
+        shared = []
+        for itype, _, src, modes in C._solved_batches(asm, p, None):
+            if modes is not None:
+                shared.append(list(C._booked_terms(itype.kind, src, modes, p).values()))
+        shared += [[casm.families[f], casm.families[f].d_dy()] for f in C.W1_MODAL]
+        assert len(shared) == 10 + 3
+        for first, *rest in shared:
+            l2, _, *more = C.modes_norms(first, P, None, also=rest)
+            assert [l2, *more] == [C.modes_norms(m, P, None)[0] for m in (first, *rest)]
+        for f in C.W1_MODAL:
+            m = casm.families[f]
+            assert (C.modes_norms(m, P, dx=True, also=[m.d_dy()])[:3]
+                    == C.modes_norms(m, P, dx=True))
+
+    @pytest.mark.parametrize("field", ["l", "alpha", "mu", "parents"])
+    def test_shared_pass_refuses_other_exponents(self, casm, field):
+        """A set whose exponents differ from the first set's by one ulp in one
+        entry is refused with a ValueError naming the field; NaN parents (the
+        lift modes of W1_BLeps3) count as equal."""
+        m = casm.families[C.W1_BLEPS3]
+        assert np.isnan(m.parents).any()
+        C.modes_norms(m, casm.x_period, None, also=[m.d_dy()])
+        pair = int(np.flatnonzero(~np.isnan(m.parents).any(axis=1))[0])
+        values = getattr(m, field).copy()
+        real = values.real  # a view, also of a complex field
+        at = (pair, 0) if field == "parents" else pair
+        real[at] = np.nextafter(real[at], np.inf)
+        other = dataclasses.replace(m.d_dy(), **{field: values})
+        with pytest.raises(ValueError, match=rf"differ in {field}$"):
+            C.modes_norms(m, casm.x_period, None, also=[other])
 
     @pytest.mark.parametrize("family", C.W1_MODAL)
     def test_dx_l2_from_the_family_profiles(self, casm, family):
