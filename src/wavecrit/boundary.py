@@ -158,6 +158,15 @@ def _group_by_l(l: np.ndarray):
     return groups if len(l) else []
 
 
+def _check_exponents(modes: ExpModes, also) -> None:
+    """ValueError naming the field unless every set in also has the l, alpha,
+    mu and parents of modes (NaN parents equal)."""
+    for other in also:
+        for f in ("l", "alpha", "mu", "parents"):
+            if not np.array_equal(getattr(other, f), getattr(modes, f), equal_nan=True):
+                raise ValueError(f"mode sets in one profile pass differ in {f}")
+
+
 def mode_profiles(modes: ExpModes, t: float, y: np.ndarray, also=()):
     """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
 
@@ -176,10 +185,7 @@ def mode_profiles(modes: ExpModes, t: float, y: np.ndarray, also=()):
     is exactly zero where either parent's exponent is below -700.  Every
     other mode gets its column from guarded_exp(-mu y) in its group.
     """
-    for other in also:
-        for f in ("l", "alpha", "mu", "parents"):
-            if not np.array_equal(getattr(other, f), getattr(modes, f), equal_nan=True):
-                raise ValueError(f"mode sets in one profile pass differ in {f}")
+    _check_exponents(modes, also)
     y = np.asarray(y, dtype=float)
     groups = _group_by_l(modes.l)
     coef = (np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])

@@ -67,6 +67,7 @@ import numpy as np
 
 from .boundary import (
     ExpModes,
+    _check_exponents,
     _group_by_l,
     _l_tolerance,
     evaluate_modes,
@@ -229,6 +230,7 @@ def modes_norms(modes: ExpModes, x_period: float, nx: int | None = _NORM_NX,
     in turn, read from the same pass and on the same y-grid.
     """
     if len(modes) == 0:
+        _check_exponents(modes, also)
         return (0.0, None if nx is None else 0.0, 0.0)[:2 + dx] + (0.0,) * len(also)
     y = _norm_grid(modes, x_period, _NORM_NY)
     l, P = mode_profiles(modes, 0.0, y, also)

@@ -68,7 +68,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
-from scipy.optimize import brentq
 from scipy.sparse import csr_array, diags_array, eye_array
 
 from .characteristic import ModalMatrixSpec, roots_for
@@ -110,22 +109,39 @@ def _fd_weights(nodes, z, m):
 
 
 def stretched_grid(Ly: float, ny: int, dy0: float, dy_max: float = math.inf):
-    """Geometric near-wall spacing dy0 growing by <= 1.08, capped at dy_max."""
+    """Geometric near-wall spacing dy0 growing by a ratio r <= 1.08, capped
+    at dy_max; y[0] = 0 and y[-1] = Ly.
+
+    r is the exact root: the smallest double in (1 + 1e-12, 1.08] whose grid
+    reaches Ly, found by bisection to the last bit; setting the last point
+    to Ly then only shortens the last spacing.  This holds near uniform too:
+    for Ly a hair above dy0 (ny - 1), r is one ulp above the bracket's lower
+    end.  For Ly at or below it, the grid is uniform.
+    """
     if dy0 * (ny - 1) >= Ly:
         return np.linspace(0.0, Ly, ny)
 
-    def length(r):
-        d = np.minimum(dy0 * r ** np.arange(ny - 1), dy_max)
-        return d.sum() - Ly
+    k = np.arange(ny - 1)
 
-    if length(1.08) < 0.0:
+    def points(r):  # y[1:] at stretch ratio r
+        return np.cumsum(np.minimum(dy0 * r**k, dy_max))
+
+    if points(1.08)[-1] < Ly:
         raise DnsError(
             f"cannot reach Ly={Ly:.3g} with ny={ny}, dy0={dy0:.3g}, "
             f"dy_max={dy_max:.3g} at stretch ratio <= 1.08"
         )
-    r = brentq(length, 1.0 + 1e-12, 1.08)
-    d = np.minimum(dy0 * r ** np.arange(ny - 1), dy_max)
-    y = np.concatenate([[0.0], np.cumsum(d)])
+    # the grid's length is increasing in r: halve the bracket until its
+    # midpoint is one of its ends, keeping a grid that reaches Ly at hi
+    lo, hi = 1.0 + 1e-12, 1.08
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if points(mid)[-1] < Ly:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    y = np.concatenate([[0.0], points(hi)])
     y[-1] = Ly
     return y
 

@@ -581,6 +581,16 @@ class TestLedgerNorms:
         with pytest.raises(ValueError, match=rf"differ in {field}$"):
             C.modes_norms(m, casm.x_period, None, also=[other])
 
+    def test_empty_pass_refuses_other_exponents(self, casm):
+        """An empty first set has no profile pass, but its further sets are
+        still compared: one mode against none is refused naming l, while
+        empty further sets give zeros."""
+        m = casm.families[C.W1_BLEPS3][:1]
+        empty = boundary.ExpModes.empty()
+        with pytest.raises(ValueError, match=r"differ in l$"):
+            C.modes_norms(empty, casm.x_period, None, also=[m])
+        assert C.modes_norms(empty, casm.x_period, None, also=[empty]) == (0.0, None, 0.0)
+
     @pytest.mark.parametrize("family", C.W1_MODAL)
     def test_dx_l2_from_the_family_profiles(self, casm, family):
         """d/dx multiplies a wavenumber's profile by i l: the L2 of d/dx read

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
+from scipy.optimize import brentq
 
 from wavecrit import dns
 from wavecrit.dns import (
@@ -110,6 +111,30 @@ class TestGridAndConfig:
         assert dy.min() > 0
         assert (dy[1:] / dy[:-1]).max() <= 1.08 + 1e-12
         assert dy.max() <= 0.6 + 1e-12
+
+    def test_stretched_grid_near_uniform(self):
+        """Ly a hair above dy0 (ny - 1): the root lies just below the
+        bracket, r takes its lower end, and the grid is still built."""
+        Ly, dy_max = 1e-3 * 383 * (1 + 1e-13), 0.5
+        y = stretched_grid(Ly, 384, 1e-3, dy_max)
+        dy = np.diff(y)
+        assert y[0] == 0.0 and y[-1] == Ly
+        assert (dy > 0).all()
+        assert (dy[1:] / dy[:-1]).max() <= 1.08 + 1e-12
+        assert dy.max() <= dy_max
+
+    @pytest.mark.parametrize("Ly, ny, dy0, dy_max",
+                             [(300.0, 384, 1e-3, 1.0), (300.0, 768, 1e-3, 1.0),
+                              (60.0, 256, 1e-3, 0.6)])
+    def test_stretched_grid_ratio_is_the_root(self, Ly, ny, dy0, dy_max):
+        """The stretch ratio is the root to the last bit: the grid matches one
+        built from brentq's root at xtol 1e-15 to 1e-12 Ly."""
+        k = np.arange(ny - 1)
+        r = brentq(lambda r: np.minimum(dy0 * r**k, dy_max).sum() - Ly,
+                   1.0 + 1e-12, 1.08, xtol=1e-15)
+        want = np.concatenate([[0.0], np.cumsum(np.minimum(dy0 * r**k, dy_max))])
+        want[-1] = Ly
+        assert np.abs(stretched_grid(Ly, ny, dy0, dy_max) - want).max() <= 1e-12 * Ly
 
     def test_stretched_grid_unreachable(self):
         with pytest.raises(DnsError):
