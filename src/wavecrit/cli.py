@@ -496,9 +496,10 @@ def _run_dns(config: ExperimentConfig) -> list[str]:
 
 def _run_stability(config: ExperimentConfig) -> list[str]:
     params = config.params
-    # delta = 0 control run doubles as the measured error floor
+    # delta = 0 control run doubles as the measured error floor; only its
+    # report is kept, so its solver is freed before the second run's is built
     p0 = dataclasses.replace(params, delta=0.0)
-    _, traj0, rep0 = _dns_series(config, p0, with_corrector=False)
+    rep0 = _dns_series(config, p0, with_corrector=False)[2]
     _, traj1, rep1 = _dns_series(config, params, with_corrector=True,
                                  floor=rep0["diff_L2"])
     rows = [

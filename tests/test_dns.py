@@ -5,16 +5,18 @@ exactly x-periodic in the computational box; nx = 192 keeps the carrier
 (~44 wavelengths per period) comfortably above Nyquist.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
 
 from wavecrit import dns
 from wavecrit.dns import (
+    BlockSweep,
     DnsError,
     PeriodicBox,
     SimConfig,
@@ -136,6 +138,25 @@ class TestGridAndConfig:
         want[-1] = Ly
         assert np.abs(stretched_grid(Ly, ny, dy0, dy_max) - want).max() <= 1e-12 * Ly
 
+    def test_grid_built_once(self, monkeypatch):
+        """One SimConfig and its Solver build the y-grid once, bit-identical
+        to a direct stretched_grid call; the cached grid is not a field, so
+        config equality ignores it."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stretched_grid(*args)
+
+        monkeypatch.setattr(dns, "stretched_grid", counted)
+        config = make_config()
+        solver = Solver(config)
+        assert len(calls) == 1
+        want = stretched_grid(config.Ly, config.ny, config.dy0, config.dy_max)
+        assert np.array_equal(solver.grid.y, want)
+        assert "y" not in {f.name for f in dataclasses.fields(SimConfig)}
+        assert config == make_config()
+
     def test_stretched_grid_unreachable(self):
         with pytest.raises(DnsError):
             stretched_grid(60.0, 128, 1e-3, 0.6)
@@ -253,6 +274,103 @@ class TestBandedOperators:
             assert err <= 1e-12, (name, err)
         err = np.abs(got[2] - want[2]).max() / np.abs(want[2]).max()
         assert err <= 1e-10, ("phi", err)
+
+
+def _solver_and_factors(config):
+    """A Solver and the banded Cholesky factor of each field's diffusion
+    system (u, w, b), taken as its BlockSweeps are built."""
+    factors = []
+
+    def recording(ab):
+        factors.append(ab)
+        return BlockSweep(ab)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dns, "BlockSweep", recording)
+        solver = Solver(config)
+    return solver, dict(zip(("u", "w", "b"), factors))
+
+
+def _pbtrs_diffuse(factors):
+    """Solver._diffuse with LAPACK's banded solve in place of the sweep."""
+
+    def diffuse(self, fh, name):
+        rows, B, _ = self._diff[name]
+        q = cho_solve_banded((factors[name], False), B @ dns._pairs(fh)[rows],
+                             check_finite=False)
+        out = np.zeros_like(fh)
+        out[rows] = dns._complex(q)
+        if name == "b":
+            w = self.neumann_wall
+            out[0] = -(w[1:] / w[0]) @ out[1:len(w)]
+        return out * self._xdamp[name]
+
+    return diffuse
+
+
+def _random_banded_spd(n, bw, rng):
+    """Upper banded storage of a random, strongly coupled SPD matrix."""
+    ab = rng.uniform(-1.0, 1.0, (bw + 1, n))
+    for i in range(bw):
+        ab[i, : bw - i] = 0.0  # the unused corner of the storage
+    ab[bw] = 2.0 * bw + 1.0 + rng.uniform(0.0, 1.0, n)  # diagonal dominance
+    return ab
+
+
+class TestBlockSweep:
+    """The diffusion's block sweep against LAPACK's banded solve (pbtrs)."""
+
+    @pytest.mark.parametrize("n", [1, 3, 47, 48, 49, 51, 97, 99, 145])
+    def test_matches_pbtrs_on_strong_coupling(self, n):
+        """Random banded SPD systems with O(1) couplings, at sizes with a
+        single short block, a ragged last block and one too short to stand
+        alone (it joins the block before)."""
+        rng = np.random.default_rng(n)
+        chol = cholesky_banded(_random_banded_spd(n, 4, rng))
+        r = rng.standard_normal((n, 5))
+        want = cho_solve_banded((chol, False), r)
+        got = BlockSweep(chol).solve(r.copy(), np.empty_like(r))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.fixture(scope="class", params=[97, 384, 768])
+    def factored(self, request):
+        ny = request.param
+        kw = (dict(Ly=10.0, dy_max=math.inf) if ny == 97
+              else dict(Ly=300.0, dy_max=1.0))
+        return _solver_and_factors(make_config(nx=16, ny=ny, **kw))
+
+    @pytest.mark.parametrize("width", [1, 6, 258])
+    @pytest.mark.parametrize("name", ["u", "w", "b"])
+    def test_matches_pbtrs_on_each_field(self, factored, name, width):
+        """Each field's factor at ny = 97, 384 and 768, on 1 column, the
+        delta = 0 twin's 3 complex columns and a full-width 256 x 384
+        state's 129."""
+        solver, factors = factored
+        chol = factors[name]
+        r = np.random.default_rng(width).standard_normal((chol.shape[1], width))
+        want = cho_solve_banded((chol, False), r)
+        got = solver._diff[name][2].solve(r.copy(), np.empty_like(r))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_march_matches_pbtrs_path(self, assembly):
+        """20 delta = eps^3 steps at 256 x 384 against the same march with
+        pbtrs diffusion: fields at 1e-12, energy and dissipation series at
+        1e-13, projection losses at 1e-12 E0."""
+        config = make_config(delta=EPS**3, Lx=assembly.x_period, nx=256,
+                             ny=384, Ly=300.0, dy_max=1.0)
+        solver, factors = _solver_and_factors(config)
+        initial = init_from_Wapp(assembly, None, config, solver)
+        got = solver.run(initial, 20)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Solver, "_diffuse", _pbtrs_diffuse(factors))
+            want = solver.run(initial, 20)
+        for a, b in zip((got.final.uh, got.final.wh, got.final.bh),
+                        (want.final.uh, want.final.wh, want.final.bh)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        for a, b in ((got.energy, want.energy), (got.dissipation, want.dissipation)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        e0 = want.energy[0]
+        assert np.abs(got.proj_loss - want.proj_loss).max() <= 1e-12 * e0
 
 
 class TestProjection:
@@ -443,16 +561,26 @@ class TestColumnSubset:
             getattr(solver, method)(*args)
 
     def test_solves_see_only_the_held_columns(self, solver, initial, monkeypatch):
-        """Each banded solve of a delta = 0 step gets 2 float columns (real,
-        imaginary) per held rfft column: the step never goes back to full
-        width."""
+        """Each banded solve of a delta = 0 step (6 diffusion sweeps, 4
+        projections) gets 2 float columns (real, imaginary) per held rfft
+        column: the step never goes back to full width."""
         seen = []
 
+        def width(b):
+            return b.size // min(len(b), solver.grid.ny)
+
         def counted(cb, b, **kwargs):
-            seen.append(b.size // min(len(b), solver.grid.ny))
+            seen.append(width(b))
             return cho_solve_banded(cb, b, **kwargs)
 
+        sweep_solve = BlockSweep.solve
+
+        def counted_sweep(sweep, r, y):
+            seen.append(width(r))
+            return sweep_solve(sweep, r, y)
+
         monkeypatch.setattr(dns, "cho_solve_banded", counted)
+        monkeypatch.setattr(BlockSweep, "solve", counted_sweep)
         solver.step(initial)
         assert seen == [2 * len(initial.cols)] * 10
 
