@@ -32,23 +32,21 @@ explicit Heun step of rotation + advection, half a diffusion
 step -- followed by a projection, and is second order in time.
 
 The state is carried as the rfft along x of (u, w, b).  Every y-operator is
-x-independent and banded (bandwidth 4, set by the 5-point stencil), so it
-acts on the rfft columns viewed as (real, imag) float pairs:
+x-independent and banded (bandwidth 4 or 5, set by the 5-point stencil), so
+it acts on the rfft columns viewed as (real, imag) float pairs:
 
 * Dy and its transpose are stored as sparse (CSR) matrices;
 * each diffusion half step solves the banded Crank-Nicolson system
-  (M + a Kq) q = (M - a Kq) f on the constrained space, then multiplies by
-  the exact x-damping.  M + a Kq is factored once per field by a banded
-  Cholesky, U^T U, which a BlockSweep turns into blocks of 48 rows: the
-  solve is one forward and one backward pass of small dense matmuls on
-  all columns at once, about 3x faster than LAPACK's banded solve, which
-  runs two triangular solves per column;
+  (M + a Kq) q = (M - a Kq) f on the constrained space as
+  q = (M + a Kq)^-1 2 M f - f, then multiplies by the exact x-damping.
+  M + a Kq = U^T U is factored once per field, and a BlockSweep solves
+  with U in blocks of 48 rows, about 3x faster than LAPACK's banded solve;
 * the projection stacks the banded matrices of the kx with a nonzero
   derivative wavenumber (a contiguous slice) into one block-diagonal banded
-  Cholesky factor and solves all of them in one LAPACK call (each kx has
-  its own matrix, so a sweep's block inverses would take 12.5 MB at
-  256 x 384 even with 16-row blocks); kx = 0 and the Nyquist column, where
-  the matrix is singular, use a dense eigen pseudo-inverse;
+  Cholesky factor, solved in one LAPACK call (each kx has its own matrix,
+  too many for stored block inverses); at kx_d = 0 (kx = 0 and Nyquist) w
+  is zeroed on the interior rows, and phi is the minimum-norm potential
+  G^T (G G^T)^-1 w[1:-1], G = Dy[1:-1], by one banded Cholesky solve;
 * rotation is pointwise; energy and dissipation are Parseval sums.
 
 Advection is the only physical-space stage: per Heun stage 6 irfft (u, w,
@@ -72,7 +70,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, solve_triangular
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 from scipy.sparse import csr_array, diags_array, eye_array
 
 from .characteristic import ModalMatrixSpec, roots_for
@@ -316,9 +314,12 @@ class State:
 
 
 def _upper_banded(A, bw):
-    """Upper banded storage (LAPACK 'U') of a symmetric matrix of bandwidth bw."""
-    n = A.shape[0]
-    ab = np.zeros((bw + 1, n))
+    """Upper banded storage (LAPACK 'U') of a symmetric matrix of bandwidth
+    bw; raises ValueError on an entry it would drop."""
+    off = np.abs(np.subtract(*A.nonzero()))
+    if off.max(initial=0) > bw:
+        raise ValueError(f"entry at offset {off.max()} lies beyond bandwidth {bw}")
+    ab = np.zeros((bw + 1, A.shape[0]))
     for i in range(bw + 1):
         ab[bw - i, i:] = A.diagonal(i)
     return ab
@@ -397,20 +398,16 @@ class Solver:
         self.mask_w[0] = self.mask_w[-1] = 0.0
 
         # projection: A_k = kx^2 diag(tau m_u) + Dy^T diag(tau m_w) Dy
-        bw = g.stencil - 1  # matrix bandwidth set by the stencil width
+        s = g.stencil
+        bw = s - 1  # matrix bandwidth set by the stencil width
         K = g.DyT @ diags_array(g.tau * self.mask_w) @ g.Dy
-        # at kx = 0 the matrix is singular (constants and a second solution
-        # of the interior recurrence Dy v = 0 have zero discrete gradient);
-        # the right-hand side is orthogonal to that null space by
-        # construction, so the pseudo-inverse on the range is exact.  The
-        # Nyquist column (kx_d = 0 too) shares it.
-        lam, V = eigh(K.toarray())
-        keep = lam > 1e-10 * lam[-1]
-        self._proj_zero = (V[:, keep], 1.0 / lam[keep])
         self._proj_band = _upper_banded(K, bw)
+        # kx_d = 0: phi = G^T (G G^T)^-1 w[1:-1], G = Dy[1:-1] (see project);
+        # G G^T has bandwidth s, one more than K: rows 1 and 6 share column 4
+        G = g.Dy[1:-1]
+        self._proj_zero = (G.T.tocsr(), cholesky_banded(_upper_banded(G @ G.T, s)))
 
         # one-sided first-derivative stencil at the wall
-        s = g.stencil
         self.neumann_wall = _fd_weights(y[:s], y[0], 1)
 
         # variational (summation-by-parts) y-diffusion.  On the subspace
@@ -428,12 +425,11 @@ class Solver:
         # tau-orthogonal projector onto the no-flux constraint for b
         self._bproj_v = v / (nb @ v)
         self._bproj_n = nb
-        # Each field's update is f -> Z (M + a Kq)^{-1} (M - a Kq) f[rows]:
-        # Z embeds the free rows (zero elsewhere, except b's wall row, which
-        # follows from the no-flux stencil), M and Kq are the tau-weighted
-        # mass and stiffness forms on them, both of bandwidth <= bw, so
-        # M + a Kq is factored once as a banded Cholesky and solved by a
-        # BlockSweep.
+        # Each field's update is f -> Z ((M + a Kq)^-1 2 M f[rows] - f[rows]),
+        # Crank-Nicolson's Z (M + a Kq)^-1 (M - a Kq) f[rows].  Z embeds the
+        # free rows (zero elsewhere but b's wall row, set by the no-flux
+        # stencil); M and Kq are the tau-weighted mass and stiffness forms on
+        # them, of bandwidth <= bw, and M + a Kq is factored once for a sweep.
         tau = diags_array(g.tau)
         self._b_wall = -self.neumann_wall[1:] / self.neumann_wall[0]
         self._diff = {}
@@ -450,7 +446,7 @@ class Solver:
             # around the explicit stage, keeping the march (and the energy
             # ledger) second order in dt
             a = 0.25 * config.dt * c
-            self._diff[name] = (slice(1, 1 + nq), (M - a * Kq).tocsr(),
+            self._diff[name] = (slice(1, 1 + nq), (2.0 * M).tocsr(),
                                 BlockSweep(cholesky_banded(_upper_banded(M + a * Kq, bw))))
         # Dy* = T^-1 Dy^T T, the adjoint of Dy in the trapezoid inner product
         self._dy_adj = (diags_array(1.0 / g.tau) @ g.DyT @ diags_array(g.tau)).tocsr()
@@ -479,8 +475,8 @@ class Solver:
         self._ikx = 1j * g.kx_d[None, :]
         self._xdamp = {name: np.exp(-0.5 * c * g.kx**2 * self.config.dt)[None, :]
                        for name, c in self._diff_coef.items()}
-        # kx = 0 (column 0) and Nyquist (the last column) use the
-        # pseudo-inverse, so the regular columns between them are a slice
+        # kx = 0 (column 0) and Nyquist (the last column) are solved apart,
+        # so the regular columns between them are a slice
         self._proj_singular = np.flatnonzero(g.kx_d == 0.0)
         start = np.count_nonzero(g.kx == 0.0)
         self._proj_regular = slice(start, start + len(cols) - len(self._proj_singular))
@@ -525,7 +521,9 @@ class Solver:
 
         Returns (u', w', phi), all rfft columns, with u' = u - dx phi and
         w' = w - Dy phi on unpinned rows; the pinned wall/lid rows are left
-        untouched (they are part of the constraint space).
+        untouched (they are part of the constraint space).  At kx_d = 0, u is
+        unchanged, w vanishes on the interior rows and phi is the
+        minimum-norm potential G^T (G G^T)^-1 w[1:-1], G = Dy[1:-1].
         """
         self._width(uh, wh)
         g = self.grid
@@ -538,10 +536,11 @@ class Solver:
                                _pairs(rhs[:, reg].T).reshape(-1, 2),
                                check_finite=False)
         phih[:, reg] = _complex(sol).reshape(-1, g.ny).T
-        # kx = 0 and Nyquist: the pseudo-inverse, in real arithmetic
-        V, inv_lam = self._proj_zero
         sing = self._proj_singular
-        phih[:, sing] = _complex(V @ (inv_lam[:, None] * (V.T @ _pairs(rhs[:, sing]))))
+        if sing.size:  # kx = 0 and Nyquist: the minimum-norm potential
+            GT, chol = self._proj_zero
+            phih[:, sing] = _complex(GT @ cho_solve_banded(
+                (chol, False), _pairs(wh[1:-1, sing]), check_finite=False))
         return (uh - self._ikx * phih * self.mask_u[:, None],
                 wh - _ycols(g.Dy, phih) * self.mask_w[:, None], phih)
 
@@ -586,11 +585,12 @@ class Solver:
         return fu, fw, self._noflux(fb)
 
     def _diffuse(self, fh, name):
-        rows, B, sweep = self._diff[name]
+        rows, M2, sweep = self._diff[name]
         out = np.empty(fh.shape, complex)
-        # the sweep's forward pass runs in out's free rows, which then take
-        # the damped solution
-        q = sweep.solve(B @ _pairs(fh)[rows], _pairs(out)[rows])
+        f = _pairs(fh)[rows]
+        # out's free rows hold the sweep's forward pass, then the damped result
+        q = sweep.solve(M2 @ f, _pairs(out)[rows])
+        q -= f
         np.multiply(_complex(q), self._xdamp[name], out=out[rows])
         out[:rows.start] = out[rows.stop:] = 0.0
         if name == "b":  # the wall row, from the no-flux stencil

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
+from scipy.sparse import diags_array
 
 from wavecrit import dns
 from wavecrit.dns import (
@@ -227,8 +228,10 @@ def _dense_projection(solver, u, w):
     return tuple(np.fft.irfft(f, n=g.nx, axis=1) for f in (uh, wh, phih))
 
 
-def _dense_diffusion(solver, f, name):
-    """Oracle: the half diffusion step as the dense propagator Z Pq R."""
+def _dense_forms(solver, name):
+    """One field's diffusion as dense matrices built here: the embedding Z
+    of its free rows, the restriction R onto them, the mass and stiffness
+    forms M and Kq, the half-step factor a and the coefficient c."""
     g = solver.grid
     ny, s = g.ny, g.stencil
     free = slice(1, -1) if name == "w" else slice(1, None)
@@ -241,7 +244,13 @@ def _dense_diffusion(solver, f, name):
     Kq = DyZ.T @ (g.tau[:, None] * DyZ)
     p = solver.config.params
     c = p.kappa if name == "b" else p.nu
-    a = 0.25 * solver.config.dt * c
+    return Z, R, M, Kq, 0.25 * solver.config.dt * c, c
+
+
+def _dense_diffusion(solver, f, name):
+    """Oracle: the half diffusion step as the dense propagator Z Pq R."""
+    g = solver.grid
+    Z, R, M, Kq, a, c = _dense_forms(solver, name)
     out = Z @ np.linalg.solve(M + a * Kq, M - a * Kq) @ R @ f
     damp = np.exp(-0.5 * c * g.kx**2 * solver.config.dt)
     return np.fft.irfft(damp * np.fft.rfft(out, axis=1), n=g.nx, axis=1)
@@ -276,6 +285,105 @@ class TestBandedOperators:
         assert err <= 1e-10, ("phi", err)
 
 
+#: ny -> (Ly, dy_max) of the grids below: near uniform at the smallest sizes,
+#: the production stretch at 384 and 768
+GRIDS = {5: (4.2e-3, math.inf), 6: (5.3e-3, math.inf), 8: (7.5e-3, math.inf),
+         40: (0.2, math.inf), 384: (300.0, 1.0), 768: (300.0, 1.0)}
+
+
+def _grid(ny):
+    return dns.Grid(1.0, 16, stretched_grid(GRIDS[ny][0], ny, 1e-3, GRIDS[ny][1]))
+
+
+def _upper_triangle(ab):
+    """The upper triangle held in upper banded storage (LAPACK 'U')."""
+    bw, n = len(ab) - 1, ab.shape[1]
+    return sum(np.diag(ab[bw - k, k:], k) for k in range(min(bw, n - 1) + 1))
+
+
+class TestUpperBanded:
+    """dns._upper_banded stores every entry of its matrix, or refuses."""
+
+    @pytest.mark.parametrize("ny", [5, 6, 8, 40, 384])
+    def test_projection_bands_stored_exactly(self, ny):
+        """K = G^T diag(tau) G at bandwidth s - 1 and G G^T at s, G = Dy[1:-1]."""
+        g = _grid(ny)
+        G = g.Dy[1:-1]
+        K = G.T @ diags_array(g.tau[1:-1]) @ G
+        for A, bw in ((K, g.stencil - 1), (G @ G.T, g.stencil)):
+            got = _upper_triangle(dns._upper_banded(A, bw))
+            assert np.array_equal(got, np.triu(A.toarray()))
+
+    def test_refuses_what_it_would_drop(self):
+        """Rows 1 and 6 of Dy share column 4, so G G^T reaches offset s."""
+        g = _grid(384)
+        G = g.Dy[1:-1]
+        with pytest.raises(ValueError, match=rf"offset {g.stencil} .*bandwidth {g.stencil - 1}"):
+            dns._upper_banded(G @ G.T, g.stencil - 1)
+
+
+@pytest.fixture(scope="module", params=[6, 40, 384, 768])
+def singular(request):
+    """A 16-column solver at ny rows, random complex u and w columns and
+    their projection.  No 6-row grid resolves the thin layer, so there the
+    resolution check of SimConfig is off; the projection does not read it."""
+    ny = request.param
+    Ly, dy_max = GRIDS[ny]
+    with pytest.MonkeyPatch.context() as mp:
+        if ny < 8:
+            mp.setattr(SimConfig, "__post_init__", lambda self: None)
+        solver = Solver(make_config(nx=16, ny=ny, Ly=Ly, dy_max=dy_max))
+    rng = np.random.default_rng(ny)
+    uh, wh = rng.standard_normal((2, ny, 9)) + 1j * rng.standard_normal((2, ny, 9))
+    return solver, uh, wh, solver.project(uh, wh)
+
+
+class TestSingularColumns:
+    """kx = 0 and Nyquist (kx_d = 0), where K = Dy^T diag(tau m_w) Dy is
+    singular: w goes to zero on the interior rows, u is kept, and phi is
+    the minimum-norm solution of K phi = r."""
+
+    SING = [0, 8]  # kx = 0 and Nyquist of 16 x-points
+
+    @staticmethod
+    def _K(solver):
+        Dy = solver.grid.Dy.toarray()
+        return Dy, Dy.T @ ((solver.grid.tau * solver.mask_w)[:, None] * Dy)
+
+    def test_w_vanishes_on_interior_rows(self, singular):
+        """To 1e-12 of the update's terms, w and Dy phi: phi reaches ~150 at
+        ny = 384 (the constant in its gauge), so w - Dy phi carries ~1e-11
+        of max|w| in rounding near the wall, as the pseudo-inverse did."""
+        solver, _, wh, (_, w1, phi) = singular
+        s, G = self.SING, abs(solver.grid.Dy[1:-1])
+        scale = np.abs(wh[1:-1, s]).max() + (G @ np.abs(phi[:, s])).max()
+        assert np.abs(w1[1:-1, s]).max() <= 1e-12 * scale
+
+    def test_u_unchanged(self, singular):
+        _, uh, _, (u1, _, _) = singular
+        assert np.array_equal(u1[:, self.SING], uh[:, self.SING])
+
+    def test_phi_solves_the_system(self, singular):
+        solver, _, wh, (_, _, phi) = singular
+        Dy, K = self._K(solver)
+        s = self.SING
+        r = Dy.T @ ((solver.grid.tau * solver.mask_w)[:, None] * wh[:, s])
+        assert np.abs(K @ phi[:, s] - r).max() <= 1e-12 * (np.abs(K) @ np.abs(phi[:, s])).max()
+
+    def test_phi_is_orthogonal_to_the_null_space(self, singular):
+        """K = G^T T G with T positive, so K's null space is G's, from the
+        dense SVD of G = Dy[1:-1]: that resolves it to about eps cond(G),
+        not eps cond(K) (cond(K) ~ 4e7 at ny = 384)."""
+        solver, _, _, (_, _, phi) = singular
+        Dy, K = self._K(solver)
+        _, sv, vt = np.linalg.svd(Dy[1:-1])
+        assert sv[-1] > 1e-8 * sv[0]  # full row rank: the null space is 2-D
+        null = vt[-2:]
+        assert np.abs(K @ null.T).max() <= 1e-12 * np.abs(K).max()
+        phi = phi[:, self.SING]
+        assert (np.abs(null @ phi) <= 1e-10 * np.linalg.norm(phi, axis=0)).all()
+
+
 def _solver_and_factors(config):
     """A Solver and the banded Cholesky factor of each field's diffusion
     system (u, w, b), taken as its BlockSweeps are built."""
@@ -291,12 +399,17 @@ def _solver_and_factors(config):
     return solver, dict(zip(("u", "w", "b"), factors))
 
 
-def _pbtrs_diffuse(factors):
-    """Solver._diffuse with LAPACK's banded solve in place of the sweep."""
+def _pbtrs_diffuse(solver, factors):
+    """Solver._diffuse with LAPACK's banded solve in place of the sweep and
+    the textbook right-hand side (M - a Kq) f, built here from dense forms."""
+    rhs = {}
+    for name in factors:
+        _, _, M, Kq, a, _ = _dense_forms(solver, name)
+        rhs[name] = M - a * Kq
 
     def diffuse(self, fh, name):
-        rows, B, _ = self._diff[name]
-        q = cho_solve_banded((factors[name], False), B @ dns._pairs(fh)[rows],
+        rows = self._diff[name][0]
+        q = cho_solve_banded((factors[name], False), rhs[name] @ dns._pairs(fh)[rows],
                              check_finite=False)
         out = np.zeros_like(fh)
         out[rows] = dns._complex(q)
@@ -362,7 +475,7 @@ class TestBlockSweep:
         initial = init_from_Wapp(assembly, None, config, solver)
         got = solver.run(initial, 20)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Solver, "_diffuse", _pbtrs_diffuse(factors))
+            mp.setattr(Solver, "_diffuse", _pbtrs_diffuse(solver, factors))
             want = solver.run(initial, 20)
         for a, b in zip((got.final.uh, got.final.wh, got.final.bh),
                         (want.final.uh, want.final.wh, want.final.bh)):
