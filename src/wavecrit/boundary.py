@@ -99,15 +99,6 @@ class ExpModes:
         return cls(z.copy(), z.copy(), zc.copy(), zc.copy(), zc.copy(), zc.copy())
 
     @classmethod
-    def from_rows(cls, rows) -> "ExpModes":
-        """Mode set from (l, alpha, mu, cu, cw, cb) rows."""
-        if not rows:
-            return cls.empty()
-        l, alpha, *rest = zip(*rows)
-        return cls(np.array(l, dtype=float), np.array(alpha, dtype=float),
-                   *(np.array(c, dtype=complex) for c in rest))
-
-    @classmethod
     def concat(cls, parts) -> "ExpModes":
         parts = [p for p in parts if len(p.l)]
         if not parts:

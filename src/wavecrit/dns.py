@@ -9,7 +9,8 @@ The system marched here is
 
 on a box periodic in x and bounded above by a stress-free, no-flux lid.
 The discretization is pseudo-spectral in x and
-compact (5-point) finite differences on a geometrically stretched y-grid.
+compact (5-point) finite differences on a geometrically stretched y-grid,
+whose weights Fornberg's recurrence gives for all rows in one array pass.
 
 Discrete structure is chosen so that the semi-discrete invariants are exact,
 not merely approximate:
@@ -89,17 +90,20 @@ class DnsError(RuntimeError):
 
 
 def _fd_weights(nodes, z, m):
-    """Finite-difference weights for the m-th derivative at z (Fornberg)."""
-    n = len(nodes)
-    w = np.zeros((m + 1, n))
+    """Finite-difference weights for the m-th derivative at z (Fornberg),
+    for every row at once: nodes (..., n) and z (...) give weights (..., n),
+    each row by the scalar recurrence's operations."""
+    x = np.moveaxis(np.asarray(nodes, dtype=float), -1, 0)  # (n, ...)
+    n = len(x)
+    w = np.zeros((m + 1, *x.shape))
     w[0, 0] = 1.0
-    c1, c4 = 1.0, nodes[0] - z
+    c1, c4 = 1.0, x[0] - z
     for i in range(1, n):
         mn = min(i, m)
-        c2, c5, c4 = 1.0, c4, nodes[i] - z
+        c2, c5, c4 = 1.0, c4, x[i] - z
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = x[i] - x[j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
@@ -108,7 +112,7 @@ def _fd_weights(nodes, z, m):
                 w[k, j] = ((c4 * w[k, j] - k * w[k - 1, j])) / c3
             w[0, j] = c4 * w[0, j] / c3
         c1 = c2
-    return w[m]
+    return np.moveaxis(w[m], 0, -1)
 
 
 def stretched_grid(Ly: float, ny: int, dy0: float, dy_max: float = math.inf):
@@ -169,7 +173,7 @@ class Grid:
         # matrix, so the higher order only buys accuracy on the thin layers
         self.stencil = s = min(5, ny)
         cols = np.clip(np.arange(ny) - s // 2, 0, ny - s)[:, None] + np.arange(s)
-        vals = np.array([_fd_weights(y[c], y[j], 1) for j, c in enumerate(cols)])
+        vals = _fd_weights(y[cols], y, 1)
         self.Dy = csr_array(
             (vals.ravel(), (np.repeat(np.arange(ny), s), cols.ravel())),
             shape=(ny, ny),

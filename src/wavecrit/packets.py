@@ -14,7 +14,8 @@ lambda_3 modes decay on the eps^2 scale and the lambda_5 mode on the eps^3
 scale, which splits the lift into two boundary-layer families.
 
 The minus lobe of A is the exact complex conjugate of the plus lobe, so
-only the plus lobe is assembled; physical fields are F + conj(F).  The
+only the plus lobe is assembled, in one array pass over the nodes where
+chi chi is nonzero (xi-major); physical fields are F + conj(F).  The
 discrete quadrature puts the lobe's wavenumbers at k0 + eps^2 xi, spaced
 dk = eps^2 * dxi.  A field is periodic in x (and the incident one in y) with
 period x_period = 2 pi / dk only when every such k is a multiple of dk: for
@@ -122,10 +123,11 @@ class PacketAssembly:
         return self.families[family]
 
 
-def incident_polarization(k: float, m: float, gamma: float, omega: float):
-    """X_{k,m} = (1, -k/m, i (k cos g - m sin g)/(m w)); divergence-free."""
+def incident_polarization(k, m, gamma: float, omega):
+    """X_{k,m} = (1, -k/m, i (k cos g - m sin g)/(m w)); divergence-free
+    (elementwise for arrays)."""
     num = k * math.cos(gamma) - m * math.sin(gamma)
-    return 1.0 + 0.0j, -k / m + 0.0j, 1j * num / (m * omega)
+    return 1.0 + 0.0j, -k / m + 0.0j, 1j * (num / (m * omega))
 
 
 def assemble_W0(
@@ -149,24 +151,19 @@ def assemble_W0(
     s, wts = quad.nodes_weights()
     sg, cg = math.sin(params.gamma), math.cos(params.gamma)
 
-    inc, nodes = [], []
-    for i, xi in enumerate(s):
-        for j, eta in enumerate(s):
-            chi2 = chi_bump(xi) * chi_bump(eta)
-            if chi2 == 0.0:
-                continue
-            k = car.k0 + e2 * xi
-            m = car.m0 + e2 * eta
-            omega = dispersion_omega(k, m, params.gamma, car.branch)
-            # node amplitude: A * dk * dm = eps^2 chi chi w_i w_j
-            amp = e2 * chi2 * wts[i] * wts[j]
-            U, W, B = incident_polarization(k, m, params.gamma, omega)
-            # exp(-mu y) = exp(i m y)
-            inc.append((k, omega, -1j * m, amp * U, amp * W, amp * B))
-            nodes.append((k, m, omega, amp))
+    # the nodes where the bump is nonzero, xi-major
+    chi2 = np.outer(chi_bump(s), chi_bump(s))
+    i, j = np.nonzero(chi2)
+    k = car.k0 + e2 * s[i]
+    m = car.m0 + e2 * s[j]
+    omega = dispersion_omega(k, m, params.gamma, car.branch)
+    # node amplitude: A * dk * dm = eps^2 chi chi w_i w_j
+    amp = e2 * chi2[i, j] * wts[i] * wts[j]
+    U, W, B = incident_polarization(k, m, params.gamma, omega)
+    # exp(-mu y) = exp(i m y)
+    incident = ExpModes(k, omega, -1j * m, amp * U, amp * W, amp * B)
 
     # one batch lift cancels every node's incident wall traces
-    k, m, omega, amp = np.array(nodes).T
     spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
     roots = roots_for(spec)
     stray = stray_nodes(roots, CRITICAL_REGIMES)
@@ -184,7 +181,7 @@ def assemble_W0(
         params=params,
         envelope=envelope,
         families={
-            Family.INCIDENT: ExpModes.from_rows(inc),
+            Family.INCIDENT: incident,
             Family.BLEPS2: lift[~label5],  # labels 2 and 3
             Family.BLEPS3: lift[label5],  # label 5
         },

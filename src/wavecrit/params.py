@@ -71,15 +71,16 @@ class PhysParams:
         return self.kappa0 * self.eps**6
 
 
-def dispersion_omega(k: float, m: float, gamma: float, branch: Branch) -> float:
-    """Frequency of the plane wave (k, m) on the chosen branch.
+def dispersion_omega(k, m, gamma: float, branch: Branch):
+    """Frequency of the plane wave (k, m) on the chosen branch (elementwise
+    for arrays).
 
     Returns +/- (k cos g - m sin g)/sqrt(k^2+m^2); |result| <= 1.
     """
     norm2 = k * k + m * m
-    if norm2 == 0.0:
+    if np.any(norm2 == 0.0):
         raise ValueError("dispersion is undefined at the zero wavevector")
-    return branch.sign * (k * math.cos(gamma) - m * math.sin(gamma)) / math.sqrt(norm2)
+    return branch.sign * (k * math.cos(gamma) - m * math.sin(gamma)) / np.sqrt(norm2)
 
 
 def group_velocity(k: float, m: float, gamma: float, branch: Branch) -> tuple[float, float]:

@@ -197,6 +197,34 @@ class TestGridAndConfig:
             assert np.abs(b - a).max() <= 1e-12 * np.abs(a).max()
 
 
+class TestFdWeights:
+    """The stencil recurrence runs on every row at once, by the scalar
+    recurrence's operations."""
+
+    @pytest.mark.parametrize("y", [stretched_grid(300.0, 384, 1e-3, 1.0),
+                                   np.linspace(0.0, 2.0, 40)],
+                             ids=["stretched", "uniform"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_batched_rows_equal_row_by_row(self, y, m):
+        cols = np.clip(np.arange(len(y)) - 2, 0, len(y) - 5)[:, None] + np.arange(5)
+        rows = np.array([dns._fd_weights(y[c], z, m) for c, z in zip(cols, y)])
+        assert np.array_equal(dns._fd_weights(y[cols], y, m), rows)
+
+    def test_grid_rows_are_the_stencils(self):
+        """Dy's row j holds the 5-point weights at y[j] (one-sided near the
+        ends), which differentiate (y - y[j])^p, p <= 4, to rounding."""
+        g = _grid(384)
+        y, Dy = g.y, g.Dy.toarray()
+        for j in (0, 1, 2, 200, 382, 383):
+            c = np.clip(j - 2, 0, len(y) - 5) + np.arange(5)
+            assert np.array_equal(Dy[j, c], dns._fd_weights(y[c], y[j], 1))
+            d = y[c] - y[j]
+            for p in range(5):
+                want = 1.0 if p == 1 else 0.0
+                tol = 1e-12 * np.abs(Dy[j, c]).sum() * np.abs(d).max() ** p
+                assert abs(Dy[j, c] @ d**p - want) <= tol
+
+
 @pytest.fixture(scope="module")
 def random_uw(solver):
     rng = np.random.default_rng(7)

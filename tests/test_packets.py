@@ -19,7 +19,7 @@ from wavecrit.packets import (
     incident_polarization,
     packet_norms,
 )
-from wavecrit.params import PhysParams, critical_carrier
+from wavecrit.params import PhysParams, critical_carrier, dispersion_omega
 
 GAMMA = 0.7
 CARRIER = critical_carrier(GAMMA, 1.0)
@@ -71,7 +71,7 @@ class TestEnvelope:
 
 def test_incident_polarization_solves_inviscid_rows():
     """Divergence and buoyancy rows hold exactly for X_{k,m}."""
-    from wavecrit.params import Branch, dispersion_omega
+    from wavecrit.params import Branch
 
     sg, cg = math.sin(GAMMA), math.cos(GAMMA)
     for k, m in [(1.0, 0.2), (0.9, 0.15), (1.1, 0.25)]:
@@ -79,6 +79,37 @@ def test_incident_polarization_solves_inviscid_rows():
         U, W, B = incident_polarization(k, m, GAMMA, w)
         assert abs(1j * k * U + 1j * m * W) <= 1e-14
         assert abs(-1j * w * B + U * sg + W * cg) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma, eps, nodes",
+                         [(0.7, 0.2, 5), (0.734, 0.179, 6), (0.66, 0.12, 9)])
+def test_incident_family_matches_per_node_oracle(gamma, eps, nodes):
+    """The incident family is, bit for bit, one plane wave per node where the
+    bump is nonzero, xi-major, from the scalar dispersion_omega and
+    incident_polarization."""
+    car = critical_carrier(gamma, 1.0)
+    quad = QuadratureSpec(nodes)
+    inc = assemble_W0(PhysParams(gamma=gamma, eps=eps), Envelope(carrier=car, eps=eps),
+                      quad).families[Family.INCIDENT]
+    s, wts = quad.nodes_weights()
+    e2 = eps**2
+    rows = []
+    for i, xi in enumerate(s):
+        for j, eta in enumerate(s):
+            chi2 = chi_bump(xi) * chi_bump(eta)
+            if chi2 == 0.0:
+                continue
+            k, m = float(car.k0 + e2 * xi), float(car.m0 + e2 * eta)
+            omega = dispersion_omega(k, m, gamma, car.branch)
+            amp = e2 * chi2 * wts[i] * wts[j]
+            U, W, B = incident_polarization(k, m, gamma, omega)
+            rows.append((k, omega, -1j * m, amp * U, amp * W, amp * B))
+    assert len(rows) == (nodes - 2) ** 2
+    for f, want in zip(("l", "alpha", "mu", "cu", "cw", "cb"), zip(*rows)):
+        got = getattr(inc, f)
+        assert got.dtype == (float if f in ("l", "alpha") else complex)
+        assert np.array_equal(got, np.array(want)), f
+    assert np.isnan(inc.parents).all()
 
 
 class TestAssembly:

@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +89,23 @@ def test_zero_wavevector_rejected():
         dispersion_omega(0.0, 0.0, 0.7, Branch.PLUS)
     with pytest.raises(ValueError):
         group_velocity(0.0, 0.0, 0.7, Branch.PLUS)
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_dispersion_on_arrays_matches_scalar_calls(branch):
+    rng = np.random.default_rng(3)
+    k, m = rng.uniform(-3.0, 3.0, (2, 4, 5))
+    got = dispersion_omega(k, m, 0.7, branch)
+    want = [dispersion_omega(float(a), float(b), 0.7, branch)
+            for a, b in zip(k.ravel(), m.ravel())]
+    assert got.shape == k.shape
+    assert np.array_equal(got.ravel(), want)
+
+
+def test_zero_wavevector_rejected_in_arrays():
+    with pytest.raises(ValueError, match="zero wavevector"):
+        dispersion_omega(np.array([1.0, 0.0, 0.3]), np.array([0.5, 0.0, 0.2]),
+                         0.7, Branch.PLUS)
 
 
 class TestCriticalCarrier:
