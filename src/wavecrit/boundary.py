@@ -215,10 +215,10 @@ def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray, l, alpha) -> np.ndarra
 
     Raises IllConditionedLiftError, naming the first offending node by its
     (l[i], alpha[i]), if an equilibrated matrix still has condition number
-    above 1e14, and checks each solve residual afterwards.  Both run on the
-    right-hand side scaled to unit max-norm, so that the 1e-10 threshold
-    holds for subnormal and huge traces alike; a zero right-hand side gives
-    a zero solution.
+    above 1e14, and checks each solve residual afterwards; a non-finite
+    residual (NaN or inf traces) fails it.  Both run on the right-hand side
+    scaled to unit max-norm, so that the 1e-10 threshold holds for subnormal
+    and huge traces alike; a zero right-hand side gives a zero solution.
     """
     col = np.abs(mat).max(axis=1)
     col[col == 0.0] = 1.0
@@ -238,7 +238,7 @@ def _equilibrated_solve(mat: np.ndarray, rhs: np.ndarray, l, alpha) -> np.ndarra
     resid = np.abs((mat @ x[..., None])[..., 0] - rhs).max(axis=1)
     scale = np.maximum(np.abs(rhs).max(axis=1),
                        (np.abs(mat) * np.abs(x)[:, None, :]).sum(axis=2).max(axis=1))
-    bad = resid > 1e-10 * scale
+    bad = ~(resid <= 1e-10 * scale)  # NaN and inf included
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise IllConditionedLiftError(

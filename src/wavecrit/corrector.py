@@ -68,6 +68,7 @@ import numpy as np
 from .boundary import (
     ExpModes,
     _check_exponents,
+    _equilibrated_solve,
     _group_by_l,
     _l_tolerance,
     evaluate_modes,
@@ -419,8 +420,9 @@ def _shear_lift(alpha, tu, tb, params: PhysParams) -> ExpModes:
     and the remaining (u, b) system has the characteristic polynomial
     -nu kappa L^4 - i alpha (nu+kappa) L^2 + (alpha^2 - sin^2 g), a
     quadratic in L^2.  Exactly two roots decay, the principal square roots
-    of its two L^2 roots; they match the u- and d_y b-traces.  Every node
-    contributes two modes, in node order.
+    of its two L^2 roots; they match the u- and d_y b-traces by the lifts'
+    checked, equilibrated solve (a failure names the node as (0, alpha)).
+    Every node contributes two modes, in node order.
     """
     nu, kappa = params.nu, params.kappa
     sg = math.sin(params.gamma)
@@ -433,7 +435,8 @@ def _shear_lift(alpha, tu, tb, params: PhysParams) -> ExpModes:
         raise CorrectorError(f"shear lift at alpha={alpha[i]:.4g}: {count[i]} decaying roots")
     B = sg / (1j * alpha[:, None] + kappa * sq)
     mat = np.stack([np.ones_like(dec), -dec * B], axis=1)
-    a = np.linalg.solve(mat, np.stack([-tu, -tb], axis=1)[..., None])[..., 0]
+    a = _equilibrated_solve(mat, np.stack([-tu, -tb], axis=1),
+                            np.zeros_like(alpha), alpha)
     n = 2 * len(alpha)
     return ExpModes(np.zeros(n), np.repeat(alpha, 2), dec.ravel(), a.ravel(),
                     np.zeros(n, dtype=complex), (a * B).ravel())

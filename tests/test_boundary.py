@@ -381,6 +381,26 @@ def test_ill_conditioned_batch_names_the_node():
         _equilibrated_solve(mat, rhs, l, alpha)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("regime, lift", [
+    (Regime.CRITICAL_DY, lift_critical),
+    (Regime.NON_CRITICAL, lift_noncritical),
+    (Regime.NON_OSCILLATING, lift_nonoscillating),
+])
+def test_non_finite_trace_is_named(bad, regime, lift):
+    """A NaN or inf u-trace fails the residual check of every lift, which
+    names the node by its (l, alpha); the node next to it lifts as before."""
+    one = regime_spec(regime)
+    spec = ModalMatrixSpec(one.nu, one.kappa, np.full(2, one.omega), np.full(2, one.k),
+                           one.gamma)
+    traces = np.array([[1.0, 0.3, -0.5j], [bad, 0.3, -0.5j]]).T
+    lift(spec, roots_for(spec), traces[:, [0, 0]])
+    name = rf"at \(l={one.k:.6g}, alpha={one.omega:.6g}\)"
+    with pytest.raises(IllConditionedLiftError, match=rf"lift residual nan {name}"):
+        lift(spec, roots_for(spec), traces)
+
+
 def test_batch_lift_equals_one_node_lifts():
     """A batch lift gives each node the modes of its one-node lift, in node
     order; a zero trace in the middle gives zero amplitudes."""

@@ -11,7 +11,7 @@ from scipy.integrate import simpson
 
 from wavecrit import boundary
 from wavecrit import corrector as C
-from wavecrit.boundary import lift_noncritical, lift_nonoscillating
+from wavecrit.boundary import IllConditionedLiftError, lift_noncritical, lift_nonoscillating
 from wavecrit.characteristic import ModalMatrixSpec, roots_for
 from wavecrit.packets import Envelope, Family, QuadratureSpec, assemble_W0
 from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
@@ -817,6 +817,20 @@ class TestLiftMeanFlow:
         with pytest.raises(C.CorrectorError,
                            match=re.escape(f"alpha={sg:.4g}: 1 decaying roots")):
             C._shear_lift(np.array([0.01, sg]), one, one, p)
+
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_shear_lift_checks_non_finite_traces(self, w0, bad):
+        """A NaN or inf u-trace fails the lifts' residual check, which names
+        the node as (l, alpha) = (0, alpha)."""
+        _, p = w0
+        alpha = np.array([0.01, 0.03])
+        C._shear_lift(alpha, np.ones(2, dtype=complex), np.ones(2, dtype=complex), p)
+        with pytest.raises(IllConditionedLiftError,
+                           match=r"lift residual nan at \(l=0, alpha=0\.03\)"):
+            C._shear_lift(alpha, np.array([1.0, bad], dtype=complex),
+                          np.ones(2, dtype=complex), p)
 
 
 class TestAssembly:
