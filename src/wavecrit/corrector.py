@@ -220,24 +220,21 @@ def _profile_norms(l, P, y, x_period: float, nx: int | None) -> tuple[float, flo
 
 
 def modes_norms(modes: ExpModes, x_period: float, nx: int | None = _NORM_NX,
-                dx: bool = False, also=()) -> tuple:
+                also=()) -> tuple:
     """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_grid).
 
     Every call is one profile kernel pass.  With nx None, Linf is None and
-    no x-grid is synthesized.  dx=True appends the L2 of d/dx of the field,
-    read from the same profiles: d/dx multiplies the profile of wavenumber
-    l_g by i l_g.  also holds further mode sets with the exponents of modes
-    (l, alpha, mu and parents, else ValueError); the L2 of each is appended
-    in turn, read from the same pass and on the same y-grid.
+    no x-grid is synthesized.  also holds further mode sets with the
+    exponents of modes (l, alpha, mu and parents, else ValueError), such as
+    its d_dx() and d_dy(); the L2 of each is appended in turn, read from
+    the same pass and on the same y-grid.
     """
     if len(modes) == 0:
         _check_exponents(modes, also)
-        return (0.0, None if nx is None else 0.0, 0.0)[:2 + dx] + (0.0,) * len(also)
+        return (0.0, None if nx is None else 0.0) + (0.0,) * len(also)
     y = _norm_grid(modes, x_period, _NORM_NY)
     l, P = mode_profiles(modes, 0.0, y, also)
     norms = _profile_norms(l, P[:3], y, x_period, nx)
-    if dx:
-        norms += _profile_norms(l, 1j * l[:, None] * P[:3], y, x_period, None)[:1]
     for i in range(3, len(P), 3):
         norms += _profile_norms(l, P[i:i + 3], y, x_period, None)[:1]
     return norms
@@ -735,7 +732,7 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     u1_inf = w1_inf = dx1 = dy1 = 0.0
     for fam in W1_MODAL:
         m = casm.families[fam]
-        _, linf, dx, dy = modes_norms(m, casm.x_period, dx=True, also=[m.d_dy()])
+        _, linf, dx, dy = modes_norms(m, casm.x_period, also=[m.d_dx(), m.d_dy()])
         u1_inf = max(u1_inf, linf)
         w1_inf = max(w1_inf, linf)
         dx1 += dx

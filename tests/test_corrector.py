@@ -546,23 +546,19 @@ class TestLedgerNorms:
 
     def test_shared_pass_is_each_sets_own_pass(self, w0, casm):
         """Every booked term's L2 from its batch's shared pass, and every
-        modal family's d/dy L2 from the family's pass, equals the set's own
-        modes_norms(m, P, None)[0], bit for bit."""
+        modal family's d/dx and d/dy L2 from the family's pass, equals the
+        set's own modes_norms(m, P, None)[0], bit for bit."""
         asm, p = w0
         P = casm.x_period
         shared = []
         for itype, _, src, modes in C._solved_batches(asm, p, None):
             if modes is not None:
                 shared.append(list(C._booked_terms(itype.kind, src, modes, p).values()))
-        shared += [[casm.families[f], casm.families[f].d_dy()] for f in C.W1_MODAL]
+        shared += [[m, m.d_dx(), m.d_dy()] for m in map(casm.families.get, C.W1_MODAL)]
         assert len(shared) == 10 + 3
         for first, *rest in shared:
             l2, _, *more = C.modes_norms(first, P, None, also=rest)
             assert [l2, *more] == [C.modes_norms(m, P, None)[0] for m in (first, *rest)]
-        for f in C.W1_MODAL:
-            m = casm.families[f]
-            assert (C.modes_norms(m, P, dx=True, also=[m.d_dy()])[:3]
-                    == C.modes_norms(m, P, dx=True))
 
     @pytest.mark.parametrize("field", ["l", "alpha", "mu", "parents"])
     def test_shared_pass_refuses_other_exponents(self, casm, field):
@@ -593,17 +589,17 @@ class TestLedgerNorms:
 
     @pytest.mark.parametrize("family", C.W1_MODAL)
     def test_dx_l2_from_the_family_profiles(self, casm, family):
-        """d/dx multiplies a wavenumber's profile by i l: the L2 of d/dx read
-        from the family's profiles matches that of m.d_dx(), rtol 1e-12;
-        W1_BLeps3 has an l = 0 group, which d/dx zeroes."""
+        """The ledger reads a family's Linf and the L2 of its d/dx from one
+        pass with m.d_dx() as a further set: they equal the family's own
+        (L2, Linf) and m.d_dx()'s own L2, bit for bit.  W1_BLeps3 has an
+        l = 0 group, whose d/dx coefficients are zero."""
         P = casm.x_period
         m = casm.families[family]
         if family == C.W1_BLEPS3:
             assert (m.l == 0.0).any()
-        l2, linf, dx = C.modes_norms(m, P, dx=True)
+        l2, linf, dx = C.modes_norms(m, P, also=[m.d_dx()])
         assert (l2, linf) == C.modes_norms(m, P)
-        want = C.modes_norms(m.d_dx(), P)[0]
-        assert abs(dx - want) <= 1e-12 * want
+        assert dx == C.modes_norms(m.d_dx(), P)[0]
 
     def test_one_synthesis_per_modal_family(self, casm, monkeypatch):
         """The ledger synthesizes an x-grid 3 times, once per modal family
