@@ -444,10 +444,11 @@ def _dns_config(config: ExperimentConfig, params: PhysParams,
     )
 
 
-def _dns_series(config: ExperimentConfig, params: PhysParams,
-                with_corrector: bool, floor=None):
+def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
+    """Run the DNS from W_app(0), with W1 if and only if delta != 0, and
+    compare it with W_app."""
     asm = _assembly_at(config, params)
-    w1 = assemble_W1(asm, params) if (with_corrector and params.delta) else None
+    w1 = assemble_W1(asm, params) if params.delta else None
     ev = wapp_evaluator(asm, w1)
     sim = _dns_config(config, params, asm.x_period)
     solver = Solver(sim)
@@ -455,13 +456,13 @@ def _dns_series(config: ExperimentConfig, params: PhysParams,
     n_steps = int(round(sim.T / sim.dt))
     save_every = int(config.options.get("save_every", max(n_steps // 10, 1)))
     traj = solver.run(state, n_steps, save_every=save_every)
-    report = compare_stability(traj, ev, params, solver, floor=floor)
+    report = compare_stability(traj, ev, solver, floor=floor)
     return solver, traj, report
 
 
 def _run_dns(config: ExperimentConfig) -> list[str]:
     params = config.params
-    solver, traj, report = _dns_series(config, params, with_corrector=True)
+    solver, traj, report = _dns_series(config, params)
     budget = energy_budget(traj)
     # per-save-time series in the documented column layout
     idx = np.searchsorted(traj.times, report["t"])
@@ -499,9 +500,8 @@ def _run_stability(config: ExperimentConfig) -> list[str]:
     # delta = 0 control run doubles as the measured error floor; only its
     # report is kept, so its solver is freed before the second run's is built
     p0 = dataclasses.replace(params, delta=0.0)
-    rep0 = _dns_series(config, p0, with_corrector=False)[2]
-    _, traj1, rep1 = _dns_series(config, params, with_corrector=True,
-                                 floor=rep0["diff_L2"])
+    rep0 = _dns_series(config, p0)[2]
+    _, traj1, rep1 = _dns_series(config, params, floor=rep0["diff_L2"])
     rows = [
         [float(rep1["t"][i]), float(rep1["diff_L2"][i]),
          float(rep1["floor"][i]), float(rep1["net"][i]),

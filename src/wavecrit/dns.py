@@ -771,14 +771,14 @@ def energy_budget(traj: Trajectory) -> dict:
 def compare_stability(
     traj: Trajectory,
     wapp,
-    params: PhysParams,
     solver: Solver,
     floor: np.ndarray | None = None,
 ) -> dict:
     """Time series of ||W_app(t) - W(t)||_{L^2} against the two envelopes.
 
     `wapp` is a (t, x, y) -> (u, w, b) evaluator, measured on the grid of
-    `solver`, the solver that ran `traj`; `floor` is an optional
+    `solver`, the solver that ran `traj` (whose parameters give eps and
+    delta); `floor` is an optional
     per-save-time error floor (typically the same quantity from a delta = 0
     twin run, whose exact departure is O(eps^6 t)) that is subtracted
     before the bound comparison.  Such a floor holds whatever the grid and
@@ -791,7 +791,7 @@ def compare_stability(
     itself carries an O(1/eps) lattice-sum amplitude.
     """
     g = solver.grid
-    eps, delta = params.eps, params.delta
+    eps, delta = traj.config.params.eps, traj.config.params.delta
     wapp0 = wapp(0.0, g.x, g.y)
     norm0 = math.sqrt(g.integral(sum(f**2 for f in wapp0)))
     diffs = []

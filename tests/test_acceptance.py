@@ -382,14 +382,14 @@ def test_criterion_07_residual_accounting():
 EPS_DNS = box_matched_eps(0.2, 1.0, 9)  # exactly 0.2: the lattice matches
 
 
-def _dns_setup(delta, nx, ny, dt, with_corrector, dy0):
+def _dns_setup(delta, nx, ny, dt, dy0):
     asm, p = make_w0(EPS_DNS, delta=delta)
-    w1 = C.assemble_W1(asm, p) if (with_corrector and delta) else None
+    w1 = C.assemble_W1(asm, p) if delta else None
     cfg = SimConfig(params=p, Lx=asm.x_period, Ly=300.0, nx=nx, ny=ny,
                     dt=dt, T=1.0, dy0=dy0, dy_max=1.0)
     sol = Solver(cfg)
     st = init_from_Wapp(asm, w1, cfg, sol)
-    return asm, w1, p, sol, st
+    return asm, w1, sol, st
 
 
 def test_criterion_08_energy_inequality():
@@ -397,8 +397,7 @@ def test_criterion_08_energy_inequality():
     t0 = time.time()
     defects = {}
     for dt in (0.01, 0.005):
-        _, _, _, sol, st = _dns_setup(EPS_DNS**3, 256, 384, dt,
-                                      with_corrector=True, dy0=1e-3)
+        _, _, sol, st = _dns_setup(EPS_DNS**3, 256, 384, dt, dy0=1e-3)
         traj = sol.run(st, int(round(1.0 / dt)))
         bud = energy_budget(traj)
         defects[dt] = np.abs(bud["defect"]).max() / traj.energy[0]
@@ -440,8 +439,7 @@ def test_criterion_09_stability_estimate():
     reports = {}
     c_resid = None
     for delta in (0.0, EPS_DNS**3):
-        asm, w1, p, sol, st = _dns_setup(delta, 512, 768, 0.01,
-                                         with_corrector=True, dy0=5e-4)
+        asm, w1, sol, st = _dns_setup(delta, 512, 768, 0.01, dy0=5e-4)
         if delta != 0.0:
             l2, _ = packet_norms(asm.bundle(Family.SUM),
                                  default_grid(asm, Family.BLEPS2))
@@ -450,7 +448,7 @@ def test_criterion_09_stability_estimate():
                        / (norm0 * delta * EPS_DNS**2))
         traj = sol.run(st, 100, save_every=20)
         ev = wapp_evaluator(asm, w1)
-        reports[delta] = compare_stability(traj, ev, p, sol)
+        reports[delta] = compare_stability(traj, ev, sol)
     rep0 = reports[0.0]
     rep1 = reports[EPS_DNS**3]
     # delta = 0 control: growth only through eps^6 diffusion of the packet

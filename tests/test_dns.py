@@ -869,7 +869,7 @@ class TestEnergyBudget:
 @pytest.fixture(scope="module")
 def report(trajectory, assembly, solver):
     ev = wapp_evaluator(assembly)
-    return compare_stability(trajectory, ev, trajectory.config.params, solver)
+    return compare_stability(trajectory, ev, solver)
 
 
 class TestCompareStability:
@@ -886,20 +886,18 @@ class TestCompareStability:
 
     def test_floor_subtraction(self, trajectory, assembly, solver):
         ev = wapp_evaluator(assembly)
-        ref = compare_stability(trajectory, ev, trajectory.config.params,
-                                solver)
-        rep = compare_stability(trajectory, ev, trajectory.config.params,
-                                solver, floor=ref["diff_L2"])
+        ref = compare_stability(trajectory, ev, solver)
+        rep = compare_stability(trajectory, ev, solver, floor=ref["diff_L2"])
         assert np.all(rep["net"] == 0.0)
         assert rep["within_thm"] and rep["within_alt"]
 
     def test_bound_shapes(self, assembly, solver):
-        p = PhysParams(gamma=GAMMA, eps=EPS, delta=EPS**3)
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period, T=0.1)
+        p = cfg.params
         sol = Solver(cfg)
         st = init_from_Wapp(assembly, None, cfg, sol)
         traj = sol.run(st, 10, save_every=5)
-        rep = compare_stability(traj, wapp_evaluator(assembly), p, sol)
+        rep = compare_stability(traj, wapp_evaluator(assembly), sol)
         thm = rep["bound_thm"]
         assert thm[0] == pytest.approx(p.delta * EPS**2)
         assert np.all(np.diff(thm) > 0)
