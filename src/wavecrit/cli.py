@@ -455,8 +455,8 @@ def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
     state = init_from_Wapp(asm, w1, sim, solver)
     n_steps = int(round(sim.T / sim.dt))
     save_every = int(config.options.get("save_every", max(n_steps // 10, 1)))
-    traj = solver.run(state, n_steps, save_every=save_every)
-    report = compare_stability(traj, ev, solver, floor=floor)
+    traj, report = compare_stability(solver, state, n_steps, save_every, ev,
+                                     floor=floor)
     return solver, traj, report
 
 
@@ -501,7 +501,7 @@ def _run_stability(config: ExperimentConfig) -> list[str]:
     # report is kept, so its solver is freed before the second run's is built
     p0 = dataclasses.replace(params, delta=0.0)
     rep0 = _dns_series(config, p0)[2]
-    _, traj1, rep1 = _dns_series(config, params, floor=rep0["diff_L2"])
+    rep1 = _dns_series(config, params, floor=rep0["diff_L2"])[2]
     rows = [
         [float(rep1["t"][i]), float(rep1["diff_L2"][i]),
          float(rep1["floor"][i]), float(rep1["net"][i]),

@@ -446,9 +446,8 @@ def test_criterion_09_stability_estimate():
             norm0 = math.hypot(*l2)
             c_resid = (C.residual_Rapp(w1)["total"]
                        / (norm0 * delta * EPS_DNS**2))
-        traj = sol.run(st, 100, save_every=20)
-        ev = wapp_evaluator(asm, w1)
-        reports[delta] = compare_stability(traj, ev, sol)
+        reports[delta] = compare_stability(sol, st, 100, 20,
+                                           wapp_evaluator(asm, w1))[1]
     rep0 = reports[0.0]
     rep1 = reports[EPS_DNS**3]
     # delta = 0 control: growth only through eps^6 diffusion of the packet
