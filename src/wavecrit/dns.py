@@ -305,10 +305,6 @@ class State:
     b = property(lambda self: np.fft.irfft(self._scatter(self.bh), n=self.nx, axis=1))
     p = property(lambda self: np.fft.irfft(self._scatter(self.ph), n=self.nx, axis=1))
 
-    def copy(self) -> "State":
-        return State(self.uh.copy(), self.wh.copy(), self.bh.copy(),
-                     self.ph.copy(), self.t, self.nx, self.cols)
-
     def widen(self) -> "State":
         """The same state on every rfft column (itself if it holds them)."""
         if self.full:

@@ -5,6 +5,7 @@ exactly x-periodic in the computational box; nx = 192 keeps the carrier
 (~44 wavelengths per period) comfortably above Nyquist.
 """
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -617,7 +618,7 @@ class TestSpectralState:
 
         def keep(state):
             seen.append(state)
-            copies.append(state.copy())
+            copies.append(copy.deepcopy(state))
 
         traj = solver.run(initial, n_steps, save_every, on_save=keep)
         assert [round(s.t / solver.config.dt) for s in seen] == saved_at
@@ -721,7 +722,7 @@ class TestColumnSubset:
         for c in ("uh", "wh", "bh", "ph"):
             assert np.array_equal(getattr(initial, c),
                                   getattr(wide, c)[:, initial.cols]), c
-        rest = wide.copy()
+        rest = copy.deepcopy(wide)
         for fh in (rest.uh, rest.wh, rest.bh):
             fh[:, initial.cols] = 0.0
         assert sol.energy(rest) <= 1e-20 * sol.energy(wide)
