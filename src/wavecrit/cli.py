@@ -41,10 +41,6 @@ from .characteristic import (
     roots_for,
 )
 from .corrector import (
-    W1_BLEPS2,
-    W1_BLEPS3,
-    W1_II,
-    W1_MF,
     CorrectorError,
     assemble_W1,
     residual_Rapp,
@@ -72,16 +68,6 @@ from .packets import (
 )
 from .params import PhysParams, critical_carrier
 
-EXPERIMENTS = (
-    "roots",
-    "lift",
-    "packet-norms",
-    "corrector",
-    "residual",
-    "dns",
-    "stability",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -96,7 +82,9 @@ TYPED_ERRORS = (ConfigError, FitError, RootSolveError, ClassificationError,
                 SingularEigenvectorError, IllConditionedLiftError, RegimeError,
                 CorrectorError, DnsError)
 
-_DNS_OPTIONS = {"Ly", "nx", "ny", "dt", "T", "dy0", "dy_max", "save_every"}
+#: SimConfig's fields but params, Lx (the packet's period) and k0, plus save_every
+_DNS_OPTIONS = ({f.name for f in dataclasses.fields(SimConfig)} - {"params", "Lx", "k0"}
+                | {"save_every"})
 #: experiment -> the keys of `options` it reads (every other key is refused)
 OPTION_KEYS = {"lift": {"samples"}, "dns": _DNS_OPTIONS, "stability": _DNS_OPTIONS}
 
@@ -119,10 +107,10 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
-                f"choose one of {', '.join(EXPERIMENTS)}"
+                f"choose one of {', '.join(_RUNNERS)}"
             )
         if self.nodes_per_lobe < 4:
             raise ConfigError(
@@ -177,11 +165,10 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    pkeys = {"gamma", "eps", "delta", "nu0", "kappa0"}
     pdict = dict(raw.pop("params", {}))
-    for k in list(raw):
-        if k in pkeys:
-            pdict[k] = raw.pop(k)
+    for f in dataclasses.fields(PhysParams):
+        if f.name in raw:
+            pdict[f.name] = raw.pop(f.name)
     if "gamma" not in pdict:
         raise ConfigError("gamma is required (config file or --gamma)")
     try:
@@ -379,9 +366,7 @@ def _run_corrector(config: ExperimentConfig) -> list[str]:
     for eps, delta in _sweep_points(config):
         p = _params_at(config, eps, delta)
         asm = _assembly_at(config, p)
-        sizes = rowwise_family_sizes(asm, p)
-        for fam in (W1_BLEPS2, W1_BLEPS3, W1_II, W1_MF):
-            l2, linf = sizes[fam]
+        for fam, (l2, linf) in rowwise_family_sizes(asm, p).items():
             rows.append([eps, fam, l2, linf])
     _write_csv(config.output_dir / "corrector_sizes.csv",
                ["eps", "family", "l2", "linf"], rows)
@@ -429,19 +414,11 @@ def _emit_slopes(config: ExperimentConfig, rows, value_cols, names) -> list[str]
 
 def _dns_config(config: ExperimentConfig, params: PhysParams,
                 x_period: float) -> SimConfig:
-    o = config.options
-    return SimConfig(
-        params=params,
-        Lx=x_period,
-        Ly=float(o.get("Ly", 300.0)),
-        nx=int(o.get("nx", 256)),
-        ny=int(o.get("ny", 384)),
-        dt=float(o.get("dt", 0.01)),
-        T=float(o.get("T", 1.0)),
-        k0=config.k0,
-        dy0=float(o.get("dy0", 1e-3)),
-        dy_max=float(o.get("dy_max", 1.0)),
-    )
+    """SimConfig's defaults overridden by the given options, each cast to
+    its field's type."""
+    given = {f.name: type(f.default)(config.options[f.name])
+             for f in dataclasses.fields(SimConfig) if f.name in config.options}
+    return SimConfig(params=params, Lx=x_period, k0=config.k0, **given)
 
 
 def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
@@ -549,7 +526,7 @@ def main(argv=None) -> int:
         description="Near-critical internal-wave reflection experiments",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in _RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--eps", type=float, default=None)

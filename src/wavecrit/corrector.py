@@ -493,6 +493,7 @@ W1_BLEPS3 = "W1_BLeps3"
 W1_II = "W1_II"
 W1_MF = "W1_MF"
 W1_MODAL = (W1_BLEPS2, W1_BLEPS3, W1_II)  # the exponential-mode families
+W1_FAMILIES = (*W1_MODAL, W1_MF)
 
 
 @dataclass
@@ -605,7 +606,7 @@ def rowwise_family_sizes(
     construction (triangle inequality).  The fully assembled corrector is
     smaller; see assemble_W1.
     """
-    totals = {f: [0.0, 0.0] for f in (W1_BLEPS2, W1_BLEPS3, W1_II, W1_MF)}
+    totals = {f: [0.0, 0.0] for f in W1_FAMILIES}
     for it in INTERACTIONS:
         if it.kind == "c":
             continue

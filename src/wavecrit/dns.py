@@ -217,16 +217,19 @@ def _ycols(A, fh):
 
 @dataclass
 class SimConfig:
+    """One DNS run: box, grid and time step; the defaults are the `dns` and
+    `stability` experiments' defaults."""
+
     params: PhysParams
     Lx: float
-    Ly: float
-    nx: int
-    ny: int
-    dt: float
-    T: float
+    Ly: float = 300.0
+    nx: int = 256
+    ny: int = 384
+    dt: float = 0.01
+    T: float = 1.0
     k0: float = 1.0
     dy0: float = 1e-3
-    dy_max: float = math.inf
+    dy_max: float = 1.0
 
     def __post_init__(self):
         p = self.params

@@ -52,7 +52,6 @@ EPS = 0.2
 NODES = 5
 T_FIELD = 0.3
 W0_FAMILIES = (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3, Family.SUM)
-W1_FAMILIES = (C.W1_BLEPS2, C.W1_BLEPS3, C.W1_II, C.W1_MF)
 
 
 def reference_case():
@@ -82,7 +81,7 @@ def capture(w0, casm):
 
     sizes = {f: packet_norms(w0.bundle(f), default_grid(w0, f)) for f in W0_FAMILIES}
     scalars = {
-        "W1_norms": {f: list(casm.norms(f)) for f in W1_FAMILIES},
+        "W1_norms": {f: list(casm.norms(f)) for f in C.W1_FAMILIES},
         "residual_Rapp": {k: float(v) for k, v in C.residual_Rapp(casm).items()},
         "packet_norms": {
             f.name: [math.hypot(*l2), max(linf)] for f, (l2, linf) in sizes.items()

@@ -256,8 +256,7 @@ def test_criterion_04_packet_sizes():
 def test_criterion_05_corrector_sizes():
     failures = []
     t0 = time.time()
-    sizes = {f: ([], []) for f in (C.W1_BLEPS2, C.W1_BLEPS3, C.W1_II,
-                                   C.W1_MF)}
+    sizes = {f: ([], []) for f in C.W1_FAMILIES}
     casms = {}
     for eps in CORR_SWEEP:
         asm, p = make_w0(eps, nodes=5, delta=eps**3)

@@ -1,6 +1,7 @@
 """Experiment harness: configs, slope fits, CSV/manifest determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from wavecrit.cli import (
+    _DNS_OPTIONS,
+    _RUNNERS,
     ConfigError,
     ExperimentConfig,
     FitError,
@@ -17,7 +20,7 @@ from wavecrit.cli import (
     main,
     run_experiment,
 )
-from wavecrit.dns import box_matched_eps
+from wavecrit.dns import SimConfig, box_matched_eps
 from wavecrit.params import PhysParams
 
 pytestmark = pytest.mark.filterwarnings(
@@ -61,6 +64,29 @@ class TestConfigValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(params=PhysParams(gamma=0.7), experiment="nope")
+
+    def test_experiments_are_the_runner_table(self, capsys):
+        """The runner table is the one list: configs accept its names, and
+        main offers them in its order."""
+        p = PhysParams(gamma=0.7, eps=box_matched_eps(0.2, 1.0, 9))
+        for name in _RUNNERS:
+            assert ExperimentConfig(params=p, experiment=name).experiment == name
+        with pytest.raises(ConfigError, match="choose one of " + ", ".join(_RUNNERS)):
+            ExperimentConfig(params=p, experiment="nope")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{" + ",".join(_RUNNERS) + "}" in capsys.readouterr().out
+
+    def test_dns_options_are_simconfig_fields(self):
+        """SimConfig owns the DNS options and their defaults; the options
+        are cast to their fields' types."""
+        settable = {f.name for f in dataclasses.fields(SimConfig) if f.init}
+        assert _DNS_OPTIONS == settable - {"params", "Lx", "k0"} | {"save_every"}
+        p = PhysParams(gamma=0.7, eps=0.2)
+        sim = _dns_config(ExperimentConfig(params=p, experiment="dns",
+                                           options={"nx": 128.0, "T": 2}), p, 100.0)
+        assert (sim.nx, sim.T) == (128, 2.0)
+        assert (type(sim.nx), type(sim.T)) == (int, float)
 
     def test_sweep_must_decrease(self):
         with pytest.raises(ConfigError):
@@ -128,10 +154,12 @@ class TestConfigValidation:
                              sweep=[(0.3, 0.0), (0.25, 0.0)])
 
     def test_default_dns_grid_builds(self):
-        """A dns config without options gets a grid that reaches Ly."""
+        """A dns config without options gets SimConfig's defaults, whose
+        grid reaches Ly."""
         p = PhysParams(gamma=0.7, eps=0.2)
         sim = _dns_config(ExperimentConfig(params=p, experiment="dns"), p, 100.0)
         assert (sim.Ly, sim.ny, sim.dy_max) == (300.0, 384, 1.0)
+        assert sim == SimConfig(params=p, Lx=100.0)
 
     def test_main_reports_unbuildable_grid(self, tmp_path, capsys):
         """A DnsError from the grid ends in an error line, not a traceback."""

@@ -834,7 +834,7 @@ class TestAssembly:
         assert C.wall_trace_check(casm) <= 1e-9
 
     def test_families_present(self, casm):
-        for fam in (C.W1_BLEPS2, C.W1_BLEPS3, C.W1_II, C.W1_MF):
+        for fam in C.W1_FAMILIES:
             assert len(casm.families[fam]) > 0
 
     def test_residual_ledger_populated(self, casm):
