@@ -123,6 +123,8 @@ class ExperimentConfig:
                 f"{self.experiment} does not read option(s) {', '.join(unknown)}; "
                 f"it reads {', '.join(sorted(known)) or 'none'}"
             )
+        if int(self.options.get("save_every", 0)) < 0:
+            raise ConfigError(f"save_every must be >= 0, got {self.options['save_every']!r}")
         self.output_dir = Path(self.output_dir)
         self.sweep = [(float(e), float(d)) for e, d in self.sweep]
         eps_seq = [e for e, _ in self.sweep]

@@ -232,6 +232,11 @@ class SimConfig:
     dy_max: float = 1.0
 
     def __post_init__(self):
+        for name, ok, rule in (("dt", self.dt > 0.0, "> 0"), ("T", self.T >= 0.0, ">= 0"),
+                               ("Ly", self.Ly > 0.0, "> 0"), ("nx", self.nx >= 2, ">= 2"),
+                               ("ny", self.ny >= 2, ">= 2")):
+            if not ok:
+                raise DnsError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         p = self.params
         omega0 = math.sin(p.gamma)
         if self.dt > 0.1 / omega0:
@@ -721,11 +726,19 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     """Grid evaluation of W_app(0) with a final discrete projection.
 
     At delta = 0 the state holds only the fewest rfft columns whose
-    dropped rest carries at most 1e-20 of its energy.
+    dropped rest carries at most 1e-20 of its energy.  A W0 wavenumber at
+    or above the grid's Nyquist column would alias and is refused.  W1 is
+    not checked: its second harmonic may sit above Nyquist (it does at
+    256 x 384 in the energy-budget check, which does not depend on it).
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
     g = solver.grid
+    k_max = max(np.abs(m.l).max(initial=0.0) for m in w0.families.values())
+    col = round(k_max * g.Lx / (2.0 * math.pi))
+    if 2 * col >= g.nx:
+        raise DnsError(f"W0 wavenumber {k_max:.4g} sits at rfft column {col}, at or "
+                       f"above the Nyquist column nx/2 = {g.nx / 2:g}; raise nx")
     u, w, b = wapp_evaluator(w0, w1)(0.0, g.x, g.y)
     peak = max(np.abs(u).max(), np.abs(w).max(), np.abs(b).max())
     edge = max(np.abs(u[-1]).max(), np.abs(w[-1]).max(), np.abs(b[-1]).max())

@@ -161,6 +161,33 @@ class TestConfigValidation:
         assert (sim.Ly, sim.ny, sim.dy_max) == (300.0, 384, 1.0)
         assert sim == SimConfig(params=p, Lx=100.0)
 
+    def test_negative_save_every_refused(self):
+        with pytest.raises(ConfigError, match="save_every must be >= 0, got -2"):
+            ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
+                             experiment="dns", options={"save_every": -2})
+
+    def test_main_reports_zero_dt(self, tmp_path, capsys):
+        """dt = 0 ends in an error line, not a ZeroDivisionError."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gamma": 0.7, "eps": 0.2, "nodes_per_lobe": 5,
+                                   "options": {"dt": 0}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["dns", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: dt must be > 0, got 0.0\n"
+
+    def test_main_reports_aliased_packet(self, tmp_path, capsys):
+        """At eps = 0.2 and 5 nodes/lobe, W0 reaches rfft column 51, above
+        the Nyquist column of nx = 64: an error line, not aliased fields."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gamma": 0.7, "eps": 0.2, "nodes_per_lobe": 5,
+                                   "options": DNS_OPTIONS}))
+        with pytest.raises(SystemExit) as exc:
+            main(["dns", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: W0 wavenumber") and "column 51" in err, err
+
     def test_main_reports_unbuildable_grid(self, tmp_path, capsys):
         """A DnsError from the grid ends in an error line, not a traceback."""
         cfg = tmp_path / "c.json"

@@ -178,6 +178,14 @@ class TestGridAndConfig:
         with pytest.raises(DnsError):
             make_config(dt=0.2)
 
+    @pytest.mark.parametrize("name,value", [
+        ("dt", 0.0), ("dt", -0.01), ("T", -1.0), ("Ly", -60.0), ("nx", 0), ("ny", 1)])
+    def test_out_of_range_refused(self, name, value):
+        """Refused by name before the root solve, not left to a raw
+        ZeroDivisionError, LinAlgError or ValueError later, or a silent run."""
+        with pytest.raises(DnsError, match=f"^{name} must be .*, got {value!r}$"):
+            make_config(**{name: value})
+
     def test_thin_layer_resolution(self):
         # a coarse near-wall spacing leaves < 8 points in the eps^3 layer
         with pytest.raises(DnsError):
@@ -787,6 +795,12 @@ class TestInit:
         g = solver.grid
         l2, _ = packet_norms(assembly.bundle(Family.SUM), (g.x, g.y))
         assert math.sqrt(solver.energy(initial)) == pytest.approx(math.hypot(*l2), rel=1e-3)
+
+    def test_w0_above_nyquist_refused(self, assembly):
+        """W0's top wavenumber, at rfft column 47, would alias at nx = 64."""
+        cfg = make_config(Lx=assembly.x_period, nx=64)
+        with pytest.raises(DnsError, match="column 47, at or above the Nyquist column nx/2 = 32"):
+            init_from_Wapp(assembly, None, cfg, Solver(cfg))
 
     def test_overflow_warning(self, assembly):
         cfg = make_config(Lx=assembly.x_period, Ly=30.0, ny=192)
