@@ -689,13 +689,12 @@ class Solver:
                                         or save_every and n % save_every == 0):
                 on_save(state)
         times, energy, diss, proj_loss = map(np.array, zip(*rows))
-        return Trajectory(config=self.config, times=times, energy=energy,
-                          dissipation=diss, proj_loss=proj_loss, final=state)
+        return Trajectory(times=times, energy=energy, dissipation=diss,
+                          proj_loss=proj_loss, final=state)
 
 
 @dataclass
 class Trajectory:
-    config: SimConfig
     times: np.ndarray
     energy: np.ndarray
     dissipation: np.ndarray
@@ -786,8 +785,6 @@ def energy_budget(traj: Trajectory) -> dict:
         "defect": defect,
         "defect_rate": float(np.abs(defect).max() / elapsed),
         "max_step_increase": float(steps.max(initial=0.0) / traj.energy[0]),
-        "energy": traj.energy,
-        "dissipation_integral": diss_cum,
     }
 
 
@@ -842,7 +839,6 @@ def compare_stability(
     net = np.maximum(diffs - floor, 0.0)
     return traj, {
         "t": t,
-        "norm_ref": norm0,
         "diff_L2": diffs,
         "floor": floor,
         "net": net,
