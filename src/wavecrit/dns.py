@@ -159,8 +159,7 @@ def stretched_grid(Ly: float, ny: int, dy0: float, dy_max: float = math.inf):
 
 
 class Grid:
-    """Periodic x, stretched y; difference matrices and quadrature weights
-    (the held columns' kx, kx_d and Parseval weights are set by Solver._hold)."""
+    """Periodic x, stretched y; difference matrices and quadrature weights."""
 
     def __init__(self, Lx: float, nx: int, y: np.ndarray):
         self.Lx, self.nx = Lx, nx
@@ -188,11 +187,6 @@ class Grid:
     def integral(self, f):
         """Integral over the box of a (ny, nx) field."""
         return float(self.tau @ f.sum(axis=1)) * self.dx
-
-    def norm2(self, *fhs):
-        """Sum of the box integrals of f**2 over fields given by their rfft."""
-        return sum(float(self.tau @ (v * v) @ self._parseval)
-                   for v in map(_pairs, fhs))
 
 
 def _pairs(fh):
@@ -474,26 +468,26 @@ class Solver:
     # -- per-column data ---------------------------------------------------
 
     def _hold(self, cols):
-        """Build the data of the sorted rfft columns `cols` on this solver
-        and its grid: the only producer of per-column data, for every
-        column set alike.  The y-operators do not depend on the column."""
+        """Build the data of the sorted rfft columns `cols` on this solver:
+        the only producer of per-column data, for every column set alike.
+        The grid and the y-operators do not depend on the column."""
         g = self.grid
-        g.kx = 2.0 * math.pi * np.fft.rfftfreq(g.nx, d=g.dx)[cols]
+        self.kx = 2.0 * math.pi * np.fft.rfftfreq(g.nx, d=g.dx)[cols]
         # odd-derivative wavenumbers: the Nyquist mode of a real transform
         # has no well-defined first derivative and is zeroed
-        g.kx_d = np.where(2 * cols == g.nx, 0.0, g.kx)
+        self.kx_d = np.where(2 * cols == g.nx, 0.0, self.kx)
         # Parseval weights of the rfft columns as (real, imag) pairs: kx = 0
         # and Nyquist (kx_d = 0) count once, the others twice (conjugates)
-        g._parseval = np.repeat((2.0 - (g.kx_d == 0.0)) * g.dx / g.nx, 2)
-        self._ikx = 1j * g.kx_d[None, :]
-        self._xdamp = {name: np.exp(-0.5 * c * g.kx**2 * self.config.dt)[None, :]
+        self._parseval = np.repeat((2.0 - (self.kx_d == 0.0)) * g.dx / g.nx, 2)
+        self._ikx = 1j * self.kx_d[None, :]
+        self._xdamp = {name: np.exp(-0.5 * c * self.kx**2 * self.config.dt)[None, :]
                        for name, c in self._diff_coef.items()}
         # kx = 0 (column 0) and Nyquist (the last column) are solved apart,
         # so the regular columns between them are a slice
-        self._proj_singular = np.flatnonzero(g.kx_d == 0.0)
-        start = np.count_nonzero(g.kx == 0.0)
+        self._proj_singular = np.flatnonzero(self.kx_d == 0.0)
+        start = np.count_nonzero(self.kx == 0.0)
         self._proj_regular = slice(start, start + len(cols) - len(self._proj_singular))
-        kx = g.kx_d[self._proj_regular]
+        kx = self.kx_d[self._proj_regular]
         # one block-diagonal banded matrix, one A_k per block.  Upper banded
         # storage of a tiled band leaves the couplings across block edges
         # zero, so one Cholesky factors all blocks.
@@ -513,16 +507,21 @@ class Solver:
         key = state.cols.tobytes()
         if key not in self._views:
             self._views[key] = view = copy.copy(self)  # shares the y-operators
-            view.grid = copy.copy(self.grid)
             view._hold(state.cols)
         return self._views[key], state
 
     def _width(self, *fhs):
         """Raise unless every array holds this solver's column count."""
-        n = len(self.grid.kx)
+        n = len(self.kx)
         if any(fh.shape[1] != n for fh in fhs):
             raise DnsError(f"arrays of {[fh.shape[1] for fh in fhs]} rfft columns "
                            f"given to a solver holding {n}")
+
+    def norm2(self, *fhs):
+        """Sum of the box integrals of f**2 over fields given by their rfft
+        on this solver's columns."""
+        return sum(float(self.grid.tau @ (v * v) @ self._parseval)
+                   for v in map(_pairs, fhs))
 
     # -- spatial operators (on rfft columns) ------------------------------
 
@@ -625,7 +624,6 @@ class Solver:
         removed with the divergence the y-diffusion created (for the ledger)."""
         dt = self.config.dt
         op, state = self._on(state)
-        g = op.grid
         if not all(np.isfinite(f).all() for f in (state.uh, state.wh, state.bh)):
             raise DnsError(f"NaN/Inf detected at t={state.t:.4g}")
         c = op.cfl(state)
@@ -639,9 +637,9 @@ class Solver:
         b = op._diffuse(state.bh, "b")
         # re-project between diffusion and the explicit stage: the rotation
         # energy identity needs an exactly divergence-free state
-        before = g.norm2(u, w)
+        before = op.norm2(u, w)
         u, w, _ = op.project(u, w)
-        loss = before - g.norm2(u, w)
+        loss = before - op.norm2(u, w)
         # Heun; each slope's half is added at once, so k1 is not kept
         k1 = op._tendency(u, w, b)
         stage = [f + dt * k for f, k in zip((u, w, b), k1)]
@@ -653,21 +651,20 @@ class Solver:
         u = op._diffuse(u, "u")
         w = op._diffuse(w, "w")
         b = op._diffuse(b, "b")
-        before = g.norm2(u, w)
+        before = op.norm2(u, w)
         u, w, phi = op.project(u, w)
-        loss = loss + before - g.norm2(u, w)
+        loss = loss + before - op.norm2(u, w)
         u[0] = w[0] = w[-1] = 0.0  # the wall and lid conditions, exactly
-        return State(u, w, b, phi / dt, state.t + dt, g.nx, state.cols), loss
+        return State(u, w, b, phi / dt, state.t + dt, state.nx, state.cols), loss
 
     def energy(self, state: State) -> float:
         op, state = self._on(state)
-        return op.grid.norm2(state.uh, state.wh, state.bh)
+        return op.norm2(state.uh, state.wh, state.bh)
 
     def dissipation(self, state: State) -> float:
         """Instantaneous eps^6 (nu0 |grad u|^2 + nu0 |grad w|^2 + k0 |grad b|^2)."""
         op, state = self._on(state)
-        g = op.grid
-        return sum(self._diff_coef[name] * g.norm2(op._ikx * fh, _ycols(g.Dy, fh))
+        return sum(self._diff_coef[name] * op.norm2(op._ikx * fh, _ycols(op.grid.Dy, fh))
                    for fh, name in ((state.uh, "u"), (state.wh, "w"), (state.bh, "b")))
 
     def run(self, state: State, n_steps: int, save_every: int = 0,
@@ -757,7 +754,7 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     # without advection every column evolves alone: drop the columns of least
     # energy while together they hold at most 1e-20 of it (rounding, off the
     # lattice of a box-matched packet; an off-lattice packet keeps them all)
-    energy = g.tau @ sum(np.abs(f) ** 2 for f in fields[:3]) * g._parseval[::2]
+    energy = g.tau @ sum(np.abs(f) ** 2 for f in fields[:3]) * solver._parseval[::2]
     order = np.argsort(energy)
     n_drop = np.searchsorted(np.cumsum(energy[order]), 1e-20 * energy.sum(),
                              side="right")

@@ -96,8 +96,8 @@ def _state(solver, u, w, b, p):
 
 def _ddx(solver, f):
     """Spectral x-derivative, the Nyquist mode zeroed as in the solver."""
-    g = solver.grid
-    return np.fft.irfft(1j * g.kx_d * np.fft.rfft(f, axis=1), n=g.nx, axis=1)
+    return np.fft.irfft(1j * solver.kx_d * np.fft.rfft(f, axis=1), n=solver.grid.nx,
+                        axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -264,14 +264,14 @@ def _dense_projection(solver, u, w):
     du, dw = g.tau * solver.mask_u, g.tau * solver.mask_w
     K = Dy.T @ (dw[:, None] * Dy)
     uh, wh = np.fft.rfft(u, axis=1), np.fft.rfft(w, axis=1)
-    rhs = -1j * g.kx_d * du[:, None] * uh + Dy.T @ (dw[:, None] * wh)
+    rhs = -1j * solver.kx_d * du[:, None] * uh + Dy.T @ (dw[:, None] * wh)
     phih = np.empty_like(uh)
-    for i, kx in enumerate(g.kx_d):
+    for i, kx in enumerate(solver.kx_d):
         if kx == 0.0:
             phih[:, i] = np.linalg.pinv(K, rcond=1e-10, hermitian=True) @ rhs[:, i]
         else:
             phih[:, i] = np.linalg.solve(K + np.diag(kx * kx * du), rhs[:, i])
-    uh -= 1j * g.kx_d * phih * solver.mask_u[:, None]
+    uh -= 1j * solver.kx_d * phih * solver.mask_u[:, None]
     wh -= (Dy @ phih) * solver.mask_w[:, None]
     return tuple(np.fft.irfft(f, n=g.nx, axis=1) for f in (uh, wh, phih))
 
@@ -300,7 +300,7 @@ def _dense_diffusion(solver, f, name):
     g = solver.grid
     Z, R, M, Kq, a, c = _dense_forms(solver, name)
     out = Z @ np.linalg.solve(M + a * Kq, M - a * Kq) @ R @ f
-    damp = np.exp(-0.5 * c * g.kx**2 * solver.config.dt)
+    damp = np.exp(-0.5 * c * solver.kx**2 * solver.config.dt)
     return np.fft.irfft(damp * np.fft.rfft(out, axis=1), n=g.nx, axis=1)
 
 
