@@ -357,9 +357,6 @@ class MeanFlowField:
         w = np.outer(1j * l * G, _theta(e2 * y))
         return l, np.stack([u, w, np.zeros_like(u)])
 
-    def evaluate(self, t, x, y):
-        return tuple(synthesize(*self.profiles(t, y), x))
-
     def norms(self, x_period: float, t: float = 0.0, nx: int | None = _NORM_NX):
         """(L2, Linf) as modes_norms returns them, on 800 y-points of
         [0, 2.5 eps^-2]; with nx None, Linf is None."""
@@ -619,10 +616,11 @@ def rowwise_family_sizes(
 
 
 def evaluate_W1(casm: CorrectorAssembly, t, x, y):
-    """Total corrector field (u, w, b) on the grid."""
-    u, w, b = evaluate_modes(casm.modal(), t, x, y)
-    du, dw, db = casm.families[W1_MF].evaluate(t, x, y)
-    return u + du, w + dw, b + db
+    """Total corrector field (u, w, b) on the grid: the modal and mean-flow
+    profiles joined along the group axis, one synthesis."""
+    (l, P), (l_mf, P_mf) = (mode_profiles(casm.modal(), t, y),
+                            casm.families[W1_MF].profiles(t, y))
+    return tuple(synthesize(np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=1), x))
 
 
 def wall_trace_check(casm: CorrectorAssembly, t: float = 0.0):

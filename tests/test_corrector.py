@@ -721,7 +721,7 @@ class TestLiftMeanFlow:
         x = np.linspace(0.0, casm.x_period, nx, endpoint=False)
         kx = 2 * math.pi * np.fft.fftfreq(nx, d=casm.x_period / nx)
         y = np.linspace(0.0, 2.0 / casm.params.eps**2, 40)
-        u, w, _ = mf.evaluate(0.3, x, y)
+        u, w, _ = C.synthesize(*mf.profiles(0.3, y), x)
         e2 = casm.params.eps**2
         gx = w[0]
         dyw = e2 * np.outer(C._theta_prime(e2 * y), gx)
