@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -82,11 +83,13 @@ TYPED_ERRORS = (ConfigError, FitError, RootSolveError, ClassificationError,
                 SingularEigenvectorError, IllConditionedLiftError, RegimeError,
                 CorrectorError, DnsError)
 
-#: SimConfig's fields but params, Lx (the packet's period) and k0, plus save_every
-_DNS_OPTIONS = ({f.name for f in dataclasses.fields(SimConfig)} - {"params", "Lx", "k0"}
-                | {"save_every"})
+#: SimConfig's fields but params, Lx (the packet's period) and k0, plus
+#: save_every, each with its type
+_DNS_OPTIONS = ({f.name: f.type for f in dataclasses.fields(SimConfig)
+                 if f.name not in ("params", "Lx", "k0")} | {"save_every": int})
 #: experiment -> the keys of `options` it reads (every other key is refused)
-OPTION_KEYS = {"lift": {"samples"}, "dns": _DNS_OPTIONS, "stability": _DNS_OPTIONS}
+#: and their types
+OPTION_KEYS = {"lift": {"samples": int}, "dns": _DNS_OPTIONS, "stability": _DNS_OPTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +119,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"nodes_per_lobe must be >= 4, got {self.nodes_per_lobe}"
             )
-        known = OPTION_KEYS.get(self.experiment, set())
-        unknown = sorted(set(self.options) - known)
+        known = OPTION_KEYS.get(self.experiment, {})
+        unknown = sorted(set(self.options) - set(known))
         if unknown:
             raise ConfigError(
                 f"{self.experiment} does not read option(s) {', '.join(unknown)}; "
                 f"it reads {', '.join(sorted(known)) or 'none'}"
             )
-        if int(self.options.get("save_every", 0)) < 0:
-            raise ConfigError(f"save_every must be >= 0, got {self.options['save_every']!r}")
+        self.options = {name: _option(name, known[name], v) for name, v in self.options.items()}
+        for name, low in (("samples", 1), ("save_every", 0)):
+            if self.options.get(name, low) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {self.options[name]!r}")
         self.output_dir = Path(self.output_dir)
         self.sweep = [(float(e), float(d)) for e, d in self.sweep]
         eps_seq = [e for e, _ in self.sweep]
@@ -158,6 +163,16 @@ class ExperimentConfig:
         out["params"] = dataclasses.asdict(self.params)
         out["output_dir"] = str(self.output_dir)
         return out
+
+
+def _option(name: str, kind: type, value):
+    """value as an option of type kind (int or float); a string, a bool or,
+    for an int, a value with a fractional part is refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or kind is int and not float(value).is_integer()):
+        raise ConfigError(f"option {name} must be {'an integer' if kind is int else 'a number'}"
+                          f", got {value!r}")
+    return kind(value)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -231,8 +246,10 @@ def _dump_field(path: Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     sidecar["components"] = [
         {"name": n, "shape": list(arrays[n].shape)} for n in order
     ]
-    with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
+    tmp = path.with_suffix(".json.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
+    os.replace(tmp, path.with_suffix(".json"))
 
 
 def _manifest(config: ExperimentConfig, artifacts: list[str]) -> dict:
@@ -313,9 +330,7 @@ def _run_lift(config: ExperimentConfig) -> list[str]:
     rng = np.random.default_rng(config.seed)
     p = config.params
     rows = []
-    n = int(config.options.get("samples", 100))
-    if n < 1:
-        raise ConfigError(f"lift needs samples >= 1, got {n}")
+    n = config.options.get("samples", 100)
     for target in (Regime.CRITICAL_DY, Regime.NON_CRITICAL,
                    Regime.NON_OSCILLATING):
         one = _lift_spec(p, config.k0, target)
@@ -416,9 +431,8 @@ def _emit_slopes(config: ExperimentConfig, rows, value_cols, names) -> list[str]
 
 def _dns_config(config: ExperimentConfig, params: PhysParams,
                 x_period: float) -> SimConfig:
-    """SimConfig's defaults overridden by the given options, each cast to
-    its field's type."""
-    given = {f.name: type(f.default)(config.options[f.name])
+    """SimConfig's defaults overridden by the given options."""
+    given = {f.name: config.options[f.name]
              for f in dataclasses.fields(SimConfig) if f.name in config.options}
     return SimConfig(params=params, Lx=x_period, k0=config.k0, **given)
 
@@ -433,7 +447,7 @@ def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
     solver = Solver(sim)
     state = init_from_Wapp(asm, w1, sim, solver)
     n_steps = int(round(sim.T / sim.dt))
-    save_every = int(config.options.get("save_every", max(n_steps // 10, 1)))
+    save_every = config.options.get("save_every", max(n_steps // 10, 1))
     traj, report = compare_stability(solver, state, n_steps, save_every, ev,
                                      floor=floor)
     return solver, traj, report

@@ -15,6 +15,7 @@ from wavecrit.cli import (
     ExperimentConfig,
     FitError,
     _dns_config,
+    _dump_field,
     fit_slopes,
     load_config,
     main,
@@ -78,10 +79,12 @@ class TestConfigValidation:
         assert "{" + ",".join(_RUNNERS) + "}" in capsys.readouterr().out
 
     def test_dns_options_are_simconfig_fields(self):
-        """SimConfig owns the DNS options and their defaults; the options
-        are cast to their fields' types."""
-        settable = {f.name for f in dataclasses.fields(SimConfig) if f.init}
-        assert _DNS_OPTIONS == settable - {"params", "Lx", "k0"} | {"save_every"}
+        """SimConfig owns the DNS options, their types and their defaults;
+        the options are cast to their fields' types."""
+        settable = {f.name: f.type for f in dataclasses.fields(SimConfig) if f.init}
+        for name in ("params", "Lx", "k0"):
+            del settable[name]
+        assert _DNS_OPTIONS == settable | {"save_every": int}
         p = PhysParams(gamma=0.7, eps=0.2)
         sim = _dns_config(ExperimentConfig(params=p, experiment="dns",
                                            options={"nx": 128.0, "T": 2}), p, 100.0)
@@ -165,6 +168,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="save_every must be >= 0, got -2"):
             ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
                              experiment="dns", options={"save_every": -2})
+
+    @pytest.mark.parametrize("experiment,name,value", [
+        ("dns", "nx", "abc"), ("dns", "nx", 128.5), ("dns", "nx", True),
+        ("dns", "dt", "0.01"), ("stability", "save_every", "x"),
+        ("stability", "save_every", 2.7), ("lift", "samples", "x")])
+    def test_option_of_wrong_type_refused(self, experiment, name, value):
+        """Each option is typed once: a string, a bool or a fractional
+        value for an int option is refused at load, naming the option."""
+        with pytest.raises(ConfigError, match=rf"option {name} must be .*, got {value!r}"):
+            ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
+                             experiment=experiment, options={name: value})
+
+    def test_main_reports_non_numeric_option(self, tmp_path, capsys):
+        """A non-numeric grid size ends in an error line naming it, not a
+        ValueError traceback after the W0 assembly."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gamma": 0.7, "eps": 0.2, "nodes_per_lobe": 5,
+                                   "options": {"nx": "abc"}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["dns", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: option nx must be an integer, got 'abc'\n"
 
     def test_main_reports_zero_dt(self, tmp_path, capsys):
         """dt = 0 ends in an error line, not a ZeroDivisionError."""
@@ -254,11 +279,11 @@ class TestLiftExperiment:
         assert max(float(r[2]) for r in rows) <= 1e-9
 
     def test_no_samples_refused(self, tmp_path):
-        cfg = ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
-                               experiment="lift", output_dir=tmp_path,
-                               options={"samples": 0})
-        with pytest.raises(ConfigError, match="samples >= 1"):
-            run_experiment(cfg)
+        """samples = 0 is refused at load, before anything runs."""
+        with pytest.raises(ConfigError, match="samples must be >= 1, got 0"):
+            ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2),
+                             experiment="lift", output_dir=tmp_path,
+                             options={"samples": 0})
 
     def test_seed_changes_draws_not_quality(self, tmp_path):
         errs = {}
@@ -363,6 +388,17 @@ class TestDnsArtifacts:
         assert raw.size == total
         assert np.isfinite(raw).all()
         assert len(side["y"]) == comps["u"][0]
+
+    def test_failed_sidecar_write_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        """The sidecar is written to a temporary file and moved into place,
+        as every artefact is: a write that fails leaves no torn .json."""
+        def fail(*args, **kwargs):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(json, "dump", fail)
+        with pytest.raises(OSError, match="no space left"):
+            _dump_field(tmp_path / "f", {"u": np.zeros((2, 3))}, {})
+        assert (tmp_path / "f.bin").exists() and not (tmp_path / "f.json").exists()
 
 
 class TestCommandLine:
