@@ -319,12 +319,16 @@ def stray_nodes(roots: RootSet, allowed) -> np.ndarray:
     return np.flatnonzero([r not in allowed for r in roots.regimes])
 
 
-def _require(roots: RootSet, allowed, lift: str):
-    """ValueError unless every node's regime is one of the allowed ones."""
+def _require(spec: ModalMatrixSpec, roots: RootSet, allowed, lift: str):
+    """ValueError unless every node's regime is one of the allowed ones; it
+    counts the strays and names the first by (l, alpha)."""
     stray = stray_nodes(roots, allowed)
     if len(stray):
-        raise ValueError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}, "
-                         f"got {roots.regimes[stray[0]]}")
+        _, _, w, k, _ = node_arrays(spec)
+        i = stray[0]
+        raise ValueError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}: "
+                         f"{len(stray)} node(s) are not; the first, (l={k[i]:.4g}, "
+                         f"alpha={w[i]:.4g}), classified {roots.regimes[i]}")
 
 
 def lift_critical(spec: ModalMatrixSpec, roots, traces) -> ExpModes:
@@ -333,7 +337,7 @@ def lift_critical(spec: ModalMatrixSpec, roots, traces) -> ExpModes:
     Since U = 1, the cu of the returned modes are the amplitudes (a2, a3, a5)
     of each node in turn.
     """
-    _require(roots, CRITICAL_REGIMES, "lift_critical")
+    _require(spec, roots, CRITICAL_REGIMES, "lift_critical")
     return _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
 
 
@@ -344,7 +348,7 @@ def lift_noncritical(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, Ex
     and lambda_5 are genuine boundary layers.  Their traces sum to the input.
     The reflected modes and the layer modes each come node-major.
     """
-    _require(roots, (Regime.NON_CRITICAL,), "lift_noncritical")
+    _require(spec, roots, (Regime.NON_CRITICAL,), "lift_noncritical")
     modes = _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
     reflected = np.arange(len(modes)) % 3 == 0
     return modes[reflected], modes[~reflected]
@@ -358,6 +362,6 @@ def lift_nonoscillating(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes,
     not matched; the leftover sum_j (ik/l_j) a_j - frak_w is returned, one
     per node, so the caller can hand it to a large-scale corrector.
     """
-    _require(roots, (Regime.NON_OSCILLATING,), "lift_nonoscillating")
+    _require(spec, roots, (Regime.NON_OSCILLATING,), "lift_nonoscillating")
     modes = _lift(spec, roots, traces, (3, 5), [0, 2])
     return modes, modes.cw.reshape(-1, 2).sum(axis=1) - np.asarray(traces[1])

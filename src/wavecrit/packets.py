@@ -226,7 +226,7 @@ def default_grid(
         slow = rates[rates > 0].min()
         fast = rates[rates > 0].max()
         depth = 30.0 / slow
-        ny = max(200, int(8 * depth * fast / 30.0), 256)
+        ny = max(int(8 * depth * fast / 30.0), 256)
         y = np.linspace(0.0, depth, min(ny, 4000))
     return x, y
 

@@ -140,6 +140,16 @@ class TestTraceMatching:
         with pytest.raises(ValueError):
             lift_critical(regime_spec(Regime.NON_CRITICAL), rs_nc, tr)
 
+    def test_stray_nodes_counted_and_named(self):
+        """A batch with nodes outside the lift's regime: the error counts
+        them and names the first by (l, alpha)."""
+        nc, crit = regime_spec(Regime.NON_CRITICAL), regime_spec(Regime.CRITICAL_DY)
+        spec = ModalMatrixSpec(nc.nu, nc.kappa, np.array([nc.omega, crit.omega, crit.omega]),
+                               np.array([nc.k, crit.k, crit.k]), GAMMA)
+        name = rf"2 node\(s\) are not; the first, \(l={crit.k:.4g}, alpha={crit.omega:.4g}\)"
+        with pytest.raises(ValueError, match=name):
+            lift_noncritical(spec, roots_for(spec), np.zeros((3, 3), complex))
+
 
 @settings(max_examples=40, deadline=None)
 @given(
