@@ -444,6 +444,75 @@ class TestProfileNorms:
         assert linf == pytest.approx(want_linf, rel=1e-12, abs=0.0)
 
 
+def _gram_l2(modes, x_period, y_max):
+    """L2 at t = 0 over one x-period and y in [0, y_max] in closed form.
+
+    Per x-frequency group g, int_0^Y conj(P_g) P_g dy = sum_ij conj(c_i) c_j
+    (1 - e^(-s Y))/s with s = conj(mu_i) + mu_j, summed over (u, w, b); a
+    group whose -l is also a group h adds int_0^Y P_g P_h dy, the same sum
+    without the conjugates.  O(g^2) per group: a test oracle only.
+    """
+    groups = boundary._group_by_l(modes.l)
+    l = modes.l[[g[0] for g in groups]]
+    coef = np.stack([modes.cu, modes.cw, modes.cb])
+    decay = np.exp(-modes.mu * y_max)
+
+    def gram(i, j, conj):
+        mu, c, d = modes.mu[i], coef[:, i], decay[i]
+        if conj:
+            mu, c, d = mu.conj(), c.conj(), d.conj()
+        k = (1.0 - np.outer(d, decay[j])) / np.add.outer(mu, modes.mu[j])
+        return np.sum(c * (coef[:, j] @ k.T)).real
+
+    total = sum(gram(g, g, True) for g in groups)
+    tol = boundary._l_tolerance(modes.l)
+    for g, lg in zip(groups, l):
+        h = np.flatnonzero(np.abs(l + lg) <= tol)
+        if len(h):
+            total += gram(g, groups[h[0]], False)
+    return math.sqrt(2.0 * total * x_period)
+
+
+#: corrector-ledger's seed-0 sweep (gamma, eps at 6 nodes/lobe)
+LEDGER_GAMMA = 0.7344421851525048
+LEDGER_EPS = (0.25386931604410456, 0.17914217307297312, 0.11826420060210933)
+
+
+class TestGramOracle:
+    """The ledger's y-rule against the closed-form Gram sum over the same
+    range [0, y_max] (ROADMAP item 2(a)): the values of modes_norms as they
+    are, with their measured distances to the exact integral."""
+
+    #: bound on |L2 / oracle - 1| per modal W1 family: >= 2x the largest
+    #: distance measured on the four cases below (2.85e-5, 9.12e-5, 1.55e-4)
+    BAND = {C.W1_BLEPS2: 6e-5, C.W1_BLEPS3: 2e-4, C.W1_II: 3.2e-4}
+
+    @pytest.mark.parametrize("gamma,eps,nodes", [
+        *((LEDGER_GAMMA, e, 6) for e in LEDGER_EPS), (GAMMA, 0.2, 9)])
+    def test_modal_l2_within_band_of_oracle(self, gamma, eps, nodes):
+        asm, p = make_w0(eps, gamma=gamma, nodes=nodes)
+        casm = C.assemble_W1(asm, p)
+        P = casm.x_period
+        for fam, band in self.BAND.items():
+            m = casm.families[fam]
+            exact = _gram_l2(m, P, C._norm_grid(m, P, C._NORM_NY)[-1])
+            assert abs(C.modes_norms(m, P, None)[0] / exact - 1.0) <= band, fam
+
+    def test_oracle_is_the_limit_of_the_trapezoid_rule(self):
+        """A uniform trapezoid rule on [0, y_max] closes on the oracle as
+        h^2: 10x the points, 100x closer (1.8e-6, then 1.8e-8 on W1_II)."""
+        asm, p = make_w0(LEDGER_EPS[0], gamma=LEDGER_GAMMA, nodes=6)
+        casm = C.assemble_W1(asm, p)
+        P, m = casm.x_period, casm.families[C.W1_II]
+        y_max = C._norm_grid(m, P, C._NORM_NY)[-1]
+        exact = _gram_l2(m, P, y_max)
+        dist = []
+        for n in (10_001, 100_001):
+            y = np.linspace(0.0, y_max, n)
+            dist.append(C._profile_norms(*C.mode_profiles(m, 0.0, y), y, P, None)[0] / exact - 1)
+        assert 0.0 < dist[1] <= 4e-8 and dist[0] / dist[1] == pytest.approx(100.0, rel=0.01)
+
+
 class TestPairColumns:
     """Pair-born modes build their y-columns from a table of parent rates."""
 
