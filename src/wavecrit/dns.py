@@ -226,7 +226,8 @@ class SimConfig:
     dy_max: float = 1.0
 
     def __post_init__(self):
-        for name, ok, rule in (("dt", self.dt > 0.0, "> 0"), ("T", self.T >= 0.0, ">= 0"),
+        for name, ok, rule in (("dt", self.dt > 0.0, "> 0"),
+                               ("T", 0.0 <= self.T < math.inf, ">= 0 and finite"),
                                ("Ly", self.Ly > 0.0, "> 0"), ("nx", self.nx >= 2, ">= 2"),
                                ("ny", self.ny >= 2, ">= 2")):
             if not ok:

@@ -179,10 +179,12 @@ class TestGridAndConfig:
             make_config(dt=0.2)
 
     @pytest.mark.parametrize("name,value", [
-        ("dt", 0.0), ("dt", -0.01), ("T", -1.0), ("Ly", -60.0), ("nx", 0), ("ny", 1)])
+        ("dt", 0.0), ("dt", -0.01), ("T", -1.0), ("T", math.inf), ("Ly", -60.0), ("nx", 0),
+        ("ny", 1)])
     def test_out_of_range_refused(self, name, value):
         """Refused by name before the root solve, not left to a raw
-        ZeroDivisionError, LinAlgError or ValueError later, or a silent run."""
+        ZeroDivisionError, LinAlgError, ValueError or OverflowError later,
+        or a silent run."""
         with pytest.raises(DnsError, match=f"^{name} must be .*, got {value!r}$"):
             make_config(**{name: value})
 
