@@ -81,9 +81,8 @@ class TestConfigValidation:
     def test_dns_options_are_simconfig_fields(self):
         """SimConfig owns the DNS options, their types and their defaults;
         the options are cast to their fields' types."""
-        settable = {f.name: f.type for f in dataclasses.fields(SimConfig) if f.init}
-        for name in ("params", "Lx", "k0"):
-            del settable[name]
+        settable = {f.name: f.type for f in dataclasses.fields(SimConfig)
+                    if f.init and f.name not in ("params", "Lx", "k0")}
         assert _DNS_OPTIONS == settable | {"save_every": int}
         p = PhysParams(gamma=0.7, eps=0.2)
         sim = _dns_config(ExperimentConfig(params=p, experiment="dns",
