@@ -34,6 +34,12 @@ Sets with equal exponents and their own coefficients share one pass.
 Modes born of a pair of W0 modes record the two parent rates whose sum is
 their mu; the kernel exponentiates each distinct parent rate once and
 builds such a mode's y-column as the product of its parents' two rows.
+The corrector's norm grid is the one y made of uniform pieces (two merged
+linspaces), and its ledger makes most kernel passes: it comes as a
+YLattice, on which e^(-mu y) factors into a coarse and a fine offset, so a
+pass exponentiates at the lattice's 80 offsets instead of its 599 points
+and sums a group as two small matrices.  Any other y (the stretched DNS
+grid, a wall row, default_grid) keeps one column per point, as before.
 """
 
 from __future__ import annotations
@@ -158,7 +164,63 @@ def _check_exponents(modes: ExpModes, also) -> None:
                 raise ValueError(f"mode sets in one profile pass differ in {f}")
 
 
-def mode_profiles(modes: ExpModes, t: float, y: np.ndarray, also=()):
+class YLattice:
+    """The y-points np.unique(concatenate([linspace(0, stop, n) for stop in
+    stops])), kept as the uniform grids they merge.
+
+    On a grid of step h, point j = i m + r (0 <= r < m, 0 <= i < q) is
+    y = i m h + r h, so e^(-mu y) = e^(-mu i m h) e^(-mu r h): a mode needs
+    its exponential at the q + m offsets of each grid, not at all n points.
+    q = ceil(sqrt(n / 3)), so m is about 3 q: sum_columns spreads the coarse
+    factor over the coefficients elementwise, and the fine factor goes into
+    a matrix product, which takes the wider side at less cost.  y holds the
+    merged points, and mode_profiles takes a lattice in place of y.
+    """
+
+    def __init__(self, stops, n: int):
+        # equal stops are one grid: a norm grid whose dense part reaches y_max
+        grids, steps = zip(*(np.linspace(0.0, s, n, retstep=True)
+                             for s in dict.fromkeys(stops)))
+        self.y, self._take = np.unique(np.concatenate(grids), return_index=True)
+        self.n, self.q = n, math.ceil(math.sqrt(n / 3))
+        self.m = -(-n // self.q)
+        #: per grid, the q coarse offsets i m h, then the m fine offsets r h
+        self.offsets = np.concatenate([np.concatenate(
+            [np.arange(self.q) * self.m, np.arange(self.m)]) * h for h in steps])
+
+    def sum_columns(self, coef: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """coef @ e^(-mu y) for the (modes, offsets) columns e^(-mu offsets):
+        per grid one matrix product (coef (x) e^(-mu i m h)) @ e^(-mu r h)."""
+        k, q, m = len(coef), self.q, self.m
+        parts = [((coef[:, None, :] * cols[:, s:s + q].T).reshape(k * q, -1)
+                  @ cols[:, s + q:s + q + m]).reshape(k, q * m)[:, :self.n]
+                 for s in range(0, len(self.offsets), q + m)]
+        return np.concatenate(parts, axis=1)[:, self._take]
+
+
+def _lattice_profiles(modes: ExpModes, coef, groups, pair, lattice: YLattice):
+    """P of mode_profiles on a lattice.  A mode's column is the product of
+    two table rows: its parents', or its own rate's and rate 0's (ones).  A
+    mode with a rate whose exponent can pass -700 at the lattice's last y
+    keeps its guarded column on every y, so its zeros stay exact."""
+    own = np.stack([modes.mu, np.zeros_like(modes.mu)], axis=1)
+    rates, inv = np.unique(np.where(pair[:, None], modes.parents, own).ravel(),
+                           return_inverse=True)
+    row = inv.reshape(-1, 2)
+    table = guarded_exp(np.outer(-rates, lattice.offsets))
+    far = (rates.real * lattice.y[-1] > _UNDERFLOW_EXPONENT)[row].any(axis=1)
+    if far.any():
+        table_y = guarded_exp(np.outer(-rates, lattice.y))
+    P = np.empty((len(coef), len(groups), len(lattice.y)), dtype=complex)
+    for g, idx in enumerate(groups):
+        near, fi = idx[~far[idx]], idx[far[idx]]
+        P[:, g] = lattice.sum_columns(coef[:, near], table[row[near, 0]] * table[row[near, 1]])
+        if len(fi):
+            P[:, g] += coef[:, fi] @ (table_y[row[fi, 0]] * table_y[row[fi, 1]])
+    return P
+
+
+def mode_profiles(modes: ExpModes, t: float, y, also=()):
     """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
 
     Modes sharing an x-wavenumber (the lattice produces thousands per l)
@@ -174,14 +236,20 @@ def mode_profiles(modes: ExpModes, t: float, y: np.ndarray, also=()):
     The y-columns e^(-mu y) of pair modes are products of two rows of one
     table over the distinct parent rates, e^(-mu_i y) e^(-mu_j y); a column
     is exactly zero where either parent's exponent is below -700.  Every
-    other mode gets its column from guarded_exp(-mu y) in its group.
+    other mode gets its column from guarded_exp(-mu y) in its group.  y may
+    be a YLattice (the ledger's norm grid): the table is then over the
+    lattice's offsets, one group's columns are a product of two small
+    matrices (YLattice.sum_columns), and P is on the lattice's points.
     """
     _check_exponents(modes, also)
-    y = np.asarray(y, dtype=float)
     groups = _group_by_l(modes.l)
     coef = (np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
             * np.exp(-1j * modes.alpha * t))
     pair = ~np.isnan(modes.parents).any(axis=1)
+    l = modes.l[[idx[0] for idx in groups]]
+    if isinstance(y, YLattice):
+        return l, _lattice_profiles(modes, coef, groups, pair, y)
+    y = np.asarray(y, dtype=float)
     rates, inv = np.unique(modes.parents[pair].ravel(), return_inverse=True)
     table = guarded_exp(np.outer(-rates, y))  # one row per distinct parent rate
     row = np.zeros((len(modes), 2), dtype=int)  # a pair mode's two table rows
@@ -192,7 +260,7 @@ def mode_profiles(modes: ExpModes, t: float, y: np.ndarray, also=()):
         P[:, g] = coef[:, pi] @ (table[row[pi, 0]] * table[row[pi, 1]])
         if len(di):
             P[:, g] += coef[:, di] @ guarded_exp(np.outer(-modes.mu[di], y))
-    return modes.l[[idx[0] for idx in groups]], P
+    return l, P
 
 
 def synthesize(l: np.ndarray, P: np.ndarray, x: np.ndarray):

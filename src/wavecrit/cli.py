@@ -148,6 +148,7 @@ class ExperimentConfig:
                     f"{self.experiment} runs the single (eps, delta) of params "
                     "and does not read sweep; give eps and delta instead"
                 )
+            _check_whole_steps(self.options)
             # W0 is periodic in the DNS box (Lx = x_period) only on the lattice
             eps = self.params.eps
             matched = box_matched_eps(eps, self.k0, self.nodes_per_lobe)
@@ -173,6 +174,21 @@ def _option(name: str, kind: type, value):
         raise ConfigError(f"option {name} must be {'an integer' if kind is int else 'a number'}"
                           f", got {value!r}")
     return kind(value)
+
+
+def _check_whole_steps(options: dict) -> None:
+    """ConfigError unless the DNS end time T is a whole number of steps dt
+    (to 1e-9 relative), given or SimConfig's default: the march runs
+    round(T / dt) steps and would end elsewhere.  A dt <= 0 or a negative or
+    non-finite T is left to SimConfig, which refuses it."""
+    default = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    T, dt = (options.get(name, default[name]) for name in ("T", "dt"))
+    if not (dt > 0.0 and 0.0 <= T < math.inf):
+        return
+    steps = T / dt
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ConfigError(f"T={T!r} is not a whole number of steps dt={dt!r}: "
+                          f"T/dt = {steps!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:

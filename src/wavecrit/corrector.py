@@ -67,6 +67,7 @@ import numpy as np
 
 from .boundary import (
     ExpModes,
+    YLattice,
     _check_exponents,
     _equilibrated_solve,
     _group_by_l,
@@ -183,17 +184,16 @@ _NORM_NY = 600
 _NORM_NX = 512
 
 
-def _norm_grid(modes: ExpModes, x_period: float, ny: int):
+def _norm_lattice(modes: ExpModes, x_period: float, ny: int) -> YLattice:
     """y-grid of modes_norms: dense on the fastest decay scale, reaching y_max
-    = 30 slowest decay scales (or the x-period if some mode does not decay)."""
+    = 30 slowest decay scales (or the x-period if some mode does not decay).
+    It merges two uniform ny/2-point grids, on [0, 10 fastest decay scales]
+    and on [0, y_max], and is kept as their lattice for the profile kernel."""
     rates = modes.mu.real
     pos = rates[rates > 1e-12]
     y_max = 30.0 / pos.min() if len(pos) == len(modes) else x_period
     fast = max(rates.max(), 1.0 / y_max)
-    return np.unique(np.concatenate([
-        np.linspace(0.0, min(10.0 / fast, y_max), ny // 2),
-        np.linspace(0.0, y_max, ny // 2),
-    ]))
+    return YLattice((min(10.0 / fast, y_max), y_max), ny // 2)
 
 
 def _profile_norms(l, P, y, x_period: float, nx: int | None) -> tuple[float, float | None]:
@@ -202,8 +202,9 @@ def _profile_norms(l, P, y, x_period: float, nx: int | None) -> tuple[float, flo
     l must be increasing.  Distinct x-frequencies are orthogonal over the
     period, so |.|_2^2 is the period times the y-integral of 2 sum_g |P_g|^2
     plus 2 Re P_g P_h for every pair l_g = -l_h (the conjugate part's
-    interference).  Linf is the max over an nx-point x-grid; with nx None
-    it is None and no x-grid is synthesized.
+    interference).  Linf is the max over an nx-point x-grid, one component's
+    grid at a time (max(f.max(), -f.min()) is max|f| with no third grid);
+    with nx None it is None and no x-grid is synthesized.
     """
     tol = _l_tolerance(l)
     partner = np.minimum(np.searchsorted(l, -l - tol), len(l) - 1)
@@ -215,13 +216,14 @@ def _profile_norms(l, P, y, x_period: float, nx: int | None) -> tuple[float, flo
     if nx is None:
         return l2, None
     x = np.linspace(0.0, x_period, nx, endpoint=False)
-    linf = max(float(np.abs(f).max()) for f in synthesize(l, P, x))
+    # map holds no grid between calls, so each is freed before the next is formed
+    linf = max(map(lambda f: float(max(f.max(), -f.min())), synthesize(l, P, x)))
     return l2, linf
 
 
 def modes_norms(modes: ExpModes, x_period: float, nx: int | None = _NORM_NX,
                 also=()) -> tuple:
-    """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_grid).
+    """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_lattice).
 
     Every call is one profile kernel pass.  With nx None, Linf is None and
     no x-grid is synthesized.  also holds further mode sets with the
@@ -232,11 +234,11 @@ def modes_norms(modes: ExpModes, x_period: float, nx: int | None = _NORM_NX,
     if len(modes) == 0:
         _check_exponents(modes, also)
         return (0.0, None if nx is None else 0.0) + (0.0,) * len(also)
-    y = _norm_grid(modes, x_period, _NORM_NY)
-    l, P = mode_profiles(modes, 0.0, y, also)
-    norms = _profile_norms(l, P[:3], y, x_period, nx)
+    lattice = _norm_lattice(modes, x_period, _NORM_NY)
+    l, P = mode_profiles(modes, 0.0, lattice, also)
+    norms = _profile_norms(l, P[:3], lattice.y, x_period, nx)
     for i in range(3, len(P), 3):
-        norms += _profile_norms(l, P[i:i + 3], y, x_period, None)[:1]
+        norms += _profile_norms(l, P[i:i + 3], lattice.y, x_period, None)[:1]
     return norms
 
 

@@ -842,8 +842,6 @@ def compare_stability(
         "net": net,
         "bound_thm": bound_thm,
         "bound_alt": bound_alt,
-        "within_thm": bool(np.all(net <= bound_thm)),
-        "within_alt": bool(np.all(net <= bound_alt)),
     }
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from wavecrit.boundary import (
     ExpModes,
     IllConditionedLiftError,
+    YLattice,
     _equilibrated_solve,
     evaluate_modes,
     lift_critical,
@@ -371,6 +372,52 @@ class TestPairColumns:
         _, want = mode_profiles(ExpModes(m.l, m.alpha, m.mu, m.cu, m.cw, m.cb), 0.0, y)
         assert (want[:, 0, 1] == 0.0).all()
         assert np.abs(got[:, 0, 1]).max() <= 1e-300
+
+
+class TestYLattice:
+    """mode_profiles on a YLattice against the same y as points."""
+
+    @pytest.mark.parametrize("stops", [(0.7, 3.0), (3.0, 3.0)])
+    def test_points_are_the_merged_grids(self, stops):
+        """Equal stops merge to one grid, with one grid's offsets."""
+        lattice = YLattice(stops, 300)
+        y = np.unique(np.concatenate([np.linspace(0.0, s, 300) for s in stops]))
+        assert lattice.y.tobytes() == y.tobytes()
+        assert len(lattice.offsets) == len(set(stops)) * (lattice.q + lattice.m)
+
+    def test_profiles_match_the_points(self):
+        """Pair and non-pair modes in shared groups, with a further set."""
+        rng = np.random.default_rng(3)
+        pairs = _pair_set(rng.uniform(0.5, 4.0, (6, 2)) + 1j * rng.normal(size=(6, 2)))
+        own = ExpModes(np.ones(4), np.zeros(4), rng.uniform(0.5, 8.0, 4) + 2j,
+                       *rng.normal(size=(3, 4)) + 0j)
+        m = ExpModes.concat([pairs, own])
+        m.l[::2] = 2.0
+        lattice = YLattice((0.7, 3.0), 300)
+        _, got = mode_profiles(m, 0.4, lattice, [m.d_dy()])
+        _, want = mode_profiles(m, 0.4, lattice.y, [m.d_dy()])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_mode_passing_the_guard_keeps_its_zeros(self):
+        """Reaching y = 2, exponents of rate 500 and of a parent at 450 pass
+        -700: such modes keep their guarded columns on the points, exact
+        zeros beyond y = 1.4 and 1.56 included, next to a mode that does
+        not pass it."""
+        lattice = YLattice((0.5, 2.0), 300)
+        own = ExpModes(np.ones(1), np.zeros(1), np.array([500.0 + 2j]),
+                       *np.ones((3, 1), dtype=complex))
+        pair = _pair_set([[450.0, 1.0 + 1j]])
+        for m, rate in ((own, 500.0), (pair, 450.0)):
+            _, got = mode_profiles(m, 0.0, lattice)
+            _, want = mode_profiles(m, 0.0, lattice.y)
+            assert (got == want).all()
+            beyond = lattice.y > 700.0 / rate
+            assert beyond.any() and (got[:, 0, beyond] == 0.0).all()
+            assert (got[:, 0, ~beyond] != 0.0).any()
+        m = ExpModes.concat([own, pair, _pair_set([[1.0, 2.0 - 1j]])])
+        _, got = mode_profiles(m, 0.0, lattice)
+        _, want = mode_profiles(m, 0.0, lattice.y)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_traces_must_be_a_triple():

@@ -200,6 +200,26 @@ class TestConfigValidation:
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: dt must be > 0, got 0.0\n"
 
+    def test_main_reports_end_time_between_steps(self, tmp_path, capsys):
+        """T = 0.05 at dt = 0.02 is 2.5 steps: an error line naming T, dt and
+        T/dt, not a march that silently ends at t = 0.04."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gamma": 0.7, "eps": 0.2, "nodes_per_lobe": 5,
+                                   "options": {"T": 0.05, "dt": 0.02}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["dns", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: T=0.05 is not a whole number of steps dt=0.02: T/dt = 2.5\n")
+
+    @pytest.mark.parametrize("T,dt", [(0.3, 0.1), (0.4, 0.01), (0.0, 0.01)])
+    def test_end_time_a_rounding_away_from_whole_steps_accepted(self, T, dt):
+        """0.3/0.1 is 2.9999999999999996 in floating point: within 1e-9 of
+        3 steps, so accepted, as is stability-twin's 0.4/0.01."""
+        cfg = ExperimentConfig(params=PhysParams(gamma=0.7, eps=0.2), nodes_per_lobe=5,
+                               experiment="stability", options={"T": T, "dt": dt})
+        assert (cfg.options["T"], cfg.options["dt"]) == (T, dt)
+
     def test_main_reports_aliased_packet(self, tmp_path, capsys):
         """At eps = 0.2 and 5 nodes/lobe, W0 reaches rfft column 51, above
         the Nyquist column of nx = 64: an error line, not aliased fields."""

@@ -413,7 +413,7 @@ class TestProfileNorms:
         P = casm.x_period
         m = casm.families[C.W1_BLEPS3]
         assert (m.l == 0.0).any() and np.isin(-m.l[m.l > 0], m.l).any()
-        y = C._norm_grid(m, P, 600)
+        y = C._norm_lattice(m, P, 600).y
         x = np.linspace(0.0, P, self.NX, endpoint=False)
         t = 0.3
         ey = np.exp(-np.outer(y, m.mu))
@@ -495,7 +495,7 @@ class TestGramOracle:
         P = casm.x_period
         for fam, band in self.BAND.items():
             m = casm.families[fam]
-            exact = _gram_l2(m, P, C._norm_grid(m, P, C._NORM_NY)[-1])
+            exact = _gram_l2(m, P, C._norm_lattice(m, P, C._NORM_NY).y[-1])
             assert abs(C.modes_norms(m, P, None)[0] / exact - 1.0) <= band, fam
 
     def test_oracle_is_the_limit_of_the_trapezoid_rule(self):
@@ -504,7 +504,7 @@ class TestGramOracle:
         asm, p = make_w0(LEDGER_EPS[0], gamma=LEDGER_GAMMA, nodes=6)
         casm = C.assemble_W1(asm, p)
         P, m = casm.x_period, casm.families[C.W1_II]
-        y_max = C._norm_grid(m, P, C._NORM_NY)[-1]
+        y_max = C._norm_lattice(m, P, C._NORM_NY).y[-1]
         exact = _gram_l2(m, P, y_max)
         dist = []
         for n in (10_001, 100_001):
@@ -522,7 +522,7 @@ class TestPairColumns:
         m = casm.families[family]
         pair = ~np.isnan(m.parents).any(axis=1)
         assert pair.any() and (family == C.W1_BLEPS2) == pair.all()
-        y = C._norm_grid(m, casm.x_period, 600)
+        y = C._norm_lattice(m, casm.x_period, 600).y
         _, got = C.mode_profiles(m, 0.3, y)
         _, want = C.mode_profiles(dataclasses.replace(m, parents=None), 0.3, y)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -555,6 +555,66 @@ class TestPairColumns:
         assert len(terms) == 36
         for name, m in terms:
             assert len(m) and not np.isnan(m.parents).any(), name
+
+
+def _ledger_passes(asm, p, casm):
+    """(name, first set, further sets, t) of every ledger kernel pass at the
+    reference case (each batch's booked terms, the incident diffusion term,
+    each modal family with its d/dx and d/dy), and W1_BLeps3 at t = 0.3."""
+    for itype, lobe, src, modes in C._solved_batches(asm, p, None):
+        booked = ([src] if modes is None
+                  else list(C._booked_terms(itype.kind, src, modes, p).values()))
+        yield f"{itype.name}/{lobe.name}", booked[0], booked[1:], 0.0
+    inc = asm.families[Family.INCIDENT]
+    lap = (inc.mu**2 - inc.l**2) * p.eps**6
+    yield "diffusion", inc.scaled(p.nu0 * lap, p.nu0 * lap, p.kappa0 * lap), [], 0.0
+    for fam in C.W1_MODAL:
+        m = casm.families[fam]
+        yield fam, m, [m.d_dx(), m.d_dy()], 0.0
+    m = casm.families[C.W1_BLEPS3]
+    yield "W1_BLeps3 at t = 0.3", m, [m.d_dy()], 0.3
+
+
+class TestNormLattice:
+    """modes_norms hands the kernel its y-grid as a boundary.YLattice: the
+    profiles on the lattice against the points path on the same y."""
+
+    #: bound on max|dP| / max|P| per pass: >= 2x the largest distance
+    #: measured on the 23 passes (2.6e-13, c3's double lobe; the parents
+    #: against the direct columns differ by 3.9e-13 there, on the points)
+    BAND = 1e-12
+
+    def test_lattice_matches_the_points_path(self, w0, casm):
+        """Every batch and family, the non-pair sets (the lift modes of
+        W1_BLeps3, W1_II, the incident diffusion term) included."""
+        asm, p = w0
+        passes = list(_ledger_passes(asm, p, casm))
+        assert len(passes) == 23
+        assert {n for n, m, _, _ in passes if np.isnan(m.parents).any()} == {
+            "diffusion", C.W1_BLEPS3, C.W1_II, "W1_BLeps3 at t = 0.3"}
+        for name, m, also, t in passes:
+            lattice = C._norm_lattice(m, casm.x_period, C._NORM_NY)
+            _, got = C.mode_profiles(m, t, lattice, also)
+            _, want = C.mode_profiles(m, t, lattice.y, also)
+            assert np.abs(got - want).max() <= self.BAND * np.abs(want).max(), name
+
+    def test_one_table_per_pass(self, w0, casm, monkeypatch):
+        """No ledger mode can pass exponent -700 on its lattice, so each
+        pass exponentiates once: one table over the lattice offsets."""
+        asm, p = w0
+        calls = []
+        exp = boundary.guarded_exp
+
+        def counted(expo):
+            calls.append(expo.shape[1])
+            return exp(expo)
+
+        monkeypatch.setattr(boundary, "guarded_exp", counted)
+        for name, m, also, t in _ledger_passes(asm, p, casm):
+            calls.clear()
+            lattice = C._norm_lattice(m, casm.x_period, C._NORM_NY)
+            C.mode_profiles(m, t, lattice, also)
+            assert calls == [len(lattice.offsets)], name
 
 
 def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
