@@ -55,7 +55,6 @@ from .dns import (
     compare_stability,
     energy_budget,
     init_from_Wapp,
-    wapp_evaluator,
 )
 from .packets import (
     Envelope,
@@ -458,13 +457,12 @@ def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
     compare it with W_app."""
     asm = _assembly_at(config, params)
     w1 = assemble_W1(asm, params) if params.delta else None
-    ev = wapp_evaluator(asm, w1)
     sim = _dns_config(config, params, asm.x_period)
     solver = Solver(sim)
     state = init_from_Wapp(asm, w1, sim, solver)
     n_steps = int(round(sim.T / sim.dt))
     save_every = config.options.get("save_every", max(n_steps // 10, 1))
-    traj, report = compare_stability(solver, state, n_steps, save_every, ev,
+    traj, report = compare_stability(solver, state, n_steps, save_every, asm, w1,
                                      floor=floor)
     return solver, traj, report
 

@@ -45,15 +45,15 @@ sit in the coefficients); both interior solves and the ledger read that
 set scaled by -delta.  W1 = W1_BLeps2 + W1_BLeps3
 + W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
 norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
-MeanFlowField.profiles for W1_MF) through boundary.synthesize or
-_profile_norms.  A pair mode records its two parent rates (mu = mu_L +
-mu_R), and the interior solves and ledger terms keep them, so the kernel
-builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a table of W0's rates.
-The ledger computes only what it reports, one kernel pass per exponent
-set: the booked terms of one (row, lobe) batch share its forcing's
-exponents, so their L2 norms come from one pass with no x-grid, and each
-modal W1 family gets its max-norm and the L2 of its d/dx (the profiles
-times i l) and d/dy (the coefficients times -mu) from one pass.
+MeanFlowField.profiles for W1_MF) through boundary.synthesize,
+_profile_norms or dns.wapp_columns.  A pair mode records its two parent
+rates (mu = mu_L + mu_R), and the interior solves and ledger terms keep
+them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
+table of W0's rates.  The ledger computes only what it reports, one kernel
+pass per exponent set: the booked terms of one (row, lobe) batch share its
+forcing's exponents, so their L2 norms come from one pass with no x-grid,
+and each modal W1 family gets its max-norm and the L2 of its d/dx (the
+profiles times i l) and d/dy (the coefficients times -mu) from one pass.
 """
 
 from __future__ import annotations
@@ -518,6 +518,12 @@ class CorrectorAssembly:
         """All exponential modes of the corrector (everything but W1_MF)."""
         return ExpModes.concat(self.families[f] for f in W1_MODAL)
 
+    def profiles(self, t, y):
+        """(l, P) of W1: the modal and W1_MF profiles on one group axis."""
+        l, P = mode_profiles(self.modal(), t, y)
+        l_mf, P_mf = self.families[W1_MF].profiles(t, y)
+        return np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=1)
+
 
 def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,
                   params: PhysParams) -> dict[str, ExpModes]:
@@ -618,11 +624,8 @@ def rowwise_family_sizes(
 
 
 def evaluate_W1(casm: CorrectorAssembly, t, x, y):
-    """Total corrector field (u, w, b) on the grid: the modal and mean-flow
-    profiles joined along the group axis, one synthesis."""
-    l, P = mode_profiles(casm.modal(), t, y)
-    l_mf, P_mf = casm.families[W1_MF].profiles(t, y)
-    return tuple(synthesize(np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=1), x))
+    """Total corrector field (u, w, b) on the grid, from casm.profiles."""
+    return tuple(synthesize(*casm.profiles(t, y), x))
 
 
 def wall_trace_check(casm: CorrectorAssembly, t: float = 0.0):

@@ -55,13 +55,13 @@ b and their x-derivatives) and 6 rfft (two products per field); with the
 CFL check's 2 irfft a step makes 26 transforms, and none at delta = 0.
 
 Without advection (delta = 0) nothing couples the rfft columns, so a State
-may hold only some of them (`State.cols`; the others are zero).  At delta = 0
-init_from_Wapp keeps the fewest columns that leave out at most 1e-20 of the
-energy, and the step acts on those alone: 3 of 129 columns at 256 x 384 and
-5 nodes per lobe, where a delta = 0 step takes about 1.8 ms instead of 32 ms
-on one core.  One builder, `Solver._hold`, makes the per-column data of every
-column set, the full one included.  A solver with delta != 0 widens such a
-state to every column.
+may hold only some of them (`State.cols`; the others are zero).  W_app is
+placed in its columns from its y-profiles (`wapp_columns`), every other
+column exactly 0, and at delta = 0 init_from_Wapp keeps those alone: 3 of
+129 columns at 256 x 384 and 5 nodes per lobe, where a delta = 0 step takes
+about 1.8 ms instead of 32 ms on one core.  One builder, `Solver._hold`,
+makes the per-column data of every column set, the full one included.  A
+solver with delta != 0 widens such a state to every column.
 
 The march stores no saved states.  `Solver.run` hands the state of each
 save time to a callback, and `compare_stability` reduces it to its distance
@@ -79,9 +79,10 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 from scipy.sparse import csr_array, diags_array, eye_array
 
+from .boundary import mode_profiles
 from .characteristic import ModalMatrixSpec, roots_for
-from .corrector import CorrectorAssembly, evaluate_W1
-from .packets import Family, PacketAssembly, evaluate_packet
+from .corrector import CorrectorAssembly
+from .packets import Family, PacketAssembly
 from .params import PhysParams
 
 
@@ -705,28 +706,39 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def wapp_evaluator(w0: PacketAssembly, w1: CorrectorAssembly | None = None):
-    """Callable (t, x, y) -> (u, w, b) of the approximate solution."""
-
-    def ev(t, x, y):
-        u, w, b = evaluate_packet(w0, Family.SUM, t, (x, y))
-        if w1 is not None:
-            du, dw, db = evaluate_W1(w1, t, x, y)
-            u, w, b = u + du, w + dw, b + db
-        return u, w, b
-
-    return ev
+def wapp_columns(w0: PacketAssembly, w1: CorrectorAssembly | None, t: float,
+                 grid: Grid) -> np.ndarray:
+    """W_app(t) = W0 (+ W1) as rfft columns (3, ny, nx/2 + 1) of (u, w, b),
+    placed from its y-profiles: a group's P at l = 2 pi c / Lx goes to
+    column c as nx P, its conjugate to column -c, both modulo nx as sampling
+    folds them.  Every other column is exactly 0.  A wavenumber more than
+    1e-9 of a column off the lattice (eps not box-matched) is refused."""
+    l, P = mode_profiles(w0.bundle(Family.SUM), t, grid.y)
+    if w1 is not None:
+        l1, P1 = w1.profiles(t, grid.y)
+        l, P = np.concatenate([l, l1]), np.concatenate([P, P1], axis=1)
+    c = l * grid.Lx / (2.0 * math.pi)
+    col = np.rint(c).astype(int)
+    off = np.abs(c - col).max()
+    if off > 1e-9:
+        raise DnsError(f"W_app wavenumbers lie up to {off:.3g} of a column off the "
+                       f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
+    nx, out = grid.nx, np.zeros((3, grid.ny, grid.nx // 2 + 1), dtype=complex)
+    for idx, v in ((col % nx, P), (-col % nx, P.conj())):
+        keep = idx < out.shape[2]
+        np.add.at(out, (..., idx[keep]), nx * v[:, keep].transpose(0, 2, 1))
+    return out
 
 
 def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
                    config: SimConfig, solver: Solver) -> State:
-    """Grid evaluation of W_app(0) with a final discrete projection.
+    """W_app(0) in the solver's rfft columns (wapp_columns), projected; at
+    delta = 0 the state holds only the columns W_app touches.
 
-    At delta = 0 the state holds only the fewest rfft columns whose
-    dropped rest carries at most 1e-20 of its energy.  A W0 wavenumber at
-    or above the grid's Nyquist column would alias and is refused.  W1 is
-    not checked: its second harmonic may sit above Nyquist (it does at
-    256 x 384 in the energy-budget check, which does not depend on it).
+    A W0 wavenumber at or above the grid's Nyquist column would alias and is
+    refused.  W1's second harmonic may sit above Nyquist (it does at
+    256 x 384 in the energy-budget check, which does not depend on it),
+    where it folds as sampling folds it.
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
@@ -736,9 +748,10 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     if 2 * col >= g.nx:
         raise DnsError(f"W0 wavenumber {k_max:.4g} sits at rfft column {col}, at or "
                        f"above the Nyquist column nx/2 = {g.nx / 2:g}; raise nx")
-    u, w, b = wapp_evaluator(w0, w1)(0.0, g.x, g.y)
-    peak = max(np.abs(u).max(), np.abs(w).max(), np.abs(b).max())
-    edge = max(np.abs(u[-1]).max(), np.abs(w[-1]).max(), np.abs(b[-1]).max())
+    uh, wh, bh = placed = wapp_columns(w0, w1, 0.0, g)
+    held = np.flatnonzero(placed.any(axis=(0, 1)))
+    field = np.fft.irfft(placed, n=g.nx, axis=2)
+    peak, edge = np.abs(field).max(), np.abs(field[:, -1]).max()
     if edge > 1e-6 * peak:
         warnings.warn(
             f"packet reaches the domain top: edge amplitude {edge / peak:.2e} "
@@ -746,21 +759,12 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
             "the residual tail)",
             stacklevel=2,
         )
-    u[0] = w[0] = w[-1] = 0.0
-    uh, wh, phih = solver.project(np.fft.rfft(u, axis=1), np.fft.rfft(w, axis=1))
+    uh, wh, phih = solver.project(uh, wh)  # its rhs reads no wall or lid row
     uh[0] = wh[0] = wh[-1] = 0.0
-    fields = (uh, wh, solver._noflux(np.fft.rfft(b, axis=1)), phih)
+    fields = (uh, wh, solver._noflux(bh), phih)
     if config.params.delta != 0.0:
         return State(*fields, 0.0, g.nx)
-    # without advection every column evolves alone: drop the columns of least
-    # energy while together they hold at most 1e-20 of it (rounding, off the
-    # lattice of a box-matched packet; an off-lattice packet keeps them all)
-    energy = g.tau @ sum(np.abs(f) ** 2 for f in fields[:3]) * solver._parseval[::2]
-    order = np.argsort(energy)
-    n_drop = np.searchsorted(np.cumsum(energy[order]), 1e-20 * energy.sum(),
-                             side="right")
-    cols = np.sort(order[n_drop:])
-    return State(*(f[:, cols] for f in fields), 0.0, g.nx, cols)
+    return State(*(f[:, held] for f in fields), 0.0, g.nx, held)
 
 
 def energy_budget(traj: Trajectory) -> dict:
@@ -786,22 +790,17 @@ def energy_budget(traj: Trajectory) -> dict:
     }
 
 
-def compare_stability(
-    solver: Solver,
-    state: State,
-    n_steps: int,
-    save_every: int,
-    wapp,
-    floor: np.ndarray | None = None,
-) -> tuple[Trajectory, dict]:
+def compare_stability(solver: Solver, state: State, n_steps: int, save_every: int,
+                      w0: PacketAssembly, w1: CorrectorAssembly | None = None,
+                      floor: np.ndarray | None = None) -> tuple[Trajectory, dict]:
     """March `state` and follow ||W_app(t) - W(t)||_{L^2} against the two
     envelopes: the trajectory and the report.
 
     The march is `solver.run(state, n_steps, save_every, ...)`, whose
     parameters give eps and delta; each saved state is compared with
-    W_app on the solver's grid as the march reaches it and then dropped,
-    so the memory does not grow with the number of save times.  `wapp` is
-    a (t, x, y) -> (u, w, b) evaluator; `floor` is an optional
+    W_app = w0 (+ w1) in the solver's rfft columns (wapp_columns; Parseval
+    sums) as the march reaches it and then dropped, so the memory does not
+    grow with the number of save times.  `floor` is an optional
     per-save-time error floor (typically the same quantity from a delta = 0
     twin run, whose exact departure is O(eps^6 t)) that is subtracted
     before the bound comparison.  Such a floor holds whatever the grid and
@@ -813,17 +812,17 @@ def compare_stability(
     envelopes are stated for an O(1)-normalized wave field, while the packet
     itself carries an O(1/eps) lattice-sum amplitude.
     """
-    g = solver.grid
     eps, delta = solver.config.params.eps, solver.config.params.delta
-    wapp0 = wapp(0.0, g.x, g.y)
-    norm0 = math.sqrt(g.integral(sum(f**2 for f in wapp0)))
+    wapp0 = wapp_columns(w0, w1, 0.0, solver.grid)
+    norm0 = math.sqrt(solver.norm2(*wapp0))
     times, diffs = [], []
 
     def compare(st):
-        ua, wa, ba = wapp0 if st.t == 0.0 else wapp(st.t, g.x, g.y)
+        wapp = wapp0 if st.t == 0.0 else wapp_columns(w0, w1, st.t, solver.grid)
+        st = st.widen()
         times.append(st.t)
-        diffs.append(math.sqrt(g.integral(
-            (ua - st.u) ** 2 + (wa - st.w) ** 2 + (ba - st.b) ** 2)))
+        diffs.append(math.sqrt(solver.norm2(
+            *(a - f for a, f in zip(wapp, (st.uh, st.wh, st.bh))))))
 
     traj = solver.run(state, n_steps, save_every, on_save=compare)
     diffs = np.array(diffs) / norm0

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from scipy.sparse import diags_array
 
 from wavecrit import dns
+from wavecrit.corrector import assemble_W1, evaluate_W1
 from wavecrit.dns import (
     BlockSweep,
     DnsError,
@@ -30,7 +31,7 @@ from wavecrit.dns import (
     energy_budget,
     init_from_Wapp,
     stretched_grid,
-    wapp_evaluator,
+    wapp_columns,
 )
 from wavecrit.packets import (
     Envelope,
@@ -103,7 +104,7 @@ def _ddx(solver, f):
 @pytest.fixture(scope="module")
 def stability(solver, initial, assembly):
     """delta = 0 linear run to t = 0.5, compared with W0 every 10 steps."""
-    return compare_stability(solver, initial, 50, 10, wapp_evaluator(assembly))
+    return compare_stability(solver, initial, 50, 10, assembly)
 
 
 @pytest.fixture(scope="module")
@@ -708,8 +709,10 @@ class TestColumnSubset:
         st = init_from_Wapp(asm, None, cfg, Solver(cfg))
         assert st.cols.tolist() == want
 
-    def test_off_lattice_packet_keeps_every_column(self):
-        """An eps that is not box-matched puts W0 between the columns."""
+    def test_off_lattice_packet_refused(self):
+        """An eps that is not box-matched puts W0 between the columns, 0.444
+        of a column off at 9 nodes per lobe: there is no column to place it
+        in, and the error names the distance."""
         eps = 0.3
         assert box_matched_eps(eps, 1.0, 9) != eps
         p = PhysParams(gamma=GAMMA, eps=eps)
@@ -717,12 +720,13 @@ class TestColumnSubset:
         asm = assemble_W0(p, env, QuadratureSpec(9))
         cfg = SimConfig(params=p, Lx=asm.x_period, Ly=60.0, nx=192, ny=256,
                         dt=0.01, T=0.5, dy_max=0.6)
-        assert init_from_Wapp(asm, None, cfg, Solver(cfg)).full
+        with pytest.raises(DnsError, match=r"up to 0\.44\d* of a column off the rfft"):
+            init_from_Wapp(asm, None, cfg, Solver(cfg))
 
     def test_held_columns_chosen_by_energy(self, assembly, initial):
         """The delta = 0 state is the delta != 0 one on the held columns,
-        bit for bit, and the dropped columns hold at most 1e-20 of its
-        energy."""
+        bit for bit, and the dropped columns hold no energy at all: W_app
+        is placed in the columns it touches, every other one is 0."""
         p = PhysParams(gamma=GAMMA, eps=EPS, delta=EPS**3)
         env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=EPS)
         asm = assemble_W0(p, env, QuadratureSpec(9))
@@ -735,7 +739,7 @@ class TestColumnSubset:
         rest = copy.deepcopy(wide)
         for fh in (rest.uh, rest.wh, rest.bh):
             fh[:, initial.cols] = 0.0
-        assert sol.energy(rest) <= 1e-20 * sol.energy(wide)
+        assert sol.energy(rest) == 0.0
 
     @pytest.mark.parametrize("method,n_args", [("project", 2),
                                                ("div_residual", 2),
@@ -772,11 +776,45 @@ class TestColumnSubset:
         assert seen == [2 * len(initial.cols)] * 10
 
 
+class TestPlacement:
+    """wapp_columns against an independent oracle: the rfft of W0 + W1
+    synthesized on the grid (evaluate_packet and evaluate_W1)."""
+
+    #: case -> (gamma, eps, last time, box), at 5 nodes per lobe
+    CASES = {
+        "stability-twin": (0.7344421851525048, box_matched_eps(0.204, 1.0, 5), 0.4,
+                           dict(Ly=300.0, nx=256, ny=384, dy_max=1.0)),
+        "w1-folds": (GAMMA, EPS, 0.04, dict(Ly=60.0, nx=64, ny=192, dy_max=0.6)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_rfft_of_sampled_field(self, case):
+        """The benchmark's stability twin (W1 up to column 98 of 128) and the
+        CLI's small DNS box, nx = 64, where W0 sits on columns 21-23 and W1's
+        second harmonic on 42-46 folds back below Nyquist."""
+        gamma, eps, t_end, box = self.CASES[case]
+        p = PhysParams(gamma=gamma, eps=eps, delta=eps**3)
+        asm = assemble_W0(p, Envelope(critical_carrier(gamma, 1.0), eps), QuadratureSpec(5))
+        w1 = assemble_W1(asm, p)
+        cfg = SimConfig(params=p, Lx=asm.x_period, dt=0.01, T=t_end, **box)
+        g = dns.Grid(cfg.Lx, cfg.nx, cfg.y)
+        top = {name: np.abs(l).max() * g.Lx / (2.0 * math.pi) for name, l in
+               (("w0", asm.bundle(Family.SUM).l), ("w1", w1.profiles(0.0, g.y)[0]))}
+        assert 2 * top["w0"] < g.nx
+        assert (2 * top["w1"] > g.nx) == (case == "w1-folds")
+        for t in (0.0, t_end):
+            w0_field = evaluate_packet(asm, Family.SUM, t, (g.x, g.y))
+            want = np.stack([np.fft.rfft(a + b, axis=1) for a, b in
+                             zip(w0_field, evaluate_W1(w1, t, g.x, g.y))])
+            got = wapp_columns(asm, w1, t, g)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestInit:
     def test_matches_packet_on_grid(self, assembly, solver, initial):
         """delta = 0 initial state is W0(0) up to the final projection."""
         g = solver.grid
-        ua, wa, ba = wapp_evaluator(assembly)(0.0, g.x, g.y)
+        ua, wa, ba = evaluate_packet(assembly, Family.SUM, 0.0, (g.x, g.y))
         num = g.integral((initial.u - ua) ** 2 + (initial.w - wa) ** 2
                          + (initial.b - ba) ** 2)
         den = g.integral(ua**2 + wa**2 + ba**2)
@@ -932,7 +970,7 @@ class TestCompareStability:
         assert growth <= 10.0 * EPS**6 * report["t"][-1]
 
     def test_floor_subtraction(self, report, initial, assembly, solver):
-        rep = compare_stability(solver, initial, 50, 10, wapp_evaluator(assembly),
+        rep = compare_stability(solver, initial, 50, 10, assembly,
                                 floor=report["diff_L2"])[1]
         assert np.all(rep["net"] == 0.0)
         assert (rep["net"] <= rep["bound_thm"]).all() and (rep["net"] <= rep["bound_alt"]).all()
@@ -940,19 +978,17 @@ class TestCompareStability:
     def test_floor_length_must_match(self, initial, assembly, solver):
         """A floor of another length is refused, not broadcast."""
         with pytest.raises(DnsError, match="floor of 1 values for 3 save times"):
-            compare_stability(solver, initial, 2, 1, wapp_evaluator(assembly),
-                              floor=np.zeros(1))
+            compare_stability(solver, initial, 2, 1, assembly, floor=np.zeros(1))
 
     def test_memory_does_not_grow_with_save_count(self, initial, assembly, solver):
         """Each saved state is compared and dropped: 20 save times and 10
         trace the same peak to within one state."""
-        ev = wapp_evaluator(assembly)
-        compare_stability(solver, initial, 1, 1, ev)  # the first call's caches
+        compare_stability(solver, initial, 1, 1, assembly)  # the first call's caches
         peak = {}
         for n in (10, 20):
             tracemalloc.start()
             try:
-                compare_stability(solver, initial, n, 1, ev)
+                compare_stability(solver, initial, n, 1, assembly)
                 peak[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -965,7 +1001,7 @@ class TestCompareStability:
         p = cfg.params
         sol = Solver(cfg)
         st = init_from_Wapp(assembly, None, cfg, sol)
-        rep = compare_stability(sol, st, 10, 5, wapp_evaluator(assembly))[1]
+        rep = compare_stability(sol, st, 10, 5, assembly)[1]
         thm = rep["bound_thm"]
         assert thm[0] == pytest.approx(p.delta * EPS**2)
         assert np.all(np.diff(thm) > 0)
@@ -983,7 +1019,7 @@ class TestLinearFidelity:
         """
         g = solver.grid
         final = trajectory.final
-        ua, wa, ba = wapp_evaluator(assembly)(final.t, g.x, g.y)
+        ua, wa, ba = evaluate_packet(assembly, Family.SUM, final.t, (g.x, g.y))
         lam2 = assembly.families[Family.BLEPS2].mu.real.min()
         mask = (g.y <= 3.0 / lam2)[:, None]
         num = g.integral(((ua - final.u) ** 2 + (wa - final.w) ** 2
