@@ -21,11 +21,14 @@ matched, with a_2 = 0.
 
 Traces are complex (3, n) arrays (u, w, d_y b), one column per node of
 the spec (characteristic.ModalMatrixSpec; scalar fields make a batch of
-one).  A lift takes the eigenvectors of all its roots elementwise and
-solves the n equilibrated systems as one stack (one cond, one solve, one
-residual check, with the 1e14 and 1e-10 bounds per node); its modes come
-node-major and in label order within a node.  A failing check names the
-first offending node by its (l, alpha).  A lift returns its modes as an
+one).  A lift is a function of its spec and its traces: it solves the
+spec's roots itself (roots_for) and refuses, with one RegimeError, a batch
+holding nodes whose classified regime it does not apply to.  It takes the
+eigenvectors of the roots elementwise and solves the n equilibrated
+systems as one stack (one cond, one solve, one residual check, with the
+1e14 and 1e-10 bounds per node); its modes come node-major and in label
+order within a node.  A failing check names the first offending node by
+its (l, alpha).  A lift returns its modes as an
 ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
@@ -53,11 +56,11 @@ from .characteristic import (
     CRITICAL_REGIMES,
     ModalMatrixSpec,
     Regime,
-    RootSet,
     _THIRDS,
     _cubic_labels,
     eigenvector,
     node_arrays,
+    roots_for,
 )
 
 #: modes whose exponent drops below exp(-700) contribute exactly zero
@@ -359,20 +362,33 @@ def limit_amplitudes_DY(
     return complex(a[0]), complex(a[1]), complex(a[2])
 
 
-def _lift(spec: ModalMatrixSpec, roots: RootSet, traces, labels, rows) -> ExpModes:
+class RegimeError(RuntimeError):
+    """A node's classified regime is not one its lift applies to."""
+
+
+def _lift(spec: ModalMatrixSpec, traces, allowed, labels, rows, lift: str) -> ExpModes:
     """Modes of the given root labels whose wall values match the traces.
 
     traces is (u, w, d_y b) at the wall, shape (3, n) for the n nodes of
     the spec; rows picks the trace equations (0: u, 1: w, 2: d_y b) that
-    the amplitudes solve.  The modes come node-major and in label order
-    within a node, with l = k, alpha = omega, mu = lambda and coefficients
-    a (U, W, B).
+    the amplitudes solve.  The spec's roots are solved here, and every
+    node's regime must be one of the allowed ones: a RegimeError counts the
+    strays and names the first by (l, alpha) and its regime.  The modes
+    come node-major and in label order within a node, with l = k,
+    alpha = omega, mu = lambda and coefficients a (U, W, B).
     """
     _, _, w, k, _ = node_arrays(spec)
     traces = np.asarray(traces, dtype=complex)
     if traces.shape != (3, len(k)):
         raise ValueError(f"traces must be (u, w, d_y b) of shape {(3, len(k))}, "
                          f"got {traces.shape}")
+    roots = roots_for(spec)
+    stray = np.flatnonzero([r not in allowed for r in roots.regimes])
+    if len(stray):
+        i = stray[0]
+        raise RegimeError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}: "
+                          f"{len(stray)} node(s) are not; the first, (l={k[i]:.4g}, "
+                          f"alpha={w[i]:.4g}), classified {roots.regimes[i]}")
     lams = np.stack([roots.by_label(lab) for lab in labels], axis=1)
     vec = eigenvector(spec, lams)
     mat = np.stack([vec.U, vec.W, -lams * vec.B], axis=1)
@@ -382,47 +398,29 @@ def _lift(spec: ModalMatrixSpec, roots: RootSet, traces, labels, rows) -> ExpMod
                     *((a * f).ravel() for f in (vec.U, vec.W, vec.B)))
 
 
-def stray_nodes(roots: RootSet, allowed) -> np.ndarray:
-    """Indices of the nodes whose regime is not one of the allowed ones."""
-    return np.flatnonzero([r not in allowed for r in roots.regimes])
-
-
-def _require(spec: ModalMatrixSpec, roots: RootSet, allowed, lift: str):
-    """ValueError unless every node's regime is one of the allowed ones; it
-    counts the strays and names the first by (l, alpha)."""
-    stray = stray_nodes(roots, allowed)
-    if len(stray):
-        _, _, w, k, _ = node_arrays(spec)
-        i = stray[0]
-        raise ValueError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}: "
-                         f"{len(stray)} node(s) are not; the first, (l={k[i]:.4g}, "
-                         f"alpha={w[i]:.4g}), classified {roots.regimes[i]}")
-
-
-def lift_critical(spec: ModalMatrixSpec, roots, traces) -> ExpModes:
+def lift_critical(spec: ModalMatrixSpec, traces) -> ExpModes:
     """Lift all three traces by the decaying modes lambda_2, lambda_3, lambda_5.
 
     Since U = 1, the cu of the returned modes are the amplitudes (a2, a3, a5)
     of each node in turn.
     """
-    _require(spec, roots, CRITICAL_REGIMES, "lift_critical")
-    return _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
+    return _lift(spec, traces, CRITICAL_REGIMES, (2, 3, 5), [0, 1, 2], "lift_critical")
 
 
-def lift_noncritical(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, ExpModes]:
+def lift_noncritical(spec: ModalMatrixSpec, traces) -> tuple[ExpModes, ExpModes]:
     """Split lift away from criticality: reflected wave + thin boundary layer.
 
     The lambda_2 mode is the O(1)-rate reflected/evanescent wave; lambda_3
     and lambda_5 are genuine boundary layers.  Their traces sum to the input.
     The reflected modes and the layer modes each come node-major.
     """
-    _require(spec, roots, (Regime.NON_CRITICAL,), "lift_noncritical")
-    modes = _lift(spec, roots, traces, (2, 3, 5), [0, 1, 2])
+    modes = _lift(spec, traces, (Regime.NON_CRITICAL,), (2, 3, 5), [0, 1, 2],
+                  "lift_noncritical")
     reflected = np.arange(len(modes)) % 3 == 0
     return modes[reflected], modes[~reflected]
 
 
-def lift_nonoscillating(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes, np.ndarray]:
+def lift_nonoscillating(spec: ModalMatrixSpec, traces) -> tuple[ExpModes, np.ndarray]:
     """Degenerate lift for |omega|, |k| small: match u and d_y b only.
 
     The slowly-decaying label-2 mode is discarded (a_2 = 0) and the 2x2
@@ -430,6 +428,6 @@ def lift_nonoscillating(spec: ModalMatrixSpec, roots, traces) -> tuple[ExpModes,
     not matched; the leftover sum_j (ik/l_j) a_j - frak_w is returned, one
     per node, so the caller can hand it to a large-scale corrector.
     """
-    _require(spec, roots, (Regime.NON_OSCILLATING,), "lift_nonoscillating")
-    modes = _lift(spec, roots, traces, (3, 5), [0, 2])
+    modes = _lift(spec, traces, (Regime.NON_OSCILLATING,), (3, 5), [0, 2],
+                  "lift_nonoscillating")
     return modes, modes.cw.reshape(-1, 2).sum(axis=1) - np.asarray(traces[1])

@@ -167,9 +167,8 @@ _NC, _SMALL, _DY, _LARGE, _NONOSC = range(5)
 
 @dataclass
 class RootSet:
-    """Classified roots of a batch of nodes: roots (n, 6), their polynomial
-    coefficients (n, 7), labels (n, 6), one regime and one warning list per
-    node.
+    """Classified roots of a batch of nodes: roots (n, 6), labels (n, 6), one
+    regime and one warning list per node.
 
     labels[i, j] is the asymptotic tag 1..6 of roots[i, j]; exactly the
     roots tagged 2, 3, 5 have positive real part under the standing
@@ -177,7 +176,6 @@ class RootSet:
     """
 
     roots: np.ndarray
-    coeffs: np.ndarray
     labels: np.ndarray
     regimes: list[Regime]
     warnings: list[list[str]]
@@ -417,9 +415,8 @@ def roots_for(spec: ModalMatrixSpec) -> RootSet:
     """Characteristic polynomial -> roots -> classification, for every node
     of the spec."""
     name = _node_name(spec)
-    c = char_poly(spec)
-    roots = _polished_roots(c, name)
-    return RootSet(roots, c, *_classify(roots, spec, name))
+    roots = _polished_roots(char_poly(spec), name)
+    return RootSet(roots, *_classify(roots, spec, name))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .boundary import (
     IllConditionedLiftError,
+    RegimeError,
     lift_critical,
     lift_noncritical,
     lift_nonoscillating,
@@ -60,7 +61,6 @@ from .packets import (
     Envelope,
     Family,
     QuadratureSpec,
-    RegimeError,
     assemble_W0,
     component_anisotropy,
     default_grid,
@@ -351,16 +351,15 @@ def _run_lift(config: ExperimentConfig) -> list[str]:
         one = _lift_spec(p, config.k0, target)
         # every sample is one node of the same spec, so of the same regime
         spec = dataclasses.replace(one, omega=np.full(n, one.omega), k=np.full(n, one.k))
-        rs = roots_for(spec)
-        regime = rs.regimes[0]
+        regime = roots_for(spec).regimes[0]
         z = rng.normal(size=(n, 6))
         tr = (z[:, 0::2] + 1j * z[:, 1::2]).T
         if regime is Regime.NON_CRITICAL:
-            lifts = lift_noncritical(spec, rs, tr)  # reflected modes, then the layers
+            lifts = lift_noncritical(spec, tr)  # reflected modes, then the layers
         elif regime is Regime.NON_OSCILLATING:
-            lifts = lift_nonoscillating(spec, rs, tr)[:1]
+            lifts = lift_nonoscillating(spec, tr)[:1]
         else:
-            lifts = (lift_critical(spec, rs, tr),)
+            lifts = (lift_critical(spec, tr),)
         # wall values (3, n, modes per sample), each sample's modes in label order
         vals = np.concatenate([np.stack(m.traces()).reshape(3, n, -1) for m in lifts], axis=2)
         # the non-oscillating lift leaves the w-trace over by design

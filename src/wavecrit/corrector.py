@@ -76,10 +76,9 @@ from .boundary import (
     lift_noncritical,
     lift_nonoscillating,
     mode_profiles,
-    stray_nodes,
     synthesize,
 )
-from .characteristic import ModalMatrixSpec, Regime, _quad_roots, roots_for
+from .characteristic import ModalMatrixSpec, _quad_roots
 from .packets import Family, PacketAssembly, default_grid, packet_norms
 from .params import PhysParams
 
@@ -384,19 +383,6 @@ def collect_traces(interior: ExpModes):
     return (nodes[:, 0], nodes[:, 1], *sums)
 
 
-def _lobe_roots(spec: ModalMatrixSpec, regime: Regime, lobe: str):
-    """Roots of a lobe's nodes, all of which must sit in the lobe's regime;
-    the error counts the strays and names the first by (l, alpha)."""
-    roots = roots_for(spec)
-    stray = stray_nodes(roots, (regime,))
-    if len(stray):
-        i = stray[0]
-        raise CorrectorError(
-            f"{len(stray)} {lobe} node(s) not {regime}; the first, "
-            f"(l={spec.k[i]:.4g}, alpha={spec.omega[i]:.4g}), classified {roots.regimes[i]}")
-    return roots
-
-
 def lift_second_harmonic(
     traces, params: PhysParams
 ) -> tuple[ExpModes, ExpModes]:
@@ -404,8 +390,7 @@ def lift_second_harmonic(
     one batch lift over the lobe's nodes."""
     l, alpha, tu, tw, tb = traces
     spec = ModalMatrixSpec(params.nu, params.kappa, alpha, l, params.gamma)
-    roots = _lobe_roots(spec, Regime.NON_CRITICAL, "double-lobe")
-    rw, bl = lift_noncritical(spec, roots, [-tu, -tw, -tb])
+    rw, bl = lift_noncritical(spec, [-tu, -tw, -tb])
     return bl, rw
 
 
@@ -452,8 +437,7 @@ def lift_mean_flow(traces, params: PhysParams) -> tuple[ExpModes, MeanFlowField]
     l, alpha, tu, tw, tb = traces
     shear = np.abs(l) < 1e-14
     spec = ModalMatrixSpec(params.nu, params.kappa, alpha[~shear], l[~shear], params.gamma)
-    roots = _lobe_roots(spec, Regime.NON_OSCILLATING, "zero-lobe")
-    lift, leftover = lift_nonoscillating(spec, roots, [-tu[~shear], -tw[~shear], -tb[~shear]])
+    lift, leftover = lift_nonoscillating(spec, [-tu[~shear], -tw[~shear], -tb[~shear]])
     cut = 2 * np.count_nonzero(l[~shear] < 0)
     bl = ExpModes.concat([lift[:cut], _shear_lift(alpha[shear], tu[shear], tb[shear], params),
                           lift[cut:]])

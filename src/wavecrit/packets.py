@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (ExpModes, evaluate_modes, lift_critical, mode_profiles, stray_nodes,
-                       synthesize)
-from .characteristic import CRITICAL_REGIMES, ModalMatrixSpec, roots_for
+from . import boundary
+from .boundary import ExpModes, evaluate_modes, lift_critical, mode_profiles, synthesize
+from .characteristic import ModalMatrixSpec
 from .params import CriticalCarrier, PhysParams, dispersion_omega
 
 
@@ -102,8 +102,9 @@ class Family(enum.Enum):
     SUM = "Sum"
 
 
-class RegimeError(RuntimeError):
-    """A quadrature node fell outside the critical root family."""
+#: what assemble_W0 raises, through lift_critical, for a node outside the
+#: critical family; perfbench/run.py reads it under this name
+RegimeError = boundary.RegimeError
 
 
 @dataclass
@@ -165,15 +166,7 @@ def assemble_W0(
 
     # one batch lift cancels every node's incident wall traces
     spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
-    roots = roots_for(spec)
-    stray = stray_nodes(roots, CRITICAL_REGIMES)
-    if len(stray):
-        i = stray[0]
-        raise RegimeError(
-            f"node (k={k[i]:.4g}, m={m[i]:.4g}) classified {roots.regimes[i]}; "
-            "the packet construction assumes the critical root family"
-        )
-    lift = lift_critical(spec, roots, [-amp, amp * k / m, amp * (k * cg - m * sg) / omega])
+    lift = lift_critical(spec, [-amp, amp * k / m, amp * (k * cg - m * sg) / omega])
     label5 = np.arange(len(lift)) % 3 == 2
 
     dxi = s[1] - s[0]

@@ -36,7 +36,7 @@ from wavecrit.boundary import (
     lift_noncritical,
     lift_nonoscillating,
 )
-from wavecrit.characteristic import Regime, roots_for
+from wavecrit.characteristic import Regime
 from wavecrit.packets import (
     Envelope,
     Family,
@@ -132,32 +132,31 @@ LIFT_REGIMES = (Regime.CRITICAL_DY, Regime.NON_CRITICAL, Regime.NON_OSCILLATING)
 
 
 def lift_cases():
-    """(regime, spec, roots, traces) per regime, drawn as the `lift` experiment
+    """(regime, spec, traces) per regime, drawn as the `lift` experiment
     draws them at seed 0 with LIFT_SAMPLES samples."""
     p = PhysParams(gamma=GAMMA, eps=EPS)
     rng = np.random.default_rng(0)
     for regime in LIFT_REGIMES:
         spec = cli._lift_spec(p, 1.0, regime)
-        roots = roots_for(spec)
         z = [rng.normal(size=6) for _ in range(LIFT_SAMPLES)]
-        yield regime, spec, roots, [r[0::2] + 1j * r[1::2] for r in z]
+        yield regime, spec, [r[0::2] + 1j * r[1::2] for r in z]
 
 
 def capture_lift():
     """Per regime and lift: the rates mu, the coefficients (cu, cw, cb) =
     a (U, W, B) of its modes in label order, and the non-oscillating leftover."""
     out = {}
-    for regime, spec, roots, traces in lift_cases():
+    for regime, spec, traces in lift_cases():
         lifts, leftovers = [], []
         for tr in traces:
             if regime is Regime.NON_CRITICAL:
-                lifts.append(ExpModes.concat(lift_noncritical(spec, roots, tr[:, None])))
+                lifts.append(ExpModes.concat(lift_noncritical(spec, tr[:, None])))
             elif regime is Regime.NON_OSCILLATING:
-                lift, left = lift_nonoscillating(spec, roots, tr[:, None])
+                lift, left = lift_nonoscillating(spec, tr[:, None])
                 lifts.append(lift)
                 leftovers.append(left[0])
             else:
-                lifts.append(lift_critical(spec, roots, tr[:, None]))
+                lifts.append(lift_critical(spec, tr[:, None]))
         for name in ("mu", "cu", "cw", "cb"):  # (sample, mode) arrays
             out[f"{regime.name}_{name}"] = np.array([getattr(m, name) for m in lifts])
         if leftovers:

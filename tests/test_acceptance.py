@@ -185,7 +185,6 @@ def test_criterion_03_boundary_lifting():
             p.nu, p.kappa, 0.5 * eps**2, 0.5 * eps**2, GAMMA),
     }
     for regime, spec in specs.items():
-        rs = roots_for(spec)
         worst = 0.0
         # the non-oscillating lift leaves the w-trace over by design
         matched = [0, 2] if regime is Regime.NON_OSCILLATING else [0, 1, 2]
@@ -193,11 +192,11 @@ def test_criterion_03_boundary_lifting():
             z = rng.normal(size=6)
             tr = z[0::2] + 1j * z[1::2]
             if regime is Regime.NON_CRITICAL:
-                lift = ExpModes.concat(lift_noncritical(spec, rs, tr[:, None]))
+                lift = ExpModes.concat(lift_noncritical(spec, tr[:, None]))
             elif regime is Regime.NON_OSCILLATING:
-                lift, _leftover = lift_nonoscillating(spec, rs, tr[:, None])
+                lift, _leftover = lift_nonoscillating(spec, tr[:, None])
             else:
-                lift = lift_critical(spec, rs, tr[:, None])
+                lift = lift_critical(spec, tr[:, None])
             got = np.sum(lift.traces(), axis=1)[matched]
             want = tr[matched]
             worst = max(worst,
@@ -544,9 +543,8 @@ def test_criterion_10_oracle_equivalences():
     for eps in (0.1, 0.05):
         pp = PhysParams(gamma=GAMMA, eps=eps)
         spec = ModalMatrixSpec(pp.nu, pp.kappa, car.omega0, car.k0, GAMMA)
-        rs = roots_for(spec)
         # U = 1, so the cu are the amplitudes (a2, a3, a5)
-        a2, a3, a5 = lift_critical(spec, rs, [[0.0], [frak_w], [0.0]]).cu
+        a2, a3, a5 = lift_critical(spec, [[0.0], [frak_w], [0.0]]).cu
         errs.append(max(abs(eps**2 * a2 - A2), abs(eps**2 * a3 - A3),
                         abs(eps * a5 - A5)))
     if not errs[1] < errs[0]:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from wavecrit.boundary import (
     ExpModes,
     IllConditionedLiftError,
+    RegimeError,
     YLattice,
     _equilibrated_solve,
     evaluate_modes,
@@ -84,10 +85,9 @@ class TestTraceMatching:
     )
     def test_critical_lift_100_random_triples(self, regime):
         spec = regime_spec(regime)
-        rs = roots_for(spec)
         rng = np.random.default_rng(11)
         for tr in random_traces(rng, 100):
-            lift = lift_critical(spec, rs, tr[:, None])
+            lift = lift_critical(spec, tr[:, None])
             err = np.abs(wall_values(lift) - tr).max()
             assert err <= 1e-9 * max(np.abs(tr).max(), 1e-300)
 
@@ -96,7 +96,7 @@ class TestTraceMatching:
         rs = roots_for(spec)
         rng = np.random.default_rng(12)
         for tr in random_traces(rng, 100):
-            rw, bl = lift_noncritical(spec, rs, tr[:, None])
+            rw, bl = lift_noncritical(spec, tr[:, None])
             total = wall_values(rw) + wall_values(bl)
             err = np.abs(total - tr).max()
             assert err <= 1e-9 * np.abs(tr).max()
@@ -105,10 +105,9 @@ class TestTraceMatching:
 
     def test_nonoscillating_100_random_triples(self):
         spec = regime_spec(Regime.NON_OSCILLATING)
-        rs = roots_for(spec)
         rng = np.random.default_rng(13)
         for tr in random_traces(rng, 100):
-            lift, leftover = lift_nonoscillating(spec, rs, tr[:, None])
+            lift, leftover = lift_nonoscillating(spec, tr[:, None])
             got = wall_values(lift)
             scale = np.abs(tr).max()
             assert abs(got[0] - tr[0]) <= 1e-9 * scale
@@ -118,38 +117,39 @@ class TestTraceMatching:
 
     def test_zero_traces_give_zero_lift(self):
         spec = regime_spec(Regime.CRITICAL_DY)
-        rs = roots_for(spec)
-        lift = lift_critical(spec, rs, np.zeros((3, 1)))
+        lift = lift_critical(spec, np.zeros((3, 1)))
         assert lift.cu.tolist() == [0.0, 0.0, 0.0]
 
     def test_w_only_trace_in_degenerate_regime(self):
         # (0, w, 0): nothing to lift, the whole w-trace is left over
         spec = regime_spec(Regime.NON_OSCILLATING)
-        rs = roots_for(spec)
-        lift, leftover = lift_nonoscillating(spec, rs, col([0.0, 2.0 - 1j, 0.0]))
+        lift, leftover = lift_nonoscillating(spec, col([0.0, 2.0 - 1j, 0.0]))
         assert np.abs(lift.cu).max() <= 1e-12
         assert leftover[0] == pytest.approx(-(2.0 - 1j))
 
     def test_regime_preconditions(self):
-        rs_crit = roots_for(regime_spec(Regime.CRITICAL_DY))
         tr = col([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            lift_noncritical(regime_spec(Regime.CRITICAL_DY), rs_crit, tr)
-        with pytest.raises(ValueError):
-            lift_nonoscillating(regime_spec(Regime.CRITICAL_DY), rs_crit, tr)
-        rs_nc = roots_for(regime_spec(Regime.NON_CRITICAL))
-        with pytest.raises(ValueError):
-            lift_critical(regime_spec(Regime.NON_CRITICAL), rs_nc, tr)
+        with pytest.raises(RegimeError):
+            lift_noncritical(regime_spec(Regime.CRITICAL_DY), tr)
+        with pytest.raises(RegimeError):
+            lift_nonoscillating(regime_spec(Regime.CRITICAL_DY), tr)
+        with pytest.raises(RegimeError):
+            lift_critical(regime_spec(Regime.NON_CRITICAL), tr)
 
     def test_stray_nodes_counted_and_named(self):
-        """A batch with nodes outside the lift's regime: the error counts
-        them and names the first by (l, alpha)."""
-        nc, crit = regime_spec(Regime.NON_CRITICAL), regime_spec(Regime.CRITICAL_DY)
-        spec = ModalMatrixSpec(nc.nu, nc.kappa, np.array([nc.omega, crit.omega, crit.omega]),
-                               np.array([nc.k, crit.k, crit.k]), GAMMA)
-        name = rf"2 node\(s\) are not; the first, \(l={crit.k:.4g}, alpha={crit.omega:.4g}\)"
-        with pytest.raises(ValueError, match=name):
-            lift_noncritical(spec, roots_for(spec), np.zeros((3, 3), complex))
+        """A batch with nodes outside the lift's regime: each lift's one
+        regime check counts them and names the first by (l, alpha)."""
+        for lift, allowed, stray in ((lift_critical, Regime.CRITICAL_DY, Regime.NON_CRITICAL),
+                                     (lift_noncritical, Regime.NON_CRITICAL, Regime.CRITICAL_DY),
+                                     (lift_nonoscillating, Regime.NON_OSCILLATING,
+                                      Regime.CRITICAL_DY)):
+            ok, bad = regime_spec(allowed), regime_spec(stray)
+            spec = ModalMatrixSpec(ok.nu, ok.kappa, np.array([ok.omega, bad.omega, bad.omega]),
+                                   np.array([ok.k, bad.k, bad.k]), GAMMA)
+            name = (rf"^{lift.__name__} needs regime .*: 2 node\(s\) are not; the first, "
+                    rf"\(l={bad.k:.4g}, alpha={bad.omega:.4g}\), classified {stray}$")
+            with pytest.raises(RegimeError, match=name):
+                lift(spec, np.zeros((3, 3), complex))
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,21 +161,19 @@ class TestTraceMatching:
 @example(c=1e300 + 0j, i=2)
 def test_lift_is_linear(c, i):
     spec = spec_at(0.2)
-    rs = roots_for(spec)
     tr = np.eye(3)[:, [i]]
-    a1 = lift_critical(spec, rs, tr).cu
-    a2 = lift_critical(spec, rs, c * tr).cu
+    a1 = lift_critical(spec, tr).cu
+    a2 = lift_critical(spec, c * tr).cu
     assert np.abs(a2 - c * a1).max() <= 1e-12 * max(np.abs(a1).max() * abs(c), 1e-30)
 
 
 def test_superposition_of_random_pairs():
     spec = spec_at(0.2)
-    rs = roots_for(spec)
     rng = np.random.default_rng(21)
     for t1, t2 in zip(random_traces(rng, 20), random_traces(rng, 20)):
-        a1 = lift_critical(spec, rs, t1[:, None]).cu
-        a2 = lift_critical(spec, rs, t2[:, None]).cu
-        a12 = lift_critical(spec, rs, (t1 + t2)[:, None]).cu
+        a1 = lift_critical(spec, t1[:, None]).cu
+        a2 = lift_critical(spec, t2[:, None]).cu
+        a12 = lift_critical(spec, (t1 + t2)[:, None]).cu
         assert np.abs(a12 - a1 - a2).max() <= 1e-12 * np.abs(a12).max()
 
 
@@ -187,8 +185,7 @@ class TestDYAmplitudes:
         mags = []
         for eps in eps_list:
             spec = spec_at(eps)
-            rs = roots_for(spec)
-            mags.append(np.abs(lift_critical(spec, rs, tr).cu))
+            mags.append(np.abs(lift_critical(spec, tr).cu))
         mags = np.array(mags)
         loge = np.log(eps_list)
         for j, target in enumerate((-2.0, -2.0, -1.0)):
@@ -211,8 +208,7 @@ class TestDYAmplitudes:
         eps_list = [0.2, 0.1, 0.05]
         for eps in eps_list:
             spec = spec_at(eps)
-            rs = roots_for(spec)
-            a2, a3, a5 = lift_critical(spec, rs, tr).cu
+            a2, a3, a5 = lift_critical(spec, tr).cu
             errs.append(
                 max(
                     abs(eps**2 * a2 - A2),
@@ -229,9 +225,8 @@ class TestEvaluate:
 
     def test_wall_value_equals_mode_sum(self):
         spec = spec_at(0.2)
-        rs = roots_for(spec)
         tr = np.array([1.0, 0.5j, -0.2])
-        lift = lift_critical(spec, rs, tr[:, None])
+        lift = lift_critical(spec, tr[:, None])
         # x = 0 reads 2 Re(trace), a quarter wavelength reads -2 Im(trace)
         x = np.array([0.0, 0.5 * math.pi / spec.k])
         u, w, b = evaluate_modes(lift, 0.0, x, np.array([0.0]))
@@ -241,8 +236,7 @@ class TestEvaluate:
 
     def test_decay_away_from_wall(self):
         spec = spec_at(0.2)
-        rs = roots_for(spec)
-        lift = lift_critical(spec, rs, col([1.0, 0.5j, -0.2]))
+        lift = lift_critical(spec, col([1.0, 0.5j, -0.2]))
         x = np.linspace(0.0, 2.0 * math.pi / spec.k, 16, endpoint=False)
         u, w, b = evaluate_modes(lift, 0.3, x, np.array([0.0, 2.0, 50.0]))
         peak = np.abs(u).max(axis=1)
@@ -251,8 +245,7 @@ class TestEvaluate:
 
     def test_underflow_guard_gives_exact_zero(self):
         spec = spec_at(0.2)
-        rs = roots_for(spec)
-        lift = lift_critical(spec, rs, col([1.0, 0.0, 0.0]))
+        lift = lift_critical(spec, col([1.0, 0.0, 0.0]))
         u, w, b = evaluate_modes(lift, 0.0, np.array([0.0]), np.array([1e9]))
         assert u[0, 0] == 0.0 and w[0, 0] == 0.0 and b[0, 0] == 0.0
 
@@ -260,12 +253,11 @@ class TestEvaluate:
         """Each mode's (U, W, B) = (cu, cw, cb)/cu is the null vector at its mu."""
         for regime in (Regime.CRITICAL_DY, Regime.NON_CRITICAL):
             spec = regime_spec(regime)
-            rs = roots_for(spec)
             tr = col([1.0, 0.5, 0.2j])
             if regime is Regime.NON_CRITICAL:
-                modes = ExpModes.concat(lift_noncritical(spec, rs, tr))
+                modes = ExpModes.concat(lift_noncritical(spec, tr))
             else:
-                modes = lift_critical(spec, rs, tr)
+                modes = lift_critical(spec, tr)
             assert len(modes) == 3
             assert (modes.l == spec.k).all() and (modes.alpha == spec.omega).all()
             for n in range(len(modes)):
@@ -283,8 +275,7 @@ class TestEvaluate:
         involves no pressure, so it can be checked directly on the field.
         """
         spec = spec_at(0.35)
-        rs = roots_for(spec)
-        lift = lift_critical(spec, rs, col([1.0, 0.3, 0.1]))
+        lift = lift_critical(spec, col([1.0, 0.3, 0.1]))
         sg, cg = math.sin(GAMMA), math.cos(GAMMA)
         t0, x0, y0 = 0.2, 0.5, 0.05
         ht, hx = 1e-5, 1e-5
@@ -318,7 +309,7 @@ def test_mode_subsets():
     """Indexing a lift gives mode sets: labels 2, 3 by slice, label 5 by index."""
     spec = spec_at(0.2)
     rs = roots_for(spec)
-    lift = lift_critical(spec, rs, col([1.0, 0.5j, -0.2]))
+    lift = lift_critical(spec, col([1.0, 0.5j, -0.2]))
     head, last = lift[:2], lift[2]
     assert len(head) == 2 and len(last) == 1
     assert head.mu.tolist() == [rs.by_label(2)[0], rs.by_label(3)[0]]
@@ -423,7 +414,7 @@ class TestYLattice:
 def test_traces_must_be_a_triple():
     spec = spec_at(0.2)
     with pytest.raises(ValueError):
-        lift_critical(spec, roots_for(spec), [1.0, 0.0])
+        lift_critical(spec, [1.0, 0.0])
 
 
 def test_ill_conditioned_batch_names_the_node():
@@ -452,10 +443,10 @@ def test_non_finite_trace_is_named(bad, regime, lift):
     spec = ModalMatrixSpec(one.nu, one.kappa, np.full(2, one.omega), np.full(2, one.k),
                            one.gamma)
     traces = np.array([[1.0, 0.3, -0.5j], [bad, 0.3, -0.5j]]).T
-    lift(spec, roots_for(spec), traces[:, [0, 0]])
+    lift(spec, traces[:, [0, 0]])
     name = rf"at \(l={one.k:.6g}, alpha={one.omega:.6g}\)"
     with pytest.raises(IllConditionedLiftError, match=rf"lift residual nan {name}"):
-        lift(spec, roots_for(spec), traces)
+        lift(spec, traces)
 
 
 def test_batch_lift_equals_one_node_lifts():
@@ -467,11 +458,11 @@ def test_batch_lift_equals_one_node_lifts():
     p = PhysParams(gamma=GAMMA, eps=0.2)
     spec = ModalMatrixSpec(p.nu, p.kappa, omega, k, GAMMA)
     traces = np.array([[1.0, 0.0, 0.3j], [0.5j, 0.0, -1.0], [-0.2, 0.0, 2.0]])
-    batch = lift_critical(spec, roots_for(spec), traces)
+    batch = lift_critical(spec, traces)
     assert (batch.cu[3:6] == 0).all()
     for i in range(3):
         one = ModalMatrixSpec(p.nu, p.kappa, omega[i], k[i], GAMMA)
-        want = lift_critical(one, roots_for(one), traces[:, [i]])
+        want = lift_critical(one, traces[:, [i]])
         got = batch[3 * i:3 * i + 3]
         assert got.l.tolist() == want.l.tolist() and got.alpha.tolist() == want.alpha.tolist()
         assert np.abs(got.mu - want.mu).max() <= 1e-14 * np.abs(want.mu).max()

@@ -424,8 +424,8 @@ class TestBatchAgainstOracles:
             assert one.regimes[0] is rb.regimes[i] and one.warnings[0] == rb.warnings[i]
 
     def test_roots_match_per_node_np_roots(self, sampled):
-        _, _, rb = sampled
-        for r, c in zip(rb.roots, rb.coeffs):
+        _, spec, rb = sampled
+        for r, c in zip(rb.roots, char_poly(spec)):
             want = _oracle_roots(c)
             # pair each oracle root with the nearest batch root
             got = r[np.abs(want[:, None] - r[None, :]).argmin(axis=1)]
@@ -455,7 +455,7 @@ class TestBatchAgainstOracles:
             sub = _batch(eps[idx], spec.omega[idx], spec.k[idx])
             z = rng.normal(size=(6, len(idx)))
             traces = z[0::2] + 1j * z[1::2]
-            out = lift(sub, roots_for(sub), traces)
+            out = lift(sub, traces)
             if lift is lift_noncritical:  # reflected modes, then the layers
                 a = np.concatenate([out[0].cu[:, None], out[1].cu.reshape(-1, 2)], axis=1)
             else:

@@ -11,7 +11,8 @@ from scipy.integrate import simpson
 
 from wavecrit import boundary
 from wavecrit import corrector as C
-from wavecrit.boundary import IllConditionedLiftError, lift_noncritical, lift_nonoscillating
+from wavecrit.boundary import (IllConditionedLiftError, RegimeError, lift_noncritical,
+                               lift_nonoscillating)
 from wavecrit.characteristic import ModalMatrixSpec, roots_for
 from wavecrit.packets import Envelope, Family, QuadratureSpec, assemble_W0
 from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
@@ -326,10 +327,10 @@ def _largest_node(modes, lobe):
     return sel[inv.ravel() == np.argmax(counts)]
 
 
-def _lift_amplitudes(lift, spec, roots, tu, tw, tb):
+def _lift_amplitudes(lift, spec, tu, tw, tb):
     """Mode amplitudes of one lift of the trace (tu, tw, tb), and the
     non-oscillating lift's leftover w-trace (0 for the non-critical one)."""
-    out = lift(spec, roots, [[-tu], [-tw], [-tb]])
+    out = lift(spec, [[-tu], [-tw], [-tb]])
     modes, leftover = (C.ExpModes.concat(out), [0.0]) if lift is lift_noncritical else out
     # U = 1, so the cu are the amplitudes
     return modes.cu, leftover[0]
@@ -349,7 +350,7 @@ class TestLiftOnce:
             calls.append(spec)
             return roots_for(spec)
 
-        monkeypatch.setattr(C, "roots_for", counted)
+        monkeypatch.setattr(boundary, "roots_for", counted)
         cas = C.assemble_W1(asm, p)
         assert sum(np.size(spec.omega) for spec in calls) == 99
         assert len(cas.families[C.W1_II]) == 45
@@ -382,16 +383,15 @@ class TestLiftOnce:
         assert len(idx) > 1
         l, alpha = interior.l[idx[0]], interior.alpha[idx[0]]
         spec = ModalMatrixSpec(p.nu, p.kappa, alpha, l, p.gamma)
-        roots = roots_for(spec)
         lift = lift_noncritical if lobe is C.Lobe.DOUBLE else lift_nonoscillating
         tu, tw, tb = (t[idx] for t in interior.traces())
-        per_pair = [_lift_amplitudes(lift, spec, roots, *tr) for tr in zip(tu, tw, tb)]
+        per_pair = [_lift_amplitudes(lift, spec, *tr) for tr in zip(tu, tw, tb)]
         want_a = sum(a for a, _ in per_pair)
         want_left = sum(left for _, left in per_pair)
 
         nl, na, su, sw, sb = C.collect_traces(interior[idx])
         assert nl.tolist() == [l] and na.tolist() == [alpha]
-        got_a, got_left = _lift_amplitudes(lift, spec, roots, su[0], sw[0], sb[0])
+        got_a, got_left = _lift_amplitudes(lift, spec, su[0], sw[0], sb[0])
         assert np.abs(got_a - want_a).max() <= 1e-12 * np.abs(want_a).max()
         if lobe is C.Lobe.ZERO:
             assert abs(got_left - want_left) <= 1e-12 * abs(want_left)
@@ -796,7 +796,7 @@ class TestLiftSecondHarmonic:
         # zero-lobe (l, alpha) fed to the non-critical lift must be refused
         bad = (np.array([0.01]), np.array([0.01]),
                np.array([1.0 + 0j]), np.array([0j]), np.array([0j]))
-        with pytest.raises(C.CorrectorError):
+        with pytest.raises(RegimeError):
             C.lift_second_harmonic(bad, p)
 
     def test_stray_node_in_the_batch_is_named(self, w0):
@@ -807,8 +807,8 @@ class TestLiftSecondHarmonic:
         alpha = np.array([2 * CARRIER.omega0, 0.01, 2 * CARRIER.omega0])
         tr = (l, alpha, np.ones(3, dtype=complex), np.zeros(3, dtype=complex),
               np.zeros(3, dtype=complex))
-        with pytest.raises(C.CorrectorError,
-                           match=r"^1 double-lobe node\(s\) .* \(l=0\.01, alpha=0\.01\)"):
+        with pytest.raises(RegimeError,
+                           match=r"^lift_noncritical .*: 1 node\(s\) .* \(l=0\.01, alpha=0\.01\)"):
             C.lift_second_harmonic(tr, p)
 
 
@@ -837,8 +837,9 @@ class TestLiftMeanFlow:
         l, alpha = 2 * CARRIER.k0, 2 * CARRIER.omega0
         tr = (np.array([l]), np.array([alpha]), np.array([1.0 + 0j]),
               np.array([0j]), np.array([0j]))
-        with pytest.raises(C.CorrectorError,
-                           match=re.escape(f"(l={l:.4g}, alpha={alpha:.4g})")):
+        with pytest.raises(RegimeError,
+                           match=re.escape(f"1 node(s) are not; the first, (l={l:.4g}, "
+                                           f"alpha={alpha:.4g})")):
             C.lift_mean_flow(tr, p)
 
     def test_mean_flow_is_divergence_free(self, casm):

@@ -996,6 +996,28 @@ class TestCompareStability:
                                            initial.ph))
         assert peak[20] - peak[10] < one_state, (peak, one_state)
 
+    def test_delta_zero_states_are_never_widened(self, initial, assembly, solver,
+                                                 monkeypatch):
+        """At delta = 0 each saved state is subtracted from W_app on the
+        columns it holds: State.widen is never called, and the differences
+        equal those against the widened states bit for bit."""
+        saved = []
+        solver.run(initial, 20, 10, on_save=saved.append)
+        assert not saved[-1].full
+        norm0 = math.sqrt(solver.norm2(*wapp_columns(assembly, None, 0.0, solver.grid)))
+        want = []
+        for st in map(State.widen, saved):
+            wapp = wapp_columns(assembly, None, st.t, solver.grid)
+            want.append(math.sqrt(solver.norm2(
+                *(a - f for a, f in zip(wapp, (st.uh, st.wh, st.bh))))) / norm0)
+
+        def refuse(state):
+            raise AssertionError("compare_stability widened a saved state")
+
+        monkeypatch.setattr(State, "widen", refuse)
+        rep = compare_stability(solver, initial, 20, 10, assembly)[1]
+        assert rep["diff_L2"].tolist() == want
+
     def test_bound_shapes(self, assembly, solver):
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period, T=0.1)
         p = cfg.params

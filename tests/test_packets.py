@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wavecrit import boundary
 from wavecrit.boundary import evaluate_modes
 from wavecrit.packets import (
     Envelope,
@@ -143,11 +144,14 @@ class TestAssembly:
 
     def test_wide_lobe_rejected(self):
         # at eps = 0.4 a lobe around a small carrier (k0 = 0.25) reaches
-        # wavevectors whose frequency is far from critical
+        # wavevectors whose frequency is far from critical; the lift's one
+        # regime check refuses them, with the class the benchmark reads
+        # as packets.RegimeError
         car = critical_carrier(GAMMA, 0.25)
         p = PhysParams(gamma=GAMMA, eps=0.4)
         env = Envelope(carrier=car, eps=0.4)
-        with pytest.raises(RegimeError):
+        assert RegimeError is boundary.RegimeError
+        with pytest.raises(RegimeError, match=r"^lift_critical needs regime .*: 2 node\(s\)"):
             assemble_W0(p, env, QuadratureSpec(5))
 
     def test_envelope_eps_must_match_params(self):
