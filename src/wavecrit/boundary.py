@@ -34,15 +34,14 @@ the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
 (hence evaluate_modes) and the corrector's norms read those profiles.
 Sets with equal exponents and their own coefficients share one pass.
-Modes born of a pair of W0 modes record the two parent rates whose sum is
-their mu; the kernel exponentiates each distinct parent rate once and
-builds such a mode's y-column as the product of its parents' two rows.
-The corrector's norm grid is the one y made of uniform pieces (two merged
-linspaces), and its ledger makes most kernel passes: it comes as a
-YLattice, on which e^(-mu y) factors into a coarse and a fine offset, so a
-pass exponentiates at the lattice's 80 offsets instead of its 599 points
-and sums a group as two small matrices.  Any other y (the stretched DNS
-grid, a wall row, default_grid) keeps one column per point, as before.
+Every mode records two parent rates whose sum is its mu (a W0 pair's, or
+its own and 0); a pass exponentiates each distinct rate once, in one
+table, and a mode's y-column is the product of its two rows.  On a plain
+y (the stretched DNS grid, a wall row, default_grid) the table is at the
+points and a group sums in one matrix product.  The corrector's norm grid,
+two merged linspaces whose ledger makes most passes, is a YLattice: there
+e^(-mu y) factors into a coarse and a fine offset, so the table is at its
+80 offsets instead of its 599 points and a group sums as two small matrices.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ class ExpModes:
 
     The one mode-set type: a wall lift, the linear packet W0 and the
     corrector W1 are all sums of such modes, with any amplitude folded
-    into the coefficients.  parents is (n, 2): the two rates whose sum is
-    mu for a mode forced by a pair of modes, NaN for any other mode (the
+    into the coefficients.  parents is (n, 2): two rates whose sum is mu,
+    a pair-forced mode's two parents' or (mu, 0) for any other mode (the
     default when it is omitted).
     """
 
@@ -99,7 +98,7 @@ class ExpModes:
 
     def __post_init__(self):
         if self.parents is None:
-            self.parents = np.full((len(self.l), 2), np.nan, dtype=complex)
+            self.parents = np.stack([self.mu, np.zeros_like(self.mu)], axis=1)
 
     @classmethod
     def empty(cls) -> "ExpModes":
@@ -160,10 +159,10 @@ def _group_by_l(l: np.ndarray):
 
 def _check_exponents(modes: ExpModes, also) -> None:
     """ValueError naming the field unless every set in also has the l, alpha,
-    mu and parents of modes (NaN parents equal)."""
+    mu and parents of modes."""
     for other in also:
         for f in ("l", "alpha", "mu", "parents"):
-            if not np.array_equal(getattr(other, f), getattr(modes, f), equal_nan=True):
+            if not np.array_equal(getattr(other, f), getattr(modes, f)):
                 raise ValueError(f"mode sets in one profile pass differ in {f}")
 
 
@@ -201,26 +200,15 @@ class YLattice:
         return np.concatenate(parts, axis=1)[:, self._take]
 
 
-def _lattice_profiles(modes: ExpModes, coef, groups, pair, lattice: YLattice):
-    """P of mode_profiles on a lattice.  A mode's column is the product of
-    two table rows: its parents', or its own rate's and rate 0's (ones).  A
-    mode with a rate whose exponent can pass -700 at the lattice's last y
-    keeps its guarded column on every y, so its zeros stay exact."""
-    own = np.stack([modes.mu, np.zeros_like(modes.mu)], axis=1)
-    rates, inv = np.unique(np.where(pair[:, None], modes.parents, own).ravel(),
-                           return_inverse=True)
-    row = inv.reshape(-1, 2)
-    table = guarded_exp(np.outer(-rates, lattice.offsets))
-    far = (rates.real * lattice.y[-1] > _UNDERFLOW_EXPONENT)[row].any(axis=1)
-    if far.any():
-        table_y = guarded_exp(np.outer(-rates, lattice.y))
-    P = np.empty((len(coef), len(groups), len(lattice.y)), dtype=complex)
-    for g, idx in enumerate(groups):
-        near, fi = idx[~far[idx]], idx[far[idx]]
-        P[:, g] = lattice.sum_columns(coef[:, near], table[row[near, 0]] * table[row[near, 1]])
-        if len(fi):
-            P[:, g] += coef[:, fi] @ (table_y[row[fi, 0]] * table_y[row[fi, 1]])
-    return P
+class YPoints:
+    """A plain y as a grid whose offsets are its points: e^(-mu y) is the
+    table row itself, and a group's columns sum in one matrix product."""
+
+    def __init__(self, y):
+        self.y = self.offsets = np.asarray(y, dtype=float)
+
+    def sum_columns(self, coef: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return coef @ cols
 
 
 def mode_profiles(modes: ExpModes, t: float, y, also=()):
@@ -231,39 +219,39 @@ def mode_profiles(modes: ExpModes, t: float, y, also=()):
     product per group: P is (3, groups, len(y)) and l increasing.
 
     also holds further mode sets with the l, alpha, mu and parents of modes
-    (NaN parents equal; else ValueError naming the field) and their own
-    coefficients.  Their profiles come from the same pass, as P's further
-    rows: P is (3 s, groups, len(y)) for s sets, and set i is P[3 i:3 i + 3].
-    Only the matrix products grow.
+    (else ValueError naming the field) and their own coefficients.  Their
+    profiles come from the same pass, as P's further rows: P is
+    (3 s, groups, len(y)) for s sets, and set i is P[3 i:3 i + 3].  Only
+    the matrix products grow.
 
-    The y-columns e^(-mu y) of pair modes are products of two rows of one
-    table over the distinct parent rates, e^(-mu_i y) e^(-mu_j y); a column
-    is exactly zero where either parent's exponent is below -700.  Every
-    other mode gets its column from guarded_exp(-mu y) in its group.  y may
-    be a YLattice (the ledger's norm grid): the table is then over the
-    lattice's offsets, one group's columns are a product of two small
-    matrices (YLattice.sum_columns), and P is on the lattice's points.
+    A mode's column e^(-mu y) is the product of two rows of one table over
+    the distinct parent rates (a pair mode's parents, any other mode's mu
+    and 0), exactly zero where either exponent is below -700.  The table is
+    over y's points, or over a YLattice's offsets, whose sum_columns sums a
+    group as two small matrices; there a mode with a rate whose exponent can
+    pass -700 at the last y keeps its guarded column, so its zeros stay exact.
     """
     _check_exponents(modes, also)
     groups = _group_by_l(modes.l)
     coef = (np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
             * np.exp(-1j * modes.alpha * t))
-    pair = ~np.isnan(modes.parents).any(axis=1)
-    l = modes.l[[idx[0] for idx in groups]]
-    if isinstance(y, YLattice):
-        return l, _lattice_profiles(modes, coef, groups, pair, y)
-    y = np.asarray(y, dtype=float)
-    rates, inv = np.unique(modes.parents[pair].ravel(), return_inverse=True)
-    table = guarded_exp(np.outer(-rates, y))  # one row per distinct parent rate
-    row = np.zeros((len(modes), 2), dtype=int)  # a pair mode's two table rows
-    row[pair] = inv.reshape(-1, 2)
-    P = np.empty((len(coef), len(groups), len(y)), dtype=complex)
+    lattice = isinstance(y, YLattice)
+    grid = y if lattice else YPoints(y)
+    rates, inv = np.unique(modes.parents.ravel(), return_inverse=True)
+    row = inv.reshape(-1, 2)  # a mode's two table rows
+    table = guarded_exp(np.outer(-rates, grid.offsets))
+    far = np.zeros(len(modes), dtype=bool)
+    if lattice:
+        far = (rates.real * y.y[-1] > _UNDERFLOW_EXPONENT)[row].any(axis=1)
+    if far.any():
+        table_y = guarded_exp(np.outer(-rates, grid.y))
+    P = np.empty((len(coef), len(groups), len(grid.y)), dtype=complex)
     for g, idx in enumerate(groups):
-        pi, di = idx[pair[idx]], idx[~pair[idx]]
-        P[:, g] = coef[:, pi] @ (table[row[pi, 0]] * table[row[pi, 1]])
-        if len(di):
-            P[:, g] += coef[:, di] @ guarded_exp(np.outer(-modes.mu[di], y))
-    return l, P
+        near, fi = idx[~far[idx]], idx[far[idx]]
+        P[:, g] = grid.sum_columns(coef[:, near], table[row[near, 0]] * table[row[near, 1]])
+        if len(fi):
+            P[:, g] += coef[:, fi] @ (table_y[row[fi, 0]] * table_y[row[fi, 1]])
+    return modes.l[[idx[0] for idx in groups]], P
 
 
 def synthesize(l: np.ndarray, P: np.ndarray, x: np.ndarray):
@@ -388,7 +376,7 @@ def _lift(spec: ModalMatrixSpec, traces, allowed, labels, rows, lift: str) -> Ex
         i = stray[0]
         raise RegimeError(f"{lift} needs regime {'/'.join(r.value for r in allowed)}: "
                           f"{len(stray)} node(s) are not; the first, (l={k[i]:.4g}, "
-                          f"alpha={w[i]:.4g}), classified {roots.regimes[i]}")
+                          f"alpha={w[i]:.4g}), classified {roots.regimes[i].value}")
     lams = np.stack([roots.by_label(lab) for lab in labels], axis=1)
     vec = eigenvector(spec, lams)
     mat = np.stack([vec.U, vec.W, -lams * vec.B], axis=1)

@@ -349,9 +349,9 @@ def _run_lift(config: ExperimentConfig) -> list[str]:
     for target in (Regime.CRITICAL_DY, Regime.NON_CRITICAL,
                    Regime.NON_OSCILLATING):
         one = _lift_spec(p, config.k0, target)
-        # every sample is one node of the same spec, so of the same regime
+        # every sample is a copy of the one node, so of its regime
+        regime = roots_for(one).regimes[0]
         spec = dataclasses.replace(one, omega=np.full(n, one.omega), k=np.full(n, one.k))
-        regime = roots_for(spec).regimes[0]
         z = rng.normal(size=(n, 6))
         tr = (z[:, 0::2] + 1j * z[:, 1::2]).T
         if regime is Regime.NON_CRITICAL:

@@ -147,7 +147,7 @@ class TestTraceMatching:
             spec = ModalMatrixSpec(ok.nu, ok.kappa, np.array([ok.omega, bad.omega, bad.omega]),
                                    np.array([ok.k, bad.k, bad.k]), GAMMA)
             name = (rf"^{lift.__name__} needs regime .*: 2 node\(s\) are not; the first, "
-                    rf"\(l={bad.k:.4g}, alpha={bad.omega:.4g}\), classified {stray}$")
+                    rf"\(l={bad.k:.4g}, alpha={bad.omega:.4g}\), classified {stray.value}$")
             with pytest.raises(RegimeError, match=name):
                 lift(spec, np.zeros((3, 3), complex))
 
@@ -317,8 +317,8 @@ def test_mode_subsets():
     joined = ExpModes.concat([head, last])
     for f in ("l", "alpha", "mu", "cu", "cw", "cb"):
         assert (getattr(joined, f) == getattr(lift, f)).all(), f
-    # a lift is born of no pair: its parents default to NaN rows
-    assert joined.parents.shape == (3, 2) and np.isnan(joined.parents).all()
+    # a lift is born of no pair: its parents default to (mu, 0) rows
+    assert joined.parents.tolist() == [[mu, 0.0] for mu in lift.mu.tolist()]
 
 
 def _pair_set(parents, coef=1.0):

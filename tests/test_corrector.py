@@ -14,6 +14,7 @@ from wavecrit import corrector as C
 from wavecrit.boundary import (IllConditionedLiftError, RegimeError, lift_noncritical,
                                lift_nonoscillating)
 from wavecrit.characteristic import ModalMatrixSpec, roots_for
+from wavecrit.dns import stretched_grid
 from wavecrit.packets import Envelope, Family, QuadratureSpec, assemble_W0
 from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
 
@@ -36,6 +37,11 @@ def w0():
 def casm(w0):
     asm, p = w0
     return C.assemble_W1(asm, p)
+
+
+def born_of_no_pair(m):
+    """Mask of the modes whose parents are (mu, 0): lifts, W0 and the like."""
+    return (m.parents == np.stack([m.mu, np.zeros_like(m.mu)], axis=1)).all(axis=1)
 
 
 class TestInteractionTable:
@@ -520,12 +526,43 @@ class TestPairColumns:
     def test_profiles_match_direct_path(self, casm, family):
         """W1_BLeps2 is all pair modes; W1_BLeps3 mixes pair and lift modes."""
         m = casm.families[family]
-        pair = ~np.isnan(m.parents).any(axis=1)
+        pair = ~born_of_no_pair(m)
         assert pair.any() and (family == C.W1_BLEPS2) == pair.all()
         y = C._norm_lattice(m, casm.x_period, 600).y
         _, got = C.mode_profiles(m, 0.3, y)
         _, want = C.mode_profiles(dataclasses.replace(m, parents=None), 0.3, y)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("family", [C.W1_BLEPS3, Family.SUM])
+    def test_profiles_match_the_per_mode_oracle(self, w0, casm, family):
+        """W1_BLeps3 (pair and lift modes mixed) and W0's SUM bundle against
+        sum_n c_n e^(-i alpha_n t) guarded_exp(-mu_n y) over the modes at each
+        l, on a stretched DNS grid and on the modes' norm lattice."""
+        m = casm.families[family] if family == C.W1_BLEPS3 else w0[0].bundle(family)
+        coef = np.stack([m.cu, m.cw, m.cb]) * np.exp(-1j * m.alpha * 0.3)
+        dns_y = stretched_grid(300.0, 384, 1e-3, 1.0)
+        lattice = C._norm_lattice(m, casm.x_period, C._NORM_NY)
+        for y, points in ((dns_y, dns_y), (lattice, lattice.y)):
+            l, got = C.mode_profiles(m, 0.3, y)
+            cols = boundary.guarded_exp(np.outer(-m.mu, points))
+            groups = [np.abs(m.l - lg) <= 1e-12 for lg in l]
+            want = np.stack([coef[:, at] @ cols[at] for at in groups], axis=1)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_one_table_per_pass_on_a_stretched_grid(self, casm, monkeypatch):
+        """W1's modal pass on a DNS grid exponentiates once: its lift modes
+        take their table rows next to the pair modes, in every l-group."""
+        calls = []
+        exp = boundary.guarded_exp
+
+        def counted(expo):
+            calls.append(expo.shape[1])
+            return exp(expo)
+
+        monkeypatch.setattr(boundary, "guarded_exp", counted)
+        y = stretched_grid(300.0, 384, 1e-3, 1.0)
+        C.mode_profiles(casm.modal(), 0.3, y)
+        assert calls == [len(y)]
 
     def test_table_rows_bounded_by_w0(self, w0, casm, monkeypatch):
         """modes_norms(W1_BLeps2) exponentiates at most two rows per W0 mode."""
@@ -546,7 +583,7 @@ class TestPairColumns:
         """W1_BLeps2 and every pair-born ledger term: 28 a/b terms and the
         8 c-type forcings at the reference case."""
         asm, p = w0
-        assert not np.isnan(casm.families[C.W1_BLEPS2].parents).any()
+        assert not born_of_no_pair(casm.families[C.W1_BLEPS2]).any()
         terms = []
         for itype, _, src, modes in C._solved_batches(asm, p, None):
             booked = ({itype.name: src} if modes is None
@@ -554,7 +591,7 @@ class TestPairColumns:
             terms += booked.items()
         assert len(terms) == 36
         for name, m in terms:
-            assert len(m) and not np.isnan(m.parents).any(), name
+            assert len(m) and not born_of_no_pair(m).any(), name
 
 
 def _ledger_passes(asm, p, casm):
@@ -590,7 +627,7 @@ class TestNormLattice:
         asm, p = w0
         passes = list(_ledger_passes(asm, p, casm))
         assert len(passes) == 23
-        assert {n for n, m, _, _ in passes if np.isnan(m.parents).any()} == {
+        assert {n for n, m, _, _ in passes if born_of_no_pair(m).any()} == {
             "diffusion", C.W1_BLEPS3, C.W1_II, "W1_BLeps3 at t = 0.3"}
         for name, m, also, t in passes:
             lattice = C._norm_lattice(m, casm.x_period, C._NORM_NY)
@@ -692,12 +729,12 @@ class TestLedgerNorms:
     @pytest.mark.parametrize("field", ["l", "alpha", "mu", "parents"])
     def test_shared_pass_refuses_other_exponents(self, casm, field):
         """A set whose exponents differ from the first set's by one ulp in one
-        entry is refused with a ValueError naming the field; NaN parents (the
-        lift modes of W1_BLeps3) count as equal."""
+        entry is refused with a ValueError naming the field; the (mu, 0)
+        parents of W1_BLeps3's lift modes are equal in its d/dy."""
         m = casm.families[C.W1_BLEPS3]
-        assert np.isnan(m.parents).any()
+        assert born_of_no_pair(m).any()
         C.modes_norms(m, casm.x_period, None, also=[m.d_dy()])
-        pair = int(np.flatnonzero(~np.isnan(m.parents).any(axis=1))[0])
+        pair = int(np.flatnonzero(~born_of_no_pair(m))[0])
         values = getattr(m, field).copy()
         real = values.real  # a view, also of a complex field
         at = (pair, 0) if field == "parents" else pair

@@ -110,7 +110,7 @@ def test_incident_family_matches_per_node_oracle(gamma, eps, nodes):
         got = getattr(inc, f)
         assert got.dtype == (float if f in ("l", "alpha") else complex)
         assert np.array_equal(got, np.array(want)), f
-    assert np.isnan(inc.parents).all()
+    assert np.array_equal(inc.parents, np.stack([inc.mu, np.zeros_like(inc.mu)], axis=1))
 
 
 class TestAssembly:
