@@ -114,6 +114,8 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(_RUNNERS)}"
             )
+        for name, kind in (("seed", int), ("k0", float), ("nodes_per_lobe", int)):
+            setattr(self, name, _option(name, kind, getattr(self, name)))
         if self.nodes_per_lobe < 4:
             raise ConfigError(
                 f"nodes_per_lobe must be >= 4, got {self.nodes_per_lobe}"
@@ -125,7 +127,7 @@ class ExperimentConfig:
                 f"{self.experiment} does not read option(s) {', '.join(unknown)}; "
                 f"it reads {', '.join(sorted(known)) or 'none'}"
             )
-        self.options = {name: _option(name, known[name], v) for name, v in self.options.items()}
+        self.options = {k: _option(f"option {k}", known[k], v) for k, v in self.options.items()}
         for name, low in (("samples", 1), ("save_every", 0)):
             if self.options.get(name, low) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {self.options[name]!r}")
@@ -166,11 +168,11 @@ class ExperimentConfig:
 
 
 def _option(name: str, kind: type, value):
-    """value as an option of type kind (int or float); a string, a bool or,
-    for an int, a value with a fractional part is refused."""
+    """value, named name, as a kind (int or float); a string, a bool or, for
+    an int, a value with a fractional part is refused."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or kind is int and not float(value).is_integer()):
-        raise ConfigError(f"option {name} must be {'an integer' if kind is int else 'a number'}"
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}"
                           f", got {value!r}")
     return kind(value)
 
@@ -191,16 +193,26 @@ def _check_whole_steps(options: dict) -> None:
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    """JSON config file merged with command-line overrides."""
+    """JSON config file merged with command-line overrides; a ConfigError
+    names an unreadable or malformed file, or a field of the wrong type."""
     raw = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON in UTF-8
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} holds a {type(raw).__name__}, not an object")
     raw.update({k: v for k, v in overrides.items() if v is not None})
+    for key in ("params", "options"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"{key} must be an object, got {raw[key]!r}")
     pdict = dict(raw.pop("params", {}))
     for f in dataclasses.fields(PhysParams):
         if f.name in raw:
             pdict[f.name] = raw.pop(f.name)
+    pdict = {name: _option(name, float, v) for name, v in pdict.items()}
     if "gamma" not in pdict:
         raise ConfigError("gamma is required (config file or --gamma)")
     try:

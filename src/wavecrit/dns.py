@@ -46,8 +46,8 @@ it acts on the rfft columns viewed as (real, imag) float pairs:
   derivative wavenumber (a contiguous slice) into one block-diagonal banded
   Cholesky factor, solved in one LAPACK call (each kx has its own matrix,
   too many for stored block inverses); at kx_d = 0 (kx = 0 and Nyquist) w
-  is zeroed on the interior rows, and phi is the minimum-norm potential
-  G^T (G G^T)^-1 w[1:-1], G = Dy[1:-1], by one banded Cholesky solve;
+  and phi are 0 with no solve, as G = Dy[1:-1] has full row rank.  It
+  alone pins u and w to 0 on the wall and lid rows;
 * rotation is pointwise; energy and dissipation are Parseval sums.
 
 Advection is the only physical-space stage: per Heun stage 6 irfft (u, w,
@@ -401,20 +401,15 @@ class Solver:
         y = config.y
         self.grid = g = Grid(config.Lx, config.nx, y)
         ny = g.ny
-        self.mask_u = np.ones(ny)
-        self.mask_u[0] = 0.0
-        self.mask_w = np.ones(ny)
-        self.mask_w[0] = self.mask_w[-1] = 0.0
+        # trapezoid weights of the free rows (u: all but the wall; w: the interior)
+        self._tau_u = np.r_[0.0, g.tau[1:]][:, None]
+        self._tau_w = np.r_[0.0, g.tau[1:-1], 0.0][:, None]
 
-        # projection: A_k = kx^2 diag(tau m_u) + Dy^T diag(tau m_w) Dy
+        # projection: A_k = kx^2 diag(tau_u) + Dy^T diag(tau_w) Dy
         s = g.stencil
         bw = s - 1  # matrix bandwidth set by the stencil width
-        K = g.DyT @ diags_array(g.tau * self.mask_w) @ g.Dy
+        K = g.DyT @ diags_array(self._tau_w[:, 0]) @ g.Dy
         self._proj_band = _upper_banded(K, bw)
-        # kx_d = 0: phi = G^T (G G^T)^-1 w[1:-1], G = Dy[1:-1] (see project);
-        # G G^T has bandwidth s, one more than K: rows 1 and 6 share column 4
-        G = g.Dy[1:-1]
-        self._proj_zero = (G.T.tocsr(), cholesky_banded(_upper_banded(G @ G.T, s)))
 
         # one-sided first-derivative stencil at the wall
         self.neumann_wall = _fd_weights(y[:s], y[0], 1)
@@ -459,8 +454,6 @@ class Solver:
                                 BlockSweep(cholesky_banded(_upper_banded(M + a * Kq, bw))))
         # Dy* = T^-1 Dy^T T, the adjoint of Dy in the trapezoid inner product
         self._dy_adj = (diags_array(1.0 / g.tau) @ g.DyT @ diags_array(g.tau)).tocsr()
-        self._tau_u = (g.tau * self.mask_u)[:, None]
-        self._tau_w = (g.tau * self.mask_w)[:, None]
         dy = np.diff(y)
         self._inv_dy = 1.0 / np.minimum(np.r_[dy[0], dy], np.r_[dy, dy[-1]])[:, None]
         cols = np.arange(g.nx // 2 + 1)
@@ -484,11 +477,10 @@ class Solver:
         self._ikx = 1j * self.kx_d[None, :]
         self._xdamp = {name: np.exp(-0.5 * c * self.kx**2 * self.config.dt)[None, :]
                        for name, c in self._diff_coef.items()}
-        # kx = 0 (column 0) and Nyquist (the last column) are solved apart,
-        # so the regular columns between them are a slice
-        self._proj_singular = np.flatnonzero(self.kx_d == 0.0)
+        # kx = 0 (column 0) and Nyquist (the last column) need no solve, so
+        # the regular columns between them are a slice
         start = np.count_nonzero(self.kx == 0.0)
-        self._proj_regular = slice(start, start + len(cols) - len(self._proj_singular))
+        self._proj_regular = slice(start, start + np.count_nonzero(self.kx_d))
         kx = self.kx_d[self._proj_regular]
         # one block-diagonal banded matrix, one A_k per block.  Upper banded
         # storage of a tiled band leaves the couplings across block edges
@@ -531,18 +523,16 @@ class Solver:
         return -self._ikx * (self._tau_u * uh) + _ycols(self.grid.DyT, self._tau_w * wh)
 
     def project(self, uh, wh):
-        """Weighted least-squares projection onto the discrete div-free space.
+        """Weighted least-squares projection onto the velocity constraint space.
 
-        Returns (u', w', phi), all rfft columns, with u' = u - dx phi and
-        w' = w - Dy phi on unpinned rows; the pinned wall/lid rows are left
-        untouched (they are part of the constraint space).  At kx_d = 0, u is
-        unchanged, w vanishes on the interior rows and phi is the
-        minimum-norm potential G^T (G G^T)^-1 w[1:-1], G = Dy[1:-1].
-        """
+        Returns (u', w', phi), all rfft columns: u' = u - dx phi and
+        w' = w - Dy phi, but the pinned rows u'[0], w'[0] and w'[-1] are 0 for
+        any input.  At kx_d = 0 (kx = 0 and Nyquist) G = Dy[1:-1] has full
+        row rank, so w' = 0 and phi = 0 there, with no solve."""
         self._width(uh, wh)
         g = self.grid
         rhs = self._adjoint_div(uh, wh)
-        phih = np.empty_like(rhs)
+        phih = np.zeros_like(rhs)
         # regular kx: the columns laid end to end as one (real, imag) pair
         # of right-hand sides of the block-diagonal system
         reg = self._proj_regular
@@ -550,13 +540,10 @@ class Solver:
                                _pairs(rhs[:, reg].T).reshape(-1, 2),
                                check_finite=False)
         phih[:, reg] = _complex(sol).reshape(-1, g.ny).T
-        sing = self._proj_singular
-        if sing.size:  # kx = 0 and Nyquist: the minimum-norm potential
-            GT, chol = self._proj_zero
-            phih[:, sing] = _complex(GT @ cho_solve_banded(
-                (chol, False), _pairs(wh[1:-1, sing]), check_finite=False))
-        return (uh - self._ikx * phih * self.mask_u[:, None],
-                wh - _ycols(g.Dy, phih) * self.mask_w[:, None], phih)
+        u, w = uh - self._ikx * phih, wh - _ycols(g.Dy, phih)
+        u[0] = w[0] = w[-1] = 0.0
+        w[:, :reg.start] = w[:, reg.stop:] = 0.0
+        return u, w, phih
 
     def div_residual(self, uh, wh):
         """Relative residual of the adjoint divergence (projection target)."""
@@ -588,11 +575,13 @@ class Solver:
         return bh - self._bproj_v[:, None] * (self._bproj_n @ bh)
 
     def _tendency(self, uh, wh, bh):
+        """Rotation and advection slopes, on the constraint spaces of project
+        and _noflux."""
         p = self.config.params
         sg, cg = math.sin(p.gamma), math.cos(p.gamma)
         adv = self.advect(uh, wh, bh) if p.delta != 0.0 else (0.0, 0.0, 0.0)
-        fu = (sg * bh - p.delta * adv[0]) * self.mask_u[:, None]
-        fw = (cg * bh - p.delta * adv[1]) * self.mask_w[:, None]
+        fu = sg * bh - p.delta * adv[0]
+        fw = cg * bh - p.delta * adv[1]
         fb = -sg * uh - cg * wh - p.delta * adv[2]
         del adv  # before the projection's temporaries
         fu, fw, _ = self.project(fu, fw)
@@ -656,7 +645,6 @@ class Solver:
         before = op.norm2(u, w)
         u, w, phi = op.project(u, w)
         loss = loss + before - op.norm2(u, w)
-        u[0] = w[0] = w[-1] = 0.0  # the wall and lid conditions, exactly
         return State(u, w, b, phi / dt, state.t + dt, state.nx, state.cols), loss
 
     def energy(self, state: State) -> float:
@@ -759,8 +747,7 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
             "the residual tail)",
             stacklevel=2,
         )
-    uh, wh, phih = solver.project(uh, wh)  # its rhs reads no wall or lid row
-    uh[0] = wh[0] = wh[-1] = 0.0
+    uh, wh, phih = solver.project(uh, wh)
     fields = (uh, wh, solver._noflux(bh), phih)
     if config.params.delta != 0.0:
         return State(*fields, 0.0, g.nx)

@@ -15,6 +15,7 @@ from wavecrit.cli import (
     ExperimentConfig,
     FitError,
     _dns_config,
+    _dns_series,
     _dump_field,
     fit_slopes,
     load_config,
@@ -189,6 +190,38 @@ class TestConfigValidation:
             main(["dns", "--config", str(cfg), "--output-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: option nx must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("experiment,text,named", [
+        ("lift", None, "missing.json"),
+        ("lift", '{"gamma": 0.7,', "c.json"),
+        ("lift", '[{"gamma": 0.7}]', "c.json"),
+        ("lift", '{"gamma": 0.7, "params": 5}', "params"),
+        ("lift", '{"gamma": 0.7, "options": [1]}', "options"),
+        ("lift", '{"gamma": 0.7, "seed": "x"}', "seed"),
+        ("lift", '{"gamma": 0.7, "seed": 1.5}', "seed"),
+        ("packet-norms", '{"gamma": 0.7, "nodes_per_lobe": 9.5}', "nodes_per_lobe"),
+        ("packet-norms", '{"gamma": 0.7, "nodes_per_lobe": "9"}', "nodes_per_lobe"),
+        ("lift", '{"gamma": 0.7, "k0": "1"}', "k0"),
+        ("packet-norms", '{"gamma": 0.7, "k0": "1"}', "k0"),
+        ("lift", '{"gamma": "0.7"}', "gamma"),
+        ("lift", '{"gamma": 0.7, "params": {"eps": "0.2"}}', "eps")],
+        ids=["missing-file", "invalid-json", "top-level-list", "params-not-object",
+             "options-not-object", "seed-string", "seed-fraction", "nodes-fraction",
+             "nodes-string", "k0-string-lift", "k0-string-norms", "gamma-string",
+             "eps-string"])
+    def test_main_reports_malformed_config(self, tmp_path, capsys, experiment, text, named):
+        """A config that cannot be read, is not a JSON object, or gives a
+        value of the wrong type ends in one error line naming the file or
+        the field, with exit code 2, not a traceback."""
+        cfg = tmp_path / "c.json"
+        if text is not None:
+            cfg.write_text(text)
+        path = cfg if text is not None else tmp_path / named
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
     def test_main_reports_zero_dt(self, tmp_path, capsys):
         """dt = 0 ends in an error line, not a ZeroDivisionError."""
@@ -376,14 +409,15 @@ def test_rerun_bit_identical(experiment, tmp_path):
     assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
+#: the linear `dns` run whose artefacts TestDnsArtifacts reads
+DNS_RUN = dict(params=PhysParams(gamma=0.7, eps=DNS_EPS), experiment="dns",
+               nodes_per_lobe=5, options=DNS_OPTIONS)
+
+
 @pytest.fixture(scope="module")
 def dns_outdir(tmp_path_factory):
     out = tmp_path_factory.mktemp("dns")
-    cfg = ExperimentConfig(
-        params=PhysParams(gamma=0.7, eps=DNS_EPS),
-        experiment="dns", output_dir=out, nodes_per_lobe=5,
-        options=DNS_OPTIONS)
-    run_experiment(cfg)
+    run_experiment(ExperimentConfig(output_dir=out, **DNS_RUN))
     return out
 
 
@@ -397,16 +431,24 @@ class TestDnsArtifacts:
         assert float(rows[0][0]) == 0.0
 
     def test_field_dump_round_trip(self, dns_outdir):
+        """Each component, read through the sidecar, is bit for bit the
+        final state of the same march."""
         outdir = dns_outdir
         side = json.loads((outdir / "dns_final.json").read_text())
         assert side["dtype"] == "<f8"
-        comps = {c["name"]: c["shape"] for c in side["components"]}
-        assert set(comps) == {"b", "p", "u", "w"}
+        comps = [(c["name"], c["shape"]) for c in side["components"]]
+        assert sorted(name for name, _ in comps) == ["b", "p", "u", "w"]
         raw = np.fromfile(outdir / "dns_final.bin", dtype="<f8")
-        total = sum(math.prod(s) for s in comps.values())
-        assert raw.size == total
-        assert np.isfinite(raw).all()
-        assert len(side["y"]) == comps["u"][0]
+        assert raw.size == sum(math.prod(s) for _, s in comps)
+        assert len(side["y"]) == comps[0][1][0]
+        cfg = ExperimentConfig(output_dir=outdir, **DNS_RUN)
+        final = _dns_series(cfg, cfg.params)[1].final
+        assert side["t"] == final.t
+        start = 0
+        for name, shape in comps:
+            got = raw[start:start + math.prod(shape)].reshape(shape)
+            start += got.size
+            assert np.array_equal(got, getattr(final, name)), name
 
     def test_failed_sidecar_write_leaves_no_sidecar(self, tmp_path, monkeypatch):
         """The sidecar is written to a temporary file and moved into place,

@@ -261,10 +261,12 @@ def random_uw(solver):
 
 
 def _dense_projection(solver, u, w):
-    """Oracle: the projection with dense matrices and one solve per kx."""
+    """Oracle: the projection with dense matrices and one solve per kx, as
+    rfft columns (u', w', phi)."""
     g = solver.grid
     Dy = g.Dy.toarray()
-    du, dw = g.tau * solver.mask_u, g.tau * solver.mask_w
+    du, dw = g.tau.copy(), g.tau.copy()
+    du[0] = dw[0] = dw[-1] = 0.0  # the pinned rows carry no weight
     K = Dy.T @ (dw[:, None] * Dy)
     uh, wh = np.fft.rfft(u, axis=1), np.fft.rfft(w, axis=1)
     rhs = -1j * solver.kx_d * du[:, None] * uh + Dy.T @ (dw[:, None] * wh)
@@ -274,9 +276,10 @@ def _dense_projection(solver, u, w):
             phih[:, i] = np.linalg.pinv(K, rcond=1e-10, hermitian=True) @ rhs[:, i]
         else:
             phih[:, i] = np.linalg.solve(K + np.diag(kx * kx * du), rhs[:, i])
-    uh -= 1j * solver.kx_d * phih * solver.mask_u[:, None]
-    wh -= (Dy @ phih) * solver.mask_w[:, None]
-    return tuple(np.fft.irfft(f, n=g.nx, axis=1) for f in (uh, wh, phih))
+    uh -= 1j * solver.kx_d * phih
+    wh -= Dy @ phih
+    uh[0] = wh[0] = wh[-1] = 0.0
+    return uh, wh, phih
 
 
 def _dense_forms(solver, name):
@@ -319,20 +322,26 @@ class TestBandedOperators:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_projection_matches_dense_per_kx_solve(self, solver, random_uw):
-        """u' and w' at 1e-12 of the input; phi at 1e-10 of its own size.
+        """u' and w' at 1e-12 of the input; phi at 1e-10 of its own size on
+        the kx_d != 0 columns.
 
-        The smallest-kx systems and the kx = 0 / Nyquist pseudo-inverse have
-        condition numbers near 3e7, so phi carries about 5e-12 of rounding
-        in any double-precision solve, the oracle's included.  The
-        projected velocities, the output of an orthogonal projector, do not.
+        The smallest-kx systems have condition numbers near 3e7, so phi
+        carries about 5e-12 of rounding in any double-precision solve, the
+        oracle's included.  The projected velocities, the output of an
+        orthogonal projector, do not.  At kx_d = 0 the oracle's
+        pseudo-inverse gives the minimum-norm potential, where the solver's
+        phi is 0 (TestSingularColumns); the velocities agree either way.
         """
         want = _dense_projection(solver, *random_uw)
-        got = _phys(solver, *solver.project(*_hat(*random_uw)))
+        got = solver.project(*_hat(*random_uw))
         scale = max(np.abs(f).max() for f in random_uw)
-        for name, a, b in zip(("u", "w"), got, want):
+        for name, a, b in zip(("u", "w"), _phys(solver, *got[:2]),
+                              _phys(solver, *want[:2])):
             err = np.abs(a - b).max() / scale
             assert err <= 1e-12, (name, err)
-        err = np.abs(got[2] - want[2]).max() / np.abs(want[2]).max()
+        reg = solver.kx_d != 0.0
+        a, b = _phys(solver, got[2] * reg, want[2] * reg)
+        err = np.abs(a - b).max() / np.abs(b).max()
         assert err <= 1e-10, ("phi", err)
 
 
@@ -357,7 +366,8 @@ class TestUpperBanded:
 
     @pytest.mark.parametrize("ny", [5, 6, 8, 40, 384])
     def test_projection_bands_stored_exactly(self, ny):
-        """K = G^T diag(tau) G at bandwidth s - 1 and G G^T at s, G = Dy[1:-1]."""
+        """K = G^T diag(tau) G, G = Dy[1:-1], the projection's band, at
+        bandwidth s - 1; and G G^T, a band one wider, at s."""
         g = _grid(ny)
         G = g.Dy[1:-1]
         K = G.T @ diags_array(g.tau[1:-1]) @ G
@@ -390,49 +400,35 @@ def singular(request):
 
 
 class TestSingularColumns:
-    """kx = 0 and Nyquist (kx_d = 0), where K = Dy^T diag(tau m_w) Dy is
-    singular: w goes to zero on the interior rows, u is kept, and phi is
-    the minimum-norm solution of K phi = r."""
+    """kx = 0 and Nyquist (kx_d = 0), where the constraint is
+    G^T (tau w)[1:-1] = 0 with G = Dy[1:-1]: G has full row rank, so the
+    constraint space holds w = 0 alone.  w comes back exactly 0, u is kept
+    off the wall row, and phi is 0."""
 
     SING = [0, 8]  # kx = 0 and Nyquist of 16 x-points
 
-    @staticmethod
-    def _K(solver):
-        Dy = solver.grid.Dy.toarray()
-        return Dy, Dy.T @ ((solver.grid.tau * solver.mask_w)[:, None] * Dy)
-
     def test_w_vanishes_on_interior_rows(self, singular):
-        """To 1e-12 of the update's terms, w and Dy phi: phi reaches ~150 at
-        ny = 384 (the constant in its gauge), so w - Dy phi carries ~1e-11
-        of max|w| in rounding near the wall, as the pseudo-inverse did."""
-        solver, _, wh, (_, w1, phi) = singular
-        s, G = self.SING, abs(solver.grid.Dy[1:-1])
-        scale = np.abs(wh[1:-1, s]).max() + (G @ np.abs(phi[:, s])).max()
-        assert np.abs(w1[1:-1, s]).max() <= 1e-12 * scale
+        """Exactly, and on the pinned rows too."""
+        _, _, _, (_, w1, _) = singular
+        assert not w1[:, self.SING].any()
 
     def test_u_unchanged(self, singular):
+        """Bit for bit off the wall row; the pinned wall row is 0."""
         _, uh, _, (u1, _, _) = singular
-        assert np.array_equal(u1[:, self.SING], uh[:, self.SING])
+        assert np.array_equal(u1[1:, self.SING], uh[1:, self.SING])
+        assert not u1[0, self.SING].any()
 
-    def test_phi_solves_the_system(self, singular):
-        solver, _, wh, (_, _, phi) = singular
-        Dy, K = self._K(solver)
-        s = self.SING
-        r = Dy.T @ ((solver.grid.tau * solver.mask_w)[:, None] * wh[:, s])
-        assert np.abs(K @ phi[:, s] - r).max() <= 1e-12 * (np.abs(K) @ np.abs(phi[:, s])).max()
+    def test_phi_is_zero(self, singular):
+        _, _, _, (_, _, phi) = singular
+        assert not phi[:, self.SING].any()
 
     def test_phi_is_orthogonal_to_the_null_space(self, singular):
-        """K = G^T T G with T positive, so K's null space is G's, from the
-        dense SVD of G = Dy[1:-1]: that resolves it to about eps cond(G),
-        not eps cond(K) (cond(K) ~ 4e7 at ny = 384)."""
-        solver, _, _, (_, _, phi) = singular
-        Dy, K = self._K(solver)
-        _, sv, vt = np.linalg.svd(Dy[1:-1])
-        assert sv[-1] > 1e-8 * sv[0]  # full row rank: the null space is 2-D
-        null = vt[-2:]
-        assert np.abs(K @ null.T).max() <= 1e-12 * np.abs(K).max()
-        phi = phi[:, self.SING]
-        assert (np.abs(null @ phi) <= 1e-10 * np.linalg.norm(phi, axis=0)).all()
+        """phi = 0 is, trivially; what makes w = 0 the exact projection is
+        that G = Dy[1:-1] has full row rank, so G^T v = 0 only for v = 0.
+        The dense SVD of G resolves that to about eps cond(G)."""
+        solver, _, _, _ = singular
+        sv = np.linalg.svd(solver.grid.Dy[1:-1].toarray(), compute_uv=False)
+        assert sv[-1] > 1e-8 * sv[0]
 
 
 def _solver_and_factors(config):
@@ -666,7 +662,7 @@ class TestColumnSubset:
                 assert err <= 1e-12 * np.abs(want).max(), (a.t, c, err)
 
     def test_any_subset_steps_as_widened(self, solver):
-        """Columns with kx = 0 and Nyquist (pseudo-inverse) among regular
+        """Columns with kx = 0 and Nyquist (no potential solve) among regular
         ones that are not contiguous: the sliced operators act as the full."""
         g = solver.grid
         cols = np.array([0, 3, 4, 40, g.nx // 2])
@@ -883,6 +879,29 @@ class TestStep:
         z = np.zeros_like(u)
         with pytest.raises(DnsError, match="CFL"):
             sol.step(_state(sol, u, z, z, z))
+
+    def test_march_stays_on_the_constraint_space(self):
+        """A delta != 0 march at the stability twin's packet (5 nodes per
+        lobe, eps near 0.2, delta = eps^3, W1 included) on a smaller box:
+        advection fills kx = 0 and Nyquist, yet every saved state has w
+        exactly 0 there and the pinned rows u[0], w[0], w[-1] exactly 0, and
+        the last projection's phi is 0 there."""
+        eps = box_matched_eps(0.2, 1.0, 5)
+        p = PhysParams(gamma=GAMMA, eps=eps, delta=eps**3)
+        env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=eps)
+        w0 = assemble_W0(p, env, QuadratureSpec(5))
+        cfg = SimConfig(params=p, Lx=w0.x_period, Ly=60.0, nx=128, ny=192,
+                        dt=0.01, T=0.12, dy0=1e-3, dy_max=0.6)
+        sol = Solver(cfg)
+        saved = []
+        sol.run(init_from_Wapp(w0, assemble_W1(w0, p), cfg, sol), 12, 3,
+                on_save=saved.append)
+        sing = [0, cfg.nx // 2]
+        assert len(saved) == 5 and np.abs(saved[-1].uh[:, 0]).max() > 0.0
+        for st in saved:
+            assert not (st.uh[0].any() or st.wh[0].any() or st.wh[-1].any()), st.t
+            assert not st.wh[:, sing].any(), st.t
+        assert not saved[-1].ph[:, sing].any()
 
     def test_interior_plane_wave_phase(self):
         """Inviscid periodic twin advances a modal solution by e^{-i omega dt}."""
