@@ -33,7 +33,8 @@ ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
 (hence evaluate_modes) and the corrector's norms read those profiles.
-Sets with equal exponents and their own coefficients share one pass.
+Sets with equal exponents and their own coefficients share one pass, and
+so do the times of an array t.
 Every mode records two parent rates whose sum is its mu (a W0 pair's, or
 its own and 0); a pass exponentiates each distinct rate once, in one
 table, and a mode's y-column is the product of its two rows.  On a plain
@@ -211,7 +212,7 @@ class YPoints:
         return coef @ cols
 
 
-def mode_profiles(modes: ExpModes, t: float, y, also=()):
+def mode_profiles(modes: ExpModes, t, y, also=()):
     """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
 
     Modes sharing an x-wavenumber (the lattice produces thousands per l)
@@ -221,8 +222,10 @@ def mode_profiles(modes: ExpModes, t: float, y, also=()):
     also holds further mode sets with the l, alpha, mu and parents of modes
     (else ValueError naming the field) and their own coefficients.  Their
     profiles come from the same pass, as P's further rows: P is
-    (3 s, groups, len(y)) for s sets, and set i is P[3 i:3 i + 3].  Only
-    the matrix products grow.
+    (3 s, groups, len(y)) for s sets, and set i is P[3 i:3 i + 3].  t may
+    be a 1-D array of times, whose coefficients c e^(-i alpha t) are
+    further rows again: P is then (len(t), 3 s, groups, len(y)), and P[j]
+    is the profiles at t[j] bit for bit.  Only the matrix products grow.
 
     A mode's column e^(-mu y) is the product of two rows of one table over
     the distinct parent rates (a pair mode's parents, any other mode's mu
@@ -233,8 +236,10 @@ def mode_profiles(modes: ExpModes, t: float, y, also=()):
     """
     _check_exponents(modes, also)
     groups = _group_by_l(modes.l)
-    coef = (np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
-            * np.exp(-1j * modes.alpha * t))
+    times = np.atleast_1d(t)
+    base = np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
+    coef = (base * np.exp(-1j * modes.alpha * times[:, None])[:, None]).reshape(
+        len(times) * len(base), len(modes))
     lattice = isinstance(y, YLattice)
     grid = y if lattice else YPoints(y)
     rates, inv = np.unique(modes.parents.ravel(), return_inverse=True)
@@ -251,7 +256,8 @@ def mode_profiles(modes: ExpModes, t: float, y, also=()):
         P[:, g] = grid.sum_columns(coef[:, near], table[row[near, 0]] * table[row[near, 1]])
         if len(fi):
             P[:, g] += coef[:, fi] @ (table_y[row[fi, 0]] * table_y[row[fi, 1]])
-    return modes.l[[idx[0] for idx in groups]], P
+    P = P.reshape(len(times), len(base), *P.shape[1:])
+    return modes.l[[idx[0] for idx in groups]], P if np.ndim(t) else P[0]
 
 
 def synthesize(l: np.ndarray, P: np.ndarray, x: np.ndarray):

@@ -131,8 +131,13 @@ class ExperimentConfig:
         for name, low in (("samples", 1), ("save_every", 0)):
             if self.options.get(name, low) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {self.options[name]!r}")
-        self.output_dir = Path(self.output_dir)
-        self.sweep = [(float(e), float(d)) for e, d in self.sweep]
+        self.output_dir = _option("output_dir", Path, self.output_dir)
+        if not (isinstance(self.sweep, (list, tuple)) and all(
+                isinstance(pt, (list, tuple)) and len(pt) == 2 for pt in self.sweep)):
+            raise ConfigError(f"sweep must be a list of [eps, delta] pairs, got {self.sweep!r}")
+        self.sweep = [tuple(_option(f"sweep[{i}] {name}", float, v)
+                            for name, v in zip(("eps", "delta"), pt))
+                      for i, pt in enumerate(self.sweep)]
         eps_seq = [e for e, _ in self.sweep]
         if any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
             raise ConfigError("sweep eps values must be strictly decreasing")
@@ -168,8 +173,13 @@ class ExperimentConfig:
 
 
 def _option(name: str, kind: type, value):
-    """value, named name, as a kind (int or float); a string, a bool or, for
-    an int, a value with a fractional part is refused."""
+    """value, named name, as a kind (int, float or Path); a string, a bool or,
+    for an int, a value with a fractional part is refused as a number, and
+    anything but a string or path as a Path."""
+    if kind is Path:
+        if not isinstance(value, (str, os.PathLike)):
+            raise ConfigError(f"{name} must be a path, got {value!r}")
+        return Path(value)
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or kind is int and not float(value).is_integer()):
         raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}"

@@ -46,7 +46,7 @@ set scaled by -delta.  W1 = W1_BLeps2 + W1_BLeps3
 + W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
 norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through boundary.synthesize,
-_profile_norms or dns.wapp_columns.  A pair mode records its two parent
+_profile_norms or dns.wapp_profiles.  A pair mode records its two parent
 rates (mu = mu_L + mu_R), and the interior solves and ledger terms keep
 them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
 table of W0's rates.  The ledger computes only what it reports, one kernel
@@ -348,15 +348,19 @@ class MeanFlowField:
     def profiles(self, t, y):
         """(l, P) as boundary.mode_profiles returns them: u = -eps^2 theta' G,
         w = theta i l G and b = 0, with G summed per distinct l first (nodes
-        sharing l at different alpha are one x-frequency)."""
+        sharing l at different alpha are one x-frequency).  A 1-D array t
+        gives P per time, (len(t), 3, groups, len(y)), as mode_profiles."""
         groups = _group_by_l(self.l)
-        Gt = self.G * np.exp(-1j * self.alpha * t)
+        Gt = self.G * np.exp(-1j * self.alpha * np.atleast_1d(t)[:, None])
         l = self.l[[idx[0] for idx in groups]]
-        G = np.array([Gt[idx].sum() for idx in groups], dtype=complex)
+        # a 1-D sum per time and group: a sum along a 2-D axis rounds otherwise
+        G = np.array([[g[idx].sum() for idx in groups] for g in Gt],
+                     dtype=complex).reshape(len(Gt), len(groups))
         e2 = self.eps ** 2
-        u = -e2 * np.outer(G, _theta_prime(e2 * y))
-        w = np.outer(1j * l * G, _theta(e2 * y))
-        return l, np.stack([u, w, np.zeros_like(u)])
+        u = -e2 * (G[..., None] * _theta_prime(e2 * y))
+        w = (1j * l * G)[..., None] * _theta(e2 * y)
+        P = np.stack([u, w, np.zeros_like(u)], axis=1)
+        return l, P if np.ndim(t) else P[0]
 
     def norms(self, x_period: float, t: float = 0.0, nx: int | None = _NORM_NX):
         """(L2, Linf) as modes_norms returns them, on 800 y-points of
@@ -503,10 +507,11 @@ class CorrectorAssembly:
         return ExpModes.concat(self.families[f] for f in W1_MODAL)
 
     def profiles(self, t, y):
-        """(l, P) of W1: the modal and W1_MF profiles on one group axis."""
+        """(l, P) of W1: the modal and W1_MF profiles on one group axis; a
+        1-D array t gives P per time, as mode_profiles."""
         l, P = mode_profiles(self.modal(), t, y)
         l_mf, P_mf = self.families[W1_MF].profiles(t, y)
-        return np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=1)
+        return np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=-2)
 
 
 def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,

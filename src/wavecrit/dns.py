@@ -64,9 +64,15 @@ makes the per-column data of every column set, the full one included.  A
 solver with delta != 0 widens such a state to every column.
 
 The march stores no saved states.  `Solver.run` hands the state of each
-save time to a callback, and `compare_stability` reduces it to its distance
-from W_app at once, so neither grows in memory with the number of save
-times (a 256 x 384 state is 3.2 MB, a 512 x 768 one 12.6 MB).
+save time (`save_steps`) to a callback, and `compare_stability` reduces it
+to its distance from W_app at once, so neither grows in memory with the
+number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768 one
+12.6 MB).  The save times are known before the march (`Solver.save_times`),
+so W_app's y-profiles come in chunks of save times, one stacked kernel pass
+per chunk (`wapp_profiles` at an array of times), and each save places its
+own time's rows (`place_profiles`).  A chunk's coefficient and profile rows
+stay within one placed W_app array (`times_per_pass`): 5 save times at
+256 x 384 and 5 nodes per lobe.
 """
 
 import copy
@@ -79,9 +85,9 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 from scipy.sparse import csr_array, diags_array, eye_array
 
-from .boundary import mode_profiles
+from .boundary import _group_by_l, mode_profiles
 from .characteristic import ModalMatrixSpec, roots_for
-from .corrector import CorrectorAssembly
+from .corrector import W1_MF, CorrectorAssembly
 from .packets import Family, PacketAssembly
 from .params import PhysParams
 
@@ -657,27 +663,41 @@ class Solver:
         return sum(self._diff_coef[name] * op.norm2(op._ikx * fh, _ycols(op.grid.Dy, fh))
                    for fh, name in ((state.uh, "u"), (state.wh, "w"), (state.bh, "b")))
 
+    def save_times(self, t0: float, n_steps: int, save_every: int) -> np.ndarray:
+        """The times of the states that run(state at t0, n_steps, save_every)
+        hands to on_save, as the exact floats the march reaches: step adds dt
+        to t, so t is accumulated step by step, not n dt."""
+        t = np.add.accumulate(np.r_[t0, np.full(n_steps, self.config.dt)])
+        return t[save_steps(n_steps, save_every)]
+
     def run(self, state: State, n_steps: int, save_every: int = 0,
             on_save=None) -> "Trajectory":
         """March `n_steps` steps, recording the energy series of every step.
 
-        `on_save(state)` is called with the initial state, after every
-        `save_every`-th step (none with 0) and after the last step; the
-        run keeps no state but the final one.  A step never changes the
-        state it is given, so `on_save` may keep what it receives.
+        `on_save(state)` is called with the state of each of
+        save_steps(n_steps, save_every); the run keeps no state but the
+        final one.  A step never changes the state it is given, so
+        `on_save` may keep what it receives.
         """
+        saves = set(save_steps(n_steps, save_every) if on_save is not None else ())
         rows = [(state.t, self.energy(state), self.dissipation(state), 0.0)]
-        if on_save is not None:
+        if 0 in saves:
             on_save(state)
         for n in range(1, n_steps + 1):
             state, loss = self.step(state)
             rows.append((state.t, self.energy(state), self.dissipation(state), loss))
-            if on_save is not None and (n == n_steps
-                                        or save_every and n % save_every == 0):
+            if n in saves:
                 on_save(state)
         times, energy, diss, proj_loss = map(np.array, zip(*rows))
         return Trajectory(times=times, energy=energy, dissipation=diss,
                           proj_loss=proj_loss, final=state)
+
+
+def save_steps(n_steps: int, save_every: int) -> list[int]:
+    """The steps whose states Solver.run saves: 0 (the initial state), every
+    save_every-th (none with 0) and the last."""
+    every = range(save_every, n_steps, save_every) if save_every else ()
+    return [0, *every, n_steps] if n_steps else [0]
 
 
 @dataclass
@@ -694,28 +714,56 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def wapp_columns(w0: PacketAssembly, w1: CorrectorAssembly | None, t: float,
-                 grid: Grid) -> np.ndarray:
-    """W_app(t) = W0 (+ W1) as rfft columns (3, ny, nx/2 + 1) of (u, w, b),
-    placed from its y-profiles: a group's P at l = 2 pi c / Lx goes to
-    column c as nx P, its conjugate to column -c, both modulo nx as sampling
-    folds them.  Every other column is exactly 0.  A wavenumber more than
-    1e-9 of a column off the lattice (eps not box-matched) is refused."""
+def wapp_profiles(w0: PacketAssembly, w1: CorrectorAssembly | None, t,
+                  grid: Grid):
+    """(col, P): W_app = W0 (+ W1) at time t as y-profiles on the grid, one
+    kernel pass per family.  P is (3, groups, ny), or (len(t), 3, groups,
+    ny) for a 1-D array t (P[j] is W_app at t[j], bit for bit); col is each
+    group's rfft column, l = 2 pi col / Lx.  A wavenumber more than 1e-9 of
+    a column off the lattice (eps not box-matched) is refused."""
     l, P = mode_profiles(w0.bundle(Family.SUM), t, grid.y)
     if w1 is not None:
         l1, P1 = w1.profiles(t, grid.y)
-        l, P = np.concatenate([l, l1]), np.concatenate([P, P1], axis=1)
+        l, P = np.concatenate([l, l1]), np.concatenate([P, P1], axis=-2)
     c = l * grid.Lx / (2.0 * math.pi)
     col = np.rint(c).astype(int)
     off = np.abs(c - col).max()
     if off > 1e-9:
         raise DnsError(f"W_app wavenumbers lie up to {off:.3g} of a column off the "
                        f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
+    return col, P
+
+
+def place_profiles(col: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
+    """One time's profiles (wapp_profiles) as rfft columns (3, ny, nx/2 + 1)
+    of (u, w, b): a group's P at column c goes to column c as nx P, its
+    conjugate to column -c, both modulo nx as sampling folds them.  Every
+    other column is exactly 0."""
     nx, out = grid.nx, np.zeros((3, grid.ny, grid.nx // 2 + 1), dtype=complex)
     for idx, v in ((col % nx, P), (-col % nx, P.conj())):
         keep = idx < out.shape[2]
         np.add.at(out, (..., idx[keep]), nx * v[:, keep].transpose(0, 2, 1))
     return out
+
+
+def wapp_columns(w0: PacketAssembly, w1: CorrectorAssembly | None, t: float,
+                 grid: Grid) -> np.ndarray:
+    """W_app(t) = W0 (+ W1) as rfft columns (3, ny, nx/2 + 1) of (u, w, b):
+    wapp_profiles at the one time t, placed."""
+    return place_profiles(*wapp_profiles(w0, w1, t, grid), grid)
+
+
+def times_per_pass(w0: PacketAssembly, w1: CorrectorAssembly | None,
+                   grid: Grid) -> int:
+    """How many times one stacked wapp_profiles pass takes: as many as keep
+    its coefficient rows (3 per mode and time) and profile rows (3 ny per
+    x-group and time) within one placed W_app array, 3 ny (nx/2 + 1)
+    complex; at least 1."""
+    sets = [w0.bundle(Family.SUM)]
+    if w1 is not None:
+        sets += [w1.modal(), w1.families[W1_MF]]
+    per_time = 3 * sum(len(m) + len(_group_by_l(m.l)) * grid.ny for m in sets)
+    return max(1, 3 * grid.ny * (grid.nx // 2 + 1) // per_time)
 
 
 def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
@@ -785,9 +833,15 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
 
     The march is `solver.run(state, n_steps, save_every, ...)`, whose
     parameters give eps and delta; each saved state is compared with
-    W_app = w0 (+ w1) in the solver's rfft columns (wapp_columns; Parseval
-    sums) as the march reaches it and then dropped, so the memory does not
-    grow with the number of save times.  `floor` is an optional
+    W_app = w0 (+ w1) in the solver's rfft columns (Parseval sums) as the
+    march reaches it and then dropped, so the memory does not grow with the
+    number of save times.  The save times are listed before the march
+    (`Solver.save_times`, the exact floats it reaches); at the first time of
+    each chunk of `times_per_pass` of them, one stacked `wapp_profiles`
+    pass makes the chunk's profiles, and each save places its own
+    (`place_profiles`), the rows a per-time `wapp_columns` call gives bit
+    for bit.  A save whose t is not its listed time raises DnsError.  No
+    placed W_app is held between saves.  `floor` is an optional
     per-save-time error floor (typically the same quantity from a delta = 0
     twin run, whose exact departure is O(eps^6 t)) that is subtracted
     before the bound comparison.  Such a floor holds whatever the grid and
@@ -795,30 +849,40 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     cutting the packet's recurrence in y (0.0825 at gamma = 0.7, eps = 0.2,
     Ly = 300, at any resolution).
 
-    The difference is reported relative to ||W_app(0)||_{L^2}: the stability
-    envelopes are stated for an O(1)-normalized wave field, while the packet
-    itself carries an O(1/eps) lattice-sum amplitude.
+    The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
+    the first save's placement (at the state's own t, 0 from init_from_Wapp):
+    the stability envelopes are stated for an O(1)-normalized wave field,
+    while the packet itself carries an O(1/eps) lattice-sum amplitude.
     """
     eps, delta = solver.config.params.eps, solver.config.params.delta
-    wapp0 = wapp_columns(w0, w1, 0.0, solver.grid)
-    norm0 = math.sqrt(solver.norm2(*wapp0))
-    times, diffs = [], []
+    grid = solver.grid
+    t = solver.save_times(state.t, n_steps, save_every)
+    if floor is None:
+        floor = np.zeros(len(t))
+    elif len(floor) != len(t):
+        raise DnsError(f"floor of {len(floor)} values for {len(t)} save times")
+    chunk = times_per_pass(w0, w1, grid)
+    diffs, norm0, col, P = [], None, None, None
 
     def compare(st):
+        nonlocal norm0, col, P
+        i = len(diffs)
+        if st.t != t[i]:
+            raise DnsError(f"save {i} reached at t={float(st.t)!r}, "
+                           f"listed at t={float(t[i])!r}")
+        if i % chunk == 0:  # one stacked pass for this save time and the next chunk - 1
+            P = None  # the last chunk's profiles go before this one's are made
+            col, P = wapp_profiles(w0, w1, t[i:i + chunk], grid)
+        wapp = place_profiles(col, P[i % chunk], grid)
+        if i == 0:
+            norm0 = math.sqrt(solver.norm2(*wapp))
         # a state is zero off the columns it holds, so only those are subtracted
-        wapp = wapp0 if st.t == 0.0 else wapp_columns(w0, w1, st.t, solver.grid)
         for a, f in zip(wapp, (st.uh, st.wh, st.bh)):
             a[:, st.cols] -= f
-        times.append(st.t)
         diffs.append(math.sqrt(solver.norm2(*wapp)))
 
     traj = solver.run(state, n_steps, save_every, on_save=compare)
     diffs = np.array(diffs) / norm0
-    t = np.array(times)
-    if floor is None:
-        floor = np.zeros_like(diffs)
-    elif len(floor) != len(diffs):
-        raise DnsError(f"floor of {len(floor)} values for {len(diffs)} save times")
     bound_thm = delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t)
     bound_alt = math.sqrt(max(delta, 0.0)) * eps**3 * np.exp(delta / eps**2 * t)
     net = np.maximum(diffs - floor, 0.0)

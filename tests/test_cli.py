@@ -223,6 +223,25 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"sweep": [["0.2", "0.008"]]}, "sweep[0] eps must be a number, got '0.2'"),
+        ({"sweep": [[0.2]]}, "sweep must be a list of [eps, delta] pairs, got [[0.2]]"),
+        ({"sweep": 5}, "sweep must be a list of [eps, delta] pairs, got 5"),
+        ({"output_dir": 5}, "output_dir must be a path, got 5")],
+        ids=["sweep-strings", "sweep-single", "sweep-number", "output-dir-number"])
+    def test_main_names_malformed_sweep_or_output_dir(self, tmp_path, monkeypatch,
+                                                      capsys, raw, message):
+        """sweep entries and output_dir are typed by the rule of every other
+        field: a wrong value ends in one error line naming the field, with
+        exit code 2, and never runs."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gamma": 0.7, **raw}))
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_main_reports_zero_dt(self, tmp_path, capsys):
         """dt = 0 ends in an error line, not a ZeroDivisionError."""
         cfg = tmp_path / "c.json"

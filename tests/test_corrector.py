@@ -654,6 +654,54 @@ class TestNormLattice:
             assert calls == [len(lattice.offsets)], name
 
 
+class TestStackedTimes:
+    """A 1-D array of times is one pass whose rows are the per-time calls,
+    bit for bit: P[j] is the profiles at t[j]."""
+
+    #: t accumulated by + 0.07, as a march reaches its save times
+    TIMES = np.add.accumulate(np.r_[0.0, np.full(6, 0.07)])
+
+    @pytest.mark.parametrize("with_also", [False, True], ids=["alone", "also"])
+    @pytest.mark.parametrize("grid", ["points", "lattice", "far-lattice"])
+    def test_rows_are_the_per_time_calls(self, casm, grid, with_also):
+        """W1_BLeps3 (pair and lift modes) on a stretched DNS grid (YPoints),
+        on its norm lattice, and on a lattice reaching y = 50, where its
+        fastest modes pass exponent -700 and keep guarded columns."""
+        m = casm.families[C.W1_BLEPS3]
+        y = {"points": stretched_grid(300.0, 384, 1e-3, 1.0),
+             "lattice": C._norm_lattice(m, casm.x_period, C._NORM_NY),
+             "far-lattice": boundary.YLattice((1.0, 50.0), 300)}[grid]
+        if grid == "far-lattice":
+            assert (m.mu.real * 50.0 > boundary._UNDERFLOW_EXPONENT).any()
+        also = [m.d_dx(), m.d_dy()] if with_also else []
+        l, P = C.mode_profiles(m, self.TIMES, y, also)
+        points = y.y if isinstance(y, boundary.YLattice) else y
+        assert P.shape == (len(self.TIMES), 3 * (1 + len(also)), len(l), len(points))
+        for j, t in enumerate(self.TIMES):
+            l_t, P_t = C.mode_profiles(m, t, y, also)
+            assert np.array_equal(l_t, l) and np.array_equal(P_t, P[j]), t
+
+    def test_empty_sets(self):
+        """No modes and no mean flow: profiles of no groups at every time."""
+        y = np.linspace(0.0, 1.0, 5)
+        mf = C.MeanFlowField(np.zeros(0), np.zeros(0), np.zeros(0, dtype=complex), 0.2)
+        for profiles in (lambda t: C.mode_profiles(boundary.ExpModes.empty(), t, y),
+                         lambda t: mf.profiles(t, y)):
+            assert profiles(0.3)[1].shape == (3, 0, 5)
+            assert profiles(self.TIMES)[1].shape == (len(self.TIMES), 3, 0, 5)
+
+    def test_corrector_profiles(self, casm):
+        """CorrectorAssembly.profiles, the modal pass and W1_MF's groups
+        (whose G is summed per time and group) on one group axis."""
+        y = stretched_grid(300.0, 384, 1e-3, 1.0)
+        l, P = casm.profiles(self.TIMES, y)
+        n_mf = len(casm.families[C.W1_MF].profiles(0.0, y)[0])
+        assert n_mf and np.abs(P[:, :, -n_mf:]).max() > 0.0
+        for j, t in enumerate(self.TIMES):
+            l_t, P_t = casm.profiles(t, y)
+            assert np.array_equal(l_t, l) and np.array_equal(P_t, P[j]), t
+
+
 def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
     """modes_norms calls at the reference case: none per assemble_W1, one
     per exponent set per residual_Rapp (18 batches, the incident diffusion

@@ -17,7 +17,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
 from scipy.sparse import diags_array
 
-from wavecrit import dns
+from wavecrit import corrector, dns
 from wavecrit.corrector import assemble_W1, evaluate_W1
 from wavecrit.dns import (
     BlockSweep,
@@ -78,6 +78,17 @@ def initial(assembly, solver):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return init_from_Wapp(assembly, None, solver.config, solver)
+
+
+@pytest.fixture(scope="module")
+def twin():
+    """(W0, W1, solver, W_app(0) state) at delta = eps^3, 5 nodes per lobe."""
+    p = PhysParams(gamma=GAMMA, eps=EPS, delta=EPS**3)
+    asm = assemble_W0(p, Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=EPS),
+                      QuadratureSpec(5))
+    w1 = assemble_W1(asm, p)
+    sol = Solver(make_config(delta=EPS**3, Lx=asm.x_period))
+    return asm, w1, sol, init_from_Wapp(asm, w1, sol.config, sol)
 
 
 def _hat(*fields):
@@ -634,6 +645,16 @@ class TestSpectralState:
             for c in ("uh", "wh", "bh", "ph"):
                 assert np.array_equal(getattr(a, c), getattr(b, c))
 
+    def test_save_times_are_the_saved_states_times(self, solver, initial):
+        """save_times lists, before the march, the exact t of each state the
+        march saves: t accumulated by + dt, which 6 dt is not (0.01 added
+        six times is 0.060000000000000005)."""
+        seen = []
+        solver.run(initial, 7, 3, on_save=seen.append)
+        want = solver.save_times(initial.t, 7, 3)
+        assert [s.t for s in seen] == want.tolist()
+        assert want[2] != 6 * solver.config.dt
+
 
 class TestColumnSubset:
     """At delta = 0 a state holds only the packet's own rfft columns."""
@@ -1036,6 +1057,55 @@ class TestCompareStability:
         monkeypatch.setattr(State, "widen", refuse)
         rep = compare_stability(solver, initial, 20, 10, assembly)[1]
         assert rep["diff_L2"].tolist() == want
+
+    @pytest.mark.parametrize("n_steps,save_every", [(7, 3), (10, 1)])
+    def test_stacked_passes_match_per_save_placement(self, twin, monkeypatch,
+                                                     n_steps, save_every):
+        """delta != 0 with W1 (5 nodes per lobe): diff_L2 equals a per-save
+        wapp_columns loop exactly, on a schedule save_every does not divide
+        (saves at 0, 3, 6 and 7 dt) and on 11 save times.  Both hold more
+        save times than one pass takes (3 here), and S save times take
+        ceil(S / 3) passes per family, not S."""
+        asm, w1, sol, st = twin
+        g = sol.grid
+        saved = []
+        sol.run(st, n_steps, save_every, on_save=saved.append)
+        norm0 = math.sqrt(sol.norm2(*wapp_columns(asm, w1, 0.0, g)))
+        want = [math.sqrt(sol.norm2(*(a - f for a, f in zip(
+                    wapp_columns(asm, w1, s.t, g), (s.uh, s.wh, s.bh))))) / norm0
+                for s in saved]
+
+        passes = {"W0": 0, "W1 modal": 0, "W1_MF": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                passes[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dns, "mode_profiles", counted("W0", dns.mode_profiles))
+        monkeypatch.setattr(corrector, "mode_profiles",
+                            counted("W1 modal", corrector.mode_profiles))
+        monkeypatch.setattr(corrector.MeanFlowField, "profiles",
+                            counted("W1_MF", corrector.MeanFlowField.profiles))
+        rep = compare_stability(sol, st, n_steps, save_every, asm, w1)[1]
+        assert rep["diff_L2"].tolist() == want
+        chunk = dns.times_per_pass(asm, w1, g)
+        assert chunk == 3 and len(saved) > chunk
+        assert passes == dict.fromkeys(passes, math.ceil(len(saved) / chunk))
+
+    def test_save_off_its_listed_time_refused(self, twin, monkeypatch):
+        """Save times listed as n dt are not the times the march reaches (6
+        steps of 0.01 are not 0.06), and the save there is refused."""
+        asm, w1, sol, st = twin
+
+        def n_dt(self, t0, n_steps, save_every):
+            return t0 + self.config.dt * np.array(dns.save_steps(n_steps, save_every))
+
+        monkeypatch.setattr(Solver, "save_times", n_dt)
+        with pytest.raises(DnsError, match=r"save 2 reached at t=0\.06000000000000000\d*, "
+                                           r"listed at t=0\.06\b"):
+            compare_stability(sol, st, 7, 3, asm, w1)
 
     def test_bound_shapes(self, assembly, solver):
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period, T=0.1)
