@@ -116,6 +116,9 @@ class ExperimentConfig:
             )
         for name, kind in (("seed", int), ("k0", float), ("nodes_per_lobe", int)):
             setattr(self, name, _option(name, kind, getattr(self, name)))
+        # a negative k0 is a carrier too: critical_carrier asks for that flip
+        if not (math.isfinite(self.k0) and self.k0 != 0.0):
+            raise ConfigError(f"k0 must be finite and nonzero, got {self.k0!r}")
         if self.nodes_per_lobe < 4:
             raise ConfigError(
                 f"nodes_per_lobe must be >= 4, got {self.nodes_per_lobe}"

@@ -34,7 +34,8 @@ step -- followed by a projection, and is second order in time.
 
 The state is carried as the rfft along x of (u, w, b).  Every y-operator is
 x-independent and banded (bandwidth 4 or 5, set by the 5-point stencil), so
-it acts on the rfft columns viewed as (real, imag) float pairs:
+it acts on the rfft columns viewed as (real, imag) float pairs, or on the
+complex columns themselves:
 
 * Dy and its transpose are stored as sparse (CSR) matrices;
 * each diffusion half step solves the banded Crank-Nicolson system
@@ -44,10 +45,12 @@ it acts on the rfft columns viewed as (real, imag) float pairs:
   with U in blocks of 48 rows, about 3x faster than LAPACK's banded solve;
 * the projection stacks the banded matrices of the kx with a nonzero
   derivative wavenumber (a contiguous slice) into one block-diagonal banded
-  Cholesky factor, solved in one LAPACK call (each kx has its own matrix,
-  too many for stored block inverses); at kx_d = 0 (kx = 0 and Nyquist) w
-  and phi are 0 with no solve, as G = Dy[1:-1] has full row rank.  It
-  alone pins u and w to 0 on the wall and lid rows;
+  Cholesky factor, held complex, and solves the columns laid end to end as
+  one complex right-hand side in one LAPACK sweep (zpbtrs), which carries
+  the real and imaginary parts together (each kx has its own matrix, too
+  many for stored block inverses); at kx_d = 0 (kx = 0 and Nyquist) w and
+  phi are 0 with no solve, as G = Dy[1:-1] has full row rank.  It alone
+  pins u and w to 0 on the wall and lid rows;
 * rotation is pointwise; energy and dissipation are Parseval sums.
 
 Advection is the only physical-space stage: per Heun stage 6 irfft (u, w,
@@ -82,7 +85,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
+from scipy.linalg import cholesky_banded, solve_triangular
+from scipy.linalg.lapack import zpbtrs
 from scipy.sparse import csr_array, diags_array, eye_array
 
 from .boundary import _group_by_l, mode_profiles
@@ -235,8 +239,11 @@ class SimConfig:
     def __post_init__(self):
         for name, ok, rule in (("dt", self.dt > 0.0, "> 0"),
                                ("T", 0.0 <= self.T < math.inf, ">= 0 and finite"),
+                               ("Lx", 0.0 < self.Lx < math.inf, "> 0 and finite"),
                                ("Ly", self.Ly > 0.0, "> 0"), ("nx", self.nx >= 2, ">= 2"),
-                               ("ny", self.ny >= 2, ">= 2")):
+                               ("ny", self.ny >= 2, ">= 2"),
+                               ("dy0", 0.0 < self.dy0 < math.inf, "> 0 and finite"),
+                               ("dy_max", self.dy_max > 0.0, "> 0")):
             if not ok:
                 raise DnsError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         p = self.params
@@ -493,7 +500,8 @@ class Solver:
         # zero, so one Cholesky factors all blocks.
         ab = np.tile(self._proj_band, len(kx))
         ab[-1] += np.outer(kx * kx, self._tau_u[:, 0]).ravel()  # the diagonal
-        self._proj_chol = cholesky_banded(ab)
+        # held complex (an exact cast) and Fortran-ordered, as zpbtrs takes it
+        self._proj_chol = np.asfortranarray(cholesky_banded(ab), dtype=complex)
 
     def _on(self, state: State):
         """The solver acting on the state's columns, and the state.
@@ -534,18 +542,20 @@ class Solver:
         Returns (u', w', phi), all rfft columns: u' = u - dx phi and
         w' = w - Dy phi, but the pinned rows u'[0], w'[0] and w'[-1] are 0 for
         any input.  At kx_d = 0 (kx = 0 and Nyquist) G = Dy[1:-1] has full
-        row rank, so w' = 0 and phi = 0 there, with no solve."""
+        row rank, so w' = 0 and phi = 0 there, with no solve.  The regular
+        columns are solved together: one complex zpbtrs sweep with the
+        block-diagonal factor, whose info != 0 raises DnsError."""
         self._width(uh, wh)
         g = self.grid
         rhs = self._adjoint_div(uh, wh)
         phih = np.zeros_like(rhs)
-        # regular kx: the columns laid end to end as one (real, imag) pair
-        # of right-hand sides of the block-diagonal system
+        # regular kx: the columns laid end to end as one complex right-hand
+        # side of the block-diagonal system, solved in one sweep
         reg = self._proj_regular
-        sol = cho_solve_banded((self._proj_chol, False),
-                               _pairs(rhs[:, reg].T).reshape(-1, 2),
-                               check_finite=False)
-        phih[:, reg] = _complex(sol).reshape(-1, g.ny).T
+        sol, info = zpbtrs(self._proj_chol, rhs[:, reg].T.ravel(), overwrite_b=True)
+        if info != 0:
+            raise DnsError(f"projection solve failed: zpbtrs info = {info}")
+        phih[:, reg] = sol.reshape(-1, g.ny).T
         u, w = uh - self._ikx * phih, wh - _ycols(g.Dy, phih)
         u[0] = w[0] = w[-1] = 0.0
         w[:, :reg.start] = w[:, reg.stop:] = 0.0
@@ -774,7 +784,10 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     A W0 wavenumber at or above the grid's Nyquist column would alias and is
     refused.  W1's second harmonic may sit above Nyquist (it does at
     256 x 384 in the energy-budget check, which does not depend on it),
-    where it folds as sampling folds it.
+    where it folds as sampling folds it.  With delta != 0 the march's
+    advection makes 3 k0 out of W0 and W1's second harmonic; a UserWarning
+    says when 3 times W0's top column is at or above Nyquist, where that
+    harmonic folds.
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
@@ -784,6 +797,12 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     if 2 * col >= g.nx:
         raise DnsError(f"W0 wavenumber {k_max:.4g} sits at rfft column {col}, at or "
                        f"above the Nyquist column nx/2 = {g.nx / 2:g}; raise nx")
+    if config.params.delta != 0.0 and 6 * col >= g.nx:
+        warnings.warn(
+            f"advection's 3 k0 harmonic sits at rfft column {3 * col}, at or above "
+            f"the Nyquist column nx/2 = {g.nx / 2:g}, and folds; nx > {6 * col} resolves it",
+            stacklevel=2,
+        )
     uh, wh, bh = placed = wapp_columns(w0, w1, 0.0, g)
     held = np.flatnonzero(placed.any(axis=(0, 1)))
     field = np.fft.irfft(placed, n=g.nx, axis=2)

@@ -67,6 +67,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(params=PhysParams(gamma=0.7), experiment="nope")
 
+    def test_negative_k0_is_kept(self):
+        """Only a k0 that is not finite, or is 0, is refused: a negative k0
+        is left to critical_carrier, which names the sign flip."""
+        assert ExperimentConfig(params=PhysParams(gamma=0.7), experiment="roots",
+                                k0=-1.0).k0 == -1.0
+        with pytest.raises(ConfigError, match="^k0 must be finite and nonzero, got nan$"):
+            ExperimentConfig(params=PhysParams(gamma=0.7), experiment="roots", k0=math.nan)
+
     def test_experiments_are_the_runner_table(self, capsys):
         """The runner table is the one list: configs accept its names, and
         main offers them in its order."""
@@ -204,11 +212,15 @@ class TestConfigValidation:
         ("lift", '{"gamma": 0.7, "k0": "1"}', "k0"),
         ("packet-norms", '{"gamma": 0.7, "k0": "1"}', "k0"),
         ("lift", '{"gamma": "0.7"}', "gamma"),
-        ("lift", '{"gamma": 0.7, "params": {"eps": "0.2"}}', "eps")],
+        ("lift", '{"gamma": 0.7, "params": {"eps": "0.2"}}', "eps"),
+        ("roots", '{"gamma": 0.7, "k0": NaN}', "k0"),
+        ("roots", '{"gamma": 0.7, "k0": Infinity}', "k0"),
+        ("roots", '{"gamma": 0.7, "k0": -Infinity}', "k0"),
+        ("roots", '{"gamma": 0.7, "k0": 0}', "k0")],
         ids=["missing-file", "invalid-json", "top-level-list", "params-not-object",
              "options-not-object", "seed-string", "seed-fraction", "nodes-fraction",
              "nodes-string", "k0-string-lift", "k0-string-norms", "gamma-string",
-             "eps-string"])
+             "eps-string", "k0-nan", "k0-inf", "k0-minus-inf", "k0-zero"])
     def test_main_reports_malformed_config(self, tmp_path, capsys, experiment, text, named):
         """A config that cannot be read, is not a JSON object, or gives a
         value of the wrong type ends in one error line naming the file or

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 from scipy.optimize import brentq
 from scipy.sparse import diags_array
 
@@ -192,7 +192,8 @@ class TestGridAndConfig:
 
     @pytest.mark.parametrize("name,value", [
         ("dt", 0.0), ("dt", -0.01), ("T", -1.0), ("T", math.inf), ("Ly", -60.0), ("nx", 0),
-        ("ny", 1)])
+        ("ny", 1), ("Lx", -5.0), ("Lx", math.nan), ("Lx", math.inf), ("dy0", 0.0),
+        ("dy0", math.nan), ("dy_max", math.nan), ("dy_max", -1.0)])
     def test_out_of_range_refused(self, name, value):
         """Refused by name before the root solve, not left to a raw
         ZeroDivisionError, LinAlgError, ValueError or OverflowError later,
@@ -354,6 +355,28 @@ class TestBandedOperators:
         a, b = _phys(solver, got[2] * reg, want[2] * reg)
         err = np.abs(a - b).max() / np.abs(b).max()
         assert err <= 1e-10, ("phi", err)
+
+    def test_complex_solve_matches_per_kx_real_solves(self, solver):
+        """phi of the one complex block-diagonal solve against a real
+        banded solve of each regular column's A_k, once for the real and
+        once for the imaginary part of its right-hand side."""
+        g = solver.grid
+        rng = np.random.default_rng(11)
+        uh, wh = (rng.standard_normal((g.ny, len(solver.kx)))
+                  + 1j * rng.standard_normal((g.ny, len(solver.kx))) for _ in range(2))
+        uh[0] = wh[0] = wh[-1] = 0.0
+        _, _, phih = solver.project(uh, wh)
+        rhs = solver._adjoint_div(uh, wh)
+        reg = np.flatnonzero(solver.kx_d)
+        assert len(reg) == len(solver.kx) - 2  # all but kx = 0 and Nyquist
+        want = np.zeros_like(phih)
+        for i in reg:
+            ab = solver._proj_band.copy()
+            ab[-1] += solver.kx_d[i] ** 2 * solver._tau_u[:, 0]
+            want[:, i] = (solveh_banded(ab, rhs[:, i].real)
+                          + 1j * solveh_banded(ab, rhs[:, i].imag))
+        err = np.abs(phih - want).max() / np.abs(want).max()
+        assert err <= 1e-13, err
 
 
 #: ny -> (Ly, dy_max) of the grids below: near uniform at the smallest sizes,
@@ -769,28 +792,31 @@ class TestColumnSubset:
             getattr(solver, method)(*args)
 
     def test_solves_see_only_the_held_columns(self, solver, initial, monkeypatch):
-        """Each banded solve of a delta = 0 step (6 diffusion sweeps, 4
-        projections) gets 2 float columns (real, imaginary) per held rfft
-        column: the step never goes back to full width."""
+        """Each banded solve of a delta = 0 step sees only the held rfft
+        columns: each of the 4 projection solves gets ny complex entries
+        per held (regular) column, and each of the 6 diffusion sweeps 2
+        float columns (real, imaginary) per held column.  The step never
+        goes back to full width."""
+        ny, n = solver.grid.ny, len(initial.cols)
+        assert np.all(initial.cols > 0) and np.all(2 * initial.cols < solver.grid.nx)
         seen = []
+        zpbtrs = dns.zpbtrs
 
-        def width(b):
-            return b.size // min(len(b), solver.grid.ny)
-
-        def counted(cb, b, **kwargs):
-            seen.append(width(b))
-            return cho_solve_banded(cb, b, **kwargs)
+        def counted(ab, b, **kwargs):
+            assert b.dtype == complex
+            seen.append(("project", b.size / ny))
+            return zpbtrs(ab, b, **kwargs)
 
         sweep_solve = BlockSweep.solve
 
         def counted_sweep(sweep, r, y):
-            seen.append(width(r))
+            seen.append(("sweep", r.shape[1]))
             return sweep_solve(sweep, r, y)
 
-        monkeypatch.setattr(dns, "cho_solve_banded", counted)
+        monkeypatch.setattr(dns, "zpbtrs", counted)
         monkeypatch.setattr(BlockSweep, "solve", counted_sweep)
         solver.step(initial)
-        assert seen == [2 * len(initial.cols)] * 10
+        assert sorted(seen) == [("project", n)] * 4 + [("sweep", 2 * n)] * 6
 
 
 class TestPlacement:
@@ -858,6 +884,22 @@ class TestInit:
         cfg = make_config(Lx=assembly.x_period, nx=64)
         with pytest.raises(DnsError, match="column 47, at or above the Nyquist column nx/2 = 32"):
             init_from_Wapp(assembly, None, cfg, Solver(cfg))
+
+    @pytest.mark.parametrize("nx,folds", [(256, True), (512, False)])
+    def test_third_harmonic_fold_warning(self, nx, folds):
+        """The stability twin's packet (5 nodes/lobe, delta = eps^3): its
+        3 k0 harmonic folds at nx = 256, and nx = 512 resolves it."""
+        gamma, eps = 0.7344421851525048, box_matched_eps(0.204, 1.0, 5)
+        p = PhysParams(gamma=gamma, eps=eps, delta=eps**3)
+        asm = assemble_W0(p, Envelope(critical_carrier(gamma, 1.0), eps), QuadratureSpec(5))
+        cfg = SimConfig(params=p, Lx=asm.x_period, Ly=300.0, nx=nx, ny=384, dy_max=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            init_from_Wapp(asm, None, cfg, Solver(cfg))
+        fold = [str(w.message) for w in caught if "3 k0" in str(w.message)]
+        want = ["advection's 3 k0 harmonic sits at rfft column 147, at or above the "
+                "Nyquist column nx/2 = 128, and folds; nx > 294 resolves it"]
+        assert fold == (want if folds else [])
 
     def test_overflow_warning(self, assembly):
         cfg = make_config(Lx=assembly.x_period, Ly=30.0, ny=192)
