@@ -402,14 +402,19 @@ def lift_critical(spec: ModalMatrixSpec, traces) -> ExpModes:
 
 
 def lift_noncritical(spec: ModalMatrixSpec, traces) -> tuple[ExpModes, ExpModes]:
-    """Split lift away from criticality: reflected wave + thin boundary layer.
+    """Split lift of the second harmonic: reflected wave + thin boundary layer.
 
-    The lambda_2 mode is the O(1)-rate reflected/evanescent wave; lambda_3
-    and lambda_5 are genuine boundary layers.  Their traces sum to the input.
-    The reflected modes and the layer modes each come node-major.
+    The system is lift_critical's, and it applies to every oscillating
+    regime: the non-critical one, and the near-critical ones that the
+    corrector's double-lobe nodes reach at small gamma (at 0.45 and 0.4,
+    where the second harmonic propagates, 4 sin^2(gamma) < 1).
+    The lambda_2 mode is the reflected wave (evanescent at an O(1) rate, or
+    propagating and barely decaying); lambda_3 and lambda_5 are boundary
+    layers.  Their traces sum to the input.  The reflected modes and the layer modes each
+    come node-major.
     """
-    modes = _lift(spec, traces, (Regime.NON_CRITICAL,), (2, 3, 5), [0, 1, 2],
-                  "lift_noncritical")
+    modes = _lift(spec, traces, (*CRITICAL_REGIMES, Regime.NON_CRITICAL), (2, 3, 5),
+                  [0, 1, 2], "lift_noncritical")
     reflected = np.arange(len(modes)) % 3 == 0
     return modes[reflected], modes[~reflected]
 

@@ -422,7 +422,7 @@ def _run_corrector(config: ExperimentConfig) -> list[str]:
     for eps, delta in _sweep_points(config):
         p = _params_at(config, eps, delta)
         asm = _assembly_at(config, p)
-        for fam, (l2, linf) in rowwise_family_sizes(asm, p).items():
+        for fam, (l2, linf) in rowwise_family_sizes(asm).items():
             rows.append([eps, fam, l2, linf])
     _write_csv(config.output_dir / "corrector_sizes.csv",
                ["eps", "family", "l2", "linf"], rows)
@@ -437,7 +437,7 @@ def _run_residual(config: ExperimentConfig) -> list[str]:
     for eps, delta in _sweep_points(config):
         p = _params_at(config, eps, delta)
         asm = _assembly_at(config, p)
-        casm = assemble_W1(asm, p)
+        casm = assemble_W1(asm)
         report = residual_Rapp(casm)
         for term in sorted(report):
             rows.append([eps, delta, term, float(report[term])])
@@ -480,7 +480,7 @@ def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
     """Run the DNS from W_app(0), with W1 if and only if delta != 0, and
     compare it with W_app."""
     asm = _assembly_at(config, params)
-    w1 = assemble_W1(asm, params) if params.delta else None
+    w1 = assemble_W1(asm) if params.delta else None
     sim = _dns_config(config, params, asm.x_period)
     solver = Solver(sim)
     state = init_from_Wapp(asm, w1, sim, solver)

@@ -24,9 +24,13 @@ interior response solves a 2x2 reduction acting on (u, b),
 
 The normal velocity is restored from the divergence-free condition
 (w = il/mu times the tangential response).  The wall traces of these
-interior terms are then lifted: double-lobe traces through the non-critical
-boundary operator (reflected wave -> second harmonic, layers -> eps^3
-family), zero-lobe traces through the degenerate operator, whose un-lifted
+interior terms are then lifted: double-lobe traces through the oscillating
+boundary operator, boundary.lift_noncritical, which takes the non-critical
+and the near-critical regimes (double-lobe nodes classify near-critical too
+at small g, e.g. at g = 0.45 and 0.4, where the second harmonic propagates,
+4 sin^2(g) < 1) and splits the reflected wave (label 2 -> second harmonic)
+from the layers (-> eps^3 family); zero-lobe traces go through the
+degenerate operator, whose un-lifted
 w-trace is integrated in x and absorbed by an explicit large-scale mean
 flow (-G eps^2 theta'(eps^2 y), theta(eps^2 y) dx G, 0).  A lift is linear
 in its trace and depends only on the node (l, alpha), so the traces of all
@@ -452,7 +456,7 @@ def lift_mean_flow(traces, params: PhysParams) -> tuple[ExpModes, MeanFlowField]
     return bl, mf
 
 
-def trace_density(assembly: PacketAssembly, params: PhysParams):
+def trace_density(assembly: PacketAssembly):
     """(|u|, |w|, |d_y b|) wall-trace densities of the largest interaction.
 
     Evaluated for the eps^2-layer self-interaction at the packet's center
@@ -467,7 +471,7 @@ def trace_density(assembly: PacketAssembly, params: PhysParams):
     # the incident cu is the node's quadrature amplitude (U = 1), so this
     # leaves the lift modes per unit trace
     modes = bl2[node].scaled(1.0 / inc.cu[i])
-    tu, tw, tb = solve_interior_a(_pair_modes(modes, modes), params).traces()
+    tu, tw, tb = solve_interior_a(_pair_modes(modes, modes), assembly.params).traces()
     return abs(tu.sum()), abs(tw.sum()), abs(tb.sum())
 
 
@@ -485,12 +489,16 @@ W1_FAMILIES = (*W1_MODAL, W1_MF)
 
 @dataclass
 class CorrectorAssembly:
-    """W1 by family and its interaction rows (None: all)."""
+    """W1 by family and its interaction rows (None: all), built from w0
+    alone: its parameters are w0's."""
 
-    params: PhysParams
     w0: PacketAssembly
     families: dict
     rows: tuple[str, ...] | None = None
+
+    @property
+    def params(self) -> PhysParams:
+        return self.w0.params
 
     @property
     def x_period(self) -> float:
@@ -540,9 +548,10 @@ def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,
     }
 
 
-def _solved_batches(assembly: PacketAssembly, params: PhysParams, rows):
+def _solved_batches(assembly: PacketAssembly, rows):
     """(row, lobe, forcing, interior modes) per non-empty lobe of the selected
     rows, in table order; c-type rows are only booked and have no modes."""
+    params = assembly.params
     solvers = {"a": solve_interior_a, "b": solve_interior_b}
     for itype in INTERACTIONS:
         if rows is None or itype.name in rows:
@@ -555,11 +564,10 @@ def _solved_batches(assembly: PacketAssembly, params: PhysParams, rows):
 
 
 def assemble_W1(
-    assembly: PacketAssembly,
-    params: PhysParams,
-    rows: tuple[str, ...] | None = None,
+    assembly: PacketAssembly, rows: tuple[str, ...] | None = None
 ) -> CorrectorAssembly:
-    """Full corrector: interior solves, lifts and mean flow.
+    """Full corrector of the packet W0 = assembly, at its parameters:
+    interior solves, lifts and mean flow.
 
     `rows` restricts the interaction table to the named rows (default: all).
     Restricting to a single row reproduces the per-interaction bookkeeping
@@ -569,16 +577,15 @@ def assemble_W1(
     """
     parts = {"a": [], "b": []}
     lobes = {lobe: [] for lobe in Lobe}  # the same interior modes, per lobe
-    for itype, lobe, _, modes in _solved_batches(assembly, params, rows):
+    for itype, lobe, _, modes in _solved_batches(assembly, rows):
         if modes is not None:
             parts[itype.kind].append(modes)
             lobes[lobe].append(modes)
 
     traces = {lobe: collect_traces(ExpModes.concat(m)) for lobe, m in lobes.items()}
-    bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], params)
-    bl3_mf, w1_mf = lift_mean_flow(traces[Lobe.ZERO], params)
+    bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], assembly.params)
+    bl3_mf, w1_mf = lift_mean_flow(traces[Lobe.ZERO], assembly.params)
     return CorrectorAssembly(
-        params=params,
         w0=assembly,
         families={
             W1_BLEPS2: ExpModes.concat(parts["a"]),
@@ -590,9 +597,7 @@ def assemble_W1(
     )
 
 
-def rowwise_family_sizes(
-    assembly: PacketAssembly, params: PhysParams
-) -> dict[str, tuple[float, float]]:
+def rowwise_family_sizes(assembly: PacketAssembly) -> dict[str, tuple[float, float]]:
     """Per-family (L2, Linf) sizes, aggregated row by interaction row.
 
     This is the quantity the corrector size estimates control: each row is
@@ -604,7 +609,7 @@ def rowwise_family_sizes(
     for it in INTERACTIONS:
         if it.kind == "c":
             continue
-        casm = assemble_W1(assembly, params, rows=(it.name,))
+        casm = assemble_W1(assembly, rows=(it.name,))
         for fam, acc in totals.items():
             l2, linf = casm.norms(fam)
             acc[0] += l2
@@ -695,7 +700,7 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
 
     # what the interior solves of the assembled rows leave out, and the
     # residual-only c-type interactions
-    for itype, _, src, modes in _solved_batches(w0, params, casm.rows):
+    for itype, _, src, modes in _solved_batches(w0, casm.rows):
         if modes is None:
             booked = {f"c_terms_{itype.name}": src}
         else:

@@ -79,6 +79,7 @@ stay within one placed W_app array (`times_per_pass`): 5 save times at
 """
 
 import copy
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -243,7 +244,9 @@ class SimConfig:
                                ("Ly", self.Ly > 0.0, "> 0"), ("nx", self.nx >= 2, ">= 2"),
                                ("ny", self.ny >= 2, ">= 2"),
                                ("dy0", 0.0 < self.dy0 < math.inf, "> 0 and finite"),
-                               ("dy_max", self.dy_max > 0.0, "> 0")):
+                               ("dy_max", self.dy_max > 0.0, "> 0"),
+                               ("k0", math.isfinite(self.k0) and self.k0 != 0.0,
+                                "finite and nonzero")):
             if not ok:
                 raise DnsError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         p = self.params
@@ -776,6 +779,24 @@ def times_per_pass(w0: PacketAssembly, w1: CorrectorAssembly | None,
     return max(1, 3 * grid.ny * (grid.nx // 2 + 1) // per_time)
 
 
+def _check_wapp(config: SimConfig, w0: PacketAssembly, w1: CorrectorAssembly | None):
+    """DnsError naming the field unless W_app was built for this run, as
+    init_from_Wapp states; W0 does not depend on delta, so a delta = 0 twin
+    may share it."""
+    built = [("W0", w0.params, ("delta",))]
+    if w1 is not None:
+        built.append(("W1", w1.params, ()))
+    for name, params, free in built:
+        for f in dataclasses.fields(params):
+            got, want = getattr(params, f.name), getattr(config.params, f.name)
+            if f.name not in free and got != want:
+                raise DnsError(f"{name} was built at {f.name}={got!r}, "
+                               f"the run is at {f.name}={want!r}")
+    k0 = w0.envelope.carrier.k0
+    if config.k0 != k0:
+        raise DnsError(f"SimConfig k0={config.k0!r} is not W0's carrier k0={k0!r}")
+
+
 def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
                    config: SimConfig, solver: Solver) -> State:
     """W_app(0) in the solver's rfft columns (wapp_columns), projected; at
@@ -788,9 +809,14 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     advection makes 3 k0 out of W0 and W1's second harmonic; a UserWarning
     says when 3 times W0's top column is at or above Nyquist, where that
     harmonic folds.
+
+    W_app must be built for this run, else DnsError names the field: W0 at
+    config's parameters but for delta, W1 at all of them, and W0's carrier
+    at config.k0.
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
+    _check_wapp(config, w0, w1)
     g = solver.grid
     k_max = max(np.abs(m.l).max(initial=0.0) for m in w0.families.values())
     col = round(k_max * g.Lx / (2.0 * math.pi))
@@ -872,7 +898,11 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     the first save's placement (at the state's own t, 0 from init_from_Wapp):
     the stability envelopes are stated for an O(1)-normalized wave field,
     while the packet itself carries an O(1/eps) lattice-sum amplitude.
+
+    W_app must be built for the solver's run, as in init_from_Wapp: a
+    mismatch raises DnsError naming the field.
     """
+    _check_wapp(solver.config, w0, w1)
     eps, delta = solver.config.params.eps, solver.config.params.delta
     grid = solver.grid
     t = solver.save_times(state.t, n_steps, save_every)

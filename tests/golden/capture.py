@@ -58,7 +58,7 @@ def reference_case():
     p = PhysParams(gamma=GAMMA, eps=EPS, delta=EPS**3)
     env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=EPS)
     w0 = assemble_W0(p, env, QuadratureSpec(NODES))
-    return w0, C.assemble_W1(w0, p)
+    return w0, C.assemble_W1(w0)
 
 
 def field_grid(x_period):
@@ -90,9 +90,9 @@ def capture(w0, casm):
     return arrays, scalars
 
 
-def capture_rowwise(w0, casm):
+def capture_rowwise(w0):
     """Row-by-row (L2, Linf) sizes of the W1 families (`corrector` experiment)."""
-    return {f: list(v) for f, v in C.rowwise_family_sizes(w0, casm.params).items()}
+    return {f: list(v) for f, v in C.rowwise_family_sizes(w0).items()}
 
 
 DNS_STEPS = 20
@@ -172,7 +172,7 @@ def main(outdir):
     np.savez(outdir / "fields.npz", **arrays)
     (outdir / "scalars.json").write_text(json.dumps(scalars, indent=1) + "\n")
     (outdir / "rowwise.json").write_text(
-        json.dumps(capture_rowwise(*case), indent=1) + "\n")
+        json.dumps(capture_rowwise(case[0]), indent=1) + "\n")
     np.savez(outdir / "dns.npz", **capture_dns(*dns_case()))
     np.savez(outdir / "lift.npz", **capture_lift())
 

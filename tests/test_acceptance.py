@@ -257,9 +257,9 @@ def test_criterion_05_corrector_sizes():
     sizes = {f: ([], []) for f in C.W1_FAMILIES}
     casms = {}
     for eps in CORR_SWEEP:
-        asm, p = make_w0(eps, nodes=5, delta=eps**3)
-        row = C.rowwise_family_sizes(asm, p)
-        casms[eps] = C.assemble_W1(asm, p)
+        asm, _ = make_w0(eps, nodes=5, delta=eps**3)
+        row = C.rowwise_family_sizes(asm)
+        casms[eps] = C.assemble_W1(asm)
         for fam, (l2s, linfs) in sizes.items():
             l2s.append(row[fam][0])
             linfs.append(row[fam][1])
@@ -353,15 +353,15 @@ def test_criterion_07_residual_accounting():
     totals = []
     for eps in CORR_SWEEP:
         asm, p = make_w0(eps, nodes=5, delta=eps**3)
-        casm = C.assemble_W1(asm, p)
+        casm = C.assemble_W1(asm)
         totals.append(C.residual_Rapp(casm)["total"])
     # delta = eps^3: delta eps^2 + delta^2 + eps^6 is dominated by eps^5
     slope = _slope(CORR_SWEEP, totals)
     if abs(slope - 5.0) > 0.4:
         failures.append(f"total residual slope {slope:.3f} vs 5.0")
     # delta = 0: only the eps^6 diffusion of the incident packet survives
-    asm, p = make_w0(0.2, nodes=5, delta=0.0)
-    report = C.residual_Rapp(C.assemble_W1(asm, p))
+    asm, _ = make_w0(0.2, nodes=5, delta=0.0)
+    report = C.residual_Rapp(C.assemble_W1(asm))
     other = report["total"] - report["eps6_diffusion_inc"]
     if abs(other) > 1e-9 * report["total"]:
         failures.append(f"delta=0 residual has non-diffusive part {other:.2e}")
@@ -381,7 +381,7 @@ EPS_DNS = box_matched_eps(0.2, 1.0, 9)  # exactly 0.2: the lattice matches
 
 def _dns_setup(delta, nx, ny, dt, dy0):
     asm, p = make_w0(EPS_DNS, delta=delta)
-    w1 = C.assemble_W1(asm, p) if delta else None
+    w1 = C.assemble_W1(asm) if delta else None
     cfg = SimConfig(params=p, Lx=asm.x_period, Ly=300.0, nx=nx, ny=ny,
                     dt=dt, T=1.0, dy0=dy0, dy_max=1.0)
     sol = Solver(cfg)

@@ -24,6 +24,7 @@ from wavecrit.boundary import (
     mode_profiles,
 )
 from wavecrit.characteristic import (
+    CRITICAL_REGIMES,
     ModalMatrixSpec,
     Regime,
     build_matrix,
@@ -127,10 +128,25 @@ class TestTraceMatching:
         assert np.abs(lift.cu).max() <= 1e-12
         assert leftover[0] == pytest.approx(-(2.0 - 1j))
 
+    @pytest.mark.parametrize("regime", CRITICAL_REGIMES)
+    def test_noncritical_lift_takes_critical_nodes(self, regime):
+        """The second-harmonic lift takes a near-critical node, as W1's
+        double-lobe nodes are at small gamma: its modes are lift_critical's,
+        bit for bit, with the label-2 mode split off as the reflected wave."""
+        spec = regime_spec(regime)
+        rng = np.random.default_rng(14)
+        tr = random_traces(rng, 1)[0][:, None]
+        whole = lift_critical(spec, tr)
+        rw, bl = lift_noncritical(spec, tr)
+        assert rw.mu.tolist() == roots_for(spec).by_label(2).tolist()
+        for f in ("l", "alpha", "mu", "cu", "cw", "cb"):
+            assert getattr(rw, f).tolist() == getattr(whole, f)[:1].tolist()
+            assert getattr(bl, f).tolist() == getattr(whole, f)[1:].tolist()
+
     def test_regime_preconditions(self):
         tr = col([1.0, 0.0, 0.0])
         with pytest.raises(RegimeError):
-            lift_noncritical(regime_spec(Regime.CRITICAL_DY), tr)
+            lift_noncritical(regime_spec(Regime.NON_OSCILLATING), tr)
         with pytest.raises(RegimeError):
             lift_nonoscillating(regime_spec(Regime.CRITICAL_DY), tr)
         with pytest.raises(RegimeError):
@@ -140,7 +156,8 @@ class TestTraceMatching:
         """A batch with nodes outside the lift's regime: each lift's one
         regime check counts them and names the first by (l, alpha)."""
         for lift, allowed, stray in ((lift_critical, Regime.CRITICAL_DY, Regime.NON_CRITICAL),
-                                     (lift_noncritical, Regime.NON_CRITICAL, Regime.CRITICAL_DY),
+                                     (lift_noncritical, Regime.NON_CRITICAL,
+                                      Regime.NON_OSCILLATING),
                                      (lift_nonoscillating, Regime.NON_OSCILLATING,
                                       Regime.CRITICAL_DY)):
             ok, bad = regime_spec(allowed), regime_spec(stray)

@@ -35,8 +35,8 @@ def w0():
 
 @pytest.fixture(scope="module")
 def casm(w0):
-    asm, p = w0
-    return C.assemble_W1(asm, p)
+    asm, _ = w0
+    return C.assemble_W1(asm)
 
 
 def born_of_no_pair(m):
@@ -259,8 +259,8 @@ class TestInteriorSolves:
         """The restored w of the eps^-2 families is ~ eps^2 of u."""
         ratios = []
         for eps in (0.3, 0.15):
-            asm, p = make_w0(eps)
-            cas = C.assemble_W1(asm, p, rows=("a1", "a2"))
+            asm, _ = make_w0(eps)
+            cas = C.assemble_W1(asm, rows=("a1", "a2"))
             m = cas.families[C.W1_BLEPS2]
             uo = C.ExpModes(m.l, m.alpha, m.mu, m.cu, np.zeros_like(m.cw),
                             np.zeros_like(m.cb))
@@ -278,10 +278,10 @@ class TestInteriorSolves:
         norms = []
         eps_list = (0.3, 0.2, 0.1)
         for eps in eps_list:
-            asm, p = make_w0(eps, delta=1e-3)
+            asm, _ = make_w0(eps, delta=1e-3)
             total = 0.0
             for r in rows:
-                cas = C.assemble_W1(asm, p, rows=(r,))
+                cas = C.assemble_W1(asm, rows=(r,))
                 total += cas.norms(family)[0]
             norms.append(total)
         slope = np.polyfit(np.log(eps_list), np.log(norms), 1)[0]
@@ -313,8 +313,8 @@ class TestCollectTraces:
         eps_list = [0.3, 0.2, 0.15, 0.1]
         dens = []
         for eps in eps_list:
-            asm, p = make_w0(eps)
-            dens.append(C.trace_density(asm, p))
+            asm, _ = make_w0(eps)
+            dens.append(C.trace_density(asm))
         dens = np.array(dens)
         loge = np.log(eps_list)
         for col, target in ((0, -4.0), (1, -2.0), (2, -6.0)):
@@ -348,7 +348,7 @@ class TestLiftOnce:
     def test_counts_at_reference_case(self, w0, monkeypatch):
         """9 surviving W0 nodes: 45 double-lobe and 54 zero-lobe (l != 0)
         nodes, one root solve each."""
-        asm, p = w0
+        asm, _ = w0
         assert len(asm.families[Family.INCIDENT]) == 9
         calls = []
 
@@ -357,7 +357,7 @@ class TestLiftOnce:
             return roots_for(spec)
 
         monkeypatch.setattr(boundary, "roots_for", counted)
-        cas = C.assemble_W1(asm, p)
+        cas = C.assemble_W1(asm)
         assert sum(np.size(spec.omega) for spec in calls) == 99
         assert len(cas.families[C.W1_II]) == 45
         assert len(cas.families[C.W1_MF]) == 54
@@ -367,7 +367,7 @@ class TestLiftOnce:
         """The 99 lifted nodes get their roots from at most two stacked
         companion eigensolves, one per lobe (the l = 0 shear lifts use their
         own quartic and are not counted)."""
-        asm, p = w0
+        asm, _ = w0
         stacks = []
         eigvals = np.linalg.eigvals
 
@@ -376,7 +376,7 @@ class TestLiftOnce:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        C.assemble_W1(asm, p)
+        C.assemble_W1(asm)
         assert len(stacks) <= 2
         assert sum(s[0] for s in stacks if s[-2:] == (6, 6) and len(s) == 3) == 99
 
@@ -496,8 +496,8 @@ class TestGramOracle:
     @pytest.mark.parametrize("gamma,eps,nodes", [
         *((LEDGER_GAMMA, e, 6) for e in LEDGER_EPS), (GAMMA, 0.2, 9)])
     def test_modal_l2_within_band_of_oracle(self, gamma, eps, nodes):
-        asm, p = make_w0(eps, gamma=gamma, nodes=nodes)
-        casm = C.assemble_W1(asm, p)
+        asm, _ = make_w0(eps, gamma=gamma, nodes=nodes)
+        casm = C.assemble_W1(asm)
         P = casm.x_period
         for fam, band in self.BAND.items():
             m = casm.families[fam]
@@ -507,8 +507,8 @@ class TestGramOracle:
     def test_oracle_is_the_limit_of_the_trapezoid_rule(self):
         """A uniform trapezoid rule on [0, y_max] closes on the oracle as
         h^2: 10x the points, 100x closer (1.8e-6, then 1.8e-8 on W1_II)."""
-        asm, p = make_w0(LEDGER_EPS[0], gamma=LEDGER_GAMMA, nodes=6)
-        casm = C.assemble_W1(asm, p)
+        asm, _ = make_w0(LEDGER_EPS[0], gamma=LEDGER_GAMMA, nodes=6)
+        casm = C.assemble_W1(asm)
         P, m = casm.x_period, casm.families[C.W1_II]
         y_max = C._norm_lattice(m, P, C._NORM_NY).y[-1]
         exact = _gram_l2(m, P, y_max)
@@ -585,7 +585,7 @@ class TestPairColumns:
         asm, p = w0
         assert not born_of_no_pair(casm.families[C.W1_BLEPS2]).any()
         terms = []
-        for itype, _, src, modes in C._solved_batches(asm, p, None):
+        for itype, _, src, modes in C._solved_batches(asm, None):
             booked = ({itype.name: src} if modes is None
                       else C._booked_terms(itype.kind, src, modes, p))
             terms += booked.items()
@@ -598,7 +598,7 @@ def _ledger_passes(asm, p, casm):
     """(name, first set, further sets, t) of every ledger kernel pass at the
     reference case (each batch's booked terms, the incident diffusion term,
     each modal family with its d/dx and d/dy), and W1_BLeps3 at t = 0.3."""
-    for itype, lobe, src, modes in C._solved_batches(asm, p, None):
+    for itype, lobe, src, modes in C._solved_batches(asm, None):
         booked = ([src] if modes is None
                   else list(C._booked_terms(itype.kind, src, modes, p).values()))
         yield f"{itype.name}/{lobe.name}", booked[0], booked[1:], 0.0
@@ -707,7 +707,7 @@ def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
     per exponent set per residual_Rapp (18 batches, the incident diffusion
     term, 3 modal families), only the family norms per rowwise_family_sizes.
     In residual_Rapp each call is exactly one mode_profiles pass."""
-    asm, p = w0
+    asm, _ = w0
     calls, passes = [], []
     norms, profiles = C.modes_norms, C.mode_profiles
 
@@ -724,8 +724,8 @@ def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
     monkeypatch.setattr(C, "modes_norms", counted)
     monkeypatch.setattr(C, "mode_profiles", counted_pass)
     counts = []
-    for run in (lambda: C.assemble_W1(asm, p), lambda: C.residual_Rapp(casm),
-                lambda: C.rowwise_family_sizes(asm, p)):
+    for run in (lambda: C.assemble_W1(asm), lambda: C.residual_Rapp(casm),
+                lambda: C.rowwise_family_sizes(asm)):
         calls.clear()
         run()
         counts.append(len(calls))
@@ -745,7 +745,7 @@ class TestLedgerNorms:
         asm, p = w0
         P = casm.x_period
         sets = [asm.families[Family.INCIDENT]]
-        for itype, _, src, modes in C._solved_batches(asm, p, None):
+        for itype, _, src, modes in C._solved_batches(asm, None):
             sets += ([src] if modes is None
                      else C._booked_terms(itype.kind, src, modes, p).values())
         for fam in C.W1_MODAL:
@@ -765,7 +765,7 @@ class TestLedgerNorms:
         asm, p = w0
         P = casm.x_period
         shared = []
-        for itype, _, src, modes in C._solved_batches(asm, p, None):
+        for itype, _, src, modes in C._solved_batches(asm, None):
             if modes is not None:
                 shared.append(list(C._booked_terms(itype.kind, src, modes, p).values()))
         shared += [[m, m.d_dx(), m.d_dy()] for m in map(casm.families.get, C.W1_MODAL)]
@@ -870,11 +870,28 @@ class TestLiftSecondHarmonic:
         """sin(g) > 1/2: peak second harmonic ~ delta eps^2."""
         norms, eps_list = [], (0.3, 0.15)
         for eps in eps_list:
-            asm, p = make_w0(eps, gamma=0.65, delta=1e-3)
-            cas = C.assemble_W1(asm, p)
+            asm, _ = make_w0(eps, gamma=0.65, delta=1e-3)
+            cas = C.assemble_W1(asm)
             norms.append(cas.norms(C.W1_II)[1])
         slope = (math.log(norms[0]) - math.log(norms[1])) / math.log(2.0)
         assert abs(slope - 2.0) <= 0.3, slope
+
+    @pytest.mark.parametrize("gamma", [0.45, 0.4])
+    def test_propagating_branch_assembles(self, gamma):
+        """4 sin^2(gamma) < 1: double-lobe nodes classify near-critical too,
+        and the second-harmonic lift takes them with the non-critical ones.
+        The reflected wave W1_II decays slowly (Re mu 0.008 to 0.023 at
+        eps = 0.2), the layers split off by label at the eps^-3 rate, and
+        the ledger runs."""
+        asm, p = make_w0(0.2, gamma=gamma, delta=0.008)
+        cas = C.assemble_W1(asm)
+        ii = cas.families[C.W1_II]
+        regimes = roots_for(ModalMatrixSpec(p.nu, p.kappa, ii.alpha, ii.l, gamma)).regimes
+        assert {r.name for r in regimes} >= {"NON_CRITICAL", "CRITICAL_SMALL_DIFF"}
+        assert 0.0 < ii.mu.real.min() and ii.mu.real.max() < 0.03
+        assert cas.families[C.W1_BLEPS3].mu.real.min() > 0.4 * p.eps**-3
+        assert C.wall_trace_check(cas) <= 1e-9
+        assert 0.0 < C.residual_Rapp(cas)["total"] < math.inf
 
     def test_classification_mismatch_error(self, w0, casm):
         _, p = w0
@@ -945,8 +962,8 @@ class TestLiftMeanFlow:
 
     def test_wall_w_equals_minus_leftover(self, w0):
         """Total w at y=0 of interior + layer lift + mean flow vanishes."""
-        asm, p = w0
-        cas = C.assemble_W1(asm, p, rows=("a1",))
+        asm, _ = w0
+        cas = C.assemble_W1(asm, rows=("a1",))
         assert C.wall_trace_check(cas) <= 1e-9
 
     def test_operator_size_scalings(self):
@@ -978,9 +995,9 @@ class TestLiftMeanFlow:
         shear = np.abs(bl3.l) < 1e-14
         assert shear.any()
         assert np.abs(bl3.cw[shear]).max() == 0.0
-        asm, p = w0
+        asm, _ = w0
         lobes = {lobe: [] for lobe in C.Lobe}
-        for _, lobe, _, modes in C._solved_batches(asm, p, None):
+        for _, lobe, _, modes in C._solved_batches(asm, None):
             if modes is not None:
                 lobes[lobe].append(modes)
         for lobe, parts in lobes.items():
@@ -995,7 +1012,7 @@ class TestLiftMeanFlow:
         -nu kappa L^4 - i alpha (nu+kappa) L^2 + alpha^2 - sin^2 g (np.roots,
         rtol 1e-13), and its modes cancel the u- and d_y b-traces."""
         asm, p = w0
-        zero = [m for _, lobe, _, m in C._solved_batches(asm, p, None)
+        zero = [m for _, lobe, _, m in C._solved_batches(asm, None)
                 if m is not None and lobe is C.Lobe.ZERO]
         l, alpha, tu, _, tb = C.collect_traces(C.ExpModes.concat(zero))
         shear = np.abs(l) < 1e-14
@@ -1062,8 +1079,8 @@ class TestAssembly:
         """Neglected-term ledger shrinks at least like eps^2 at fixed delta."""
         totals, eps_list = [], (0.3, 0.15)
         for eps in eps_list:
-            asm, p = make_w0(eps, delta=1e-3)
-            cas = C.assemble_W1(asm, p)
+            asm, _ = make_w0(eps, delta=1e-3)
+            cas = C.assemble_W1(asm)
             totals.append(sum(v for k, v in C.residual_Rapp(cas).items()
                               if k.startswith("r1_")))
         slope = (math.log(totals[0]) - math.log(totals[1])) / math.log(2.0)
@@ -1102,16 +1119,16 @@ class TestAssembly:
         combined and the assembled families are smaller than the row-wise
         sums the size estimates control.
         """
-        asm, p = w0
-        sizes = C.rowwise_family_sizes(asm, p)
+        asm, _ = w0
+        sizes = C.rowwise_family_sizes(asm)
         for fam in (C.W1_BLEPS3, C.W1_MF):
             assert sizes[fam][0] >= casm.norms(fam)[0]
 
 
 class TestResidualReport:
     def test_delta_zero_reduces_to_diffusion(self):
-        asm, p = make_w0(0.2, delta=0.0)
-        cas = C.assemble_W1(asm, p)
+        asm, _ = make_w0(0.2, delta=0.0)
+        cas = C.assemble_W1(asm)
         rep = C.residual_Rapp(cas)
         assert rep["eps6_diffusion_inc"] > 0.0
         for k, v in rep.items():
@@ -1130,8 +1147,8 @@ class TestResidualReport:
         """max |grad W_app| grows like eps^-2 (the eps^2 layer dominates)."""
         worsts, eps_list = [], (0.3, 0.15)
         for eps in eps_list:
-            asm, p = make_w0(eps)
-            cas = C.assemble_W1(asm, p)
+            asm, _ = make_w0(eps)
+            cas = C.assemble_W1(asm)
             worsts.append(C.grad_Wapp_Linf(cas))
         slope = (math.log(worsts[0]) - math.log(worsts[1])) / math.log(2.0)
         assert abs(slope + 2.0) <= 0.3, slope

@@ -86,7 +86,7 @@ def twin():
     p = PhysParams(gamma=GAMMA, eps=EPS, delta=EPS**3)
     asm = assemble_W0(p, Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=EPS),
                       QuadratureSpec(5))
-    w1 = assemble_W1(asm, p)
+    w1 = assemble_W1(asm)
     sol = Solver(make_config(delta=EPS**3, Lx=asm.x_period))
     return asm, w1, sol, init_from_Wapp(asm, w1, sol.config, sol)
 
@@ -193,7 +193,8 @@ class TestGridAndConfig:
     @pytest.mark.parametrize("name,value", [
         ("dt", 0.0), ("dt", -0.01), ("T", -1.0), ("T", math.inf), ("Ly", -60.0), ("nx", 0),
         ("ny", 1), ("Lx", -5.0), ("Lx", math.nan), ("Lx", math.inf), ("dy0", 0.0),
-        ("dy0", math.nan), ("dy_max", math.nan), ("dy_max", -1.0)])
+        ("dy0", math.nan), ("dy_max", math.nan), ("dy_max", -1.0), ("k0", math.nan),
+        ("k0", math.inf), ("k0", 0.0)])
     def test_out_of_range_refused(self, name, value):
         """Refused by name before the root solve, not left to a raw
         ZeroDivisionError, LinAlgError, ValueError or OverflowError later,
@@ -838,7 +839,7 @@ class TestPlacement:
         gamma, eps, t_end, box = self.CASES[case]
         p = PhysParams(gamma=gamma, eps=eps, delta=eps**3)
         asm = assemble_W0(p, Envelope(critical_carrier(gamma, 1.0), eps), QuadratureSpec(5))
-        w1 = assemble_W1(asm, p)
+        w1 = assemble_W1(asm)
         cfg = SimConfig(params=p, Lx=asm.x_period, dt=0.01, T=t_end, **box)
         g = dns.Grid(cfg.Lx, cfg.nx, cfg.y)
         top = {name: np.abs(l).max() * g.Lx / (2.0 * math.pi) for name, l in
@@ -907,6 +908,56 @@ class TestInit:
             init_from_Wapp(assembly, None, cfg, Solver(cfg))
 
 
+class TestWappMatchesTheRun:
+    """W_app must be built for the run: W0 at its parameters but for delta,
+    W1 at all of them, and W0's carrier at its k0.  init_from_Wapp and
+    compare_stability refuse anything else with a DnsError naming the field."""
+
+    @staticmethod
+    def refused(w0, w1, config, state, match):
+        sol = Solver(config)
+        with pytest.raises(DnsError, match=match):
+            init_from_Wapp(w0, w1, config, sol)
+        # refused before the march reads the state
+        with pytest.raises(DnsError, match=match):
+            compare_stability(sol, state, 1, 1, w0, w1)
+
+    @pytest.mark.parametrize("field,value", [("eps", 0.99 * EPS), ("gamma", 0.69),
+                                             ("nu0", 1.5)])
+    def test_w0_at_other_params(self, assembly, initial, field, value):
+        p = dataclasses.replace(PARAMS, **{field: value})
+        cfg = dataclasses.replace(make_config(Lx=assembly.x_period), params=p)
+        self.refused(assembly, None, cfg, initial,
+                     rf"^W0 was built at {field}={getattr(PARAMS, field)!r}, "
+                     rf"the run is at {field}={value!r}$")
+
+    def test_w1_at_other_delta(self, twin):
+        asm, w1, _, st = twin
+        cfg = make_config(delta=2 * EPS**3, Lx=asm.x_period)
+        self.refused(asm, w1, cfg, st, rf"^W1 was built at delta={EPS**3!r}, "
+                                       rf"the run is at delta={2 * EPS**3!r}$")
+
+    def test_k0_other_than_the_carrier(self, assembly, initial):
+        cfg = make_config(Lx=assembly.x_period, k0=1.1)
+        self.refused(assembly, None, cfg, initial,
+                     r"^SimConfig k0=1.1 is not W0's carrier k0=1.0$")
+
+    def test_delta_zero_run_shares_the_w0(self, twin):
+        """W0 does not depend on delta: a delta = 0 run takes the W0 built
+        at delta = eps^3, and its start and report are those a delta = 0 W0
+        gives, bit for bit."""
+        asm = twin[0]
+        cfg = make_config(Lx=asm.x_period)
+        own = assemble_W0(PARAMS, asm.envelope, QuadratureSpec(5))
+        sol = Solver(cfg)
+        st, ref = (init_from_Wapp(w0, None, cfg, sol) for w0 in (asm, own))
+        for a, b in ((st.uh, ref.uh), (st.wh, ref.wh), (st.bh, ref.bh)):
+            assert np.array_equal(a, b)
+        rep, rep_own = (compare_stability(sol, s, 2, 1, w0)[1]
+                        for s, w0 in ((st, asm), (ref, own)))
+        assert np.array_equal(rep["diff_L2"], rep_own["diff_L2"])
+
+
 class TestStep:
     def test_zero_stays_zero(self, solver):
         g = solver.grid
@@ -957,7 +1008,7 @@ class TestStep:
                         dt=0.01, T=0.12, dy0=1e-3, dy_max=0.6)
         sol = Solver(cfg)
         saved = []
-        sol.run(init_from_Wapp(w0, assemble_W1(w0, p), cfg, sol), 12, 3,
+        sol.run(init_from_Wapp(w0, assemble_W1(w0), cfg, sol), 12, 3,
                 on_save=saved.append)
         sing = [0, cfg.nx // 2]
         assert len(saved) == 5 and np.abs(saved[-1].uh[:, 0]).max() > 0.0

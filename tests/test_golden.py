@@ -51,7 +51,7 @@ def observed(case):
 
 @pytest.fixture(scope="module")
 def observed_rowwise(case):
-    return capture.capture_rowwise(*case)
+    return capture.capture_rowwise(case[0])
 
 
 @pytest.fixture(scope="module")
