@@ -63,7 +63,8 @@ from .characteristic import (
     roots_for,
 )
 
-#: modes whose exponent drops below exp(-700) contribute exactly zero
+#: a table entry whose exponent drops below -700 is exactly zero; a product
+#: of such entries whose exponents sum below -700 is below e^-700 or zero
 _UNDERFLOW_EXPONENT = 700.0
 
 
@@ -231,8 +232,9 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
     the distinct parent rates (a pair mode's parents, any other mode's mu
     and 0), exactly zero where either exponent is below -700.  The table is
     over y's points, or over a YLattice's offsets, whose sum_columns sums a
-    group as two small matrices; there a mode with a rate whose exponent can
-    pass -700 at the last y keeps its guarded column, so its zeros stay exact.
+    group as two small matrices.  Where a column's exponent passes -700 but
+    none of its factors' does, their product is below e^-700 (about 1e-304)
+    or underflows to zero, where a guarded e^(-mu y) would be exactly zero.
     """
     _check_exponents(modes, also)
     groups = _group_by_l(modes.l)
@@ -240,22 +242,13 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
     base = np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
     coef = (base * np.exp(-1j * modes.alpha * times[:, None])[:, None]).reshape(
         len(times) * len(base), len(modes))
-    lattice = isinstance(y, YLattice)
-    grid = y if lattice else YPoints(y)
+    grid = y if isinstance(y, YLattice) else YPoints(y)
     rates, inv = np.unique(modes.parents.ravel(), return_inverse=True)
     row = inv.reshape(-1, 2)  # a mode's two table rows
     table = guarded_exp(np.outer(-rates, grid.offsets))
-    far = np.zeros(len(modes), dtype=bool)
-    if lattice:
-        far = (rates.real * y.y[-1] > _UNDERFLOW_EXPONENT)[row].any(axis=1)
-    if far.any():
-        table_y = guarded_exp(np.outer(-rates, grid.y))
     P = np.empty((len(coef), len(groups), len(grid.y)), dtype=complex)
     for g, idx in enumerate(groups):
-        near, fi = idx[~far[idx]], idx[far[idx]]
-        P[:, g] = grid.sum_columns(coef[:, near], table[row[near, 0]] * table[row[near, 1]])
-        if len(fi):
-            P[:, g] += coef[:, fi] @ (table_y[row[fi, 0]] * table_y[row[fi, 1]])
+        P[:, g] = grid.sum_columns(coef[:, idx], table[row[idx, 0]] * table[row[idx, 1]])
     P = P.reshape(len(times), len(base), *P.shape[1:])
     return modes.l[[idx[0] for idx in groups]], P if np.ndim(t) else P[0]
 

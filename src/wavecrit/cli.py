@@ -60,6 +60,7 @@ from .dns import (
 from .packets import (
     Envelope,
     Family,
+    PacketAssembly,
     QuadratureSpec,
     assemble_W0,
     component_anisotropy,
@@ -116,9 +117,14 @@ class ExperimentConfig:
             )
         for name, kind in (("seed", int), ("k0", float), ("nodes_per_lobe", int)):
             setattr(self, name, _option(name, kind, getattr(self, name)))
-        # a negative k0 is a carrier too: critical_carrier asks for that flip
         if not (math.isfinite(self.k0) and self.k0 != 0.0):
             raise ConfigError(f"k0 must be finite and nonzero, got {self.k0!r}")
+        if self.experiment != "roots":
+            # every other experiment builds the carrier, so its rule on k0 holds
+            try:
+                critical_carrier(self.params.gamma, self.k0)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.nodes_per_lobe < 4:
             raise ConfigError(
                 f"nodes_per_lobe must be >= 4, got {self.nodes_per_lobe}"
@@ -321,7 +327,7 @@ def _params_at(config: ExperimentConfig, eps: float, delta: float) -> PhysParams
     return dataclasses.replace(config.params, eps=eps, delta=delta)
 
 
-def _assembly_at(config: ExperimentConfig, params: PhysParams):
+def _assembly_at(config: ExperimentConfig, params: PhysParams) -> PacketAssembly:
     car = critical_carrier(params.gamma, config.k0)
     env = Envelope(carrier=car, eps=params.eps)
     return assemble_W0(params, env, QuadratureSpec(config.nodes_per_lobe))
@@ -476,10 +482,10 @@ def _dns_config(config: ExperimentConfig, params: PhysParams,
     return SimConfig(params=params, Lx=x_period, k0=config.k0, **given)
 
 
-def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
-    """Run the DNS from W_app(0), with W1 if and only if delta != 0, and
-    compare it with W_app."""
-    asm = _assembly_at(config, params)
+def _dns_series(config: ExperimentConfig, params: PhysParams, asm: PacketAssembly,
+                floor=None):
+    """Run the DNS at params from W_app(0), with W1 if and only if delta != 0,
+    and compare it with W_app; asm is W0, which does not depend on delta."""
     w1 = assemble_W1(asm) if params.delta else None
     sim = _dns_config(config, params, asm.x_period)
     solver = Solver(sim)
@@ -493,7 +499,7 @@ def _dns_series(config: ExperimentConfig, params: PhysParams, floor=None):
 
 def _run_dns(config: ExperimentConfig) -> list[str]:
     params = config.params
-    solver, traj, report = _dns_series(config, params)
+    solver, traj, report = _dns_series(config, params, _assembly_at(config, params))
     budget = energy_budget(traj)
     # per-save-time series in the documented column layout
     idx = np.searchsorted(traj.times, report["t"])
@@ -528,11 +534,11 @@ def _run_dns(config: ExperimentConfig) -> list[str]:
 
 def _run_stability(config: ExperimentConfig) -> list[str]:
     params = config.params
+    asm = _assembly_at(config, params)  # one W0 for both runs
     # delta = 0 control run doubles as the measured error floor; only its
     # report is kept, so its solver is freed before the second run's is built
-    p0 = dataclasses.replace(params, delta=0.0)
-    rep0 = _dns_series(config, p0)[2]
-    rep1 = _dns_series(config, params, floor=rep0["diff_L2"])[2]
+    rep0 = _dns_series(config, dataclasses.replace(params, delta=0.0), asm)[2]
+    rep1 = _dns_series(config, params, asm, floor=rep0["diff_L2"])[2]
     rows = [
         [float(rep1["t"][i]), float(rep1["diff_L2"][i]),
          float(rep1["floor"][i]), float(rep1["net"][i]),

@@ -366,11 +366,11 @@ class MeanFlowField:
         P = np.stack([u, w, np.zeros_like(u)], axis=1)
         return l, P if np.ndim(t) else P[0]
 
-    def norms(self, x_period: float, t: float = 0.0, nx: int | None = _NORM_NX):
-        """(L2, Linf) as modes_norms returns them, on 800 y-points of
-        [0, 2.5 eps^-2]; with nx None, Linf is None."""
+    def norms(self, x_period: float, nx: int | None = _NORM_NX):
+        """(L2, Linf) at t = 0 as modes_norms returns them, on 800 y-points
+        of [0, 2.5 eps^-2]; with nx None, Linf is None."""
         y = np.linspace(0.0, 2.5 / self.eps ** 2, 800)
-        return _profile_norms(*self.profiles(t, y), y, x_period, nx)
+        return _profile_norms(*self.profiles(0.0, y), y, x_period, nx)
 
 
 def collect_traces(interior: ExpModes):

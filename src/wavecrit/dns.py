@@ -783,6 +783,8 @@ def _check_wapp(config: SimConfig, w0: PacketAssembly, w1: CorrectorAssembly | N
     """DnsError naming the field unless W_app was built for this run, as
     init_from_Wapp states; W0 does not depend on delta, so a delta = 0 twin
     may share it."""
+    if w1 is not None and w1.w0 is not w0:
+        raise DnsError("W1 was built from another W0")
     built = [("W0", w0.params, ("delta",))]
     if w1 is not None:
         built.append(("W1", w1.params, ()))
@@ -811,8 +813,8 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     harmonic folds.
 
     W_app must be built for this run, else DnsError names the field: W0 at
-    config's parameters but for delta, W1 at all of them, and W0's carrier
-    at config.k0.
+    config's parameters but for delta, W1 from this W0 and at all of them,
+    and W0's carrier at config.k0.
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")

@@ -157,7 +157,7 @@ def assemble_W0(
     i, j = np.nonzero(chi2)
     k = car.k0 + e2 * s[i]
     m = car.m0 + e2 * s[j]
-    omega = dispersion_omega(k, m, params.gamma, car.branch)
+    omega = dispersion_omega(k, m, params.gamma)
     # node amplitude: A * dk * dm = eps^2 chi chi w_i w_j
     amp = e2 * chi2[i, j] * wts[i] * wts[j]
     U, W, B = incident_polarization(k, m, params.gamma, omega)

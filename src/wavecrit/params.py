@@ -4,11 +4,13 @@ Internal gravity waves over a slope tilted by gamma, buoyancy frequency
 normalized to N = 1.  In slope coordinates a plane wave exp(i(kx + my - wt))
 oscillates at
 
-    w(k, m) = +/- (k cos(gamma) - m sin(gamma)) / sqrt(k^2 + m^2),
+    w(k, m) = (k cos(gamma) - m sin(gamma)) / sqrt(k^2 + m^2),
 
 so |w| <= 1 and the frequency fixes the propagation angle, not the
-wavelength.  Reflection is critical when w^2 = sin(gamma)^2; the distance to
-criticality is measured by zeta = w^2 - sin(gamma)^2.
+wavelength.  The wave (-k, -m) at -w is the complex conjugate, which every
+real field holds, so this one branch is all there is.  Reflection is
+critical when w^2 = sin(gamma)^2; the distance to criticality is measured
+by zeta = w^2 - sin(gamma)^2.
 
 Viscosity and diffusivity follow the Dauxois-Young scaling
 nu = nu0 * eps^6, kappa = kappa0 * eps^6.
@@ -16,22 +18,10 @@ nu = nu0 * eps^6, kappa = kappa0 * eps^6.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class Branch(enum.Enum):
-    """Sign of the frequency branch.  Always explicit, never inferred."""
-
-    PLUS = 1
-    MINUS = -1
-
-    @property
-    def sign(self) -> float:
-        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -71,28 +61,27 @@ class PhysParams:
         return self.kappa0 * self.eps**6
 
 
-def dispersion_omega(k, m, gamma: float, branch: Branch):
-    """Frequency of the plane wave (k, m) on the chosen branch (elementwise
-    for arrays).
+def dispersion_omega(k, m, gamma: float):
+    """Frequency of the plane wave (k, m) (elementwise for arrays).
 
-    Returns +/- (k cos g - m sin g)/sqrt(k^2+m^2); |result| <= 1.
+    Returns (k cos g - m sin g)/sqrt(k^2+m^2); |result| <= 1.
     """
     norm2 = k * k + m * m
     if np.any(norm2 == 0.0):
         raise ValueError("dispersion is undefined at the zero wavevector")
-    return branch.sign * (k * math.cos(gamma) - m * math.sin(gamma)) / np.sqrt(norm2)
+    return (k * math.cos(gamma) - m * math.sin(gamma)) / np.sqrt(norm2)
 
 
-def group_velocity(k: float, m: float, gamma: float, branch: Branch) -> tuple[float, float]:
+def group_velocity(k: float, m: float, gamma: float) -> tuple[float, float]:
     """Gradient of dispersion_omega in (k, m).
 
-    vg = +/- (m cos g + k sin g)/(k^2+m^2)^{3/2} * (m, -k); orthogonal to
-    the wavevector.
+    vg = (m cos g + k sin g)/(k^2+m^2)^{3/2} * (m, -k); orthogonal to the
+    wavevector.
     """
     norm2 = k * k + m * m
     if norm2 == 0.0:
         raise ValueError("group velocity is undefined at the zero wavevector")
-    common = branch.sign * (m * math.cos(gamma) + k * math.sin(gamma)) / norm2**1.5
+    common = (m * math.cos(gamma) + k * math.sin(gamma)) / norm2**1.5
     return (common * m, -common * k)
 
 
@@ -114,29 +103,23 @@ class CriticalCarrier:
     m0: float
     omega0: float
     gamma: float
-    branch: Branch
 
 
-def critical_carrier(gamma: float, k0: float, branch: Branch = Branch.PLUS) -> CriticalCarrier:
+def critical_carrier(gamma: float, k0: float) -> CriticalCarrier:
     """Select m0 so that (k0, m0) is critical and incident.
 
     The criticality condition (k0 cos g - m0 sin g)^2 = sin^2 g (k0^2+m0^2)
     has exactly one finite root in m0 (the quadratic's m^2 terms cancel):
     m0 = k0 / tan(2 gamma).  The other root runs off to infinity, which is
     the critical-reflection singularity itself.
+
+    For gamma in (0, pi/2) it gives omega0 = sign(k0) sin(gamma) and
+    vg_y = -k0^2 cos(gamma) / (sin(2 gamma) (k0^2 + m0^2)^{3/2}) < 0: every
+    k0 > 0 is incident, so k0 > 0 is the one rule; -k0 is the conjugate lobe.
     """
-    if k0 == 0.0:
-        raise ValueError("k0 must be nonzero")
     if not 0.0 < gamma < math.pi / 2:
         raise ValueError("gamma must lie in (0, pi/2)")
+    if not 0.0 < k0 < math.inf:
+        raise ValueError(f"k0 must be finite and positive, got {k0!r}")
     m0 = k0 / math.tan(2.0 * gamma)
-    omega0 = dispersion_omega(k0, m0, gamma, branch)
-    if omega0 <= 0.0:
-        raise ValueError(
-            "no incident critical carrier with omega0 = sin(gamma) on this branch; "
-            "flip the sign of k0 or the branch"
-        )
-    _, vg_y = group_velocity(k0, m0, gamma, branch)
-    if vg_y >= 0.0:
-        raise ValueError("carrier group velocity does not point towards the slope")
-    return CriticalCarrier(k0=k0, m0=m0, omega0=omega0, gamma=gamma, branch=branch)
+    return CriticalCarrier(k0, m0, dispersion_omega(k0, m0, gamma), gamma)

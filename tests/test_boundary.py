@@ -408,9 +408,12 @@ class TestYLattice:
 
     def test_mode_passing_the_guard_keeps_its_zeros(self):
         """Reaching y = 2, exponents of rate 500 and of a parent at 450 pass
-        -700: such modes keep their guarded columns on the points, exact
-        zeros beyond y = 1.4 and 1.56 included, next to a mode that does
-        not pass it."""
+        -700.  On the points such modes are exact zeros beyond y = 1.4 and
+        1.56.  On the lattice a column there is a product of factors that
+        may each stay above the guard, so it reads at most e^-700 (about
+        1e-304) of its coefficient, as a pair column on the points does
+        (TestPairColumns); everywhere it agrees with the points, also next
+        to a mode that does not pass the guard."""
         lattice = YLattice((0.5, 2.0), 300)
         own = ExpModes(np.ones(1), np.zeros(1), np.array([500.0 + 2j]),
                        *np.ones((3, 1), dtype=complex))
@@ -418,9 +421,10 @@ class TestYLattice:
         for m, rate in ((own, 500.0), (pair, 450.0)):
             _, got = mode_profiles(m, 0.0, lattice)
             _, want = mode_profiles(m, 0.0, lattice.y)
-            assert (got == want).all()
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             beyond = lattice.y > 700.0 / rate
-            assert beyond.any() and (got[:, 0, beyond] == 0.0).all()
+            assert beyond.any() and (want[:, 0, beyond] == 0.0).all()
+            assert np.abs(got[:, 0, beyond]).max() <= 1e-300
             assert (got[:, 0, ~beyond] != 0.0).any()
         m = ExpModes.concat([own, pair, _pair_set([[1.0, 2.0 - 1j]])])
         _, got = mode_profiles(m, 0.0, lattice)

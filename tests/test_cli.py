@@ -14,6 +14,7 @@ from wavecrit.cli import (
     ConfigError,
     ExperimentConfig,
     FitError,
+    _assembly_at,
     _dns_config,
     _dns_series,
     _dump_field,
@@ -68,8 +69,8 @@ class TestConfigValidation:
             ExperimentConfig(params=PhysParams(gamma=0.7), experiment="nope")
 
     def test_negative_k0_is_kept(self):
-        """Only a k0 that is not finite, or is 0, is refused: a negative k0
-        is left to critical_carrier, which names the sign flip."""
+        """roots builds no carrier: only a k0 that is not finite, or is 0, is
+        refused there, and a negative k0 is kept."""
         assert ExperimentConfig(params=PhysParams(gamma=0.7), experiment="roots",
                                 k0=-1.0).k0 == -1.0
         with pytest.raises(ConfigError, match="^k0 must be finite and nonzero, got nan$"):
@@ -216,15 +217,19 @@ class TestConfigValidation:
         ("roots", '{"gamma": 0.7, "k0": NaN}', "k0"),
         ("roots", '{"gamma": 0.7, "k0": Infinity}', "k0"),
         ("roots", '{"gamma": 0.7, "k0": -Infinity}', "k0"),
-        ("roots", '{"gamma": 0.7, "k0": 0}', "k0")],
+        ("roots", '{"gamma": 0.7, "k0": 0}', "k0"),
+        # every experiment but roots builds the carrier, whose rule is k0 > 0
+        *[(e, '{"gamma": 0.7, "k0": -1.0, "sweep": [[0.3, 0.0]]}', "k0")
+          for e in _RUNNERS if e != "roots"]],
         ids=["missing-file", "invalid-json", "top-level-list", "params-not-object",
              "options-not-object", "seed-string", "seed-fraction", "nodes-fraction",
              "nodes-string", "k0-string-lift", "k0-string-norms", "gamma-string",
-             "eps-string", "k0-nan", "k0-inf", "k0-minus-inf", "k0-zero"])
+             "eps-string", "k0-nan", "k0-inf", "k0-minus-inf", "k0-zero",
+             *[f"k0-negative-{e}" for e in _RUNNERS if e != "roots"]])
     def test_main_reports_malformed_config(self, tmp_path, capsys, experiment, text, named):
         """A config that cannot be read, is not a JSON object, or gives a
-        value of the wrong type ends in one error line naming the file or
-        the field, with exit code 2, not a traceback."""
+        value of the wrong type or out of range ends in one error line
+        naming the file or the field, with exit code 2, not a traceback."""
         cfg = tmp_path / "c.json"
         if text is not None:
             cfg.write_text(text)
@@ -473,7 +478,7 @@ class TestDnsArtifacts:
         assert raw.size == sum(math.prod(s) for _, s in comps)
         assert len(side["y"]) == comps[0][1][0]
         cfg = ExperimentConfig(output_dir=outdir, **DNS_RUN)
-        final = _dns_series(cfg, cfg.params)[1].final
+        final = _dns_series(cfg, cfg.params, _assembly_at(cfg, cfg.params))[1].final
         assert side["t"] == final.t
         start = 0
         for name, shape in comps:

@@ -16,7 +16,7 @@ from wavecrit.boundary import (IllConditionedLiftError, RegimeError, lift_noncri
 from wavecrit.characteristic import ModalMatrixSpec, roots_for
 from wavecrit.dns import stretched_grid
 from wavecrit.packets import Envelope, Family, QuadratureSpec, assemble_W0
-from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
+from wavecrit.params import PhysParams, critical_carrier, dispersion_omega
 
 GAMMA = 0.7
 CARRIER = critical_carrier(GAMMA, 1.0)
@@ -445,9 +445,11 @@ class TestProfileNorms:
         fields = [-e2 * np.outer(C._theta_prime(e2 * y), g),
                   np.outer(C._theta(e2 * y), gx)]
         want_l2, want_linf = self.brute(fields, y, P)
-        l2, linf = mf.norms(P, t=t, nx=self.NX)
+        l2, linf = C._profile_norms(*mf.profiles(t, y), y, P, self.NX)
         assert abs(l2 - want_l2) <= 1e-12 * want_l2
         assert linf == pytest.approx(want_linf, rel=1e-12, abs=0.0)
+        # the ledger's read is the same rule at t = 0
+        assert mf.norms(P, self.NX) == C._profile_norms(*mf.profiles(0.0, y), y, P, self.NX)
 
 
 def _gram_l2(modes, x_period, y_max):
@@ -859,7 +861,7 @@ class TestLiftSecondHarmonic:
         L0 = C.second_harmonic_rate(gamma, car.k0)
         for eps in eps_list:
             k = car.k0 + 0.5 * eps**2
-            w = dispersion_omega(k, car.m0, gamma, Branch.PLUS)
+            w = dispersion_omega(k, car.m0, gamma)
             p = PhysParams(gamma=gamma, eps=eps)
             spec = ModalMatrixSpec(p.nu, p.kappa, w + car.omega0, k + car.k0, gamma)
             diffs.append(abs(roots_for(spec).by_label(2)[0] - L0))

@@ -42,7 +42,7 @@ from wavecrit.packets import (
     incident_polarization,
     packet_norms,
 )
-from wavecrit.params import Branch, PhysParams, critical_carrier, dispersion_omega
+from wavecrit.params import PhysParams, critical_carrier, dispersion_omega
 
 # Ly = 60 truncates the slowly recurring packet tail on purpose (kept small
 # for speed); the overflow warning it triggers is expected throughout.
@@ -910,8 +910,9 @@ class TestInit:
 
 class TestWappMatchesTheRun:
     """W_app must be built for the run: W0 at its parameters but for delta,
-    W1 at all of them, and W0's carrier at its k0.  init_from_Wapp and
-    compare_stability refuse anything else with a DnsError naming the field."""
+    W1 from that W0 and at all of them, and W0's carrier at its k0.
+    init_from_Wapp and compare_stability refuse anything else with a
+    DnsError naming the field."""
 
     @staticmethod
     def refused(w0, w1, config, state, match):
@@ -936,6 +937,14 @@ class TestWappMatchesTheRun:
         cfg = make_config(delta=2 * EPS**3, Lx=asm.x_period)
         self.refused(asm, w1, cfg, st, rf"^W1 was built at delta={EPS**3!r}, "
                                        rf"the run is at delta={2 * EPS**3!r}$")
+
+    def test_w1_of_another_w0(self, assembly, twin):
+        """W1 is a function of its own W0: the twin's W1 (5 nodes per lobe)
+        next to the 9-node W0, at the same parameters and carrier, is
+        refused, though its wavenumbers sit on that W0's box lattice."""
+        w1, st = twin[1], twin[3]
+        cfg = make_config(delta=EPS**3, Lx=assembly.x_period)
+        self.refused(assembly, w1, cfg, st, r"^W1 was built from another W0$")
 
     def test_k0_other_than_the_carrier(self, assembly, initial):
         cfg = make_config(Lx=assembly.x_period, k0=1.1)
@@ -1022,7 +1031,7 @@ class TestStep:
         Lx = Ly = 10.0
         k = 2.0 * math.pi * 3 / Lx
         m = 2.0 * math.pi * 2 / Ly
-        om = dispersion_omega(k, m, GAMMA, Branch.PLUS)
+        om = dispersion_omega(k, m, GAMMA)
         U, W, B = incident_polarization(k, m, GAMMA, om)
         box = PeriodicBox(PARAMS, Lx, Ly, 32, 32)
         xx, yy = np.meshgrid(np.linspace(0, Lx, 32, endpoint=False),

@@ -1,7 +1,8 @@
 """Every import in src/ and tests/ is used, every function parameter in
-src/wavecrit is read, and every module-level function or class of
+src/wavecrit is read, every module-level function or class of
 src/wavecrit, and every method of its classes, is read by the package or
-the benchmark.
+the benchmark, and every defaulted parameter of src/wavecrit is passed by
+some call of the package or the benchmark.
 
 A name bound by an import counts as used if the module reads it anywhere,
 as a name or as the root of an attribute chain; a parameter counts as read
@@ -9,9 +10,11 @@ if its function's body (nested functions included) names it.  A top-level
 definition counts as read if some module of src/wavecrit or perfbench/
 names it, as a name or as an attribute; a method counts as read if one of
 them names it as an attribute, and dunder methods, which Python calls
-implicitly, always do.  The test oracles kept in the package on purpose
-are the only exceptions.  Only the standard library's ast module is
-needed.
+implicitly, always do.  A call passes a defaulted parameter if it names
+it as a keyword, or reaches its position, under the function's name (a
+class's for __init__, a method's as an attribute).  The test oracles kept
+in the package on purpose, and main for its argv, are the only exceptions.
+Only the standard library's ast module is needed.
 
 Importing the CLI, in a fresh interpreter, leaves scipy.optimize out.
 """
@@ -41,7 +44,10 @@ ORACLES = ("build_matrix", "limit_amplitudes_DY", "second_harmonic_rate", "trace
            # x-space oracles of the DNS's W_app columns (dns.wapp_columns)
            # and of its Parseval sums; perfbench/spans.py still traces
            # evaluate_packet by name until it is re-pointed (ROADMAP item 9)
-           "evaluate_packet", "Grid.integral")
+           "evaluate_packet", "Grid.integral",
+           # the group velocity: critical_carrier's incidence holds for every
+           # k0 > 0 in closed form, which test_carrier_is_incident checks with it
+           "group_velocity")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -135,6 +141,86 @@ def test_no_test_only_package_names():
         d for d in unread_definitions(p.read_text(encoding="utf-8"), read)
         if d.split()[0] not in ORACLES] for p in PACKAGE}
     assert {path: names for path, names in unread.items() if names} == {}
+
+
+def defaulted_params(source: str) -> list[tuple[str, str, str, int | None]]:
+    """(call name, Class.function or function, parameter, position at a call)
+    of every parameter with a default; a method's position skips self or
+    cls, a keyword-only parameter has none, and __init__ is called by its
+    class's name."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                called = cls if node.name == "__init__" else node.name
+                name = f"{cls}.{node.name}" if cls else node.name
+                for i in range(len(positional) - len(a.defaults), len(positional)):
+                    out.append((called, name, positional[i], i - bound))
+                out.extend((called, name, p.arg, None)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(node.body, None)
+
+    visit(ast.parse(source).body, None)
+    return out
+
+
+def passed_params(sources) -> set[tuple[str, str | int]]:
+    """(call name, keyword or position) that some call of the sources passes;
+    the call name is a plain name or an attribute's.  A call with *args is
+    recorded as position "*" and one with **kwargs as keyword "**": either
+    may pass any parameter of its kind."""
+    out = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            for i, arg in enumerate(node.args):
+                out.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            out |= {(name, k.arg or "**") for k in node.keywords}
+    return out
+
+
+def unpassed_defaults(source: str, passed: set) -> list[str]:
+    """Defaulted parameters of the source's functions that no call passes."""
+    out = []
+    for called, name, param, pos in defaulted_params(source):
+        if name.split(".")[0] in ORACLES or name in ORACLES or name == "main":
+            continue
+        ways = {(called, param), (called, "**")}
+        if pos is not None:
+            ways |= {(called, pos), (called, "*")}
+        if not ways & passed:
+            out.append(f"{name}({param})")
+    return out
+
+
+def test_default_checker_sees_passed_and_unpassed():
+    src = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+           "class K:\n    def __init__(self, x=0):\n        pass\n"
+           "    def m(self, y=0, z=1):\n        pass\n"
+           "def g(e=0):\n    pass\n")
+    calls = "f(1, 2, d=4)\nK()\nk.m(5)\ng(*args)\n"
+    assert unpassed_defaults(src, passed_params([src, calls])) == [
+        "f(c)", "K.__init__(x)", "K.m(z)"]
+
+
+def test_every_default_is_passed():
+    """A defaulted parameter is a knob: some call of the package or the
+    benchmark sets it, or it goes (the test oracles and main aside)."""
+    passed = passed_params(p.read_text(encoding="utf-8") for p in READERS)
+    unpassed = {str(p.relative_to(ROOT)): unpassed_defaults(p.read_text(encoding="utf-8"),
+                                                            passed) for p in PACKAGE}
+    assert {path: names for path, names in unpassed.items() if names} == {}
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -72,11 +72,9 @@ class TestEnvelope:
 
 def test_incident_polarization_solves_inviscid_rows():
     """Divergence and buoyancy rows hold exactly for X_{k,m}."""
-    from wavecrit.params import Branch
-
     sg, cg = math.sin(GAMMA), math.cos(GAMMA)
     for k, m in [(1.0, 0.2), (0.9, 0.15), (1.1, 0.25)]:
-        w = dispersion_omega(k, m, GAMMA, Branch.PLUS)
+        w = dispersion_omega(k, m, GAMMA)
         U, W, B = incident_polarization(k, m, GAMMA, w)
         assert abs(1j * k * U + 1j * m * W) <= 1e-14
         assert abs(-1j * w * B + U * sg + W * cg) <= 1e-14
@@ -101,7 +99,7 @@ def test_incident_family_matches_per_node_oracle(gamma, eps, nodes):
             if chi2 == 0.0:
                 continue
             k, m = float(car.k0 + e2 * xi), float(car.m0 + e2 * eta)
-            omega = dispersion_omega(k, m, gamma, car.branch)
+            omega = dispersion_omega(k, m, gamma)
             amp = e2 * chi2 * wts[i] * wts[j]
             U, W, B = incident_polarization(k, m, gamma, omega)
             rows.append((k, omega, -1j * m, amp * U, amp * W, amp * B))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wavecrit.params import (
-    Branch,
     CriticalCarrier,
     PhysParams,
     criticality_zeta,
@@ -32,9 +31,10 @@ _DISPERSION_REFERENCE = [
 
 def test_dispersion_against_high_precision_reference():
     for k, m, g, ref in _DISPERSION_REFERENCE:
-        got = dispersion_omega(k, m, g, Branch.PLUS)
+        got = dispersion_omega(k, m, g)
         assert got == pytest.approx(ref, rel=1e-14)
-        assert dispersion_omega(k, m, g, Branch.MINUS) == pytest.approx(-ref, rel=1e-14)
+        # the other sign is the conjugate wave (-k, -m), exactly
+        assert dispersion_omega(-k, -m, g) == -got
 
 
 def test_dispersion_reference_is_reproducible():
@@ -49,18 +49,18 @@ coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 angle = st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01)
 
 
-@given(k=coord, m=coord, gamma=angle, branch=st.sampled_from(list(Branch)))
-def test_dispersion_bounded_by_one(k, m, gamma, branch):
+@given(k=coord, m=coord, gamma=angle)
+def test_dispersion_bounded_by_one(k, m, gamma):
     if k * k + m * m < 1e-12:
         return
-    assert abs(dispersion_omega(k, m, gamma, branch)) <= 1.0 + 1e-12
+    assert abs(dispersion_omega(k, m, gamma)) <= 1.0 + 1e-12
 
 
-@given(k=coord, m=coord, gamma=angle, branch=st.sampled_from(list(Branch)))
-def test_group_velocity_orthogonal_to_wavevector(k, m, gamma, branch):
+@given(k=coord, m=coord, gamma=angle)
+def test_group_velocity_orthogonal_to_wavevector(k, m, gamma):
     if k * k + m * m < 1e-6:
         return
-    vgk, vgm = group_velocity(k, m, gamma, branch)
+    vgk, vgm = group_velocity(k, m, gamma)
     norm = math.hypot(k, m) * math.hypot(vgk, vgm)
     if norm == 0.0:
         return
@@ -71,32 +71,25 @@ def test_group_velocity_is_dispersion_gradient():
     # central finite differences, h chosen for ~1e-10 truncation+roundoff
     h = 1e-6
     for k, m, g in [(0.25, 0.043, 0.7), (1.0, 2.0, 0.5), (-0.7, 0.3, 1.2)]:
-        vgk, vgm = group_velocity(k, m, g, Branch.PLUS)
-        fd_k = (
-            dispersion_omega(k + h, m, g, Branch.PLUS)
-            - dispersion_omega(k - h, m, g, Branch.PLUS)
-        ) / (2 * h)
-        fd_m = (
-            dispersion_omega(k, m + h, g, Branch.PLUS)
-            - dispersion_omega(k, m - h, g, Branch.PLUS)
-        ) / (2 * h)
+        vgk, vgm = group_velocity(k, m, g)
+        fd_k = (dispersion_omega(k + h, m, g) - dispersion_omega(k - h, m, g)) / (2 * h)
+        fd_m = (dispersion_omega(k, m + h, g) - dispersion_omega(k, m - h, g)) / (2 * h)
         assert vgk == pytest.approx(fd_k, abs=1e-8)
         assert vgm == pytest.approx(fd_m, abs=1e-8)
 
 
 def test_zero_wavevector_rejected():
     with pytest.raises(ValueError):
-        dispersion_omega(0.0, 0.0, 0.7, Branch.PLUS)
+        dispersion_omega(0.0, 0.0, 0.7)
     with pytest.raises(ValueError):
-        group_velocity(0.0, 0.0, 0.7, Branch.PLUS)
+        group_velocity(0.0, 0.0, 0.7)
 
 
-@pytest.mark.parametrize("branch", list(Branch))
-def test_dispersion_on_arrays_matches_scalar_calls(branch):
+def test_dispersion_on_arrays_matches_scalar_calls():
     rng = np.random.default_rng(3)
     k, m = rng.uniform(-3.0, 3.0, (2, 4, 5))
-    got = dispersion_omega(k, m, 0.7, branch)
-    want = [dispersion_omega(float(a), float(b), 0.7, branch)
+    got = dispersion_omega(k, m, 0.7)
+    want = [dispersion_omega(float(a), float(b), 0.7)
             for a, b in zip(k.ravel(), m.ravel())]
     assert got.shape == k.shape
     assert np.array_equal(got.ravel(), want)
@@ -104,8 +97,7 @@ def test_dispersion_on_arrays_matches_scalar_calls(branch):
 
 def test_zero_wavevector_rejected_in_arrays():
     with pytest.raises(ValueError, match="zero wavevector"):
-        dispersion_omega(np.array([1.0, 0.0, 0.3]), np.array([0.5, 0.0, 0.2]),
-                         0.7, Branch.PLUS)
+        dispersion_omega(np.array([1.0, 0.0, 0.3]), np.array([0.5, 0.0, 0.2]), 0.7)
 
 
 class TestCriticalCarrier:
@@ -128,13 +120,22 @@ class TestCriticalCarrier:
         assert lin * car.m0 + const == pytest.approx(0.0, abs=1e-14)
 
     def test_carrier_is_incident(self):
-        car = critical_carrier(0.7, 0.25)
-        _, vg_y = group_velocity(car.k0, car.m0, car.gamma, car.branch)
-        assert vg_y < 0.0
+        """Every k0 > 0 is an incident carrier on the positive branch, over
+        gamma across (0, pi/2), pi/4 (m0 = 0) included, and k0 over twelve
+        decades: omega0 = sin(gamma) and the group velocity points at the
+        slope, so critical_carrier needs no check of either."""
+        for g in (0.01, 0.3, 0.7, math.pi / 4, 1.0, 1.3, math.pi / 2 - 0.01):
+            for k0 in (1e-6, 0.25, 1.0, 7.0, 1e6):
+                car = critical_carrier(g, k0)
+                assert car.omega0 == pytest.approx(math.sin(g), rel=1e-12)
+                _, vg_y = group_velocity(car.k0, car.m0, car.gamma)
+                assert vg_y < 0.0, (g, k0)
 
     def test_wrong_sign_k0_rejected(self):
-        with pytest.raises(ValueError):
-            critical_carrier(0.7, -0.25)
+        """k0 must be finite and positive: the -k0 lobe is the conjugate."""
+        for k0 in (-0.25, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^k0 must be finite and positive, got "):
+                critical_carrier(0.7, k0)
 
     def test_is_frozen(self):
         car = critical_carrier(0.7, 0.25)
