@@ -85,14 +85,20 @@ def test_zero_wavevector_rejected():
         group_velocity(0.0, 0.0, 0.7)
 
 
-def test_dispersion_on_arrays_matches_scalar_calls():
+# A real field holds each wave (k, m) at w with its conjugate (-k, -m) at -w.
+# The ids keep the names these two cases had when a branch argument chose
+# the lobe.
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["Branch.PLUS", "Branch.MINUS"])
+def test_dispersion_on_arrays_matches_scalar_calls(sign):
     rng = np.random.default_rng(3)
-    k, m = rng.uniform(-3.0, 3.0, (2, 4, 5))
+    k0, m0 = rng.uniform(-3.0, 3.0, (2, 4, 5))
+    k, m = sign * k0, sign * m0
     got = dispersion_omega(k, m, 0.7)
     want = [dispersion_omega(float(a), float(b), 0.7)
             for a, b in zip(k.ravel(), m.ravel())]
     assert got.shape == k.shape
     assert np.array_equal(got.ravel(), want)
+    assert np.array_equal(got, sign * dispersion_omega(k0, m0, 0.7))
 
 
 def test_zero_wavevector_rejected_in_arrays():
