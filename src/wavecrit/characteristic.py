@@ -180,9 +180,6 @@ class RootSet:
     regimes: list[Regime]
     warnings: list[list[str]]
 
-    def __len__(self):
-        return len(self.roots)
-
     def by_label(self, label: int) -> np.ndarray:
         """The root of every node that carries the label, shape (n,)."""
         return self.roots[self.labels == label]

@@ -51,7 +51,9 @@ complex columns themselves:
   many for stored block inverses); at kx_d = 0 (kx = 0 and Nyquist) w and
   phi are 0 with no solve, as G = Dy[1:-1] has full row rank.  It alone
   pins u and w to 0 on the wall and lid rows;
-* rotation is pointwise; energy and dissipation are Parseval sums.
+* rotation is pointwise; energy and dissipation are Parseval sums from one
+  squaring of each field's (real, imag) pairs, whose weighted sums give the
+  energy and, weighted by kx_d^2 as well, the x-part of the dissipation.
 
 Advection is the only physical-space stage: per Heun stage 6 irfft (u, w,
 b and their x-derivatives) and 6 rfft (two products per field); with the
@@ -62,9 +64,10 @@ may hold only some of them (`State.cols`; the others are zero).  W_app is
 placed in its columns from its y-profiles (`wapp_columns`), every other
 column exactly 0, and at delta = 0 init_from_Wapp keeps those alone: 3 of
 129 columns at 256 x 384 and 5 nodes per lobe, where a delta = 0 step takes
-about 1.8 ms instead of 32 ms on one core.  One builder, `Solver._hold`,
-makes the per-column data of every column set, the full one included.  A
-solver with delta != 0 widens such a state to every column.
+about 0.66 ms instead of 10 ms on one core (README gives the measurement).
+One builder, `Solver._hold`, makes the per-column data of every column set,
+the full one included.  A solver with delta != 0 widens such a state to
+every column.
 
 The march stores no saved states.  `Solver.run` hands the state of each
 save time (`save_steps`) to a callback, and `compare_stability` reduces it
@@ -424,7 +427,9 @@ class Solver:
         # projection: A_k = kx^2 diag(tau_u) + Dy^T diag(tau_w) Dy
         s = g.stencil
         bw = s - 1  # matrix bandwidth set by the stencil width
-        K = g.DyT @ diags_array(self._tau_w[:, 0]) @ g.Dy
+        # Dy^T diag(tau_w), the y-part of every projection's right-hand side
+        self._dyt_tau_w = (g.DyT @ diags_array(self._tau_w[:, 0])).tocsr()
+        K = self._dyt_tau_w @ g.Dy
         self._proj_band = _upper_banded(K, bw)
 
         # one-sided first-derivative stencil at the wall
@@ -442,9 +447,10 @@ class Solver:
         nb = np.zeros(ny)
         nb[:s] = self.neumann_wall
         v = nb / g.tau
-        # tau-orthogonal projector onto the no-flux constraint for b
-        self._bproj_v = v / (nb @ v)
-        self._bproj_n = nb
+        # tau-orthogonal projector onto the no-flux constraint for b; both
+        # vectors vanish below the wall stencil's s rows, so only those are kept
+        self._bproj_v = (v / (nb @ v))[:s, None]
+        self._bproj_n = nb[:s]
         # Each field's update is f -> Z ((M + a Kq)^-1 2 M f[rows] - f[rows]),
         # Crank-Nicolson's Z (M + a Kq)^-1 (M - a Kq) f[rows].  Z embeds the
         # free rows (zero elsewhere but b's wall row, set by the no-flux
@@ -490,6 +496,8 @@ class Solver:
         # Parseval weights of the rfft columns as (real, imag) pairs: kx = 0
         # and Nyquist (kx_d = 0) count once, the others twice (conjugates)
         self._parseval = np.repeat((2.0 - (self.kx_d == 0.0)) * g.dx / g.nx, 2)
+        # and times kx_d^2: the x-part of the dissipation from the same squares
+        self._parseval_kx2 = self._parseval * np.repeat(self.kx_d**2, 2)
         self._ikx = 1j * self.kx_d[None, :]
         self._xdamp = {name: np.exp(-0.5 * c * self.kx**2 * self.config.dt)[None, :]
                        for name, c in self._diff_coef.items()}
@@ -528,16 +536,25 @@ class Solver:
             raise DnsError(f"arrays of {[fh.shape[1] for fh in fhs]} rfft columns "
                            f"given to a solver holding {n}")
 
+    def _squares(self, fh):
+        """tau @ v**2 for the (real, imag) pairs v of fh: each pair column's
+        weighted sum of squares, which the Parseval weights turn into box
+        integrals."""
+        v = _pairs(fh)
+        return self.grid.tau @ (v * v)
+
     def norm2(self, *fhs):
         """Sum of the box integrals of f**2 over fields given by their rfft
         on this solver's columns."""
-        return sum(float(self.grid.tau @ (v * v) @ self._parseval)
-                   for v in map(_pairs, fhs))
+        return sum(float(self._squares(fh) @ self._parseval) for fh in fhs)
 
     # -- spatial operators (on rfft columns) ------------------------------
 
     def _adjoint_div(self, uh, wh):  # the projection's right-hand side
-        return -self._ikx * (self._tau_u * uh) + _ycols(self.grid.DyT, self._tau_w * wh)
+        rhs = self._tau_u * uh
+        rhs *= -self._ikx
+        rhs += _ycols(self._dyt_tau_w, wh)
+        return rhs
 
     def project(self, uh, wh):
         """Weighted least-squares projection onto the velocity constraint space.
@@ -550,16 +567,21 @@ class Solver:
         block-diagonal factor, whose info != 0 raises DnsError."""
         self._width(uh, wh)
         g = self.grid
-        rhs = self._adjoint_div(uh, wh)
-        phih = np.zeros_like(rhs)
+        phih = self._adjoint_div(uh, wh)
         # regular kx: the columns laid end to end as one complex right-hand
-        # side of the block-diagonal system, solved in one sweep
+        # side of the block-diagonal system, solved in one sweep; the
+        # right-hand side's array then takes phi, 0 at kx_d = 0
         reg = self._proj_regular
-        sol, info = zpbtrs(self._proj_chol, rhs[:, reg].T.ravel(), overwrite_b=True)
+        sol, info = zpbtrs(self._proj_chol, phih[:, reg].T.ravel(), overwrite_b=True)
         if info != 0:
             raise DnsError(f"projection solve failed: zpbtrs info = {info}")
         phih[:, reg] = sol.reshape(-1, g.ny).T
-        u, w = uh - self._ikx * phih, wh - _ycols(g.Dy, phih)
+        del sol
+        phih[:, :reg.start] = phih[:, reg.stop:] = 0.0
+        u = self._ikx * phih
+        np.subtract(uh, u, out=u)
+        w = _ycols(g.Dy, phih)
+        np.subtract(wh, w, out=w)
         u[0] = w[0] = w[-1] = 0.0
         w[:, :reg.start] = w[:, reg.stop:] = 0.0
         return u, w, phih
@@ -568,7 +590,7 @@ class Solver:
         """Relative residual of the adjoint divergence (projection target)."""
         self._width(uh, wh)
         scale = (np.abs(self._ikx * (self._tau_u * uh)).max()
-                 + np.abs(self.grid.DyT @ (self._tau_w * np.abs(wh))).max())
+                 + np.abs(self._dyt_tau_w @ np.abs(wh)).max())
         return float(np.abs(self._adjoint_div(uh, wh)).max() / max(scale, 1e-300))
 
     def advect(self, uh, wh, bh):
@@ -576,34 +598,62 @@ class Solver:
         energy-neutral.  The step's one physical-space stage: 6 irfft (the
         fields, their x-derivatives) and 6 rfft (dx(u f) is i kx rfft(u f))."""
         self._width(uh, wh, bh)
-        nx = self.grid.nx
-        fields = [np.fft.irfft(fh, n=nx, axis=1) for fh in (uh, wh, bh)]
-        u, w = fields[:2]
-        out = []
-        for f, fh in zip(fields, (uh, wh, bh)):
-            # dx f is consumed at once: one full-grid array fewer at the peak
-            a = (u * np.fft.irfft(self._ikx * fh, n=nx, axis=1)
-                 + w * (self.grid.Dy @ f) - self._dy_adj @ (w * f))
-            out.append(0.5 * (np.fft.rfft(a, axis=1)
-                              + self._ikx * np.fft.rfft(u * f, axis=1)))
-        return out
+        u, w, b = (np.fft.irfft(fh, n=self.grid.nx, axis=1) for fh in (uh, wh, bh))
+        # b's term first: no other term reads b, so its array goes before
+        # the other two terms are made
+        adv_b = self._skew(u, w, b, bh)
+        del b
+        return [self._skew(u, w, u, uh), self._skew(u, w, w, wh), adv_b]
+
+    def _skew(self, u, w, f, fh):
+        """One field's skew form, rfft columns: f physical, fh its rfft."""
+        # u dx f + w Dy f - Dy*(w f), accumulated in dx f's array
+        a = np.fft.irfft(self._ikx * fh, n=self.grid.nx, axis=1)
+        a *= u
+        t = self.grid.Dy @ f
+        t *= w
+        a += t
+        a -= self._dy_adj @ np.multiply(w, f, out=t)
+        s = np.fft.rfft(a, axis=1)
+        del a
+        # + dx(u f) = i kx rfft(u f), then the 1/2
+        q = np.fft.rfft(np.multiply(u, f, out=t), axis=1)
+        del t
+        q *= self._ikx
+        s += q
+        s *= 0.5
+        return s
 
     def _noflux(self, bh):
         """b on the no-flux constraint manifold; the projection is orthogonal
         in tau, so the skew-advection energy identity stays exact."""
-        return bh - self._bproj_v[:, None] * (self._bproj_n @ bh)
+        s = len(self._bproj_n)
+        out = bh.copy()
+        out[:s] -= self._bproj_v * (self._bproj_n @ bh[:s])
+        return out
 
     def _tendency(self, uh, wh, bh):
         """Rotation and advection slopes, on the constraint spaces of project
         and _noflux."""
         p = self.config.params
         sg, cg = math.sin(p.gamma), math.cos(p.gamma)
-        adv = self.advect(uh, wh, bh) if p.delta != 0.0 else (0.0, 0.0, 0.0)
-        fu = sg * bh - p.delta * adv[0]
-        fw = cg * bh - p.delta * adv[1]
-        fb = -sg * uh - cg * wh - p.delta * adv[2]
-        del adv  # before the projection's temporaries
-        fu, fw, _ = self.project(fu, fw)
+
+        def rotation():  # one field's term at a time
+            yield sg * bh
+            yield cg * bh
+            yield -sg * uh - cg * wh
+
+        if p.delta == 0.0:
+            fu, fw, fb = rotation()
+        else:
+            # rotation - delta advection, in advect's arrays: a - d x is
+            # (-d x) + a bit for bit
+            fu, fw, fb = self.advect(uh, wh, bh)
+            for f, r in zip((fu, fw, fb), rotation()):
+                f *= -p.delta
+                f += r
+            del r  # before the projection's temporaries
+        fu, fw = self.project(fu, fw)[:2]
         return fu, fw, self._noflux(fb)
 
     def _diffuse(self, fh, name):
@@ -626,8 +676,14 @@ class Solver:
         delta = self.config.params.delta
         if delta == 0.0:
             return 0.0
-        rate = (np.abs(state.u) / self.grid.dx + np.abs(state.w) * self._inv_dy).max()
-        return float(delta * rate * self.config.dt)
+        # |u| / dx + |w| / dy, in the arrays the transforms of u and w make
+        rate, w = state.u, state.w
+        np.abs(rate, out=rate)
+        rate /= self.grid.dx
+        np.abs(w, out=w)
+        w *= self._inv_dy
+        rate += w
+        return float(delta * rate.max() * self.config.dt)
 
     def step(self, state: State) -> tuple[State, float]:
         """One Strang step: the new state and the energy its projections
@@ -648,16 +704,20 @@ class Solver:
         # re-project between diffusion and the explicit stage: the rotation
         # energy identity needs an exactly divergence-free state
         before = op.norm2(u, w)
-        u, w, _ = op.project(u, w)
+        u, w = op.project(u, w)[:2]  # phi is not held through the step
         loss = before - op.norm2(u, w)
-        # Heun; each slope's half is added at once, so k1 is not kept
-        k1 = op._tendency(u, w, b)
-        stage = [f + dt * k for f, k in zip((u, w, b), k1)]
-        for f, k in zip((u, w, b), k1):
-            f += 0.5 * dt * k
-        del k1
+        # Heun; each slope's half is added at once, so k1 is not kept.  The
+        # slopes are scaled in place: (dt k) 0.5 is (0.5 dt) k bit for bit
+        stage = []
+        for f, k in zip((u, w, b), op._tendency(u, w, b)):
+            k *= dt
+            stage.append(f + k)
+            k *= 0.5
+            f += k
+        del k  # the last slope goes before the second stage's temporaries
         for f, k in zip((u, w, b), op._tendency(*stage)):
-            f += 0.5 * dt * k
+            k *= 0.5 * dt
+            f += k
         u = op._diffuse(u, "u")
         w = op._diffuse(w, "w")
         b = op._diffuse(b, "b")
@@ -666,15 +726,26 @@ class Solver:
         loss = loss + before - op.norm2(u, w)
         return State(u, w, b, phi / dt, state.t + dt, state.nx, state.cols), loss
 
-    def energy(self, state: State) -> float:
+    def _energy_and_dissipation(self, state: State) -> tuple[float, float]:
+        """(energy, dissipation) of the state, each field's (real, imag)
+        pairs squared once: their tau-weighted sums (`_squares`) give the
+        energy with the Parseval weights and the x-part of the dissipation
+        with the Parseval weights times kx_d^2."""
         op, state = self._on(state)
-        return op.norm2(state.uh, state.wh, state.bh)
+        energy, diss = [], []
+        for fh, name in ((state.uh, "u"), (state.wh, "w"), (state.bh, "b")):
+            sq = op._squares(fh)
+            energy.append(float(sq @ op._parseval))
+            dy = float(op._squares(_ycols(op.grid.Dy, fh)) @ op._parseval)
+            diss.append(self._diff_coef[name] * (float(sq @ op._parseval_kx2) + dy))
+        return sum(energy), sum(diss)
+
+    def energy(self, state: State) -> float:
+        return self._energy_and_dissipation(state)[0]
 
     def dissipation(self, state: State) -> float:
         """Instantaneous eps^6 (nu0 |grad u|^2 + nu0 |grad w|^2 + k0 |grad b|^2)."""
-        op, state = self._on(state)
-        return sum(self._diff_coef[name] * op.norm2(op._ikx * fh, _ycols(op.grid.Dy, fh))
-                   for fh, name in ((state.uh, "u"), (state.wh, "w"), (state.bh, "b")))
+        return self._energy_and_dissipation(state)[1]
 
     def save_times(self, t0: float, n_steps: int, save_every: int) -> np.ndarray:
         """The times of the states that run(state at t0, n_steps, save_every)
@@ -693,12 +764,12 @@ class Solver:
         `on_save` may keep what it receives.
         """
         saves = set(save_steps(n_steps, save_every) if on_save is not None else ())
-        rows = [(state.t, self.energy(state), self.dissipation(state), 0.0)]
+        rows = [(state.t, *self._energy_and_dissipation(state), 0.0)]
         if 0 in saves:
             on_save(state)
         for n in range(1, n_steps + 1):
             state, loss = self.step(state)
-            rows.append((state.t, self.energy(state), self.dissipation(state), loss))
+            rows.append((state.t, *self._energy_and_dissipation(state), loss))
             if n in saves:
                 on_save(state)
         times, energy, diss, proj_loss = map(np.array, zip(*rows))

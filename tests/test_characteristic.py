@@ -436,7 +436,7 @@ class TestBatchAgainstOracles:
         _, spec, rb = sampled
         code = np.array([list(Regime).index(r) for r in rb.regimes])
         pred = _predictions(spec, code)
-        for b in range(len(rb)):
+        for b in range(len(rb.roots)):
             cost = (np.abs(rb.roots[b][:, None] - pred[b][None, :])
                     / np.maximum(np.abs(pred[b]), 1e-300)[None, :])
             rows, cols = linear_sum_assignment(cost)

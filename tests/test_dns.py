@@ -600,6 +600,21 @@ class TestProjection:
         grad = math.sqrt(g.integral(fx ** 2 + (g.Dy @ f) ** 2))
         assert abs(ip) <= 1e-10 * math.sqrt(g.integral(f**2)) * grad
 
+    def test_advection_matches_physical_skew_form(self, solver, random_uw):
+        """advect is (u dx f + w Dy f)/2 + (dx(u f) - Dy*(w f))/2 for f = u,
+        w, b, built here from physical fields, dense Dy and Dy* = T^-1 Dy^T T."""
+        g = solver.grid
+        uh, wh, _ = solver.project(*_hat(*random_uw))
+        bh, = _hat(np.random.default_rng(13).standard_normal((g.ny, g.nx)))
+        u, w, b = _phys(solver, uh, wh, bh)
+        Dy = g.Dy.toarray()
+        Dy_adj = Dy.T * g.tau[None, :] / g.tau[:, None]
+        got = _phys(solver, *solver.advect(uh, wh, bh))
+        for f, adv in zip((u, w, b), got):
+            want = 0.5 * (u * _ddx(solver, f) + w * (Dy @ f)
+                          + _ddx(solver, u * f) - Dy_adj @ (w * f))
+            assert np.abs(adv - want).max() <= 1e-12 * np.abs(adv).max()
+
 
 class TestSpectralState:
     """The state is carried as rfft columns; these tests pin that design."""
@@ -620,7 +635,8 @@ class TestSpectralState:
 
     @pytest.mark.parametrize("delta,budget", [(0.0, 0), (EPS**3, 26)])
     def test_fft_budget_per_step(self, assembly, initial, monkeypatch, delta, budget):
-        """A step transforms only for advection: none at delta = 0, <= 26 else."""
+        """A step transforms only for advection: none at delta = 0, exactly 26
+        else (12 per Heun stage in advect, 2 in the CFL check)."""
         sol = Solver(make_config(delta=delta, Lx=assembly.x_period))
         calls = []
 
@@ -634,7 +650,7 @@ class TestSpectralState:
                      "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         sol.step(initial)
-        assert len(calls) <= budget, calls
+        assert len(calls) == budget, calls
 
     def test_run_steps_once_per_step(self, solver, initial, monkeypatch):
         steps = []
