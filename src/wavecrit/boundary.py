@@ -32,7 +32,9 @@ its (l, alpha).  A lift returns its modes as an
 ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
 sums the modes of each x-wavenumber into one y-profile, and synthesize
-(hence evaluate_modes) and the corrector's norms read those profiles.
+(hence evaluate_modes) and the corrector's norms read those profiles, the
+max-norm through the same x-basis (_x_basis) as synthesize.  Coefficient
+rows that are all zero are left out of a pass and read as exact zeros.
 Sets with equal exponents and their own coefficients share one pass, and
 so do the times of an array t.
 Every mode records two parent rates whose sum is its mu (a W0 pair's, or
@@ -69,8 +71,11 @@ _UNDERFLOW_EXPONENT = 700.0
 
 
 def guarded_exp(expo):
-    """exp(expo), but exactly zero where Re(expo) < -700 instead of underflowing."""
-    return np.where(expo.real < -_UNDERFLOW_EXPONENT, 0.0, np.exp(expo))
+    """exp(expo), but exactly zero where Re(expo) < -700 instead of underflowing.
+    The zeros are written into exp's own array, so no third array is made."""
+    out = np.exp(expo)
+    out[expo.real < -_UNDERFLOW_EXPONENT] = 0.0
+    return out
 
 
 class IllConditionedLiftError(RuntimeError):
@@ -227,6 +232,10 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
     be a 1-D array of times, whose coefficients c e^(-i alpha t) are
     further rows again: P is then (len(t), 3 s, groups, len(y)), and P[j]
     is the profiles at t[j] bit for bit.  Only the matrix products grow.
+    A coefficient row that is all zero (a set's zero component, such as the
+    ledger's w-forcing's u and b) stays out of the products and its profiles
+    are exact zeros; the other rows are those of a pass without it, bit for
+    bit.  A pass whose rows are all zero makes no table and no product.
 
     A mode's column e^(-mu y) is the product of two rows of one table over
     the distinct parent rates (a pair mode's parents, any other mode's mu
@@ -243,22 +252,33 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
     coef = (base * np.exp(-1j * modes.alpha * times[:, None])[:, None]).reshape(
         len(times) * len(base), len(modes))
     grid = y if isinstance(y, YLattice) else YPoints(y)
-    rates, inv = np.unique(modes.parents.ravel(), return_inverse=True)
-    row = inv.reshape(-1, 2)  # a mode's two table rows
-    table = guarded_exp(np.outer(-rates, grid.offsets))
-    P = np.empty((len(coef), len(groups), len(grid.y)), dtype=complex)
-    for g, idx in enumerate(groups):
-        P[:, g] = grid.sum_columns(coef[:, idx], table[row[idx, 0]] * table[row[idx, 1]])
+    P = np.zeros((len(coef), len(groups), len(grid.y)), dtype=complex)
+    # rows of all-zero coefficients stay exactly 0 and out of the products
+    live = np.flatnonzero(coef.any(axis=1))
+    if len(live):
+        rows = live if len(live) < len(coef) else slice(None)
+        coef = coef[rows]
+        rates, inv = np.unique(modes.parents.ravel(), return_inverse=True)
+        row = inv.reshape(-1, 2)  # a mode's two table rows
+        table = guarded_exp(np.outer(-rates, grid.offsets))
+        for g, idx in enumerate(groups):
+            P[rows, g] = grid.sum_columns(coef[:, idx], table[row[idx, 0]] * table[row[idx, 1]])
     P = P.reshape(len(times), len(base), *P.shape[1:])
     return modes.l[[idx[0] for idx in groups]], P if np.ndim(t) else P[0]
 
 
+def _x_basis(l: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[2 cos(l x); 2 sin(l x)], (2 groups, len(x)): [Re P; -Im P]^T times it
+    is 2 Re(P^T exp(i l x))."""
+    phase = np.outer(l, np.asarray(x, dtype=float))
+    return 2.0 * np.concatenate([np.cos(phase), np.sin(phase)])
+
+
 def synthesize(l: np.ndarray, P: np.ndarray, x: np.ndarray):
     """Yield u, w, b on the (y, x) grid: 2 Re(P^T exp(i l x)), each one real
-    matrix product [Re P; -Im P]^T [2 cos(l x); 2 sin(l x)], made only when
-    asked for, so a caller reducing them in turn holds one grid at a time."""
-    phase = np.outer(l, np.asarray(x, dtype=float))
-    trig = 2.0 * np.concatenate([np.cos(phase), np.sin(phase)])
+    matrix product [Re P; -Im P]^T _x_basis(l, x), made only when asked for,
+    so a caller reducing them in turn holds one grid at a time."""
+    trig = _x_basis(l, x)
     return (np.concatenate([p.real, -p.imag]).T @ trig for p in P)
 
 

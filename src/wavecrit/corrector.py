@@ -55,9 +55,11 @@ rates (mu = mu_L + mu_R), and the interior solves and ledger terms keep
 them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
 table of W0's rates.  The ledger computes only what it reports, one kernel
 pass per exponent set: the booked terms of one (row, lobe) batch share its
-forcing's exponents, so their L2 norms come from one pass with no x-grid,
-and each modal W1 family gets its max-norm and the L2 of its d/dx (the
-profiles times i l) and d/dy (the coefficients times -mu) from one pass.
+forcing's exponents, so their L2 norms come from one pass with no x-grid
+(whose all-zero coefficient rows the kernel skips), and each modal W1
+family gets its max-norm, the L2 of its d/dx (its own profiles times i l,
+so their y-integrals weighted by l^2) and of its d/dy (a further set, the
+coefficients times -mu) from one pass of 6 rows.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .boundary import (
     _equilibrated_solve,
     _group_by_l,
     _l_tolerance,
+    _x_basis,
     evaluate_modes,
     lift_noncritical,
     lift_nonoscillating,
@@ -185,6 +188,9 @@ def _check_lobe(name: str, lobe: Lobe, pairs: ExpModes, assembly: PacketAssembly
 #: y- and x-points of the modes_norms quadrature
 _NORM_NY = 600
 _NORM_NX = 512
+#: y-rows per block of the Linf synthesis: a (64, 512) block of doubles is
+#: 256 KiB and stays in cache, where the 600-row grid does not
+_LINF_ROWS = 64
 
 
 def _norm_lattice(modes: ExpModes, x_period: float, ny: int) -> YLattice:
@@ -199,44 +205,56 @@ def _norm_lattice(modes: ExpModes, x_period: float, ny: int) -> YLattice:
     return YLattice((min(10.0 / fast, y_max), y_max), ny // 2)
 
 
-def _profile_norms(l, P, y, x_period: float, nx: int | None) -> tuple[float, float | None]:
-    """(L2, Linf) of 2 Re sum_g P[:, g](y) exp(i l_g x) over one x-period.
+def _profile_norms(l, P, y, x_period: float, nx: int | None):
+    """(L2, Linf, L2 of d/dx) of 2 Re sum_g P[:, g](y) exp(i l_g x) over one
+    x-period.
 
     l must be increasing.  Distinct x-frequencies are orthogonal over the
     period, so |.|_2^2 is the period times the y-integral of 2 sum_g |P_g|^2
     plus 2 Re P_g P_h for every pair l_g = -l_h (the conjugate part's
-    interference).  Linf is the max over an nx-point x-grid, one component's
-    grid at a time (max(f.max(), -f.min()) is max|f| with no third grid);
-    with nx None it is None and no x-grid is synthesized.
+    interference).  d/dx takes P_g to i l_g P_g, so its L2 weights the same
+    per-group y-integrals by l_g^2 (a pair's by -l_g l_h).  Linf is the max
+    over an nx-point x-grid, synthesized with one x-basis in blocks of
+    _LINF_ROWS y-rows, one component at a time (max(f.max(), -f.min()) is
+    max|f| with no third array); each block is the full grid's rows bit for
+    bit.  With nx None it is None and no x-grid is synthesized.
     """
     tol = _l_tolerance(l)
     partner = np.minimum(np.searchsorted(l, -l - tol), len(l) - 1)
     paired = np.abs(l + l[partner]) <= tol
-    dens = (np.abs(P) ** 2).sum(axis=0)
-    cross = (P[:, paired] * P[:, partner[paired]]).sum(axis=0)
-    total = 2.0 * (np.trapezoid(dens, y).sum() + np.trapezoid(cross, y).real.sum())
-    l2 = math.sqrt(max(float(total), 0.0) * x_period)
+    dens = np.trapezoid((np.abs(P) ** 2).sum(axis=0), y)
+    cross = np.trapezoid((P[:, paired] * P[:, partner[paired]]).sum(axis=0), y).real
+    total = 2.0 * (dens.sum() + cross.sum())
+    total_dx = 2.0 * (dens @ l**2 - cross @ (l[paired] * l[partner[paired]]))
+    l2, dx = (math.sqrt(max(float(v), 0.0) * x_period) for v in (total, total_dx))
     if nx is None:
-        return l2, None
-    x = np.linspace(0.0, x_period, nx, endpoint=False)
-    # map holds no grid between calls, so each is freed before the next is formed
-    linf = max(map(lambda f: float(max(f.max(), -f.min())), synthesize(l, P, x)))
-    return l2, linf
+        return l2, None, dx
+    trig = _x_basis(l, np.linspace(0.0, x_period, nx, endpoint=False))
+    linf = 0.0
+    for p in P:
+        a = np.concatenate([p.real, -p.imag]).T  # (y, 2 groups)
+        for s in range(0, len(a), _LINF_ROWS):
+            f = a[s:s + _LINF_ROWS] @ trig
+            linf = max(linf, float(f.max()), float(-f.min()))
+    return l2, linf, dx
 
 
 def modes_norms(modes: ExpModes, x_period: float, nx: int | None = _NORM_NX,
                 also=()) -> tuple:
-    """(L2, Linf) at t = 0 over one x-period and y in [0, y_max] (see _norm_lattice).
+    """(L2, Linf, L2 of d/dx) at t = 0 over one x-period and y in [0, y_max]
+    (see _norm_lattice), then the L2 of each set in also.
 
-    Every call is one profile kernel pass.  With nx None, Linf is None and
-    no x-grid is synthesized.  also holds further mode sets with the
-    exponents of modes (l, alpha, mu and parents, else ValueError), such as
-    its d_dx() and d_dy(); the L2 of each is appended in turn, read from
-    the same pass and on the same y-grid.
+    Every call is one profile kernel pass, and the d/dx L2 is read from its
+    profiles (_profile_norms).  With nx None, Linf is None and no x-grid is
+    synthesized.  also holds further mode sets with the exponents of modes
+    (l, alpha, mu and parents, else ValueError), such as its d_dy(); their
+    L2 come from the same pass and on the same y-grid.  A set's all-zero
+    coefficient rows (the booked w-forcing's u and b) stay out of the
+    kernel's products (boundary.mode_profiles).
     """
     if len(modes) == 0:
         _check_exponents(modes, also)
-        return (0.0, None if nx is None else 0.0) + (0.0,) * len(also)
+        return (0.0, None if nx is None else 0.0, 0.0) + (0.0,) * len(also)
     lattice = _norm_lattice(modes, x_period, _NORM_NY)
     l, P = mode_profiles(modes, 0.0, lattice, also)
     norms = _profile_norms(l, P[:3], lattice.y, x_period, nx)
@@ -367,8 +385,8 @@ class MeanFlowField:
         return l, P if np.ndim(t) else P[0]
 
     def norms(self, x_period: float, nx: int | None = _NORM_NX):
-        """(L2, Linf) at t = 0 as modes_norms returns them, on 800 y-points
-        of [0, 2.5 eps^-2]; with nx None, Linf is None."""
+        """(L2, Linf, L2 of d/dx) at t = 0 as modes_norms returns them, on
+        800 y-points of [0, 2.5 eps^-2]; with nx None, Linf is None."""
         y = np.linspace(0.0, 2.5 / self.eps ** 2, 800)
         return _profile_norms(*self.profiles(0.0, y), y, x_period, nx)
 
@@ -507,8 +525,8 @@ class CorrectorAssembly:
     def norms(self, family: str) -> tuple[float, float]:
         """(L2, Linf) of one family at t = 0."""
         if family == W1_MF:
-            return self.families[W1_MF].norms(self.x_period)
-        return modes_norms(self.families[family], self.x_period)
+            return self.families[W1_MF].norms(self.x_period)[:2]
+        return modes_norms(self.families[family], self.x_period)[:2]
 
     def modal(self) -> ExpModes:
         """All exponential modes of the corrector (everything but W1_MF)."""
@@ -685,7 +703,11 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     cross terms); 'total' is their sum, to be compared against
     delta eps^2 + delta^2 + eps^6.  Each modes_norms call is one kernel
     pass: one per (row, lobe) batch, one for the incident diffusion term and
-    one per modal W1 family (22 at the nine rows).
+    one per modal W1 family (22 at the nine rows).  A batch's pass skips its
+    all-zero rows (the w-forcing's u and b, the w-row term's u and w: 8 of
+    an a batch's 12 rows are contracted, 4 of a b batch's 6).  A family's
+    pass holds its own rows and its d/dy's, 6 rows: the d/dx L2 comes from
+    its own profiles, and the max-norm from one x-basis in row blocks.
 
     The cross terms' W1 factors (its max-norm and the L2 of its d/dx and
     d/dy) are the modal families' alone: W1_MF is left out.  At gamma = 0.7
@@ -707,7 +729,7 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
             booked = _booked_terms(itype.kind, src, modes, params)
         # the terms of one batch share src's exponents: one kernel pass
         first, *rest = booked.values()
-        l2, _, *more = modes_norms(first, w0.x_period, nx=None, also=rest)
+        l2, _, _, *more = modes_norms(first, w0.x_period, nx=None, also=rest)
         for term, v in zip(booked, [l2, *more]):
             report[term] = report.get(term, 0.0) + v
 
@@ -732,11 +754,12 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     dx0 = math.hypot(*packet_norms(sum0.d_dx(), grid0)[0])
     dy0 = math.hypot(*packet_norms(sum0.d_dy(), grid0)[0])
 
-    # one kernel pass per family gives its Linf and the L2 of d/dx and d/dy
+    # one kernel pass per family, over its profiles and its d/dy's, gives
+    # its Linf and the L2 of d/dx (from its own profiles) and of d/dy
     u1_inf = w1_inf = dx1 = dy1 = 0.0
     for fam in W1_MODAL:
         m = casm.families[fam]
-        _, linf, dx, dy = modes_norms(m, casm.x_period, also=[m.d_dx(), m.d_dy()])
+        _, linf, dx, dy = modes_norms(m, casm.x_period, also=[m.d_dy()])
         u1_inf = max(u1_inf, linf)
         w1_inf = max(w1_inf, linf)
         dx1 += dx

@@ -426,9 +426,12 @@ class TestProfileNorms:
         ex = np.exp(1j * (np.outer(m.l, x) - (m.alpha * t)[:, None]))
         fields = [2.0 * ((ey * c) @ ex).real for c in (m.cu, m.cw, m.cb)]
         want_l2, want_linf = self.brute(fields, y, P)
-        l2, linf = C._profile_norms(*C.mode_profiles(m, t, y), y, P, self.NX)
+        dx = [2.0 * ((ey * c) @ (1j * m.l[:, None] * ex)).real for c in (m.cu, m.cw, m.cb)]
+        l2, linf, dx_l2 = C._profile_norms(*C.mode_profiles(m, t, y), y, P, self.NX)
         assert abs(l2 - want_l2) <= 1e-12 * want_l2
         assert linf == pytest.approx(want_linf, rel=1e-12, abs=0.0)
+        want_dx = self.brute(dx, y, P)[0]
+        assert abs(dx_l2 - want_dx) <= 1e-12 * want_dx
 
     def test_mean_flow(self, casm):
         """W1_MF nodes share l at different alpha: G is summed per l."""
@@ -445,9 +448,13 @@ class TestProfileNorms:
         fields = [-e2 * np.outer(C._theta_prime(e2 * y), g),
                   np.outer(C._theta(e2 * y), gx)]
         want_l2, want_linf = self.brute(fields, y, P)
-        l2, linf = C._profile_norms(*mf.profiles(t, y), y, P, self.NX)
+        gxx = 2.0 * (ph @ (-mf.l**2 * mf.G)).real
+        dx = [-e2 * np.outer(C._theta_prime(e2 * y), gx), np.outer(C._theta(e2 * y), gxx)]
+        l2, linf, dx_l2 = C._profile_norms(*mf.profiles(t, y), y, P, self.NX)
         assert abs(l2 - want_l2) <= 1e-12 * want_l2
         assert linf == pytest.approx(want_linf, rel=1e-12, abs=0.0)
+        want_dx = self.brute(dx, y, P)[0]
+        assert abs(dx_l2 - want_dx) <= 1e-12 * want_dx
         # the ledger's read is the same rule at t = 0
         assert mf.norms(P, self.NX) == C._profile_norms(*mf.profiles(0.0, y), y, P, self.NX)
 
@@ -599,7 +606,7 @@ class TestPairColumns:
 def _ledger_passes(asm, p, casm):
     """(name, first set, further sets, t) of every ledger kernel pass at the
     reference case (each batch's booked terms, the incident diffusion term,
-    each modal family with its d/dx and d/dy), and W1_BLeps3 at t = 0.3."""
+    each modal family with its d/dy), and W1_BLeps3 at t = 0.3."""
     for itype, lobe, src, modes in C._solved_batches(asm, None):
         booked = ([src] if modes is None
                   else list(C._booked_terms(itype.kind, src, modes, p).values()))
@@ -609,7 +616,7 @@ def _ledger_passes(asm, p, casm):
     yield "diffusion", inc.scaled(p.nu0 * lap, p.nu0 * lap, p.kappa0 * lap), [], 0.0
     for fam in C.W1_MODAL:
         m = casm.families[fam]
-        yield fam, m, [m.d_dx(), m.d_dy()], 0.0
+        yield fam, m, [m.d_dy()], 0.0
     m = casm.families[C.W1_BLEPS3]
     yield "W1_BLeps3 at t = 0.3", m, [m.d_dy()], 0.3
 
@@ -739,7 +746,8 @@ def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):
 class TestLedgerNorms:
     """residual_Rapp reads L2 alone where it books L2, the booked terms of
     one batch from one kernel pass, and each modal W1 family's Linf, d/dx
-    L2 and d/dy L2 from one kernel pass over its own modes."""
+    L2 (from its own profiles) and d/dy L2 from one kernel pass over its
+    own modes and their d/dy."""
 
     def test_l2_only_form_is_the_full_form_l2(self, w0, casm):
         """Bit-identical L2 for every booked term, the incident packet (the
@@ -754,10 +762,10 @@ class TestLedgerNorms:
             sets += [casm.families[fam], casm.families[fam].d_dy()]
         assert len(sets) == 43
         for m in sets:
-            l2, linf = C.modes_norms(m, P, None)
+            l2, linf, _ = C.modes_norms(m, P, None)
             assert linf is None and l2 == C.modes_norms(m, P)[0]
         mf = casm.families[C.W1_MF]
-        l2, linf = mf.norms(P, nx=None)
+        l2, linf, _ = mf.norms(P, nx=None)
         assert linf is None and l2 == mf.norms(P)[0]
 
     def test_shared_pass_is_each_sets_own_pass(self, w0, casm):
@@ -773,7 +781,7 @@ class TestLedgerNorms:
         shared += [[m, m.d_dx(), m.d_dy()] for m in map(casm.families.get, C.W1_MODAL)]
         assert len(shared) == 10 + 3
         for first, *rest in shared:
-            l2, _, *more = C.modes_norms(first, P, None, also=rest)
+            l2, _, _, *more = C.modes_norms(first, P, None, also=rest)
             assert [l2, *more] == [C.modes_norms(m, P, None)[0] for m in (first, *rest)]
 
     @pytest.mark.parametrize("field", ["l", "alpha", "mu", "parents"])
@@ -801,35 +809,136 @@ class TestLedgerNorms:
         empty = boundary.ExpModes.empty()
         with pytest.raises(ValueError, match=r"differ in l$"):
             C.modes_norms(empty, casm.x_period, None, also=[m])
-        assert C.modes_norms(empty, casm.x_period, None, also=[empty]) == (0.0, None, 0.0)
+        assert C.modes_norms(empty, casm.x_period, None, also=[empty]) == (0.0, None, 0.0, 0.0)
+
+    #: bound on |dx / modes_norms(m.d_dx())[0] - 1|: 2x the largest distance
+    #: measured (5.6e-16, W1_BLeps3 at gamma 0.7, eps 0.118, 6 nodes per lobe;
+    #: 0 for all three families here, at 5 and 9 nodes per lobe at eps 0.2)
+    DX_BAND = 1.2e-15
 
     @pytest.mark.parametrize("family", C.W1_MODAL)
-    def test_dx_l2_from_the_family_profiles(self, casm, family):
-        """The ledger reads a family's Linf and the L2 of its d/dx from one
-        pass with m.d_dx() as a further set: they equal the family's own
-        (L2, Linf) and m.d_dx()'s own L2, bit for bit.  W1_BLeps3 has an
-        l = 0 group, whose d/dx coefficients are zero."""
+    def test_dx_l2_from_the_family_profiles(self, casm, family, monkeypatch):
+        """The ledger's pass for a family holds its profiles and its d/dy's,
+        6 rows, and reads the d/dx L2 from the family's own profiles, each
+        group's times l_g: within DX_BAND of m.d_dx()'s own L2, which scales
+        each mode by its own l.  The two differ only through the l of one
+        group, which lie within the group tolerance.  W1_BLeps3 has an l = 0
+        group, whose d/dx is zero."""
         P = casm.x_period
         m = casm.families[family]
         if family == C.W1_BLEPS3:
             assert (m.l == 0.0).any()
-        l2, linf, dx = C.modes_norms(m, P, also=[m.d_dx()])
-        assert (l2, linf) == C.modes_norms(m, P)
-        assert dx == C.modes_norms(m.d_dx(), P)[0]
+        rows, outs = [], []
+        profiles, norms = C.mode_profiles, C.modes_norms
+
+        def spy_profiles(modes, *args, **kwargs):
+            out = profiles(modes, *args, **kwargs)
+            if modes is m:
+                rows.append(out[1].shape[0])
+            return out
+
+        def spy_norms(modes, *args, **kwargs):
+            out = norms(modes, *args, **kwargs)
+            if modes is m:
+                outs.append(out)
+            return out
+
+        monkeypatch.setattr(C, "mode_profiles", spy_profiles)
+        monkeypatch.setattr(C, "modes_norms", spy_norms)
+        C.residual_Rapp(casm)
+        assert rows == [6] and len(outs) == 1
+        _, linf, dx, dy = outs[0]
+        assert (linf, dy) == (norms(m, P)[1], norms(m.d_dy(), P)[0])
+        assert abs(dx / norms(m.d_dx(), P)[0] - 1.0) <= self.DX_BAND
+        for idx in C._group_by_l(m.l):
+            assert np.ptp(m.l[idx]) <= C._l_tolerance(m.l)
 
     def test_one_synthesis_per_modal_family(self, casm, monkeypatch):
-        """The ledger synthesizes an x-grid 3 times, once per modal family
-        (its profiles have one row per distinct l)."""
+        """The ledger builds an x-basis 3 times, once per modal family (one
+        row pair per distinct l), and synthesizes its max-norm from it in
+        blocks of rows."""
         calls = []
-        synth = C.synthesize
+        basis = C._x_basis
 
-        def counted(l, P, x):
+        def counted(l, x):
             calls.append(len(l))
-            return synth(l, P, x)
+            return basis(l, x)
 
-        monkeypatch.setattr(C, "synthesize", counted)
+        monkeypatch.setattr(C, "_x_basis", counted)
         C.residual_Rapp(casm)
         assert calls == [len(C._group_by_l(casm.families[f].l)) for f in C.W1_MODAL]
+
+    @pytest.mark.parametrize("family", C.W1_MODAL)
+    def test_blocked_max_is_the_full_grid_max(self, casm, family):
+        """_profile_norms' Linf, taken in blocks of _LINF_ROWS y-rows with a
+        short last block, equals the max over synthesize's full grids bit for
+        bit."""
+        P = casm.x_period
+        m = casm.families[family]
+        lattice = C._norm_lattice(m, P, C._NORM_NY)
+        assert len(lattice.y) > C._LINF_ROWS and len(lattice.y) % C._LINF_ROWS
+        l, prof = C.mode_profiles(m, 0.0, lattice)
+        x = np.linspace(0.0, P, C._NORM_NX, endpoint=False)
+        want = max(float(max(f.max(), -f.min())) for f in boundary.synthesize(l, prof, x))
+        assert C._profile_norms(l, prof, lattice.y, P, C._NORM_NX)[1] == want
+
+
+class TestDeadRows:
+    """mode_profiles leaves a coefficient row that is all zero out of its
+    contraction and returns it as exact zeros."""
+
+    @staticmethod
+    def _spy_rows(monkeypatch):
+        rows = []
+        sum_columns = boundary.YLattice.sum_columns
+
+        def counted(self, coef, cols):
+            rows.append(len(coef))
+            return sum_columns(self, coef, cols)
+
+        monkeypatch.setattr(boundary.YLattice, "sum_columns", counted)
+        return rows
+
+    def test_booked_batches_contract_their_live_rows(self, w0, casm, monkeypatch):
+        """An a batch's 12 rows reach sum_columns as 8 (r1_aL_wrow's u and w
+        and r1_aL_wforce's u and b are zero), a b batch's 6 as 4.  The dead
+        rows are exactly 0, and every set's rows are its own pass's, bit for
+        bit."""
+        asm, p = w0
+        rows = self._spy_rows(monkeypatch)
+        kinds = set()
+        for itype, _, src, modes in C._solved_batches(asm, None):
+            if modes is None:
+                continue
+            sets = list(C._booked_terms(itype.kind, src, modes, p).values())
+            lattice = C._norm_lattice(sets[0], casm.x_period, C._NORM_NY)
+            rows.clear()
+            _, prof = C.mode_profiles(sets[0], 0.0, lattice, sets[1:])
+            live = {"a": 8, "b": 4}[itype.kind]
+            assert rows == [live] * prof.shape[1], itype.name
+            dead = ~np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in sets]).any(axis=1)
+            assert dead.sum() == 3 * len(sets) - live and not prof[dead].any()
+            for i, m in enumerate(sets):
+                assert np.array_equal(prof[3 * i:3 * i + 3],
+                                      C.mode_profiles(m, 0.0, lattice)[1]), itype.name
+            kinds.add(itype.kind)
+        assert kinds == {"a", "b"}
+
+    def test_all_zero_pass(self, monkeypatch):
+        """At delta = 0 every booked term vanishes: the pass contracts
+        nothing and returns zero profiles, and the norms are 0."""
+        asm, p = make_w0(0.2, delta=0.0)
+        rows = self._spy_rows(monkeypatch)
+        for itype, _, src, modes in C._solved_batches(asm, None):
+            first, *rest = ([src] if modes is None
+                            else C._booked_terms(itype.kind, src, modes, p).values())
+            lattice = C._norm_lattice(first, asm.x_period, C._NORM_NY)
+            l, prof = C.mode_profiles(first, 0.0, lattice, rest)
+            assert prof.shape == (3 * (1 + len(rest)), len(l), len(lattice.y))
+            assert not prof.any(), itype.name
+            l2, _, dx, *more = C.modes_norms(first, asm.x_period, None, also=rest)
+            assert l2 == dx == 0.0 and more == [0.0] * len(rest)
+        assert rows == []
 
 
 class TestLiftSecondHarmonic:
@@ -978,7 +1087,7 @@ class TestLiftMeanFlow:
             tr = self.synthetic_traces(eps, delta, np.random.default_rng(11))
             _, mf = C.lift_mean_flow(tr, p)
             P = 2 * math.pi / (eps**2 * 0.5)
-            l2, linf = mf.norms(P)
+            l2, linf, _ = mf.norms(P)
             l2s.append(l2)
             linfs.append(linf)
         loge = np.log(eps_list)

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg.lapack import zpbtrs
 from scipy.optimize import brentq
 from scipy.sparse import diags_array
 
@@ -366,7 +367,7 @@ class TestBandedOperators:
         uh, wh = (rng.standard_normal((g.ny, len(solver.kx)))
                   + 1j * rng.standard_normal((g.ny, len(solver.kx))) for _ in range(2))
         uh[0] = wh[0] = wh[-1] = 0.0
-        _, _, phih = solver.project(uh, wh)
+        _, _, phih, _ = solver.project(uh, wh)
         rhs = solver._adjoint_div(uh, wh)
         reg = np.flatnonzero(solver.kx_d)
         assert len(reg) == len(solver.kx) - 2  # all but kx = 0 and Nyquist
@@ -444,17 +445,17 @@ class TestSingularColumns:
 
     def test_w_vanishes_on_interior_rows(self, singular):
         """Exactly, and on the pinned rows too."""
-        _, _, _, (_, w1, _) = singular
+        _, _, _, (_, w1, _, _) = singular
         assert not w1[:, self.SING].any()
 
     def test_u_unchanged(self, singular):
         """Bit for bit off the wall row; the pinned wall row is 0."""
-        _, uh, _, (u1, _, _) = singular
+        _, uh, _, (u1, _, _, _) = singular
         assert np.array_equal(u1[1:, self.SING], uh[1:, self.SING])
         assert not u1[0, self.SING].any()
 
     def test_phi_is_zero(self, singular):
-        _, _, _, (_, _, phi) = singular
+        _, _, _, (_, _, phi, _) = singular
         assert not phi[:, self.SING].any()
 
     def test_phi_is_orthogonal_to_the_null_space(self, singular):
@@ -570,11 +571,11 @@ class TestBlockSweep:
 
 class TestProjection:
     def test_divergence_after_projection(self, solver, random_uw):
-        u1, w1, _ = solver.project(*_hat(*random_uw))
+        u1, w1 = solver.project(*_hat(*random_uw))[:2]
         assert solver.div_residual(u1, w1) <= 1e-8
 
     def test_idempotence(self, solver, random_uw):
-        u1h, w1h, _ = solver.project(*_hat(*random_uw))
+        u1h, w1h = solver.project(*_hat(*random_uw))[:2]
         u2, w2 = _phys(solver, *solver.project(u1h, w1h)[:2])
         u1, w1 = _phys(solver, u1h, w1h)
         scale = max(np.abs(u1).max(), np.abs(w1).max())
@@ -589,10 +590,42 @@ class TestProjection:
         assert abs(cross) <= 1e-10 * g.integral(u**2 + w**2)
         assert g.integral(u1**2 + w1**2) <= g.integral(u**2 + w**2) * (1 + 1e-12)
 
+    def test_sweeps_are_zpbtrs(self, solver, random_uw):
+        """phi on the regular columns is LAPACK zpbtrs's solution of the
+        block-diagonal system, bit for bit: project makes its two sweeps."""
+        uh, wh = _hat(*random_uw)
+        reg = solver._proj_regular
+        rhs = solver._adjoint_div(uh, wh)[:, reg].T.ravel()
+        want, info = zpbtrs(solver._proj_chol, rhs)
+        assert info == 0
+        phih = solver.project(uh, wh)[2]
+        assert np.array_equal(phih[:, reg], want.reshape(-1, solver.grid.ny).T)
+
+    def test_loss_is_the_energy_removed(self, solver):
+        """project's loss is ||v - Pv||^2 to 1e-12 of itself and
+        ||v||^2 - ||Pv||^2 to 1e-12 of ||v||^2, for an input whose pinned
+        rows and kx_d = 0 columns are not zero.  Of it, what the input holds
+        there counts whole: with those entries set to 0 the loss drops by
+        their energy."""
+        g = solver.grid
+        uh, wh = _hat(*np.random.default_rng(17).standard_normal((2, g.ny, g.nx)))
+        edge = solver.kx_d == 0.0
+        assert edge.sum() == 2 and uh[0].all() and wh[0].all() and wh[-1].all()
+        u1, w1, _, loss = solver.project(uh, wh)
+        assert abs(loss - solver.norm2(uh - u1, wh - w1)) <= 1e-12 * loss
+        total = solver.norm2(uh, wh)
+        assert abs(loss - (total - solver.norm2(u1, w1))) <= 1e-12 * total
+        cut_u, cut_w = uh.copy(), wh.copy()
+        cut_u[0] = cut_w[[0, -1]] = 0.0
+        cut_w[:, edge] = 0.0
+        dropped = total - solver.norm2(cut_u, cut_w)
+        assert solver.project(cut_u, cut_w)[3] == pytest.approx(loss - dropped,
+                                                                rel=1e-12, abs=0.0)
+
     def test_advection_is_energy_neutral(self, solver, random_uw):
         rng = np.random.default_rng(11)
         g = solver.grid
-        uh, wh, _ = solver.project(*_hat(*random_uw))
+        uh, wh = solver.project(*_hat(*random_uw))[:2]
         f = rng.standard_normal((g.ny, g.nx))
         adv, = _phys(solver, solver.advect(uh, wh, *_hat(f))[2])
         ip = g.integral(f * adv)
@@ -604,7 +637,7 @@ class TestProjection:
         """advect is (u dx f + w Dy f)/2 + (dx(u f) - Dy*(w f))/2 for f = u,
         w, b, built here from physical fields, dense Dy and Dy* = T^-1 Dy^T T."""
         g = solver.grid
-        uh, wh, _ = solver.project(*_hat(*random_uw))
+        uh, wh = solver.project(*_hat(*random_uw))[:2]
         bh, = _hat(np.random.default_rng(13).standard_normal((g.ny, g.nx)))
         u, w, b = _phys(solver, uh, wh, bh)
         Dy = g.Dy.toarray()
@@ -810,19 +843,19 @@ class TestColumnSubset:
 
     def test_solves_see_only_the_held_columns(self, solver, initial, monkeypatch):
         """Each banded solve of a delta = 0 step sees only the held rfft
-        columns: each of the 4 projection solves gets ny complex entries
-        per held (regular) column, and each of the 6 diffusion sweeps 2
-        float columns (real, imaginary) per held column.  The step never
-        goes back to full width."""
+        columns: each of the 4 projection solves' 2 triangular sweeps gets
+        ny complex entries per held (regular) column, and each of the 6
+        diffusion sweeps 2 float columns (real, imaginary) per held column.
+        The step never goes back to full width."""
         ny, n = solver.grid.ny, len(initial.cols)
         assert np.all(initial.cols > 0) and np.all(2 * initial.cols < solver.grid.nx)
         seen = []
-        zpbtrs = dns.zpbtrs
+        ztbsv = dns.ztbsv
 
-        def counted(ab, b, **kwargs):
+        def counted(k, ab, b, **kwargs):
             assert b.dtype == complex
             seen.append(("project", b.size / ny))
-            return zpbtrs(ab, b, **kwargs)
+            return ztbsv(k, ab, b, **kwargs)
 
         sweep_solve = BlockSweep.solve
 
@@ -830,10 +863,10 @@ class TestColumnSubset:
             seen.append(("sweep", r.shape[1]))
             return sweep_solve(sweep, r, y)
 
-        monkeypatch.setattr(dns, "zpbtrs", counted)
+        monkeypatch.setattr(dns, "ztbsv", counted)
         monkeypatch.setattr(BlockSweep, "solve", counted_sweep)
         solver.step(initial)
-        assert sorted(seen) == [("project", n)] * 4 + [("sweep", 2 * n)] * 6
+        assert sorted(seen) == [("project", n)] * 8 + [("sweep", 2 * n)] * 6
 
 
 class TestPlacement:
