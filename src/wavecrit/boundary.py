@@ -164,6 +164,22 @@ def _group_by_l(l: np.ndarray):
     return groups if len(l) else []
 
 
+def _distinct(z: np.ndarray):
+    """(values, inverse) of np.unique(z, return_inverse=True) for a 1-D
+    complex z without NaN: the distinct values in (real, imag) order and
+    each entry's index among them.  One exact lexsort on (real, imag) finds
+    them, cheaper than numpy's sort of complex values.  Entries differing
+    only in the sign of a zero part are one value, held with either sign,
+    as np.unique holds it."""
+    order = np.lexsort((z.imag, z.real))
+    s = z[order]
+    first = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    inverse = np.empty(len(z), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return s[first], inverse
+
+
 def _check_exponents(modes: ExpModes, also) -> None:
     """ValueError naming the field unless every set in also has the l, alpha,
     mu and parents of modes."""
@@ -238,12 +254,13 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
     bit.  A pass whose rows are all zero makes no table and no product.
 
     A mode's column e^(-mu y) is the product of two rows of one table over
-    the distinct parent rates (a pair mode's parents, any other mode's mu
-    and 0), exactly zero where either exponent is below -700.  The table is
-    over y's points, or over a YLattice's offsets, whose sum_columns sums a
-    group as two small matrices.  Where a column's exponent passes -700 but
-    none of its factors' does, their product is below e^-700 (about 1e-304)
-    or underflows to zero, where a guarded e^(-mu y) would be exactly zero.
+    the distinct parent rates (_distinct; a pair mode's parents, any other
+    mode's mu and 0), exactly zero where either exponent is below -700.
+    The table is over y's points, or over a YLattice's offsets, whose
+    sum_columns sums a group as two small matrices.  Where a column's
+    exponent passes -700 but none of its factors' does, their product is
+    below e^-700 (about 1e-304) or underflows to zero, where a guarded
+    e^(-mu y) would be exactly zero.
     """
     _check_exponents(modes, also)
     groups = _group_by_l(modes.l)
@@ -258,7 +275,7 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
     if len(live):
         rows = live if len(live) < len(coef) else slice(None)
         coef = coef[rows]
-        rates, inv = np.unique(modes.parents.ravel(), return_inverse=True)
+        rates, inv = _distinct(modes.parents.ravel())
         row = inv.reshape(-1, 2)  # a mode's two table rows
         table = guarded_exp(np.outer(-rates, grid.offsets))
         for g, idx in enumerate(groups):

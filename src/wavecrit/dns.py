@@ -30,7 +30,8 @@ not merely approximate:
 
 Each step is a Strang sandwich -- half an implicit diffusion step, one
 explicit Heun step of rotation + advection, half a diffusion
-step -- followed by a projection, and is second order in time.
+step -- followed by a projection, and is second order in time.  The
+slopes and the Heun sums are updated in place by BLAS zaxpy (`_axpy`).
 
 The state is carried as the rfft along x of (u, w, b).  Every y-operator is
 x-independent and banded (bandwidth 4 or 5, set by the 5-point stencil), so
@@ -45,14 +46,16 @@ complex columns themselves:
   with U in blocks of 48 rows, about 3x faster than LAPACK's banded solve;
 * the projection stacks the banded matrices of the kx with a nonzero
   derivative wavenumber (a contiguous slice) into one block-diagonal banded
-  Cholesky factor U, held complex, and solves the columns laid end to end
-  as one complex right-hand side by the two banded triangular sweeps of
-  LAPACK's zpbtrs (BLAS ztbsv with U^H, then with U), which carry the real
-  and imaginary parts together (each kx has its own matrix, too many for
-  stored block inverses); at kx_d = 0 (kx = 0 and Nyquist) w and phi are 0
-  with no solve, as G = Dy[1:-1] has full row rank.  It alone pins u and w
-  to 0 on the wall and lid rows.  It returns the energy it removes, the
-  step's proj_loss, from its own solve: |y|^2 for the first sweep's y,
+  Cholesky factor U = D V (D its real diagonal, V unit upper), holds V
+  complex and 1/d as a real vector, and solves the columns laid end to end
+  as one complex right-hand side by two unit banded triangular sweeps
+  (BLAS ztbsv with V^H, then with V, neither dividing) and two scalings by
+  1/d between them, which carry the real and imaginary parts together
+  (each kx has its own matrix, too many for stored block inverses); at
+  kx_d = 0 (kx = 0 and Nyquist) w and phi are 0 with no solve, as
+  G = Dy[1:-1] has full row rank.  It alone pins u and w to 0 on the wall
+  and lid rows.  It returns the energy it removes, the step's proj_loss,
+  from its own solve: |y|^2 for y = U^-H rhs after the first scaling,
   which is Re phi^H rhs, over the regular columns, plus the squares of
   what it zeroes outright, with no squaring of the fields;
 * rotation is pointwise; energy and dissipation are Parseval sums from one
@@ -94,7 +97,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky_banded, solve_triangular
-from scipy.linalg.blas import ztbsv
+from scipy.linalg.blas import zaxpy, ztbsv
 from scipy.sparse import csr_array, diags_array, eye_array
 
 from .boundary import _group_by_l, mode_profiles
@@ -221,6 +224,17 @@ def _complex(a):
 def _ycols(A, fh):
     """A real y-operator applied to every complex column of fh."""
     return _complex(A @ _pairs(fh))
+
+
+def _axpy(a, x, y):
+    """y += a x in place, by BLAS zaxpy over both arrays' entries.  y must
+    be a C-contiguous complex array: ravel() of any other would be a copy,
+    and the update would be lost."""
+    if not (y.flags.c_contiguous and y.dtype == complex and x.shape == y.shape):
+        raise ValueError(f"axpy needs a C-contiguous complex target of x's shape "
+                         f"{x.shape}, got {y.dtype} {y.shape}, "
+                         f"C-contiguous {y.flags.c_contiguous}")
+    zaxpy(x.ravel(), y.ravel(), a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +529,16 @@ class Solver:
         # zero, so one Cholesky factors all blocks.
         ab = np.tile(self._proj_band, len(kx))
         ab[-1] += np.outer(kx * kx, self._tau_u[:, 0]).ravel()  # the diagonal
-        # held complex (an exact cast) and Fortran-ordered, as ztbsv takes it
-        self._proj_chol = np.asfortranarray(cholesky_banded(ab), dtype=complex)
+        # U = D V with V = D^-1 U unit upper: each row of U's band divided by
+        # its diagonal entry d, so neither sweep divides.  V is held complex
+        # and Fortran-ordered, as ztbsv takes it, and 1/d as a real vector
+        chol = cholesky_banded(ab)
+        self._proj_inv_d = 1.0 / chol[-1]
+        bw = len(chol) - 1
+        for k in range(1, bw + 1):  # row bw - k holds U[j - k, j] at column j
+            chol[bw - k, k:] *= self._proj_inv_d[:-k]
+        chol[-1] = 1.0
+        self._proj_unit = np.asfortranarray(chol, dtype=complex)
 
     def _on(self, state: State):
         """The solver acting on the state's columns, and the state.
@@ -567,9 +589,10 @@ class Solver:
         and w' = w - Dy phi, but the pinned rows u'[0], w'[0] and w'[-1] are 0
         for any input.  At kx_d = 0 (kx = 0 and Nyquist) G = Dy[1:-1] has full
         row rank, so w' = 0 and phi = 0 there, with no solve.  The regular
-        columns are solved together, A = U^H U by the two triangular sweeps
-        U^H y = rhs and U phi = y over the block-diagonal factor: zpbtrs's
-        own, bit for bit.
+        columns are solved together over the block-diagonal factor
+        A = U^H U = V^H D^2 V (V unit upper, D real diagonal) by two unit
+        triangular sweeps, V^H z = rhs and V phi = D^-1 y, with y = D^-1 z
+        = U^-H rhs between them.
 
         loss is the energy removed, ||v||^2 - ||Pv||^2, from the solve's own
         numbers: on the free rows of the regular columns P is orthogonal, so
@@ -582,14 +605,18 @@ class Solver:
         phih = self._adjoint_div(uh, wh)
         # regular kx: the columns laid end to end as one complex right-hand
         # side of the block-diagonal system, solved in place by its two
-        # sweeps; the right-hand side's array then takes phi, 0 at kx_d = 0.
-        # Between the sweeps |y|^2 is the energy removed on the free rows of
-        # the regular columns, all of Parseval weight 2 dx / nx
+        # sweeps and two scalings by 1/d; the right-hand side's array then
+        # takes phi, 0 at kx_d = 0.  Between the scalings |y|^2 is the
+        # energy removed on the free rows of the regular columns, all of
+        # Parseval weight 2 dx / nx
         reg = self._proj_regular
-        chol = self._proj_chol
-        y = ztbsv(len(chol) - 1, chol, phih[:, reg].T.ravel(), trans=2, overwrite_x=1)
+        unit, inv_d = self._proj_unit, self._proj_inv_d
+        bw = len(unit) - 1
+        y = ztbsv(bw, unit, phih[:, reg].T.ravel(), trans=2, diag=1, overwrite_x=1)
+        y *= inv_d
         loss = 2.0 * g.dx / g.nx * np.vdot(y, y).real
-        phih[:, reg] = ztbsv(len(chol) - 1, chol, y, overwrite_x=1).reshape(-1, g.ny).T
+        y *= inv_d
+        phih[:, reg] = ztbsv(bw, unit, y, diag=1, overwrite_x=1).reshape(-1, g.ny).T
         del y  # phi's buffer, before the velocities are made
         phih[:, :reg.start] = phih[:, reg.stop:] = 0.0
         u = self._ikx * phih
@@ -657,22 +684,17 @@ class Solver:
         and _noflux."""
         p = self.config.params
         sg, cg = math.sin(p.gamma), math.cos(p.gamma)
-
-        def rotation():  # one field's term at a time
-            yield sg * bh
-            yield cg * bh
-            yield -sg * uh - cg * wh
-
         if p.delta == 0.0:
-            fu, fw, fb = rotation()
+            fu, fw, fb = sg * bh, cg * bh, -sg * uh - cg * wh
         else:
-            # rotation - delta advection, in advect's arrays: a - d x is
-            # (-d x) + a bit for bit
+            # -delta advection plus rotation, in advect's arrays
             fu, fw, fb = self.advect(uh, wh, bh)
-            for f, r in zip((fu, fw, fb), rotation()):
+            for f in (fu, fw, fb):
                 f *= -p.delta
-                f += r
-            del r  # before the projection's temporaries
+            _axpy(sg, bh, fu)
+            _axpy(cg, bh, fw)
+            _axpy(-sg, uh, fb)
+            _axpy(-cg, wh, fb)
         fu, fw = self.project(fu, fw)[:2]
         return fu, fw, self._noflux(fb)
 
@@ -724,14 +746,12 @@ class Solver:
         # re-project between diffusion and the explicit stage: the rotation
         # energy identity needs an exactly divergence-free state
         u, w, phi, loss = op.project(u, w)
-        # Heun; each slope's half is added at once, so k1 is not kept.  The
-        # slopes are scaled in place: (dt k) 0.5 is (0.5 dt) k bit for bit
+        # Heun; each slope's half is added at once, so k1 is not kept
         stage = []
         for f, k in zip((u, w, b), op._tendency(u, w, b)):
-            k *= dt
-            stage.append(f + k)
-            k *= 0.5
-            f += k
+            stage.append(f.copy())
+            _axpy(dt, k, stage[-1])
+            _axpy(0.5 * dt, k, f)
         del k  # the last slope goes before the second stage's temporaries
         # phi is not held through the step.  Its array goes here, where the
         # second stage's temporaries reuse it: freed right after the
@@ -740,8 +760,7 @@ class Solver:
         # against about 16 000, and a 5 % slower march)
         del phi
         for f, k in zip((u, w, b), op._tendency(*stage)):
-            k *= 0.5 * dt
-            f += k
+            _axpy(0.5 * dt, k, f)
         u = op._diffuse(u, "u")
         w = op._diffuse(w, "w")
         b = op._diffuse(b, "b")

@@ -15,6 +15,7 @@ from wavecrit.boundary import (
     IllConditionedLiftError,
     RegimeError,
     YLattice,
+    _distinct,
     _equilibrated_solve,
     evaluate_modes,
     lift_critical,
@@ -380,6 +381,26 @@ class TestPairColumns:
         _, want = mode_profiles(ExpModes(m.l, m.alpha, m.mu, m.cu, m.cw, m.cb), 0.0, y)
         assert (want[:, 0, 1] == 0.0).all()
         assert np.abs(got[:, 0, 1]).max() <= 1e-300
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_is_unique(seed):
+    """_distinct gives np.unique's values and inverse map on rates with
+    repeats, shared real or imaginary parts and zero parts of either sign
+    (equal as values, whichever sign each keeps)."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    base[1] = base[0].real + 1j * base[2].imag  # shares a part with two others
+    zeros = [0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+             1.5, complex(1.5, -0.0), complex(0.0, 2.0), complex(-0.0, 2.0)]
+    z = np.concatenate([base, rng.choice(base, 20), zeros, [base[3].real]])
+    z = z[rng.permutation(len(z))]
+    got, inv = _distinct(z)
+    want, want_inv = np.unique(z, return_inverse=True)
+    assert np.array_equal(got, want) and np.array_equal(inv, want_inv)
+    assert np.array_equal(got[inv], z)
+    empty = _distinct(np.zeros(0, complex))
+    assert empty[0].shape == empty[1].shape == (0,)
 
 
 class TestYLattice:

@@ -569,6 +569,15 @@ class TestBlockSweep:
         assert np.abs(got.proj_loss - want.proj_loss).max() <= 1e-12 * e0
 
 
+def _plain_proj_factor(solver):
+    """The plain banded Cholesky factor U (A = U^H U, LAPACK 'U' storage) of
+    the projection's block-diagonal matrix, one A_k per regular column."""
+    kx = solver.kx_d[solver._proj_regular]
+    ab = np.tile(solver._proj_band, len(kx))
+    ab[-1] += np.outer(kx * kx, solver._tau_u[:, 0]).ravel()
+    return np.asfortranarray(cholesky_banded(ab), dtype=complex)
+
+
 class TestProjection:
     def test_divergence_after_projection(self, solver, random_uw):
         u1, w1 = solver.project(*_hat(*random_uw))[:2]
@@ -590,16 +599,36 @@ class TestProjection:
         assert abs(cross) <= 1e-10 * g.integral(u**2 + w**2)
         assert g.integral(u1**2 + w1**2) <= g.integral(u**2 + w**2) * (1 + 1e-12)
 
-    def test_sweeps_are_zpbtrs(self, solver, random_uw):
+    def test_phi_matches_zpbtrs_on_the_plain_factor(self, solver, random_uw):
         """phi on the regular columns is LAPACK zpbtrs's solution of the
-        block-diagonal system, bit for bit: project makes its two sweeps."""
+        block-diagonal system over its plain banded Cholesky factor, to
+        1e-13 of its largest entry: the unit-diagonal sweeps solve the same
+        system."""
         uh, wh = _hat(*random_uw)
         reg = solver._proj_regular
         rhs = solver._adjoint_div(uh, wh)[:, reg].T.ravel()
-        want, info = zpbtrs(solver._proj_chol, rhs)
+        want, info = zpbtrs(_plain_proj_factor(solver), rhs)
         assert info == 0
+        want = want.reshape(-1, solver.grid.ny).T
         phih = solver.project(uh, wh)[2]
-        assert np.array_equal(phih[:, reg], want.reshape(-1, solver.grid.ny).T)
+        assert np.abs(phih[:, reg] - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_phi_solves_each_column(self, solver, random_uw):
+        """A_k phi_k = rhs_k on every regular column, A_k = kx^2 diag(tau_u)
+        + Dy^T diag(tau_w) Dy built here from the grid: the residual is at
+        most 1e-12 of |A_k| |phi_k| (the scale of the products it sums)."""
+        g = solver.grid
+        uh, wh = _hat(*random_uw)
+        reg = solver._proj_regular
+        rhs = solver._adjoint_div(uh, wh)[:, reg]
+        phi = solver.project(uh, wh)[2][:, reg]
+        tau_u = np.r_[0.0, g.tau[1:]]
+        K = g.Dy.T @ diags_array(np.r_[0.0, g.tau[1:-1], 0.0]) @ g.Dy
+        absK = abs(K)
+        for j, kx in enumerate(solver.kx_d[reg]):
+            res = K @ phi[:, j] + kx**2 * tau_u * phi[:, j] - rhs[:, j]
+            scale = absK @ np.abs(phi[:, j]) + kx**2 * tau_u * np.abs(phi[:, j])
+            assert np.abs(res).max() <= 1e-12 * scale.max(), j
 
     def test_loss_is_the_energy_removed(self, solver):
         """project's loss is ||v - Pv||^2 to 1e-12 of itself and
@@ -1114,6 +1143,112 @@ class TestStep:
 
         ratio = err(0.01) / err(0.005)
         assert 3.0 <= ratio <= 6.0, ratio
+
+
+def _plain_step_methods(solver):
+    """Solver.project, _tendency and step with numpy temporaries for every
+    slope and Heun sum and the projection's two sweeps over the plain
+    (non-unit) banded Cholesky factor of the solver's columns: the
+    arithmetic the unit-diagonal sweeps and the axpy updates replaced."""
+    chol = _plain_proj_factor(solver)
+    bw = len(chol) - 1
+
+    def project(self, uh, wh):
+        g = self.grid
+        phih = self._adjoint_div(uh, wh)
+        reg = self._proj_regular
+        y = dns.ztbsv(bw, chol, phih[:, reg].T.ravel(), trans=2)
+        loss = 2.0 * g.dx / g.nx * np.vdot(y, y).real
+        phih[:, reg] = dns.ztbsv(bw, chol, y).reshape(-1, g.ny).T
+        phih[:, :reg.start] = phih[:, reg.stop:] = 0.0
+        u = uh - self._ikx * phih
+        w = wh - dns._ycols(g.Dy, phih)
+        pinned = np.stack([uh[0], wh[0], wh[-1]]).view(float)
+        edge = np.concatenate([w[1:-1, :reg.start], w[1:-1, reg.stop:]], axis=1).view(float)
+        loss += (g.tau[[0, 0, -1]] @ (pinned * pinned) @ self._parseval
+                 + g.dx / g.nx * (g.tau[1:-1] @ (edge * edge)).sum())
+        u[0] = w[0] = w[-1] = 0.0
+        w[:, :reg.start] = w[:, reg.stop:] = 0.0
+        return u, w, phih, float(loss)
+
+    def tendency(self, uh, wh, bh):
+        p = self.config.params
+        sg, cg = math.sin(p.gamma), math.cos(p.gamma)
+        rot = (sg * bh, cg * bh, -sg * uh - cg * wh)
+        if p.delta == 0.0:
+            fu, fw, fb = rot
+        else:
+            fu, fw, fb = (-p.delta * a + r for a, r in zip(self.advect(uh, wh, bh), rot))
+        fu, fw = self.project(fu, fw)[:2]
+        return fu, fw, self._noflux(fb)
+
+    def step(self, state):
+        dt = self.config.dt
+        u, w, b = (self._diffuse(f, name) for f, name in
+                   ((state.uh, "u"), (state.wh, "w"), (state.bh, "b")))
+        u, w, _, loss = self.project(u, w)
+        k1 = self._tendency(u, w, b)
+        stage = [f + dt * k for f, k in zip((u, w, b), k1)]
+        fields = [f + 0.5 * dt * k for f, k in zip((u, w, b), k1)]
+        fields = [f + 0.5 * dt * k for f, k in zip(fields, self._tendency(*stage))]
+        u, w, b = (self._diffuse(f, name) for f, name in zip(fields, "uwb"))
+        u, w, phi, removed = self.project(u, w)
+        return State(u, w, b, phi / dt, state.t + dt, state.nx), loss + removed
+
+    return {"project": project, "_tendency": tendency, "step": step}
+
+
+class TestStepArithmetic:
+    """The step's unit-diagonal sweeps and in-place slope updates against
+    the plain arithmetic they replaced."""
+
+    def test_march_matches_plain_arithmetic(self, assembly):
+        """20 delta = eps^3 steps at 256 x 384: fields at 1e-12 of their
+        max, energy and dissipation series at 1e-13, projection losses at
+        1e-12 E0."""
+        config = make_config(delta=EPS**3, Lx=assembly.x_period, nx=256,
+                             ny=384, Ly=300.0, dy_max=1.0)
+        solver = Solver(config)
+        initial = init_from_Wapp(assembly, None, config, solver)
+        got = solver.run(initial, 20)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, method in _plain_step_methods(solver).items():
+                mp.setattr(Solver, name, method)
+            want = solver.run(initial, 20)
+        for a, b in zip((got.final.uh, got.final.wh, got.final.bh),
+                        (want.final.uh, want.final.wh, want.final.bh)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        for a, b in ((got.energy, want.energy), (got.dissipation, want.dissipation)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        assert np.abs(got.proj_loss - want.proj_loss).max() <= 1e-12 * want.energy[0]
+
+    def test_step_calls(self, twin, monkeypatch):
+        """A delta != 0 step projects 4 times (after the first diffusion,
+        each Heun slope, after the second diffusion) and advects twice."""
+        sol, state = twin[2], twin[3]
+        calls = []
+        for name in ("project", "advect"):
+            def counted(self, *args, _name=name, _method=getattr(Solver, name)):
+                calls.append(_name)
+                return _method(self, *args)
+            monkeypatch.setattr(Solver, name, counted)
+        sol.step(state)
+        assert sorted(calls) == ["advect"] * 2 + ["project"] * 4
+
+    def test_axpy(self):
+        """y += a x in place on a C-contiguous complex target; any other
+        target is refused, as ravel() would copy it and drop the update."""
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((2, 6, 8)) + 1j * rng.standard_normal((2, 6, 8))
+        want = y + 0.5 * x
+        dns._axpy(0.5, x, y)
+        assert np.allclose(y, want, rtol=1e-15, atol=0.0)
+        for bad in (np.zeros((6, 16), complex)[:, ::2], np.zeros((6, 8), complex, order="F"),
+                    np.zeros((6, 8)), np.zeros((6, 7), complex)):
+            before = bad.copy()
+            with pytest.raises(ValueError, match="C-contiguous complex target"):
+                dns._axpy(0.5, x, bad)
+            assert np.array_equal(bad, before)
 
 
 class TestEnergyBudget:
