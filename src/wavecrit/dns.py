@@ -85,7 +85,9 @@ so W_app's y-profiles come in chunks of save times, one stacked kernel pass
 per chunk (`wapp_profiles` at an array of times), and each save places its
 own time's rows (`place_profiles`).  A chunk's coefficient and profile rows
 stay within one placed W_app array (`times_per_pass`): 5 save times at
-256 x 384 and 5 nodes per lobe.
+256 x 384 and 5 nodes per lobe.  `compare_stability` reports one run's
+departure ||W - W_app|| and the two envelopes; subtracting a delta = 0
+twin's departure is its caller's job (the CLI's `stability` experiment).
 """
 
 import copy
@@ -986,8 +988,8 @@ def energy_budget(traj: Trajectory) -> dict:
 
 
 def compare_stability(solver: Solver, state: State, n_steps: int, save_every: int,
-                      w0: PacketAssembly, w1: CorrectorAssembly | None = None,
-                      floor: np.ndarray | None = None) -> tuple[Trajectory, dict]:
+                      w0: PacketAssembly,
+                      w1: CorrectorAssembly | None = None) -> tuple[Trajectory, dict]:
     """March `state` and follow ||W_app(t) - W(t)||_{L^2} against the two
     envelopes: the trajectory and the report.
 
@@ -1001,18 +1003,17 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     pass makes the chunk's profiles, and each save places its own
     (`place_profiles`), the rows a per-time `wapp_columns` call gives bit
     for bit.  A save whose t is not its listed time raises DnsError.  No
-    placed W_app is held between saves.  `floor` is an optional
-    per-save-time error floor (typically the same quantity from a delta = 0
-    twin run, whose exact departure is O(eps^6 t)) that is subtracted
-    before the bound comparison.  Such a floor holds whatever the grid and
-    box do to W0, not only discretization: at 5 nodes per lobe it is the lid
-    cutting the packet's recurrence in y (0.0825 at gamma = 0.7, eps = 0.2,
-    Ly = 300, at any resolution).
+    placed W_app is held between saves.
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
     the first save's placement (at the state's own t, 0 from init_from_Wapp):
     the stability envelopes are stated for an O(1)-normalized wave field,
     while the packet itself carries an O(1/eps) lattice-sum amplitude.
+    The report holds arrays over the save times: `t`, `diff_L2` and the
+    envelopes `bound_thm` = delta eps^2 exp((delta/eps^2 + 1) t) and
+    `bound_alt` = sqrt(delta) eps^3 exp(delta t/eps^2).  `diff_L2` is this
+    run's whole departure; a caller with a delta = 0 twin subtracts the
+    twin's `diff_L2` itself.
 
     W_app must be built for the solver's run, as in init_from_Wapp: a
     mismatch raises DnsError naming the field.
@@ -1021,10 +1022,6 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     eps, delta = solver.config.params.eps, solver.config.params.delta
     grid = solver.grid
     t = solver.save_times(state.t, n_steps, save_every)
-    if floor is None:
-        floor = np.zeros(len(t))
-    elif len(floor) != len(t):
-        raise DnsError(f"floor of {len(floor)} values for {len(t)} save times")
     chunk = times_per_pass(w0, w1, grid)
     diffs, norm0, col, P = [], None, None, None
 
@@ -1048,13 +1045,10 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     traj = solver.run(state, n_steps, save_every, on_save=compare)
     diffs = np.array(diffs) / norm0
     bound_thm = delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t)
-    bound_alt = math.sqrt(max(delta, 0.0)) * eps**3 * np.exp(delta / eps**2 * t)
-    net = np.maximum(diffs - floor, 0.0)
+    bound_alt = math.sqrt(delta) * eps**3 * np.exp(delta / eps**2 * t)
     return traj, {
         "t": t,
         "diff_L2": diffs,
-        "floor": floor,
-        "net": net,
         "bound_thm": bound_thm,
         "bound_alt": bound_alt,
     }

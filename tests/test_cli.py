@@ -445,6 +445,27 @@ def test_rerun_bit_identical(experiment, tmp_path):
     assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
+def test_stability_subtracts_its_delta_zero_twin(tmp_path):
+    """stability.csv's floor is the delta = 0 run's diff_L2 bit for bit, net
+    is max(diff_L2 - floor, 0) and within_thm is net <= bound_thm.  On this
+    box net is about 0.019 on every row, above bound_thm, so the unclamped
+    branch and a within_thm of 0 are both exercised."""
+    cfg = ExperimentConfig(experiment="stability", output_dir=tmp_path,
+                           **RERUN_CONFIGS["stability"])
+    run_experiment(cfg)
+    header, rows = read_csv(tmp_path / "stability.csv")
+    assert header == ["t", "diff_L2", "floor", "net", "bound_thm", "bound_alt",
+                      "within_thm"]
+    assert len(rows) == 3
+    floor = _dns_series(cfg, dataclasses.replace(cfg.params, delta=0.0),
+                        _assembly_at(cfg, cfg.params))[2]["diff_L2"]
+    for row, f0 in zip(rows, floor):
+        _, diff, floor_i, net, bound_thm, _, within = row
+        assert float(floor_i) == f0
+        assert float(net) == max(float(diff) - f0, 0.0)
+        assert int(within) == int(float(net) <= float(bound_thm))
+
+
 #: the linear `dns` run whose artefacts TestDnsArtifacts reads
 DNS_RUN = dict(params=PhysParams(gamma=0.7, eps=DNS_EPS), experiment="dns",
                nodes_per_lobe=5, options=DNS_OPTIONS)
@@ -462,7 +483,7 @@ class TestDnsArtifacts:
         outdir = dns_outdir
         header, rows = read_csv(outdir / "dns_series.csv")
         assert header == ["t", "energy", "dissipation", "diff_L2",
-                          "bound_thm", "bound_alt", "floor"]
+                          "bound_thm", "bound_alt"]
         assert len(rows) == 3
         assert float(rows[0][0]) == 0.0
 

@@ -43,7 +43,7 @@ ORACLES = ("build_matrix", "limit_amplitudes_DY", "second_harmonic_rate", "trace
            "Solver.div_residual",
            # x-space oracles of the DNS's W_app columns (dns.wapp_columns)
            # and of its Parseval sums; perfbench/spans.py still traces
-           # evaluate_packet by name until it is re-pointed (ROADMAP item 9)
+           # evaluate_packet by name until it is re-pointed (ROADMAP item 14(b))
            "evaluate_packet", "Grid.integral",
            # the group velocity: critical_carrier's incidence holds for every
            # k0 > 0 in closed form, which test_carrier_is_incident checks with it
