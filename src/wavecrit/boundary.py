@@ -35,8 +35,10 @@ sums the modes of each x-wavenumber into one y-profile, and synthesize
 (hence evaluate_modes) and the corrector's norms read those profiles, the
 max-norm through the same x-basis (_x_basis) as synthesize.  Coefficient
 rows that are all zero are left out of a pass and read as exact zeros.
-Sets with equal exponents and their own coefficients share one pass, and
-so do the times of an array t.
+Sets with equal exponents and their own coefficients share one pass.
+node_profiles runs the same pass at t = 0 with the modes grouped by their
+(l, alpha) node instead of by l: the field at any t is then one phase per
+node away, which is how the DNS reads W_app at every save of a march.
 Every mode records two parent rates whose sum is its mu (a W0 pair's, or
 its own and 0); a pass exponentiates each distinct rate once, in one
 table, and a mode's y-column is the product of its two rows.  On a plain
@@ -156,11 +158,17 @@ def _l_tolerance(l: np.ndarray) -> float:
     return 1e-12 * max(1.0, float(np.abs(l).max(initial=0.0)))
 
 
+def _l_edges(l: np.ndarray) -> np.ndarray:
+    """Where an increasing l starts a new x-frequency: the indices whose l
+    is more than _l_tolerance above the one before."""
+    return np.flatnonzero(np.diff(l) > _l_tolerance(l)) + 1
+
+
 def _group_by_l(l: np.ndarray):
     """Index groups of modes whose sorted l differ by at most _l_tolerance in a
     row, in increasing l (none for no modes)."""
     order = np.argsort(l)
-    groups = np.split(order, np.flatnonzero(np.diff(l[order]) > _l_tolerance(l)) + 1)
+    groups = np.split(order, _l_edges(l[order]))
     return groups if len(l) else []
 
 
@@ -234,24 +242,9 @@ class YPoints:
         return coef @ cols
 
 
-def mode_profiles(modes: ExpModes, t, y, also=()):
-    """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
-
-    Modes sharing an x-wavenumber (the lattice produces thousands per l)
-    are summed into one y-profile per component (u, w, b), one matrix
-    product per group: P is (3, groups, len(y)) and l increasing.
-
-    also holds further mode sets with the l, alpha, mu and parents of modes
-    (else ValueError naming the field) and their own coefficients.  Their
-    profiles come from the same pass, as P's further rows: P is
-    (3 s, groups, len(y)) for s sets, and set i is P[3 i:3 i + 3].  t may
-    be a 1-D array of times, whose coefficients c e^(-i alpha t) are
-    further rows again: P is then (len(t), 3 s, groups, len(y)), and P[j]
-    is the profiles at t[j] bit for bit.  Only the matrix products grow.
-    A coefficient row that is all zero (a set's zero component, such as the
-    ledger's w-forcing's u and b) stays out of the products and its profiles
-    are exact zeros; the other rows are those of a pass without it, bit for
-    bit.  A pass whose rows are all zero makes no table and no product.
+def _profile_pass(modes: ExpModes, coef: np.ndarray, groups, y) -> np.ndarray:
+    """The kernel body: per index group, coef's columns times the modes'
+    e^(-mu y), summed; (len(coef), len(groups), len(y)) complex.
 
     A mode's column e^(-mu y) is the product of two rows of one table over
     the distinct parent rates (_distinct; a pair mode's parents, any other
@@ -260,17 +253,13 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
     sum_columns sums a group as two small matrices.  Where a column's
     exponent passes -700 but none of its factors' does, their product is
     below e^-700 (about 1e-304) or underflows to zero, where a guarded
-    e^(-mu y) would be exactly zero.
+    e^(-mu y) would be exactly zero.  A coefficient row that is all zero
+    stays out of the products and its profiles are exact zeros; the other
+    rows are those of a pass without it, bit for bit.  A pass whose rows
+    are all zero makes no table and no product.
     """
-    _check_exponents(modes, also)
-    groups = _group_by_l(modes.l)
-    times = np.atleast_1d(t)
-    base = np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
-    coef = (base * np.exp(-1j * modes.alpha * times[:, None])[:, None]).reshape(
-        len(times) * len(base), len(modes))
     grid = y if isinstance(y, YLattice) else YPoints(y)
     P = np.zeros((len(coef), len(groups), len(grid.y)), dtype=complex)
-    # rows of all-zero coefficients stay exactly 0 and out of the products
     live = np.flatnonzero(coef.any(axis=1))
     if len(live):
         rows = live if len(live) < len(coef) else slice(None)
@@ -280,8 +269,51 @@ def mode_profiles(modes: ExpModes, t, y, also=()):
         table = guarded_exp(np.outer(-rates, grid.offsets))
         for g, idx in enumerate(groups):
             P[rows, g] = grid.sum_columns(coef[:, idx], table[row[idx, 0]] * table[row[idx, 1]])
-    P = P.reshape(len(times), len(base), *P.shape[1:])
-    return modes.l[[idx[0] for idx in groups]], P if np.ndim(t) else P[0]
+    return P
+
+
+def mode_profiles(modes: ExpModes, t: float, y, also=()):
+    """(l, P): the field at time t as sum_g P[:, g](y) exp(i l_g x) + c.c.
+
+    Modes sharing an x-wavenumber (the lattice produces thousands per l)
+    are summed into one y-profile per component (u, w, b), one matrix
+    product per group: P is (3, groups, len(y)) and l increasing.  The
+    ledger and evaluate_modes read a mode set at one t this way; the DNS
+    reads W_app at many t from node_profiles instead.
+
+    also holds further mode sets with the l, alpha, mu and parents of modes
+    (else ValueError naming the field) and their own coefficients.  Their
+    profiles come from the same pass, as P's further rows: P is
+    (3 s, groups, len(y)) for s sets, and set i is P[3 i:3 i + 3].  A
+    coefficient row that is all zero (a set's zero component, such as the
+    ledger's w-forcing's u and b) is an exact zero row (_profile_pass).
+    """
+    _check_exponents(modes, also)
+    groups = _group_by_l(modes.l)
+    base = np.concatenate([np.stack([m.cu, m.cw, m.cb]) for m in (modes, *also)])
+    P = _profile_pass(modes, base * np.exp(-1j * modes.alpha * t), groups, y)
+    return modes.l[[idx[0] for idx in groups]], P
+
+
+def node_profiles(modes: ExpModes, y):
+    """(l, alpha, Q): the field at any t as sum_n e^(-i alpha_n t) Q[:, n](y)
+    exp(i l_n x) + c.c., one node n per distinct (l, alpha) pair.
+
+    The kernel pass of mode_profiles (_profile_pass) at t = 0, its modes
+    grouped by exactly equal (l, alpha) instead of by l: Q is (3, nodes,
+    len(y)), the nodes in increasing (l, alpha), so the nodes of one
+    x-wavenumber are contiguous.  W_app depends on t only through one phase
+    per node, and W0 and W1 at 5 nodes per lobe have 127 nodes against
+    2 099 modes, so a march that reads W_app at every save builds Q once
+    and sums the phases per save.
+    """
+    order = np.lexsort((modes.alpha, modes.l))
+    l, alpha = modes.l[order], modes.alpha[order]
+    edges = np.flatnonzero((np.diff(l) != 0.0) | (np.diff(alpha) != 0.0)) + 1
+    groups = np.split(order, edges) if len(order) else []
+    first = np.r_[0, edges][:len(groups)]
+    Q = _profile_pass(modes, np.stack([modes.cu, modes.cw, modes.cb]), groups, y)
+    return l[first], alpha[first], Q
 
 
 def _x_basis(l: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -49,8 +49,9 @@ sit in the coefficients); both interior solves and the ledger read that
 set scaled by -delta.  W1 = W1_BLeps2 + W1_BLeps3
 + W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
 norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
-MeanFlowField.profiles for W1_MF) through boundary.synthesize,
-_profile_norms or dns.wapp_profiles.  A pair mode records its two parent
+MeanFlowField.profiles for W1_MF) through boundary.synthesize or
+_profile_norms, or, in the DNS, per (l, alpha) node (boundary.node_profiles,
+dns.WappNodes).  A pair mode records its two parent
 rates (mu = mu_L + mu_R), and the interior solves and ledger terms keep
 them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
 table of W0's rates.  The ledger computes only what it reports, one kernel
@@ -367,22 +368,20 @@ class MeanFlowField:
     def __len__(self):
         return len(self.l)
 
-    def profiles(self, t, y):
+    def profiles(self, t: float, y):
         """(l, P) as boundary.mode_profiles returns them: u = -eps^2 theta' G,
-        w = theta i l G and b = 0, with G summed per distinct l first (nodes
-        sharing l at different alpha are one x-frequency).  A 1-D array t
-        gives P per time, (len(t), 3, groups, len(y)), as mode_profiles."""
+        w = theta i l G and b = 0, with G e^(-i alpha t) summed per distinct
+        l first (nodes sharing l at different alpha are one x-frequency).
+        The profiles are separable in t and y, so the DNS calls this at each
+        save rather than holding W1_MF's nodes."""
         groups = _group_by_l(self.l)
-        Gt = self.G * np.exp(-1j * self.alpha * np.atleast_1d(t)[:, None])
+        Gt = self.G * np.exp(-1j * self.alpha * t)
         l = self.l[[idx[0] for idx in groups]]
-        # a 1-D sum per time and group: a sum along a 2-D axis rounds otherwise
-        G = np.array([[g[idx].sum() for idx in groups] for g in Gt],
-                     dtype=complex).reshape(len(Gt), len(groups))
+        G = np.array([Gt[idx].sum() for idx in groups], dtype=complex)
         e2 = self.eps ** 2
-        u = -e2 * (G[..., None] * _theta_prime(e2 * y))
-        w = (1j * l * G)[..., None] * _theta(e2 * y)
-        P = np.stack([u, w, np.zeros_like(u)], axis=1)
-        return l, P if np.ndim(t) else P[0]
+        u = -e2 * (G[:, None] * _theta_prime(e2 * y))
+        w = (1j * l * G)[:, None] * _theta(e2 * y)
+        return l, np.stack([u, w, np.zeros_like(u)])
 
     def norms(self, x_period: float, nx: int | None = _NORM_NX):
         """(L2, Linf, L2 of d/dx) at t = 0 as modes_norms returns them, on
@@ -532,9 +531,9 @@ class CorrectorAssembly:
         """All exponential modes of the corrector (everything but W1_MF)."""
         return ExpModes.concat(self.families[f] for f in W1_MODAL)
 
-    def profiles(self, t, y):
-        """(l, P) of W1: the modal and W1_MF profiles on one group axis; a
-        1-D array t gives P per time, as mode_profiles."""
+    def profiles(self, t: float, y):
+        """(l, P) of W1 at time t: the modal and W1_MF profiles on one group
+        axis, as evaluate_W1 reads them."""
         l, P = mode_profiles(self.modal(), t, y)
         l_mf, P_mf = self.families[W1_MF].profiles(t, y)
         return np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=-2)

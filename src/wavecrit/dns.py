@@ -63,15 +63,18 @@ complex columns themselves:
   energy and, weighted by kx_d^2 as well, the x-part of the dissipation.
 
 Advection is the only physical-space stage: per Heun stage 6 irfft (u, w,
-b and their x-derivatives) and 6 rfft (two products per field); with the
-CFL check's 2 irfft a step makes 26 transforms, and none at delta = 0.
+b and their x-derivatives) and 6 rfft (two products per field), so a step
+makes 24 transforms, and none at delta = 0.  The CFL guard reads a bound
+from the rfft columns first (`Solver.cfl_bound`, |f(x)| <= sum_k c_k |f_k|
+/ nx), and makes the exact CFL's 2 irfft only when the bound reaches 0.5.
 
 Without advection (delta = 0) nothing couples the rfft columns, so a State
 may hold only some of them (`State.cols`; the others are zero).  W_app is
-placed in its columns from its y-profiles (`wapp_columns`), every other
-column exactly 0, and at delta = 0 init_from_Wapp keeps those alone: 3 of
-129 columns at 256 x 384 and 5 nodes per lobe, where a delta = 0 step takes
-about 0.66 ms instead of 10 ms on one core (README gives the measurement).
+placed in its columns from its y-profiles (`WappNodes`, `wapp_columns`),
+every other column exactly 0, and at delta = 0 init_from_Wapp keeps those
+alone: 3 of 129 columns at 256 x 384 and 5 nodes per lobe, where a
+delta = 0 step takes about 0.66 ms instead of 10 ms on one core (README
+gives the measurement).
 One builder, `Solver._hold`, makes the per-column data of every column set,
 the full one included.  A solver with delta != 0 widens such a state to
 every column.
@@ -80,12 +83,14 @@ The march stores no saved states.  `Solver.run` hands the state of each
 save time (`save_steps`) to a callback, and `compare_stability` reduces it
 to its distance from W_app at once, so neither grows in memory with the
 number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768 one
-12.6 MB).  The save times are known before the march (`Solver.save_times`),
-so W_app's y-profiles come in chunks of save times, one stacked kernel pass
-per chunk (`wapp_profiles` at an array of times), and each save places its
-own time's rows (`place_profiles`).  A chunk's coefficient and profile rows
-stay within one placed W_app array (`times_per_pass`): 5 save times at
-256 x 384 and 5 nodes per lobe.  `compare_stability` reports one run's
+12.6 MB).  W_app depends on t only through one phase e^(-i alpha t) per
+(l, alpha) node, so `compare_stability` builds W_app's node profiles once
+per call (`WappNodes`: one kernel pass for W0 and one for W1's modal
+families, boundary.node_profiles) and each save phase-sums them per
+x-group, adds W1_MF's separable profiles and places the result
+(`place_profiles`); init_from_Wapp reads W_app(0) by the same route.  The
+node tables do not grow with the number of saves: 2.3 MB at 256 x 384 and
+5 nodes per lobe with W1 (127 nodes).  `compare_stability` reports one run's
 departure ||W - W_app|| and the two envelopes; subtracting a delta = 0
 twin's departure is its caller's job (the CLI's `stability` experiment).
 """
@@ -102,7 +107,7 @@ from scipy.linalg import cholesky_banded, solve_triangular
 from scipy.linalg.blas import zaxpy, ztbsv
 from scipy.sparse import csr_array, diags_array, eye_array
 
-from .boundary import _group_by_l, mode_profiles
+from .boundary import _l_edges, node_profiles
 from .characteristic import ModalMatrixSpec, roots_for
 from .corrector import W1_MF, CorrectorAssembly
 from .packets import Family, PacketAssembly
@@ -715,6 +720,21 @@ class Solver:
 
     # -- time marching -----------------------------------------------------
 
+    def cfl_bound(self, state: State) -> float:
+        """An upper bound on cfl(state) from the rfft columns alone, with no
+        transform: |f(x, y)| <= sum_k c_k |f_k(y)| / nx by the triangle
+        inequality on the inverse rfft (c_k = 1 at kx_d = 0, 2 elsewhere),
+        so delta dt max_y of that sum for u over dx plus that for w over dy
+        bounds the exact CFL.  0 without advection."""
+        delta = self.config.params.delta
+        if delta == 0.0:
+            return 0.0
+        weight = (2.0 - (self.kx_d == 0.0)) / self.grid.nx  # c_k / nx
+        rate = np.abs(state.uh) @ weight
+        rate /= self.grid.dx
+        rate += (np.abs(state.wh) @ weight) * self._inv_dy[:, 0]
+        return float(delta * rate.max() * self.config.dt)
+
     def cfl(self, state: State) -> float:
         """Advective CFL number of the state; 0 without advection."""
         delta = self.config.params.delta
@@ -736,12 +756,15 @@ class Solver:
         op, state = self._on(state)
         if not all(np.isfinite(f).all() for f in (state.uh, state.wh, state.bh)):
             raise DnsError(f"NaN/Inf detected at t={state.t:.4g}")
-        c = op.cfl(state)
-        if c > 0.5:
-            raise DnsError(
-                f"advective CFL {c:.3g} > 0.5 at t={state.t:.4g} "
-                f"(dt={dt}, max|u|={np.abs(state.u).max():.3g})"
-            )
+        # the exact CFL's 2 irfft only when the bound does not settle it; the
+        # margin covers the bound's rounding
+        if op.cfl_bound(state) > 0.5 * (1.0 - 1e-12):
+            c = op.cfl(state)
+            if c > 0.5:
+                raise DnsError(
+                    f"advective CFL {c:.3g} > 0.5 at t={state.t:.4g} "
+                    f"(dt={dt}, max|u|={np.abs(state.u).max():.3g})"
+                )
         u = op._diffuse(state.uh, "u")
         w = op._diffuse(state.wh, "w")
         b = op._diffuse(state.bh, "b")
@@ -842,56 +865,77 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def wapp_profiles(w0: PacketAssembly, w1: CorrectorAssembly | None, t,
-                  grid: Grid):
-    """(col, P): W_app = W0 (+ W1) at time t as y-profiles on the grid, one
-    kernel pass per family.  P is (3, groups, ny), or (len(t), 3, groups,
-    ny) for a 1-D array t (P[j] is W_app at t[j], bit for bit); col is each
-    group's rfft column, l = 2 pi col / Lx.  A wavenumber more than 1e-9 of
-    a column off the lattice (eps not box-matched) is refused."""
-    l, P = mode_profiles(w0.bundle(Family.SUM), t, grid.y)
-    if w1 is not None:
-        l1, P1 = w1.profiles(t, grid.y)
-        l, P = np.concatenate([l, l1]), np.concatenate([P, P1], axis=-2)
-    c = l * grid.Lx / (2.0 * math.pi)
-    col = np.rint(c).astype(int)
-    off = np.abs(c - col).max()
-    if off > 1e-9:
-        raise DnsError(f"W_app wavenumbers lie up to {off:.3g} of a column off the "
-                       f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
-    return col, P
+class WappNodes:
+    """W_app = W0 (+ W1) on the grid, held for reading at many times t.
+
+    W0 and W1's modal families are each one table of node profiles at t = 0
+    (boundary.node_profiles: one kernel pass, one node per distinct
+    (l, alpha)), and W1_MF, separable in t and y, is read at t itself.  The
+    tables do not depend on t, so a march that reads W_app at every save
+    builds them once: each save is one phase sum per x-group,
+    e^(-i alpha t) @ Q over the group's nodes, contiguous in the table.
+    """
+
+    def __init__(self, w0: PacketAssembly, w1: CorrectorAssembly | None, grid: Grid):
+        self.grid = grid
+        self.mean_flow = None if w1 is None else w1.families[W1_MF]
+        self.tables = []  # (group l, node alpha, Q, group bounds) per family
+        for modes in [w0.bundle(Family.SUM)] + ([] if w1 is None else [w1.modal()]):
+            l, alpha, Q = node_profiles(modes, grid.y)
+            bounds = np.r_[0, _l_edges(l), len(l)] if len(l) else np.zeros(1, int)
+            self.tables.append((l[bounds[:-1]], alpha, Q, bounds))
+
+    def profiles(self, t: float):
+        """(col, P): W_app at time t as y-profiles, P (3, groups, ny) with W0's
+        x-groups first, then W1's modal ones and W1_MF's; col is each group's
+        rfft column, l = 2 pi col / Lx.  A wavenumber more than 1e-9 of a
+        column off the lattice (eps not box-matched) is refused."""
+        ls, Ps = [], []
+        for l, alpha, Q, bounds in self.tables:
+            phase = np.exp(-1j * alpha * t)
+            P = np.empty((3, len(l), self.grid.ny), dtype=complex)
+            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                P[:, g] = phase[a:b] @ Q[:, a:b]
+            ls.append(l)
+            Ps.append(P)
+        if self.mean_flow is not None:
+            l, P = self.mean_flow.profiles(t, self.grid.y)
+            ls.append(l)
+            Ps.append(P)
+        c = np.concatenate(ls) * self.grid.Lx / (2.0 * math.pi)
+        col = np.rint(c).astype(int)
+        off = np.abs(c - col).max(initial=0.0)
+        if off > 1e-9:
+            raise DnsError(f"W_app wavenumbers lie up to {off:.3g} of a column off the "
+                           f"rfft lattice of Lx = {self.grid.Lx:.6g}; box-match eps")
+        return col, np.concatenate(Ps, axis=1)
+
+    def columns(self, t: float) -> np.ndarray:
+        """W_app(t) as rfft columns (3, ny, nx/2 + 1) of (u, w, b): its
+        profiles, placed (place_profiles)."""
+        return place_profiles(*self.profiles(t), self.grid)
 
 
 def place_profiles(col: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
-    """One time's profiles (wapp_profiles) as rfft columns (3, ny, nx/2 + 1)
-    of (u, w, b): a group's P at column c goes to column c as nx P, its
-    conjugate to column -c, both modulo nx as sampling folds them.  Every
-    other column is exactly 0."""
+    """One time's profiles (WappNodes.profiles) as rfft columns (3, ny,
+    nx/2 + 1) of (u, w, b): a group's P at column c goes to column c as
+    nx P, its conjugate to column -c, both modulo nx as sampling folds
+    them.  Every other column is exactly 0.  Groups that fold to one
+    column add up there; a loop over the groups takes half the time of one
+    np.add.at over all of them (0.16 against 0.35 ms at 256 x 384)."""
     nx, out = grid.nx, np.zeros((3, grid.ny, grid.nx // 2 + 1), dtype=complex)
-    for idx, v in ((col % nx, P), (-col % nx, P.conj())):
-        keep = idx < out.shape[2]
-        np.add.at(out, (..., idx[keep]), nx * v[:, keep].transpose(0, 2, 1))
+    for c, v in zip(col, P.transpose(1, 0, 2)):
+        for j, f in ((c % nx, v), (-c % nx, v.conj())):
+            if j < out.shape[2]:
+                out[..., j] += nx * f
     return out
 
 
 def wapp_columns(w0: PacketAssembly, w1: CorrectorAssembly | None, t: float,
                  grid: Grid) -> np.ndarray:
-    """W_app(t) = W0 (+ W1) as rfft columns (3, ny, nx/2 + 1) of (u, w, b):
-    wapp_profiles at the one time t, placed."""
-    return place_profiles(*wapp_profiles(w0, w1, t, grid), grid)
-
-
-def times_per_pass(w0: PacketAssembly, w1: CorrectorAssembly | None,
-                   grid: Grid) -> int:
-    """How many times one stacked wapp_profiles pass takes: as many as keep
-    its coefficient rows (3 per mode and time) and profile rows (3 ny per
-    x-group and time) within one placed W_app array, 3 ny (nx/2 + 1)
-    complex; at least 1."""
-    sets = [w0.bundle(Family.SUM)]
-    if w1 is not None:
-        sets += [w1.modal(), w1.families[W1_MF]]
-    per_time = 3 * sum(len(m) + len(_group_by_l(m.l)) * grid.ny for m in sets)
-    return max(1, 3 * grid.ny * (grid.nx // 2 + 1) // per_time)
+    """W_app(t) = W0 (+ W1) as rfft columns (3, ny, nx/2 + 1) of (u, w, b),
+    from its nodes (WappNodes) read at the one time t."""
+    return WappNodes(w0, w1, grid).columns(t)
 
 
 def _check_wapp(config: SimConfig, w0: PacketAssembly, w1: CorrectorAssembly | None):
@@ -998,12 +1042,12 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     W_app = w0 (+ w1) in the solver's rfft columns (Parseval sums) as the
     march reaches it and then dropped, so the memory does not grow with the
     number of save times.  The save times are listed before the march
-    (`Solver.save_times`, the exact floats it reaches); at the first time of
-    each chunk of `times_per_pass` of them, one stacked `wapp_profiles`
-    pass makes the chunk's profiles, and each save places its own
-    (`place_profiles`), the rows a per-time `wapp_columns` call gives bit
-    for bit.  A save whose t is not its listed time raises DnsError.  No
-    placed W_app is held between saves.
+    (`Solver.save_times`, the exact floats it reaches).  W_app's node
+    tables are built once per call (`WappNodes`), before the march, and
+    each save phase-sums and places W_app at its own time, the columns a
+    `wapp_columns` call at that time gives bit for bit.  A save whose t is
+    not its listed time raises DnsError.  No placed W_app is held between
+    saves.
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
     the first save's placement (at the state's own t, 0 from init_from_Wapp):
@@ -1020,21 +1064,17 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     """
     _check_wapp(solver.config, w0, w1)
     eps, delta = solver.config.params.eps, solver.config.params.delta
-    grid = solver.grid
     t = solver.save_times(state.t, n_steps, save_every)
-    chunk = times_per_pass(w0, w1, grid)
-    diffs, norm0, col, P = [], None, None, None
+    nodes = WappNodes(w0, w1, solver.grid)
+    diffs, norm0 = [], None
 
     def compare(st):
-        nonlocal norm0, col, P
+        nonlocal norm0
         i = len(diffs)
         if st.t != t[i]:
             raise DnsError(f"save {i} reached at t={float(st.t)!r}, "
                            f"listed at t={float(t[i])!r}")
-        if i % chunk == 0:  # one stacked pass for this save time and the next chunk - 1
-            P = None  # the last chunk's profiles go before this one's are made
-            col, P = wapp_profiles(w0, w1, t[i:i + chunk], grid)
-        wapp = place_profiles(col, P[i % chunk], grid)
+        wapp = nodes.columns(t[i])
         if i == 0:
             norm0 = math.sqrt(solver.norm2(*wapp))
         # a state is zero off the columns it holds, so only those are subtracted

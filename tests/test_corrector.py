@@ -663,9 +663,19 @@ class TestNormLattice:
             assert calls == [len(lattice.offsets)], name
 
 
+def _phase_sum(l, alpha, Q, t):
+    """(l, P) of node profiles (boundary.node_profiles) at time t: each
+    x-group's nodes summed with their phases e^(-i alpha t)."""
+    groups = boundary._group_by_l(l)
+    P = np.stack([np.einsum("n,cny->cy", np.exp(-1j * alpha[idx] * t), Q[:, idx])
+                  for idx in groups], axis=1)
+    return l[[idx[0] for idx in groups]], P
+
+
 class TestStackedTimes:
-    """A 1-D array of times is one pass whose rows are the per-time calls,
-    bit for bit: P[j] is the profiles at t[j]."""
+    """W1's profiles at a march's save times from node tables built once
+    (boundary.node_profiles): one phase per node and time gives the
+    per-time mode_profiles calls."""
 
     #: t accumulated by + 0.07, as a march reaches its save times
     TIMES = np.add.accumulate(np.r_[0.0, np.full(6, 0.07)])
@@ -675,40 +685,68 @@ class TestStackedTimes:
     def test_rows_are_the_per_time_calls(self, casm, grid, with_also):
         """W1_BLeps3 (pair and lift modes) on a stretched DNS grid (YPoints),
         on its norm lattice, and on a lattice reaching y = 50, where its
-        fastest modes pass exponent -700 and keep guarded columns."""
+        fastest modes pass exponent -700 and keep guarded columns; with
+        its d/dx and d/dy, each its own node table, as the pass's further
+        sets."""
         m = casm.families[C.W1_BLEPS3]
         y = {"points": stretched_grid(300.0, 384, 1e-3, 1.0),
              "lattice": C._norm_lattice(m, casm.x_period, C._NORM_NY),
              "far-lattice": boundary.YLattice((1.0, 50.0), 300)}[grid]
         if grid == "far-lattice":
             assert (m.mu.real * 50.0 > boundary._UNDERFLOW_EXPONENT).any()
-        also = [m.d_dx(), m.d_dy()] if with_also else []
-        l, P = C.mode_profiles(m, self.TIMES, y, also)
+        sets = [m, m.d_dx(), m.d_dy()] if with_also else [m]
+        tables = [boundary.node_profiles(s, y) for s in sets]
         points = y.y if isinstance(y, boundary.YLattice) else y
-        assert P.shape == (len(self.TIMES), 3 * (1 + len(also)), len(l), len(points))
-        for j, t in enumerate(self.TIMES):
-            l_t, P_t = C.mode_profiles(m, t, y, also)
-            assert np.array_equal(l_t, l) and np.array_equal(P_t, P[j]), t
+        assert tables[0][2].shape == (3, len(tables[0][0]), len(points))
+        for t in self.TIMES:
+            l_t, P_t = C.mode_profiles(m, t, y, sets[1:])
+            parts = [_phase_sum(*table, t) for table in tables]
+            assert all(np.allclose(l, l_t, rtol=1e-12, atol=0.0) for l, _ in parts)
+            got = np.concatenate([P for _, P in parts])
+            assert np.abs(got - P_t).max() <= 1e-13 * np.abs(P_t).max(), t
 
     def test_empty_sets(self):
-        """No modes and no mean flow: profiles of no groups at every time."""
+        """No modes and no mean flow: profiles of no groups, and no nodes."""
         y = np.linspace(0.0, 1.0, 5)
         mf = C.MeanFlowField(np.zeros(0), np.zeros(0), np.zeros(0, dtype=complex), 0.2)
         for profiles in (lambda t: C.mode_profiles(boundary.ExpModes.empty(), t, y),
                          lambda t: mf.profiles(t, y)):
             assert profiles(0.3)[1].shape == (3, 0, 5)
-            assert profiles(self.TIMES)[1].shape == (len(self.TIMES), 3, 0, 5)
+        l, alpha, Q = boundary.node_profiles(boundary.ExpModes.empty(), y)
+        assert l.shape == alpha.shape == (0,) and Q.shape == (3, 0, 5)
 
-    def test_corrector_profiles(self, casm):
-        """CorrectorAssembly.profiles, the modal pass and W1_MF's groups
-        (whose G is summed per time and group) on one group axis."""
+
+class TestNodeProfiles:
+    """boundary.node_profiles on the DNS's W_app families: W0 (every
+    family, as the DNS places it) and W1's modal set."""
+
+    @staticmethod
+    def _sets(w0, casm):
+        asm, _ = w0
+        return {"W0": asm.bundle(Family.SUM), "W1 modal": casm.modal()}
+
+    @pytest.mark.parametrize("name", ["W0", "W1 modal"])
+    def test_phase_sums_are_mode_profiles(self, w0, casm, name):
+        """Per x-group, sum_n e^(-i alpha_n t) Q_n is mode_profiles at t, to
+        1e-13 of its max-norm, on the stretched DNS grid."""
+        m = self._sets(w0, casm)[name]
         y = stretched_grid(300.0, 384, 1e-3, 1.0)
-        l, P = casm.profiles(self.TIMES, y)
-        n_mf = len(casm.families[C.W1_MF].profiles(0.0, y)[0])
-        assert n_mf and np.abs(P[:, :, -n_mf:]).max() > 0.0
-        for j, t in enumerate(self.TIMES):
-            l_t, P_t = casm.profiles(t, y)
-            assert np.array_equal(l_t, l) and np.array_equal(P_t, P[j]), t
+        table = boundary.node_profiles(m, y)
+        for t in (0.0, 0.13, 0.4):
+            l_want, want = C.mode_profiles(m, t, y)
+            l, got = _phase_sum(*table, t)
+            assert np.allclose(l, l_want, rtol=1e-12, atol=0.0)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), t
+
+    @pytest.mark.parametrize("name", ["W0", "W1 modal"])
+    def test_nodes_are_the_distinct_pairs(self, w0, casm, name):
+        """One node per distinct (l, alpha), in increasing (l, alpha); far
+        fewer nodes than modes."""
+        m = self._sets(w0, casm)[name]
+        l, alpha, Q = boundary.node_profiles(m, np.linspace(0.0, 1.0, 3))
+        want = np.unique(np.stack([m.l, m.alpha], axis=1), axis=0)
+        assert np.array_equal(np.stack([l, alpha], axis=1), want)
+        assert Q.shape == (3, len(want), 3) and 2 * len(want) < len(m)
 
 
 def test_ledger_norms_belong_to_residual_Rapp(w0, casm, monkeypatch):

@@ -695,10 +695,11 @@ class TestSpectralState:
                    for c, f in ((p.nu, u), (p.nu, w), (p.kappa, b)))
         assert abs(solver.dissipation(st) - want) <= 1e-13 * want
 
-    @pytest.mark.parametrize("delta,budget", [(0.0, 0), (EPS**3, 26)])
+    @pytest.mark.parametrize("delta,budget", [(0.0, 0), (EPS**3, 24)])
     def test_fft_budget_per_step(self, assembly, initial, monkeypatch, delta, budget):
-        """A step transforms only for advection: none at delta = 0, exactly 26
-        else (12 per Heun stage in advect, 2 in the CFL check)."""
+        """A step transforms only for advection: none at delta = 0, exactly 24
+        else (12 per Heun stage in advect; the CFL bound settles the guard
+        with no transform)."""
         sol = Solver(make_config(delta=delta, Lx=assembly.x_period))
         calls = []
 
@@ -1081,6 +1082,41 @@ class TestStep:
         with pytest.raises(DnsError, match="CFL"):
             sol.step(_state(sol, u, z, z, z))
 
+    def test_cfl_bound_is_above_the_exact_cfl(self, twin):
+        """cfl_bound >= cfl on random full-width states and on a marched
+        delta != 0 state; on one x-wavenumber whose peak is a grid point the
+        bound is the exact CFL to rounding.  Both are 0 at delta = 0."""
+        asm, w1, sol, st = twin
+        g = sol.grid
+        rng = np.random.default_rng(5)
+        states = [_state(sol, *rng.standard_normal((4, g.ny, g.nx))) for _ in range(3)]
+        states.append(sol.run(st, 5).final)
+        for s in states:
+            assert 0.0 < sol.cfl(s) <= sol.cfl_bound(s)
+        x = np.cos(2.0 * math.pi * 3 * g.x / g.Lx)
+        one = _state(sol, *np.broadcast_to(x, (4, g.ny, g.nx)))
+        assert sol.cfl_bound(one) == pytest.approx(sol.cfl(one), rel=1e-12)
+        linear = Solver(make_config(Lx=asm.x_period))
+        assert linear.cfl_bound(states[0]) == linear.cfl(states[0]) == 0.0
+
+    def test_cfl_bound_above_half_steps_on_the_exact_cfl(self):
+        """A state whose bound exceeds 0.5 but whose exact CFL is below it:
+        the step reads the exact CFL and goes on."""
+        sol = Solver(make_config(delta=EPS**2))
+        g = sol.grid
+        rng = np.random.default_rng(2)
+        phase = 2.0 * math.pi * np.outer(rng.integers(1, 20, 8), g.x / g.Lx)
+        u = np.broadcast_to(np.cos(phase + rng.uniform(0, 6, (8, 1))).sum(axis=0),
+                            (g.ny, g.nx)).copy()
+        u[0] = 0.0
+        z = np.zeros_like(u)
+        st = _state(sol, u, z, z, z)
+        scale = 0.45 / sol.cfl(st)
+        st = _state(sol, scale * u, z, z, z)
+        assert sol.cfl(st) < 0.5 < sol.cfl_bound(st)
+        out, _ = sol.step(st)
+        assert np.isfinite(out.uh).all()
+
     def test_march_stays_on_the_constraint_space(self):
         """A delta != 0 march at the stability twin's packet (5 nodes per
         lobe, eps near 0.2, delta = eps^3, W1 included) on a smaller box:
@@ -1345,9 +1381,9 @@ class TestCompareStability:
                                                      n_steps, save_every):
         """delta != 0 with W1 (5 nodes per lobe): diff_L2 equals a per-save
         wapp_columns loop exactly, on a schedule save_every does not divide
-        (saves at 0, 3, 6 and 7 dt) and on 11 save times.  Both hold more
-        save times than one pass takes (3 here), and S save times take
-        ceil(S / 3) passes per family, not S."""
+        (saves at 0, 3, 6 and 7 dt) and on 11 save times.  A call builds
+        W0's and W1's modal node tables once each, whatever the number of
+        saves, and reads W1_MF once per save."""
         asm, w1, sol, st = twin
         g = sol.grid
         saved = []
@@ -1357,24 +1393,45 @@ class TestCompareStability:
                     wapp_columns(asm, w1, s.t, g), (s.uh, s.wh, s.bh))))) / norm0
                 for s in saved]
 
-        passes = {"W0": 0, "W1 modal": 0, "W1_MF": 0}
+        passes = {"nodes": [], "W1_MF": 0, "mode_profiles": 0}
+        node_profiles, mf_profiles = dns.node_profiles, corrector.MeanFlowField.profiles
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                passes[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_nodes(modes, y):
+            passes["nodes"].append(len(modes))
+            return node_profiles(modes, y)
 
-        monkeypatch.setattr(dns, "mode_profiles", counted("W0", dns.mode_profiles))
-        monkeypatch.setattr(corrector, "mode_profiles",
-                            counted("W1 modal", corrector.mode_profiles))
-        monkeypatch.setattr(corrector.MeanFlowField, "profiles",
-                            counted("W1_MF", corrector.MeanFlowField.profiles))
+        def counted_mf(*args):
+            passes["W1_MF"] += 1
+            return mf_profiles(*args)
+
+        def refused(*args):
+            passes["mode_profiles"] += 1
+
+        monkeypatch.setattr(dns, "node_profiles", counted_nodes)
+        monkeypatch.setattr(corrector.MeanFlowField, "profiles", counted_mf)
+        monkeypatch.setattr(corrector, "mode_profiles", refused)
         rep = compare_stability(sol, st, n_steps, save_every, asm, w1)[1]
         assert rep["diff_L2"].tolist() == want
-        chunk = dns.times_per_pass(asm, w1, g)
-        assert chunk == 3 and len(saved) > chunk
-        assert passes == dict.fromkeys(passes, math.ceil(len(saved) / chunk))
+        assert len(saved) > 3
+        assert passes == {"nodes": [len(asm.bundle(Family.SUM)), len(w1.modal())],
+                          "W1_MF": len(saved), "mode_profiles": 0}
+
+    def test_init_places_the_first_save(self, twin, monkeypatch):
+        """init_from_Wapp's W_app(0), placed before its projection, is the
+        first save's W_app in compare_stability, bit for bit."""
+        asm, w1, sol, st = twin
+        placed, place = [], dns.place_profiles
+
+        def kept(*args):
+            out = place(*args)
+            placed.append(out.copy())  # compare_stability subtracts in out
+            return out
+
+        monkeypatch.setattr(dns, "place_profiles", kept)
+        init_from_Wapp(asm, w1, sol.config, sol)
+        compare_stability(sol, st, 1, 1, asm, w1)
+        assert len(placed) == 3 and placed[0].any()
+        assert placed[0].tobytes() == placed[1].tobytes()
 
     def test_save_off_its_listed_time_refused(self, twin, monkeypatch):
         """Save times listed as n dt are not the times the march reaches (6
