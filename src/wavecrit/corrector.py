@@ -45,8 +45,9 @@ Pairs, interior responses, lifts and ledger terms are all boundary.ExpModes
 sets, the representation W0 and the wall lifts use too.  The pairs of one
 row and lobe are one mode set whose coefficients are the pair's forcing
 cc (cu, cw, cb) of the advected mode (the W0 quadrature amplitudes already
-sit in the coefficients); both interior solves and the ledger read that
-set scaled by -delta.  W1 = W1_BLeps2 + W1_BLeps3
+sit in the coefficients).  That set scaled by -delta is solved once, and
+CorrectorAssembly.batches keeps every (row, lobe, forcing, interior modes)
+batch: the ledger books them and solves nothing.  W1 = W1_BLeps2 + W1_BLeps3
 + W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
 norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through boundary.synthesize or
@@ -506,12 +507,12 @@ W1_FAMILIES = (*W1_MODAL, W1_MF)
 
 @dataclass
 class CorrectorAssembly:
-    """W1 by family and its interaction rows (None: all), built from w0
-    alone: its parameters are w0's."""
+    """W1 by family, built from w0 alone (its parameters are w0's), and the
+    solved (row, lobe) batches it was lifted from, which the ledger books."""
 
     w0: PacketAssembly
     families: dict
-    rows: tuple[str, ...] | None = None
+    batches: list
 
     @property
     def params(self) -> PhysParams:
@@ -565,68 +566,63 @@ def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,
     }
 
 
-def _solved_batches(assembly: PacketAssembly, rows):
-    """(row, lobe, forcing, interior modes) per non-empty lobe of the selected
-    rows, in table order; c-type rows are only booked and have no modes."""
+def _solved_batches(assembly: PacketAssembly) -> list:
+    """(row, lobe, forcing, interior modes) per non-empty lobe of every row,
+    in table order; c-type rows are only booked and have no modes."""
     params = assembly.params
     solvers = {"a": solve_interior_a, "b": solve_interior_b}
+    batches = []
     for itype in INTERACTIONS:
-        if rows is None or itype.name in rows:
-            for lobe, pairs in enumerate_pairs(assembly, itype).items():
-                if len(pairs):
-                    _check_lobe(itype.name, lobe, pairs, assembly)
-                    src = pairs.scaled(-params.delta)
-                    solve = solvers.get(itype.kind)
-                    yield itype, lobe, src, solve(src, params) if solve else None
+        for lobe, pairs in enumerate_pairs(assembly, itype).items():
+            if len(pairs):
+                _check_lobe(itype.name, lobe, pairs, assembly)
+                src = pairs.scaled(-params.delta)
+                solve = solvers.get(itype.kind)
+                batches.append((itype, lobe, src, solve(src, params) if solve else None))
+    return batches
 
 
-def assemble_W1(
-    assembly: PacketAssembly, rows: tuple[str, ...] | None = None
-) -> CorrectorAssembly:
-    """Full corrector of the packet W0 = assembly, at its parameters:
-    interior solves, lifts and mean flow.
-
-    `rows` restricts the interaction table to the named rows (default: all).
-    Restricting to a single row reproduces the per-interaction bookkeeping
-    of the size estimates; the full assembly is smaller than the row-wise
-    sum because Q(W0, W0) vanishes at the wall (u0 = w0 = 0 there), so the
-    per-row wall traces largely cancel when combined.
-    """
+def _lift_batches(w0: PacketAssembly, batches: list) -> CorrectorAssembly:
+    """W1 of solved batches (all rows, or a subset): their interior modes,
+    the lifts of their wall traces summed per lobe, and the mean flow."""
     parts = {"a": [], "b": []}
     lobes = {lobe: [] for lobe in Lobe}  # the same interior modes, per lobe
-    for itype, lobe, _, modes in _solved_batches(assembly, rows):
+    for itype, lobe, _, modes in batches:
         if modes is not None:
             parts[itype.kind].append(modes)
             lobes[lobe].append(modes)
-
     traces = {lobe: collect_traces(ExpModes.concat(m)) for lobe, m in lobes.items()}
-    bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], assembly.params)
-    bl3_mf, w1_mf = lift_mean_flow(traces[Lobe.ZERO], assembly.params)
-    return CorrectorAssembly(
-        w0=assembly,
-        families={
-            W1_BLEPS2: ExpModes.concat(parts["a"]),
-            W1_BLEPS3: ExpModes.concat([*parts["b"], bl3_ii, bl3_mf]),
-            W1_II: w1_ii,
-            W1_MF: w1_mf,
-        },
-        rows=rows,
-    )
+    bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], w0.params)
+    bl3_mf, w1_mf = lift_mean_flow(traces[Lobe.ZERO], w0.params)
+    return CorrectorAssembly(w0, {
+        W1_BLEPS2: ExpModes.concat(parts["a"]),
+        W1_BLEPS3: ExpModes.concat([*parts["b"], bl3_ii, bl3_mf]),
+        W1_II: w1_ii,
+        W1_MF: w1_mf,
+    }, batches)
+
+
+def assemble_W1(assembly: PacketAssembly) -> CorrectorAssembly:
+    """Full corrector of the packet W0 = assembly, at its parameters:
+    every (row, lobe) batch solved once, then lifted with its mean flow."""
+    return _lift_batches(assembly, _solved_batches(assembly))
 
 
 def rowwise_family_sizes(assembly: PacketAssembly) -> dict[str, tuple[float, float]]:
     """Per-family (L2, Linf) sizes, aggregated row by interaction row.
 
-    This is the quantity the corrector size estimates control: each row is
-    lifted separately and the norms are added, mirroring the row-by-row
-    construction (triangle inequality).  The fully assembled corrector is
-    smaller; see assemble_W1.
+    This is the quantity the corrector size estimates control: the batches
+    are solved once, each a/b row's are lifted separately and the norms are
+    added, mirroring the row-by-row construction (triangle inequality).
+    The fully assembled corrector is smaller because Q(W0, W0) vanishes at
+    the wall (u0 = w0 = 0 there), so the rows' wall traces largely cancel.
     """
     totals = {f: [0.0, 0.0] for f in W1_FAMILIES}
+    batches = _solved_batches(assembly)
     for it in INTERACTIONS:
         if it.kind == "c":
             continue
-        casm = assemble_W1(assembly, rows=(it.name,))
+        casm = _lift_batches(assembly, [b for b in batches if b[0] is it])
         for fam, acc in totals.items():
             l2, linf = casm.norms(fam)
             acc[0] += l2
@@ -700,7 +696,9 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
 
     Every entry is an L^2 norm (or a Hoelder-product upper bound for the
     cross terms); 'total' is their sum, to be compared against
-    delta eps^2 + delta^2 + eps^6.  Each modes_norms call is one kernel
+    delta eps^2 + delta^2 + eps^6.  The interior terms are booked from
+    casm.batches, the batches its W1 was lifted from, with no pair
+    enumerated or solved again.  Each modes_norms call is one kernel
     pass: one per (row, lobe) batch, one for the incident diffusion term and
     one per modal W1 family (22 at the nine rows).  A batch's pass skips its
     all-zero rows (the w-forcing's u and b, the w-row term's u and w: 8 of
@@ -719,9 +717,9 @@ def residual_Rapp(casm: CorrectorAssembly) -> dict:
     eps, delta = params.eps, params.delta
     report: dict[str, float] = {}
 
-    # what the interior solves of the assembled rows leave out, and the
+    # what the interior solves of casm's batches leave out, and the
     # residual-only c-type interactions
-    for itype, _, src, modes in _solved_batches(w0, casm.rows):
+    for itype, _, src, modes in casm.batches:
         if modes is None:
             booked = {f"c_terms_{itype.name}": src}
         else:

@@ -39,6 +39,11 @@ def casm(w0):
     return C.assemble_W1(asm)
 
 
+def lift_rows(asm, batches, rows):
+    """W1 lifted from the batches of the named interaction rows alone."""
+    return C._lift_batches(asm, [b for b in batches if b[0].name in rows])
+
+
 def born_of_no_pair(m):
     """Mask of the modes whose parents are (mu, 0): lifts, W0 and the like."""
     return (m.parents == np.stack([m.mu, np.zeros_like(m.mu)], axis=1)).all(axis=1)
@@ -260,7 +265,7 @@ class TestInteriorSolves:
         ratios = []
         for eps in (0.3, 0.15):
             asm, _ = make_w0(eps)
-            cas = C.assemble_W1(asm, rows=("a1", "a2"))
+            cas = lift_rows(asm, C._solved_batches(asm), ("a1", "a2"))
             m = cas.families[C.W1_BLEPS2]
             uo = C.ExpModes(m.l, m.alpha, m.mu, m.cu, np.zeros_like(m.cw),
                             np.zeros_like(m.cb))
@@ -280,8 +285,9 @@ class TestInteriorSolves:
         for eps in eps_list:
             asm, _ = make_w0(eps, delta=1e-3)
             total = 0.0
+            batches = C._solved_batches(asm)
             for r in rows:
-                cas = C.assemble_W1(asm, rows=(r,))
+                cas = lift_rows(asm, batches, (r,))
                 total += cas.norms(family)[0]
             norms.append(total)
         slope = np.polyfit(np.log(eps_list), np.log(norms), 1)[0]
@@ -591,10 +597,10 @@ class TestPairColumns:
     def test_interior_and_ledger_modes_carry_parents(self, w0, casm):
         """W1_BLeps2 and every pair-born ledger term: 28 a/b terms and the
         8 c-type forcings at the reference case."""
-        asm, p = w0
+        _, p = w0
         assert not born_of_no_pair(casm.families[C.W1_BLEPS2]).any()
         terms = []
-        for itype, _, src, modes in C._solved_batches(asm, None):
+        for itype, _, src, modes in casm.batches:
             booked = ({itype.name: src} if modes is None
                       else C._booked_terms(itype.kind, src, modes, p))
             terms += booked.items()
@@ -607,7 +613,7 @@ def _ledger_passes(asm, p, casm):
     """(name, first set, further sets, t) of every ledger kernel pass at the
     reference case (each batch's booked terms, the incident diffusion term,
     each modal family with its d/dy), and W1_BLeps3 at t = 0.3."""
-    for itype, lobe, src, modes in C._solved_batches(asm, None):
+    for itype, lobe, src, modes in casm.batches:
         booked = ([src] if modes is None
                   else list(C._booked_terms(itype.kind, src, modes, p).values()))
         yield f"{itype.name}/{lobe.name}", booked[0], booked[1:], 0.0
@@ -793,7 +799,7 @@ class TestLedgerNorms:
         asm, p = w0
         P = casm.x_period
         sets = [asm.families[Family.INCIDENT]]
-        for itype, _, src, modes in C._solved_batches(asm, None):
+        for itype, _, src, modes in casm.batches:
             sets += ([src] if modes is None
                      else C._booked_terms(itype.kind, src, modes, p).values())
         for fam in C.W1_MODAL:
@@ -810,10 +816,10 @@ class TestLedgerNorms:
         """Every booked term's L2 from its batch's shared pass, and every
         modal family's d/dx and d/dy L2 from the family's pass, equals the
         set's own modes_norms(m, P, None)[0], bit for bit."""
-        asm, p = w0
+        _, p = w0
         P = casm.x_period
         shared = []
-        for itype, _, src, modes in C._solved_batches(asm, None):
+        for itype, _, src, modes in casm.batches:
             if modes is not None:
                 shared.append(list(C._booked_terms(itype.kind, src, modes, p).values()))
         shared += [[m, m.d_dx(), m.d_dy()] for m in map(casm.families.get, C.W1_MODAL)]
@@ -942,10 +948,10 @@ class TestDeadRows:
         and r1_aL_wforce's u and b are zero), a b batch's 6 as 4.  The dead
         rows are exactly 0, and every set's rows are its own pass's, bit for
         bit."""
-        asm, p = w0
+        _, p = w0
         rows = self._spy_rows(monkeypatch)
         kinds = set()
-        for itype, _, src, modes in C._solved_batches(asm, None):
+        for itype, _, src, modes in casm.batches:
             if modes is None:
                 continue
             sets = list(C._booked_terms(itype.kind, src, modes, p).values())
@@ -967,7 +973,7 @@ class TestDeadRows:
         nothing and returns zero profiles, and the norms are 0."""
         asm, p = make_w0(0.2, delta=0.0)
         rows = self._spy_rows(monkeypatch)
-        for itype, _, src, modes in C._solved_batches(asm, None):
+        for itype, _, src, modes in C._solved_batches(asm):
             first, *rest = ([src] if modes is None
                             else C._booked_terms(itype.kind, src, modes, p).values())
             lattice = C._norm_lattice(first, asm.x_period, C._NORM_NY)
@@ -1112,7 +1118,7 @@ class TestLiftMeanFlow:
     def test_wall_w_equals_minus_leftover(self, w0):
         """Total w at y=0 of interior + layer lift + mean flow vanishes."""
         asm, _ = w0
-        cas = C.assemble_W1(asm, rows=("a1",))
+        cas = lift_rows(asm, C._solved_batches(asm), ("a1",))
         assert C.wall_trace_check(cas) <= 1e-9
 
     def test_operator_size_scalings(self):
@@ -1136,7 +1142,7 @@ class TestLiftMeanFlow:
         for eps, v in zip(eps_list, linfs):
             assert v <= Cbound * delta * eps**3 * 1.001
 
-    def test_shear_nodes_are_lifted(self, w0, casm):
+    def test_shear_nodes_are_lifted(self, casm):
         """Exactly-zero-l pairs get the two-mode shear lift, not a drop: their
         summed interior w-trace is exactly zero (w = il/mu u), so the shear
         lift, which matches u and d_y b only, leaves nothing over."""
@@ -1144,9 +1150,8 @@ class TestLiftMeanFlow:
         shear = np.abs(bl3.l) < 1e-14
         assert shear.any()
         assert np.abs(bl3.cw[shear]).max() == 0.0
-        asm, _ = w0
         lobes = {lobe: [] for lobe in C.Lobe}
-        for _, lobe, _, modes in C._solved_batches(asm, None):
+        for _, lobe, _, modes in casm.batches:
             if modes is not None:
                 lobes[lobe].append(modes)
         for lobe, parts in lobes.items():
@@ -1160,8 +1165,8 @@ class TestLiftMeanFlow:
         node, its rates are the two decaying roots of the quartic
         -nu kappa L^4 - i alpha (nu+kappa) L^2 + alpha^2 - sin^2 g (np.roots,
         rtol 1e-13), and its modes cancel the u- and d_y b-traces."""
-        asm, p = w0
-        zero = [m for _, lobe, _, m in C._solved_batches(asm, None)
+        _, p = w0
+        zero = [m for _, lobe, _, m in casm.batches
                 if m is not None and lobe is C.Lobe.ZERO]
         l, alpha, tu, _, tb = C.collect_traces(C.ExpModes.concat(zero))
         shear = np.abs(l) < 1e-14
@@ -1291,6 +1296,27 @@ class TestResidualReport:
                     "cross_Q_W1_W1", "c_terms_c1", "total"):
             assert key in rep and rep[key] >= 0.0
         assert rep["total"] >= rep["eps6_diffusion_inc"]
+
+    def test_ledger_solves_nothing(self, w0, casm, monkeypatch):
+        """residual_Rapp books the assembly's batches: it enumerates no pair
+        and solves no interior, on the full assembly and on one lifted from
+        rows a1 and c2 alone, whose report holds exactly those rows' booked
+        terms, the incident diffusion, mean-flow and cross terms."""
+        asm, _ = w0
+        sub = lift_rows(asm, casm.batches, ("a1", "c2"))
+        calls = {}
+        for name in ("enumerate_pairs", "solve_interior_a", "solve_interior_b"):
+            def counted(*args, _f=getattr(C, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args)
+            monkeypatch.setattr(C, name, counted)
+        full = C.residual_Rapp(casm)
+        rep = C.residual_Rapp(sub)
+        assert calls == {}
+        assert set(rep) == {"r1_aL_viscous", "r1_aL_wrow", "r1_aL_leray", "r1_aL_wforce",
+                            "c_terms_c2", "eps6_diffusion_inc", "r1_aMF", "cross_Q_W0_W1",
+                            "cross_Q_W1_W0", "cross_Q_W1_W1", "total"}
+        assert rep["c_terms_c2"] == full["c_terms_c2"]
 
     def test_gradient_cost_two_layers(self):
         """max |grad W_app| grows like eps^-2 (the eps^2 layer dominates)."""
