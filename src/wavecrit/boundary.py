@@ -92,7 +92,8 @@ class ExpModes:
     corrector W1 are all sums of such modes, with any amplitude folded
     into the coefficients.  parents is (n, 2): two rates whose sum is mu,
     a pair-forced mode's two parents' or (mu, 0) for any other mode (the
-    default when it is omitted).
+    default when it is omitted).  An assembly holds its modes once, as a
+    store (stacked), and every mode set it exposes is a row range of it.
     """
 
     l: np.ndarray
@@ -122,11 +123,22 @@ class ExpModes:
             return cls.empty()
         return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in cls._FIELDS))
 
+    @classmethod
+    def stacked(cls, parts) -> tuple["ExpModes", list["ExpModes"]]:
+        """(store, views): the parts concatenated once into a store whose
+        arrays are read-only, and each part's rows as a slice view of it."""
+        store = cls.concat(parts)
+        for f in cls._FIELDS:
+            getattr(store, f).flags.writeable = False
+        ends = np.cumsum([0, *map(len, parts)])
+        return store, [store[a:b] for a, b in zip(ends, ends[1:])]
+
     def __len__(self):
         return len(self.l)
 
     def __getitem__(self, idx) -> "ExpModes":
-        """The modes at an index, slice, mask or index array."""
+        """The modes at an index, slice, mask or index array; a slice is a
+        view (read-only when taken of a store), anything else a copy."""
         *vectors, parents = (getattr(self, f)[idx] for f in self._FIELDS)
         return ExpModes(*map(np.atleast_1d, vectors), parents.reshape(-1, 2))
 

@@ -48,8 +48,9 @@ cc (cu, cw, cb) of the advected mode (the W0 quadrature amplitudes already
 sit in the coefficients).  That set scaled by -delta is solved once, and
 CorrectorAssembly.batches keeps every (row, lobe, forcing, interior modes)
 batch: the ledger books them and solves nothing.  W1 = W1_BLeps2 + W1_BLeps3
-+ W1_II (one mode set) + the explicit mean flow W1_MF.  Every W1 field and
-norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
++ W1_II + the explicit mean flow W1_MF; the modal families and the batches'
+interior modes are row ranges of one read-only store (_lift_batches).  Every
+W1 field and norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through boundary.synthesize or
 _profile_norms, or, in the DNS, per (l, alpha) node (boundary.node_profiles,
 dns.WappNodes).  A pair mode records its two parent
@@ -513,6 +514,7 @@ class CorrectorAssembly:
     w0: PacketAssembly
     families: dict
     batches: list
+    store: ExpModes  # read-only; the modal families and batches' modes are its rows
 
     @property
     def params(self) -> PhysParams:
@@ -529,8 +531,8 @@ class CorrectorAssembly:
         return modes_norms(self.families[family], self.x_period)[:2]
 
     def modal(self) -> ExpModes:
-        """All exponential modes of the corrector (everything but W1_MF)."""
-        return ExpModes.concat(self.families[f] for f in W1_MODAL)
+        """The store: W1_BLeps2 | W1_BLeps3 | W1_II (all but W1_MF)."""
+        return self.store
 
     def profiles(self, t: float, y):
         """(l, P) of W1 at time t: the modal and W1_MF profiles on one group
@@ -583,23 +585,22 @@ def _solved_batches(assembly: PacketAssembly) -> list:
 
 
 def _lift_batches(w0: PacketAssembly, batches: list) -> CorrectorAssembly:
-    """W1 of solved batches (all rows, or a subset): their interior modes,
-    the lifts of their wall traces summed per lobe, and the mean flow."""
-    parts = {"a": [], "b": []}
-    lobes = {lobe: [] for lobe in Lobe}  # the same interior modes, per lobe
-    for itype, lobe, _, modes in batches:
-        if modes is not None:
-            parts[itype.kind].append(modes)
-            lobes[lobe].append(modes)
-    traces = {lobe: collect_traces(ExpModes.concat(m)) for lobe, m in lobes.items()}
+    """W1 of solved batches (all rows, or a subset, in table order): their
+    interior modes (a rows before b rows), the lifts of their wall traces
+    summed per lobe, and the mean flow, stacked once; each batch's modes
+    become its rows, and its forcing keeps its coefficients on them."""
+    solved = [b for b in batches if b[3] is not None]
+    traces = {lobe: collect_traces(ExpModes.concat(b[3] for b in solved if b[1] is lobe))
+              for lobe in Lobe}
     bl3_ii, w1_ii = lift_second_harmonic(traces[Lobe.DOUBLE], w0.params)
     bl3_mf, w1_mf = lift_mean_flow(traces[Lobe.ZERO], w0.params)
-    return CorrectorAssembly(w0, {
-        W1_BLEPS2: ExpModes.concat(parts["a"]),
-        W1_BLEPS3: ExpModes.concat([*parts["b"], bl3_ii, bl3_mf]),
-        W1_II: w1_ii,
-        W1_MF: w1_mf,
-    }, batches)
+    store, views = ExpModes.stacked([*(b[3] for b in solved), bl3_ii, bl3_mf, w1_ii])
+    rows = iter(views)  # the solved batches' rows, in order
+    batches = [(it, lobe, src, m) if m is None else (it, lobe, dataclasses.replace(
+        v := next(rows), cu=src.cu, cw=src.cw, cb=src.cb), v) for it, lobe, src, m in batches]
+    a, ii = sum(len(b[3]) for b in solved if b[0].kind == "a"), len(store) - len(w1_ii)
+    return CorrectorAssembly(w0, {W1_BLEPS2: store[:a], W1_BLEPS3: store[a:ii],
+                                  W1_II: store[ii:], W1_MF: w1_mf}, batches, store)
 
 
 def assemble_W1(assembly: PacketAssembly) -> CorrectorAssembly:

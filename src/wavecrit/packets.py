@@ -32,6 +32,8 @@ incident polarization and the lift eigenvectors have U = 1, so the cu of
 an incident mode is its node's quadrature amplitude, and a lift mode's cu
 divided by it is the lift amplitude per unit trace.  ExpModes and its one
 evaluator, evaluate_modes, live in boundary, whose lifts return them.
+assemble_W0 stacks them once (ExpModes.stacked): each family is a row range
+of one read-only store, incident | labels 2-3 | label 5, the SUM bundle.
 """
 
 from __future__ import annotations
@@ -109,19 +111,16 @@ RegimeError = boundary.RegimeError
 
 @dataclass
 class PacketAssembly:
-    """All modes of the linear approximate solution, grouped by family."""
+    """The linear solution's modes by family: row ranges of one read-only store."""
 
     params: PhysParams
     envelope: Envelope
     families: dict[Family, ExpModes]
     x_period: float  # period of the discrete k-lattice in x
+    store: ExpModes
 
     def bundle(self, family: Family) -> ExpModes:
-        if family is Family.SUM:
-            return ExpModes.concat(
-                self.families[f] for f in (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3)
-            )
-        return self.families[family]
+        return self.store if family is Family.SUM else self.families[family]
 
 
 def incident_polarization(k, m, gamma: float, omega):
@@ -168,17 +167,15 @@ def assemble_W0(
     spec = ModalMatrixSpec(params.nu, params.kappa, omega, k, params.gamma)
     lift = lift_critical(spec, [-amp, amp * k / m, amp * (k * cg - m * sg) / omega])
     label5 = np.arange(len(lift)) % 3 == 2
+    store, views = ExpModes.stacked([incident, lift[~label5], lift[label5]])
 
     dxi = s[1] - s[0]
     return PacketAssembly(
         params=params,
         envelope=envelope,
-        families={
-            Family.INCIDENT: incident,
-            Family.BLEPS2: lift[~label5],  # labels 2 and 3
-            Family.BLEPS3: lift[label5],  # label 5
-        },
+        families=dict(zip((Family.INCIDENT, Family.BLEPS2, Family.BLEPS3), views)),
         x_period=2.0 * math.pi / (e2 * dxi),
+        store=store,
     )
 
 

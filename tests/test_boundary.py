@@ -339,6 +339,27 @@ def test_mode_subsets():
     assert joined.parents.tolist() == [[mu, 0.0] for mu in lift.mu.tolist()]
 
 
+def test_stacked_views_share_one_read_only_store():
+    """stacked concatenates once: each part's rows are a view of the store,
+    equal to the part, and no array of the store or a view can be written."""
+    parts = [_pair_set([[1 + 2j, 3 - 1j], [0.5j, 2.0]]), ExpModes.empty(),
+             _pair_set([[2.0, 1j]], coef=4.0)]
+    store, views = ExpModes.stacked(parts)
+    assert len(store) == 3 and [len(v) for v in views] == [2, 0, 1]
+    for part, view in zip(parts, views):
+        for f in ExpModes._FIELDS:
+            assert np.array_equal(getattr(view, f), getattr(part, f)), f
+            assert not getattr(view, f).flags.writeable, f
+            assert not getattr(store, f).flags.writeable, f
+        if len(view):
+            assert np.shares_memory(view.cu, store.cu) and np.shares_memory(view.l, store.l)
+    with pytest.raises(ValueError):
+        views[0].cu[0] = 0.0
+    # the parts themselves stay writable: the store is a copy of them
+    parts[0].cu[0] = 0.0
+    assert store.cu[0] == 1.0
+
+
 def _pair_set(parents, coef=1.0):
     """One pair mode per row of parents, at l = 1, alpha = 0."""
     parents = np.array(parents, dtype=complex)

@@ -1279,6 +1279,41 @@ class TestAssembly:
             assert sizes[fam][0] >= casm.norms(fam)[0]
 
 
+class TestOneStore:
+    """modal() is the one store: the modal families and every solved batch's
+    interior modes are its row ranges, and no array of it can be written."""
+
+    def test_batches_are_rows_of_their_family(self, casm):
+        family = {"a": casm.families[C.W1_BLEPS2], "b": casm.families[C.W1_BLEPS3]}
+        solved = [b for b in casm.batches if b[3] is not None]
+        assert {b[0].kind for b in solved} == {"a", "b"}
+        for itype, lobe, src, modes in solved:
+            fam = family[itype.kind]
+            assert np.shares_memory(modes.cu, fam.cu), (itype.name, lobe)
+            assert np.shares_memory(modes.l, fam.l), (itype.name, lobe)
+            # the forcing keeps its own coefficients on its modes' exponents
+            for f in ("l", "alpha", "mu", "parents"):
+                assert getattr(src, f) is getattr(modes, f), (itype.name, lobe, f)
+            assert not np.shares_memory(src.cu, modes.cu)
+
+    def test_modal_is_the_store(self, casm, monkeypatch):
+        def no_concat(parts):
+            raise AssertionError("modal() concatenated")
+        monkeypatch.setattr(C.ExpModes, "concat", no_concat)
+        store = casm.modal()
+        assert casm.modal() is store
+        assert len(store) == sum(len(casm.families[f]) for f in C.W1_MODAL)
+        for fam in C.W1_MODAL:
+            assert np.shares_memory(casm.families[fam].cu, store.cu), fam
+            assert np.shares_memory(casm.families[fam].l, store.l), fam
+
+    def test_store_is_read_only(self, casm):
+        modes = next(b[3] for b in casm.batches if b[3] is not None)
+        for arr in (casm.families[C.W1_BLEPS2].cu, modes.cu, modes.mu, casm.modal().l):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestResidualReport:
     def test_delta_zero_reduces_to_diffusion(self):
         asm, _ = make_w0(0.2, delta=0.0)

@@ -168,6 +168,28 @@ class TestAssembly:
         assert abs(l2[17] - l2[9]) <= 1e-3 * l2[9]
 
 
+class TestOneStore:
+    """The three families are row ranges of one read-only store, which is
+    the SUM bundle itself."""
+
+    def test_sum_bundle_is_the_store(self, assembly, monkeypatch):
+        def no_concat(parts):
+            raise AssertionError("bundle(Family.SUM) concatenated")
+        monkeypatch.setattr(boundary.ExpModes, "concat", no_concat)
+        store = assembly.bundle(Family.SUM)
+        assert assembly.bundle(Family.SUM) is store
+        assert len(store) == sum(len(m) for m in assembly.families.values())
+        for fam, m in assembly.families.items():
+            assert np.shares_memory(m.cu, store.cu), fam
+            assert np.shares_memory(m.l, store.l), fam
+
+    def test_store_is_read_only(self, assembly):
+        for arr in (assembly.bundle(Family.SUM).cu, assembly.families[Family.BLEPS2].cu,
+                    assembly.families[Family.INCIDENT].l):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestEvaluation:
     def test_fields_are_real(self, assembly):
         grid = default_grid(assembly, Family.BLEPS2)
