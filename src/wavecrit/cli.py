@@ -63,7 +63,6 @@ from .packets import (
     PacketAssembly,
     QuadratureSpec,
     assemble_W0,
-    component_anisotropy,
     default_grid,
     packet_norms,
 )
@@ -83,10 +82,10 @@ TYPED_ERRORS = (ConfigError, FitError, RootSolveError, ClassificationError,
                 SingularEigenvectorError, IllConditionedLiftError, RegimeError,
                 CorrectorError, DnsError)
 
-#: SimConfig's fields but params, Lx (the packet's period) and k0, plus
+#: SimConfig's fields but params and Lx (the packet's period), plus
 #: save_every, each with its type
 _DNS_OPTIONS = ({f.name: f.type for f in dataclasses.fields(SimConfig)
-                 if f.name not in ("params", "Lx", "k0")} | {"save_every": int})
+                 if f.name not in ("params", "Lx")} | {"save_every": int})
 #: experiment -> the keys of `options` it reads (every other key is refused)
 #: and their types
 OPTION_KEYS = {"lift": {"samples": int}, "dns": _DNS_OPTIONS, "stability": _DNS_OPTIONS}
@@ -408,13 +407,14 @@ def _run_packet_norms(config: ExperimentConfig) -> list[str]:
     for eps, delta in _sweep_points(config):
         p = _params_at(config, eps, delta)
         asm = _assembly_at(config, p)
+        l2s = {}
         for fam in (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3):
-            l2, linf = packet_norms(asm.bundle(fam), default_grid(asm, fam))
-            rows.append([eps, fam.name, math.hypot(*l2), max(linf)])
-        rows.append([eps, "ANISO_BLEPS2",
-                     component_anisotropy(asm, Family.BLEPS2), float("nan")])
-        rows.append([eps, "ANISO_BLEPS3",
-                     component_anisotropy(asm, Family.BLEPS3), float("nan")])
+            l2s[fam], linf = packet_norms(asm.bundle(fam), default_grid(asm, fam))
+            rows.append([eps, fam.name, math.hypot(*l2s[fam]), max(linf)])
+        # the layers' anisotropy ||w|| / ||u||, O(eps^2) and O(eps^3)
+        for fam in (Family.BLEPS2, Family.BLEPS3):
+            nu, nw, _ = l2s[fam]
+            rows.append([eps, f"ANISO_{fam.name}", nw / nu, float("nan")])
     _write_csv(config.output_dir / "packet_norms.csv",
                ["eps", "family", "l2", "linf"], rows)
     arts = ["packet_norms.csv"]
@@ -479,7 +479,7 @@ def _dns_config(config: ExperimentConfig, params: PhysParams,
     """SimConfig's defaults overridden by the given options."""
     given = {f.name: config.options[f.name]
              for f in dataclasses.fields(SimConfig) if f.name in config.options}
-    return SimConfig(params=params, Lx=x_period, k0=config.k0, **given)
+    return SimConfig(params=params, Lx=x_period, **given)
 
 
 def _dns_series(config: ExperimentConfig, params: PhysParams, asm: PacketAssembly):

@@ -70,8 +70,8 @@ from the rfft columns first (`Solver.cfl_bound`, |f(x)| <= sum_k c_k |f_k|
 
 Without advection (delta = 0) nothing couples the rfft columns, so a State
 may hold only some of them (`State.cols`; the others are zero).  W_app is
-placed in its columns from its y-profiles (`WappNodes`, `wapp_columns`),
-every other column exactly 0, and at delta = 0 init_from_Wapp keeps those
+placed in its columns from its y-profiles (`WappNodes.columns`), every
+other column exactly 0, and at delta = 0 init_from_Wapp keeps those
 alone: 3 of 129 columns at 256 x 384 and 5 nodes per lobe, where a
 delta = 0 step takes about 0.66 ms instead of 10 ms on one core (README
 gives the measurement).
@@ -80,19 +80,21 @@ the full one included.  A solver with delta != 0 widens such a state to
 every column.
 
 The march stores no saved states.  `Solver.run` hands the state of each
-save time (`save_steps`) to a callback, and `compare_stability` reduces it
-to its distance from W_app at once, so neither grows in memory with the
-number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768 one
-12.6 MB).  W_app depends on t only through one phase e^(-i alpha t) per
-(l, alpha) node, so `compare_stability` builds W_app's node profiles once
-per call (`WappNodes`: one kernel pass for W0 and one for W1's modal
-families, boundary.node_profiles) and each save phase-sums them per
-x-group, adds W1_MF's separable profiles and places the result
-(`place_profiles`); init_from_Wapp reads W_app(0) by the same route.  The
-node tables do not grow with the number of saves: 2.3 MB at 256 x 384 and
-5 nodes per lobe with W1 (127 nodes).  `compare_stability` reports one run's
-departure ||W - W_app|| and the two envelopes; subtracting a delta = 0
-twin's departure is its caller's job (the CLI's `stability` experiment).
+save step to a callback, and `compare_stability` reduces it to its
+distance from W_app at once and records its t, so neither grows in memory
+with the number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768
+one 12.6 MB).  W_app depends on t only through one phase e^(-i alpha t)
+per (l, alpha) node, so one `WappNodes` per call holds W_app on the grid:
+a node table for W0 and one for W1's modal families
+(boundary.node_profiles), and each x-group's rfft column, checked against
+the box lattice once.  `WappNodes.columns(t)`, W_app's one reader,
+phase-sums the tables per x-group, adds W1_MF's separable profiles and
+places the result (`place_profiles`); init_from_Wapp reads W_app(0) by
+the same route.  The node tables do not grow with the number of saves:
+2.3 MB at 256 x 384 and 5 nodes per lobe with W1 (127 nodes).
+`compare_stability` reports one run's departure ||W - W_app|| and the two
+envelopes; subtracting a delta = 0 twin's departure is its caller's job
+(the CLI's `stability` experiment).
 """
 
 import copy
@@ -107,8 +109,7 @@ from scipy.linalg import cholesky_banded, solve_triangular
 from scipy.linalg.blas import zaxpy, ztbsv
 from scipy.sparse import csr_array, diags_array, eye_array
 
-from .boundary import _l_edges, node_profiles
-from .characteristic import ModalMatrixSpec, roots_for
+from .boundary import _group_by_l, _l_edges, node_profiles
 from .corrector import W1_MF, CorrectorAssembly
 from .packets import Family, PacketAssembly
 from .params import PhysParams
@@ -252,7 +253,13 @@ def _axpy(a, x, y):
 @dataclass
 class SimConfig:
     """One DNS run: box, grid and time step; the defaults are the `dns` and
-    `stability` experiments' defaults."""
+    `stability` experiments' defaults.
+
+    The eps^3 layer, the thinnest, must hold >= 8 grid points within 5
+    widths.  Its rate is the leading-order Re lambda5 = sqrt(omega0 (nu +
+    kappa) / (2 nu kappa)), omega0 = sin(gamma), which does not depend on
+    the carrier's k0 (characteristic's label prediction; the exact root
+    differs by under 0.4 % over gamma 0.45-0.75, eps 0.05-0.3, k0 0.5-2)."""
 
     params: PhysParams
     Lx: float
@@ -261,7 +268,6 @@ class SimConfig:
     ny: int = 384
     dt: float = 0.01
     T: float = 1.0
-    k0: float = 1.0
     dy0: float = 1e-3
     dy_max: float = 1.0
 
@@ -272,9 +278,7 @@ class SimConfig:
                                ("Ly", self.Ly > 0.0, "> 0"), ("nx", self.nx >= 2, ">= 2"),
                                ("ny", self.ny >= 2, ">= 2"),
                                ("dy0", 0.0 < self.dy0 < math.inf, "> 0 and finite"),
-                               ("dy_max", self.dy_max > 0.0, "> 0"),
-                               ("k0", math.isfinite(self.k0) and self.k0 != 0.0,
-                                "finite and nonzero")):
+                               ("dy_max", self.dy_max > 0.0, "> 0")):
             if not ok:
                 raise DnsError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         p = self.params
@@ -282,9 +286,7 @@ class SimConfig:
         if self.dt > 0.1 / omega0:
             raise DnsError(f"dt={self.dt} exceeds rotational resolution "
                            f"0.1/omega0={0.1 / omega0:.3g}")
-        # the thinnest layer must be resolved: >= 8 points within 5 widths
-        spec = ModalMatrixSpec(p.nu, p.kappa, omega0, self.k0, p.gamma)
-        lam5 = roots_for(spec).by_label(5)[0].real
+        lam5 = math.sqrt(omega0 * (p.nu + p.kappa) / (2.0 * p.nu * p.kappa))
         n_in_layer = int(np.sum(self.y <= 5.0 / lam5))
         if n_in_layer < 8:
             raise DnsError(
@@ -814,23 +816,17 @@ class Solver:
         """Instantaneous eps^6 (nu0 |grad u|^2 + nu0 |grad w|^2 + k0 |grad b|^2)."""
         return self._energy_and_dissipation(state)[1]
 
-    def save_times(self, t0: float, n_steps: int, save_every: int) -> np.ndarray:
-        """The times of the states that run(state at t0, n_steps, save_every)
-        hands to on_save, as the exact floats the march reaches: step adds dt
-        to t, so t is accumulated step by step, not n dt."""
-        t = np.add.accumulate(np.r_[t0, np.full(n_steps, self.config.dt)])
-        return t[save_steps(n_steps, save_every)]
-
     def run(self, state: State, n_steps: int, save_every: int = 0,
             on_save=None) -> "Trajectory":
         """March `n_steps` steps, recording the energy series of every step.
 
-        `on_save(state)` is called with the state of each of
-        save_steps(n_steps, save_every); the run keeps no state but the
-        final one.  A step never changes the state it is given, so
-        `on_save` may keep what it receives.
+        `on_save(state)` is called with the state of step 0 (the one given),
+        of every save_every-th step (none with 0) and of the last; the run
+        keeps no state but the final one.  A step never changes the state
+        it is given, so `on_save` may keep what it receives.
         """
-        saves = set(save_steps(n_steps, save_every) if on_save is not None else ())
+        every = range(save_every, n_steps, save_every) if save_every else ()
+        saves = {0, *every, n_steps} if on_save is not None else set()
         rows = [(state.t, *self._energy_and_dissipation(state), 0.0)]
         if 0 in saves:
             on_save(state)
@@ -842,13 +838,6 @@ class Solver:
         times, energy, diss, proj_loss = map(np.array, zip(*rows))
         return Trajectory(times=times, energy=energy, dissipation=diss,
                           proj_loss=proj_loss, final=state)
-
-
-def save_steps(n_steps: int, save_every: int) -> list[int]:
-    """The steps whose states Solver.run saves: 0 (the initial state), every
-    save_every-th (none with 0) and the last."""
-    every = range(save_every, n_steps, save_every) if save_every else ()
-    return [0, *every, n_steps] if n_steps else [0]
 
 
 @dataclass
@@ -870,57 +859,54 @@ class WappNodes:
 
     W0 and W1's modal families are each one table of node profiles at t = 0
     (boundary.node_profiles: one kernel pass, one node per distinct
-    (l, alpha)), and W1_MF, separable in t and y, is read at t itself.  The
-    tables do not depend on t, so a march that reads W_app at every save
-    builds them once: each save is one phase sum per x-group,
-    e^(-i alpha t) @ Q over the group's nodes, contiguous in the table.
+    (l, alpha)), and W1_MF, separable in t and y, is read at t itself.
+    Nothing but the phases depends on t, so the tables and each x-group's
+    rfft column `col` (l = 2 pi col / Lx; W0's groups first, then W1's
+    modal ones and W1_MF's) are made once, here.  A wavenumber more than
+    1e-9 of a column off the lattice (eps not box-matched) is refused here.
     """
 
     def __init__(self, w0: PacketAssembly, w1: CorrectorAssembly | None, grid: Grid):
         self.grid = grid
         self.mean_flow = None if w1 is None else w1.families[W1_MF]
-        self.tables = []  # (group l, node alpha, Q, group bounds) per family
+        self.tables = []  # (node alpha, Q, group bounds) per family
+        ls = []
         for modes in [w0.bundle(Family.SUM)] + ([] if w1 is None else [w1.modal()]):
             l, alpha, Q = node_profiles(modes, grid.y)
             bounds = np.r_[0, _l_edges(l), len(l)] if len(l) else np.zeros(1, int)
-            self.tables.append((l[bounds[:-1]], alpha, Q, bounds))
-
-    def profiles(self, t: float):
-        """(col, P): W_app at time t as y-profiles, P (3, groups, ny) with W0's
-        x-groups first, then W1's modal ones and W1_MF's; col is each group's
-        rfft column, l = 2 pi col / Lx.  A wavenumber more than 1e-9 of a
-        column off the lattice (eps not box-matched) is refused."""
-        ls, Ps = [], []
-        for l, alpha, Q, bounds in self.tables:
-            phase = np.exp(-1j * alpha * t)
-            P = np.empty((3, len(l), self.grid.ny), dtype=complex)
-            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                P[:, g] = phase[a:b] @ Q[:, a:b]
-            ls.append(l)
-            Ps.append(P)
-        if self.mean_flow is not None:
-            l, P = self.mean_flow.profiles(t, self.grid.y)
-            ls.append(l)
-            Ps.append(P)
-        c = np.concatenate(ls) * self.grid.Lx / (2.0 * math.pi)
-        col = np.rint(c).astype(int)
-        off = np.abs(c - col).max(initial=0.0)
+            self.tables.append((alpha, Q, bounds))
+            ls.append(l[bounds[:-1]])
+        if self.mean_flow is not None:  # MeanFlowField.profiles' groups
+            ls.append(self.mean_flow.l[[g[0] for g in _group_by_l(self.mean_flow.l)]])
+        c = np.concatenate(ls) * grid.Lx / (2.0 * math.pi)
+        self.col = np.rint(c).astype(int)
+        off = np.abs(c - self.col).max(initial=0.0)
         if off > 1e-9:
             raise DnsError(f"W_app wavenumbers lie up to {off:.3g} of a column off the "
-                           f"rfft lattice of Lx = {self.grid.Lx:.6g}; box-match eps")
-        return col, np.concatenate(Ps, axis=1)
+                           f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
 
     def columns(self, t: float) -> np.ndarray:
-        """W_app(t) as rfft columns (3, ny, nx/2 + 1) of (u, w, b): its
-        profiles, placed (place_profiles)."""
-        return place_profiles(*self.profiles(t), self.grid)
+        """W_app(t) as rfft columns (3, ny, nx/2 + 1) of (u, w, b): one phase
+        sum per x-group, e^(-i alpha t) @ Q over the group's nodes
+        (contiguous in the table), then W1_MF's profiles at t, placed
+        (place_profiles)."""
+        Ps = []
+        for alpha, Q, bounds in self.tables:
+            phase = np.exp(-1j * alpha * t)
+            P = np.empty((3, len(bounds) - 1, self.grid.ny), dtype=complex)
+            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                P[:, g] = phase[a:b] @ Q[:, a:b]
+            Ps.append(P)
+        if self.mean_flow is not None:
+            Ps.append(self.mean_flow.profiles(t, self.grid.y)[1])
+        return place_profiles(self.col, np.concatenate(Ps, axis=1), self.grid)
 
 
 def place_profiles(col: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
-    """One time's profiles (WappNodes.profiles) as rfft columns (3, ny,
-    nx/2 + 1) of (u, w, b): a group's P at column c goes to column c as
-    nx P, its conjugate to column -c, both modulo nx as sampling folds
-    them.  Every other column is exactly 0.  Groups that fold to one
+    """Profiles P (3, groups, ny) of groups at rfft columns col as rfft
+    columns (3, ny, nx/2 + 1) of (u, w, b): a group's P at column c goes to
+    column c as nx P, its conjugate to column -c, both modulo nx as sampling
+    folds them.  Every other column is exactly 0.  Groups that fold to one
     column add up there; a loop over the groups takes half the time of one
     np.add.at over all of them (0.16 against 0.35 ms at 256 x 384)."""
     nx, out = grid.nx, np.zeros((3, grid.ny, grid.nx // 2 + 1), dtype=complex)
@@ -929,13 +915,6 @@ def place_profiles(col: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
             if j < out.shape[2]:
                 out[..., j] += nx * f
     return out
-
-
-def wapp_columns(w0: PacketAssembly, w1: CorrectorAssembly | None, t: float,
-                 grid: Grid) -> np.ndarray:
-    """W_app(t) = W0 (+ W1) as rfft columns (3, ny, nx/2 + 1) of (u, w, b),
-    from its nodes (WappNodes) read at the one time t."""
-    return WappNodes(w0, w1, grid).columns(t)
 
 
 def _check_wapp(config: SimConfig, w0: PacketAssembly, w1: CorrectorAssembly | None):
@@ -953,15 +932,12 @@ def _check_wapp(config: SimConfig, w0: PacketAssembly, w1: CorrectorAssembly | N
             if f.name not in free and got != want:
                 raise DnsError(f"{name} was built at {f.name}={got!r}, "
                                f"the run is at {f.name}={want!r}")
-    k0 = w0.envelope.carrier.k0
-    if config.k0 != k0:
-        raise DnsError(f"SimConfig k0={config.k0!r} is not W0's carrier k0={k0!r}")
 
 
 def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
                    config: SimConfig, solver: Solver) -> State:
-    """W_app(0) in the solver's rfft columns (wapp_columns), projected; at
-    delta = 0 the state holds only the columns W_app touches.
+    """W_app(0) in the solver's rfft columns (WappNodes.columns), projected;
+    at delta = 0 the state holds only the columns W_app touches.
 
     A W0 wavenumber at or above the grid's Nyquist column would alias and is
     refused.  W1's second harmonic may sit above Nyquist (it does at
@@ -969,11 +945,10 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     where it folds as sampling folds it.  With delta != 0 the march's
     advection makes 3 k0 out of W0 and W1's second harmonic; a UserWarning
     says when 3 times W0's top column is at or above Nyquist, where that
-    harmonic folds.
+    harmonic folds.  WappNodes refuses a W_app off the box's lattice.
 
     W_app must be built for this run, else DnsError names the field: W0 at
-    config's parameters but for delta, W1 from this W0 and at all of them,
-    and W0's carrier at config.k0.
+    config's parameters but for delta, W1 from this W0 and at all of them.
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
@@ -990,7 +965,7 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
             f"the Nyquist column nx/2 = {g.nx / 2:g}, and folds; nx > {6 * col} resolves it",
             stacklevel=2,
         )
-    uh, wh, bh = placed = wapp_columns(w0, w1, 0.0, g)
+    uh, wh, bh = placed = WappNodes(w0, w1, g).columns(0.0)
     held = np.flatnonzero(placed.any(axis=(0, 1)))
     field = np.fft.irfft(placed, n=g.nx, axis=2)
     peak, edge = np.abs(field).max(), np.abs(field[:, -1]).max()
@@ -1041,13 +1016,9 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     parameters give eps and delta; each saved state is compared with
     W_app = w0 (+ w1) in the solver's rfft columns (Parseval sums) as the
     march reaches it and then dropped, so the memory does not grow with the
-    number of save times.  The save times are listed before the march
-    (`Solver.save_times`, the exact floats it reaches).  W_app's node
-    tables are built once per call (`WappNodes`), before the march, and
-    each save phase-sums and places W_app at its own time, the columns a
-    `wapp_columns` call at that time gives bit for bit.  A save whose t is
-    not its listed time raises DnsError.  No placed W_app is held between
-    saves.
+    number of save times.  One `WappNodes` is built per call, before the
+    march, and each save reads W_app at the saved state's own t, which the
+    report's `t` records.  No placed W_app is held between saves.
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
     the first save's placement (at the state's own t, 0 from init_from_Wapp):
@@ -1064,26 +1035,22 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     """
     _check_wapp(solver.config, w0, w1)
     eps, delta = solver.config.params.eps, solver.config.params.delta
-    t = solver.save_times(state.t, n_steps, save_every)
     nodes = WappNodes(w0, w1, solver.grid)
-    diffs, norm0 = [], None
+    t, diffs, norm0 = [], [], None
 
     def compare(st):
         nonlocal norm0
-        i = len(diffs)
-        if st.t != t[i]:
-            raise DnsError(f"save {i} reached at t={float(st.t)!r}, "
-                           f"listed at t={float(t[i])!r}")
-        wapp = nodes.columns(t[i])
-        if i == 0:
+        wapp = nodes.columns(st.t)
+        if not t:
             norm0 = math.sqrt(solver.norm2(*wapp))
+        t.append(st.t)
         # a state is zero off the columns it holds, so only those are subtracted
         for a, f in zip(wapp, (st.uh, st.wh, st.bh)):
             a[:, st.cols] -= f
         diffs.append(math.sqrt(solver.norm2(*wapp)))
 
     traj = solver.run(state, n_steps, save_every, on_save=compare)
-    diffs = np.array(diffs) / norm0
+    t, diffs = np.array(t), np.array(diffs) / norm0
     bound_thm = delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t)
     bound_alt = math.sqrt(delta) * eps**3 * np.exp(delta / eps**2 * t)
     return traj, {

@@ -246,15 +246,3 @@ def packet_norms(
             stacklevel=2,
         )
     return tuple(l2), tuple(linf)
-
-
-def component_anisotropy(assembly: PacketAssembly, family: Family) -> float:
-    """||w|| / ||u|| (L2) for a boundary-layer family.
-
-    The wall-normal velocity of the eps^2 layer is smaller than the
-    tangential one by O(eps^2), and by O(eps^3) for the eps^3 layer.
-    """
-    if family not in (Family.BLEPS2, Family.BLEPS3):
-        raise ValueError("anisotropy is defined for the boundary-layer families")
-    (nu, nw, _), _ = packet_norms(assembly.bundle(family), default_grid(assembly, family))
-    return nw / nu

@@ -41,7 +41,6 @@ from wavecrit.packets import (
     Family,
     QuadratureSpec,
     assemble_W0,
-    component_anisotropy,
     default_grid,
     packet_norms,
 )
@@ -220,14 +219,15 @@ def test_criterion_04_packet_sizes():
     rows = {fam: ([], []) for fam in
             (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3)}
     an2, an3 = [], []
+    aniso = {Family.BLEPS2: an2, Family.BLEPS3: an3}  # ||w|| / ||u|| per layer
     for eps in EPS_SWEEP:
         asm, _ = make_w0(eps)
         for fam, (l2s, linfs) in rows.items():
             l2, linf = packet_norms(asm.bundle(fam), default_grid(asm, fam))
             l2s.append(math.hypot(*l2))
             linfs.append(max(linf))
-        an2.append(component_anisotropy(asm, Family.BLEPS2))
-        an3.append(component_anisotropy(asm, Family.BLEPS3))
+            if fam in aniso:
+                aniso[fam].append(l2[1] / l2[0])
     targets = {Family.INCIDENT: (0.0, 2.0), Family.BLEPS2: (0.0, 0.0),
                Family.BLEPS3: (1.5, 1.0)}
     for fam, (l2s, linfs) in rows.items():

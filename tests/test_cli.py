@@ -92,8 +92,10 @@ class TestConfigValidation:
         """SimConfig owns the DNS options, their types and their defaults;
         the options are cast to their fields' types."""
         settable = {f.name: f.type for f in dataclasses.fields(SimConfig)
-                    if f.init and f.name not in ("params", "Lx", "k0")}
+                    if f.init and f.name not in ("params", "Lx")}
         assert _DNS_OPTIONS == settable | {"save_every": int}
+        assert sorted(_DNS_OPTIONS) == ["Ly", "T", "dt", "dy0", "dy_max", "nx", "ny",
+                                        "save_every"]
         p = PhysParams(gamma=0.7, eps=0.2)
         sim = _dns_config(ExperimentConfig(params=p, experiment="dns",
                                            options={"nx": 128.0, "T": 2}), p, 100.0)

@@ -8,6 +8,7 @@ exactly x-periodic in the computational box; nx = 192 keeps the carrier
 import copy
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -18,7 +19,7 @@ from scipy.linalg.lapack import zpbtrs
 from scipy.optimize import brentq
 from scipy.sparse import diags_array
 
-from wavecrit import corrector, dns
+from wavecrit import characteristic, corrector, dns
 from wavecrit.corrector import assemble_W1, evaluate_W1
 from wavecrit.dns import (
     BlockSweep,
@@ -27,12 +28,12 @@ from wavecrit.dns import (
     SimConfig,
     Solver,
     State,
+    WappNodes,
     box_matched_eps,
     compare_stability,
     energy_budget,
     init_from_Wapp,
     stretched_grid,
-    wapp_columns,
 )
 from wavecrit.packets import (
     Envelope,
@@ -194,12 +195,10 @@ class TestGridAndConfig:
     @pytest.mark.parametrize("name,value", [
         ("dt", 0.0), ("dt", -0.01), ("T", -1.0), ("T", math.inf), ("Ly", -60.0), ("nx", 0),
         ("ny", 1), ("Lx", -5.0), ("Lx", math.nan), ("Lx", math.inf), ("dy0", 0.0),
-        ("dy0", math.nan), ("dy_max", math.nan), ("dy_max", -1.0), ("k0", math.nan),
-        ("k0", math.inf), ("k0", 0.0)])
+        ("dy0", math.nan), ("dy_max", math.nan), ("dy_max", -1.0)])
     def test_out_of_range_refused(self, name, value):
-        """Refused by name before the root solve, not left to a raw
-        ZeroDivisionError, LinAlgError, ValueError or OverflowError later,
-        or a silent run."""
+        """Refused by name, not left to a raw ZeroDivisionError, ValueError
+        or OverflowError later, or a silent run."""
         with pytest.raises(DnsError, match=f"^{name} must be .*, got {value!r}$"):
             make_config(**{name: value})
 
@@ -207,6 +206,44 @@ class TestGridAndConfig:
         # a coarse near-wall spacing leaves < 8 points in the eps^3 layer
         with pytest.raises(DnsError):
             make_config(dy0=0.1, ny=256)
+
+    @pytest.mark.parametrize("points,slack", [(8, 1.0 + 1e-9), (7, 1.0 - 1e-9)],
+                             ids=["8-accepted", "7-refused"])
+    def test_thin_layer_needs_eight_points(self, points, slack):
+        """A uniform grid whose 8th point y[7] sits 1e-9 (relative) inside
+        or outside 5 widths of the eps^3 layer, at the closed-form rate
+        Re lambda5 = sqrt(omega0 (nu + kappa) / (2 nu kappa)): 8 points are
+        accepted, 7 refused by count."""
+        lam5 = math.sqrt(math.sin(GAMMA) * (PARAMS.nu + PARAMS.kappa)
+                         / (2.0 * PARAMS.nu * PARAMS.kappa))
+        h = 5.0 / lam5 / (7.0 * slack)  # y[7] = 7 h
+        box = dict(Ly=15 * h, ny=16, dy0=2 * h)
+        if points == 8:
+            assert int(np.sum(make_config(**box).y <= 5.0 / lam5)) == 8
+        else:
+            with pytest.raises(DnsError, match=r"^only 7 grid points within 5 widths"):
+                make_config(**box)
+
+    def test_config_solves_no_root(self, monkeypatch):
+        """The layer check reads its rate in closed form: building a
+        SimConfig calls characteristic.roots_for through no binding."""
+        calls, roots_for = [], characteristic.roots_for
+
+        def counted(spec):
+            calls.append(spec)
+            return roots_for(spec)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "wavecrit" and getattr(mod, "roots_for", None) is roots_for:
+                monkeypatch.setattr(mod, "roots_for", counted)
+        make_config()
+        assert calls == []
+
+    def test_carrier_is_w0s_alone(self):
+        """k0 is W0's carrier's, not a SimConfig field to disagree with it."""
+        assert "k0" not in {f.name for f in dataclasses.fields(SimConfig)}
+        with pytest.raises(TypeError, match="k0"):
+            make_config(k0=1.0)
 
     def test_box_matched_eps(self):
         assert box_matched_eps(0.2, 1.0, 9) == pytest.approx(0.2)
@@ -748,15 +785,15 @@ class TestSpectralState:
             for c in ("uh", "wh", "bh", "ph"):
                 assert np.array_equal(getattr(a, c), getattr(b, c))
 
-    def test_save_times_are_the_saved_states_times(self, solver, initial):
-        """save_times lists, before the march, the exact t of each state the
-        march saves: t accumulated by + dt, which 6 dt is not (0.01 added
-        six times is 0.060000000000000005)."""
+    def test_save_times_are_the_saved_states_times(self, solver, initial, assembly):
+        """compare_stability's report["t"] is the t of each state the march
+        saves, bit for bit: t accumulated by + dt, which 6 dt is not (0.01
+        added six times is 0.060000000000000005)."""
         seen = []
         solver.run(initial, 7, 3, on_save=seen.append)
-        want = solver.save_times(initial.t, 7, 3)
-        assert [s.t for s in seen] == want.tolist()
-        assert want[2] != 6 * solver.config.dt
+        t = compare_stability(solver, initial, 7, 3, assembly)[1]["t"]
+        assert [s.t.hex() for s in seen] == [x.hex() for x in t.tolist()]
+        assert t[2] != 6 * solver.config.dt
 
 
 class TestColumnSubset:
@@ -829,19 +866,43 @@ class TestColumnSubset:
         st = init_from_Wapp(asm, None, cfg, Solver(cfg))
         assert st.cols.tolist() == want
 
-    def test_off_lattice_packet_refused(self):
-        """An eps that is not box-matched puts W0 between the columns, 0.444
-        of a column off at 9 nodes per lobe: there is no column to place it
-        in, and the error names the distance."""
+    OFF_LATTICE = r"up to 0\.44\d* of a column off the rfft"
+
+    @staticmethod
+    def off_lattice():
+        """(W0, config) at eps = 0.3, which is not box-matched."""
         eps = 0.3
         assert box_matched_eps(eps, 1.0, 9) != eps
         p = PhysParams(gamma=GAMMA, eps=eps)
         env = Envelope(carrier=critical_carrier(GAMMA, 1.0), eps=eps)
         asm = assemble_W0(p, env, QuadratureSpec(9))
-        cfg = SimConfig(params=p, Lx=asm.x_period, Ly=60.0, nx=192, ny=256,
-                        dt=0.01, T=0.5, dy_max=0.6)
-        with pytest.raises(DnsError, match=r"up to 0\.44\d* of a column off the rfft"):
+        return asm, SimConfig(params=p, Lx=asm.x_period, Ly=60.0, nx=192, ny=256,
+                              dt=0.01, T=0.5, dy_max=0.6)
+
+    def test_off_lattice_packet_refused(self):
+        """An eps that is not box-matched puts W0 between the columns, 0.444
+        of a column off at 9 nodes per lobe: there is no column to place it
+        in, and the error names the distance."""
+        asm, cfg = self.off_lattice()
+        with pytest.raises(DnsError, match=self.OFF_LATTICE):
             init_from_Wapp(asm, None, cfg, Solver(cfg))
+
+    def test_off_lattice_refused_by_the_nodes(self, monkeypatch):
+        """The lattice check is WappNodes' own, made when it is built: the
+        nodes refuse the packet themselves, and compare_stability refuses
+        it before the march saves or steps anything."""
+        asm, cfg = self.off_lattice()
+        sol = Solver(cfg)
+        with pytest.raises(DnsError, match=self.OFF_LATTICE):
+            WappNodes(asm, None, sol.grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the march ran")
+
+        monkeypatch.setattr(Solver, "run", refuse)
+        zero = np.zeros((cfg.ny, cfg.nx // 2 + 1), dtype=complex)
+        with pytest.raises(DnsError, match=self.OFF_LATTICE):
+            compare_stability(sol, State(zero, zero, zero, zero, 0.0, cfg.nx), 1, 1, asm)
 
     def test_held_columns_chosen_by_energy(self, assembly, initial):
         """The delta = 0 state is the delta != 0 one on the held columns,
@@ -900,7 +961,7 @@ class TestColumnSubset:
 
 
 class TestPlacement:
-    """wapp_columns against an independent oracle: the rfft of W0 + W1
+    """WappNodes.columns against an independent oracle: the rfft of W0 + W1
     synthesized on the grid (evaluate_packet and evaluate_W1)."""
 
     #: case -> (gamma, eps, last time, box), at 5 nodes per lobe
@@ -929,7 +990,7 @@ class TestPlacement:
             w0_field = evaluate_packet(asm, Family.SUM, t, (g.x, g.y))
             want = np.stack([np.fft.rfft(a + b, axis=1) for a, b in
                              zip(w0_field, evaluate_W1(w1, t, g.x, g.y))])
-            got = wapp_columns(asm, w1, t, g)
+            got = WappNodes(asm, w1, g).columns(t)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -989,8 +1050,7 @@ class TestInit:
 
 class TestWappMatchesTheRun:
     """W_app must be built for the run: W0 at its parameters but for delta,
-    W1 from that W0 and at all of them, and W0's carrier at its k0.
-    init_from_Wapp and compare_stability refuse anything else with a
+    and W1 from that W0 and at all of them.  init_from_Wapp and compare_stability refuse anything else with a
     DnsError naming the field."""
 
     @staticmethod
@@ -1024,11 +1084,6 @@ class TestWappMatchesTheRun:
         w1, st = twin[1], twin[3]
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period)
         self.refused(assembly, w1, cfg, st, r"^W1 was built from another W0$")
-
-    def test_k0_other_than_the_carrier(self, assembly, initial):
-        cfg = make_config(Lx=assembly.x_period, k0=1.1)
-        self.refused(assembly, None, cfg, initial,
-                     r"^SimConfig k0=1.1 is not W0's carrier k0=1.0$")
 
     def test_delta_zero_run_shares_the_w0(self, twin):
         """W0 does not depend on delta: a delta = 0 run takes the W0 built
@@ -1362,10 +1417,10 @@ class TestCompareStability:
         saved = []
         solver.run(initial, 20, 10, on_save=saved.append)
         assert not saved[-1].full
-        norm0 = math.sqrt(solver.norm2(*wapp_columns(assembly, None, 0.0, solver.grid)))
+        norm0 = math.sqrt(solver.norm2(*WappNodes(assembly, None, solver.grid).columns(0.0)))
         want = []
         for st in map(State.widen, saved):
-            wapp = wapp_columns(assembly, None, st.t, solver.grid)
+            wapp = WappNodes(assembly, None, solver.grid).columns(st.t)
             want.append(math.sqrt(solver.norm2(
                 *(a - f for a, f in zip(wapp, (st.uh, st.wh, st.bh))))) / norm0)
 
@@ -1380,7 +1435,7 @@ class TestCompareStability:
     def test_stacked_passes_match_per_save_placement(self, twin, monkeypatch,
                                                      n_steps, save_every):
         """delta != 0 with W1 (5 nodes per lobe): diff_L2 equals a per-save
-        wapp_columns loop exactly, on a schedule save_every does not divide
+        loop of fresh WappNodes exactly, on a schedule save_every does not divide
         (saves at 0, 3, 6 and 7 dt) and on 11 save times.  A call builds
         W0's and W1's modal node tables once each, whatever the number of
         saves, and reads W1_MF once per save."""
@@ -1388,9 +1443,9 @@ class TestCompareStability:
         g = sol.grid
         saved = []
         sol.run(st, n_steps, save_every, on_save=saved.append)
-        norm0 = math.sqrt(sol.norm2(*wapp_columns(asm, w1, 0.0, g)))
+        norm0 = math.sqrt(sol.norm2(*WappNodes(asm, w1, g).columns(0.0)))
         want = [math.sqrt(sol.norm2(*(a - f for a, f in zip(
-                    wapp_columns(asm, w1, s.t, g), (s.uh, s.wh, s.bh))))) / norm0
+                    WappNodes(asm, w1, g).columns(s.t), (s.uh, s.wh, s.bh))))) / norm0
                 for s in saved]
 
         passes = {"nodes": [], "W1_MF": 0, "mode_profiles": 0}
@@ -1432,19 +1487,6 @@ class TestCompareStability:
         compare_stability(sol, st, 1, 1, asm, w1)
         assert len(placed) == 3 and placed[0].any()
         assert placed[0].tobytes() == placed[1].tobytes()
-
-    def test_save_off_its_listed_time_refused(self, twin, monkeypatch):
-        """Save times listed as n dt are not the times the march reaches (6
-        steps of 0.01 are not 0.06), and the save there is refused."""
-        asm, w1, sol, st = twin
-
-        def n_dt(self, t0, n_steps, save_every):
-            return t0 + self.config.dt * np.array(dns.save_steps(n_steps, save_every))
-
-        monkeypatch.setattr(Solver, "save_times", n_dt)
-        with pytest.raises(DnsError, match=r"save 2 reached at t=0\.06000000000000000\d*, "
-                                           r"listed at t=0\.06\b"):
-            compare_stability(sol, st, 7, 3, asm, w1)
 
     def test_bound_shapes(self, assembly, solver):
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period, T=0.1)

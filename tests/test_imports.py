@@ -41,7 +41,7 @@ ORACLES = ("build_matrix", "limit_amplitudes_DY", "second_harmonic_rate", "trace
            # the DNS divergence check; the planned div_residual column of
            # dns_series.csv (ROADMAP item 4) is to be its first reader
            "Solver.div_residual",
-           # x-space oracles of the DNS's W_app columns (dns.wapp_columns)
+           # x-space oracles of the DNS's W_app columns (dns.WappNodes.columns)
            # and of its Parseval sums; perfbench/spans.py still traces
            # evaluate_packet by name until it is re-pointed (ROADMAP item 14(b))
            "evaluate_packet", "Grid.integral",

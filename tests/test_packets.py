@@ -14,7 +14,6 @@ from wavecrit.packets import (
     RegimeError,
     assemble_W0,
     chi_bump,
-    component_anisotropy,
     default_grid,
     evaluate_packet,
     incident_polarization,
@@ -267,10 +266,9 @@ def sweep():
         asm = make_assembly(eps)
         row = {}
         for fam in (Family.INCIDENT, Family.BLEPS2, Family.BLEPS3):
-            grid = default_grid(asm, fam)
-            row[fam] = sizes(asm.bundle(fam), grid)
-        row["an2"] = component_anisotropy(asm, Family.BLEPS2)
-        row["an3"] = component_anisotropy(asm, Family.BLEPS3)
+            l2, linf = packet_norms(asm.bundle(fam), default_grid(asm, fam))
+            row[fam] = math.hypot(*l2), max(linf)
+            row[fam, "aniso"] = l2[1] / l2[0]  # ||w|| / ||u||
         out[eps] = row
     return out
 
@@ -299,8 +297,8 @@ class TestSizeTable:
         assert abs(slope - target) <= 0.4, slope
 
     def test_anisotropy_slopes(self, sweep):
-        assert abs(self._slope(sweep, lambda r: r["an2"]) - 2.0) <= 0.4
-        assert abs(self._slope(sweep, lambda r: r["an3"]) - 3.0) <= 0.4
+        assert abs(self._slope(sweep, lambda r: r[Family.BLEPS2, "aniso"]) - 2.0) <= 0.4
+        assert abs(self._slope(sweep, lambda r: r[Family.BLEPS3, "aniso"]) - 3.0) <= 0.4
 
     def test_dy_costs_one_layer_width(self):
         """d_y on the eps^2 layer multiplies norms by ~ eps^-2."""
