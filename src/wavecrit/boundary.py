@@ -37,8 +37,8 @@ max-norm through the same x-basis (_x_basis) as synthesize.  Coefficient
 rows that are all zero are left out of a pass and read as exact zeros.
 Sets with equal exponents and their own coefficients share one pass.
 node_profiles runs the same pass at t = 0 with the modes grouped by their
-(l, alpha) node instead of by l: the field at any t is then one phase per
-node away, which is how the DNS reads W_app at every save of a march.
+(l, alpha) node (_nodes) instead of by l, and phase_sum reads such a table
+at any t, one phase per node: how the DNS reads W_app at every save.
 Every mode records two parent rates whose sum is its mu (a W0 pair's, or
 its own and 0); a pass exponentiates each distinct rate once, in one
 table, and a mode's y-column is the product of its two rows.  On a plain
@@ -170,18 +170,17 @@ def _l_tolerance(l: np.ndarray) -> float:
     return 1e-12 * max(1.0, float(np.abs(l).max(initial=0.0)))
 
 
-def _l_edges(l: np.ndarray) -> np.ndarray:
-    """Where an increasing l starts a new x-frequency: the indices whose l
-    is more than _l_tolerance above the one before."""
-    return np.flatnonzero(np.diff(l) > _l_tolerance(l)) + 1
+def _l_starts(l: np.ndarray) -> np.ndarray:
+    """Where an increasing l starts each x-frequency: index 0 and every index
+    whose l is more than _l_tolerance above the one before (none for no l)."""
+    return np.flatnonzero(np.diff(l, prepend=-np.inf) > _l_tolerance(l))
 
 
 def _group_by_l(l: np.ndarray):
     """Index groups of modes whose sorted l differ by at most _l_tolerance in a
     row, in increasing l (none for no modes)."""
     order = np.argsort(l)
-    groups = np.split(order, _l_edges(l[order]))
-    return groups if len(l) else []
+    return np.split(order, _l_starts(l[order])[1:]) if len(l) else []
 
 
 def _distinct(z: np.ndarray):
@@ -198,6 +197,13 @@ def _distinct(z: np.ndarray):
     inverse = np.empty(len(z), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return s[first], inverse
+
+
+def _nodes(l: np.ndarray, alpha: np.ndarray):
+    """(l, alpha, inverse) of the distinct exact (l, alpha) pairs: _distinct
+    of l + i alpha, so the nodes increase in (l, alpha) and -0.0 is 0.0."""
+    z, inverse = _distinct(np.stack([l, alpha], axis=1).view(complex).ravel())
+    return z.real, z.imag, inverse
 
 
 def _check_exponents(modes: ExpModes, also) -> None:
@@ -309,23 +315,28 @@ def mode_profiles(modes: ExpModes, t: float, y, also=()):
 
 def node_profiles(modes: ExpModes, y):
     """(l, alpha, Q): the field at any t as sum_n e^(-i alpha_n t) Q[:, n](y)
-    exp(i l_n x) + c.c., one node n per distinct (l, alpha) pair.
+    exp(i l_n x) + c.c., one node n per distinct (l, alpha) pair (_nodes).
 
     The kernel pass of mode_profiles (_profile_pass) at t = 0, its modes
-    grouped by exactly equal (l, alpha) instead of by l: Q is (3, nodes,
-    len(y)), the nodes in increasing (l, alpha), so the nodes of one
-    x-wavenumber are contiguous.  W_app depends on t only through one phase
-    per node, and W0 and W1 at 5 nodes per lobe have 127 nodes against
-    2 099 modes, so a march that reads W_app at every save builds Q once
-    and sums the phases per save.
+    grouped by node instead of by l, in index order: Q is (3, nodes, len(y)),
+    the nodes in increasing (l, alpha), so an x-wavenumber's are contiguous.
+    W0 and W1 at 5 nodes per lobe have 127 nodes against 2 099 modes, so a
+    march reading W_app at every save builds Q once and reads it (phase_sum).
     """
-    order = np.lexsort((modes.alpha, modes.l))
-    l, alpha = modes.l[order], modes.alpha[order]
-    edges = np.flatnonzero((np.diff(l) != 0.0) | (np.diff(alpha) != 0.0)) + 1
-    groups = np.split(order, edges) if len(order) else []
-    first = np.r_[0, edges][:len(groups)]
-    Q = _profile_pass(modes, np.stack([modes.cu, modes.cw, modes.cb]), groups, y)
-    return l[first], alpha[first], Q
+    l, alpha, inverse = _nodes(modes.l, modes.alpha)
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse)))[:-1]
+    return l, alpha, _profile_pass(modes, np.stack([modes.cu, modes.cw, modes.cb]), groups, y)
+
+
+def phase_sum(l, alpha, Q, t: float):
+    """(l, P) as mode_profiles returns them, of a node table (l, alpha, Q) at
+    time t: e^(-i alpha t) @ Q over each x-group's nodes, contiguous in l."""
+    starts = _l_starts(l)
+    phase = np.exp(-1j * alpha * t)
+    P = np.empty((len(Q), len(starts), Q.shape[-1]), dtype=complex)
+    for g, (a, b) in enumerate(zip(starts, [*starts[1:], len(l)])):
+        P[:, g] = phase[a:b] @ Q[:, a:b]
+    return l[starts], P
 
 
 def _x_basis(l: np.ndarray, x: np.ndarray) -> np.ndarray:

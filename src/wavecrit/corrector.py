@@ -52,8 +52,9 @@ batch: the ledger books them and solves nothing.  W1 = W1_BLeps2 + W1_BLeps3
 interior modes are row ranges of one read-only store (_lift_batches).  Every
 W1 field and norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through boundary.synthesize or
-_profile_norms, or, in the DNS, per (l, alpha) node (boundary.node_profiles,
-dns.WappNodes).  A pair mode records its two parent
+_profile_norms, or, in the DNS, as node tables read by boundary.phase_sum
+(boundary.node_profiles, MeanFlowField.node_profiles, dns.WappNodes; nodes
+as collect_traces', by boundary._nodes).  A pair mode records its two parent
 rates (mu = mu_L + mu_R), and the interior solves and ledger terms keep
 them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
 table of W0's rates.  The ledger computes only what it reports, one kernel
@@ -79,13 +80,14 @@ from .boundary import (
     YLattice,
     _check_exponents,
     _equilibrated_solve,
-    _group_by_l,
     _l_tolerance,
+    _nodes,
     _x_basis,
     evaluate_modes,
     lift_noncritical,
     lift_nonoscillating,
     mode_profiles,
+    phase_sum,
     synthesize,
 )
 from .characteristic import ModalMatrixSpec, _quad_roots
@@ -359,7 +361,8 @@ class MeanFlowField:
 
     G(x, t) = sum_n G_n exp(i l_n x - i alpha_n t) + c.c.; exactly
     divergence-free, w-trace at y=0 equal to minus the leftover w-trace of
-    the degenerate lifts.
+    the degenerate lifts.  Its nodes are collect_traces' (distinct, in
+    increasing (l, alpha)): (l, alpha, G) is a node table of one y-point.
     """
 
     l: np.ndarray
@@ -370,20 +373,22 @@ class MeanFlowField:
     def __len__(self):
         return len(self.l)
 
-    def profiles(self, t: float, y):
-        """(l, P) as boundary.mode_profiles returns them: u = -eps^2 theta' G,
-        w = theta i l G and b = 0, with G e^(-i alpha t) summed per distinct
-        l first (nodes sharing l at different alpha are one x-frequency).
-        The profiles are separable in t and y, so the DNS calls this at each
-        save rather than holding W1_MF's nodes."""
-        groups = _group_by_l(self.l)
-        Gt = self.G * np.exp(-1j * self.alpha * t)
-        l = self.l[[idx[0] for idx in groups]]
-        G = np.array([Gt[idx].sum() for idx in groups], dtype=complex)
+    def _shapes(self, l, G, y):
+        """(3, len(G), len(y)): (-eps^2 theta'(eps^2 y) G, i l G theta(eps^2 y), 0)."""
         e2 = self.eps ** 2
-        u = -e2 * (G[:, None] * _theta_prime(e2 * y))
-        w = (1j * l * G)[:, None] * _theta(e2 * y)
-        return l, np.stack([u, w, np.zeros_like(u)])
+        u = -e2 * np.outer(G, _theta_prime(e2 * y))
+        return np.stack([u, np.outer(1j * l * G, _theta(e2 * y)), np.zeros_like(u)])
+
+    def node_profiles(self, y):
+        """(l, alpha, Q) as boundary.node_profiles returns them: G's shapes."""
+        return self.l, self.alpha, self._shapes(self.l, self.G, y)
+
+    def profiles(self, t: float, y):
+        """(l, P) as boundary.mode_profiles returns them: G's node table read
+        at t (boundary.phase_sum), then shaped once per x-group, so no
+        nodes-by-y table is made (the norms' 800 y-points)."""
+        l, G = phase_sum(self.l, self.alpha, self.G[None, :, None], t)
+        return l, self._shapes(l, G[0, :, 0], y)
 
     def norms(self, x_period: float, nx: int | None = _NORM_NX):
         """(L2, Linf, L2 of d/dx) at t = 0 as modes_norms returns them, on
@@ -400,14 +405,13 @@ def collect_traces(interior: ExpModes):
     exp(i l x - i alpha t).  A lift is linear in its trace and depends on
     nothing but the node, so the traces of all modes at one node (the pairs
     (i, j) and (j, i), every interaction row, both eps^2 roots) are summed
-    and lifted once.  Nodes merge only on exactly equal (l, alpha), which
-    give exactly equal ModalMatrixSpecs.
+    (in mode order) and lifted once.  Nodes merge only on exactly equal
+    (l, alpha) (boundary._nodes), which give exactly equal ModalMatrixSpecs.
     """
-    nodes, inv = np.unique(np.stack([interior.l, interior.alpha], axis=1),
-                           axis=0, return_inverse=True)
-    sums = np.zeros((3, len(nodes)), dtype=complex)
-    np.add.at(sums, (slice(None), inv.ravel()), np.stack(interior.traces()))
-    return (nodes[:, 0], nodes[:, 1], *sums)
+    l, alpha, inverse = _nodes(interior.l, interior.alpha)
+    sums = np.zeros((3, len(l)), dtype=complex)
+    np.add.at(sums, (slice(None), inverse), np.stack(interior.traces()))
+    return (l, alpha, *sums)
 
 
 def lift_second_harmonic(

@@ -69,32 +69,26 @@ from the rfft columns first (`Solver.cfl_bound`, |f(x)| <= sum_k c_k |f_k|
 / nx), and makes the exact CFL's 2 irfft only when the bound reaches 0.5.
 
 Without advection (delta = 0) nothing couples the rfft columns, so a State
-may hold only some of them (`State.cols`; the others are zero).  W_app is
-placed in its columns from its y-profiles (`WappNodes.columns`), every
-other column exactly 0, and at delta = 0 init_from_Wapp keeps those
-alone: 3 of 129 columns at 256 x 384 and 5 nodes per lobe, where a
-delta = 0 step takes about 0.66 ms instead of 10 ms on one core (README
-gives the measurement).
-One builder, `Solver._hold`, makes the per-column data of every column set,
-the full one included.  A solver with delta != 0 widens such a state to
-every column.
+may hold only some of them (`State.cols`; the others are zero): at
+delta = 0 init_from_Wapp keeps the columns W_app reaches, 3 of 129 at
+256 x 384 and 5 nodes per lobe, where a step takes about 0.66 ms instead
+of 10 ms on one core (README gives the measurement).  One builder,
+`Solver._hold`, makes the per-column data of every column set, the full
+one included.  A solver with delta != 0 widens such a state to every column.
 
 The march stores no saved states.  `Solver.run` hands the state of each
 save step to a callback, and `compare_stability` reduces it to its
 distance from W_app at once and records its t, so neither grows in memory
 with the number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768
 one 12.6 MB).  W_app depends on t only through one phase e^(-i alpha t)
-per (l, alpha) node, so one `WappNodes` per call holds W_app on the grid:
-a node table for W0 and one for W1's modal families
-(boundary.node_profiles), and each x-group's rfft column, checked against
-the box lattice once.  `WappNodes.columns(t)`, W_app's one reader,
-phase-sums the tables per x-group, adds W1_MF's separable profiles and
-places the result (`place_profiles`); init_from_Wapp reads W_app(0) by
-the same route.  The node tables do not grow with the number of saves:
-2.3 MB at 256 x 384 and 5 nodes per lobe with W1 (127 nodes).
-`compare_stability` reports one run's departure ||W - W_app|| and the two
-envelopes; subtracting a delta = 0 twin's departure is its caller's job
-(the CLI's `stability` experiment).
+per (l, alpha) node, so one `WappNodes` per call holds it as node tables
+(3.3 MB at 256 x 384 and 5 nodes per lobe), and `WappNodes.columns(t)`,
+W_app's one reader, places their phase sums on the saved states' own
+columns, where their own solver measures them (`Solver._on`);
+init_from_Wapp reads W_app(0) by the same route.  `compare_stability`
+reports one run's departure ||W - W_app|| and the two envelopes;
+subtracting a delta = 0 twin's departure is its caller's job (the CLI's
+`stability` experiment).
 """
 
 import copy
@@ -109,7 +103,7 @@ from scipy.linalg import cholesky_banded, solve_triangular
 from scipy.linalg.blas import zaxpy, ztbsv
 from scipy.sparse import csr_array, diags_array, eye_array
 
-from .boundary import _group_by_l, _l_edges, node_profiles
+from .boundary import _l_starts, node_profiles, phase_sum
 from .corrector import W1_MF, CorrectorAssembly
 from .packets import Family, PacketAssembly
 from .params import PhysParams
@@ -579,9 +573,12 @@ class Solver:
         return self.grid.tau @ (v * v)
 
     def norm2(self, *fhs):
-        """Sum of the box integrals of f**2 over fields given by their rfft
-        on this solver's columns."""
-        return sum(float(self._squares(fh) @ self._parseval) for fh in fhs)
+        """Sum of the box integrals of f**2 over fields given by their rfft on
+        this solver's columns, each column over y in order (einsum, not BLAS,
+        whose blocking depends on the width) and the columns exactly rounded:
+        zero columns change no bit, so a subset's norm is its widened norm."""
+        return sum(math.fsum(np.einsum("ij,ij,i->j", v, v, self.grid.tau) * self._parseval)
+                   for v in map(_pairs, fhs))
 
     # -- spatial operators (on rfft columns) ------------------------------
 
@@ -857,63 +854,53 @@ class Trajectory:
 class WappNodes:
     """W_app = W0 (+ W1) on the grid, held for reading at many times t.
 
-    W0 and W1's modal families are each one table of node profiles at t = 0
-    (boundary.node_profiles: one kernel pass, one node per distinct
-    (l, alpha)), and W1_MF, separable in t and y, is read at t itself.
-    Nothing but the phases depends on t, so the tables and each x-group's
-    rfft column `col` (l = 2 pi col / Lx; W0's groups first, then W1's
-    modal ones and W1_MF's) are made once, here.  A wavenumber more than
-    1e-9 of a column off the lattice (eps not box-matched) is refused here.
-    """
+    `tables` are node tables (l, alpha, Q) at t = 0, W0's, W1's modal
+    families' and W1_MF's: W1 alone is every table but the first.  `slots`
+    are each x-group's places, at its column c = l Lx / (2 pi) and at -c
+    (mod nx), among the sorted columns `cols` (all by default) W_app is
+    placed in, -1 off the rfft half.  A group more than 1e-9 of a column off
+    the lattice (eps not box-matched), or at a column `cols` lacks, is refused."""
 
-    def __init__(self, w0: PacketAssembly, w1: CorrectorAssembly | None, grid: Grid):
+    def __init__(self, w0: PacketAssembly, w1: CorrectorAssembly | None, grid: Grid,
+                 cols: np.ndarray | None = None):
         self.grid = grid
-        self.mean_flow = None if w1 is None else w1.families[W1_MF]
-        self.tables = []  # (node alpha, Q, group bounds) per family
-        ls = []
-        for modes in [w0.bundle(Family.SUM)] + ([] if w1 is None else [w1.modal()]):
-            l, alpha, Q = node_profiles(modes, grid.y)
-            bounds = np.r_[0, _l_edges(l), len(l)] if len(l) else np.zeros(1, int)
-            self.tables.append((alpha, Q, bounds))
-            ls.append(l[bounds[:-1]])
-        if self.mean_flow is not None:  # MeanFlowField.profiles' groups
-            ls.append(self.mean_flow.l[[g[0] for g in _group_by_l(self.mean_flow.l)]])
-        c = np.concatenate(ls) * grid.Lx / (2.0 * math.pi)
-        self.col = np.rint(c).astype(int)
-        off = np.abs(c - self.col).max(initial=0.0)
+        self.tables = [node_profiles(w0.bundle(Family.SUM), grid.y)]
+        if w1 is not None:
+            self.tables += [node_profiles(w1.modal(), grid.y),
+                            w1.families[W1_MF].node_profiles(grid.y)]
+        c = np.concatenate([l[_l_starts(l)] for l, *_ in self.tables]) * grid.Lx / (2.0 * math.pi)
+        col = np.rint(c).astype(int)
+        off = np.abs(c - col).max(initial=0.0)
         if off > 1e-9:
             raise DnsError(f"W_app wavenumbers lie up to {off:.3g} of a column off the "
                            f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
+        half = grid.nx // 2
+        self.cols = np.arange(half + 1) if cols is None else np.asarray(cols)
+        j = np.stack([col % grid.nx, -col % grid.nx], axis=1)
+        lacked = (j <= half) & ~np.isin(j, self.cols)
+        if lacked.any():
+            raise DnsError(f"W_app reaches rfft column {j[lacked].min()}, which the "
+                           f"columns it is placed in lack")
+        self.slots = np.where(j <= half, np.searchsorted(self.cols, j), -1)
 
     def columns(self, t: float) -> np.ndarray:
-        """W_app(t) as rfft columns (3, ny, nx/2 + 1) of (u, w, b): one phase
-        sum per x-group, e^(-i alpha t) @ Q over the group's nodes
-        (contiguous in the table), then W1_MF's profiles at t, placed
-        (place_profiles)."""
-        Ps = []
-        for alpha, Q, bounds in self.tables:
-            phase = np.exp(-1j * alpha * t)
-            P = np.empty((3, len(bounds) - 1, self.grid.ny), dtype=complex)
-            for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                P[:, g] = phase[a:b] @ Q[:, a:b]
-            Ps.append(P)
-        if self.mean_flow is not None:
-            Ps.append(self.mean_flow.profiles(t, self.grid.y)[1])
-        return place_profiles(self.col, np.concatenate(Ps, axis=1), self.grid)
+        """W_app(t) on the columns `cols`, (3, ny, len(cols)) of (u, w, b):
+        each table read at t (boundary.phase_sum), placed (place_profiles)."""
+        P = np.concatenate([phase_sum(*table, t)[1] for table in self.tables], axis=1)
+        return place_profiles(self.slots, P, self.grid, len(self.cols))
 
 
-def place_profiles(col: np.ndarray, P: np.ndarray, grid: Grid) -> np.ndarray:
-    """Profiles P (3, groups, ny) of groups at rfft columns col as rfft
-    columns (3, ny, nx/2 + 1) of (u, w, b): a group's P at column c goes to
-    column c as nx P, its conjugate to column -c, both modulo nx as sampling
-    folds them.  Every other column is exactly 0.  Groups that fold to one
-    column add up there; a loop over the groups takes half the time of one
-    np.add.at over all of them (0.16 against 0.35 ms at 256 x 384)."""
-    nx, out = grid.nx, np.zeros((3, grid.ny, grid.nx // 2 + 1), dtype=complex)
-    for c, v in zip(col, P.transpose(1, 0, 2)):
-        for j, f in ((c % nx, v), (-c % nx, v.conj())):
-            if j < out.shape[2]:
-                out[..., j] += nx * f
+def place_profiles(slots: np.ndarray, P: np.ndarray, grid: Grid, width: int) -> np.ndarray:
+    """Profiles P (3, groups, ny) as rfft columns (3, ny, width) of (u, w, b):
+    group g's P goes to place slots[g, 0] as nx P and its conjugate to
+    slots[g, 1] (WappNodes.slots; none at -1), every other column exactly 0.
+    Groups that fold to one column add up there; a loop over the groups
+    takes half the time of one np.add.at (0.16 against 0.35 ms at 256 x 384)."""
+    nx, out = grid.nx, np.zeros((3, grid.ny, width), dtype=complex)
+    for (a, b), v in zip(slots, P.transpose(1, 0, 2)):
+        for k, f in ((a, v), (b, v.conj())):
+            if k >= 0:
+                out[..., k] += nx * f
     return out
 
 
@@ -1013,12 +1000,10 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     envelopes: the trajectory and the report.
 
     The march is `solver.run(state, n_steps, save_every, ...)`, whose
-    parameters give eps and delta; each saved state is compared with
-    W_app = w0 (+ w1) in the solver's rfft columns (Parseval sums) as the
-    march reaches it and then dropped, so the memory does not grow with the
-    number of save times.  One `WappNodes` is built per call, before the
-    march, and each save reads W_app at the saved state's own t, which the
-    report's `t` records.  No placed W_app is held between saves.
+    parameters give eps and delta.  Each saved state is compared with
+    W_app = w0 (+ w1) at its own t (the report's `t`), on its own rfft
+    columns (Parseval sums), as the march reaches it, and then dropped;
+    one `WappNodes`, built before the march, holds W_app.
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
     the first save's placement (at the state's own t, 0 from init_from_Wapp):
@@ -1035,19 +1020,19 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     """
     _check_wapp(solver.config, w0, w1)
     eps, delta = solver.config.params.eps, solver.config.params.delta
-    nodes = WappNodes(w0, w1, solver.grid)
+    nodes = WappNodes(w0, w1, solver.grid, solver._on(state)[1].cols)
     t, diffs, norm0 = [], [], None
 
     def compare(st):
         nonlocal norm0
+        view, st = solver._on(st)
         wapp = nodes.columns(st.t)
         if not t:
-            norm0 = math.sqrt(solver.norm2(*wapp))
+            norm0 = math.sqrt(view.norm2(*wapp))
         t.append(st.t)
-        # a state is zero off the columns it holds, so only those are subtracted
         for a, f in zip(wapp, (st.uh, st.wh, st.bh)):
-            a[:, st.cols] -= f
-        diffs.append(math.sqrt(solver.norm2(*wapp)))
+            a -= f
+        diffs.append(math.sqrt(view.norm2(*wapp)))
 
     traj = solver.run(state, n_steps, save_every, on_save=compare)
     t, diffs = np.array(t), np.array(diffs) / norm0

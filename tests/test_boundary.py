@@ -17,6 +17,7 @@ from wavecrit.boundary import (
     YLattice,
     _distinct,
     _equilibrated_solve,
+    _nodes,
     evaluate_modes,
     lift_critical,
     lift_noncritical,
@@ -422,6 +423,22 @@ def test_distinct_is_unique(seed):
     assert np.array_equal(got[inv], z)
     empty = _distinct(np.zeros(0, complex))
     assert empty[0].shape == empty[1].shape == (0,)
+
+
+def test_nodes_are_the_exact_distinct_pairs():
+    """_nodes, the one rule for (l, alpha) nodes: a zero of either sign in l
+    or alpha is one node, equal l at different alpha are separate nodes,
+    the nodes come in increasing (l, alpha) and inverse maps every entry to
+    its node; no entries give no nodes."""
+    l = np.array([1.0, -0.0, 0.5, 0.0, 1.0, 0.0, 0.5, -2.0])
+    alpha = np.array([0.3, 0.2, -0.0, 0.2, -0.1, 0.2, 0.0, 7.0])
+    got_l, got_alpha, inv = _nodes(l, alpha)
+    assert got_l.tolist() == [-2.0, 0.0, 0.5, 1.0, 1.0]
+    assert got_alpha.tolist() == [7.0, 0.2, 0.0, -0.1, 0.3]
+    assert inv.tolist() == [4, 1, 2, 1, 3, 1, 2, 0]
+    assert np.array_equal(got_l[inv], l) and np.array_equal(got_alpha[inv], alpha)
+    empty = _nodes(np.zeros(0), np.zeros(0))
+    assert all(a.shape == (0,) for a in empty)
 
 
 class TestYLattice:

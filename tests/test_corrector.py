@@ -409,6 +409,25 @@ class TestLiftOnce:
             assert abs(got_left - want_left) <= 1e-12 * abs(want_left)
 
 
+    def test_nodes_are_np_unique_rows(self):
+        """At a corrector-ledger benchmark point (seed 0's gamma and middle
+        eps, 6 nodes per lobe) collect_traces equals np.unique over the
+        (l, alpha) rows and np.add.at over its inverse, bit for bit, on
+        both lobes."""
+        asm, _ = make_w0(0.17914217307297312, gamma=0.7344421851525048, nodes=6)
+        solved = [b for b in C._solved_batches(asm) if b[3] is not None]
+        for lobe in C.Lobe:
+            interior = C.ExpModes.concat(b[3] for b in solved if b[1] is lobe)
+            nodes, inv = np.unique(np.stack([interior.l, interior.alpha], axis=1),
+                                   axis=0, return_inverse=True)
+            sums = np.zeros((3, len(nodes)), dtype=complex)
+            np.add.at(sums, (slice(None), inv.ravel()), np.stack(interior.traces()))
+            got = C.collect_traces(interior)
+            assert len(nodes) < len(interior)
+            for g, w in zip(got, (nodes[:, 0], nodes[:, 1], *sums)):
+                assert g.tobytes() == w.tobytes()
+
+
 class TestProfileNorms:
     """_profile_norms against a brute-force field at the reference case: on
     the same y, on a 1024-point x-grid over one period, built mode by mode
@@ -722,6 +741,34 @@ class TestStackedTimes:
         assert l.shape == alpha.shape == (0,) and Q.shape == (3, 0, 5)
 
 
+def test_mean_flow_node_table_is_the_closed_form(casm, monkeypatch):
+    """W1_MF's node table read at t (boundary.phase_sum), and its profiles at
+    t, are the closed form per x-group, u = -eps^2 theta' G_l(t),
+    w = i l theta G_l(t), b = 0 with G_l(t) the sum of the group's
+    G_n e^(-i alpha_n t), to 1e-14 of its max on the stretched DNS grid.
+    profiles phase-sums G alone (one y-point per node), not a nodes-by-y
+    table."""
+    mf = casm.families[C.W1_MF]
+    y = stretched_grid(300.0, 384, 1e-3, 1.0)
+    e2 = mf.eps**2
+    table = mf.node_profiles(y)
+    assert np.array_equal(table[0], mf.l) and np.array_equal(table[1], mf.alpha)
+    groups = boundary._group_by_l(mf.l)
+    assert len(groups) < len(mf)
+    l_want = mf.l[[g[0] for g in groups]]
+    read = []
+    monkeypatch.setattr(C, "phase_sum",
+                        lambda *a: read.append(a[2].shape) or boundary.phase_sum(*a))
+    for t in (0.0, 0.13, 0.4):
+        G = np.array([(mf.G[g] * np.exp(-1j * mf.alpha[g] * t)).sum() for g in groups])
+        u = -e2 * np.outer(G, C._theta_prime(e2 * y))
+        want = np.stack([u, np.outer(1j * l_want * G, C._theta(e2 * y)), np.zeros_like(u)])
+        for l, got in (boundary.phase_sum(*table, t), mf.profiles(t, y)):
+            assert np.allclose(l, l_want, rtol=1e-12, atol=0.0)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), t
+    assert read == [(1, len(mf), 1)] * 3
+
+
 class TestNodeProfiles:
     """boundary.node_profiles on the DNS's W_app families: W0 (every
     family, as the DNS places it) and W1's modal set."""
@@ -894,7 +941,7 @@ class TestLedgerNorms:
         _, linf, dx, dy = outs[0]
         assert (linf, dy) == (norms(m, P)[1], norms(m.d_dy(), P)[0])
         assert abs(dx / norms(m.d_dx(), P)[0] - 1.0) <= self.DX_BAND
-        for idx in C._group_by_l(m.l):
+        for idx in boundary._group_by_l(m.l):
             assert np.ptp(m.l[idx]) <= C._l_tolerance(m.l)
 
     def test_one_synthesis_per_modal_family(self, casm, monkeypatch):
@@ -910,7 +957,7 @@ class TestLedgerNorms:
 
         monkeypatch.setattr(C, "_x_basis", counted)
         C.residual_Rapp(casm)
-        assert calls == [len(C._group_by_l(casm.families[f].l)) for f in C.W1_MODAL]
+        assert calls == [len(boundary._group_by_l(casm.families[f].l)) for f in C.W1_MODAL]
 
     @pytest.mark.parametrize("family", C.W1_MODAL)
     def test_blocked_max_is_the_full_grid_max(self, casm, family):

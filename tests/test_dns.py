@@ -1437,8 +1437,8 @@ class TestCompareStability:
         """delta != 0 with W1 (5 nodes per lobe): diff_L2 equals a per-save
         loop of fresh WappNodes exactly, on a schedule save_every does not divide
         (saves at 0, 3, 6 and 7 dt) and on 11 save times.  A call builds
-        W0's and W1's modal node tables once each, whatever the number of
-        saves, and reads W1_MF once per save."""
+        W0's, W1's modal and W1_MF's node tables once each, whatever the
+        number of saves."""
         asm, w1, sol, st = twin
         g = sol.grid
         saved = []
@@ -1449,7 +1449,7 @@ class TestCompareStability:
                 for s in saved]
 
         passes = {"nodes": [], "W1_MF": 0, "mode_profiles": 0}
-        node_profiles, mf_profiles = dns.node_profiles, corrector.MeanFlowField.profiles
+        node_profiles, mf_profiles = dns.node_profiles, corrector.MeanFlowField.node_profiles
 
         def counted_nodes(modes, y):
             passes["nodes"].append(len(modes))
@@ -1463,13 +1463,13 @@ class TestCompareStability:
             passes["mode_profiles"] += 1
 
         monkeypatch.setattr(dns, "node_profiles", counted_nodes)
-        monkeypatch.setattr(corrector.MeanFlowField, "profiles", counted_mf)
+        monkeypatch.setattr(corrector.MeanFlowField, "node_profiles", counted_mf)
         monkeypatch.setattr(corrector, "mode_profiles", refused)
         rep = compare_stability(sol, st, n_steps, save_every, asm, w1)[1]
         assert rep["diff_L2"].tolist() == want
         assert len(saved) > 3
         assert passes == {"nodes": [len(asm.bundle(Family.SUM)), len(w1.modal())],
-                          "W1_MF": len(saved), "mode_profiles": 0}
+                          "W1_MF": 1, "mode_profiles": 0}
 
     def test_init_places_the_first_save(self, twin, monkeypatch):
         """init_from_Wapp's W_app(0), placed before its projection, is the
@@ -1487,6 +1487,40 @@ class TestCompareStability:
         compare_stability(sol, st, 1, 1, asm, w1)
         assert len(placed) == 3 and placed[0].any()
         assert placed[0].tobytes() == placed[1].tobytes()
+
+    def test_mean_flow_theta_once_per_call(self, twin, monkeypatch):
+        """W1_MF's theta and theta' are evaluated once per call, in its one
+        WappNodes, not once per save."""
+        asm, w1, sol, st = twin
+        calls = []
+        for name in ("_theta", "_theta_prime"):
+            monkeypatch.setattr(corrector, name, lambda s, f=getattr(corrector, name),
+                                name=name: calls.append(name) or f(s))
+        rep = compare_stability(sol, st, 3, 1, asm, w1)[1]
+        assert len(rep["t"]) == 4 and sorted(calls) == ["_theta", "_theta_prime"]
+
+    def test_subset_saves_are_placed_on_their_columns(self, initial, assembly,
+                                                      solver, monkeypatch):
+        """At delta = 0 W_app is placed on the saved states' own columns
+        alone, at every save: no placement spans every rfft column."""
+        widths, place = [], dns.place_profiles
+
+        def spied(*args):
+            out = place(*args)
+            widths.append(out.shape[2])
+            return out
+
+        monkeypatch.setattr(dns, "place_profiles", spied)
+        compare_stability(solver, initial, 2, 1, assembly)
+        assert not initial.full and widths == [len(initial.cols)] * 3
+
+    def test_columns_lacking_wapp_are_refused(self, initial, assembly, solver):
+        """A delta = 0 state lacking a column that W_app reaches is refused
+        before the march, with the column named."""
+        st = State(*(f[:, 1:] for f in (initial.uh, initial.wh, initial.bh, initial.ph)),
+                   0.0, initial.nx, initial.cols[1:])
+        with pytest.raises(DnsError, match=f"^W_app reaches rfft column {initial.cols[0]}, "):
+            compare_stability(solver, st, 1, 1, assembly)
 
     def test_bound_shapes(self, assembly, solver):
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period, T=0.1)
