@@ -507,13 +507,11 @@ def _run_dns(config: ExperimentConfig) -> list[str]:
          float(traj.energy[idx[i]]),
          float(traj.dissipation[idx[i]]),
          float(report["diff_L2"][i]),
-         float(report["bound_thm"][i]),
-         float(report["bound_alt"][i])]
+         float(report["bound_thm"][i])]
         for i in range(len(report["t"]))
     ]
     _write_csv(config.output_dir / "dns_series.csv",
-               ["t", "energy", "dissipation", "diff_L2", "bound_thm",
-                "bound_alt"], rows)
+               ["t", "energy", "dissipation", "diff_L2", "bound_thm"], rows)
     _write_csv(config.output_dir / "dns_budget.csv",
                ["t", "energy", "defect"],
                [[float(t), float(e), float(d)] for t, e, d in
@@ -541,13 +539,11 @@ def _run_stability(config: ExperimentConfig) -> list[str]:
     rows = [
         [float(rep["t"][i]), float(rep["diff_L2"][i]),
          float(floor[i]), float(net[i]),
-         float(rep["bound_thm"][i]), float(rep["bound_alt"][i]),
-         int(net[i] <= rep["bound_thm"][i])]
+         float(rep["bound_thm"][i]), int(net[i] <= rep["bound_thm"][i])]
         for i in range(len(rep["t"]))
     ]
     _write_csv(config.output_dir / "stability.csv",
-               ["t", "diff_L2", "floor", "net", "bound_thm", "bound_alt",
-                "within_thm"], rows)
+               ["t", "diff_L2", "floor", "net", "bound_thm", "within_thm"], rows)
     return ["stability.csv"]
 
 

@@ -31,7 +31,8 @@ not merely approximate:
 Each step is a Strang sandwich -- half an implicit diffusion step, one
 explicit Heun step of rotation + advection, half a diffusion
 step -- followed by a projection, and is second order in time.  The
-slopes and the Heun sums are updated in place by BLAS zaxpy (`_axpy`).
+rotation terms are added to the slopes, at every delta, and the slopes
+to the Heun sums, in place by BLAS zaxpy (`_axpy`).
 
 The state is carried as the rfft along x of (u, w, b).  Every y-operator is
 x-independent and banded (bandwidth 4 or 5, set by the 5-point stencil), so
@@ -86,7 +87,7 @@ per (l, alpha) node, so one `WappNodes` per call holds it as node tables
 W_app's one reader, places their phase sums on the saved states' own
 columns, where their own solver measures them (`Solver._on`);
 init_from_Wapp reads W_app(0) by the same route.  `compare_stability`
-reports one run's departure ||W - W_app|| and the two envelopes;
+reports one run's departure ||W - W_app|| and the theorem's envelope;
 subtracting a delta = 0 twin's departure is its caller's job (the CLI's
 `stability` experiment).
 """
@@ -687,20 +688,20 @@ class Solver:
 
     def _tendency(self, uh, wh, bh):
         """Rotation and advection slopes, on the constraint spaces of project
-        and _noflux."""
+        and _noflux: advect's arrays scaled by -delta (zero arrays at
+        delta = 0, with no transform), plus the rotation terms."""
         p = self.config.params
         sg, cg = math.sin(p.gamma), math.cos(p.gamma)
         if p.delta == 0.0:
-            fu, fw, fb = sg * bh, cg * bh, -sg * uh - cg * wh
+            fu, fw, fb = (np.zeros(bh.shape, complex) for _ in range(3))
         else:
-            # -delta advection plus rotation, in advect's arrays
             fu, fw, fb = self.advect(uh, wh, bh)
             for f in (fu, fw, fb):
                 f *= -p.delta
-            _axpy(sg, bh, fu)
-            _axpy(cg, bh, fw)
-            _axpy(-sg, uh, fb)
-            _axpy(-cg, wh, fb)
+        _axpy(sg, bh, fu)
+        _axpy(cg, bh, fw)
+        _axpy(-sg, uh, fb)
+        _axpy(-cg, wh, fb)
         fu, fw = self.project(fu, fw)[:2]
         return fu, fw, self._noflux(fb)
 
@@ -996,8 +997,8 @@ def energy_budget(traj: Trajectory) -> dict:
 def compare_stability(solver: Solver, state: State, n_steps: int, save_every: int,
                       w0: PacketAssembly,
                       w1: CorrectorAssembly | None = None) -> tuple[Trajectory, dict]:
-    """March `state` and follow ||W_app(t) - W(t)||_{L^2} against the two
-    envelopes: the trajectory and the report.
+    """March `state` and follow ||W_app(t) - W(t)||_{L^2} against the
+    theorem's envelope: the trajectory and the report.
 
     The march is `solver.run(state, n_steps, save_every, ...)`, whose
     parameters give eps and delta.  Each saved state is compared with
@@ -1007,13 +1008,12 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
     the first save's placement (at the state's own t, 0 from init_from_Wapp):
-    the stability envelopes are stated for an O(1)-normalized wave field,
+    the stability envelope is stated for an O(1)-normalized wave field,
     while the packet itself carries an O(1/eps) lattice-sum amplitude.
     The report holds arrays over the save times: `t`, `diff_L2` and the
-    envelopes `bound_thm` = delta eps^2 exp((delta/eps^2 + 1) t) and
-    `bound_alt` = sqrt(delta) eps^3 exp(delta t/eps^2).  `diff_L2` is this
-    run's whole departure; a caller with a delta = 0 twin subtracts the
-    twin's `diff_L2` itself.
+    envelope `bound_thm` = delta eps^2 exp((delta/eps^2 + 1) t).  `diff_L2`
+    is this run's whole departure; a caller with a delta = 0 twin subtracts
+    the twin's `diff_L2` itself.
 
     W_app must be built for the solver's run, as in init_from_Wapp: a
     mismatch raises DnsError naming the field.
@@ -1036,13 +1036,10 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
 
     traj = solver.run(state, n_steps, save_every, on_save=compare)
     t, diffs = np.array(t), np.array(diffs) / norm0
-    bound_thm = delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t)
-    bound_alt = math.sqrt(delta) * eps**3 * np.exp(delta / eps**2 * t)
     return traj, {
         "t": t,
         "diff_L2": diffs,
-        "bound_thm": bound_thm,
-        "bound_alt": bound_alt,
+        "bound_thm": delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t),
     }
 
 

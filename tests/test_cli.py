@@ -456,13 +456,12 @@ def test_stability_subtracts_its_delta_zero_twin(tmp_path):
                            **RERUN_CONFIGS["stability"])
     run_experiment(cfg)
     header, rows = read_csv(tmp_path / "stability.csv")
-    assert header == ["t", "diff_L2", "floor", "net", "bound_thm", "bound_alt",
-                      "within_thm"]
+    assert header == ["t", "diff_L2", "floor", "net", "bound_thm", "within_thm"]
     assert len(rows) == 3
     floor = _dns_series(cfg, dataclasses.replace(cfg.params, delta=0.0),
                         _assembly_at(cfg, cfg.params))[2]["diff_L2"]
     for row, f0 in zip(rows, floor):
-        _, diff, floor_i, net, bound_thm, _, within = row
+        _, diff, floor_i, net, bound_thm, within = row
         assert float(floor_i) == f0
         assert float(net) == max(float(diff) - f0, 0.0)
         assert int(within) == int(float(net) <= float(bound_thm))
@@ -484,8 +483,7 @@ class TestDnsArtifacts:
     def test_series_columns(self, dns_outdir):
         outdir = dns_outdir
         header, rows = read_csv(outdir / "dns_series.csv")
-        assert header == ["t", "energy", "dissipation", "diff_L2",
-                          "bound_thm", "bound_alt"]
+        assert header == ["t", "energy", "dissipation", "diff_L2", "bound_thm"]
         assert len(rows) == 3
         assert float(rows[0][0]) == 0.0
 
