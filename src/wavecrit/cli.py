@@ -56,6 +56,7 @@ from .dns import (
     compare_stability,
     energy_budget,
     init_from_Wapp,
+    stability_twin,
 )
 from .packets import (
     Envelope,
@@ -482,16 +483,22 @@ def _dns_config(config: ExperimentConfig, params: PhysParams,
     return SimConfig(params=params, Lx=x_period, **given)
 
 
-def _dns_series(config: ExperimentConfig, params: PhysParams, asm: PacketAssembly):
-    """Run the DNS at params from W_app(0), with W1 if and only if delta != 0,
-    and compare it with W_app; asm is W0, which does not depend on delta.
-    Returns the solver, the trajectory and compare_stability's report."""
+def _dns_run(config: ExperimentConfig, params: PhysParams, asm: PacketAssembly):
+    """What a DNS run at params from W_app(0) needs: its solver, W1 (built
+    if and only if delta != 0; asm is W0, which does not depend on delta),
+    its step count and save_every."""
     w1 = assemble_W1(asm) if params.delta else None
     sim = _dns_config(config, params, asm.x_period)
-    solver = Solver(sim)
-    state = init_from_Wapp(asm, w1, sim, solver)
     n_steps = int(round(sim.T / sim.dt))
     save_every = config.options.get("save_every", max(n_steps // 10, 1))
+    return Solver(sim), w1, n_steps, save_every
+
+
+def _dns_series(config: ExperimentConfig, params: PhysParams, asm: PacketAssembly):
+    """Run the DNS (_dns_run) and compare it with W_app: the solver, the
+    trajectory and compare_stability's report."""
+    solver, w1, n_steps, save_every = _dns_run(config, params, asm)
+    state = init_from_Wapp(asm, w1, solver.config, solver)
     traj, report = compare_stability(solver, state, n_steps, save_every, asm, w1)
     return solver, traj, report
 
@@ -531,19 +538,21 @@ def _run_dns(config: ExperimentConfig) -> list[str]:
 def _run_stability(config: ExperimentConfig) -> list[str]:
     params = config.params
     asm = _assembly_at(config, params)  # one W0 for both runs
-    # the delta = 0 control run's departure is the measured error floor; only
-    # its report is kept, so its solver is freed before the second run's is built
-    floor = _dns_series(config, dataclasses.replace(params, delta=0.0), asm)[2]["diff_L2"]
-    rep = _dns_series(config, params, asm)[2]
-    net = np.maximum(rep["diff_L2"] - floor, 0.0)
+    # the run and its delta = 0 twin march in lockstep on one solver; the
+    # twin's departure is the measured error floor
+    solver, w1, n_steps, save_every = _dns_run(config, params, asm)
+    rep = stability_twin(solver, n_steps, save_every, asm, w1)
+    net = np.maximum(rep["diff_L2"] - rep["floor"], 0.0)
     rows = [
         [float(rep["t"][i]), float(rep["diff_L2"][i]),
-         float(floor[i]), float(net[i]),
-         float(rep["bound_thm"][i]), int(net[i] <= rep["bound_thm"][i])]
+         float(rep["floor"][i]), float(net[i]),
+         float(rep["bound_thm"][i]), int(net[i] <= rep["bound_thm"][i]),
+         float(rep["twin_resid"][i])]
         for i in range(len(rep["t"]))
     ]
     _write_csv(config.output_dir / "stability.csv",
-               ["t", "diff_L2", "floor", "net", "bound_thm", "within_thm"], rows)
+               ["t", "diff_L2", "floor", "net", "bound_thm", "within_thm",
+                "twin_resid"], rows)
     return ["stability.csv"]
 
 

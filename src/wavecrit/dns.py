@@ -87,9 +87,12 @@ per (l, alpha) node, so one `WappNodes` per call holds it as node tables
 W_app's one reader, places their phase sums on the saved states' own
 columns, where their own solver measures them (`Solver._on`);
 init_from_Wapp reads W_app(0) by the same route.  `compare_stability`
-reports one run's departure ||W - W_app|| and the theorem's envelope;
-subtracting a delta = 0 twin's departure is its caller's job (the CLI's
-`stability` experiment).
+reports one run's departure ||W - W_app|| and the theorem's envelope.
+`stability_twin` marches a delta != 0 run and its delta = 0 twin in
+lockstep, the twin on the columns W0 reaches over the run's own
+y-operators and factorizations (`Solver.twin`), reads one `WappNodes`
+for both, and reports both departures and the twin residual
+||W - W_0 - W1|| at each save (the CLI's `stability` experiment).
 """
 
 import copy
@@ -559,6 +562,16 @@ class Solver:
             view._hold(state.cols)
         return self._views[key], state
 
+    def twin(self) -> "Solver":
+        """This solver at delta = 0: the same y-operators, factorizations and
+        column data (none is rebuilt or copied; none depends on delta), with
+        its own cache of column views, which are delta = 0 views."""
+        twin = copy.copy(self)
+        params = dataclasses.replace(self.config.params, delta=0.0)
+        twin.config = dataclasses.replace(self.config, params=params)
+        twin._views = {np.arange(self.grid.nx // 2 + 1).tobytes(): twin}
+        return twin
+
     def _width(self, *fhs):
         """Raise unless every array holds this solver's column count."""
         n = len(self.kx)
@@ -823,8 +836,7 @@ class Solver:
         keeps no state but the final one.  A step never changes the state
         it is given, so `on_save` may keep what it receives.
         """
-        every = range(save_every, n_steps, save_every) if save_every else ()
-        saves = {0, *every, n_steps} if on_save is not None else set()
+        saves = _save_steps(n_steps, save_every) if on_save is not None else set()
         rows = [(state.t, *self._energy_and_dissipation(state), 0.0)]
         if 0 in saves:
             on_save(state)
@@ -836,6 +848,13 @@ class Solver:
         times, energy, diss, proj_loss = map(np.array, zip(*rows))
         return Trajectory(times=times, energy=energy, dissipation=diss,
                           proj_loss=proj_loss, final=state)
+
+
+def _save_steps(n_steps: int, save_every: int) -> set:
+    """The steps a march of n_steps saves: 0, every save_every-th (none
+    with 0) and the last."""
+    every = range(save_every, n_steps, save_every) if save_every else ()
+    return {0, *every, n_steps}
 
 
 @dataclass
@@ -856,45 +875,56 @@ class WappNodes:
     """W_app = W0 (+ W1) on the grid, held for reading at many times t.
 
     `tables` are node tables (l, alpha, Q) at t = 0, W0's, W1's modal
-    families' and W1_MF's: W1 alone is every table but the first.  `slots`
-    are each x-group's places, at its column c = l Lx / (2 pi) and at -c
-    (mod nx), among the sorted columns `cols` (all by default) W_app is
-    placed in, -1 off the rfft half.  A group more than 1e-9 of a column off
-    the lattice (eps not box-matched), or at a column `cols` lacks, is refused."""
+    families' and W1_MF's: W1 alone is every table but the first, and W0
+    alone the first, whose x-groups come first wherever groups are listed
+    (`groups` counts each table's).  A group sits at the column c =
+    l Lx / (2 pi) and at -c (mod nx); one more than 1e-9 of a column off
+    the lattice (eps not box-matched) is refused when the tables are built."""
 
-    def __init__(self, w0: PacketAssembly, w1: CorrectorAssembly | None, grid: Grid,
-                 cols: np.ndarray | None = None):
+    def __init__(self, w0: PacketAssembly, w1: CorrectorAssembly | None, grid: Grid):
         self.grid = grid
         self.tables = [node_profiles(w0.bundle(Family.SUM), grid.y)]
         if w1 is not None:
             self.tables += [node_profiles(w1.modal(), grid.y),
                             w1.families[W1_MF].node_profiles(grid.y)]
-        c = np.concatenate([l[_l_starts(l)] for l, *_ in self.tables]) * grid.Lx / (2.0 * math.pi)
+        ls = [l[_l_starts(l)] for l, *_ in self.tables]
+        self.groups = [len(l) for l in ls]
+        c = np.concatenate(ls) * grid.Lx / (2.0 * math.pi)
         col = np.rint(c).astype(int)
         off = np.abs(c - col).max(initial=0.0)
         if off > 1e-9:
             raise DnsError(f"W_app wavenumbers lie up to {off:.3g} of a column off the "
                            f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
-        half = grid.nx // 2
-        self.cols = np.arange(half + 1) if cols is None else np.asarray(cols)
-        j = np.stack([col % grid.nx, -col % grid.nx], axis=1)
-        lacked = (j <= half) & ~np.isin(j, self.cols)
+        self._at = np.stack([col % grid.nx, -col % grid.nx], axis=1)
+
+    def slots(self, cols: np.ndarray, tables: int | None = None) -> np.ndarray:
+        """The places of the x-groups of the first `tables` tables (all by
+        default) among the sorted rfft columns `cols`: (groups, 2), at c and
+        at -c, -1 off the rfft half.  A group at a column `cols` lacks is
+        refused."""
+        j, half = self._at[:sum(self.groups[:tables])], self.grid.nx // 2
+        lacked = (j <= half) & ~np.isin(j, cols)
         if lacked.any():
             raise DnsError(f"W_app reaches rfft column {j[lacked].min()}, which the "
                            f"columns it is placed in lack")
-        self.slots = np.where(j <= half, np.searchsorted(self.cols, j), -1)
+        return np.where(j <= half, np.searchsorted(cols, j), -1)
+
+    def profiles(self, t: float) -> np.ndarray:
+        """(3, groups, ny): every table read at t (boundary.phase_sum), its
+        groups in table order, as `slots` places them."""
+        return np.concatenate([phase_sum(*table, t)[1] for table in self.tables], axis=1)
 
     def columns(self, t: float) -> np.ndarray:
-        """W_app(t) on the columns `cols`, (3, ny, len(cols)) of (u, w, b):
-        each table read at t (boundary.phase_sum), placed (place_profiles)."""
-        P = np.concatenate([phase_sum(*table, t)[1] for table in self.tables], axis=1)
-        return place_profiles(self.slots, P, self.grid, len(self.cols))
+        """W_app(t) on every rfft column, (3, ny, nx // 2 + 1) of (u, w, b):
+        `profiles` placed through `slots` (place_profiles)."""
+        cols = np.arange(self.grid.nx // 2 + 1)
+        return place_profiles(self.slots(cols), self.profiles(t), self.grid, len(cols))
 
 
 def place_profiles(slots: np.ndarray, P: np.ndarray, grid: Grid, width: int) -> np.ndarray:
     """Profiles P (3, groups, ny) as rfft columns (3, ny, width) of (u, w, b):
     group g's P goes to place slots[g, 0] as nx P and its conjugate to
-    slots[g, 1] (WappNodes.slots; none at -1), every other column exactly 0.
+    slots[g, 1] (WappNodes.slots(); none at -1), every other column exactly 0.
     Groups that fold to one column add up there; a loop over the groups
     takes half the time of one np.add.at (0.16 against 0.35 ms at 256 x 384)."""
     nx, out = grid.nx, np.zeros((3, grid.ny, width), dtype=complex)
@@ -941,7 +971,14 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
     _check_wapp(config, w0, w1)
-    g = solver.grid
+    _check_resolved(config, w0, solver.grid)
+    return _initial(solver, WappNodes(w0, w1, solver.grid).columns(0.0))
+
+
+def _check_resolved(config: SimConfig, w0: PacketAssembly, g: Grid):
+    """init_from_Wapp's rules on W0's top wavenumber: DnsError at or above
+    the Nyquist column, and with delta != 0 a UserWarning where advection's
+    3 k0 harmonic folds."""
     k_max = max(np.abs(m.l).max(initial=0.0) for m in w0.families.values())
     col = round(k_max * g.Lx / (2.0 * math.pi))
     if 2 * col >= g.nx:
@@ -951,9 +988,16 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
         warnings.warn(
             f"advection's 3 k0 harmonic sits at rfft column {3 * col}, at or above "
             f"the Nyquist column nx/2 = {g.nx / 2:g}, and folds; nx > {6 * col} resolves it",
-            stacklevel=2,
+            stacklevel=3,
         )
-    uh, wh, bh = placed = WappNodes(w0, w1, g).columns(0.0)
+
+
+def _initial(solver: Solver, placed: np.ndarray) -> State:
+    """W_app(0) placed on every rfft column as the solver's initial state:
+    projected, and at delta = 0 holding only the columns it touches.  A
+    UserWarning says when the packet reaches the lid."""
+    g = solver.grid
+    uh, wh, bh = placed
     held = np.flatnonzero(placed.any(axis=(0, 1)))
     field = np.fft.irfft(placed, n=g.nx, axis=2)
     peak, edge = np.abs(field).max(), np.abs(field[:, -1]).max()
@@ -962,11 +1006,11 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
             f"packet reaches the domain top: edge amplitude {edge / peak:.2e} "
             "of peak (discrete-lattice packets recur in y; the lid reflects "
             "the residual tail)",
-            stacklevel=2,
+            stacklevel=3,
         )
     uh, wh, phih, _ = solver.project(uh, wh)
     fields = (uh, wh, solver._noflux(bh), phih)
-    if config.params.delta != 0.0:
+    if solver.config.params.delta != 0.0:
         return State(*fields, 0.0, g.nx)
     return State(*(f[:, held] for f in fields), 0.0, g.nx, held)
 
@@ -1003,8 +1047,8 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     The march is `solver.run(state, n_steps, save_every, ...)`, whose
     parameters give eps and delta.  Each saved state is compared with
     W_app = w0 (+ w1) at its own t (the report's `t`), on its own rfft
-    columns (Parseval sums), as the march reaches it, and then dropped;
-    one `WappNodes`, built before the march, holds W_app.
+    columns (Parseval sums, `_departure`), as the march reaches it, and
+    then dropped; one `WappNodes`, built before the march, holds W_app.
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
     the first save's placement (at the state's own t, 0 from init_from_Wapp):
@@ -1012,35 +1056,106 @@ def compare_stability(solver: Solver, state: State, n_steps: int, save_every: in
     while the packet itself carries an O(1/eps) lattice-sum amplitude.
     The report holds arrays over the save times: `t`, `diff_L2` and the
     envelope `bound_thm` = delta eps^2 exp((delta/eps^2 + 1) t).  `diff_L2`
-    is this run's whole departure; a caller with a delta = 0 twin subtracts
-    the twin's `diff_L2` itself.
+    is this run's whole departure; `stability_twin` marches a run with its
+    delta = 0 twin and reports both.
 
     W_app must be built for the solver's run, as in init_from_Wapp: a
     mismatch raises DnsError naming the field.
     """
     _check_wapp(solver.config, w0, w1)
-    eps, delta = solver.config.params.eps, solver.config.params.delta
-    nodes = WappNodes(w0, w1, solver.grid, solver._on(state)[1].cols)
+    nodes = WappNodes(w0, w1, solver.grid)
+    slots = nodes.slots(solver._on(state)[1].cols)
     t, diffs, norm0 = [], [], None
 
     def compare(st):
         nonlocal norm0
         view, st = solver._on(st)
-        wapp = nodes.columns(st.t)
+        wapp = place_profiles(slots, nodes.profiles(st.t), view.grid, len(st.cols))
         if not t:
             norm0 = math.sqrt(view.norm2(*wapp))
         t.append(st.t)
-        for a, f in zip(wapp, (st.uh, st.wh, st.bh)):
-            a -= f
-        diffs.append(math.sqrt(view.norm2(*wapp)))
+        diffs.append(_departure(view, st, wapp))
 
     traj = solver.run(state, n_steps, save_every, on_save=compare)
-    t, diffs = np.array(t), np.array(diffs) / norm0
+    t = np.array(t)
     return traj, {
         "t": t,
-        "diff_L2": diffs,
-        "bound_thm": delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t),
+        "diff_L2": np.array(diffs) / norm0,
+        "bound_thm": _envelope(solver.config.params, t),
     }
+
+
+def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAssembly,
+                   w1: CorrectorAssembly | None = None) -> dict:
+    """March W_app(0) = w0 (+ w1) by `solver` and W0(0) by its delta = 0
+    twin (`Solver.twin`, on the columns W0 reaches) in lockstep, one
+    Solver.step each per step, and follow both against W_app: the report.
+
+    One `WappNodes` holds W_app for both runs and gives both initial states
+    (as init_from_Wapp does, whose rules and warnings hold).  At each save
+    (Solver.run's schedule) its profiles are read once, at the saved t, and
+    placed on each state's own columns, W_app for the run and W0 for the
+    twin; both states are reduced as compare_stability reduces one
+    (`_departure`), and dropped.  No energy series is kept.
+
+    The report holds arrays over the save times: `t`, `diff_L2` and
+    `bound_thm`, compare_stability's report of the run; `floor`, the twin's
+    diff_L2 (||W0 - W_0|| relative to ||W0(0)||); and `twin_resid`, the
+    twin residual ||W - W_0 - W1|| relative to ||W_app(0)||, formed from
+    the two differences, (W_app - W) - (W0 - W_0) on the twin's columns.
+    """
+    _check_wapp(solver.config, w0, w1)
+    _check_resolved(solver.config, w0, solver.grid)
+    g, twin = solver.grid, solver.twin()
+    nodes = WappNodes(w0, w1, g)
+    P, every = nodes.profiles(0.0), np.arange(g.nx // 2 + 1)
+    n0 = nodes.groups[0]  # W0's x-groups, the first
+    # the twin first: its full-width placement and projection are then
+    # made before the full state exists, not beside it
+    state0 = _initial(twin, place_profiles(nodes.slots(every, 1), P[:, :n0], g, len(every)))
+    state = _initial(solver, place_profiles(nodes.slots(every), P, g, len(every)))
+    slots, slots0 = nodes.slots(state.cols), nodes.slots(state0.cols, 1)
+    at = np.searchsorted(state.cols, state0.cols)  # the twin's columns in the run's
+    rows, norms = [], []
+
+    # a function, so that a save's placements and states go when it
+    # returns: held through the next steps they raised the peak by 6 MB
+    def save(st, st0):
+        (view, st), (view0, st0) = solver._on(st), twin._on(st0)
+        P = nodes.profiles(st.t)
+        wapp = place_profiles(slots, P, g, len(st.cols))
+        wapp0 = place_profiles(slots0, P[:, :n0], g, len(st0.cols))
+        if not norms:
+            norms[:] = math.sqrt(view.norm2(*wapp)), math.sqrt(view0.norm2(*wapp0))
+        diff, floor = _departure(view, st, wapp), _departure(view0, st0, wapp0)
+        wapp[:, :, at] -= wapp0
+        rows.append((st.t, diff, floor, math.sqrt(view.norm2(*wapp))))
+
+    saves = _save_steps(n_steps, save_every)
+    for n in range(n_steps + 1):
+        if n:
+            state = solver.step(state)[0]
+            state0 = twin.step(state0)[0]
+        if n in saves:
+            save(state, state0)
+    t, diff, floor, resid = map(np.array, zip(*rows))
+    norm0, norm00 = norms
+    return {"t": t, "diff_L2": diff / norm0, "floor": floor / norm00,
+            "twin_resid": resid / norm0, "bound_thm": _envelope(solver.config.params, t)}
+
+
+def _departure(view: Solver, state: State, wapp: np.ndarray) -> float:
+    """||W_app - W|| of a saved state on its own columns, by their solver
+    `view`; wapp, W_app on those columns, becomes W_app - W."""
+    for a, f in zip(wapp, (state.uh, state.wh, state.bh)):
+        a -= f
+    return math.sqrt(view.norm2(*wapp))
+
+
+def _envelope(params: PhysParams, t: np.ndarray) -> np.ndarray:
+    """The theorem's envelope delta eps^2 exp((delta/eps^2 + 1) t)."""
+    eps, delta = params.eps, params.delta
+    return delta * eps**2 * np.exp((delta / eps**2 + 1.0) * t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,15 @@ from wavecrit.cli import (
     main,
     run_experiment,
 )
-from wavecrit.dns import SimConfig, box_matched_eps
+from wavecrit.corrector import assemble_W1
+from wavecrit.dns import (
+    SimConfig,
+    Solver,
+    WappNodes,
+    box_matched_eps,
+    init_from_Wapp,
+    place_profiles,
+)
 from wavecrit.params import PhysParams
 
 pytestmark = pytest.mark.filterwarnings(
@@ -447,24 +455,82 @@ def test_rerun_bit_identical(experiment, tmp_path):
     assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
+def _twin_residual(cfg, asm):
+    """||W_delta - W_0 - W1|| / ||W_app(0)|| at the save times of cfg's
+    delta != 0 run and its delta = 0 twin, each marched by its own Solver
+    (Solver.run) and kept widened, with W1(t) phase-summed from W_app's node
+    tables but W0's and placed through their slots."""
+    w1 = assemble_W1(asm)
+    runs = []
+    for delta, w in ((cfg.params.delta, w1), (0.0, None)):
+        sim = _dns_config(cfg, dataclasses.replace(cfg.params, delta=delta), asm.x_period)
+        sol, saved = Solver(sim), []
+        sol.run(init_from_Wapp(asm, w, sim, sol), round(sim.T / sim.dt),
+                cfg.options["save_every"], on_save=lambda s: saved.append(s.widen()))
+        runs.append((sol, saved))
+    (sol, saved), (_, saved0) = runs
+    nodes = WappNodes(asm, w1, sol.grid)
+    every, n0 = np.arange(sol.grid.nx // 2 + 1), nodes.groups[0]
+    slots = nodes.slots(every)[n0:]  # W1's x-groups
+    norm0 = math.sqrt(sol.norm2(*nodes.columns(0.0)))
+    out = []
+    for s, s0 in zip(saved, saved0):
+        W1 = place_profiles(slots, nodes.profiles(s.t)[:, n0:], sol.grid, len(every))
+        resid = [f - f0 - f1 for f, f0, f1 in zip((s.uh, s.wh, s.bh), (s0.uh, s0.wh, s0.bh), W1)]
+        out.append(math.sqrt(sol.norm2(*resid)) / norm0)
+    return out
+
+
 def test_stability_subtracts_its_delta_zero_twin(tmp_path):
-    """stability.csv's floor is the delta = 0 run's diff_L2 bit for bit, net
-    is max(diff_L2 - floor, 0) and within_thm is net <= bound_thm.  On this
-    box net is about 0.019 on every row, above bound_thm, so the unclamped
-    branch and a within_thm of 0 are both exercised."""
+    """The lockstep's stability.csv against the two runs made one after the
+    other: diff_L2 and floor are the delta != 0 and the delta = 0 run's
+    diff_L2 (_dns_series) bit for bit, net is max(diff_L2 - floor, 0),
+    within_thm is net <= bound_thm, and twin_resid is the runs'
+    ||W_delta - W_0 - W1|| / ||W_app(0)|| to 1e-14.  On this box net is
+    about 0.019 on every row, above bound_thm, so the unclamped branch and a
+    within_thm of 0 are both exercised."""
     cfg = ExperimentConfig(experiment="stability", output_dir=tmp_path,
                            **RERUN_CONFIGS["stability"])
     run_experiment(cfg)
     header, rows = read_csv(tmp_path / "stability.csv")
-    assert header == ["t", "diff_L2", "floor", "net", "bound_thm", "within_thm"]
+    assert header == ["t", "diff_L2", "floor", "net", "bound_thm", "within_thm",
+                      "twin_resid"]
     assert len(rows) == 3
-    floor = _dns_series(cfg, dataclasses.replace(cfg.params, delta=0.0),
-                        _assembly_at(cfg, cfg.params))[2]["diff_L2"]
-    for row, f0 in zip(rows, floor):
-        _, diff, floor_i, net, bound_thm, within = row
-        assert float(floor_i) == f0
-        assert float(net) == max(float(diff) - f0, 0.0)
+    asm = _assembly_at(cfg, cfg.params)
+    diff = _dns_series(cfg, cfg.params, asm)[2]["diff_L2"]
+    floor = _dns_series(cfg, dataclasses.replace(cfg.params, delta=0.0), asm)[2]["diff_L2"]
+    for row, d, f0, r in zip(rows, diff, floor, _twin_residual(cfg, asm), strict=True):
+        _, diff_i, floor_i, net, bound_thm, within, resid = row
+        assert float(diff_i) == d and float(floor_i) == f0
+        assert float(net) == max(d - f0, 0.0)
         assert int(within) == int(float(net) <= float(bound_thm))
+        assert abs(float(resid) - r) <= 1e-14 * r
+
+
+def test_delta_zero_twin_on_its_columns_is_the_full_width_run():
+    """Solver.twin steps the delta = 0 twin's state, on the columns W0
+    reaches, over the delta != 0 solver's y-operators and factorizations,
+    and keeps its column views apart: at every step the state is a
+    full-width delta = 0 run (its own Solver, every column) to 1e-12 of
+    that run's norm."""
+    cfg = ExperimentConfig(experiment="stability", **RERUN_CONFIGS["stability"])
+    asm = _assembly_at(cfg, cfg.params)
+    solver = Solver(_dns_config(cfg, cfg.params, asm.x_period))
+    twin = solver.twin()
+    assert twin.config == dataclasses.replace(
+        solver.config, params=dataclasses.replace(cfg.params, delta=0.0))
+    assert twin._diff is solver._diff and twin._proj_unit is solver._proj_unit
+    full = Solver(twin.config)
+    narrow = init_from_Wapp(asm, None, twin.config, twin)
+    wide = init_from_Wapp(asm, None, full.config, full).widen()
+    assert len(narrow.cols) == 3
+    for _ in range(10):
+        got = narrow.widen()
+        diff = [a - b for a, b in zip((got.uh, got.wh, got.bh), (wide.uh, wide.wh, wide.bh))]
+        assert got.t == wide.t
+        assert full.norm2(*diff) <= 1e-24 * full.norm2(wide.uh, wide.wh, wide.bh)
+        narrow, wide = twin.step(narrow)[0], full.step(wide)[0]
+    assert list(solver._views.values()) == [solver]
 
 
 #: the linear `dns` run whose artefacts TestDnsArtifacts reads

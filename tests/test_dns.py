@@ -19,7 +19,7 @@ from scipy.linalg.lapack import zpbtrs
 from scipy.optimize import brentq
 from scipy.sparse import diags_array
 
-from wavecrit import boundary, characteristic, corrector, dns
+from wavecrit import characteristic, corrector, dns
 from wavecrit.corrector import assemble_W1, evaluate_W1
 from wavecrit.dns import (
     BlockSweep,
@@ -1560,37 +1560,24 @@ TWIN_EPS = box_matched_eps(0.2041, 1.0, 5)
 
 
 def _twin_residuals(asm, w1, dt, save_every, T=0.4):
-    """March W_app(0) at delta = eps^3 and its delta = 0 twin (on the columns
-    W0 reaches) in lockstep by Solver.step to T, on a 512 x 384 grid to
-    Ly = 300.  At every save_every-th step returns t, ||W_delta - W_0 - W1||
-    and ||W1||, both over ||W_app(0)||: W1(t) is phase-summed from W_app's
-    node tables other than W0's and placed through their slots."""
-    kw = dict(Lx=asm.x_period, Ly=300.0, nx=512, ny=384, dy0=1e-3, dy_max=1.0,
-              dt=dt, T=T)
-    config = SimConfig(params=w1.params, **kw)
-    config0 = SimConfig(params=dataclasses.replace(w1.params, delta=0.0), **kw)
-    sol, sol0 = Solver(config), Solver(config0)
+    """dns.stability_twin of W_app(0) at delta = eps^3 to T on a 512 x 384
+    grid to Ly = 300, its run and delta = 0 twin in lockstep: at every
+    save_every-th step t, its twin_resid ||W_delta - W_0 - W1|| and ||W1||,
+    both over ||W_app(0)||, W1(t) phase-summed from W_app's node tables
+    other than W0's and placed through their slots."""
+    config = SimConfig(params=w1.params, Lx=asm.x_period, Ly=300.0, nx=512, ny=384,
+                       dy0=1e-3, dy_max=1.0, dt=dt, T=T)
+    sol = Solver(config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the packet reaches the lid
-        state = init_from_Wapp(asm, w1, config, sol)
-        state0 = init_from_Wapp(asm, None, config0, sol0)
+        rep = dns.stability_twin(sol, int(round(T / dt)), save_every, asm, w1)
     nodes = WappNodes(asm, w1, sol.grid)
-    w1_slots = nodes.slots[len(boundary._l_starts(nodes.tables[0][0])):]
+    every, n0 = np.arange(config.nx // 2 + 1), nodes.groups[0]
     norm0 = math.sqrt(sol.norm2(*nodes.columns(0.0)))
-    rows, n_steps = [], int(round(T / dt))
-    for n in range(n_steps + 1):
-        if n % save_every == 0:
-            P = np.concatenate([boundary.phase_sum(*table, state.t)[1]
-                                for table in nodes.tables[1:]], axis=1)
-            W1 = dns.place_profiles(w1_slots, P, sol.grid, len(nodes.cols))
-            wide0 = state0.widen()
-            resid = [f - f0 - f1 for f, f0, f1 in zip(
-                (state.uh, state.wh, state.bh), (wide0.uh, wide0.wh, wide0.bh), W1)]
-            rows.append((state.t, math.sqrt(sol.norm2(*resid)) / norm0,
-                         math.sqrt(sol.norm2(*W1)) / norm0))
-        if n < n_steps:
-            state, state0 = sol.step(state)[0], sol0.step(state0)[0]
-    return np.array(rows).T
+    w1_norm = [math.sqrt(sol.norm2(*dns.place_profiles(
+        nodes.slots(every)[n0:], nodes.profiles(t)[:, n0:], sol.grid, len(every)))) / norm0
+        for t in rep["t"]]
+    return rep["t"], rep["twin_resid"], np.array(w1_norm)
 
 
 @pytest.fixture(scope="module")
