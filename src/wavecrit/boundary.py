@@ -31,9 +31,12 @@ order within a node.  A failing check names the first offending node by
 its (l, alpha).  A lift returns its modes as an
 ExpModes set, the one type for sums of decaying modes (the packet W0 and
 the corrector W1 are ExpModes too).  mode_profiles is their one kernel: it
-sums the modes of each x-wavenumber into one y-profile, and synthesize
-(hence evaluate_modes) and the corrector's norms read those profiles, the
-max-norm through the same x-basis (_x_basis) as synthesize.  Coefficient
+sums the modes of each x-wavenumber into one y-profile.  The real (y, x)
+field of such profiles has one synthesis, field_blocks: the x-basis
+(_x_basis) product, in blocks of _LINF_ROWS y-rows.  synthesize (hence
+evaluate_modes) joins the blocks into whole grids, and the grid norms
+(packets.packet_norms, the corrector's _profile_norms) reduce them block by
+block, so a norm holds one block, not a grid, and reads the grids' bits.  Coefficient
 rows that are all zero are left out of a pass and read as exact zeros.
 Sets with equal exponents and their own coefficients share one pass.
 node_profiles runs the same pass at t = 0 with the modes grouped by their
@@ -337,13 +340,21 @@ def node_profiles(modes: ExpModes, y):
 
 def phase_sum(l, alpha, Q, t: float):
     """(l, P) as mode_profiles returns them, of a node table (l, alpha, Q) at
-    time t: e^(-i alpha t) @ Q over each x-group's nodes, contiguous in l."""
+    time t: e^(-i alpha t) @ Q over each x-group's nodes, contiguous in l.
+    Q holds the (u, w, b) rows, or only the leading ones when the rest are
+    zero (W1_MF's table holds no b row): P is (3, groups, len(y)), and a
+    row Q does not hold is exact zeros, with no product made for it."""
     starts = _l_starts(l)
     phase = np.exp(-1j * alpha * t)
-    P = np.empty((len(Q), len(starts), Q.shape[-1]), dtype=complex)
+    P = np.zeros((3, len(starts), Q.shape[-1]), dtype=complex)
     for g, (a, b) in enumerate(zip(starts, [*starts[1:], len(l)])):
-        P[:, g] = phase[a:b] @ Q[:, a:b]
+        P[:len(Q), g] = phase[a:b] @ Q[:, a:b]
     return l[starts], P
+
+
+#: y-rows per block of every synthesis (field_blocks): a (64, 512) block of
+#: doubles is 256 KiB and stays in cache, where a 600-row grid does not
+_LINF_ROWS = 64
 
 
 def _x_basis(l: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -353,12 +364,25 @@ def _x_basis(l: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 2.0 * np.concatenate([np.cos(phase), np.sin(phase)])
 
 
+def field_blocks(p: np.ndarray, trig: np.ndarray):
+    """Yield one component's real field 2 Re(p^T exp(i l x)) on the (y, x)
+    grid, from its profiles p (groups, len(y)) and trig = _x_basis(l, x), in
+    blocks of _LINF_ROWS y-rows from the wall up (the last one short): each
+    block one real matrix product of the rows of [Re p; -Im p]^T with trig.
+    A reader reducing the blocks in turn holds one block, not the grid, and
+    the blocks a norm reduces are those synthesize joins, bit for bit."""
+    a = np.concatenate([p.real, -p.imag]).T  # (y, 2 groups)
+    for s in range(0, len(a), _LINF_ROWS):
+        yield a[s:s + _LINF_ROWS] @ trig
+
+
 def synthesize(l: np.ndarray, P: np.ndarray, x: np.ndarray):
-    """Yield u, w, b on the (y, x) grid: 2 Re(P^T exp(i l x)), each one real
-    matrix product [Re P; -Im P]^T _x_basis(l, x), made only when asked for,
-    so a caller reducing them in turn holds one grid at a time."""
+    """Yield u, w, b on the (y, x) grid: 2 Re(P^T exp(i l x)), each its
+    field_blocks joined, so a grid holds the bits the blocked norms reduce.
+    Each is made only when asked for: a caller reading them in turn holds
+    one grid at a time."""
     trig = _x_basis(l, x)
-    return (np.concatenate([p.real, -p.imag]).T @ trig for p in P)
+    return (np.concatenate(list(field_blocks(p, trig))) for p in P)
 
 
 def evaluate_modes(modes: ExpModes, t: float, x: np.ndarray, y: np.ndarray):

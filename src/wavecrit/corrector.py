@@ -51,7 +51,8 @@ batch: the ledger books them and solves nothing.  W1 = W1_BLeps2 + W1_BLeps3
 + W1_II + the explicit mean flow W1_MF; the modal families and the batches'
 interior modes are row ranges of one read-only store (_lift_batches).  Every
 W1 field and norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
-MeanFlowField.profiles for W1_MF) through boundary.synthesize or
+MeanFlowField.profiles for W1_MF) through the row blocks of
+boundary.field_blocks, joined by boundary.synthesize or reduced by
 _profile_norms, or, in the DNS, as node tables read by boundary.phase_sum
 (boundary.node_profiles, MeanFlowField.node_profiles, dns.WappNodes; nodes
 as collect_traces', by boundary._nodes).  A pair mode records its two parent
@@ -84,6 +85,7 @@ from .boundary import (
     _nodes,
     _x_basis,
     evaluate_modes,
+    field_blocks,
     lift_noncritical,
     lift_nonoscillating,
     mode_profiles,
@@ -193,9 +195,6 @@ def _check_lobe(name: str, lobe: Lobe, pairs: ExpModes, assembly: PacketAssembly
 #: y- and x-points of the modes_norms quadrature
 _NORM_NY = 600
 _NORM_NX = 512
-#: y-rows per block of the Linf synthesis: a (64, 512) block of doubles is
-#: 256 KiB and stays in cache, where the 600-row grid does not
-_LINF_ROWS = 64
 
 
 def _norm_lattice(modes: ExpModes, x_period: float, ny: int) -> YLattice:
@@ -219,10 +218,10 @@ def _profile_norms(l, P, y, x_period: float, nx: int | None):
     plus 2 Re P_g P_h for every pair l_g = -l_h (the conjugate part's
     interference).  d/dx takes P_g to i l_g P_g, so its L2 weights the same
     per-group y-integrals by l_g^2 (a pair's by -l_g l_h).  Linf is the max
-    over an nx-point x-grid, synthesized with one x-basis in blocks of
-    _LINF_ROWS y-rows, one component at a time (max(f.max(), -f.min()) is
-    max|f| with no third array); each block is the full grid's rows bit for
-    bit.  With nx None it is None and no x-grid is synthesized.
+    over an nx-point x-grid, from one x-basis and boundary.field_blocks, one
+    component and one block of boundary._LINF_ROWS y-rows at a time
+    (max(f.max(), -f.min()) is max|f| with no third array): the blocks
+    synthesize joins into its grids.  With nx None it is None and no x-grid is synthesized.
     """
     tol = _l_tolerance(l)
     partner = np.minimum(np.searchsorted(l, -l - tol), len(l) - 1)
@@ -237,9 +236,7 @@ def _profile_norms(l, P, y, x_period: float, nx: int | None):
     trig = _x_basis(l, np.linspace(0.0, x_period, nx, endpoint=False))
     linf = 0.0
     for p in P:
-        a = np.concatenate([p.real, -p.imag]).T  # (y, 2 groups)
-        for s in range(0, len(a), _LINF_ROWS):
-            f = a[s:s + _LINF_ROWS] @ trig
+        for f in field_blocks(p, trig):
             linf = max(linf, float(f.max()), float(-f.min()))
     return l2, linf, dx
 
@@ -374,21 +371,26 @@ class MeanFlowField:
         return len(self.l)
 
     def _shapes(self, l, G, y):
-        """(3, len(G), len(y)): (-eps^2 theta'(eps^2 y) G, i l G theta(eps^2 y), 0)."""
+        """(2, len(G), len(y)): the u and w shapes, -eps^2 theta'(eps^2 y) G
+        and i l G theta(eps^2 y); b is zero."""
         e2 = self.eps ** 2
-        u = -e2 * np.outer(G, _theta_prime(e2 * y))
-        return np.stack([u, np.outer(1j * l * G, _theta(e2 * y)), np.zeros_like(u)])
+        return np.stack([-e2 * np.outer(G, _theta_prime(e2 * y)),
+                         np.outer(1j * l * G, _theta(e2 * y))])
 
     def node_profiles(self, y):
-        """(l, alpha, Q) as boundary.node_profiles returns them: G's shapes."""
+        """(l, alpha, Q) as boundary.node_profiles returns them, but Q holds
+        G's u and w shapes alone: boundary.phase_sum reads the zero b row as
+        exact zeros, with no table row held or multiplied for it."""
         return self.l, self.alpha, self._shapes(self.l, self.G, y)
 
     def profiles(self, t: float, y):
         """(l, P) as boundary.mode_profiles returns them: G's node table read
-        at t (boundary.phase_sum), then shaped once per x-group, so no
-        nodes-by-y table is made (the norms' 800 y-points)."""
+        at t (boundary.phase_sum, G as a table's one row), then shaped once
+        per x-group, so no nodes-by-y table is made (the norms' 800
+        y-points); P's b row is exact zeros."""
         l, G = phase_sum(self.l, self.alpha, self.G[None, :, None], t)
-        return l, self._shapes(l, G[0, :, 0], y)
+        uw = self._shapes(l, G[0, :, 0], y)
+        return l, np.concatenate([uw, np.zeros_like(uw[:1])])
 
     def norms(self, x_period: float, nx: int | None = _NORM_NX):
         """(L2, Linf, L2 of d/dx) at t = 0 as modes_norms returns them, on
@@ -572,20 +574,23 @@ def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,
     }
 
 
-def _solved_batches(assembly: PacketAssembly) -> list:
-    """(row, lobe, forcing, interior modes) per non-empty lobe of every row,
-    in table order; c-type rows are only booked and have no modes."""
+def _row_batches(assembly: PacketAssembly, itype: InteractionType) -> list:
+    """(row, lobe, forcing, interior modes) per non-empty lobe of one row; a
+    c-type row's are only booked and have no modes."""
     params = assembly.params
-    solvers = {"a": solve_interior_a, "b": solve_interior_b}
+    solve = {"a": solve_interior_a, "b": solve_interior_b}.get(itype.kind)
     batches = []
-    for itype in INTERACTIONS:
-        for lobe, pairs in enumerate_pairs(assembly, itype).items():
-            if len(pairs):
-                _check_lobe(itype.name, lobe, pairs, assembly)
-                src = pairs.scaled(-params.delta)
-                solve = solvers.get(itype.kind)
-                batches.append((itype, lobe, src, solve(src, params) if solve else None))
+    for lobe, pairs in enumerate_pairs(assembly, itype).items():
+        if len(pairs):
+            _check_lobe(itype.name, lobe, pairs, assembly)
+            src = pairs.scaled(-params.delta)
+            batches.append((itype, lobe, src, solve(src, params) if solve else None))
     return batches
+
+
+def _solved_batches(assembly: PacketAssembly) -> list:
+    """_row_batches of every row, in table order."""
+    return [b for itype in INTERACTIONS for b in _row_batches(assembly, itype)]
 
 
 def _lift_batches(w0: PacketAssembly, batches: list) -> CorrectorAssembly:
@@ -616,18 +621,18 @@ def assemble_W1(assembly: PacketAssembly) -> CorrectorAssembly:
 def rowwise_family_sizes(assembly: PacketAssembly) -> dict[str, tuple[float, float]]:
     """Per-family (L2, Linf) sizes, aggregated row by interaction row.
 
-    This is the quantity the corrector size estimates control: the batches
-    are solved once, each a/b row's are lifted separately and the norms are
+    This is the quantity the corrector size estimates control: each a/b
+    row's batches are solved once and lifted alone, and the norms are
     added, mirroring the row-by-row construction (triangle inequality).
     The fully assembled corrector is smaller because Q(W0, W0) vanishes at
     the wall (u0 = w0 = 0 there), so the rows' wall traces largely cancel.
+    The c rows, which no lift reads, are not enumerated.
     """
     totals = {f: [0.0, 0.0] for f in W1_FAMILIES}
-    batches = _solved_batches(assembly)
     for it in INTERACTIONS:
         if it.kind == "c":
             continue
-        casm = _lift_batches(assembly, [b for b in batches if b[0] is it])
+        casm = _lift_batches(assembly, _row_batches(assembly, it))
         for fam, acc in totals.items():
             l2, linf = casm.norms(fam)
             acc[0] += l2

@@ -83,7 +83,7 @@ distance from W_app at once and records its t, so neither grows in memory
 with the number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768
 one 12.6 MB).  W_app depends on t only through one phase e^(-i alpha t)
 per (l, alpha) node, so one `WappNodes` per call holds it as node tables
-(3.3 MB at 256 x 384 and 5 nodes per lobe), and `WappNodes.columns(t)`,
+(3.0 MB at 256 x 384 and 5 nodes per lobe), and `WappNodes.columns(t)`,
 W_app's one reader, places their phase sums on the saved states' own
 columns, where their own solver measures them (`Solver._on`);
 init_from_Wapp reads W_app(0) by the same route.  `compare_stability`
@@ -1000,7 +1000,9 @@ def _initial(solver: Solver, placed: np.ndarray) -> State:
     uh, wh, bh = placed
     held = np.flatnonzero(placed.any(axis=(0, 1)))
     field = np.fft.irfft(placed, n=g.nx, axis=2)
-    peak, edge = np.abs(field).max(), np.abs(field[:, -1]).max()
+    # max|f| as max(f.max(), -f.min()), with no third (3, ny, nx) grid
+    top = field[:, -1]
+    peak, edge = max(field.max(), -field.min()), max(top.max(), -top.min())
     if edge > 1e-6 * peak:
         warnings.warn(
             f"packet reaches the domain top: edge amplitude {edge / peak:.2e} "

@@ -46,7 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundary
-from .boundary import ExpModes, evaluate_modes, lift_critical, mode_profiles, synthesize
+from .boundary import (
+    ExpModes,
+    _x_basis,
+    evaluate_modes,
+    field_blocks,
+    lift_critical,
+    mode_profiles,
+)
 from .characteristic import ModalMatrixSpec
 from .params import CriticalCarrier, PhysParams, dispersion_omega
 
@@ -228,18 +235,27 @@ def packet_norms(
     two (u, w, b) triples.
 
     L2 is the trapezoid rule in y times a uniform rule in x (on default_grid
-    the x-axis is one x_period of the assembly lattice).  The components are
-    synthesized from the profile kernel one at a time.  If every mode decays
-    but a component's top row is not negligible against the field's
-    max-norm, the grid truncates the decay and a UserWarning says so.
+    the x-axis is one x_period of the assembly lattice).  Each component is
+    synthesized from the profile kernel in blocks of y-rows
+    (boundary.field_blocks), which are reduced in turn to the row sums of
+    c^2, the max of |c| and the top row, so no whole (y, x) grid is held.
+    If every mode decays but a component's top row is not negligible
+    against the field's max-norm, the grid truncates the decay and a
+    UserWarning says so.
     """
     x, y = grid
     dx = x[1] - x[0]
+    l, P = mode_profiles(modes, 0.0, y)
+    trig = _x_basis(l, x)
     l2, linf, top = [], [], []
-    for c in synthesize(*mode_profiles(modes, 0.0, y), x):
-        l2.append(math.sqrt(float(np.trapezoid((c * c).sum(axis=1) * dx, y))))
-        linf.append(float(np.abs(c).max()))
-        top.append(float(np.abs(c[-1]).max()))
+    for p in P:
+        sums, peak = [], 0.0
+        for f in field_blocks(p, trig):
+            sums.append((f * f).sum(axis=1))
+            peak = max(peak, float(f.max()), float(-f.min()))
+        l2.append(math.sqrt(float(np.trapezoid(np.concatenate(sums) * dx, y))))
+        linf.append(peak)
+        top.append(max(float(f[-1].max()), float(-f[-1].min())))  # the last block's
     if (modes.mu.real > 0).all() and max(top) > 1e-6 * max(linf):
         warnings.warn(
             f"grid truncation: top-row max {max(top):.3g} vs field max {max(linf):.3g}",

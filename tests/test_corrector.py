@@ -962,16 +962,35 @@ class TestLedgerNorms:
     @pytest.mark.parametrize("family", C.W1_MODAL)
     def test_blocked_max_is_the_full_grid_max(self, casm, family):
         """_profile_norms' Linf, taken in blocks of _LINF_ROWS y-rows with a
-        short last block, equals the max over synthesize's full grids bit for
-        bit."""
+        short last block, equals the max over synthesize's grids bit for bit:
+        both read boundary.field_blocks, the norm block by block and
+        synthesize joined (test_joined_blocks_are_the_full_grid_product
+        checks the join against one whole-grid product)."""
         P = casm.x_period
         m = casm.families[family]
         lattice = C._norm_lattice(m, P, C._NORM_NY)
-        assert len(lattice.y) > C._LINF_ROWS and len(lattice.y) % C._LINF_ROWS
+        assert len(lattice.y) > boundary._LINF_ROWS and len(lattice.y) % boundary._LINF_ROWS
         l, prof = C.mode_profiles(m, 0.0, lattice)
         x = np.linspace(0.0, P, C._NORM_NX, endpoint=False)
         want = max(float(max(f.max(), -f.min())) for f in boundary.synthesize(l, prof, x))
         assert C._profile_norms(l, prof, lattice.y, P, C._NORM_NX)[1] == want
+
+    @pytest.mark.parametrize("family", C.W1_MODAL)
+    def test_joined_blocks_are_the_full_grid_product(self, casm, family):
+        """synthesize's grids, joined from several row blocks with a short
+        last one, are one whole-grid product [Re p; -Im p]^T _x_basis(l, x)
+        of each component, to within 1e-15 of its max."""
+        P = casm.x_period
+        m = casm.families[family]
+        lattice = C._norm_lattice(m, P, C._NORM_NY)
+        assert len(lattice.y) > 2 * boundary._LINF_ROWS and len(lattice.y) % boundary._LINF_ROWS
+        l, prof = C.mode_profiles(m, 0.0, lattice)
+        x = np.linspace(0.0, P, C._NORM_NX, endpoint=False)
+        trig = boundary._x_basis(l, x)
+        for p, got in zip(prof, boundary.synthesize(l, prof, x)):
+            want = np.concatenate([p.real, -p.imag]).T @ trig
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestDeadRows:

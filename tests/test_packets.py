@@ -1,6 +1,7 @@
 """Wave-packet assembly: envelope, quadrature, families, size table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,35 @@ def test_packet_norms_match_full_grid(gamma, eps, nodes):
         total = math.sqrt(np.trapezoid(sum(np.abs(c) ** 2 for c in field).sum(axis=1) * dx, y))
         assert math.hypot(*l2) == pytest.approx(total, rel=1e-13, abs=0.0)
         assert linf == tuple(float(np.abs(c).max()) for c in field)
+
+
+def test_packet_norms_hold_no_whole_grid():
+    """packet_norms reduces each component's field in row blocks: on the
+    ledger's widest default_grid (gamma 0.7, eps 0.118, 6 nodes per lobe,
+    the BLEPS2 grid, 256 x 1436), for the W0 sum and its x- and
+    y-derivatives, its traced peak beyond that of the profile pass it makes
+    stays below one component grid of ny nx doubles (0.68 MB measured
+    against 2.9 MB; holding whole grids, a grid and its square, took
+    5.1 MB)."""
+    eps = 0.118
+    p = PhysParams(gamma=GAMMA, eps=eps)
+    asm = assemble_W0(p, Envelope(carrier=CARRIER, eps=eps), QuadratureSpec(6))
+    x, y = grid = default_grid(asm, Family.BLEPS2)
+    one_grid = len(y) * len(x) * 8
+    assert len(x) > 1400
+    bundle = asm.bundle(Family.SUM)
+    for modes in (bundle, bundle.d_dx(), bundle.d_dy()):
+        packet_norms(modes, grid)  # the first call's caches
+        peak = []
+        for call in (lambda: boundary.mode_profiles(modes, 0.0, y),
+                     lambda: packet_norms(modes, grid)):
+            tracemalloc.start()
+            try:
+                call()
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peak[1] - peak[0] < one_grid, (peak, one_grid)
 
 
 @pytest.fixture(scope="module")
