@@ -55,7 +55,6 @@ from .dns import (
     box_matched_eps,
     compare_stability,
     energy_budget,
-    init_from_Wapp,
     stability_twin,
 )
 from .packets import (
@@ -494,18 +493,11 @@ def _dns_run(config: ExperimentConfig, params: PhysParams, asm: PacketAssembly):
     return Solver(sim), w1, n_steps, save_every
 
 
-def _dns_series(config: ExperimentConfig, params: PhysParams, asm: PacketAssembly):
-    """Run the DNS (_dns_run) and compare it with W_app: the solver, the
-    trajectory and compare_stability's report."""
-    solver, w1, n_steps, save_every = _dns_run(config, params, asm)
-    state = init_from_Wapp(asm, w1, solver.config, solver)
-    traj, report = compare_stability(solver, state, n_steps, save_every, asm, w1)
-    return solver, traj, report
-
-
 def _run_dns(config: ExperimentConfig) -> list[str]:
     params = config.params
-    solver, traj, report = _dns_series(config, params, _assembly_at(config, params))
+    asm = _assembly_at(config, params)
+    solver, w1, n_steps, save_every = _dns_run(config, params, asm)
+    traj, report = compare_stability(solver, n_steps, save_every, asm, w1)
     budget = energy_budget(traj)
     # per-save-time series in the documented column layout
     idx = np.searchsorted(traj.times, report["t"])

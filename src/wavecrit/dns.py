@@ -82,16 +82,17 @@ save step to a callback, and `compare_stability` reduces it to its
 distance from W_app at once and records its t, so neither grows in memory
 with the number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768
 one 12.6 MB).  W_app depends on t only through one phase e^(-i alpha t)
-per (l, alpha) node, so one `WappNodes` per call holds it as node tables
-(3.0 MB at 256 x 384 and 5 nodes per lobe), and `WappNodes.columns(t)`,
-W_app's one reader, places their phase sums on the saved states' own
-columns, where their own solver measures them (`Solver._on`);
-init_from_Wapp reads W_app(0) by the same route.  `compare_stability`
-reports one run's departure ||W - W_app|| and the theorem's envelope.
-`stability_twin` marches a delta != 0 run and its delta = 0 twin in
-lockstep, the twin on the columns W0 reaches over the run's own
-y-operators and factorizations (`Solver.twin`), reads one `WappNodes`
-for both, and reports both departures and the twin residual
+per (l, alpha) node, so a run holds it as one `WappNodes` of node tables
+(3.0 MB at 256 x 384 and 5 nodes per lobe, 92 MB at 9), built once its
+rules hold (`_wapp_nodes`).  init_from_Wapp, `compare_stability` and
+`stability_twin` start from its W_app(0) (`WappNodes.columns`), and each
+save places its phase sums at the saved t on the state's own columns,
+where their own solver measures them (`Solver._on`).  `compare_stability`
+marches one run and reports its departure ||W - W_app|| and the
+theorem's envelope.  `stability_twin` marches a delta != 0 run and its
+delta = 0 twin in lockstep, the twin on the columns W0 reaches over the
+run's own y-operators and factorizations (`Solver.twin`), reads one
+`WappNodes` for both, and reports both departures and the twin residual
 ||W - W_0 - W1|| at each save (the CLI's `stability` experiment).
 """
 
@@ -156,21 +157,23 @@ def stretched_grid(Ly: float, ny: int, dy0: float, dy_max: float = math.inf):
     reaches Ly, found by bisection to the last bit; setting the last point
     to Ly then only shortens the last spacing.  This holds near uniform too:
     for Ly a hair above dy0 (ny - 1), r is one ulp above the bracket's lower
-    end.  For Ly at or below it, the grid is uniform.
+    end.  For Ly at or below it, the grid is uniform.  A Ly that no grid of
+    spacing <= dy_max reaches, uniform or stretched, is refused (DnsError).
     """
-    if dy0 * (ny - 1) >= Ly:
-        return np.linspace(0.0, Ly, ny)
-
     k = np.arange(ny - 1)
 
     def points(r):  # y[1:] at stretch ratio r
         return np.cumsum(np.minimum(dy0 * r**k, dy_max))
 
-    if points(1.08)[-1] < Ly:
+    uniform = dy0 * (ny - 1) >= Ly  # then its one spacing must be <= dy_max
+    reached = Ly / (ny - 1) <= dy_max if uniform else points(1.08)[-1] >= Ly
+    if not reached:
         raise DnsError(
             f"cannot reach Ly={Ly:.3g} with ny={ny}, dy0={dy0:.3g}, "
             f"dy_max={dy_max:.3g} at stretch ratio <= 1.08"
         )
+    if uniform:
+        return np.linspace(0.0, Ly, ny)
     # the grid's length is increasing in r: halve the bracket until its
     # midpoint is one of its ends, keeping a grid that reaches Ly at hi
     lo, hi = 1.0 + 1e-12, 1.08
@@ -914,11 +917,13 @@ class WappNodes:
         groups in table order, as `slots` places them."""
         return np.concatenate([phase_sum(*table, t)[1] for table in self.tables], axis=1)
 
-    def columns(self, t: float) -> np.ndarray:
+    def columns(self, t: float, tables: int | None = None) -> np.ndarray:
         """W_app(t) on every rfft column, (3, ny, nx // 2 + 1) of (u, w, b):
-        `profiles` placed through `slots` (place_profiles)."""
+        `profiles` placed through `slots` (place_profiles); with `tables`,
+        the first `tables` tables alone (W0 with 1)."""
         cols = np.arange(self.grid.nx // 2 + 1)
-        return place_profiles(self.slots(cols), self.profiles(t), self.grid, len(cols))
+        P = self.profiles(t)[:, :sum(self.groups[:tables])]
+        return place_profiles(self.slots(cols, tables), P, self.grid, len(cols))
 
 
 def place_profiles(slots: np.ndarray, P: np.ndarray, grid: Grid, width: int) -> np.ndarray:
@@ -970,9 +975,17 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
-    _check_wapp(config, w0, w1)
-    _check_resolved(config, w0, solver.grid)
-    return _initial(solver, WappNodes(w0, w1, solver.grid).columns(0.0))
+    return _initial(solver, _wapp_nodes(solver, w0, w1).columns(0.0))
+
+
+def _wapp_nodes(solver: Solver, w0: PacketAssembly,
+                w1: CorrectorAssembly | None) -> WappNodes:
+    """W_app's node tables for the solver's run, once its rules hold
+    (_check_wapp, _check_resolved): where init_from_Wapp,
+    compare_stability and stability_twin each start."""
+    _check_wapp(solver.config, w0, w1)
+    _check_resolved(solver.config, w0, solver.grid)
+    return WappNodes(w0, w1, solver.grid)
 
 
 def _check_resolved(config: SimConfig, w0: PacketAssembly, g: Grid):
@@ -988,7 +1001,7 @@ def _check_resolved(config: SimConfig, w0: PacketAssembly, g: Grid):
         warnings.warn(
             f"advection's 3 k0 harmonic sits at rfft column {3 * col}, at or above "
             f"the Nyquist column nx/2 = {g.nx / 2:g}, and folds; nx > {6 * col} resolves it",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -1040,33 +1053,30 @@ def energy_budget(traj: Trajectory) -> dict:
     }
 
 
-def compare_stability(solver: Solver, state: State, n_steps: int, save_every: int,
-                      w0: PacketAssembly,
+def compare_stability(solver: Solver, n_steps: int, save_every: int, w0: PacketAssembly,
                       w1: CorrectorAssembly | None = None) -> tuple[Trajectory, dict]:
-    """March `state` and follow ||W_app(t) - W(t)||_{L^2} against the
-    theorem's envelope: the trajectory and the report.
+    """March W_app(0) = w0 (+ w1) by `solver` and follow ||W_app(t) -
+    W(t)||_{L^2} against the theorem's envelope: the trajectory and the report.
 
-    The march is `solver.run(state, n_steps, save_every, ...)`, whose
-    parameters give eps and delta.  Each saved state is compared with
-    W_app = w0 (+ w1) at its own t (the report's `t`), on its own rfft
-    columns (Parseval sums, `_departure`), as the march reaches it, and
-    then dropped; one `WappNodes`, built before the march, holds W_app.
+    The run starts as init_from_Wapp starts it, whose rules and warnings
+    hold, and is `solver.run`, whose parameters give eps and delta.  One
+    `WappNodes` holds W_app for the whole run: it gives the initial state,
+    and each saved state is compared with W_app at its own t (the report's
+    `t`), on its own rfft columns (Parseval sums, `_departure`), as the
+    march reaches it, and then dropped.
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
-    the first save's placement (at the state's own t, 0 from init_from_Wapp):
-    the stability envelope is stated for an O(1)-normalized wave field,
-    while the packet itself carries an O(1/eps) lattice-sum amplitude.
-    The report holds arrays over the save times: `t`, `diff_L2` and the
-    envelope `bound_thm` = delta eps^2 exp((delta/eps^2 + 1) t).  `diff_L2`
-    is this run's whole departure; `stability_twin` marches a run with its
-    delta = 0 twin and reports both.
-
-    W_app must be built for the solver's run, as in init_from_Wapp: a
-    mismatch raises DnsError naming the field.
+    the first save's placement, at t = 0: the stability envelope is stated
+    for an O(1)-normalized wave field, while the packet itself carries an
+    O(1/eps) lattice-sum amplitude.  The report holds arrays over the save
+    times: `t`, `diff_L2` and the envelope `bound_thm` = delta eps^2
+    exp((delta/eps^2 + 1) t).  `diff_L2` is this run's whole departure;
+    `stability_twin` marches a run with its delta = 0 twin and reports
+    both.
     """
-    _check_wapp(solver.config, w0, w1)
-    nodes = WappNodes(w0, w1, solver.grid)
-    slots = nodes.slots(solver._on(state)[1].cols)
+    nodes = _wapp_nodes(solver, w0, w1)
+    state = _initial(solver, nodes.columns(0.0))
+    slots = nodes.slots(state.cols)
     t, diffs, norm0 = [], [], None
 
     def compare(st):
@@ -1094,8 +1104,9 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     Solver.step each per step, and follow both against W_app: the report.
 
     One `WappNodes` holds W_app for both runs and gives both initial states
-    (as init_from_Wapp does, whose rules and warnings hold).  At each save
-    (Solver.run's schedule) its profiles are read once, at the saved t, and
+    as init_from_Wapp does, whose rules and warnings hold: W_app(0), and
+    W0(0) (its first table) for the twin.  At each save (Solver.run's
+    schedule) its profiles are read once, at the saved t, and
     placed on each state's own columns, W_app for the run and W0 for the
     twin; both states are reduced as compare_stability reduces one
     (`_departure`), and dropped.  No energy series is kept.
@@ -1106,16 +1117,13 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     twin residual ||W - W_0 - W1|| relative to ||W_app(0)||, formed from
     the two differences, (W_app - W) - (W0 - W_0) on the twin's columns.
     """
-    _check_wapp(solver.config, w0, w1)
-    _check_resolved(solver.config, w0, solver.grid)
     g, twin = solver.grid, solver.twin()
-    nodes = WappNodes(w0, w1, g)
-    P, every = nodes.profiles(0.0), np.arange(g.nx // 2 + 1)
+    nodes = _wapp_nodes(solver, w0, w1)
     n0 = nodes.groups[0]  # W0's x-groups, the first
     # the twin first: its full-width placement and projection are then
     # made before the full state exists, not beside it
-    state0 = _initial(twin, place_profiles(nodes.slots(every, 1), P[:, :n0], g, len(every)))
-    state = _initial(solver, place_profiles(nodes.slots(every), P, g, len(every)))
+    state0 = _initial(twin, nodes.columns(0.0, 1))
+    state = _initial(solver, nodes.columns(0.0))
     slots, slots0 = nodes.slots(state.cols), nodes.slots(state0.cols, 1)
     at = np.searchsorted(state.cols, state0.cols)  # the twin's columns in the run's
     rows, norms = [], []

@@ -384,9 +384,7 @@ def _dns_setup(delta, nx, ny, dt, dy0):
     w1 = C.assemble_W1(asm) if delta else None
     cfg = SimConfig(params=p, Lx=asm.x_period, Ly=300.0, nx=nx, ny=ny,
                     dt=dt, T=1.0, dy0=dy0, dy_max=1.0)
-    sol = Solver(cfg)
-    st = init_from_Wapp(asm, w1, cfg, sol)
-    return asm, w1, sol, st
+    return asm, w1, Solver(cfg)
 
 
 def test_criterion_08_energy_inequality():
@@ -394,8 +392,8 @@ def test_criterion_08_energy_inequality():
     t0 = time.time()
     defects = {}
     for dt in (0.01, 0.005):
-        _, _, sol, st = _dns_setup(EPS_DNS**3, 256, 384, dt, dy0=1e-3)
-        traj = sol.run(st, int(round(1.0 / dt)))
+        asm, w1, sol = _dns_setup(EPS_DNS**3, 256, 384, dt, dy0=1e-3)
+        traj = sol.run(init_from_Wapp(asm, w1, sol.config, sol), int(round(1.0 / dt)))
         bud = energy_budget(traj)
         defects[dt] = np.abs(bud["defect"]).max() / traj.energy[0]
         if bud["max_step_increase"] > 1e-6:
@@ -436,17 +434,19 @@ def test_criterion_09_stability_estimate():
     reports = {}
     c_resid = None
     for delta in (0.0, EPS_DNS**3):
-        asm, w1, sol, st = _dns_setup(delta, 512, 768, 0.01, dy0=5e-4)
-        if delta == 0.0 and len(st.cols) != 7:
-            # 9 nodes, the 7 inner ones of nonzero weight: one column each
-            failures.append(f"delta=0 state holds {len(st.cols)} columns, not 7")
+        asm, w1, sol = _dns_setup(delta, 512, 768, 0.01, dy0=5e-4)
+        if delta == 0.0:
+            held = init_from_Wapp(asm, None, sol.config, sol).cols
+            if len(held) != 7:
+                # 9 nodes, the 7 inner ones of nonzero weight: one column each
+                failures.append(f"delta=0 state holds {len(held)} columns, not 7")
         if delta != 0.0:
             l2, _ = packet_norms(asm.bundle(Family.SUM),
                                  default_grid(asm, Family.BLEPS2))
             norm0 = math.hypot(*l2)
             c_resid = (C.residual_Rapp(w1)["total"]
                        / (norm0 * delta * EPS_DNS**2))
-        reports[delta] = compare_stability(sol, st, 100, 20, asm, w1)[1]
+        reports[delta] = compare_stability(sol, 100, 20, asm, w1)[1]
     rep0 = reports[0.0]
     rep1 = reports[EPS_DNS**3]
     # delta = 0 control: growth only through eps^6 diffusion of the packet

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from wavecrit import dns
 from wavecrit.cli import (
     _DNS_OPTIONS,
     _RUNNERS,
@@ -16,22 +17,24 @@ from wavecrit.cli import (
     FitError,
     _assembly_at,
     _dns_config,
-    _dns_series,
+    _dns_run,
     _dump_field,
     fit_slopes,
     load_config,
     main,
     run_experiment,
 )
-from wavecrit.corrector import assemble_W1
+from wavecrit.corrector import MeanFlowField, assemble_W1
 from wavecrit.dns import (
     SimConfig,
     Solver,
     WappNodes,
     box_matched_eps,
+    compare_stability,
     init_from_Wapp,
     place_profiles,
 )
+from wavecrit.packets import Family
 from wavecrit.params import PhysParams
 
 pytestmark = pytest.mark.filterwarnings(
@@ -455,6 +458,38 @@ def test_rerun_bit_identical(experiment, tmp_path):
     assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
+def _dns_march(cfg, params, asm):
+    """The `dns` experiment's march at params from W0 = asm (_dns_run and
+    compare_stability): the trajectory and the report."""
+    solver, w1, n_steps, save_every = _dns_run(cfg, params, asm)
+    return compare_stability(solver, n_steps, save_every, asm, w1)
+
+
+def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
+    """The delta != 0 `dns` experiment on the small box builds each of
+    W_app's node tables once, for its initial state and every save: W0's
+    and W1's modal table by one dns.node_profiles call each, and W1_MF's by
+    one MeanFlowField.node_profiles call."""
+    cfg = ExperimentConfig(experiment="dns", output_dir=tmp_path, **RERUN_CONFIGS["dns"])
+    asm = _assembly_at(cfg, cfg.params)
+    sizes = [len(asm.bundle(Family.SUM)), len(assemble_W1(asm).modal())]
+    built = {"nodes": [], "W1_MF": 0}
+    node_profiles, mf_profiles = dns.node_profiles, MeanFlowField.node_profiles
+
+    def counted_nodes(modes, y):
+        built["nodes"].append(len(modes))
+        return node_profiles(modes, y)
+
+    def counted_mf(*args):
+        built["W1_MF"] += 1
+        return mf_profiles(*args)
+
+    monkeypatch.setattr(dns, "node_profiles", counted_nodes)
+    monkeypatch.setattr(MeanFlowField, "node_profiles", counted_mf)
+    run_experiment(cfg)
+    assert built == {"nodes": sizes, "W1_MF": 1}
+
+
 def _twin_residual(cfg, asm):
     """||W_delta - W_0 - W1|| / ||W_app(0)|| at the save times of cfg's
     delta != 0 run and its delta = 0 twin, each marched by its own Solver
@@ -484,7 +519,7 @@ def _twin_residual(cfg, asm):
 def test_stability_subtracts_its_delta_zero_twin(tmp_path):
     """The lockstep's stability.csv against the two runs made one after the
     other: diff_L2 and floor are the delta != 0 and the delta = 0 run's
-    diff_L2 (_dns_series) bit for bit, net is max(diff_L2 - floor, 0),
+    diff_L2 (_dns_march) bit for bit, net is max(diff_L2 - floor, 0),
     within_thm is net <= bound_thm, and twin_resid is the runs'
     ||W_delta - W_0 - W1|| / ||W_app(0)|| to 1e-14.  On this box net is
     about 0.019 on every row, above bound_thm, so the unclamped branch and a
@@ -497,8 +532,8 @@ def test_stability_subtracts_its_delta_zero_twin(tmp_path):
                       "twin_resid"]
     assert len(rows) == 3
     asm = _assembly_at(cfg, cfg.params)
-    diff = _dns_series(cfg, cfg.params, asm)[2]["diff_L2"]
-    floor = _dns_series(cfg, dataclasses.replace(cfg.params, delta=0.0), asm)[2]["diff_L2"]
+    diff = _dns_march(cfg, cfg.params, asm)[1]["diff_L2"]
+    floor = _dns_march(cfg, dataclasses.replace(cfg.params, delta=0.0), asm)[1]["diff_L2"]
     for row, d, f0, r in zip(rows, diff, floor, _twin_residual(cfg, asm), strict=True):
         _, diff_i, floor_i, net, bound_thm, within, resid = row
         assert float(diff_i) == d and float(floor_i) == f0
@@ -565,7 +600,7 @@ class TestDnsArtifacts:
         assert raw.size == sum(math.prod(s) for _, s in comps)
         assert len(side["y"]) == comps[0][1][0]
         cfg = ExperimentConfig(output_dir=outdir, **DNS_RUN)
-        final = _dns_series(cfg, cfg.params, _assembly_at(cfg, cfg.params))[1].final
+        final = _dns_march(cfg, cfg.params, _assembly_at(cfg, cfg.params))[0].final
         assert side["t"] == final.t
         start = 0
         for name, shape in comps:

@@ -115,9 +115,11 @@ def _ddx(solver, f):
 
 
 @pytest.fixture(scope="module")
-def stability(solver, initial, assembly):
+def stability(solver, assembly):
     """delta = 0 linear run to t = 0.5, compared with W0 every 10 steps."""
-    return compare_stability(solver, initial, 50, 10, assembly)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return compare_stability(solver, 50, 10, assembly)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,15 @@ class TestGridAndConfig:
     def test_stretched_grid_unreachable(self):
         with pytest.raises(DnsError):
             stretched_grid(60.0, 128, 1e-3, 0.6)
+
+    @pytest.mark.parametrize("dy0", [1.0, 1e-3], ids=["uniform", "stretched"])
+    def test_spacing_above_dy_max_refused(self, dy0):
+        """Ly = 300 on 384 points needs a spacing of at least 300/383 = 0.783,
+        above dy_max = 0.5: refused alike whether dy0 makes the grid uniform
+        (dy0 (ny - 1) >= Ly) or stretched."""
+        with pytest.raises(DnsError, match=rf"^cannot reach Ly=300 with ny=384, "
+                                           rf"dy0={dy0:.3g}, dy_max=0.5 at"):
+            stretched_grid(300.0, 384, dy0, 0.5)
 
     def test_dt_rotational_limit(self):
         with pytest.raises(DnsError):
@@ -791,7 +802,9 @@ class TestSpectralState:
         added six times is 0.060000000000000005)."""
         seen = []
         solver.run(initial, 7, 3, on_save=seen.append)
-        t = compare_stability(solver, initial, 7, 3, assembly)[1]["t"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the packet reaches the lid
+            t = compare_stability(solver, 7, 3, assembly)[1]["t"]
         assert [s.t.hex() for s in seen] == [x.hex() for x in t.tolist()]
         assert t[2] != 6 * solver.config.dt
 
@@ -900,9 +913,8 @@ class TestColumnSubset:
             raise AssertionError("the march ran")
 
         monkeypatch.setattr(Solver, "run", refuse)
-        zero = np.zeros((cfg.ny, cfg.nx // 2 + 1), dtype=complex)
         with pytest.raises(DnsError, match=self.OFF_LATTICE):
-            compare_stability(sol, State(zero, zero, zero, zero, 0.0, cfg.nx), 1, 1, asm)
+            compare_stability(sol, 1, 1, asm)
 
     def test_held_columns_chosen_by_energy(self, assembly, initial):
         """The delta = 0 state is the delta != 0 one on the held columns,
@@ -1054,36 +1066,35 @@ class TestWappMatchesTheRun:
     DnsError naming the field."""
 
     @staticmethod
-    def refused(w0, w1, config, state, match):
+    def refused(w0, w1, config, match):
         sol = Solver(config)
         with pytest.raises(DnsError, match=match):
             init_from_Wapp(w0, w1, config, sol)
-        # refused before the march reads the state
         with pytest.raises(DnsError, match=match):
-            compare_stability(sol, state, 1, 1, w0, w1)
+            compare_stability(sol, 1, 1, w0, w1)
 
     @pytest.mark.parametrize("field,value", [("eps", 0.99 * EPS), ("gamma", 0.69),
                                              ("nu0", 1.5)])
-    def test_w0_at_other_params(self, assembly, initial, field, value):
+    def test_w0_at_other_params(self, assembly, field, value):
         p = dataclasses.replace(PARAMS, **{field: value})
         cfg = dataclasses.replace(make_config(Lx=assembly.x_period), params=p)
-        self.refused(assembly, None, cfg, initial,
+        self.refused(assembly, None, cfg,
                      rf"^W0 was built at {field}={getattr(PARAMS, field)!r}, "
                      rf"the run is at {field}={value!r}$")
 
     def test_w1_at_other_delta(self, twin):
-        asm, w1, _, st = twin
+        asm, w1 = twin[:2]
         cfg = make_config(delta=2 * EPS**3, Lx=asm.x_period)
-        self.refused(asm, w1, cfg, st, rf"^W1 was built at delta={EPS**3!r}, "
+        self.refused(asm, w1, cfg, rf"^W1 was built at delta={EPS**3!r}, "
                                        rf"the run is at delta={2 * EPS**3!r}$")
 
     def test_w1_of_another_w0(self, assembly, twin):
         """W1 is a function of its own W0: the twin's W1 (5 nodes per lobe)
         next to the 9-node W0, at the same parameters and carrier, is
         refused, though its wavenumbers sit on that W0's box lattice."""
-        w1, st = twin[1], twin[3]
+        w1 = twin[1]
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period)
-        self.refused(assembly, w1, cfg, st, r"^W1 was built from another W0$")
+        self.refused(assembly, w1, cfg, r"^W1 was built from another W0$")
 
     def test_delta_zero_run_shares_the_w0(self, twin):
         """W0 does not depend on delta: a delta = 0 run takes the W0 built
@@ -1096,8 +1107,7 @@ class TestWappMatchesTheRun:
         st, ref = (init_from_Wapp(w0, None, cfg, sol) for w0 in (asm, own))
         for a, b in ((st.uh, ref.uh), (st.wh, ref.wh), (st.bh, ref.bh)):
             assert np.array_equal(a, b)
-        rep, rep_own = (compare_stability(sol, s, 2, 1, w0)[1]
-                        for s, w0 in ((st, asm), (ref, own)))
+        rep, rep_own = (compare_stability(sol, 2, 1, w0)[1] for w0 in (asm, own))
         assert np.array_equal(rep["diff_L2"], rep_own["diff_L2"])
 
 
@@ -1417,12 +1427,12 @@ class TestCompareStability:
     def test_memory_does_not_grow_with_save_count(self, initial, assembly, solver):
         """Each saved state is compared and dropped: 20 save times and 10
         trace the same peak to within one state."""
-        compare_stability(solver, initial, 1, 1, assembly)  # the first call's caches
+        compare_stability(solver, 1, 1, assembly)  # the first call's caches
         peak = {}
         for n in (10, 20):
             tracemalloc.start()
             try:
-                compare_stability(solver, initial, n, 1, assembly)
+                compare_stability(solver, n, 1, assembly)
                 peak[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1449,7 +1459,7 @@ class TestCompareStability:
             raise AssertionError("compare_stability widened a saved state")
 
         monkeypatch.setattr(State, "widen", refuse)
-        rep = compare_stability(solver, initial, 20, 10, assembly)[1]
+        rep = compare_stability(solver, 20, 10, assembly)[1]
         assert rep["diff_L2"].tolist() == want
 
     @pytest.mark.parametrize("n_steps,save_every", [(7, 3), (10, 1)])
@@ -1486,16 +1496,16 @@ class TestCompareStability:
         monkeypatch.setattr(dns, "node_profiles", counted_nodes)
         monkeypatch.setattr(corrector.MeanFlowField, "node_profiles", counted_mf)
         monkeypatch.setattr(corrector, "mode_profiles", refused)
-        rep = compare_stability(sol, st, n_steps, save_every, asm, w1)[1]
+        rep = compare_stability(sol, n_steps, save_every, asm, w1)[1]
         assert rep["diff_L2"].tolist() == want
         assert len(saved) > 3
         assert passes == {"nodes": [len(asm.bundle(Family.SUM)), len(w1.modal())],
                           "W1_MF": 1, "mode_profiles": 0}
 
     def test_init_places_the_first_save(self, twin, monkeypatch):
-        """init_from_Wapp's W_app(0), placed before its projection, is the
+        """The initial state's W_app(0), placed before its projection, is the
         first save's W_app in compare_stability, bit for bit."""
-        asm, w1, sol, st = twin
+        asm, w1, sol = twin[:3]
         placed, place = [], dns.place_profiles
 
         def kept(*args):
@@ -1504,26 +1514,26 @@ class TestCompareStability:
             return out
 
         monkeypatch.setattr(dns, "place_profiles", kept)
-        init_from_Wapp(asm, w1, sol.config, sol)
-        compare_stability(sol, st, 1, 1, asm, w1)
+        compare_stability(sol, 1, 1, asm, w1)
         assert len(placed) == 3 and placed[0].any()
         assert placed[0].tobytes() == placed[1].tobytes()
 
     def test_mean_flow_theta_once_per_call(self, twin, monkeypatch):
         """W1_MF's theta and theta' are evaluated once per call, in its one
         WappNodes, not once per save."""
-        asm, w1, sol, st = twin
+        asm, w1, sol = twin[:3]
         calls = []
         for name in ("_theta", "_theta_prime"):
             monkeypatch.setattr(corrector, name, lambda s, f=getattr(corrector, name),
                                 name=name: calls.append(name) or f(s))
-        rep = compare_stability(sol, st, 3, 1, asm, w1)[1]
+        rep = compare_stability(sol, 3, 1, asm, w1)[1]
         assert len(rep["t"]) == 4 and sorted(calls) == ["_theta", "_theta_prime"]
 
     def test_subset_saves_are_placed_on_their_columns(self, initial, assembly,
                                                       solver, monkeypatch):
         """At delta = 0 W_app is placed on the saved states' own columns
-        alone, at every save: no placement spans every rfft column."""
+        alone, at every save: only the initial state's W_app(0), before its
+        columns are chosen, spans every rfft column."""
         widths, place = [], dns.place_profiles
 
         def spied(*args):
@@ -1532,23 +1542,23 @@ class TestCompareStability:
             return out
 
         monkeypatch.setattr(dns, "place_profiles", spied)
-        compare_stability(solver, initial, 2, 1, assembly)
-        assert not initial.full and widths == [len(initial.cols)] * 3
+        compare_stability(solver, 2, 1, assembly)
+        assert not initial.full
+        assert widths == [solver.grid.nx // 2 + 1] + [len(initial.cols)] * 3
 
     def test_columns_lacking_wapp_are_refused(self, initial, assembly, solver):
-        """A delta = 0 state lacking a column that W_app reaches is refused
-        before the march, with the column named."""
-        st = State(*(f[:, 1:] for f in (initial.uh, initial.wh, initial.bh, initial.ph)),
-                   0.0, initial.nx, initial.cols[1:])
+        """Placing W_app's x-groups among columns that lack one W_app reaches
+        (a delta = 0 state's held columns but the first) is refused, with the
+        column named."""
+        nodes = WappNodes(assembly, None, solver.grid)
         with pytest.raises(DnsError, match=f"^W_app reaches rfft column {initial.cols[0]}, "):
-            compare_stability(solver, st, 1, 1, assembly)
+            nodes.slots(initial.cols[1:])
 
     def test_bound_shapes(self, assembly, solver):
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period, T=0.1)
         p = cfg.params
         sol = Solver(cfg)
-        st = init_from_Wapp(assembly, None, cfg, sol)
-        rep = compare_stability(sol, st, 10, 5, assembly)[1]
+        rep = compare_stability(sol, 10, 5, assembly)[1]
         thm = rep["bound_thm"]
         assert thm[0] == pytest.approx(p.delta * EPS**2)
         assert np.all(np.diff(thm) > 0)
