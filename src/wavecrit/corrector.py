@@ -54,8 +54,8 @@ W1 field and norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through the row blocks of
 boundary.field_blocks, joined by boundary.synthesize or reduced by
 _profile_norms, or, in the DNS, as node tables read by boundary.phase_sum
-(boundary.node_profiles, MeanFlowField.node_profiles, dns.WappNodes; nodes
-as collect_traces', by boundary._nodes).  A pair mode records its two parent
+(CorrectorAssembly.node_tables, read by dns.WappNodes; nodes as
+collect_traces', by boundary._nodes).  A pair mode records its two parent
 rates (mu = mu_L + mu_R), and the interior solves and ledger terms keep
 them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
 table of W0's rates.  The ledger computes only what it reports, one kernel
@@ -89,6 +89,7 @@ from .boundary import (
     lift_noncritical,
     lift_nonoscillating,
     mode_profiles,
+    node_profiles,
     phase_sum,
     synthesize,
 )
@@ -546,6 +547,11 @@ class CorrectorAssembly:
         l, P = mode_profiles(self.modal(), t, y)
         l_mf, P_mf = self.families[W1_MF].profiles(t, y)
         return np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=-2)
+
+    def node_tables(self, y) -> list:
+        """W1's node tables (l, alpha, Q) at t = 0, the modal families' and
+        W1_MF's, as boundary.phase_sum reads them (dns.WappNodes)."""
+        return [node_profiles(self.modal(), y), self.families[W1_MF].node_profiles(y)]
 
 
 def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,

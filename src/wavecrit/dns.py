@@ -84,10 +84,12 @@ with the number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768
 one 12.6 MB).  W_app depends on t only through one phase e^(-i alpha t)
 per (l, alpha) node, so a run holds it as one `WappNodes` of node tables
 (3.0 MB at 256 x 384 and 5 nodes per lobe, 92 MB at 9), built once its
-rules hold (`_wapp_nodes`).  init_from_Wapp, `compare_stability` and
-`stability_twin` start from its W_app(0) (`WappNodes.columns`), and each
-save places its phase sums at the saved t on the state's own columns,
-where their own solver measures them (`Solver._on`).  `compare_stability`
+rules hold (`_wapp_nodes`).  One method reads it, `WappNodes.place`:
+W_app at t, or its first tables alone (W0 with 1), phase-summed and
+placed on given rfft columns.  init_from_Wapp, `compare_stability` and
+`stability_twin` start from its W_app(0) on every column (`_initial`),
+and each save places W_app at the saved t on the state's own columns,
+where their own solver measures it (`Solver._on`).  `compare_stability`
 marches one run and reports its departure ||W - W_app|| and the
 theorem's envelope.  `stability_twin` marches a delta != 0 run and its
 delta = 0 twin in lockstep, the twin on the columns W0 reaches over the
@@ -109,7 +111,7 @@ from scipy.linalg.blas import zaxpy, ztbsv
 from scipy.sparse import csr_array, diags_array, eye_array
 
 from .boundary import _l_starts, node_profiles, phase_sum
-from .corrector import W1_MF, CorrectorAssembly
+from .corrector import CorrectorAssembly
 from .packets import Family, PacketAssembly
 from .params import PhysParams
 
@@ -823,9 +825,6 @@ class Solver:
             diss.append(self._diff_coef[name] * (float(sq @ op._parseval_kx2) + dy))
         return sum(energy), sum(diss)
 
-    def energy(self, state: State) -> float:
-        return self._energy_and_dissipation(state)[0]
-
     def dissipation(self, state: State) -> float:
         """Instantaneous eps^6 (nu0 |grad u|^2 + nu0 |grad w|^2 + k0 |grad b|^2)."""
         return self._energy_and_dissipation(state)[1]
@@ -877,10 +876,10 @@ class Trajectory:
 class WappNodes:
     """W_app = W0 (+ W1) on the grid, held for reading at many times t.
 
-    `tables` are node tables (l, alpha, Q) at t = 0, W0's, W1's modal
-    families' and W1_MF's: W1 alone is every table but the first, and W0
-    alone the first, whose x-groups come first wherever groups are listed
-    (`groups` counts each table's).  A group sits at the column c =
+    `tables` are node tables (l, alpha, Q) at t = 0, W0's and then W1's
+    (CorrectorAssembly.node_tables): W0 alone is the first, whose x-groups
+    come first wherever groups are listed (`groups` counts each table's).
+    `place` is W_app's one reader.  A group sits at the column c =
     l Lx / (2 pi) and at -c (mod nx); one more than 1e-9 of a column off
     the lattice (eps not box-matched) is refused when the tables are built."""
 
@@ -888,8 +887,7 @@ class WappNodes:
         self.grid = grid
         self.tables = [node_profiles(w0.bundle(Family.SUM), grid.y)]
         if w1 is not None:
-            self.tables += [node_profiles(w1.modal(), grid.y),
-                            w1.families[W1_MF].node_profiles(grid.y)]
+            self.tables += w1.node_tables(grid.y)
         ls = [l[_l_starts(l)] for l, *_ in self.tables]
         self.groups = [len(l) for l in ls]
         c = np.concatenate(ls) * grid.Lx / (2.0 * math.pi)
@@ -900,44 +898,29 @@ class WappNodes:
                            f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
         self._at = np.stack([col % grid.nx, -col % grid.nx], axis=1)
 
-    def slots(self, cols: np.ndarray, tables: int | None = None) -> np.ndarray:
-        """The places of the x-groups of the first `tables` tables (all by
-        default) among the sorted rfft columns `cols`: (groups, 2), at c and
-        at -c, -1 off the rfft half.  A group at a column `cols` lacks is
-        refused."""
-        j, half = self._at[:sum(self.groups[:tables])], self.grid.nx // 2
-        lacked = (j <= half) & ~np.isin(j, cols)
+    def place(self, t: float, cols: np.ndarray, tables: int | None = None) -> np.ndarray:
+        """W_app(t) on the sorted rfft columns `cols`, (3, ny, len(cols)) of
+        (u, w, b); with `tables`, the first `tables` tables alone (W0 with
+        1).  Each table is read at t (boundary.phase_sum), and an x-group's
+        profiles P go to its column c as nx P and, conjugated, to -c where
+        that is on the rfft half; every other column is exactly 0.  Groups
+        that fold to one column add up there; a loop over the groups takes
+        half the time of one np.add.at (0.16 against 0.35 ms at 256 x 384).
+        A group at a column `cols` lacks is refused."""
+        g, j = self.grid, self._at[:sum(self.groups[:tables])]
+        on_half = j <= g.nx // 2
+        lacked = on_half & ~np.isin(j, cols)
         if lacked.any():
             raise DnsError(f"W_app reaches rfft column {j[lacked].min()}, which the "
                            f"columns it is placed in lack")
-        return np.where(j <= half, np.searchsorted(cols, j), -1)
-
-    def profiles(self, t: float) -> np.ndarray:
-        """(3, groups, ny): every table read at t (boundary.phase_sum), its
-        groups in table order, as `slots` places them."""
-        return np.concatenate([phase_sum(*table, t)[1] for table in self.tables], axis=1)
-
-    def columns(self, t: float, tables: int | None = None) -> np.ndarray:
-        """W_app(t) on every rfft column, (3, ny, nx // 2 + 1) of (u, w, b):
-        `profiles` placed through `slots` (place_profiles); with `tables`,
-        the first `tables` tables alone (W0 with 1)."""
-        cols = np.arange(self.grid.nx // 2 + 1)
-        P = self.profiles(t)[:, :sum(self.groups[:tables])]
-        return place_profiles(self.slots(cols, tables), P, self.grid, len(cols))
-
-
-def place_profiles(slots: np.ndarray, P: np.ndarray, grid: Grid, width: int) -> np.ndarray:
-    """Profiles P (3, groups, ny) as rfft columns (3, ny, width) of (u, w, b):
-    group g's P goes to place slots[g, 0] as nx P and its conjugate to
-    slots[g, 1] (WappNodes.slots(); none at -1), every other column exactly 0.
-    Groups that fold to one column add up there; a loop over the groups
-    takes half the time of one np.add.at (0.16 against 0.35 ms at 256 x 384)."""
-    nx, out = grid.nx, np.zeros((3, grid.ny, width), dtype=complex)
-    for (a, b), v in zip(slots, P.transpose(1, 0, 2)):
-        for k, f in ((a, v), (b, v.conj())):
-            if k >= 0:
-                out[..., k] += nx * f
-    return out
+        at = np.where(on_half, np.searchsorted(cols, j), -1)
+        P = np.concatenate([phase_sum(*table, t)[1] for table in self.tables[:tables]], axis=1)
+        out = np.zeros((3, g.ny, len(cols)), dtype=complex)
+        for (a, b), v in zip(at, P.transpose(1, 0, 2)):
+            for k, f in ((a, v), (b, v.conj())):
+                if k >= 0:
+                    out[..., k] += g.nx * f
+        return out
 
 
 def _check_wapp(config: SimConfig, w0: PacketAssembly, w1: CorrectorAssembly | None):
@@ -959,7 +942,7 @@ def _check_wapp(config: SimConfig, w0: PacketAssembly, w1: CorrectorAssembly | N
 
 def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
                    config: SimConfig, solver: Solver) -> State:
-    """W_app(0) in the solver's rfft columns (WappNodes.columns), projected;
+    """W_app(0) in the solver's rfft columns (WappNodes.place), projected;
     at delta = 0 the state holds only the columns W_app touches.
 
     A W0 wavenumber at or above the grid's Nyquist column would alias and is
@@ -975,7 +958,7 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
-    return _initial(solver, _wapp_nodes(solver, w0, w1).columns(0.0))
+    return _initial(solver, _wapp_nodes(solver, w0, w1))
 
 
 def _wapp_nodes(solver: Solver, w0: PacketAssembly,
@@ -1005,11 +988,13 @@ def _check_resolved(config: SimConfig, w0: PacketAssembly, g: Grid):
         )
 
 
-def _initial(solver: Solver, placed: np.ndarray) -> State:
-    """W_app(0) placed on every rfft column as the solver's initial state:
-    projected, and at delta = 0 holding only the columns it touches.  A
-    UserWarning says when the packet reaches the lid."""
+def _initial(solver: Solver, nodes: WappNodes, tables: int | None = None) -> State:
+    """W_app(0), or its first `tables` tables (WappNodes.place), placed on
+    every rfft column as the solver's initial state: projected, and at
+    delta = 0 holding only the columns it touches.  A UserWarning says when
+    the packet reaches the lid."""
     g = solver.grid
+    placed = nodes.place(0.0, np.arange(g.nx // 2 + 1), tables)
     uh, wh, bh = placed
     held = np.flatnonzero(placed.any(axis=(0, 1)))
     field = np.fft.irfft(placed, n=g.nx, axis=2)
@@ -1062,8 +1047,9 @@ def compare_stability(solver: Solver, n_steps: int, save_every: int, w0: PacketA
     hold, and is `solver.run`, whose parameters give eps and delta.  One
     `WappNodes` holds W_app for the whole run: it gives the initial state,
     and each saved state is compared with W_app at its own t (the report's
-    `t`), on its own rfft columns (Parseval sums, `_departure`), as the
-    march reaches it, and then dropped.
+    `t`), placed on its own rfft columns (`WappNodes.place`) and measured
+    there (Parseval sums, `_departure`), as the march reaches it, and then
+    dropped.
 
     The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
     the first save's placement, at t = 0: the stability envelope is stated
@@ -1075,14 +1061,13 @@ def compare_stability(solver: Solver, n_steps: int, save_every: int, w0: PacketA
     both.
     """
     nodes = _wapp_nodes(solver, w0, w1)
-    state = _initial(solver, nodes.columns(0.0))
-    slots = nodes.slots(state.cols)
+    state = _initial(solver, nodes)
     t, diffs, norm0 = [], [], None
 
     def compare(st):
         nonlocal norm0
         view, st = solver._on(st)
-        wapp = place_profiles(slots, nodes.profiles(st.t), view.grid, len(st.cols))
+        wapp = nodes.place(st.t, st.cols)
         if not t:
             norm0 = math.sqrt(view.norm2(*wapp))
         t.append(st.t)
@@ -1106,10 +1091,10 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     One `WappNodes` holds W_app for both runs and gives both initial states
     as init_from_Wapp does, whose rules and warnings hold: W_app(0), and
     W0(0) (its first table) for the twin.  At each save (Solver.run's
-    schedule) its profiles are read once, at the saved t, and
-    placed on each state's own columns, W_app for the run and W0 for the
-    twin; both states are reduced as compare_stability reduces one
-    (`_departure`), and dropped.  No energy series is kept.
+    schedule) it places W_app at the saved t on the run's columns and W0
+    alone on the twin's (`WappNodes.place`, which reads only W0's table
+    for the twin); both states are reduced as compare_stability reduces
+    one (`_departure`), and dropped.  No energy series is kept.
 
     The report holds arrays over the save times: `t`, `diff_L2` and
     `bound_thm`, compare_stability's report of the run; `floor`, the twin's
@@ -1117,14 +1102,12 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     twin residual ||W - W_0 - W1|| relative to ||W_app(0)||, formed from
     the two differences, (W_app - W) - (W0 - W_0) on the twin's columns.
     """
-    g, twin = solver.grid, solver.twin()
+    twin = solver.twin()
     nodes = _wapp_nodes(solver, w0, w1)
-    n0 = nodes.groups[0]  # W0's x-groups, the first
     # the twin first: its full-width placement and projection are then
     # made before the full state exists, not beside it
-    state0 = _initial(twin, nodes.columns(0.0, 1))
-    state = _initial(solver, nodes.columns(0.0))
-    slots, slots0 = nodes.slots(state.cols), nodes.slots(state0.cols, 1)
+    state0 = _initial(twin, nodes, 1)
+    state = _initial(solver, nodes)
     at = np.searchsorted(state.cols, state0.cols)  # the twin's columns in the run's
     rows, norms = [], []
 
@@ -1132,9 +1115,7 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     # returns: held through the next steps they raised the peak by 6 MB
     def save(st, st0):
         (view, st), (view0, st0) = solver._on(st), twin._on(st0)
-        P = nodes.profiles(st.t)
-        wapp = place_profiles(slots, P, g, len(st.cols))
-        wapp0 = place_profiles(slots0, P[:, :n0], g, len(st0.cols))
+        wapp, wapp0 = nodes.place(st.t, st.cols), nodes.place(st.t, st0.cols, 1)
         if not norms:
             norms[:] = math.sqrt(view.norm2(*wapp)), math.sqrt(view0.norm2(*wapp0))
         diff, floor = _departure(view, st, wapp), _departure(view0, st0, wapp0)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from wavecrit import dns
+from wavecrit import corrector, dns
 from wavecrit.cli import (
     _DNS_OPTIONS,
     _RUNNERS,
@@ -32,7 +32,6 @@ from wavecrit.dns import (
     box_matched_eps,
     compare_stability,
     init_from_Wapp,
-    place_profiles,
 )
 from wavecrit.packets import Family
 from wavecrit.params import PhysParams
@@ -468,8 +467,9 @@ def _dns_march(cfg, params, asm):
 def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
     """The delta != 0 `dns` experiment on the small box builds each of
     W_app's node tables once, for its initial state and every save: W0's
-    and W1's modal table by one dns.node_profiles call each, and W1_MF's by
-    one MeanFlowField.node_profiles call."""
+    and W1's modal table by one node_profiles call each (dns's and
+    corrector's binding), and W1_MF's by one MeanFlowField.node_profiles
+    call."""
     cfg = ExperimentConfig(experiment="dns", output_dir=tmp_path, **RERUN_CONFIGS["dns"])
     asm = _assembly_at(cfg, cfg.params)
     sizes = [len(asm.bundle(Family.SUM)), len(assemble_W1(asm).modal())]
@@ -485,6 +485,7 @@ def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
         return mf_profiles(*args)
 
     monkeypatch.setattr(dns, "node_profiles", counted_nodes)
+    monkeypatch.setattr(corrector, "node_profiles", counted_nodes)
     monkeypatch.setattr(MeanFlowField, "node_profiles", counted_mf)
     run_experiment(cfg)
     assert built == {"nodes": sizes, "W1_MF": 1}
@@ -493,8 +494,8 @@ def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
 def _twin_residual(cfg, asm):
     """||W_delta - W_0 - W1|| / ||W_app(0)|| at the save times of cfg's
     delta != 0 run and its delta = 0 twin, each marched by its own Solver
-    (Solver.run) and kept widened, with W1(t) phase-summed from W_app's node
-    tables but W0's and placed through their slots."""
+    (Solver.run) and kept widened, with W1(t) as W_app(t) less W0(t), each
+    placed on every rfft column (WappNodes.place)."""
     w1 = assemble_W1(asm)
     runs = []
     for delta, w in ((cfg.params.delta, w1), (0.0, None)):
@@ -505,12 +506,11 @@ def _twin_residual(cfg, asm):
         runs.append((sol, saved))
     (sol, saved), (_, saved0) = runs
     nodes = WappNodes(asm, w1, sol.grid)
-    every, n0 = np.arange(sol.grid.nx // 2 + 1), nodes.groups[0]
-    slots = nodes.slots(every)[n0:]  # W1's x-groups
-    norm0 = math.sqrt(sol.norm2(*nodes.columns(0.0)))
+    every = np.arange(sol.grid.nx // 2 + 1)
+    norm0 = math.sqrt(sol.norm2(*nodes.place(0.0, every)))
     out = []
     for s, s0 in zip(saved, saved0):
-        W1 = place_profiles(slots, nodes.profiles(s.t)[:, n0:], sol.grid, len(every))
+        W1 = nodes.place(s.t, every) - nodes.place(s.t, every, 1)
         resid = [f - f0 - f1 for f, f0, f1 in zip((s.uh, s.wh, s.bh), (s0.uh, s0.wh, s0.bh), W1)]
         out.append(math.sqrt(sol.norm2(*resid)) / norm0)
     return out

@@ -5,6 +5,7 @@ exactly x-periodic in the computational box; nx = 192 keeps the carrier
 (~44 wavelengths per period) comfortably above Nyquist.
 """
 
+import collections
 import copy
 import dataclasses
 import math
@@ -737,7 +738,7 @@ class TestSpectralState:
         st = _state(solver, *fields)
         u, w, b, _ = fields
         want = g.integral(u**2 + w**2 + b**2)
-        assert abs(solver.energy(st) - want) <= 1e-13 * want
+        assert abs(solver._energy_and_dissipation(st)[0] - want) <= 1e-13 * want
         p = solver.config.params
         want = sum(c * g.integral(_ddx(solver, f) ** 2 + (g.Dy @ f) ** 2)
                    for c, f in ((p.nu, u), (p.nu, w), (p.kappa, b)))
@@ -847,7 +848,8 @@ class TestColumnSubset:
             fh[:, [0, -1]] = fh[:, [0, -1]].real  # real at kx = 0 and Nyquist
         sub = State(*f, 0.0, g.nx, cols)
         (a, la), (b, lb) = solver.step(sub), solver.step(sub.widen())
-        assert la == pytest.approx(lb, rel=1e-12, abs=1e-12 * solver.energy(sub))
+        e = solver._energy_and_dissipation(sub)[0]
+        assert la == pytest.approx(lb, rel=1e-12, abs=1e-12 * e)
         for c in ("uh", "wh", "bh", "ph"):
             want = getattr(b, c)
             err = np.abs(getattr(a, c) - want[:, cols]).max()
@@ -932,7 +934,7 @@ class TestColumnSubset:
         rest = copy.deepcopy(wide)
         for fh in (rest.uh, rest.wh, rest.bh):
             fh[:, initial.cols] = 0.0
-        assert sol.energy(rest) == 0.0
+        assert sol._energy_and_dissipation(rest)[0] == 0.0
 
     @pytest.mark.parametrize("method,n_args", [("project", 2),
                                                ("div_residual", 2),
@@ -973,8 +975,9 @@ class TestColumnSubset:
 
 
 class TestPlacement:
-    """WappNodes.columns against an independent oracle: the rfft of W0 + W1
-    synthesized on the grid (evaluate_packet and evaluate_W1)."""
+    """WappNodes.place on every rfft column against an independent oracle:
+    the rfft of W0 + W1 synthesized on the grid (evaluate_packet and
+    evaluate_W1)."""
 
     #: case -> (gamma, eps, last time, box), at 5 nodes per lobe
     CASES = {
@@ -1002,7 +1005,7 @@ class TestPlacement:
             w0_field = evaluate_packet(asm, Family.SUM, t, (g.x, g.y))
             want = np.stack([np.fft.rfft(a + b, axis=1) for a, b in
                              zip(w0_field, evaluate_W1(w1, t, g.x, g.y))])
-            got = WappNodes(asm, w1, g).columns(t)
+            got = WappNodes(asm, w1, g).place(t, np.arange(g.nx // 2 + 1))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -1030,7 +1033,8 @@ class TestInit:
         """Cross-module: grid energy vs the packet L2 on the same grid."""
         g = solver.grid
         l2, _ = packet_norms(assembly.bundle(Family.SUM), (g.x, g.y))
-        assert math.sqrt(solver.energy(initial)) == pytest.approx(math.hypot(*l2), rel=1e-3)
+        assert math.sqrt(solver._energy_and_dissipation(initial)[0]) == pytest.approx(
+            math.hypot(*l2), rel=1e-3)
 
     def test_w0_above_nyquist_refused(self, assembly):
         """W0's top wavenumber, at rfft column 47, would alias at nx = 64."""
@@ -1448,10 +1452,11 @@ class TestCompareStability:
         saved = []
         solver.run(initial, 20, 10, on_save=saved.append)
         assert not saved[-1].full
-        norm0 = math.sqrt(solver.norm2(*WappNodes(assembly, None, solver.grid).columns(0.0)))
+        every = np.arange(solver.grid.nx // 2 + 1)
+        norm0 = math.sqrt(solver.norm2(*WappNodes(assembly, None, solver.grid).place(0.0, every)))
         want = []
         for st in map(State.widen, saved):
-            wapp = WappNodes(assembly, None, solver.grid).columns(st.t)
+            wapp = WappNodes(assembly, None, solver.grid).place(st.t, every)
             want.append(math.sqrt(solver.norm2(
                 *(a - f for a, f in zip(wapp, (st.uh, st.wh, st.bh))))) / norm0)
 
@@ -1474,9 +1479,10 @@ class TestCompareStability:
         g = sol.grid
         saved = []
         sol.run(st, n_steps, save_every, on_save=saved.append)
-        norm0 = math.sqrt(sol.norm2(*WappNodes(asm, w1, g).columns(0.0)))
+        every = np.arange(g.nx // 2 + 1)
+        norm0 = math.sqrt(sol.norm2(*WappNodes(asm, w1, g).place(0.0, every)))
         want = [math.sqrt(sol.norm2(*(a - f for a, f in zip(
-                    WappNodes(asm, w1, g).columns(s.t), (s.uh, s.wh, s.bh))))) / norm0
+                    WappNodes(asm, w1, g).place(s.t, every), (s.uh, s.wh, s.bh))))) / norm0
                 for s in saved]
 
         passes = {"nodes": [], "W1_MF": 0, "mode_profiles": 0}
@@ -1494,6 +1500,7 @@ class TestCompareStability:
             passes["mode_profiles"] += 1
 
         monkeypatch.setattr(dns, "node_profiles", counted_nodes)
+        monkeypatch.setattr(corrector, "node_profiles", counted_nodes)
         monkeypatch.setattr(corrector.MeanFlowField, "node_profiles", counted_mf)
         monkeypatch.setattr(corrector, "mode_profiles", refused)
         rep = compare_stability(sol, n_steps, save_every, asm, w1)[1]
@@ -1506,14 +1513,14 @@ class TestCompareStability:
         """The initial state's W_app(0), placed before its projection, is the
         first save's W_app in compare_stability, bit for bit."""
         asm, w1, sol = twin[:3]
-        placed, place = [], dns.place_profiles
+        placed, place = [], WappNodes.place
 
         def kept(*args):
             out = place(*args)
             placed.append(out.copy())  # compare_stability subtracts in out
             return out
 
-        monkeypatch.setattr(dns, "place_profiles", kept)
+        monkeypatch.setattr(WappNodes, "place", kept)
         compare_stability(sol, 1, 1, asm, w1)
         assert len(placed) == 3 and placed[0].any()
         assert placed[0].tobytes() == placed[1].tobytes()
@@ -1529,19 +1536,39 @@ class TestCompareStability:
         rep = compare_stability(sol, 3, 1, asm, w1)[1]
         assert len(rep["t"]) == 4 and sorted(calls) == ["_theta", "_theta_prime"]
 
+    def test_twin_reads_w1_tables_only_where_w1_is_placed(self, twin, monkeypatch):
+        """stability_twin phase-sums each of W1's two node tables where W_app
+        is placed alone, at the run's start and at each of 3 saves (4 times),
+        and W0's table there and for the twin's W0 too (8 times)."""
+        asm, w1, sol = twin[:3]
+        built, wapp_nodes = [], dns._wapp_nodes
+        reads, phase_sum = collections.Counter(), dns.phase_sum
+
+        def counted(*args):
+            reads[id(args[2])] += 1  # the table's Q
+            return phase_sum(*args)
+
+        monkeypatch.setattr(dns, "_wapp_nodes",
+                            lambda *args: built.append(wapp_nodes(*args)) or built[-1])
+        monkeypatch.setattr(dns, "phase_sum", counted)
+        rep = dns.stability_twin(sol, 2, 1, asm, w1)
+        assert len(rep["t"]) == 3 and len(built) == 1
+        assert [reads[id(Q)] for *_, Q in built[0].tables] == [8, 4, 4]
+        assert sum(reads.values()) == 16
+
     def test_subset_saves_are_placed_on_their_columns(self, initial, assembly,
                                                       solver, monkeypatch):
         """At delta = 0 W_app is placed on the saved states' own columns
         alone, at every save: only the initial state's W_app(0), before its
         columns are chosen, spans every rfft column."""
-        widths, place = [], dns.place_profiles
+        widths, place = [], WappNodes.place
 
         def spied(*args):
             out = place(*args)
             widths.append(out.shape[2])
             return out
 
-        monkeypatch.setattr(dns, "place_profiles", spied)
+        monkeypatch.setattr(WappNodes, "place", spied)
         compare_stability(solver, 2, 1, assembly)
         assert not initial.full
         assert widths == [solver.grid.nx // 2 + 1] + [len(initial.cols)] * 3
@@ -1552,7 +1579,7 @@ class TestCompareStability:
         column named."""
         nodes = WappNodes(assembly, None, solver.grid)
         with pytest.raises(DnsError, match=f"^W_app reaches rfft column {initial.cols[0]}, "):
-            nodes.slots(initial.cols[1:])
+            nodes.place(0.0, initial.cols[1:])
 
     def test_bound_shapes(self, assembly, solver):
         cfg = make_config(delta=EPS**3, Lx=assembly.x_period, T=0.1)
@@ -1573,8 +1600,8 @@ def _twin_residuals(asm, w1, dt, save_every, T=0.4):
     """dns.stability_twin of W_app(0) at delta = eps^3 to T on a 512 x 384
     grid to Ly = 300, its run and delta = 0 twin in lockstep: at every
     save_every-th step t, its twin_resid ||W_delta - W_0 - W1|| and ||W1||,
-    both over ||W_app(0)||, W1(t) phase-summed from W_app's node tables
-    other than W0's and placed through their slots."""
+    both over ||W_app(0)||, W1(t) as W_app(t) less W0(t), each placed on
+    every rfft column (WappNodes.place)."""
     config = SimConfig(params=w1.params, Lx=asm.x_period, Ly=300.0, nx=512, ny=384,
                        dy0=1e-3, dy_max=1.0, dt=dt, T=T)
     sol = Solver(config)
@@ -1582,11 +1609,10 @@ def _twin_residuals(asm, w1, dt, save_every, T=0.4):
         warnings.simplefilter("ignore")  # the packet reaches the lid
         rep = dns.stability_twin(sol, int(round(T / dt)), save_every, asm, w1)
     nodes = WappNodes(asm, w1, sol.grid)
-    every, n0 = np.arange(config.nx // 2 + 1), nodes.groups[0]
-    norm0 = math.sqrt(sol.norm2(*nodes.columns(0.0)))
-    w1_norm = [math.sqrt(sol.norm2(*dns.place_profiles(
-        nodes.slots(every)[n0:], nodes.profiles(t)[:, n0:], sol.grid, len(every)))) / norm0
-        for t in rep["t"]]
+    every = np.arange(config.nx // 2 + 1)
+    norm0 = math.sqrt(sol.norm2(*nodes.place(0.0, every)))
+    w1_norm = [math.sqrt(sol.norm2(*(nodes.place(t, every) - nodes.place(t, every, 1))))
+               / norm0 for t in rep["t"]]
     return rep["t"], rep["twin_resid"], np.array(w1_norm)
 
 

@@ -8,8 +8,10 @@ A name bound by an import counts as used if the module reads it anywhere,
 as a name or as the root of an attribute chain; a parameter counts as read
 if its function's body (nested functions included) names it.  A top-level
 definition counts as read if some module of src/wavecrit or perfbench/
-names it, as a name or as an attribute; a method counts as read if one of
-them names it as an attribute, and dunder methods, which Python calls
+names it, as a name or as an attribute; a property counts as read if one
+of them names it as an attribute, a plain method only if one of them
+calls it as one (x.name(...)), so that an attribute of another class
+with the same name does not count, and dunder methods, which Python calls
 implicitly, always do.  A call passes a defaulted parameter if it names
 it as a keyword, or reaches its position, under the function's name (a
 class's for __init__, a method's as an attribute).  The test oracles kept
@@ -41,10 +43,13 @@ ORACLES = ("build_matrix", "limit_amplitudes_DY", "second_harmonic_rate", "trace
            # the DNS divergence check; the planned div_residual column of
            # dns_series.csv (ROADMAP item 4) is to be its first reader
            "Solver.div_residual",
-           # x-space oracles of the DNS's W_app columns (dns.WappNodes.columns)
+           # x-space oracles of the DNS's W_app columns (dns.WappNodes.place)
            # and of its Parseval sums; perfbench/spans.py still traces
            # evaluate_packet by name until it is re-pointed (ROADMAP item 14(b))
            "evaluate_packet", "Grid.integral",
+           # the dissipation oracle of the Parseval sums; perfbench/spans.py
+           # still traces it by name until it is re-pointed (ROADMAP item 14(b))
+           "Solver.dissipation",
            # the group velocity: critical_carrier's incidence holds for every
            # k0 > 0 in closed form, which test_carrier_is_incident checks with it
            "group_velocity")
@@ -110,9 +115,22 @@ def read_names(sources) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def unread_definitions(source: str, read: set[str]) -> list[str]:
-    """Module-level functions and classes, and methods other than dunders
-    (named Class.method), of the source that are not in read."""
+def called_methods(sources) -> set[str]:
+    """Every attribute name the sources call, as x.name(...)."""
+    return {n.func.attr for source in sources for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+
+
+def _is_property(node) -> bool:
+    """Whether a method is a property, read on access rather than called."""
+    return any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+               for d in node.decorator_list)
+
+
+def unread_definitions(source: str, read: set[str], called: set[str]) -> list[str]:
+    """Module-level functions and classes not in read, and methods other
+    than dunders (named Class.method) not in called, or for a property not
+    in read, of the source."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for node in ast.parse(source).body:
@@ -122,23 +140,30 @@ def unread_definitions(source: str, read: set[str]) -> list[str]:
             out.append(f"{node.name} (line {node.lineno})")
         if isinstance(node, ast.ClassDef):
             out += [f"{node.name}.{m.name} (line {m.lineno})" for m in node.body
-                    if isinstance(m, defs) and m.name not in read
+                    if isinstance(m, defs)
+                    and m.name not in (read if _is_property(m) else called)
                     and not (m.name.startswith("__") and m.name.endswith("__"))]
     return out
 
 
 def test_definition_checker_sees_unread_and_read_names():
+    """L.total shares its name with an attribute that is read but never
+    called (a dataclass field of another class): it is not read."""
     src = ("def f():\n    return g()\ndef g():\n    pass\nclass K:\n    pass\n"
            "class L:\n    def __len__(self):\n        return 0\n"
-           "    def used(self):\n        pass\n    def unused(self):\n        pass\n")
-    read = read_names([src, "import m\nm.K\nm.L().used()\n"])
-    assert unread_definitions(src, read) == ["f (line 1)", "L.unused (line 12)"]
+           "    def used(self):\n        pass\n    def unused(self):\n        pass\n"
+           "    def total(self):\n        pass\n"
+           "    @property\n    def size(self):\n        return 0\n")
+    readers = [src, "import m\nm.K\nm.L().used()\nm.L().size\nm.Record().total\n"]
+    assert unread_definitions(src, read_names(readers), called_methods(readers)) == [
+        "f (line 1)", "L.unused (line 12)", "L.total (line 14)"]
 
 
 def test_no_test_only_package_names():
-    read = read_names(p.read_text(encoding="utf-8") for p in READERS)
+    sources = [p.read_text(encoding="utf-8") for p in READERS]
+    read, called = read_names(sources), called_methods(sources)
     unread = {str(p.relative_to(ROOT)): [
-        d for d in unread_definitions(p.read_text(encoding="utf-8"), read)
+        d for d in unread_definitions(p.read_text(encoding="utf-8"), read, called)
         if d.split()[0] not in ORACLES] for p in PACKAGE}
     assert {path: names for path, names in unread.items() if names} == {}
 
