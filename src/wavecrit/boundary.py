@@ -341,14 +341,12 @@ def node_profiles(modes: ExpModes, y):
 def phase_sum(l, alpha, Q, t: float):
     """(l, P) as mode_profiles returns them, of a node table (l, alpha, Q) at
     time t: e^(-i alpha t) @ Q over each x-group's nodes, contiguous in l.
-    Q holds the (u, w, b) rows, or only the leading ones when the rest are
-    zero (W1_MF's table holds no b row): P is (3, groups, len(y)), and a
-    row Q does not hold is exact zeros, with no product made for it."""
+    P is (len(Q), groups, len(y)), the rows Q holds."""
     starts = _l_starts(l)
     phase = np.exp(-1j * alpha * t)
-    P = np.zeros((3, len(starts), Q.shape[-1]), dtype=complex)
+    P = np.empty((len(Q), len(starts), Q.shape[-1]), dtype=complex)
     for g, (a, b) in enumerate(zip(starts, [*starts[1:], len(l)])):
-        P[:len(Q), g] = phase[a:b] @ Q[:, a:b]
+        P[:, g] = phase[a:b] @ Q[:, a:b]
     return l[starts], P
 
 

@@ -53,11 +53,11 @@ interior modes are row ranges of one read-only store (_lift_batches).  Every
 W1 field and norm reads per-wavenumber y-profiles (boundary.mode_profiles, or
 MeanFlowField.profiles for W1_MF) through the row blocks of
 boundary.field_blocks, joined by boundary.synthesize or reduced by
-_profile_norms, or, in the DNS, as node tables read by boundary.phase_sum
-(CorrectorAssembly.node_tables, read by dns.WappNodes; nodes as
-collect_traces', by boundary._nodes).  A pair mode records its two parent
-rates (mu = mu_L + mu_R), and the interior solves and ledger terms keep
-them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
+_profile_norms, or, in the DNS, as one node table read by boundary.phase_sum
+(CorrectorAssembly.node_table: W1_MF's shapes join its modal nodes' rows;
+nodes as collect_traces', by boundary._nodes).  A pair mode records its two
+parent rates (mu = mu_L + mu_R), and the interior solves and ledger terms
+keep them, so the kernel builds e^(-mu y) as e^(-mu_L y) e^(-mu_R y) from a
 table of W0's rates.  The ledger computes only what it reports, one kernel
 pass per exponent set: the booked terms of one (row, lobe) batch share its
 forcing's exponents, so their L2 norms come from one pass with no x-grid
@@ -378,12 +378,6 @@ class MeanFlowField:
         return np.stack([-e2 * np.outer(G, _theta_prime(e2 * y)),
                          np.outer(1j * l * G, _theta(e2 * y))])
 
-    def node_profiles(self, y):
-        """(l, alpha, Q) as boundary.node_profiles returns them, but Q holds
-        G's u and w shapes alone: boundary.phase_sum reads the zero b row as
-        exact zeros, with no table row held or multiplied for it."""
-        return self.l, self.alpha, self._shapes(self.l, self.G, y)
-
     def profiles(self, t: float, y):
         """(l, P) as boundary.mode_profiles returns them: G's node table read
         at t (boundary.phase_sum, G as a table's one row), then shaped once
@@ -548,10 +542,19 @@ class CorrectorAssembly:
         l_mf, P_mf = self.families[W1_MF].profiles(t, y)
         return np.concatenate([l, l_mf]), np.concatenate([P, P_mf], axis=-2)
 
-    def node_tables(self, y) -> list:
-        """W1's node tables (l, alpha, Q) at t = 0, the modal families' and
-        W1_MF's, as boundary.phase_sum reads them (dns.WappNodes)."""
-        return [node_profiles(self.modal(), y), self.families[W1_MF].node_profiles(y)]
+    def node_table(self, y):
+        """W1's node table (l, alpha, Q) at t = 0 (dns.WappNodes): the modal
+        families' (boundary.node_profiles), W1_MF's u and w shapes added into
+        its nodes' rows (boundary._nodes on the joined keys; a node off them
+        is refused) a node at a time, as a fancy-indexed add copies Q's rows."""
+        l, alpha, Q = node_profiles(self.modal(), y)
+        mf = self.families[W1_MF]
+        joined, _, at = _nodes(np.concatenate([l, mf.l]), np.concatenate([alpha, mf.alpha]))
+        if len(joined) > len(l):
+            raise CorrectorError(f"W1_MF has nodes off W1's modal nodes ({len(joined) - len(l)})")
+        for i, shape in zip(at[len(l):], mf._shapes(mf.l, mf.G, y).transpose(1, 0, 2)):
+            Q[:2, i] += shape
+        return l, alpha, Q
 
 
 def _booked_terms(kind: str, src: ExpModes, modes: ExpModes,

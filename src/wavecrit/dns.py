@@ -82,11 +82,11 @@ save step to a callback, and `compare_stability` reduces it to its
 distance from W_app at once and records its t, so neither grows in memory
 with the number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768
 one 12.6 MB).  W_app depends on t only through one phase e^(-i alpha t)
-per (l, alpha) node, so a run holds it as one `WappNodes` of node tables
-(3.0 MB at 256 x 384 and 5 nodes per lobe, 92 MB at 9), built once its
-rules hold (`_wapp_nodes`).  One method reads it, `WappNodes.place`:
-W_app at t, or its first tables alone (W0 with 1), phase-summed and
-placed on given rfft columns.  init_from_Wapp, `compare_stability` and
+per (l, alpha) node, so a run holds it as one `WappNodes` of two node
+tables, W0's and W1's (2.3 MB at 256 x 384 and 5 nodes per lobe, 67 MB at
+9), built once its rules hold (`_wapp_nodes`).  One method reads it,
+`WappNodes.place`: W_app at t, or W0 alone, phase-summed and placed on
+given rfft columns.  init_from_Wapp, `compare_stability` and
 `stability_twin` start from its W_app(0) on every column (`_initial`),
 and each save places W_app at the saved t on the state's own columns,
 where their own solver measures it (`Solver._on`).  `compare_stability`
@@ -876,9 +876,9 @@ class Trajectory:
 class WappNodes:
     """W_app = W0 (+ W1) on the grid, held for reading at many times t.
 
-    `tables` are node tables (l, alpha, Q) at t = 0, W0's and then W1's
-    (CorrectorAssembly.node_tables): W0 alone is the first, whose x-groups
-    come first wherever groups are listed (`groups` counts each table's).
+    `tables` are the node tables (l, alpha, Q) at t = 0 of W0 and, given
+    it, W1 (CorrectorAssembly.node_table): W0's x-groups come first
+    wherever groups are listed (`groups` counts each table's).
     `place` is W_app's one reader.  A group sits at the column c =
     l Lx / (2 pi) and at -c (mod nx); one more than 1e-9 of a column off
     the lattice (eps not box-matched) is refused when the tables are built."""
@@ -887,7 +887,7 @@ class WappNodes:
         self.grid = grid
         self.tables = [node_profiles(w0.bundle(Family.SUM), grid.y)]
         if w1 is not None:
-            self.tables += w1.node_tables(grid.y)
+            self.tables.append(w1.node_table(grid.y))
         ls = [l[_l_starts(l)] for l, *_ in self.tables]
         self.groups = [len(l) for l in ls]
         c = np.concatenate(ls) * grid.Lx / (2.0 * math.pi)
@@ -900,13 +900,12 @@ class WappNodes:
 
     def place(self, t: float, cols: np.ndarray, tables: int | None = None) -> np.ndarray:
         """W_app(t) on the sorted rfft columns `cols`, (3, ny, len(cols)) of
-        (u, w, b); with `tables`, the first `tables` tables alone (W0 with
-        1).  Each table is read at t (boundary.phase_sum), and an x-group's
-        profiles P go to its column c as nx P and, conjugated, to -c where
-        that is on the rfft half; every other column is exactly 0.  Groups
-        that fold to one column add up there; a loop over the groups takes
-        half the time of one np.add.at (0.16 against 0.35 ms at 256 x 384).
-        A group at a column `cols` lacks is refused."""
+        (u, w, b); W0 alone with `tables` 1.  Each table is read at t
+        (boundary.phase_sum), and an x-group's profiles P go to its column c as
+        nx P and, conjugated, to -c where that is on the rfft half; every other
+        column is exactly 0.  Groups that fold to one column add up there; a
+        loop over the groups takes half the time of one np.add.at (0.16 against
+        0.35 ms at 256 x 384).  A group at a column `cols` lacks is refused."""
         g, j = self.grid, self._at[:sum(self.groups[:tables])]
         on_half = j <= g.nx // 2
         lacked = on_half & ~np.isin(j, cols)

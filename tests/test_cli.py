@@ -24,7 +24,7 @@ from wavecrit.cli import (
     main,
     run_experiment,
 )
-from wavecrit.corrector import MeanFlowField, assemble_W1
+from wavecrit.corrector import CorrectorAssembly, assemble_W1
 from wavecrit.dns import (
     SimConfig,
     Solver,
@@ -467,28 +467,28 @@ def _dns_march(cfg, params, asm):
 def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
     """The delta != 0 `dns` experiment on the small box builds each of
     W_app's node tables once, for its initial state and every save: W0's
-    and W1's modal table by one node_profiles call each (dns's and
-    corrector's binding), and W1_MF's by one MeanFlowField.node_profiles
-    call."""
+    and W1's modal families by one node_profiles call each (dns's and
+    corrector's binding), and W1's table, W1_MF's shapes joined in, by one
+    CorrectorAssembly.node_table call."""
     cfg = ExperimentConfig(experiment="dns", output_dir=tmp_path, **RERUN_CONFIGS["dns"])
     asm = _assembly_at(cfg, cfg.params)
     sizes = [len(asm.bundle(Family.SUM)), len(assemble_W1(asm).modal())]
-    built = {"nodes": [], "W1_MF": 0}
-    node_profiles, mf_profiles = dns.node_profiles, MeanFlowField.node_profiles
+    built = {"nodes": [], "W1": 0}
+    node_profiles, node_table = dns.node_profiles, CorrectorAssembly.node_table
 
     def counted_nodes(modes, y):
         built["nodes"].append(len(modes))
         return node_profiles(modes, y)
 
-    def counted_mf(*args):
-        built["W1_MF"] += 1
-        return mf_profiles(*args)
+    def counted_w1(*args):
+        built["W1"] += 1
+        return node_table(*args)
 
     monkeypatch.setattr(dns, "node_profiles", counted_nodes)
     monkeypatch.setattr(corrector, "node_profiles", counted_nodes)
-    monkeypatch.setattr(MeanFlowField, "node_profiles", counted_mf)
+    monkeypatch.setattr(CorrectorAssembly, "node_table", counted_w1)
     run_experiment(cfg)
-    assert built == {"nodes": sizes, "W1_MF": 1}
+    assert built == {"nodes": sizes, "W1": 1}
 
 
 def _twin_residual(cfg, asm):

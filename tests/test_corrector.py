@@ -742,17 +742,20 @@ class TestStackedTimes:
 
 
 def test_mean_flow_node_table_is_the_closed_form(casm, monkeypatch):
-    """W1_MF's node table read at t (boundary.phase_sum), and its profiles at
-    t, are the closed form per x-group, u = -eps^2 theta' G_l(t),
-    w = i l theta G_l(t), b = 0 with G_l(t) the sum of the group's
-    G_n e^(-i alpha_n t), to 1e-14 of its max on the stretched DNS grid.
-    profiles phase-sums G alone (one y-point per node), not a nodes-by-y
-    table."""
+    """W1_MF's part of W1's node table (CorrectorAssembly.node_table less
+    the modal families' node_profiles, at W1_MF's nodes) read at t
+    (boundary.phase_sum), and its profiles at t, are the closed form per
+    x-group, u = -eps^2 theta' G_l(t), w = i l theta G_l(t), b = 0 with
+    G_l(t) the sum of the group's G_n e^(-i alpha_n t), to 1e-14 of its max
+    on the stretched DNS grid.  profiles phase-sums G alone (one y-point per
+    node), not a nodes-by-y table."""
     mf = casm.families[C.W1_MF]
     y = stretched_grid(300.0, 384, 1e-3, 1.0)
     e2 = mf.eps**2
-    table = mf.node_profiles(y)
-    assert np.array_equal(table[0], mf.l) and np.array_equal(table[1], mf.alpha)
+    l, alpha, Q = casm.node_table(y)
+    node = {k: n for n, k in enumerate(zip(l.tolist(), alpha.tolist()))}
+    at = [node[k] for k in zip(mf.l.tolist(), mf.alpha.tolist())]
+    table = (mf.l, mf.alpha, (Q - boundary.node_profiles(casm.modal(), y)[2])[:, at])
     groups = boundary._group_by_l(mf.l)
     assert len(groups) < len(mf)
     l_want = mf.l[[g[0] for g in groups]]
@@ -767,6 +770,33 @@ def test_mean_flow_node_table_is_the_closed_form(casm, monkeypatch):
             assert np.allclose(l, l_want, rtol=1e-12, atol=0.0)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), t
     assert read == [(1, len(mf), 1)] * 3
+
+
+@pytest.mark.parametrize("gamma,nodes", [(0.7, 5), (0.7, 9), (0.45, 5), (0.4, 5), (0.65, 6)])
+def test_mean_flow_nodes_are_modal_nodes(gamma, nodes):
+    """Every W1_MF node is a node of W1's modal families (54 of 118 at 5
+    nodes per lobe, 192 of 377 at 6, 2 058 of 3 578 at 9; gamma 0.45 and
+    0.4 have a propagating second harmonic), so W1's node table has the
+    modal nodes alone, in increasing (l, alpha)."""
+    asm, _ = make_w0(0.2, gamma, nodes)
+    casm = C.assemble_W1(asm)
+    mf, m = casm.families[C.W1_MF], casm.modal()
+    modal = set(zip(m.l.tolist(), m.alpha.tolist()))
+    assert 0 < len(mf) < len(modal) and set(zip(mf.l.tolist(), mf.alpha.tolist())) <= modal
+    l, alpha, Q = casm.node_table(np.linspace(0.0, 1.0, 3))
+    assert list(zip(l.tolist(), alpha.tolist())) == sorted(modal)
+    assert Q.shape == (3, len(modal), 3)
+
+
+def test_stray_mean_flow_node_refused(casm):
+    """A W1_MF node off W1's modal nodes (here alpha 1e-3 off one) is
+    refused by node_table, not placed at a neighbour."""
+    mf = casm.families[C.W1_MF]
+    stray = C.MeanFlowField(np.r_[mf.l, mf.l[0]], np.r_[mf.alpha, mf.alpha[0] + 1e-3],
+                            np.r_[mf.G, 1.0], mf.eps)
+    bad = dataclasses.replace(casm, families={**casm.families, C.W1_MF: stray})
+    with pytest.raises(C.CorrectorError, match=r"^W1_MF has nodes off W1's modal nodes \(1\)$"):
+        bad.node_table(np.linspace(0.0, 1.0, 3))
 
 
 class TestNodeProfiles:

@@ -1473,8 +1473,9 @@ class TestCompareStability:
         """delta != 0 with W1 (5 nodes per lobe): diff_L2 equals a per-save
         loop of fresh WappNodes exactly, on a schedule save_every does not divide
         (saves at 0, 3, 6 and 7 dt) and on 11 save times.  A call builds
-        W0's, W1's modal and W1_MF's node tables once each, whatever the
-        number of saves."""
+        W0's and W1's node tables once each, whatever the number of saves:
+        one node_profiles pass each for W0 and W1's modal families, and one
+        CorrectorAssembly.node_table."""
         asm, w1, sol, st = twin
         g = sol.grid
         saved = []
@@ -1485,29 +1486,29 @@ class TestCompareStability:
                     WappNodes(asm, w1, g).place(s.t, every), (s.uh, s.wh, s.bh))))) / norm0
                 for s in saved]
 
-        passes = {"nodes": [], "W1_MF": 0, "mode_profiles": 0}
-        node_profiles, mf_profiles = dns.node_profiles, corrector.MeanFlowField.node_profiles
+        passes = {"nodes": [], "W1": 0, "mode_profiles": 0}
+        node_profiles, node_table = dns.node_profiles, corrector.CorrectorAssembly.node_table
 
         def counted_nodes(modes, y):
             passes["nodes"].append(len(modes))
             return node_profiles(modes, y)
 
-        def counted_mf(*args):
-            passes["W1_MF"] += 1
-            return mf_profiles(*args)
+        def counted_w1(*args):
+            passes["W1"] += 1
+            return node_table(*args)
 
         def refused(*args):
             passes["mode_profiles"] += 1
 
         monkeypatch.setattr(dns, "node_profiles", counted_nodes)
         monkeypatch.setattr(corrector, "node_profiles", counted_nodes)
-        monkeypatch.setattr(corrector.MeanFlowField, "node_profiles", counted_mf)
+        monkeypatch.setattr(corrector.CorrectorAssembly, "node_table", counted_w1)
         monkeypatch.setattr(corrector, "mode_profiles", refused)
         rep = compare_stability(sol, n_steps, save_every, asm, w1)[1]
         assert rep["diff_L2"].tolist() == want
         assert len(saved) > 3
         assert passes == {"nodes": [len(asm.bundle(Family.SUM)), len(w1.modal())],
-                          "W1_MF": 1, "mode_profiles": 0}
+                          "W1": 1, "mode_profiles": 0}
 
     def test_init_places_the_first_save(self, twin, monkeypatch):
         """The initial state's W_app(0), placed before its projection, is the
@@ -1537,8 +1538,8 @@ class TestCompareStability:
         assert len(rep["t"]) == 4 and sorted(calls) == ["_theta", "_theta_prime"]
 
     def test_twin_reads_w1_tables_only_where_w1_is_placed(self, twin, monkeypatch):
-        """stability_twin phase-sums each of W1's two node tables where W_app
-        is placed alone, at the run's start and at each of 3 saves (4 times),
+        """stability_twin phase-sums W1's one node table where W_app is
+        placed alone, at the run's start and at each of 3 saves (4 times),
         and W0's table there and for the twin's W0 too (8 times)."""
         asm, w1, sol = twin[:3]
         built, wapp_nodes = [], dns._wapp_nodes
@@ -1553,8 +1554,8 @@ class TestCompareStability:
         monkeypatch.setattr(dns, "phase_sum", counted)
         rep = dns.stability_twin(sol, 2, 1, asm, w1)
         assert len(rep["t"]) == 3 and len(built) == 1
-        assert [reads[id(Q)] for *_, Q in built[0].tables] == [8, 4, 4]
-        assert sum(reads.values()) == 16
+        assert [reads[id(Q)] for *_, Q in built[0].tables] == [8, 4]
+        assert sum(reads.values()) == 12
 
     def test_subset_saves_are_placed_on_their_columns(self, initial, assembly,
                                                       solver, monkeypatch):
