@@ -86,12 +86,14 @@ per (l, alpha) node, so a run holds it as one `WappNodes` of two node
 tables, W0's and W1's (2.3 MB at 256 x 384 and 5 nodes per lobe, 67 MB at
 9), built once its rules hold (`_wapp_nodes`).  One method reads it,
 `WappNodes.place`: W_app at t, or W0 alone, phase-summed and placed on
-given rfft columns.  init_from_Wapp, `compare_stability` and
-`stability_twin` start from its W_app(0) on every column (`_initial`),
-and each save places W_app at the saved t on the state's own columns,
-where their own solver measures it (`Solver._on`).  `compare_stability`
-marches one run and reports its departure ||W - W_app|| and the
-theorem's envelope.  `stability_twin` marches a delta != 0 run and its
+given rfft columns.  One rule measures a run: init_from_Wapp,
+`compare_stability` and `stability_twin` start from its W_app(0) on
+every column, whose norm ||W_app(0)|| `_initial` returns with the state,
+and `_departure` places W_app at a saved state's t on the state's own
+columns, where their own solver measures W_app - W (`Solver._on`); no
+save differs from another.  `compare_stability` marches one run and
+reports its departure ||W - W_app|| / ||W_app(0)|| and the theorem's
+envelope.  `stability_twin` marches a delta != 0 run and its
 delta = 0 twin in lockstep, the twin on the columns W0 reaches over the
 run's own y-operators and factorizations (`Solver.twin`), reads one
 `WappNodes` for both, and reports both departures and the twin residual
@@ -957,7 +959,7 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
-    return _initial(solver, _wapp_nodes(solver, w0, w1))
+    return _initial(solver, _wapp_nodes(solver, w0, w1))[0]
 
 
 def _wapp_nodes(solver: Solver, w0: PacketAssembly,
@@ -987,13 +989,17 @@ def _check_resolved(config: SimConfig, w0: PacketAssembly, g: Grid):
         )
 
 
-def _initial(solver: Solver, nodes: WappNodes, tables: int | None = None) -> State:
+def _initial(solver: Solver, nodes: WappNodes,
+             tables: int | None = None) -> tuple[State, float]:
     """W_app(0), or its first `tables` tables (WappNodes.place), placed on
-    every rfft column as the solver's initial state: projected, and at
-    delta = 0 holding only the columns it touches.  A UserWarning says when
-    the packet reaches the lid."""
+    every rfft column as the solver's initial state, and ||W_app(0)||, the
+    placement's norm: projected, and at delta = 0 holding only the columns
+    it touches.  Zero columns change no bit of Solver.norm2, so the norm is
+    the one on the state's own columns.  A UserWarning says when the packet
+    reaches the lid."""
     g = solver.grid
     placed = nodes.place(0.0, np.arange(g.nx // 2 + 1), tables)
+    norm0 = math.sqrt(solver.norm2(*placed))
     uh, wh, bh = placed
     held = np.flatnonzero(placed.any(axis=(0, 1)))
     field = np.fft.irfft(placed, n=g.nx, axis=2)
@@ -1010,8 +1016,8 @@ def _initial(solver: Solver, nodes: WappNodes, tables: int | None = None) -> Sta
     uh, wh, phih, _ = solver.project(uh, wh)
     fields = (uh, wh, solver._noflux(bh), phih)
     if solver.config.params.delta != 0.0:
-        return State(*fields, 0.0, g.nx)
-    return State(*(f[:, held] for f in fields), 0.0, g.nx, held)
+        return State(*fields, 0.0, g.nx), norm0
+    return State(*(f[:, held] for f in fields), 0.0, g.nx, held), norm0
 
 
 def energy_budget(traj: Trajectory) -> dict:
@@ -1044,39 +1050,30 @@ def compare_stability(solver: Solver, n_steps: int, save_every: int, w0: PacketA
 
     The run starts as init_from_Wapp starts it, whose rules and warnings
     hold, and is `solver.run`, whose parameters give eps and delta.  One
-    `WappNodes` holds W_app for the whole run: it gives the initial state,
-    and each saved state is compared with W_app at its own t (the report's
-    `t`), placed on its own rfft columns (`WappNodes.place`) and measured
-    there (Parseval sums, `_departure`), as the march reaches it, and then
-    dropped.
+    `WappNodes` holds W_app for the whole run: it gives the initial state
+    and its norm (`_initial`), and each saved state is compared with W_app
+    at its own t (the report's `t`), placed on its own rfft columns and
+    measured there (Parseval sums, `_departure`), as the march reaches it,
+    and then dropped.
 
-    The difference is reported relative to ||W_app(0)||_{L^2}, the norm of
-    the first save's placement, at t = 0: the stability envelope is stated
-    for an O(1)-normalized wave field, while the packet itself carries an
-    O(1/eps) lattice-sum amplitude.  The report holds arrays over the save
-    times: `t`, `diff_L2` and the envelope `bound_thm` = delta eps^2
-    exp((delta/eps^2 + 1) t).  `diff_L2` is this run's whole departure;
-    `stability_twin` marches a run with its delta = 0 twin and reports
-    both.
+    The difference is reported relative to ||W_app(0)||_{L^2}, the initial
+    placement's norm, bit for bit its norm on the state's own columns
+    (Solver.norm2): the stability envelope is stated for an O(1)-normalized
+    wave field, while the packet itself carries an O(1/eps) lattice-sum
+    amplitude.  The report holds arrays over the save times: `t`, `diff_L2`
+    and the envelope `bound_thm` = delta eps^2 exp((delta/eps^2 + 1) t).
+    `diff_L2` is this run's whole departure; `stability_twin` marches a run
+    with its delta = 0 twin and reports both.
     """
     nodes = _wapp_nodes(solver, w0, w1)
-    state = _initial(solver, nodes)
-    t, diffs, norm0 = [], [], None
-
-    def compare(st):
-        nonlocal norm0
-        view, st = solver._on(st)
-        wapp = nodes.place(st.t, st.cols)
-        if not t:
-            norm0 = math.sqrt(view.norm2(*wapp))
-        t.append(st.t)
-        diffs.append(_departure(view, st, wapp))
-
-    traj = solver.run(state, n_steps, save_every, on_save=compare)
-    t = np.array(t)
+    state, norm0 = _initial(solver, nodes)
+    rows = []
+    traj = solver.run(state, n_steps, save_every,
+                      on_save=lambda st: rows.append(_departure(solver, nodes, st)[:2]))
+    t, diffs = map(np.array, zip(*rows))
     return traj, {
         "t": t,
-        "diff_L2": np.array(diffs) / norm0,
+        "diff_L2": diffs / norm0,
         "bound_thm": _envelope(solver.config.params, t),
     }
 
@@ -1089,11 +1086,11 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
 
     One `WappNodes` holds W_app for both runs and gives both initial states
     as init_from_Wapp does, whose rules and warnings hold: W_app(0), and
-    W0(0) (its first table) for the twin.  At each save (Solver.run's
-    schedule) it places W_app at the saved t on the run's columns and W0
-    alone on the twin's (`WappNodes.place`, which reads only W0's table
-    for the twin); both states are reduced as compare_stability reduces
-    one (`_departure`), and dropped.  No energy series is kept.
+    W0(0) (its first table) for the twin, with their norms.  At each save
+    (Solver.run's schedule) both states are reduced as compare_stability
+    reduces one (`_departure`): W_app at the saved t on the run's columns,
+    and W0 alone on the twin's (only W0's table is read for the twin);
+    then they are dropped.  No energy series is kept.
 
     The report holds arrays over the save times: `t`, `diff_L2` and
     `bound_thm`, compare_stability's report of the run; `floor`, the twin's
@@ -1105,21 +1102,18 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     nodes = _wapp_nodes(solver, w0, w1)
     # the twin first: its full-width placement and projection are then
     # made before the full state exists, not beside it
-    state0 = _initial(twin, nodes, 1)
-    state = _initial(solver, nodes)
+    state0, norm00 = _initial(twin, nodes, 1)
+    state, norm0 = _initial(solver, nodes)
     at = np.searchsorted(state.cols, state0.cols)  # the twin's columns in the run's
-    rows, norms = [], []
+    rows = []
 
     # a function, so that a save's placements and states go when it
     # returns: held through the next steps they raised the peak by 6 MB
     def save(st, st0):
-        (view, st), (view0, st0) = solver._on(st), twin._on(st0)
-        wapp, wapp0 = nodes.place(st.t, st.cols), nodes.place(st.t, st0.cols, 1)
-        if not norms:
-            norms[:] = math.sqrt(view.norm2(*wapp)), math.sqrt(view0.norm2(*wapp0))
-        diff, floor = _departure(view, st, wapp), _departure(view0, st0, wapp0)
-        wapp[:, :, at] -= wapp0
-        rows.append((st.t, diff, floor, math.sqrt(view.norm2(*wapp))))
+        t, diff, view, d = _departure(solver, nodes, st)
+        _, floor, _, d0 = _departure(twin, nodes, st0, 1)
+        d[:, :, at] -= d0
+        rows.append((t, diff, floor, math.sqrt(view.norm2(*d))))
 
     saves = _save_steps(n_steps, save_every)
     for n in range(n_steps + 1):
@@ -1129,17 +1123,21 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
         if n in saves:
             save(state, state0)
     t, diff, floor, resid = map(np.array, zip(*rows))
-    norm0, norm00 = norms
     return {"t": t, "diff_L2": diff / norm0, "floor": floor / norm00,
             "twin_resid": resid / norm0, "bound_thm": _envelope(solver.config.params, t)}
 
 
-def _departure(view: Solver, state: State, wapp: np.ndarray) -> float:
-    """||W_app - W|| of a saved state on its own columns, by their solver
-    `view`; wapp, W_app on those columns, becomes W_app - W."""
+def _departure(solver: Solver, nodes: WappNodes, state: State,
+               tables: int | None = None) -> tuple[float, float, Solver, np.ndarray]:
+    """A saved state's departure from W_app, or from its first `tables`
+    tables: (t, ||W_app - W||, view, W_app - W), with W_app placed at the
+    state's t on its own columns and measured there by their solver `view`
+    (Solver._on, WappNodes.place)."""
+    view, state = solver._on(state)
+    wapp = nodes.place(state.t, state.cols, tables)
     for a, f in zip(wapp, (state.uh, state.wh, state.bh)):
         a -= f
-    return math.sqrt(view.norm2(*wapp))
+    return state.t, math.sqrt(view.norm2(*wapp)), view, wapp
 
 
 def _envelope(params: PhysParams, t: np.ndarray) -> np.ndarray:

@@ -542,6 +542,26 @@ def test_stability_subtracts_its_delta_zero_twin(tmp_path):
         assert abs(float(resid) - r) <= 1e-14 * r
 
 
+def test_stability_at_delta_zero_is_its_own_twin(tmp_path):
+    """At delta = 0 the stability experiment builds no W1, and its run is its
+    twin: floor is diff_L2 bit for bit, both the delta = 0 `dns` march's
+    diff_L2 (_dns_march), net is 0 and twin_resid is exactly 0.0 at every
+    save."""
+    params = dataclasses.replace(RERUN_CONFIGS["stability"]["params"], delta=0.0)
+    cfg = ExperimentConfig(experiment="stability", output_dir=tmp_path,
+                           **{**RERUN_CONFIGS["stability"], "params": params})
+    run_experiment(cfg)
+    rows = read_csv(tmp_path / "stability.csv")[1]
+    assert len(rows) == 3
+    asm = _assembly_at(cfg, params)
+    assert _dns_run(cfg, params, asm)[1] is None
+    diff = _dns_march(cfg, params, asm)[1]["diff_L2"]
+    for row, d in zip(rows, diff, strict=True):
+        _, diff_i, floor_i, net, _, _, resid = map(float, row)
+        assert diff_i == floor_i == d
+        assert net == 0.0 and resid == 0.0
+
+
 def test_delta_zero_twin_on_its_columns_is_the_full_width_run():
     """Solver.twin steps the delta = 0 twin's state, on the columns W0
     reaches, over the delta != 0 solver's y-operators and factorizations,

@@ -94,6 +94,15 @@ def twin():
     return asm, w1, sol, init_from_Wapp(asm, w1, sol.config, sol)
 
 
+def _run(request, name):
+    """(W0, W1, solver, W_app(0) state) of the `twin` fixture, or of the
+    delta = 0 fixtures (assembly, no W1, solver, initial) for "delta_zero"."""
+    if name == "twin":
+        return request.getfixturevalue("twin")
+    return (request.getfixturevalue("assembly"), None, request.getfixturevalue("solver"),
+            request.getfixturevalue("initial"))
+
+
 def _hat(*fields):
     """rfft along x of physical fields."""
     return tuple(np.fft.rfft(f, axis=1) for f in fields)
@@ -1428,21 +1437,46 @@ class TestCompareStability:
         assert all(len(v) == len(report["t"]) for v in report.values())
         assert not report["bound_thm"].any()
 
-    def test_memory_does_not_grow_with_save_count(self, initial, assembly, solver):
-        """Each saved state is compared and dropped: 20 save times and 10
-        trace the same peak to within one state."""
-        compare_stability(solver, 1, 1, assembly)  # the first call's caches
+    @pytest.mark.parametrize("march", ["compare_stability", "stability_twin"])
+    def test_memory_does_not_grow_with_save_count(self, request, march):
+        """Each saved state is compared and dropped, by compare_stability's
+        delta = 0 run on its columns and by stability_twin's delta != 0 run
+        (every column) and its twin, whose save's placements go when it
+        returns: 20 save times and 10 trace the same peak to within one of
+        the run's states."""
+        asm, w1, sol, state = _run(request, "twin" if march == "stability_twin"
+                                   else "delta_zero")
+        march = getattr(dns, march)
+        march(sol, 1, 1, asm, w1)  # the first call's caches
         peak = {}
         for n in (10, 20):
             tracemalloc.start()
             try:
-                compare_stability(solver, n, 1, assembly)
+                march(sol, n, 1, asm, w1)
                 peak[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        one_state = sum(f.nbytes for f in (initial.uh, initial.wh, initial.bh,
-                                           initial.ph))
+        one_state = sum(f.nbytes for f in (state.uh, state.wh, state.bh, state.ph))
         assert peak[20] - peak[10] < one_state, (peak, one_state)
+
+    @pytest.mark.parametrize("run", ["delta_zero", "twin"])
+    def test_one_save_is_measured_on_its_own(self, request, run):
+        """_initial's ||W_app(0)|| is the placement's norm on the state's own
+        columns bit for bit (a subset at delta = 0, every column at delta
+        != 0), and _departure of the state saved at step 10, given no
+        earlier save, over that norm is compare_stability's row for it."""
+        asm, w1, sol = _run(request, run)[:3]
+        nodes = WappNodes(asm, w1, sol.grid)
+        state, norm0 = dns._initial(sol, nodes)
+        view, on = sol._on(state)
+        assert on.full == (run == "twin")
+        assert norm0 == math.sqrt(view.norm2(*nodes.place(0.0, on.cols)))
+        saved = []
+        sol.run(state, 10, 10, on_save=saved.append)
+        t, diff, _, d = dns._departure(sol, nodes, saved[-1])
+        assert d.shape[2] == len(on.cols)
+        rep = compare_stability(sol, 10, 10, asm, w1)[1]
+        assert (rep["t"][-1], rep["diff_L2"][-1]) == (t, diff / norm0)
 
     def test_delta_zero_states_are_never_widened(self, initial, assembly, solver,
                                                  monkeypatch):
