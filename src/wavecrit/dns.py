@@ -82,21 +82,23 @@ save step to a callback, and `compare_stability` reduces it to its
 distance from W_app at once and records its t, so neither grows in memory
 with the number of save times (a 256 x 384 state is 3.2 MB, a 512 x 768
 one 12.6 MB).  W_app depends on t only through one phase e^(-i alpha t)
-per (l, alpha) node, so a run holds it as one `WappNodes` of two node
+per (l, alpha) node, so a run holds it as one `WappNodes` of its node
 tables, W0's and W1's (2.3 MB at 256 x 384 and 5 nodes per lobe, 67 MB at
-9), built once its rules hold (`_wapp_nodes`).  One method reads it,
-`WappNodes.place`: W_app at t, or W0 alone, phase-summed and placed on
-given rfft columns.  One rule measures a run: init_from_Wapp,
-`compare_stability` and `stability_twin` start from its W_app(0) on
-every column, whose norm ||W_app(0)|| `_initial` returns with the state,
-and `_departure` places W_app at a saved state's t on the state's own
-columns, where their own solver measures W_app - W (`Solver._on`); no
-save differs from another.  `compare_stability` marches one run and
-reports its departure ||W - W_app|| / ||W_app(0)|| and the theorem's
-envelope.  `stability_twin` marches a delta != 0 run and its
-delta = 0 twin in lockstep, the twin on the columns W0 reaches over the
-run's own y-operators and factorizations (`Solver.twin`), reads one
-`WappNodes` for both, and reports both departures and the twin residual
+9).  One method reads it, `WappNodes.place(t, cols)`: W_app at t,
+phase-summed and placed on given rfft columns.  A run starts from one
+call, `_initial`: once W_app meets the run's rules it builds the run's
+`WappNodes` and returns the state W_app(0) on every column, its norm
+||W_app(0)|| and the nodes; init_from_Wapp, `compare_stability` and
+`stability_twin` all start there.  One rule measures a run: `_departure`
+places the run's W_app at a saved state's t on the state's own columns,
+where their own solver measures W_app - W (`Solver._on`); no save differs
+from another.  `compare_stability` marches one run and reports its
+departure ||W - W_app|| / ||W_app(0)|| and the theorem's envelope.
+`stability_twin` marches a delta != 0 run and its delta = 0 twin in
+lockstep.  The twin is the delta = 0 run of W0 alone, started by
+`_initial` with its own `WappNodes` (W0's table), on the columns W0
+reaches over the run's own y-operators and factorizations
+(`Solver.twin`); the report holds both departures and the twin residual
 ||W - W_0 - W1|| at each save (the CLI's `stability` experiment).
 """
 
@@ -879,8 +881,8 @@ class WappNodes:
     """W_app = W0 (+ W1) on the grid, held for reading at many times t.
 
     `tables` are the node tables (l, alpha, Q) at t = 0 of W0 and, given
-    it, W1 (CorrectorAssembly.node_table): W0's x-groups come first
-    wherever groups are listed (`groups` counts each table's).
+    it, W1 (CorrectorAssembly.node_table); a run builds its own
+    (`_initial`), so a delta = 0 twin of W0 holds W0's alone.
     `place` is W_app's one reader.  A group sits at the column c =
     l Lx / (2 pi) and at -c (mod nx); one more than 1e-9 of a column off
     the lattice (eps not box-matched) is refused when the tables are built."""
@@ -891,7 +893,6 @@ class WappNodes:
         if w1 is not None:
             self.tables.append(w1.node_table(grid.y))
         ls = [l[_l_starts(l)] for l, *_ in self.tables]
-        self.groups = [len(l) for l in ls]
         c = np.concatenate(ls) * grid.Lx / (2.0 * math.pi)
         col = np.rint(c).astype(int)
         off = np.abs(c - col).max(initial=0.0)
@@ -900,22 +901,22 @@ class WappNodes:
                            f"rfft lattice of Lx = {grid.Lx:.6g}; box-match eps")
         self._at = np.stack([col % grid.nx, -col % grid.nx], axis=1)
 
-    def place(self, t: float, cols: np.ndarray, tables: int | None = None) -> np.ndarray:
+    def place(self, t: float, cols: np.ndarray) -> np.ndarray:
         """W_app(t) on the sorted rfft columns `cols`, (3, ny, len(cols)) of
-        (u, w, b); W0 alone with `tables` 1.  Each table is read at t
+        (u, w, b): the sum of the held tables.  Each table is read at t
         (boundary.phase_sum), and an x-group's profiles P go to its column c as
         nx P and, conjugated, to -c where that is on the rfft half; every other
         column is exactly 0.  Groups that fold to one column add up there; a
         loop over the groups takes half the time of one np.add.at (0.16 against
         0.35 ms at 256 x 384).  A group at a column `cols` lacks is refused."""
-        g, j = self.grid, self._at[:sum(self.groups[:tables])]
+        g, j = self.grid, self._at
         on_half = j <= g.nx // 2
         lacked = on_half & ~np.isin(j, cols)
         if lacked.any():
             raise DnsError(f"W_app reaches rfft column {j[lacked].min()}, which the "
                            f"columns it is placed in lack")
         at = np.where(on_half, np.searchsorted(cols, j), -1)
-        P = np.concatenate([phase_sum(*table, t)[1] for table in self.tables[:tables]], axis=1)
+        P = np.concatenate([phase_sum(*table, t)[1] for table in self.tables], axis=1)
         out = np.zeros((3, g.ny, len(cols)), dtype=complex)
         for (a, b), v in zip(at, P.transpose(1, 0, 2)):
             for k, f in ((a, v), (b, v.conj())):
@@ -959,17 +960,7 @@ def init_from_Wapp(w0: PacketAssembly, w1: CorrectorAssembly | None,
     """
     if config != solver.config:
         raise DnsError("the solver was built for another SimConfig")
-    return _initial(solver, _wapp_nodes(solver, w0, w1))[0]
-
-
-def _wapp_nodes(solver: Solver, w0: PacketAssembly,
-                w1: CorrectorAssembly | None) -> WappNodes:
-    """W_app's node tables for the solver's run, once its rules hold
-    (_check_wapp, _check_resolved): where init_from_Wapp,
-    compare_stability and stability_twin each start."""
-    _check_wapp(solver.config, w0, w1)
-    _check_resolved(solver.config, w0, solver.grid)
-    return WappNodes(w0, w1, solver.grid)
+    return _initial(solver, w0, w1)[0]
 
 
 def _check_resolved(config: SimConfig, w0: PacketAssembly, g: Grid):
@@ -989,16 +980,21 @@ def _check_resolved(config: SimConfig, w0: PacketAssembly, g: Grid):
         )
 
 
-def _initial(solver: Solver, nodes: WappNodes,
-             tables: int | None = None) -> tuple[State, float]:
-    """W_app(0), or its first `tables` tables (WappNodes.place), placed on
-    every rfft column as the solver's initial state, and ||W_app(0)||, the
-    placement's norm: projected, and at delta = 0 holding only the columns
-    it touches.  Zero columns change no bit of Solver.norm2, so the norm is
-    the one on the state's own columns.  A UserWarning says when the packet
-    reaches the lid."""
-    g = solver.grid
-    placed = nodes.place(0.0, np.arange(g.nx // 2 + 1), tables)
+def _initial(solver: Solver, w0: PacketAssembly,
+             w1: CorrectorAssembly | None) -> tuple[State, float, WappNodes]:
+    """Where every run starts (init_from_Wapp, compare_stability and both
+    runs of stability_twin): once W_app = w0 (+ w1) meets the run's rules
+    (_check_wapp, _check_resolved), the run's own WappNodes, and W_app(0)
+    placed on every rfft column as the solver's initial state, with
+    ||W_app(0)||, the placement's norm: (state, norm0, nodes).  The state
+    is projected, and at delta = 0 holds only the columns W_app touches.
+    Zero columns change no bit of Solver.norm2, so the norm is the one on
+    the state's own columns.  A UserWarning says when the packet reaches
+    the lid."""
+    _check_wapp(solver.config, w0, w1)
+    _check_resolved(solver.config, w0, solver.grid)
+    g, nodes = solver.grid, WappNodes(w0, w1, solver.grid)
+    placed = nodes.place(0.0, np.arange(g.nx // 2 + 1))
     norm0 = math.sqrt(solver.norm2(*placed))
     uh, wh, bh = placed
     held = np.flatnonzero(placed.any(axis=(0, 1)))
@@ -1016,8 +1012,8 @@ def _initial(solver: Solver, nodes: WappNodes,
     uh, wh, phih, _ = solver.project(uh, wh)
     fields = (uh, wh, solver._noflux(bh), phih)
     if solver.config.params.delta != 0.0:
-        return State(*fields, 0.0, g.nx), norm0
-    return State(*(f[:, held] for f in fields), 0.0, g.nx, held), norm0
+        return State(*fields, 0.0, g.nx), norm0, nodes
+    return State(*(f[:, held] for f in fields), 0.0, g.nx, held), norm0, nodes
 
 
 def energy_budget(traj: Trajectory) -> dict:
@@ -1048,10 +1044,10 @@ def compare_stability(solver: Solver, n_steps: int, save_every: int, w0: PacketA
     """March W_app(0) = w0 (+ w1) by `solver` and follow ||W_app(t) -
     W(t)||_{L^2} against the theorem's envelope: the trajectory and the report.
 
-    The run starts as init_from_Wapp starts it, whose rules and warnings
-    hold, and is `solver.run`, whose parameters give eps and delta.  One
-    `WappNodes` holds W_app for the whole run: it gives the initial state
-    and its norm (`_initial`), and each saved state is compared with W_app
+    The run starts as init_from_Wapp starts it (`_initial`), whose rules
+    and warnings hold, and is `solver.run`, whose parameters give eps and
+    delta.  The run's `WappNodes` holds W_app for the whole run: it gives
+    the initial state and its norm, and each saved state is compared with W_app
     at its own t (the report's `t`), placed on its own rfft columns and
     measured there (Parseval sums, `_departure`), as the march reaches it,
     and then dropped.
@@ -1065,8 +1061,7 @@ def compare_stability(solver: Solver, n_steps: int, save_every: int, w0: PacketA
     `diff_L2` is this run's whole departure; `stability_twin` marches a run
     with its delta = 0 twin and reports both.
     """
-    nodes = _wapp_nodes(solver, w0, w1)
-    state, norm0 = _initial(solver, nodes)
+    state, norm0, nodes = _initial(solver, w0, w1)
     rows = []
     traj = solver.run(state, n_steps, save_every,
                       on_save=lambda st: rows.append(_departure(solver, nodes, st)[:2]))
@@ -1084,13 +1079,13 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     twin (`Solver.twin`, on the columns W0 reaches) in lockstep, one
     Solver.step each per step, and follow both against W_app: the report.
 
-    One `WappNodes` holds W_app for both runs and gives both initial states
-    as init_from_Wapp does, whose rules and warnings hold: W_app(0), and
-    W0(0) (its first table) for the twin, with their norms.  At each save
-    (Solver.run's schedule) both states are reduced as compare_stability
-    reduces one (`_departure`): W_app at the saved t on the run's columns,
-    and W0 alone on the twin's (only W0's table is read for the twin);
-    then they are dropped.  No energy series is kept.
+    The twin is the delta = 0 run of W0: each run starts as init_from_Wapp
+    starts one (`_initial`), whose rules and warnings hold, the twin from
+    W0(0) with its own WappNodes of W0's table alone, the run from W_app(0)
+    with W0's and W1's.  At each save (Solver.run's schedule) both states
+    are reduced as compare_stability reduces one (`_departure`), each
+    against its own WappNodes at the saved t on its own columns; then they
+    are dropped.  No energy series is kept.
 
     The report holds arrays over the save times: `t`, `diff_L2` and
     `bound_thm`, compare_stability's report of the run; `floor`, the twin's
@@ -1099,11 +1094,10 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     the two differences, (W_app - W) - (W0 - W_0) on the twin's columns.
     """
     twin = solver.twin()
-    nodes = _wapp_nodes(solver, w0, w1)
     # the twin first: its full-width placement and projection are then
     # made before the full state exists, not beside it
-    state0, norm00 = _initial(twin, nodes, 1)
-    state, norm0 = _initial(solver, nodes)
+    state0, norm00, nodes0 = _initial(twin, w0, None)
+    state, norm0, nodes = _initial(solver, w0, w1)
     at = np.searchsorted(state.cols, state0.cols)  # the twin's columns in the run's
     rows = []
 
@@ -1111,7 +1105,7 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
     # returns: held through the next steps they raised the peak by 6 MB
     def save(st, st0):
         t, diff, view, d = _departure(solver, nodes, st)
-        _, floor, _, d0 = _departure(twin, nodes, st0, 1)
+        _, floor, _, d0 = _departure(twin, nodes0, st0)
         d[:, :, at] -= d0
         rows.append((t, diff, floor, math.sqrt(view.norm2(*d))))
 
@@ -1127,14 +1121,14 @@ def stability_twin(solver: Solver, n_steps: int, save_every: int, w0: PacketAsse
             "twin_resid": resid / norm0, "bound_thm": _envelope(solver.config.params, t)}
 
 
-def _departure(solver: Solver, nodes: WappNodes, state: State,
-               tables: int | None = None) -> tuple[float, float, Solver, np.ndarray]:
-    """A saved state's departure from W_app, or from its first `tables`
-    tables: (t, ||W_app - W||, view, W_app - W), with W_app placed at the
-    state's t on its own columns and measured there by their solver `view`
-    (Solver._on, WappNodes.place)."""
+def _departure(solver: Solver, nodes: WappNodes,
+               state: State) -> tuple[float, float, Solver, np.ndarray]:
+    """A saved state's departure from its run's W_app (`nodes`, built by
+    `_initial`): (t, ||W_app - W||, view, W_app - W), with W_app placed at
+    the state's t on its own columns and measured there by their solver
+    `view` (Solver._on, WappNodes.place)."""
     view, state = solver._on(state)
-    wapp = nodes.place(state.t, state.cols, tables)
+    wapp = nodes.place(state.t, state.cols)
     for a, f in zip(wapp, (state.uh, state.wh, state.bh)):
         a -= f
     return state.t, math.sqrt(view.norm2(*wapp)), view, wapp

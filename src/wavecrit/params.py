@@ -42,12 +42,12 @@ class PhysParams:
     def __post_init__(self):
         if not 0.0 < self.gamma < math.pi / 2:
             raise ValueError(f"gamma must lie in (0, pi/2), got {self.gamma}")
-        if self.nu0 <= 0 or self.kappa0 <= 0:
-            raise ValueError("nu0 and kappa0 must be positive")
+        if not (0.0 < self.nu0 < math.inf and 0.0 < self.kappa0 < math.inf):
+            raise ValueError("nu0 and kappa0 must be positive and finite")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         ratio = self.nu0 / self.kappa0
         if not 0.1 <= ratio <= 10.0:
             raise ValueError(f"nu0/kappa0 = {ratio:g} outside [1/10, 10]")

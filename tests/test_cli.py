@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from wavecrit import corrector, dns
+from wavecrit import boundary, cli, corrector, dns, packets
 from wavecrit.cli import (
     _DNS_OPTIONS,
     _RUNNERS,
@@ -464,16 +464,17 @@ def _dns_march(cfg, params, asm):
     return compare_stability(solver, n_steps, save_every, asm, w1)
 
 
-def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
-    """The delta != 0 `dns` experiment on the small box builds each of
-    W_app's node tables once, for its initial state and every save: W0's
-    and W1's modal families by one node_profiles call each (dns's and
-    corrector's binding), and W1's table, W1_MF's shapes joined in, by one
-    CorrectorAssembly.node_table call."""
-    cfg = ExperimentConfig(experiment="dns", output_dir=tmp_path, **RERUN_CONFIGS["dns"])
+def _node_builds(experiment, tmp_path, monkeypatch):
+    """Run `experiment` on the small box at delta = eps^3 and count its
+    node builds: the modes of each node_profiles call (dns's and
+    corrector's binding), CorrectorAssembly.node_table calls, and
+    mode_profiles calls (every binding) once W1 is built (cli._dns_run);
+    with the sizes of W0's and W1's modal families."""
+    cfg = ExperimentConfig(experiment=experiment, output_dir=tmp_path,
+                           **RERUN_CONFIGS[experiment])
     asm = _assembly_at(cfg, cfg.params)
-    sizes = [len(asm.bundle(Family.SUM)), len(assemble_W1(asm).modal())]
-    built = {"nodes": [], "W1": 0}
+    sizes = len(asm.bundle(Family.SUM)), len(assemble_W1(asm).modal())
+    built = {"nodes": [], "W1": 0, "mode_profiles": 0}
     node_profiles, node_table = dns.node_profiles, CorrectorAssembly.node_table
 
     def counted_nodes(modes, y):
@@ -484,18 +485,48 @@ def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
         built["W1"] += 1
         return node_table(*args)
 
+    def refused(*args):
+        built["mode_profiles"] += 1
+
+    def dns_run(*args):
+        out = _dns_run(*args)
+        for module in (boundary, corrector, packets):
+            monkeypatch.setattr(module, "mode_profiles", refused)
+        return out
+
     monkeypatch.setattr(dns, "node_profiles", counted_nodes)
     monkeypatch.setattr(corrector, "node_profiles", counted_nodes)
     monkeypatch.setattr(CorrectorAssembly, "node_table", counted_w1)
+    monkeypatch.setattr(cli, "_dns_run", dns_run)
     run_experiment(cfg)
-    assert built == {"nodes": sizes, "W1": 1}
+    return built, sizes
+
+
+def test_dns_builds_wapp_node_tables_once(tmp_path, monkeypatch):
+    """The delta != 0 `dns` experiment on the small box builds each of
+    W_app's node tables once, for its initial state and every save: W0's
+    and W1's modal families by one node_profiles call each (dns's and
+    corrector's binding), and W1's table, W1_MF's shapes joined in, by one
+    CorrectorAssembly.node_table call; no save calls mode_profiles."""
+    built, (n0, n1) = _node_builds("dns", tmp_path, monkeypatch)
+    assert built == {"nodes": [n0, n1], "W1": 1, "mode_profiles": 0}
+
+
+def test_stability_builds_wapp_node_tables_once_per_run(tmp_path, monkeypatch):
+    """The delta != 0 `stability` experiment on the small box builds each
+    run's node tables once: W0's for the delta = 0 twin first, then W0's
+    and W1's modal families for the run, one node_profiles call each, and
+    W1's table by one CorrectorAssembly.node_table call; no save calls
+    mode_profiles."""
+    built, (n0, n1) = _node_builds("stability", tmp_path, monkeypatch)
+    assert built == {"nodes": [n0, n0, n1], "W1": 1, "mode_profiles": 0}
 
 
 def _twin_residual(cfg, asm):
     """||W_delta - W_0 - W1|| / ||W_app(0)|| at the save times of cfg's
     delta != 0 run and its delta = 0 twin, each marched by its own Solver
     (Solver.run) and kept widened, with W1(t) as W_app(t) less W0(t), each
-    placed on every rfft column (WappNodes.place)."""
+    placed on every rfft column from its own WappNodes (WappNodes.place)."""
     w1 = assemble_W1(asm)
     runs = []
     for delta, w in ((cfg.params.delta, w1), (0.0, None)):
@@ -505,12 +536,12 @@ def _twin_residual(cfg, asm):
                 cfg.options["save_every"], on_save=lambda s: saved.append(s.widen()))
         runs.append((sol, saved))
     (sol, saved), (_, saved0) = runs
-    nodes = WappNodes(asm, w1, sol.grid)
+    nodes, nodes0 = WappNodes(asm, w1, sol.grid), WappNodes(asm, None, sol.grid)
     every = np.arange(sol.grid.nx // 2 + 1)
     norm0 = math.sqrt(sol.norm2(*nodes.place(0.0, every)))
     out = []
     for s, s0 in zip(saved, saved0):
-        W1 = nodes.place(s.t, every) - nodes.place(s.t, every, 1)
+        W1 = nodes.place(s.t, every) - nodes0.place(s.t, every)
         resid = [f - f0 - f1 for f, f0, f1 in zip((s.uh, s.wh, s.bh), (s0.uh, s0.wh, s0.bh), W1)]
         out.append(math.sqrt(sol.norm2(*resid)) / norm0)
     return out
@@ -560,6 +591,27 @@ def test_stability_at_delta_zero_is_its_own_twin(tmp_path):
         _, diff_i, floor_i, net, _, _, resid = map(float, row)
         assert diff_i == floor_i == d
         assert net == 0.0 and resid == 0.0
+
+
+def test_stability_floor_is_the_delta_zero_dns_run(tmp_path):
+    """At delta = eps^3 the twin is the delta = 0 run: stability.csv's t and
+    floor columns are, as written, the t and diff_L2 columns of the
+    dns_series.csv of `dns` at delta = 0 on the same box."""
+    stability = ExperimentConfig(experiment="stability", output_dir=tmp_path / "stability",
+                                 **RERUN_CONFIGS["stability"])
+    params = dataclasses.replace(stability.params, delta=0.0)
+    linear = ExperimentConfig(experiment="dns", output_dir=tmp_path / "dns",
+                              **{**RERUN_CONFIGS["stability"], "params": params})
+    run_experiment(stability)
+    run_experiment(linear)
+
+    def columns(path, *names):
+        header, rows = read_csv(path)
+        return [[row[header.index(n)] for n in names] for row in rows]
+
+    floor = columns(tmp_path / "stability" / "stability.csv", "t", "floor")
+    assert len(floor) == 3
+    assert floor == columns(tmp_path / "dns" / "dns_series.csv", "t", "diff_L2")
 
 
 def test_delta_zero_twin_on_its_columns_is_the_full_width_run():
@@ -657,3 +709,15 @@ class TestCommandLine:
             main(["stability", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_main_refuses_non_finite_delta(self, tmp_path, capsys, value):
+        """--delta nan or inf ends in one error line naming delta, with exit
+        code 2, before any manifest is written (NaN in manifest.json is not
+        JSON, and a NaN delta ends in a lift error that names a node)."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["packet-norms", "--gamma", "0.7", "--delta", value, "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: delta must be finite and >= 0, got {value}\n"
+        assert not (out / "manifest.json").exists()

@@ -1466,8 +1466,7 @@ class TestCompareStability:
         != 0), and _departure of the state saved at step 10, given no
         earlier save, over that norm is compare_stability's row for it."""
         asm, w1, sol = _run(request, run)[:3]
-        nodes = WappNodes(asm, w1, sol.grid)
-        state, norm0 = dns._initial(sol, nodes)
+        state, norm0, nodes = dns._initial(sol, asm, w1)
         view, on = sol._on(state)
         assert on.full == (run == "twin")
         assert norm0 == math.sqrt(view.norm2(*nodes.place(0.0, on.cols)))
@@ -1572,23 +1571,24 @@ class TestCompareStability:
         assert len(rep["t"]) == 4 and sorted(calls) == ["_theta", "_theta_prime"]
 
     def test_twin_reads_w1_tables_only_where_w1_is_placed(self, twin, monkeypatch):
-        """stability_twin phase-sums W1's one node table where W_app is
-        placed alone, at the run's start and at each of 3 saves (4 times),
-        and W0's table there and for the twin's W0 too (8 times)."""
+        """stability_twin builds one WappNodes per run, the twin's first,
+        and phase-sums each table where its run places W_app, at the run's
+        start and at each of 3 saves (4 times): the run's W0 and W1 tables,
+        and the twin's own W0 table, 12 reads in all."""
         asm, w1, sol = twin[:3]
-        built, wapp_nodes = [], dns._wapp_nodes
+        built, wapp_nodes = [], dns.WappNodes
         reads, phase_sum = collections.Counter(), dns.phase_sum
 
         def counted(*args):
             reads[id(args[2])] += 1  # the table's Q
             return phase_sum(*args)
 
-        monkeypatch.setattr(dns, "_wapp_nodes",
+        monkeypatch.setattr(dns, "WappNodes",
                             lambda *args: built.append(wapp_nodes(*args)) or built[-1])
         monkeypatch.setattr(dns, "phase_sum", counted)
         rep = dns.stability_twin(sol, 2, 1, asm, w1)
-        assert len(rep["t"]) == 3 and len(built) == 1
-        assert [reads[id(Q)] for *_, Q in built[0].tables] == [8, 4]
+        assert len(rep["t"]) == 3 and len(built) == 2
+        assert [[reads[id(Q)] for *_, Q in nodes.tables] for nodes in built] == [[4], [4, 4]]
         assert sum(reads.values()) == 12
 
     def test_subset_saves_are_placed_on_their_columns(self, initial, assembly,
@@ -1636,17 +1636,17 @@ def _twin_residuals(asm, w1, dt, save_every, T=0.4):
     grid to Ly = 300, its run and delta = 0 twin in lockstep: at every
     save_every-th step t, its twin_resid ||W_delta - W_0 - W1|| and ||W1||,
     both over ||W_app(0)||, W1(t) as W_app(t) less W0(t), each placed on
-    every rfft column (WappNodes.place)."""
+    every rfft column from its own WappNodes (WappNodes.place)."""
     config = SimConfig(params=w1.params, Lx=asm.x_period, Ly=300.0, nx=512, ny=384,
                        dy0=1e-3, dy_max=1.0, dt=dt, T=T)
     sol = Solver(config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the packet reaches the lid
         rep = dns.stability_twin(sol, int(round(T / dt)), save_every, asm, w1)
-    nodes = WappNodes(asm, w1, sol.grid)
+    nodes, nodes0 = WappNodes(asm, w1, sol.grid), WappNodes(asm, None, sol.grid)
     every = np.arange(config.nx // 2 + 1)
     norm0 = math.sqrt(sol.norm2(*nodes.place(0.0, every)))
-    w1_norm = [math.sqrt(sol.norm2(*(nodes.place(t, every) - nodes.place(t, every, 1))))
+    w1_norm = [math.sqrt(sol.norm2(*(nodes.place(t, every) - nodes0.place(t, every))))
                / norm0 for t in rep["t"]]
     return rep["t"], rep["twin_resid"], np.array(w1_norm)
 

@@ -171,3 +171,14 @@ class TestPhysParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PhysParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["delta", "nu0", "kappa0"])
+    def test_non_finite_is_refused_by_name(self, field, value):
+        """A non-finite delta, nu0 or kappa0 is refused by its own check,
+        which names it, not by a later comparison that NaN slips past."""
+        with pytest.raises(ValueError) as exc:
+            PhysParams(gamma=0.7, **{field: value})
+        assert str(exc.value) == (f"delta must be finite and >= 0, got {value}"
+                                  if field == "delta"
+                                  else "nu0 and kappa0 must be positive and finite")
